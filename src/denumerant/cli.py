@@ -58,13 +58,15 @@ def _range_cb(ctx, param, value):
     return ns
 
 
-def _single_n_cb(ctx, param, value):
+def _nonneg_int_cb(ctx, param, value):
+    if value is None:
+        return None
     try:
         n = _parse_int(value)
     except ValueError as exc:
         raise click.BadParameter(f"expected an integer: {exc}")
     if n < 0:
-        raise click.BadParameter("n must be nonnegative")
+        raise click.BadParameter(f"{param.opts[0].lstrip('-')} must be nonnegative")
     return n
 
 
@@ -78,18 +80,6 @@ def _props_cb(ctx, param, value):
             f"unknown properties {','.join(unknown)}; valid: {','.join(verify.PROPERTIES)}"
         )
     return names
-
-
-def _n_max_cb(ctx, param, value):
-    if value is None:
-        return None
-    try:
-        n = _parse_int(value)
-    except ValueError as exc:
-        raise click.BadParameter(f"expected an integer: {exc}")
-    if n < 0:
-        raise click.BadParameter("n-max must be nonnegative")
-    return n
 
 
 @click.group()
@@ -144,7 +134,7 @@ def cmd_cert(parts, method):
               help="Comma-separated positive parts; order and duplicates kept.")
 @click.option("--props", callback=_props_cb, default=None,
               help=f"Comma-separated subset of: {','.join(verify.PROPERTIES)}. Default: all.")
-@click.option("--n-max", callback=_n_max_cb, default=None,
+@click.option("--n-max", callback=_nonneg_int_cb, default=None,
               help="Oracle comparison bound; default 3*lcm(parts)+10.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "json"]),
               default="plain", show_default=True)
@@ -162,7 +152,7 @@ def cmd_verify(parts, props, n_max, fmt):
 @main.command("bench")
 @click.option("--parts", required=True, callback=_parts_cb,
               help="Comma-separated positive parts; order and duplicates kept.")
-@click.option("--n", callback=_single_n_cb, required=True,
+@click.option("--n", callback=_nonneg_int_cb, required=True,
               help="Evaluation point; 10^6 style accepted.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "csv"]),
               default="plain", show_default=True)
@@ -217,7 +207,7 @@ def cmd_bench(parts, n, fmt, repeat):
 @click.option("--max-part", type=int, required=True, help="Largest part value.")
 @click.option("--props", callback=_props_cb, default=None,
               help="Comma-separated property subset. Default: all.")
-@click.option("--n-max", callback=_n_max_cb, default=None,
+@click.option("--n-max", callback=_nonneg_int_cb, default=None,
               help="Oracle comparison bound per set; default 3*lcm+10.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "json"]),
               default="plain", show_default=True)

@@ -13,13 +13,12 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bernoulli import central_value
+from .bernoulli import central_value, d_higher_symmetric
 from .errors import InputError
 from .exactnum import (
     Rational,
     as_parts,
     binomial,
-    compositions,
     format_rational,
     multinomial,
     parse_rational,
@@ -117,20 +116,13 @@ class Polynomial:
 def umbral_power(l: int, parts: Sequence[int]) -> Rational:
     """Expand (d_1 B + ... + d_m B)^l where B^e means the central value B_e(1/2).
 
-    Each symbol keeps its own index: the power splits over compositions of l
-    with a multinomial weight.
+    Each symbol keeps its own index, so this is the symmetric higher central
+    coefficient D_l^(m) = sum_r l!/prod r_k! prod (2 d_k)^(r_k) B_(r_k)(1/2)
+    scaled by 2^-l.
     """
     if l < 0:
         raise InputError("power must be nonnegative")
-    total = Fraction(0)
-    for r in compositions(l, len(parts)):
-        term = Fraction(multinomial(l, r))
-        for d, e in zip(parts, r):
-            if not term:
-                break
-            term *= Fraction(d) ** e * central_value(e)
-        total += term
-    return total
+    return d_higher_symmetric(l, parts) / 2**l
 
 
 def v1_explicit(parts: Sequence[int]) -> Polynomial:

@@ -12,8 +12,14 @@ xi = sum(d)/2. Two constructions are provided:
     (base_case / extend_recursive);
   * build_explicit: a single pass over pivot positions and shift sums.
 
-They share no intermediate state, which is what makes table-level agreement a
-meaningful check.
+One kernel is shared: _shift_fold, the product of per-position shift sums as
+a DP over positions with state (total exponent, zero exponents) -> residue
+table. build_explicit runs it once per pivot; closure_fn runs it for the one
+remainder of the free coefficient that build_recursive cannot reach by
+extension. Everything else stays independent: extend_recursive's cyclic
+correlation over the previous level, build_explicit's spread of each pivot's
+residue tables into the master table, and the counting oracle
+(oracle.count_dp), so table-level agreement remains a meaningful check.
 
 Periodic coefficients live on the half-integer lattice: a function of period T
 stores 2T rationals indexed by the scaled residue 2s mod 2T, so integer and
@@ -27,7 +33,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import polypart
 from .bernoulli import bernoulli_poly
 from .errors import InputError, IntegralityError
 from .exactnum import (
@@ -36,10 +41,8 @@ from .exactnum import (
     Rational,
     as_parts,
     binomial,
-    compositions,
     format_rational,
     lcm_of,
-    multinomial,
     parse_rational,
 )
 
@@ -281,6 +284,44 @@ def base_case(d1: int) -> QuasiPoly:
     return QuasiPoly((d1,), (PeriodicFn(d1, values),), d1)
 
 
+def _shift_fold(d: Sequence[int], taus: Sequence[int], m: int, start: int, size: int) -> dict:
+    """Products of per-position shift sums, folded in the residue ring mod size.
+
+    Position k, with part d[k] and period t = taus[k], offers for symbol power e
+    the weights t^(e-1) B_e(1 - (2p+1) d_k/2t) / e!, p < t/d_k, at the residues
+    (2p+1) d_k mod size; they are summed by residue first. A DP over positions,
+    from a unit weight at `start`, keeps one residue table per (total exponent
+    l < m, number of zero exponents z): the sum over exponent vectors r of the
+    folded product, which carries 1/prod r_k!. Times l! that is the multinomial
+    weighting, times l!/(1+z) the split weight; no composition is enumerated.
+    """
+    weights = []
+    for dk, t in zip(d, taus):
+        per_e = []
+        for e in range(m):
+            by_res: dict[int, Fraction] = {}
+            for p in range(t // dk):
+                key = ((2 * p + 1) * dk) % size
+                b = bernoulli_poly(e, 1 - Fraction((2 * p + 1) * dk, 2 * t))
+                by_res[key] = by_res.get(key, 0) + b
+            scale = Fraction(t) ** (e - 1) / math.factorial(e)
+            per_e.append([(key, scale * b) for key, b in by_res.items() if b])
+        weights.append(per_e)
+
+    fold = {(0, 0): {start % size: Fraction(1)}}
+    for per_e in weights:
+        nxt: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (l, z), table in fold.items():
+            for e in range(m - l):
+                out = nxt.setdefault((l + e, z + (e == 0)), {})
+                for sh, w in per_e[e]:
+                    for res, a in table.items():
+                        key = (res + sh) % size
+                        out[key] = out.get(key, 0) + a * w
+        fold = nxt
+    return fold
+
+
 def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     """The last-part-periodic remainder of the free coefficient.
 
@@ -288,54 +329,19 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     previous level: the constant remainder with 1/d_m replaced by the shifted
     divisibility indicator and each central Bernoulli symbol replaced by its
     finite shift sum. Prefix periods fold the last part in first:
-    t_i = lcm(d_m, d_1, ..., d_i). Period of the result: d_m.
-
-    Per composition, the product over positions is folded in the residue ring
-    mod 2*d_m instead of expanding the full multi-index grid, which keeps the
-    work polynomial in the periods rather than proportional to their product.
+    t_i = lcm(d_m, d_1, ..., d_i), the last row of tau_table. Period of the
+    result: d_m. It is the total-exponent m-1 slice of _shift_fold over the
+    prefix, mod 2*d_m: the multinomial over (m-1)! is exactly 1/prod r_k!.
     """
     d = as_parts(parts)
     m = len(d)
-    last = d[-1]
-    prefix = d[:-1]
-    taus = [math.lcm(last, *prefix[: i + 1]) for i in range(len(prefix))]
-    size = 2 * last
+    size = 2 * d[-1]
     table = [Fraction(0)] * size
-
-    # options[i][e]: (weight, shift) pairs for symbol power e at prefix position i
-    options: list[list[list[tuple[Fraction, int]]]] = []
-    for i, di in enumerate(prefix):
-        t = taus[i]
-        per_e = []
-        for e in range(m):
-            tpow = Fraction(t) ** (e - 1)
-            per_e.append(
-                [
-                    (tpow * bernoulli_poly(e, 1 - Fraction((2 * p + 1) * di, 2 * t)),
-                     ((2 * p + 1) * di) % size)
-                    for p in range(t // di)
-                ]
-            )
-        options.append(per_e)
-
-    for r in compositions(m - 1, m - 1):
-        state = {last % size: Fraction(multinomial(m - 1, r))}
-        for i, e in enumerate(r):
-            nxt: dict[int, Fraction] = {}
-            for res, acc in state.items():
-                for w, sh in options[i][e]:
-                    if not w:
-                        continue
-                    key = (res + sh) % size
-                    nxt[key] = nxt.get(key, Fraction(0)) + acc * w
-            state = nxt
-            if not state:
-                break
-        for res, acc in state.items():
-            table[res] += acc
-
-    fact = math.factorial(m - 1)
-    return PeriodicFn(last, [v / fact for v in table])
+    for (l, _), res_table in _shift_fold(d[:-1], tau_table(d)[-1][:-1], m, d[-1], size).items():
+        if l == m - 1:
+            for res, a in res_table.items():
+                table[res] += a
+    return PeriodicFn(d[-1], table)
 
 
 def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
@@ -405,64 +411,33 @@ def build_recursive(parts: Sequence[int]) -> QuasiPoly:
 
 
 def build_explicit(parts: Sequence[int]) -> QuasiPoly:
-    """Certificate in a single pass over pivots and shift compositions.
+    """Certificate in a single pass over pivot positions and shift sums.
 
-    For each pivot i the power bucket l collects, over compositions r of l on
-    the other positions, the split weight times the product of per-position
-    shift sums; the pivot contributes the divisibility indicator with its own
-    half-shift. Each product is folded in the residue ring mod 2*d_i (see
-    closure_fn) and then spread into the master table.
+    For each pivot i, _shift_fold runs over the other positions in the residue
+    ring mod 2*d_i, started at the pivot's own half-shift d_i (its divisibility
+    indicator). Power bucket l weights each (l, zeros) table by l!/(1+zeros),
+    which is polypart.split_weight summed over the compositions of l with that
+    many zero exponents, times the binomial(m-1, l)/(m-1)! of the closed form.
+    The bucket's residue table is then spread into the 2*tau master table once
+    per pivot.
     """
     d = as_parts(parts)
     m = len(d)
     tau = lcm_of(d)
-    two_tau = 2 * tau
     taus = tau_table(d)
-    fact = math.factorial(m - 1)
-
-    acc = [[Fraction(0)] * two_tau for _ in range(m)]
-    for i in range(m):
-        di = d[i]
+    acc = [[Fraction(0)] * (2 * tau) for _ in range(m)]
+    for i, di in enumerate(d):
         size = 2 * di
         others = [n for n in range(m) if n != i]
-
-        options: list[list[list[tuple[Fraction, int]]]] = []
-        for n in others:
-            t = taus[i][n]
-            dn = d[n]
-            per_e = []
-            for e in range(m):
-                tpow = Fraction(t) ** (e - 1)
-                per_e.append(
-                    [
-                        (tpow * bernoulli_poly(e, 1 - Fraction((2 * p + 1) * dn, 2 * t)),
-                         ((2 * p + 1) * dn) % size)
-                        for p in range(t // dn)
-                    ]
-                )
-            options.append(per_e)
-
-        for l in range(m):
-            bucket = acc[l]
-            for r in compositions(l, m - 1):
-                state = {di % size: polypart.split_weight(l, m, i + 1, r)}
-                for k, e in enumerate(r):
-                    nxt: dict[int, Fraction] = {}
-                    for res, a in state.items():
-                        for w, sh in options[k][e]:
-                            if not w:
-                                continue
-                            key = (res + sh) % size
-                            nxt[key] = nxt.get(key, Fraction(0)) + a * w
-                    state = nxt
-                    if not state:
-                        break
-                for res, a in state.items():
-                    for rho in range(res, two_tau, size):
+        folded = [[Fraction(0)] * size for _ in range(m)]
+        fold = _shift_fold([d[n] for n in others], [taus[i][n] for n in others], m, di, size)
+        for (l, z), res_table in fold.items():
+            w = Fraction(1, (1 + z) * math.factorial(m - 1 - l))
+            for res, a in res_table.items():
+                folded[l][res] += w * a
+        for bucket, res_table in zip(acc, folded):
+            for res, a in enumerate(res_table):
+                if a:
+                    for rho in range(res, 2 * tau, size):
                         bucket[rho] += a
-
-    coeffs = []
-    for l in range(m):
-        scale = Fraction(binomial(m - 1, l), fact)
-        coeffs.append(PeriodicFn(tau, [scale * v for v in acc[l]]))
-    return QuasiPoly(d, tuple(coeffs), tau)
+    return QuasiPoly(d, tuple(PeriodicFn(tau, vals) for vals in acc), tau)

@@ -25,9 +25,6 @@ __all__ = [
     "iter_multisets",
 ]
 
-PROPERTIES = ("oracle", "recurrence", "parity", "zeros", "path-agreement", "mean-value")
-
-
 @dataclass
 class PropertyResult:
     name: str
@@ -224,6 +221,18 @@ def _check_mean_value(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> Proper
     return PropertyResult("mean-value", True)
 
 
+# name -> check(parts, certs, n_max), in report order; only the oracle uses n_max
+_CHECKS = {
+    "oracle": _check_oracle,
+    "recurrence": lambda parts, certs, n_max: _check_recurrence(parts, certs),
+    "parity": lambda parts, certs, n_max: _check_parity(parts, certs),
+    "zeros": lambda parts, certs, n_max: _check_zeros(parts, certs),
+    "path-agreement": lambda parts, certs, n_max: _check_path_agreement(parts, certs),
+    "mean-value": lambda parts, certs, n_max: _check_mean_value(parts, certs),
+}
+PROPERTIES = tuple(_CHECKS)
+
+
 def run_properties(
     parts: Sequence[int],
     props: Sequence[str] | None = None,
@@ -255,18 +264,7 @@ def run_properties(
 
     report = VerifyReport(parts=d)
     for name in selected:
-        if name == "oracle":
-            report.results.append(_check_oracle(d, certs, n_max))
-        elif name == "recurrence":
-            report.results.append(_check_recurrence(d, certs))
-        elif name == "parity":
-            report.results.append(_check_parity(d, certs))
-        elif name == "zeros":
-            report.results.append(_check_zeros(d, certs))
-        elif name == "path-agreement":
-            report.results.append(_check_path_agreement(d, certs))
-        elif name == "mean-value":
-            report.results.append(_check_mean_value(d, certs))
+        report.results.append(_CHECKS[name](d, certs, n_max))
     return report
 
 

@@ -188,3 +188,18 @@ class TestCorpus:
     def test_bad_bounds_exit_2(self, runner):
         res = runner.invoke(main, ["corpus", "--max-m", "0", "--max-part", "2"])
         assert res.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["bench", "--parts", "1,2", "--n", "-1"], "n must be nonnegative"),
+        (["bench", "--parts", "1,2", "--n", "x"], "expected an integer"),
+        (["verify", "--parts", "1,2", "--n-max", "-1"], "n-max must be nonnegative"),
+        (["corpus", "--max-m", "1", "--max-part", "1", "--n-max", "-2"], "n-max must be nonnegative"),
+    ],
+)
+def test_nonnegative_integer_options_exit_2(runner, args, message):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert message in res.output

@@ -134,6 +134,27 @@ class TestExplicit:
         for n in range(61):
             assert c.count(n) == t[n]
 
+    @pytest.mark.parametrize(
+        "parts, builders",
+        [
+            ((1, 2, 3, 4, 5, 6, 7), (build_explicit,)),
+            ((6, 5, 4, 3, 2, 1), (build_explicit, build_recursive)),
+            ((1, 1, 2, 2, 3, 3), (build_explicit, build_recursive)),
+            ((2, 2, 3, 3, 4, 4), (build_explicit, build_recursive)),
+            ((1, 2, 3, 4, 5), (build_explicit, build_recursive)),
+        ],
+    )
+    def test_many_parts_proved_by_oracle(self, parts, builders):
+        # m values per residue class fix a degree-(m-1), period-tau
+        # quasi-polynomial, so agreement on n = 0..m*tau-1 is a proof
+        m, tau = len(parts), lcm_of(parts)
+        table = count_dp(parts, m * tau - 1)
+        certs = [build(parts) for build in builders]
+        for cert in certs:
+            assert tuple(cert.count(n) for n in range(m * tau)) == table.counts
+        for cert in certs[1:]:
+            assert cert.aligned(tau) == certs[0].aligned(tau)
+
 
 class TestWorkedTwoPartForms:
     """Fully expanded m = 2 formulas, frozen as an independent reference."""
