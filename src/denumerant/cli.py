@@ -74,6 +74,8 @@ def _props_cb(ctx, param, value):
     if value is None:
         return None
     names = tuple(p.strip() for p in value.split(",") if p.strip())
+    if not names:
+        raise click.BadParameter(f"no properties given; valid: {','.join(verify.PROPERTIES)}")
     unknown = [p for p in names if p not in verify.PROPERTIES]
     if unknown:
         raise click.BadParameter(
@@ -135,7 +137,7 @@ def cmd_cert(parts, method):
 @click.option("--props", callback=_props_cb, default=None,
               help=f"Comma-separated subset of: {','.join(verify.PROPERTIES)}. Default: all.")
 @click.option("--n-max", callback=_nonneg_int_cb, default=None,
-              help="Oracle comparison bound; default 3*lcm(parts)+10.")
+              help="Oracle comparison bound; default max(3*lcm+10, m*lcm-1), a proof range.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "json"]),
               default="plain", show_default=True)
 def cmd_verify(parts, props, n_max, fmt):
@@ -208,7 +210,7 @@ def cmd_bench(parts, n, fmt, repeat):
 @click.option("--props", callback=_props_cb, default=None,
               help="Comma-separated property subset. Default: all.")
 @click.option("--n-max", callback=_nonneg_int_cb, default=None,
-              help="Oracle comparison bound per set; default 3*lcm+10.")
+              help="Oracle comparison bound per set; default max(3*lcm+10, m*lcm-1), a proof range.")
 @click.option("--format", "fmt", type=click.Choice(["plain", "json"]),
               default="plain", show_default=True)
 def cmd_corpus(max_m, max_part, props, n_max, fmt):
@@ -234,3 +236,7 @@ def cmd_corpus(max_m, max_part, props, n_max, fmt):
         click.echo(f"{len(reports)} sets checked, {len(failures)} failing")
     if failures:
         sys.exit(1)
+
+
+if __name__ == "__main__":
+    main()

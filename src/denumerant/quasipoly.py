@@ -367,10 +367,13 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     ]
 
     coeffs: list[PeriodicFn] = []
-    for j in range(1, m):
+    for j in range(1, m + 1):
         table = [Fraction(0)] * two_tau
-        for l in range(j):
-            c = Fraction(d_new) ** (l - 1) * binomial(m - 1 - j + l, l) * Fraction(delta) ** (l - 1)
+        for l in range(1 if j == m else 0, j):
+            if j < m:
+                c = Fraction(tau) ** (l - 1) * binomial(m - 1 - j + l, l) / (m - j)
+            else:
+                c = Fraction(tau) ** (l - 1) / l
             prev_fn = prev.coeffs[j - l - 1]
             for p in range(delta):
                 b = bvals[l][p]
@@ -380,24 +383,10 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
                 shift = (2 * p + 1) * d_new
                 for rho in range(two_tau):
                     table[rho] += w * prev_fn.at_twice(rho - shift)
-        coeffs.append(PeriodicFn(tau, [v / (m - j) for v in table]))
-
-    table = [Fraction(0)] * two_tau
-    for l in range(1, m):
-        c = Fraction(tau) ** (l - 1) / l
-        prev_fn = prev.coeffs[m - l - 1]
-        for p in range(delta):
-            b = bvals[l][p]
-            if not b:
-                continue
-            w = c * b
-            shift = (2 * p + 1) * d_new
-            for rho in range(two_tau):
-                table[rho] += w * prev_fn.at_twice(rho - shift)
-    closure = closure_fn(parts)
-    coeffs.append(
-        PeriodicFn(tau, [table[rho] + closure.at_twice(rho) for rho in range(two_tau)])
-    )
+        if j == m:
+            closure = closure_fn(parts)
+            table = [v + closure.at_twice(rho) for rho, v in enumerate(table)]
+        coeffs.append(PeriodicFn(tau, table))
     return QuasiPoly(parts, tuple(coeffs), tau)
 
 

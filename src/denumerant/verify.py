@@ -1,8 +1,11 @@
 """Property harness: structural checks on certificates, with minimal counterexamples.
 
 Each check scans its argument space in increasing absolute value, so the first
-failure reported is a smallest one. Results never stop early across
-properties; a report carries one result per requested property.
+failure reported is a smallest one. The recurrence and parity laws are checked
+as identities between coefficient tables, one residue class of 2s at a time,
+and report the smallest failing class; the oracle check covers m points per
+class by default. Results never stop early across properties; a report
+carries one result per requested property.
 """
 
 from __future__ import annotations
@@ -73,7 +76,11 @@ class VerifyReport:
 
 
 def default_n_max(parts: Sequence[int]) -> int:
-    return 3 * lcm_of(as_parts(parts)) + 10
+    """Oracle bound: n = 0..m*tau-1 gives every residue class m points, which fix
+    a degree m-1 quasi-polynomial, so agreement up to it is a proof."""
+    d = as_parts(parts)
+    tau = lcm_of(d)
+    return max(3 * tau + 10, len(d) * tau - 1)
 
 
 def _check_oracle(parts, certs: Mapping[str, quasipoly.QuasiPoly], n_max: int) -> PropertyResult:
@@ -95,6 +102,11 @@ def _check_oracle(parts, certs: Mapping[str, quasipoly.QuasiPoly], n_max: int) -
     return PropertyResult("oracle", True, note=f"n up to {n_max}")
 
 
+def _column(cert: quasipoly.QuasiPoly, rho: int) -> polypart.Polynomial:
+    """V restricted to the class 2s = rho, as a polynomial in s."""
+    return polypart.Polynomial(fn.at_twice(rho) for fn in cert.coeffs)
+
+
 def _check_recurrence(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyResult:
     m = len(parts)
     if m == 1:
@@ -102,62 +114,45 @@ def _check_recurrence(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> Proper
     dm = parts[-1]
     builders = {"explicit": quasipoly.build_explicit, "recursive": quasipoly.build_recursive}
     prevs = {label: builders[label](parts[:-1]) for label in certs}
-    tau = lcm_of(parts)
-    delta = tau // dm
-    for rho in range(2 * tau):
+    # One polynomial identity per class; the full-period iterate
+    # V(s + tau) - V(s) = sum_p V_{m-1}(s + tau - (2p+1) d_m/2) telescopes from it.
+    for rho in range(2 * lcm_of(parts)):
         for label, cert in certs.items():
-            prev = prevs[label]
-            lhs = cert.value(HalfInt(rho)) - cert.value(HalfInt(rho - 2 * dm))
-            rhs = prev.value(HalfInt(rho - dm))
-            if lhs != rhs:
-                return PropertyResult(
-                    "recurrence", False,
-                    {"path": label, "relation": "single-step", "s": str(HalfInt(rho)),
-                     "lhs": str(lhs), "rhs": str(rhs)},
-                )
-            # iterated form over one full period of the last part
-            lhs = cert.value(HalfInt(rho + 2 * tau)) - cert.value(HalfInt(rho))
-            rhs = sum(
-                (prev.value(HalfInt(rho + 2 * tau - (2 * p + 1) * dm)) for p in range(delta)),
-                Fraction(0),
-            )
-            if lhs != rhs:
-                return PropertyResult(
-                    "recurrence", False,
-                    {"path": label, "relation": "full-period", "s": str(HalfInt(rho)),
-                     "lhs": str(lhs), "rhs": str(rhs)},
-                )
+            lhs = _column(cert, rho) - _column(cert, rho - 2 * dm).shifted(-dm)
+            rhs = _column(prevs[label], rho - dm).shifted(Fraction(-dm, 2))
+            for power, a, b in zip(range(m - 1, -1, -1), lhs.coeffs, (0,) + rhs.coeffs):
+                if a != b:
+                    return PropertyResult(
+                        "recurrence", False,
+                        {"path": label, "s": str(HalfInt(rho)), "power": power,
+                         "lhs": str(a), "rhs": str(b)},
+                    )
     return PropertyResult("recurrence", True)
 
 
 def _check_parity(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyResult:
     m = len(parts)
     sign = -1 if m % 2 == 0 else 1
-    tau = lcm_of(parts)
     natural = sum(parts) % 2
-    limit = 4 * tau  # twice the bound |s| <= 2*tau
-    for t in range(natural, limit + 1, 2):
+    # V(-s) = sign V(s) on the class of s holds iff R_j(-s) (-1)^(m-j) = sign R_j(s)
+    # for every j; rho and -rho give the same condition, so rho <= tau covers every
+    # class, smallest |s| first. Off-grid classes are described, never asserted.
+    all_zero = symmetric = True
+    for rho in range(lcm_of(parts) + 1):
+        on_grid = rho % 2 == natural
         for label, cert in certs.items():
-            plus = cert.value(HalfInt(t))
-            minus = cert.value(HalfInt(-t))
-            if minus != sign * plus:
-                return PropertyResult(
-                    "parity", False,
-                    {"path": label, "s": str(HalfInt(t)),
-                     "V(-s)": str(minus), "expected": str(sign * plus)},
-                )
-    # off-grid points are evaluated and described, never asserted
-    off = 1 - natural
-    all_zero = True
-    symmetric = True
-    for t in range(off, limit + 1, 2):
-        for cert in certs.values():
-            plus = cert.value(HalfInt(t))
-            minus = cert.value(HalfInt(-t))
-            if plus or minus:
-                all_zero = False
-            if minus != sign * plus:
-                symmetric = False
+            for j, fn in enumerate(cert.coeffs, 1):
+                plus, minus = fn.at_twice(rho), fn.at_twice(-rho)
+                if minus * (-1) ** (m - j) != sign * plus:
+                    if on_grid:
+                        return PropertyResult(
+                            "parity", False,
+                            {"path": label, "s": str(HalfInt(rho)), "coefficient": j,
+                             "R_j(-s)": str(minus), "R_j(s)": str(plus)},
+                        )
+                    symmetric = False
+                if not on_grid and (plus or minus):
+                    all_zero = False
     if all_zero:
         note = "off-grid values identically zero"
     elif symmetric:
@@ -248,6 +243,8 @@ def run_properties(
     if props is None:
         selected = PROPERTIES
     else:
+        if not props:
+            raise InputError(f"no properties requested; valid: {', '.join(PROPERTIES)}")
         unknown = [p for p in props if p not in PROPERTIES]
         if unknown:
             raise InputError(f"unknown properties {unknown}; valid: {', '.join(PROPERTIES)}")

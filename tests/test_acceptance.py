@@ -58,7 +58,9 @@ def corpus_tables():
     t0 = time.perf_counter()
     tables = {}
     for parts in CORPUS:
-        tables[parts] = count_dp(parts, 3 * lcm_of(parts) + 10)
+        # m points in every residue class mod tau: agreement there is a proof
+        tau = lcm_of(parts)
+        tables[parts] = count_dp(parts, max(3 * tau + 10, len(parts) * tau - 1))
     return tables, time.perf_counter() - t0
 
 

@@ -1,6 +1,10 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -123,6 +127,11 @@ class TestVerify:
         res = runner.invoke(main, ["verify", "--parts", "1,2", "--props", "oracle,magic"])
         assert res.exit_code == 2
 
+    def test_empty_props_exit_2(self, runner):
+        res = runner.invoke(main, ["verify", "--parts", "1,2", "--props", ","])
+        assert res.exit_code == 2
+        assert "no properties given" in res.output
+
     def test_failure_exit_1(self, runner, monkeypatch):
         real = quasipoly.build_explicit
 
@@ -203,3 +212,17 @@ def test_nonnegative_integer_options_exit_2(runner, args, message):
     res = runner.invoke(main, args)
     assert res.exit_code == 2
     assert message in res.output
+
+
+def test_module_entry_point():
+    """`python -m denumerant.cli` runs the command group from a checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    cmd = [sys.executable, "-m", "denumerant.cli", "verify"]
+    ok = subprocess.run(cmd + ["--parts", "1,2"], capture_output=True, text=True, env=env)
+    assert ok.returncode == 0
+    assert "all properties passed" in ok.stdout
+    bad = subprocess.run(cmd + ["--parts", "0"], capture_output=True, text=True, env=env)
+    assert bad.returncode == 2

@@ -48,9 +48,15 @@ class TestCleanRuns:
         with pytest.raises(InputError):
             run_properties((1, 2), props=["oracle", "speed"])
 
+    def test_empty_property_list_rejected(self):
+        with pytest.raises(InputError):
+            run_properties((1, 2), props=[])
+
     def test_default_n_max(self):
         assert default_n_max((1, 2, 3)) == 28
         assert default_n_max((4,)) == 22
+        # m*tau - 1 = 839 exceeds 3*tau + 10 = 640: m points in every class
+        assert default_n_max((2, 3, 5, 7)) == 839
 
 
 class TestDetection:
@@ -78,6 +84,40 @@ class TestDetection:
         )
         assert not report.passed
         assert report.results[0].counterexample["n"] == 1
+
+    def test_recurrence_identity_failure(self):
+        parts = (1, 2, 3)
+        # add (s-2)(s-8) = s^2 - 10 s + 16 on the class 2s = 4 (mod 12): it
+        # vanishes at s = 2 and s = 8, the points a sampled check would visit
+        broken = build_explicit(parts)
+        for index, delta in enumerate((1, -10, 16)):
+            broken = _tampered(broken, index, 4, Fraction(delta))
+        report = run_properties(
+            parts, props=["recurrence"],
+            certs={"explicit": broken, "recursive": build_recursive(parts)},
+        )
+        assert not report.passed
+        cex = report.results[0].counterexample
+        assert cex["path"] == "explicit"
+        assert cex["s"] == "2"
+        assert cex["power"] == 2
+
+    def test_parity_failure(self):
+        parts = (1, 2, 3)
+        good = build_recursive(parts)
+        # 2s = 8 and 2s = -8 = 4 (mod 12) are one class; its smallest |s| is 2
+        broken = _tampered(good, 1, 8)
+        report = run_properties(
+            parts, props=["parity"],
+            certs={"explicit": build_explicit(parts), "recursive": broken},
+        )
+        assert not report.passed
+        cex = report.results[0].counterexample
+        assert cex["path"] == "recursive"
+        assert cex["s"] == "2"
+        assert cex["coefficient"] == 2
+        assert cex["R_j(s)"] == str(good.coeffs[1].values[4])
+        assert cex["R_j(-s)"] == str(good.coeffs[1].values[8] + 1)
 
     def test_mean_value_failure(self):
         parts = (1, 2)
