@@ -1,35 +1,38 @@
 """Command-line front end: counts, certificates, verification, benchmarks.
 
 Exit codes: 0 on success, 1 when a verification property fails, 2 on usage
-errors (click's default for bad parameters).
+errors (click's default for bad parameters) and on inputs over the guard limit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 
 import click
 
 from . import oracle, quasipoly, verify
-from .errors import InputError, IntegralityError
+from .errors import CapacityError, InputError, IntegralityError
 from .exactnum import as_parts
-
-_BUILDERS = {
-    "explicit": quasipoly.build_explicit,
-    "recursive": quasipoly.build_recursive,
-}
 
 
 def _parse_int(text: str) -> int:
-    """Plain integer, or base^exponent shorthand like 10^6."""
+    """Plain integer, or base^exponent shorthand like 10^6.
+
+    A power gets the digit limit int() puts on plain integers, checked on an
+    estimate before the power is computed.
+    """
     text = text.strip()
     if "^" in text:
         base, _, exp = text.partition("^")
         b, e = int(base), int(exp)
         if e < 0:
             raise ValueError("negative exponent")
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(b) > 1 and e >= limit / math.log10(abs(b)):
+            raise ValueError(f"{text} has more than the {limit} digits allowed")
         return b**e
     return int(text)
 
@@ -48,6 +51,7 @@ def _range_cb(ctx, param, value):
             lo, hi = _parse_int(lo_s), _parse_int(hi_s)
             if lo > hi:
                 raise ValueError(f"empty range {value!r}")
+            oracle.guard(hi - lo + 1, f"the range {value} has {hi - lo + 1} values")
             ns = tuple(range(lo, hi + 1))
         else:
             ns = (_parse_int(value),)
@@ -84,7 +88,18 @@ def _props_cb(ctx, param, value):
     return names
 
 
-@click.group()
+class _Group(click.Group):
+    """Turns a CapacityError from any subcommand, option callbacks included,
+    into a usage error (exit 2)."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CapacityError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main():
     """Exact restricted-partition counts and their quasi-polynomial certificates."""
 
@@ -94,7 +109,7 @@ def main():
               help="Comma-separated positive parts; order and duplicates kept.")
 @click.option("--n", "ns", required=True, callback=_range_cb,
               help="A single n or an inclusive range A..B; 10^6 style accepted.")
-@click.option("--method", type=click.Choice(["explicit", "recursive", "oracle"]),
+@click.option("--method", type=click.Choice([*verify.BUILDERS, "oracle"]),
               default="explicit", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]),
               default="plain", show_default=True)
@@ -104,7 +119,7 @@ def cmd_eval(parts, ns, method, fmt):
         table = oracle.count_dp(parts, max(ns))
         counts = [table[n] for n in ns]
     else:
-        cert = _BUILDERS[method](parts)
+        cert = verify.BUILDERS[method](parts)
         try:
             counts = [cert.count(n) for n in ns]
         except IntegralityError as exc:
@@ -124,11 +139,11 @@ def cmd_eval(parts, ns, method, fmt):
 @main.command("cert")
 @click.option("--parts", required=True, callback=_parts_cb,
               help="Comma-separated positive parts; order and duplicates kept.")
-@click.option("--method", type=click.Choice(["explicit", "recursive"]),
+@click.option("--method", type=click.Choice(list(verify.BUILDERS)),
               default="explicit", show_default=True)
 def cmd_cert(parts, method):
     """Emit the certificate for the part list as deterministic JSON."""
-    click.echo(_BUILDERS[method](parts).to_json())
+    click.echo(verify.BUILDERS[method](parts).to_json())
 
 
 @main.command("verify")

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from .errors import CapacityError, InputError
 from .exactnum import HalfInt, HalfLike, as_parts
 
-__all__ = ["CountTable", "count_dp", "count_enum", "shifted_q", "DEFAULT_GUARD_LIMIT", "GUARD_ENV"]
+__all__ = [
+    "CountTable", "count_dp", "count_enum", "guard", "shifted_q", "DEFAULT_GUARD_LIMIT", "GUARD_ENV",
+]
 
 DEFAULT_GUARD_LIMIT = 10_000_000
 GUARD_ENV = "RPF_GUARD_LIMIT"
@@ -48,11 +50,13 @@ class CountTable:
 def count_dp(parts, max_n: int) -> CountTable:
     """Coefficients of prod_i 1/(1 - t^(d_i)) up to t^max_n.
 
-    One in-place convolution pass per part; linear in max_n per part.
+    One in-place convolution pass per part; linear in max_n per part. The
+    m * (max_n + 1) cell updates are checked against the guard limit first.
     """
     d = as_parts(parts)
     if not isinstance(max_n, int) or max_n < 0:
         raise InputError(f"max_n must be a nonnegative integer, got {max_n!r}")
+    guard(len(d) * (max_n + 1), f"the DP table would take {len(d)} x {max_n + 1} cells")
     counts = [0] * (max_n + 1)
     counts[0] = 1
     for di in d:
@@ -73,25 +77,30 @@ def _guard_limit(override: int | None) -> int:
     return DEFAULT_GUARD_LIMIT
 
 
+def guard(work: int, what: str, guard_limit: int | None = None) -> None:
+    """Raise CapacityError, saying `what`, when `work` exceeds the guard limit.
+
+    The limit comes from the argument, the RPF_GUARD_LIMIT environment
+    variable, or the default, in that order.
+    """
+    limit = _guard_limit(guard_limit)
+    if work > limit:
+        raise CapacityError(f"{what}, over the limit {limit}")
+
+
 def count_enum(parts, n: int, guard_limit: int | None = None) -> int:
     """Count solution vectors by direct nested iteration.
 
     Deliberately naive and independent of count_dp. The work estimate
-    prod(n // d_i + 1) is checked against the guard limit first; the limit
-    comes from the argument, the RPF_GUARD_LIMIT environment variable, or the
-    default, in that order.
+    prod(n // d_i + 1) is checked against the guard limit first (see guard).
     """
     d = as_parts(parts)
     if not isinstance(n, int):
         raise InputError(f"n must be an integer, got {n!r}")
     if n < 0:
         return 0
-    limit = _guard_limit(guard_limit)
     box = math.prod(n // di + 1 for di in d)
-    if box > limit:
-        raise CapacityError(
-            f"enumeration would visit up to {box} vectors, over the limit {limit}"
-        )
+    guard(box, f"enumeration would visit up to {box} vectors", guard_limit)
 
     def rec(idx: int, rem: int) -> int:
         if idx == len(d):

@@ -42,7 +42,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational | int]):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
         self.coeffs = cs if cs else (Fraction(0),)
 
     @property
@@ -57,17 +57,13 @@ class Polynomial:
         return acc
 
     def shifted(self, delta: Rational | int) -> "Polynomial":
-        """Coefficients of p(s + delta), re-expanded exactly."""
+        """Coefficients of p(s + delta), by repeated synthetic division (Taylor shift)."""
         df = Fraction(delta)
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        for idx, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            e = n - 1 - idx
-            for k in range(e + 1):
-                out[n - 1 - k] += c * binomial(e, k) * df ** (e - k)
-        return Polynomial(out)
+        a = list(self.coeffs)
+        for top in range(len(a) - 1, 0, -1):
+            for k in range(1, top + 1):
+                a[k] += a[k - 1] * df
+        return Polynomial(a)
 
     def _trimmed(self) -> tuple[Fraction, ...]:
         cs = self.coeffs
@@ -76,19 +72,18 @@ class Polynomial:
             i += 1
         return cs[i:]
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _aligned(self, other: "Polynomial") -> zip:
+        """Coefficient pairs of both polynomials, the shorter padded with leading zeros."""
         a, b = self.coeffs, other.coeffs
         n = max(len(a), len(b))
-        pa = (Fraction(0),) * (n - len(a)) + a
-        pb = (Fraction(0),) * (n - len(b)) + b
-        return Polynomial(x + y for x, y in zip(pa, pb))
+        zero = (Fraction(0),)
+        return zip(zero * (n - len(a)) + a, zero * (n - len(b)) + b)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial(x + y for x, y in self._aligned(other))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        pa = (Fraction(0),) * (n - len(a)) + a
-        pb = (Fraction(0),) * (n - len(b)) + b
-        return Polynomial(x - y for x, y in zip(pa, pb))
+        return Polynomial(x - y for x, y in self._aligned(other))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -163,27 +158,25 @@ def r_mm_constant(parts: Sequence[int]) -> Rational:
 
 
 def r_coeffs_recursive(parts: Sequence[int]) -> Polynomial:
-    """Polynomial part grown one part at a time; independent of v1_explicit."""
+    """Polynomial part grown one part at a time; independent of v1_explicit.
+
+    Coefficient j of level m sums the previous level's coefficient j-l, l < j,
+    times (m-j+l-1)!/(l! (m-j)!) d_m^(l-1) B_l(1/2), one weight for every j.
+    The l = 0 term of the free coefficient (j = m) is r_mm_constant.
+    """
     d = as_parts(parts)
     coeffs = [Fraction(1, d[0])]
     for mm in range(2, len(d) + 1):
         dm = Fraction(d[mm - 1])
-        new = []
-        for j in range(1, mm):
-            acc = Fraction(0)
-            for l in range(j):
+        new = [Fraction(0)] * (mm - 1) + [r_mm_constant(d[:mm])]
+        for j in range(1, mm + 1):
+            k = mm - j
+            for i, prev in enumerate(coeffs[:j]):
+                l = j - 1 - i
                 b = central_value(l)
-                if not b:
-                    continue
-                acc += dm ** (l - 1) * binomial(mm - 1 - j + l, l) * b * coeffs[j - l - 1]
-            new.append(acc / (mm - j))
-        free = r_mm_constant(d[:mm])
-        for l in range(1, mm):
-            b = central_value(l)
-            if not b:
-                continue
-            free += dm ** (l - 1) / l * b * coeffs[mm - l - 1]
-        new.append(free)
+                if b:
+                    c = Fraction(math.factorial(k + l - 1), math.factorial(l) * math.factorial(k))
+                    new[j - 1] += c * dm ** (l - 1) * b * prev
         coeffs = new
     return Polynomial(coeffs)
 

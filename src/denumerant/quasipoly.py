@@ -12,13 +12,15 @@ xi = sum(d)/2. Two constructions are provided:
     (base_case / extend_recursive);
   * build_explicit: a single pass over pivot positions and shift sums.
 
-One kernel is shared: _shift_fold, the product of per-position shift sums as
-a DP over positions with state (total exponent, zero exponents) -> residue
-table. build_explicit runs it once per pivot; closure_fn runs it for the one
-remainder of the free coefficient that build_recursive cannot reach by
-extension. Everything else stays independent: extend_recursive's cyclic
-correlation over the previous level, build_explicit's spread of each pivot's
-residue tables into the master table, and the counting oracle
+Two kernels are shared. _shift_weights tabulates one position's Bernoulli
+shift weights by residue; _shift_fold multiplies them over positions as a DP
+with state (total exponent, zero exponents) -> residue table. build_explicit
+runs the fold once per pivot; closure_fn runs it for the one remainder of the
+free coefficient that build_recursive cannot reach by extension, and
+extend_recursive reads the new part's weights from _shift_weights. Everything
+else stays independent: extend_recursive's cyclic correlation over the
+previous level, build_explicit's product over the pivot and spread of each
+pivot's residue tables into the master table, and the counting oracle
 (oracle.count_dp), so table-level agreement remains a meaningful check.
 
 Periodic coefficients live on the half-integer lattice: a function of period T
@@ -40,7 +42,6 @@ from .exactnum import (
     HalfLike,
     Rational,
     as_parts,
-    binomial,
     format_rational,
     lcm_of,
     parse_rational,
@@ -284,32 +285,35 @@ def base_case(d1: int) -> QuasiPoly:
     return QuasiPoly((d1,), (PeriodicFn(d1, values),), d1)
 
 
+def _shift_weights(dk: int, t: int, m: int, size: int) -> list[list[tuple[int, Fraction]]]:
+    """One position's shift weights: for each symbol power e < m, the nonzero
+    t^(e-1) B_e(1 - (2p+1) d_k/2t) / e!, p < t/d_k, summed by their residue
+    (2p+1) d_k mod size, as (residue, weight) pairs."""
+    per_e = []
+    for e in range(m):
+        by_res: dict[int, Fraction] = {}
+        for p in range(t // dk):
+            key = ((2 * p + 1) * dk) % size
+            b = bernoulli_poly(e, 1 - Fraction((2 * p + 1) * dk, 2 * t))
+            by_res[key] = by_res.get(key, 0) + b
+        scale = Fraction(t) ** (e - 1) / math.factorial(e)
+        per_e.append([(key, scale * b) for key, b in by_res.items() if b])
+    return per_e
+
+
 def _shift_fold(d: Sequence[int], taus: Sequence[int], m: int, start: int, size: int) -> dict:
     """Products of per-position shift sums, folded in the residue ring mod size.
 
-    Position k, with part d[k] and period t = taus[k], offers for symbol power e
-    the weights t^(e-1) B_e(1 - (2p+1) d_k/2t) / e!, p < t/d_k, at the residues
-    (2p+1) d_k mod size; they are summed by residue first. A DP over positions,
-    from a unit weight at `start`, keeps one residue table per (total exponent
-    l < m, number of zero exponents z): the sum over exponent vectors r of the
-    folded product, which carries 1/prod r_k!. Times l! that is the multinomial
-    weighting, times l!/(1+z) the split weight; no composition is enumerated.
+    Position k, with part d[k] and period t = taus[k], offers the weights of
+    _shift_weights(d[k], t, m, size). A DP over positions, from a unit weight
+    at `start`, keeps one residue table per (total exponent l < m, number of
+    zero exponents z): the sum over exponent vectors r of the folded product,
+    which carries 1/prod r_k!. Times l! that is the multinomial weighting,
+    times l!/(1+z) the split weight; no composition is enumerated.
     """
-    weights = []
-    for dk, t in zip(d, taus):
-        per_e = []
-        for e in range(m):
-            by_res: dict[int, Fraction] = {}
-            for p in range(t // dk):
-                key = ((2 * p + 1) * dk) % size
-                b = bernoulli_poly(e, 1 - Fraction((2 * p + 1) * dk, 2 * t))
-                by_res[key] = by_res.get(key, 0) + b
-            scale = Fraction(t) ** (e - 1) / math.factorial(e)
-            per_e.append([(key, scale * b) for key, b in by_res.items() if b])
-        weights.append(per_e)
-
     fold = {(0, 0): {start % size: Fraction(1)}}
-    for per_e in weights:
+    for dk, t in zip(d, taus):
+        per_e = _shift_weights(dk, t, m, size)
         nxt: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (l, z), table in fold.items():
             for e in range(m - l):
@@ -347,47 +351,33 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
 def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     """Grow a certificate by one more part.
 
-    Coefficients R_1..R_{m-1} follow the period-lifted recursion over shifted
-    samples of the previous level; the free coefficient R_m is the reachable
-    partial sum plus the closure remainder. The previous certificate is only
-    read through its coefficient functions, so its tabulation period does not
-    matter.
+    R_j of the new level is a cyclic correlation of the previous level's
+    R_{j-l}, l < j, with the shift weights _shift_weights(d_new, tau, m, 2 tau)
+    (tau^(l-1) B_l(1 - (2p+1) d_new/2tau) / l! at the shift (2p+1) d_new),
+    each times (m-j+l-1)!/(m-j)!: in all (m-j+l-1)!/(l! (m-j)!) tau^(l-1),
+    one weight for every j. The l = 0 term of the free coefficient R_m has no
+    previous coefficient to read; it is the closure remainder closure_fn. The
+    previous certificate is only read through its coefficient functions, so
+    its tabulation period does not matter.
     """
     (d_new,) = as_parts([d_new])
     parts = prev.parts + (d_new,)
     m = len(parts)
     tau = lcm_of(parts)
-    delta = tau // d_new
     two_tau = 2 * tau
+    weights = _shift_weights(d_new, tau, m, two_tau)
 
-    # shift weights B_l(1 - (p + 1/2) d_new / tau), shared by every coefficient
-    bvals = [
-        [bernoulli_poly(l, 1 - Fraction((2 * p + 1) * d_new, 2 * tau)) for p in range(delta)]
-        for l in range(m)
-    ]
-
-    coeffs: list[PeriodicFn] = []
-    for j in range(1, m + 1):
-        table = [Fraction(0)] * two_tau
-        for l in range(1 if j == m else 0, j):
-            if j < m:
-                c = Fraction(tau) ** (l - 1) * binomial(m - 1 - j + l, l) / (m - j)
-            else:
-                c = Fraction(tau) ** (l - 1) / l
-            prev_fn = prev.coeffs[j - l - 1]
-            for p in range(delta):
-                b = bvals[l][p]
-                if not b:
-                    continue
+    tables = [[Fraction(0)] * two_tau for _ in range(m - 1)]
+    tables.append(list(closure_fn(parts).with_period(tau).values))
+    for j, table in enumerate(tables, 1):
+        for i, prev_fn in enumerate(prev.coeffs[:j]):
+            l = j - 1 - i
+            c = Fraction(math.factorial(m - j + l - 1), math.factorial(m - j))
+            for shift, b in weights[l]:
                 w = c * b
-                shift = (2 * p + 1) * d_new
                 for rho in range(two_tau):
                     table[rho] += w * prev_fn.at_twice(rho - shift)
-        if j == m:
-            closure = closure_fn(parts)
-            table = [v + closure.at_twice(rho) for rho, v in enumerate(table)]
-        coeffs.append(PeriodicFn(tau, table))
-    return QuasiPoly(parts, tuple(coeffs), tau)
+    return QuasiPoly(parts, tuple(PeriodicFn(tau, t) for t in tables), tau)
 
 
 def build_recursive(parts: Sequence[int]) -> QuasiPoly:

@@ -20,6 +20,7 @@ from .errors import InputError, IntegralityError
 from .exactnum import HalfInt, as_parts, lcm_of
 
 __all__ = [
+    "BUILDERS",
     "PROPERTIES",
     "PropertyResult",
     "VerifyReport",
@@ -112,8 +113,7 @@ def _check_recurrence(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> Proper
     if m == 1:
         return PropertyResult("recurrence", True, note="vacuous for a single part")
     dm = parts[-1]
-    builders = {"explicit": quasipoly.build_explicit, "recursive": quasipoly.build_recursive}
-    prevs = {label: builders[label](parts[:-1]) for label in certs}
+    prevs = {label: BUILDERS[label](parts[:-1]) for label in certs}
     # One polynomial identity per class; the full-period iterate
     # V(s + tau) - V(s) = sum_p V_{m-1}(s + tau - (2p+1) d_m/2) telescopes from it.
     for rho in range(2 * lcm_of(parts)):
@@ -226,6 +226,13 @@ _CHECKS = {
     "mean-value": lambda parts, certs, n_max: _check_mean_value(parts, certs),
 }
 PROPERTIES = tuple(_CHECKS)
+# certificate label -> builder; run_properties checks one certificate of each.
+# The builders are looked up in quasipoly at call time, so patching them there
+# reaches every caller.
+BUILDERS = {
+    "explicit": lambda parts: quasipoly.build_explicit(parts),
+    "recursive": lambda parts: quasipoly.build_recursive(parts),
+}
 
 
 def run_properties(
@@ -236,8 +243,8 @@ def run_properties(
 ) -> VerifyReport:
     """Run the requested properties (all of them by default) on one part list.
 
-    `certs` may inject prebuilt or deliberately broken certificates keyed
-    "explicit" / "recursive"; by default both are built here.
+    `certs` may inject prebuilt or deliberately broken certificates, one per
+    BUILDERS label ("explicit", "recursive"); by default both are built here.
     """
     d = as_parts(parts)
     if props is None:
@@ -250,10 +257,9 @@ def run_properties(
             raise InputError(f"unknown properties {unknown}; valid: {', '.join(PROPERTIES)}")
         selected = tuple(p for p in PROPERTIES if p in set(props))
     if certs is None:
-        certs = {
-            "explicit": quasipoly.build_explicit(d),
-            "recursive": quasipoly.build_recursive(d),
-        }
+        certs = {label: build(d) for label, build in BUILDERS.items()}
+    elif set(certs) != set(BUILDERS):
+        raise InputError(f"certs must have exactly the keys {', '.join(BUILDERS)}; got {list(certs)}")
     if n_max is None:
         n_max = default_n_max(d)
     elif n_max < 0:

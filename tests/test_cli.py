@@ -214,6 +214,29 @@ def test_nonnegative_integer_options_exit_2(runner, args, message):
     assert message in res.output
 
 
+def test_power_over_digit_limit_exit_2(runner):
+    # rejected from its digit estimate, like a plain integer of that length
+    res = runner.invoke(main, ["eval", "--parts", "1,2", "--n", "10^5000"])
+    assert res.exit_code == 2, res.output
+    assert "digits allowed" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--parts", "1,2", "--n", "0..200"],
+        ["eval", "--parts", "1,2", "--method", "oracle", "--n", "200"],
+        ["bench", "--parts", "1,2", "--n", "200", "--repeat", "1"],
+        ["verify", "--parts", "1,2", "--props", "oracle", "--n-max", "200"],
+    ],
+)
+def test_over_guard_limit_exit_2(runner, monkeypatch, args):
+    monkeypatch.setenv("RPF_GUARD_LIMIT", "100")
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert "over the limit 100" in res.output
+
+
 def test_module_entry_point():
     """`python -m denumerant.cli` runs the command group from a checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")

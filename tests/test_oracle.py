@@ -59,6 +59,12 @@ class TestCountDp:
         for n in range(26):
             assert b[n] == sum(a[n - 4 * k] for k in range(n // 4 + 1))
 
+    def test_guard(self, monkeypatch):
+        monkeypatch.setenv("RPF_GUARD_LIMIT", "100")
+        with pytest.raises(CapacityError):
+            count_dp((1, 2), 100)
+        assert count_dp((1, 2), 49)[49] == 25  # 2 x 50 cells: at the limit
+
     def test_csv(self):
         csv = count_dp((1, 2), 3).to_csv()
         assert csv == "n,count\n0,1\n1,1\n2,2\n3,2\n"

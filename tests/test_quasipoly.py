@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denumerant import (
     HalfInt,
@@ -21,6 +23,7 @@ from denumerant import (
     extend_recursive,
     lcm_of,
     psi,
+    r_coeffs_recursive,
     tau_table,
     v1_explicit,
 )
@@ -154,6 +157,26 @@ class TestExplicit:
             assert tuple(cert.count(n) for n in range(m * tau)) == table.counts
         for cert in certs[1:]:
             assert cert.aligned(tau) == certs[0].aligned(tau)
+
+
+# any order, duplicates allowed: m <= 4 with parts <= 6, or m = 5 with parts <= 4
+PART_LISTS = st.one_of(
+    st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    st.lists(st.integers(1, 4), min_size=5, max_size=5),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(PART_LISTS)
+def test_builders_on_unsorted_lists_proved_by_oracle(parts):
+    parts = tuple(parts)
+    m, tau = len(parts), lcm_of(parts)
+    explicit, recursive = build_explicit(parts), build_recursive(parts)
+    assert explicit == recursive
+    assert r_coeffs_recursive(parts) == v1_explicit(parts)
+    # m values per residue class fix the certificate: a proof, not a sample
+    table = count_dp(parts, m * tau - 1)
+    assert tuple(explicit.count(n) for n in range(m * tau)) == table.counts
 
 
 class TestWorkedTwoPartForms:

@@ -13,7 +13,7 @@ from denumerant import (
     iter_multisets,
     run_properties,
 )
-from denumerant.verify import PROPERTIES, default_n_max
+from denumerant.verify import BUILDERS, PROPERTIES, default_n_max
 
 
 def _tampered(cert: QuasiPoly, coeff_index: int, rho: int, delta=Fraction(1)) -> QuasiPoly:
@@ -51,6 +51,18 @@ class TestCleanRuns:
     def test_empty_property_list_rejected(self):
         with pytest.raises(InputError):
             run_properties((1, 2), props=[])
+
+    def test_missing_certificate_rejected(self):
+        parts = (1, 2)
+        with pytest.raises(InputError, match="exactly the keys"):
+            run_properties(parts, certs={"explicit": build_explicit(parts)})
+
+    def test_extra_certificate_rejected(self):
+        parts = (1, 2)
+        certs = {label: build(parts) for label, build in BUILDERS.items()}
+        certs["other"] = build_explicit(parts)
+        with pytest.raises(InputError, match="exactly the keys"):
+            run_properties(parts, certs=certs)
 
     def test_default_n_max(self):
         assert default_n_max((1, 2, 3)) == 28
