@@ -29,11 +29,9 @@ from .bernoulli import (
 )
 from .polypart import (
     Polynomial,
-    r_coeff_explicit,
     r_coeffs_recursive,
     split_weight,
     v1_explicit,
-    w1_from_v1,
 )
 from .quasipoly import (
     PeriodicFn,
@@ -46,7 +44,7 @@ from .quasipoly import (
     psi,
     tau_table,
 )
-from .oracle import CountTable, count_dp, count_enum, shifted_q
+from .oracle import CountTable, count_dp, count_enum
 from .verify import PROPERTIES, PropertyResult, VerifyReport, iter_multisets, run_properties
 
 __version__ = "0.1.0"
@@ -71,11 +69,9 @@ __all__ = [
     "d_higher_symmetric",
     "d_scalar",
     "Polynomial",
-    "r_coeff_explicit",
     "r_coeffs_recursive",
     "split_weight",
     "v1_explicit",
-    "w1_from_v1",
     "PeriodicFn",
     "QuasiPoly",
     "base_case",
@@ -88,7 +84,6 @@ __all__ = [
     "CountTable",
     "count_dp",
     "count_enum",
-    "shifted_q",
     "PROPERTIES",
     "PropertyResult",
     "VerifyReport",

@@ -1,7 +1,8 @@
 """Command-line front end: counts, certificates, verification, benchmarks.
 
 Exit codes: 0 on success, 1 when a verification property fails, 2 on usage
-errors (click's default for bad parameters) and on inputs over the guard limit.
+errors (click's default for bad parameters), on inputs over the guard limit
+and on counts with more digits than int() prints.
 """
 
 from __future__ import annotations
@@ -124,6 +125,9 @@ def cmd_eval(parts, ns, method, fmt):
             counts = [cert.count(n) for n in ns]
         except IntegralityError as exc:
             raise click.ClickException(str(exc))
+    limit = sys.get_int_max_str_digits()
+    if limit and any(abs(c) >= 10**limit for c in counts):
+        raise CapacityError(f"a count has more than the {limit} digits int() prints")
     if fmt == "plain":
         click.echo(" ".join(str(c) for c in counts))
     elif fmt == "csv":

@@ -136,50 +136,15 @@ class HalfInt:
                 return cls(value.numerator)
         raise InputError(f"{value!r} is not a half-integer lattice point")
 
-    @classmethod
-    def parse(cls, text: str) -> "HalfInt":
-        try:
-            return cls.coerce(Fraction(text.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse half-integer {text!r}") from exc
-
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def residue(self, period: int) -> int:
-        """Scaled residue 2s mod 2*period; indexes periodic tables."""
-        if period < 1:
-            raise InputError("period must be a positive integer")
-        return self.twice % (2 * period)
-
     def __add__(self, other: HalfLike) -> "HalfInt":
         return HalfInt(self.twice + HalfInt.coerce(other).twice)
 
-    __radd__ = __add__
-
     def __sub__(self, other: HalfLike) -> "HalfInt":
         return HalfInt(self.twice - HalfInt.coerce(other).twice)
-
-    def __rsub__(self, other: HalfLike) -> "HalfInt":
-        return HalfInt(HalfInt.coerce(other).twice - self.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
-
-    def __mul__(self, k: int) -> "HalfInt":
-        if not isinstance(k, int):
-            return NotImplemented
-        return HalfInt(self.twice * k)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         try:
@@ -189,18 +154,6 @@ class HalfInt:
 
     def __hash__(self) -> int:
         return hash(self.fraction)
-
-    def __lt__(self, other: HalfLike) -> bool:
-        return self.twice < HalfInt.coerce(other).twice
-
-    def __le__(self, other: HalfLike) -> bool:
-        return self.twice <= HalfInt.coerce(other).twice
-
-    def __gt__(self, other: HalfLike) -> bool:
-        return self.twice > HalfInt.coerce(other).twice
-
-    def __ge__(self, other: HalfLike) -> bool:
-        return self.twice >= HalfInt.coerce(other).twice
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

@@ -11,10 +11,10 @@ import os
 from dataclasses import dataclass
 
 from .errors import CapacityError, InputError
-from .exactnum import HalfInt, HalfLike, as_parts
+from .exactnum import as_parts
 
 __all__ = [
-    "CountTable", "count_dp", "count_enum", "guard", "shifted_q", "DEFAULT_GUARD_LIMIT", "GUARD_ENV",
+    "CountTable", "count_dp", "count_enum", "guard", "DEFAULT_GUARD_LIMIT", "GUARD_ENV",
 ]
 
 DEFAULT_GUARD_LIMIT = 10_000_000
@@ -41,11 +41,6 @@ class CountTable:
     def __len__(self) -> int:
         return len(self.counts)
 
-    def to_csv(self) -> str:
-        lines = ["n,count"]
-        lines.extend(f"{n},{c}" for n, c in enumerate(self.counts))
-        return "\n".join(lines) + "\n"
-
 
 def count_dp(parts, max_n: int) -> CountTable:
     """Coefficients of prod_i 1/(1 - t^(d_i)) up to t^max_n.
@@ -65,9 +60,7 @@ def count_dp(parts, max_n: int) -> CountTable:
     return CountTable(d, tuple(counts))
 
 
-def _guard_limit(override: int | None) -> int:
-    if override is not None:
-        return override
+def _guard_limit() -> int:
     env = os.environ.get(GUARD_ENV)
     if env is not None:
         try:
@@ -77,22 +70,23 @@ def _guard_limit(override: int | None) -> int:
     return DEFAULT_GUARD_LIMIT
 
 
-def guard(work: int, what: str, guard_limit: int | None = None) -> None:
+def guard(work: int, what: str) -> None:
     """Raise CapacityError, saying `what`, when `work` exceeds the guard limit.
 
-    The limit comes from the argument, the RPF_GUARD_LIMIT environment
-    variable, or the default, in that order.
+    The limit is the RPF_GUARD_LIMIT environment variable when it is set, the
+    default otherwise.
     """
-    limit = _guard_limit(guard_limit)
+    limit = _guard_limit()
     if work > limit:
         raise CapacityError(f"{what}, over the limit {limit}")
 
 
-def count_enum(parts, n: int, guard_limit: int | None = None) -> int:
+def count_enum(parts, n: int) -> int:
     """Count solution vectors by direct nested iteration.
 
     Deliberately naive and independent of count_dp. The work estimate
-    prod(n // d_i + 1) is checked against the guard limit first (see guard).
+    prod(n // d_i + 1) is checked against the guard limit first: RPF_GUARD_LIMIT
+    when it is set, the default otherwise (see guard).
     """
     d = as_parts(parts)
     if not isinstance(n, int):
@@ -100,7 +94,7 @@ def count_enum(parts, n: int, guard_limit: int | None = None) -> int:
     if n < 0:
         return 0
     box = math.prod(n // di + 1 for di in d)
-    guard(box, f"enumeration would visit up to {box} vectors", guard_limit)
+    guard(box, f"enumeration would visit up to {box} vectors")
 
     def rec(idx: int, rem: int) -> int:
         if idx == len(d):
@@ -109,17 +103,3 @@ def count_enum(parts, n: int, guard_limit: int | None = None) -> int:
         return sum(rec(idx + 1, rem - x * di) for x in range(rem // di + 1))
 
     return rec(0, n)
-
-
-def shifted_q(parts, s: HalfLike) -> int:
-    """The counting side of the shifted frame: count at n = s - sum(parts)/2.
-
-    Zero when that n is negative or off the lattice of integers.
-    """
-    d = as_parts(parts)
-    sp = HalfInt.coerce(s)
-    t = sp.twice - sum(d)  # twice the would-be n
-    if t < 0 or t % 2:
-        return 0
-    n = t // 2
-    return count_dp(d, n)[n]

@@ -8,28 +8,18 @@ Both are expressed through central Bernoulli values B_l(1/2).
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .bernoulli import central_value, d_higher_symmetric
 from .errors import InputError
-from .exactnum import (
-    Rational,
-    as_parts,
-    binomial,
-    format_rational,
-    multinomial,
-    parse_rational,
-)
+from .exactnum import Rational, as_parts, binomial, multinomial
 
 __all__ = [
     "Polynomial",
     "umbral_power",
     "v1_explicit",
-    "w1_from_v1",
-    "r_coeff_explicit",
     "r_mm_constant",
     "r_coeffs_recursive",
     "split_weight",
@@ -44,10 +34,6 @@ class Polynomial:
     def __init__(self, coeffs: Iterable[Rational | int]):
         cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
         self.coeffs = cs if cs else (Fraction(0),)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, s: Rational | int) -> Rational:
         sf = Fraction(s)
@@ -96,17 +82,6 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
 
-    def to_json(self) -> str:
-        """JSON array of exact coefficient strings, highest power first."""
-        return json.dumps([format_rational(c) for c in self.coeffs])
-
-    @classmethod
-    def from_json(cls, text: str) -> "Polynomial":
-        raw = json.loads(text)
-        if not isinstance(raw, list):
-            raise InputError("polynomial JSON must be an array of rational strings")
-        return cls(parse_rational(c) for c in raw)
-
 
 def umbral_power(l: int, parts: Sequence[int]) -> Rational:
     """Expand (d_1 B + ... + d_m B)^l where B^e means the central value B_e(1/2).
@@ -128,22 +103,6 @@ def v1_explicit(parts: Sequence[int]) -> Polynomial:
     return Polynomial(
         pref * binomial(m - 1, l) * umbral_power(l, d) for l in range(m)
     )
-
-
-def w1_from_v1(v1: Polynomial, parts: Sequence[int]) -> Polynomial:
-    """Move to the counting frame: substitute s -> s + sum(parts)/2."""
-    d = as_parts(parts)
-    return v1.shifted(Fraction(sum(d), 2))
-
-
-def r_coeff_explicit(j: int, parts: Sequence[int]) -> Rational:
-    """Mean value of the j-th periodic coefficient, directly from the closed form."""
-    d = as_parts(parts)
-    m = len(d)
-    if not isinstance(j, int) or not 1 <= j <= m:
-        raise InputError(f"coefficient index must be in 1..{m}, got {j!r}")
-    pref = Fraction(binomial(m - 1, j - 1), math.factorial(m - 1) * math.prod(d))
-    return pref * umbral_power(j - 1, d)
 
 
 def r_mm_constant(parts: Sequence[int]) -> Rational:

@@ -221,6 +221,21 @@ def test_power_over_digit_limit_exit_2(runner):
     assert "digits allowed" in res.output
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_count_over_digit_limit_exit_2(runner, fmt):
+    # n has 2201 digits, the count (n+1)(n+2)/2 about 4400: more than str() prints
+    res = runner.invoke(main, ["eval", "--parts", "1,1,1", "--n", "10^2200", "--format", fmt])
+    assert res.exit_code == 2, res.output
+    assert f"more than the {sys.get_int_max_str_digits()} digits" in res.output
+
+
+def test_count_at_digit_limit_prints(runner):
+    # n + 1 = 10^4299 + 1 has exactly 4300 digits, the most str() prints
+    res = runner.invoke(main, ["eval", "--parts", "1,1", "--n", "10^4299"])
+    assert res.exit_code == 0, res.output
+    assert res.output.strip() == str(10**4299 + 1)
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,6 +1,5 @@
-"""Counting oracles: DP, nested enumeration, and the shifted frame."""
+"""Counting oracles: DP and nested enumeration."""
 
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -8,11 +7,9 @@ import pytest
 from denumerant import (
     CapacityError,
     CountTable,
-    HalfInt,
     InputError,
     count_dp,
     count_enum,
-    shifted_q,
 )
 
 
@@ -65,10 +62,6 @@ class TestCountDp:
             count_dp((1, 2), 100)
         assert count_dp((1, 2), 49)[49] == 25  # 2 x 50 cells: at the limit
 
-    def test_csv(self):
-        csv = count_dp((1, 2), 3).to_csv()
-        assert csv == "n,count\n0,1\n1,1\n2,2\n3,2\n"
-
 
 class TestCountEnum:
     def test_frozen_values(self):
@@ -86,10 +79,6 @@ class TestCountEnum:
             for n in range(25):
                 assert count_enum(parts, n) == t[n], (parts, n)
 
-    def test_guard_argument(self):
-        with pytest.raises(CapacityError):
-            count_enum((1, 1, 1), 1000, guard_limit=100)
-
     def test_guard_env(self, monkeypatch):
         monkeypatch.setenv("RPF_GUARD_LIMIT", "10")
         with pytest.raises(CapacityError):
@@ -101,19 +90,6 @@ class TestCountEnum:
         monkeypatch.setenv("RPF_GUARD_LIMIT", "ten")
         with pytest.raises(InputError):
             count_enum((1, 1), 5)
-
-
-class TestShiftedQ:
-    def test_values(self):
-        assert shifted_q((1, 1), 3) == 3  # counts n = 2
-        assert shifted_q((1, 2), Fraction(3, 2)) == 1  # n = 0
-        assert shifted_q((1, 2), Fraction(1, 2)) == 0  # n = -1
-        assert shifted_q((1, 2), HalfInt(7)) == 2  # n = 2
-
-    def test_off_lattice_is_zero(self):
-        # s - xi a half-odd: no integer n to count
-        assert shifted_q((1, 2), 2) == 0
-        assert shifted_q((1, 1), Fraction(5, 2)) == 0
 
 
 def test_count_table_len_and_maxn():
