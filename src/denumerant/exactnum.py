@@ -104,7 +104,17 @@ def format_rational(q: Rational) -> str:
 
 
 def parse_rational(text: str) -> Rational:
-    return Fraction(text)
+    """Read an exact rational string such as "p/q"; anything else is an InputError.
+
+    A non-string (a JSON number would arrive as a binary float) and a zero
+    denominator are both rejected.
+    """
+    if not isinstance(text, str):
+        raise InputError(f"a rational must be an exact string such as '1/3', got {text!r}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"not an exact rational: {text!r}") from exc
 
 
 class HalfInt:

@@ -12,15 +12,23 @@ xi = sum(d)/2. Two constructions are provided:
     (base_case / extend_recursive);
   * build_explicit: a single pass over pivot positions and shift sums.
 
+build_recursive holds the certificate as a sum of pieces, one per distinct
+part period P, each m tables of 2P rationals (grouped by period like
+Sylvester's waves, but not reduced to the canonical waves). A step correlates every piece at its own
+period, since the correlation maps a period-P piece to a period-P piece, and
+adds closure_fn's piece at the new part's period; the 2*tau tables are filled
+once, at the end. extend_recursive is the same step on one certificate read
+as a single piece.
+
 Two kernels are shared. _shift_weights tabulates one position's Bernoulli
 shift weights by residue; _shift_fold multiplies them over positions as a DP
 with state (total exponent, zero exponents) -> residue table. build_explicit
 runs the fold once per pivot; closure_fn runs it for the one remainder of the
-free coefficient that build_recursive cannot reach by extension, and
-extend_recursive reads the new part's weights from _shift_weights. Everything
-else stays independent: extend_recursive's cyclic correlation over the
-previous level, build_explicit's product over the pivot and spread of each
-pivot's residue tables into the master table, and the counting oracle
+free coefficient that build_recursive cannot reach by extension, and the
+recursive step reads the new part's weights from _shift_weights. Everything
+else stays independent: the recursive step's cyclic correlation over the
+previous level's pieces, build_explicit's product over the pivot and spread
+of each pivot's residue tables into the master table, and the counting oracle
 (oracle.count_dp), so table-level agreement remains a meaningful check.
 
 Periodic coefficients live on the half-integer lattice: a function of period T
@@ -72,7 +80,7 @@ class PeriodicFn:
     def __init__(self, period: int, values: Iterable[Rational | int]):
         if not isinstance(period, int) or period < 1:
             raise InputError(f"period must be a positive integer, got {period!r}")
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         if len(vals) != 2 * period:
             raise InputError(f"period {period} needs {2 * period} residue values, got {len(vals)}")
         self.period = period
@@ -348,45 +356,89 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     return PeriodicFn(d[-1], table)
 
 
+def _extend_pieces(pieces: dict[int, list[list[Fraction]]], parts: tuple[int, ...]) -> dict:
+    """One recursive step on a certificate held as a sum of pieces.
+
+    ``pieces`` maps a period P to the previous level's m-1 coefficient tables
+    of that piece, 2P rationals each; the result maps P to the m tables of the
+    new level. R_j of the new level is a cyclic correlation of the previous
+    R_{j-l}, l < j, with the new part's shift weights (tau^(l-1)
+    B_l(1 - (2p+1) d_new/2tau) / l! at the shift (2p+1) d_new), each times
+    (m-j+l-1)!/(m-j)!: in all (m-j+l-1)!/(l! (m-j)!) tau^(l-1), one weight for
+    every j. The correlation is shift-invariant, so it runs mod each piece's
+    own 2P with the weights summed by residue mod 2P, and a period-P piece
+    stays period P. The l = 0 term of the free coefficient R_m has no previous
+    coefficient to read; it is the closure remainder closure_fn, added to the
+    period-d_new piece.
+    """
+    m = len(parts)
+    d_new = parts[-1]
+    tau = lcm_of(parts)
+    out: dict[int, list[list[Fraction]]] = {}
+    for period, prev in pieces.items():
+        size = 2 * period
+        weights = _shift_weights(d_new, tau, m, size)
+        tables = [[Fraction(0)] * size for _ in range(m)]
+        for j, table in enumerate(tables, 1):
+            for i, prev_vals in enumerate(prev[:j]):
+                if not any(prev_vals):
+                    continue
+                l = j - 1 - i
+                c = Fraction(math.factorial(m - j + l - 1), math.factorial(m - j))
+                for shift, b in weights[l]:
+                    w = c * b
+                    # rotated[rho] is prev_vals at rho - shift (mod size)
+                    rotated = prev_vals[size - shift :] + prev_vals[: size - shift]
+                    table[:] = [a + w * v for a, v in zip(table, rotated)]
+        out[period] = tables
+    tables = out.setdefault(d_new, [[Fraction(0)] * (2 * d_new) for _ in range(m)])
+    tables[-1] = [a + v for a, v in zip(tables[-1], closure_fn(parts).values)]
+    return out
+
+
+def _materialise(parts: tuple[int, ...], pieces: dict[int, list[list[Fraction]]]) -> QuasiPoly:
+    """The certificate with every coefficient tabulated at tau = lcm(parts):
+    each piece's table tiled to 2 tau entries by list repetition, and the
+    tiles summed cell by cell where they are nonzero."""
+    tau = lcm_of(parts)
+    coeffs = []
+    for j in range(len(parts)):
+        tiles = [tables[j] * (tau // period) for period, tables in pieces.items() if any(tables[j])]
+        values = tiles[0] if tiles else [Fraction(0)] * (2 * tau)
+        for tile in tiles[1:]:
+            values = [a + b if b else a for a, b in zip(values, tile)]
+        coeffs.append(PeriodicFn(tau, values))
+    return QuasiPoly(parts, coeffs, tau)
+
+
 def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     """Grow a certificate by one more part.
 
-    R_j of the new level is a cyclic correlation of the previous level's
-    R_{j-l}, l < j, with the shift weights _shift_weights(d_new, tau, m, 2 tau)
-    (tau^(l-1) B_l(1 - (2p+1) d_new/2tau) / l! at the shift (2p+1) d_new),
-    each times (m-j+l-1)!/(m-j)!: in all (m-j+l-1)!/(l! (m-j)!) tau^(l-1),
-    one weight for every j. The l = 0 term of the free coefficient R_m has no
-    previous coefficient to read; it is the closure remainder closure_fn. The
-    previous certificate is only read through its coefficient functions, so
-    its tabulation period does not matter.
+    The previous certificate is read as one piece at its true period
+    lcm(prev.parts), through its coefficient functions, so the period its
+    tables are stored at does not matter; the step is _extend_pieces, and the
+    result is tabulated at the new lcm.
     """
     (d_new,) = as_parts([d_new])
+    period = lcm_of(prev.parts)
+    piece = [[fn.at_twice(rho) for rho in range(2 * period)] for fn in prev.coeffs]
     parts = prev.parts + (d_new,)
-    m = len(parts)
-    tau = lcm_of(parts)
-    two_tau = 2 * tau
-    weights = _shift_weights(d_new, tau, m, two_tau)
-
-    tables = [[Fraction(0)] * two_tau for _ in range(m - 1)]
-    tables.append(list(closure_fn(parts).with_period(tau).values))
-    for j, table in enumerate(tables, 1):
-        for i, prev_fn in enumerate(prev.coeffs[:j]):
-            l = j - 1 - i
-            c = Fraction(math.factorial(m - j + l - 1), math.factorial(m - j))
-            for shift, b in weights[l]:
-                w = c * b
-                for rho in range(two_tau):
-                    table[rho] += w * prev_fn.at_twice(rho - shift)
-    return QuasiPoly(parts, tuple(PeriodicFn(tau, t) for t in tables), tau)
+    return _materialise(parts, _extend_pieces({period: piece}, parts))
 
 
 def build_recursive(parts: Sequence[int]) -> QuasiPoly:
-    """Certificate by the one-part-at-a-time route."""
+    """Certificate by the one-part-at-a-time route.
+
+    The certificate is kept as a sum of pieces, one per distinct part period:
+    base_case(d_1) is the first, each step correlates every piece at its own
+    period and adds closure_fn's piece at the new part's period
+    (_extend_pieces). Only the final certificate is tabulated at tau.
+    """
     d = as_parts(parts)
-    cert = base_case(d[0])
-    for dn in d[1:]:
-        cert = extend_recursive(cert, dn)
-    return cert
+    pieces = {d[0]: [list(base_case(d[0]).coeffs[0].values)]}
+    for k in range(2, len(d) + 1):
+        pieces = _extend_pieces(pieces, d[:k])
+    return _materialise(d, pieces)
 
 
 def build_explicit(parts: Sequence[int]) -> QuasiPoly:

@@ -21,6 +21,7 @@ PINNED = {
     (6, 1, 4, 1): "dca0e0a1d1f5592d7189e45587f9a2b65d82c46c7dabfbd281410598ee705261",
     (2, 1, 2, 1, 3): "70a5ecb3173f6207c8381c937b46e1d0811a23872834981263e17445505d52cd",
     (5, 2, 2): "f8e37ccfa8ad081eee91aa6b49fcfc35fda38b12113dc5e228ca8557bf20ffce",
+    (1, 2, 3, 4, 5, 6, 7): "71e11ec767aee5fbfda957821934c250826055de6dce892c0c8c23dbf746c19b",
 }
 
 

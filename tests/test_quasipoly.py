@@ -119,6 +119,15 @@ class TestExtend:
         for n in range(101):
             assert c.count(n) == t[n]
 
+    def test_reads_previous_level_at_its_true_period(self):
+        # the same function stored at period 6 (both builders) and at 12,
+        # which does not divide the new lcm 30: one result
+        prevs = [build_recursive((2, 3)), build_explicit((2, 3)), build_recursive((2, 3)).aligned(12)]
+        grown = [extend_recursive(prev, 5) for prev in prevs]
+        assert grown[0] == build_recursive((2, 3, 5))
+        assert grown[1] == grown[0]
+        assert grown[2] == grown[0]
+
 
 class TestExplicit:
     def test_one_part_equals_base_case(self):
@@ -140,7 +149,7 @@ class TestExplicit:
     @pytest.mark.parametrize(
         "parts, builders",
         [
-            ((1, 2, 3, 4, 5, 6, 7), (build_explicit,)),
+            ((1, 2, 3, 4, 5, 6, 7), (build_explicit, build_recursive)),
             ((6, 5, 4, 3, 2, 1), (build_explicit, build_recursive)),
             ((1, 1, 2, 2, 3, 3), (build_explicit, build_recursive)),
             ((2, 2, 3, 3, 4, 4), (build_explicit, build_recursive)),
@@ -422,6 +431,19 @@ class TestSerialization:
             QuasiPoly.from_json("not json")
         raw = json.loads(cert.to_json())
         raw["xi"] = "7/2"
+        with pytest.raises(InputError):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    def test_zero_denominator_rejected(self):
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        raw["coefficients"][1]["values"]["0"] = "1/0"
+        with pytest.raises(InputError):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    def test_json_number_rejected(self):
+        # a JSON number arrives as a binary float, never an exact rational
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        raw["coefficients"][1]["values"]["0"] = 0.1
         with pytest.raises(InputError):
             QuasiPoly.from_json(json.dumps(raw))
 
