@@ -42,7 +42,6 @@ from .quasipoly import (
     closure_fn,
     extend_recursive,
     psi,
-    tau_table,
 )
 from .oracle import CountTable, count_dp, count_enum
 from .verify import PROPERTIES, PropertyResult, VerifyReport, iter_multisets, run_properties
@@ -80,7 +79,6 @@ __all__ = [
     "closure_fn",
     "extend_recursive",
     "psi",
-    "tau_table",
     "CountTable",
     "count_dp",
     "count_enum",

@@ -126,7 +126,8 @@ def cmd_eval(parts, ns, method, fmt):
         except IntegralityError as exc:
             raise click.ClickException(str(exc))
     limit = sys.get_int_max_str_digits()
-    if limit and any(abs(c) >= 10**limit for c in counts):
+    bound = 10**limit if limit else None
+    if bound and any(abs(c) >= bound for c in counts):
         raise CapacityError(f"a count has more than the {limit} digits int() prints")
     if fmt == "plain":
         click.echo(" ".join(str(c) for c in counts))

@@ -100,7 +100,7 @@ def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
 
 def format_rational(q: Rational) -> str:
     """Serialize exactly: "p/q", with "/q" omitted when the denominator is 1."""
-    return str(Fraction(q))
+    return str(q) if isinstance(q, Fraction) else str(Fraction(q))
 
 
 def parse_rational(text: str) -> Rational:

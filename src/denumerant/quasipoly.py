@@ -22,14 +22,24 @@ as a single piece.
 
 Two kernels are shared. _shift_weights tabulates one position's Bernoulli
 shift weights by residue; _shift_fold multiplies them over positions as a DP
-with state (total exponent, zero exponents) -> residue table. build_explicit
-runs the fold once per pivot; closure_fn runs it for the one remainder of the
-free coefficient that build_recursive cannot reach by extension, and the
-recursive step reads the new part's weights from _shift_weights. Everything
-else stays independent: the recursive step's cyclic correlation over the
-previous level's pieces, build_explicit's product over the pivot and spread
-of each pivot's residue tables into the master table, and the counting oracle
-(oracle.count_dp), so table-level agreement remains a meaningful check.
+with state (total exponent, zero exponents) -> residue table. A position's
+shift sum runs over p < t/d_k, and read mod 2P it is the same for every t
+that is a multiple of L = lcm(d_k, P): class r < q = L/d_k holds n = t/L
+values of p, whose arguments are spaced 1/n apart, and Raabe's
+multiplication theorem (DLMF 24.4.17) sums them to
+
+    sum_{p = r mod q} t^(e-1) B_e(1 - (2p+1)d_k/2t) / e!
+        = L^(e-1) B_e(1 - (2r+1)/2q) / e!.
+
+So the weights are evaluated at t = L, once per class, and no caller passes
+a period. build_explicit runs the fold once per pivot; closure_fn runs it for
+the one remainder of the free coefficient that build_recursive cannot reach
+by extension, and the recursive step reads the new part's weights from
+_shift_weights. Everything else stays independent: the recursive step's
+cyclic correlation over the previous level's pieces, build_explicit's product
+over the pivot and spread of each pivot's residue tables into the master
+table, and the counting oracle (oracle.count_dp), so table-level agreement
+remains a meaningful check.
 
 Periodic coefficients live on the half-integer lattice: a function of period T
 stores 2T rationals indexed by the scaled residue 2s mod 2T, so integer and
@@ -59,7 +69,6 @@ __all__ = [
     "PeriodicFn",
     "QuasiPoly",
     "psi",
-    "tau_table",
     "base_case",
     "extend_recursive",
     "build_recursive",
@@ -269,20 +278,6 @@ def psi(d: int, x: HalfLike) -> Rational:
     return Fraction(1) if HalfInt.coerce(x).twice % (2 * d) == 0 else Fraction(0)
 
 
-def tau_table(parts: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Pivot-dependent periods: row i, column n holds lcm(d_1..d_n, d_i).
-
-    The diagonal is d_i itself, and the last column of every row is the full
-    lcm.
-    """
-    d = as_parts(parts)
-    m = len(d)
-    return tuple(
-        tuple(d[i] if n == i else math.lcm(*d[: n + 1], d[i]) for n in range(m))
-        for i in range(m)
-    )
-
-
 def base_case(d1: int) -> QuasiPoly:
     """One part: V(s) is the indicator of d_1 | (s - d_1/2), period d_1."""
     (d1,) = as_parts([d1])
@@ -293,10 +288,16 @@ def base_case(d1: int) -> QuasiPoly:
     return QuasiPoly((d1,), (PeriodicFn(d1, values),), d1)
 
 
-def _shift_weights(dk: int, t: int, m: int, size: int) -> list[list[tuple[int, Fraction]]]:
-    """One position's shift weights: for each symbol power e < m, the nonzero
-    t^(e-1) B_e(1 - (2p+1) d_k/2t) / e!, p < t/d_k, summed by their residue
-    (2p+1) d_k mod size, as (residue, weight) pairs."""
+def _shift_weights(dk: int, m: int, size: int) -> list[list[tuple[int, Fraction]]]:
+    """One position's shift weights mod size = 2P: for each symbol power
+    e < m, the nonzero t^(e-1) B_e(1 - (2p+1) d_k/2t) / e!, p < t/d_k, summed
+    by their residue (2p+1) d_k mod size, as (residue, weight) pairs.
+
+    The sums are the same for every period t that is a multiple of
+    L = lcm(d_k, P): by Raabe's multiplication theorem (DLMF 24.4.17) each
+    class p = r (mod L/d_k) sums to the single term at t = L. So t = L here,
+    and each residue takes one Bernoulli value."""
+    t = math.lcm(dk, size // 2)
     per_e = []
     for e in range(m):
         by_res: dict[int, Fraction] = {}
@@ -309,19 +310,19 @@ def _shift_weights(dk: int, t: int, m: int, size: int) -> list[list[tuple[int, F
     return per_e
 
 
-def _shift_fold(d: Sequence[int], taus: Sequence[int], m: int, start: int, size: int) -> dict:
+def _shift_fold(d: Sequence[int], m: int, start: int, size: int) -> dict:
     """Products of per-position shift sums, folded in the residue ring mod size.
 
-    Position k, with part d[k] and period t = taus[k], offers the weights of
-    _shift_weights(d[k], t, m, size). A DP over positions, from a unit weight
-    at `start`, keeps one residue table per (total exponent l < m, number of
-    zero exponents z): the sum over exponent vectors r of the folded product,
-    which carries 1/prod r_k!. Times l! that is the multinomial weighting,
-    times l!/(1+z) the split weight; no composition is enumerated.
+    Position k, with part d[k], offers the weights _shift_weights(d[k], m,
+    size). A DP over positions, from a unit weight at `start`, keeps one
+    residue table per (total exponent l < m, number of zero exponents z): the
+    sum over exponent vectors r of the folded product, which carries
+    1/prod r_k!. Times l! that is the multinomial weighting, times l!/(1+z)
+    the split weight; no composition is enumerated.
     """
     fold = {(0, 0): {start % size: Fraction(1)}}
-    for dk, t in zip(d, taus):
-        per_e = _shift_weights(dk, t, m, size)
+    for dk in d:
+        per_e = _shift_weights(dk, m, size)
         nxt: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (l, z), table in fold.items():
             for e in range(m - l):
@@ -340,16 +341,17 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     This is the piece of R_m the one-part extension cannot reach from the
     previous level: the constant remainder with 1/d_m replaced by the shifted
     divisibility indicator and each central Bernoulli symbol replaced by its
-    finite shift sum. Prefix periods fold the last part in first:
-    t_i = lcm(d_m, d_1, ..., d_i), the last row of tau_table. Period of the
-    result: d_m. It is the total-exponent m-1 slice of _shift_fold over the
-    prefix, mod 2*d_m: the multinomial over (m-1)! is exactly 1/prod r_k!.
+    finite shift sum. Every shift sum is reduced mod 2*d_m, so by Raabe's
+    theorem (see _shift_weights) it is taken at its own period lcm(d_i, d_m).
+    Period of the result: d_m. It is the total-exponent m-1 slice of
+    _shift_fold over the prefix, mod 2*d_m: the multinomial over (m-1)! is
+    exactly 1/prod r_k!.
     """
     d = as_parts(parts)
     m = len(d)
     size = 2 * d[-1]
     table = [Fraction(0)] * size
-    for (l, _), res_table in _shift_fold(d[:-1], tau_table(d)[-1][:-1], m, d[-1], size).items():
+    for (l, _), res_table in _shift_fold(d[:-1], m, d[-1], size).items():
         if l == m - 1:
             for res, a in res_table.items():
                 table[res] += a
@@ -367,17 +369,17 @@ def _extend_pieces(pieces: dict[int, list[list[Fraction]]], parts: tuple[int, ..
     (m-j+l-1)!/(m-j)!: in all (m-j+l-1)!/(l! (m-j)!) tau^(l-1), one weight for
     every j. The correlation is shift-invariant, so it runs mod each piece's
     own 2P with the weights summed by residue mod 2P, and a period-P piece
-    stays period P. The l = 0 term of the free coefficient R_m has no previous
-    coefficient to read; it is the closure remainder closure_fn, added to the
-    period-d_new piece.
+    stays period P; by Raabe's theorem those sums are _shift_weights(d_new,
+    m, 2P), taken at lcm(d_new, P) rather than tau. The l = 0 term of the
+    free coefficient R_m has no previous coefficient to read; it is the
+    closure remainder closure_fn, added to the period-d_new piece.
     """
     m = len(parts)
     d_new = parts[-1]
-    tau = lcm_of(parts)
     out: dict[int, list[list[Fraction]]] = {}
     for period, prev in pieces.items():
         size = 2 * period
-        weights = _shift_weights(d_new, tau, m, size)
+        weights = _shift_weights(d_new, m, size)
         tables = [[Fraction(0)] * size for _ in range(m)]
         for j, table in enumerate(tables, 1):
             for i, prev_vals in enumerate(prev[:j]):
@@ -455,13 +457,12 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     d = as_parts(parts)
     m = len(d)
     tau = lcm_of(d)
-    taus = tau_table(d)
     acc = [[Fraction(0)] * (2 * tau) for _ in range(m)]
     for i, di in enumerate(d):
         size = 2 * di
         others = [n for n in range(m) if n != i]
         folded = [[Fraction(0)] * size for _ in range(m)]
-        fold = _shift_fold([d[n] for n in others], [taus[i][n] for n in others], m, di, size)
+        fold = _shift_fold([d[n] for n in others], m, di, size)
         for (l, z), res_table in fold.items():
             w = Fraction(1, (1 + z) * math.factorial(m - 1 - l))
             for res, a in res_table.items():

@@ -229,6 +229,17 @@ def test_count_over_digit_limit_exit_2(runner, fmt):
     assert f"more than the {sys.get_int_max_str_digits()} digits" in res.output
 
 
+def test_last_count_of_range_checked_against_digit_limit(runner):
+    # n = 10^4300 - 2 and 10^4300 - 1, written out; the counts are n + 1. Only
+    # the last, 10^4300, has more digits than str() prints, and the first,
+    # 10^4300 - 1, is not printed either
+    lo, hi = 10**4300 - 2, 10**4300 - 1
+    res = runner.invoke(main, ["eval", "--parts", "1,1", "--n", f"{lo}..{hi}"])
+    assert res.exit_code == 2, res.output
+    assert f"more than the {sys.get_int_max_str_digits()} digits" in res.output
+    assert str(hi) not in res.output
+
+
 def test_count_at_digit_limit_prints(runner):
     # n + 1 = 10^4299 + 1 has exactly 4300 digits, the most str() prints
     res = runner.invoke(main, ["eval", "--parts", "1,1", "--n", "10^4299"])

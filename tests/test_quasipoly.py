@@ -1,6 +1,7 @@
 """Certificates: construction by both routes, evaluation, structure, serialization."""
 
 import json
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -24,9 +25,9 @@ from denumerant import (
     lcm_of,
     psi,
     r_coeffs_recursive,
-    tau_table,
     v1_explicit,
 )
+from denumerant.quasipoly import _shift_weights
 
 HALF = Fraction(1, 2)
 
@@ -378,22 +379,36 @@ class TestAlign:
             build_explicit((2, 3)).aligned(9)
 
 
-class TestTauTable:
-    def test_examples(self):
-        assert tau_table((2, 3)) == ((2, 6), (6, 3))
-        assert tau_table((5,)) == ((5,),)
-        # row for the middle pivot of {1,2,3}
-        assert tau_table((1, 2, 3))[1] == (2, 2, 6)
+def _shift_weights_direct(dk, t, m, size):
+    """The shift weights summed term by term over p < t/d_k at the given t,
+    in first-seen residue order: the form _shift_weights reduces by Raabe's
+    theorem, kept here as its reference."""
+    per_e = []
+    for e in range(m):
+        by_res = {}
+        for p in range(t // dk):
+            key = ((2 * p + 1) * dk) % size
+            b = bernoulli_poly(e, 1 - Fraction((2 * p + 1) * dk, 2 * t))
+            by_res[key] = by_res.get(key, 0) + b
+        scale = Fraction(t) ** (e - 1) / math.factorial(e)
+        per_e.append([(key, scale * b) for key, b in by_res.items() if b])
+    return per_e
 
-    def test_structure(self):
-        for parts in [(2, 3, 4), (1, 1, 5), (6, 4, 10)]:
-            table = tau_table(parts)
-            full = lcm_of(parts)
-            for i, row in enumerate(table):
-                assert row[i] == parts[i]
-                assert row[-1] == full or i == len(parts) - 1
-                for n, t in enumerate(row):
-                    assert t % parts[i] == 0 and t % parts[n] == 0
+
+class TestShiftWeights:
+    def test_matches_direct_sum_at_multiples_of_lcm(self):
+        for dk in range(1, 13):
+            for period in range(1, 13):
+                lcm = math.lcm(dk, period)
+                for k in (1, 2, 3):
+                    # the table for m is the first m rows of the table for 5
+                    direct = _shift_weights_direct(dk, lcm * k, 5, 2 * period)
+                    for m in range(1, 6):
+                        assert _shift_weights(dk, m, 2 * period) == direct[:m], (dk, period, k, m)
+
+    def test_matches_direct_sum_at_full_period(self):
+        # d_k = 31 read mod 2*37 inside (31, 37, 41), whose lcm is 47027
+        assert _shift_weights(31, 3, 74) == _shift_weights_direct(31, 47027, 3, 74)
 
 
 class TestSerialization:
