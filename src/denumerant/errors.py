@@ -6,7 +6,7 @@ class InputError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A brute-force fallback would exceed its work guard."""
+    """A table, enumeration or certificate would exceed the work guard."""
 
 
 class IntegralityError(ArithmeticError):

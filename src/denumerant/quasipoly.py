@@ -32,10 +32,17 @@ multiplication theorem (DLMF 24.4.17) sums them to
         = L^(e-1) B_e(1 - (2r+1)/2q) / e!.
 
 So the weights are evaluated at t = L, once per class, and no caller passes
-a period. build_explicit runs the fold once per pivot; closure_fn runs it for
-the one remainder of the free coefficient that build_recursive cannot reach
-by extension, and the recursive step reads the new part's weights from
-_shift_weights. Everything else stays independent: the recursive step's
+a period. At a/b = 1 - (2r+1)/2q the values B_e(a/b) are integer numerators
+over b^e and the Bernoulli denominators, so each position's weights are
+integers over one denominator. The fold runs on Python ints, every state after
+k positions sharing the product of k denominators, and a Fraction is built
+only once per output cell (per weight in the recursive step).
+
+build_explicit runs the fold once per pivot; closure_fn runs it for the one
+remainder of the free coefficient that build_recursive cannot reach by
+extension, and the recursive step reads the new part's weights from
+_shift_weights. Both builders check the m tables of 2*tau cells against the
+guard limit (oracle.guard) before any of this. Everything else stays independent: the recursive step's
 cyclic correlation over the previous level's pieces, build_explicit's product
 over the pivot and spread of each pivot's residue tables into the master
 table, and the counting oracle (oracle.count_dp), so table-level agreement
@@ -53,7 +60,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bernoulli import bernoulli_poly
+from .bernoulli import bernoulli_number
 from .errors import InputError, IntegralityError
 from .exactnum import (
     HalfInt,
@@ -64,6 +71,7 @@ from .exactnum import (
     lcm_of,
     parse_rational,
 )
+from .oracle import guard
 
 __all__ = [
     "PeriodicFn",
@@ -288,29 +296,42 @@ def base_case(d1: int) -> QuasiPoly:
     return QuasiPoly((d1,), (PeriodicFn(d1, values),), d1)
 
 
-def _shift_weights(dk: int, m: int, size: int) -> list[list[tuple[int, Fraction]]]:
-    """One position's shift weights mod size = 2P: for each symbol power
-    e < m, the nonzero t^(e-1) B_e(1 - (2p+1) d_k/2t) / e!, p < t/d_k, summed
-    by their residue (2p+1) d_k mod size, as (residue, weight) pairs.
+def _shift_weights(dk: int, m: int, size: int) -> tuple[int, list[list[tuple[int, int]]]]:
+    """One position's shift weights mod size = 2P, as integer numerators over
+    one denominator: (den, per_e), where per_e[e] lists the nonzero
+    t^(e-1) B_e(1 - (2p+1) d_k/2t) / e!, p < t/d_k, summed by their residue
+    (2p+1) d_k mod size, as (residue, numerator) pairs.
 
     The sums are the same for every period t that is a multiple of
     L = lcm(d_k, P): by Raabe's multiplication theorem (DLMF 24.4.17) each
-    class p = r (mod L/d_k) sums to the single term at t = L. So t = L here,
-    and each residue takes one Bernoulli value."""
+    class p = r (mod q), q = L/d_k, sums to the single term at t = L, whose
+    argument is a/b with a = 2q-2r-1, b = 2q. The residues of the q classes
+    are distinct, since q divides p - p' whenever two keys meet. With beta the
+    lcm of the denominators of B_0..B_(m-1), the Appell sum
+    B_e(a/b) b^e beta = sum_k C(e,k) (beta B_k) a^(e-k) b^k is an integer, so
+    every e sits over den = L (m-1)! beta b^(m-1), reduced by the common gcd."""
     t = math.lcm(dk, size // 2)
-    per_e = []
-    for e in range(m):
-        by_res: dict[int, Fraction] = {}
-        for p in range(t // dk):
-            key = ((2 * p + 1) * dk) % size
-            b = bernoulli_poly(e, 1 - Fraction((2 * p + 1) * dk, 2 * t))
-            by_res[key] = by_res.get(key, 0) + b
-        scale = Fraction(t) ** (e - 1) / math.factorial(e)
-        per_e.append([(key, scale * b) for key, b in by_res.items() if b])
-    return per_e
+    q = t // dk
+    b = 2 * q
+    bs = [bernoulli_number(k) for k in range(m)]
+    beta = math.lcm(*(x.denominator for x in bs))
+    bb = [x.numerator * (beta // x.denominator) * b**k for k, x in enumerate(bs)]
+    top = math.factorial(m - 1)
+    scale = [t**e * (top // math.factorial(e)) * b ** (m - 1 - e) for e in range(m)]
+    per_e: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for r in range(q):
+        a = 2 * q - 2 * r - 1
+        key = ((2 * r + 1) * dk) % size
+        for e, row in enumerate(per_e):
+            num = sum(math.comb(e, k) * bb[k] * a ** (e - k) for k in range(e + 1))
+            if num:
+                row.append((key, num * scale[e]))
+    den = t * top * beta * b ** (m - 1)
+    g = math.gcd(den, *(w for row in per_e for _, w in row))
+    return den // g, [[(key, w // g) for key, w in row] for row in per_e]
 
 
-def _shift_fold(d: Sequence[int], m: int, start: int, size: int) -> dict:
+def _shift_fold(d: Sequence[int], m: int, start: int, size: int) -> tuple[int, dict]:
     """Products of per-position shift sums, folded in the residue ring mod size.
 
     Position k, with part d[k], offers the weights _shift_weights(d[k], m,
@@ -319,11 +340,17 @@ def _shift_fold(d: Sequence[int], m: int, start: int, size: int) -> dict:
     sum over exponent vectors r of the folded product, which carries
     1/prod r_k!. Times l! that is the multinomial weighting, times l!/(1+z)
     the split weight; no composition is enumerated.
+
+    The tables hold integer numerators: each position has one denominator, so
+    after k positions every state shares their product. Returns (den, fold);
+    cell values are numerator/den.
     """
-    fold = {(0, 0): {start % size: Fraction(1)}}
+    den = 1
+    fold = {(0, 0): {start % size: 1}}
     for dk in d:
-        per_e = _shift_weights(dk, m, size)
-        nxt: dict[tuple[int, int], dict[int, Fraction]] = {}
+        dk_den, per_e = _shift_weights(dk, m, size)
+        den *= dk_den
+        nxt: dict[tuple[int, int], dict[int, int]] = {}
         for (l, z), table in fold.items():
             for e in range(m - l):
                 out = nxt.setdefault((l + e, z + (e == 0)), {})
@@ -332,7 +359,7 @@ def _shift_fold(d: Sequence[int], m: int, start: int, size: int) -> dict:
                         key = (res + sh) % size
                         out[key] = out.get(key, 0) + a * w
         fold = nxt
-    return fold
+    return den, fold
 
 
 def closure_fn(parts: Sequence[int]) -> PeriodicFn:
@@ -345,17 +372,27 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     theorem (see _shift_weights) it is taken at its own period lcm(d_i, d_m).
     Period of the result: d_m. It is the total-exponent m-1 slice of
     _shift_fold over the prefix, mod 2*d_m: the multinomial over (m-1)! is
-    exactly 1/prod r_k!.
+    exactly 1/prod r_k!. The slice is summed on numerators and divided once
+    per residue.
     """
     d = as_parts(parts)
     m = len(d)
     size = 2 * d[-1]
-    table = [Fraction(0)] * size
-    for (l, _), res_table in _shift_fold(d[:-1], m, d[-1], size).items():
+    table = [0] * size
+    den, fold = _shift_fold(d[:-1], m, d[-1], size)
+    for (l, _), res_table in fold.items():
         if l == m - 1:
             for res, a in res_table.items():
                 table[res] += a
-    return PeriodicFn(d[-1], table)
+    return PeriodicFn(d[-1], [Fraction(a, den) for a in table])
+
+
+def _guard_cells(parts: tuple[int, ...]) -> int:
+    """tau = lcm(parts), once the certificate's m tables of 2 tau cells are
+    checked against the guard limit (oracle.guard)."""
+    tau = lcm_of(parts)
+    guard(len(parts) * 2 * tau, f"the certificate would take {len(parts)} x {2 * tau} cells")
+    return tau
 
 
 def _extend_pieces(pieces: dict[int, list[list[Fraction]]], parts: tuple[int, ...]) -> dict:
@@ -370,8 +407,9 @@ def _extend_pieces(pieces: dict[int, list[list[Fraction]]], parts: tuple[int, ..
     every j. The correlation is shift-invariant, so it runs mod each piece's
     own 2P with the weights summed by residue mod 2P, and a period-P piece
     stays period P; by Raabe's theorem those sums are _shift_weights(d_new,
-    m, 2P), taken at lcm(d_new, P) rather than tau. The l = 0 term of the
-    free coefficient R_m has no previous coefficient to read; it is the
+    m, 2P), taken at lcm(d_new, P) rather than tau; each weight becomes one
+    Fraction, and the correlation itself runs on Fractions. The l = 0 term of
+    the free coefficient R_m has no previous coefficient to read; it is the
     closure remainder closure_fn, added to the period-d_new piece.
     """
     m = len(parts)
@@ -379,16 +417,16 @@ def _extend_pieces(pieces: dict[int, list[list[Fraction]]], parts: tuple[int, ..
     out: dict[int, list[list[Fraction]]] = {}
     for period, prev in pieces.items():
         size = 2 * period
-        weights = _shift_weights(d_new, m, size)
+        den, weights = _shift_weights(d_new, m, size)
         tables = [[Fraction(0)] * size for _ in range(m)]
         for j, table in enumerate(tables, 1):
             for i, prev_vals in enumerate(prev[:j]):
                 if not any(prev_vals):
                     continue
                 l = j - 1 - i
-                c = Fraction(math.factorial(m - j + l - 1), math.factorial(m - j))
+                c_num, c_den = math.factorial(m - j + l - 1), math.factorial(m - j) * den
                 for shift, b in weights[l]:
-                    w = c * b
+                    w = Fraction(c_num * b, c_den)
                     # rotated[rho] is prev_vals at rho - shift (mod size)
                     rotated = prev_vals[size - shift :] + prev_vals[: size - shift]
                     table[:] = [a + w * v for a, v in zip(table, rotated)]
@@ -422,9 +460,10 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     result is tabulated at the new lcm.
     """
     (d_new,) = as_parts([d_new])
+    parts = prev.parts + (d_new,)
+    _guard_cells(parts)
     period = lcm_of(prev.parts)
     piece = [[fn.at_twice(rho) for rho in range(2 * period)] for fn in prev.coeffs]
-    parts = prev.parts + (d_new,)
     return _materialise(parts, _extend_pieces({period: piece}, parts))
 
 
@@ -437,6 +476,7 @@ def build_recursive(parts: Sequence[int]) -> QuasiPoly:
     (_extend_pieces). Only the final certificate is tabulated at tau.
     """
     d = as_parts(parts)
+    _guard_cells(d)
     pieces = {d[0]: [list(base_case(d[0]).coeffs[0].values)]}
     for k in range(2, len(d) + 1):
         pieces = _extend_pieces(pieces, d[:k])
@@ -453,23 +493,40 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     many zero exponents, times the binomial(m-1, l)/(m-1)! of the closed form.
     The bucket's residue table is then spread into the 2*tau master table once
     per pivot.
+
+    All of it runs on integer numerators: the bucket weight
+    1/((1+zeros)(m-1-l)!) is taken over (m-1)! lcm(1..m), each pivot's fold
+    is brought to the pivots' common denominator, and the master cells become
+    Fractions at the end, one per distinct numerator of a table.
     """
     d = as_parts(parts)
     m = len(d)
-    tau = lcm_of(d)
-    acc = [[Fraction(0)] * (2 * tau) for _ in range(m)]
+    tau = _guard_cells(d)
+    top = math.factorial(m - 1) * math.lcm(*range(1, m + 1))
+    pivots = []
     for i, di in enumerate(d):
         size = 2 * di
-        others = [n for n in range(m) if n != i]
-        folded = [[Fraction(0)] * size for _ in range(m)]
-        fold = _shift_fold([d[n] for n in others], m, di, size)
+        folded = [[0] * size for _ in range(m)]
+        den, fold = _shift_fold([d[n] for n in range(m) if n != i], m, di, size)
         for (l, z), res_table in fold.items():
-            w = Fraction(1, (1 + z) * math.factorial(m - 1 - l))
+            w = top // ((1 + z) * math.factorial(m - 1 - l))
             for res, a in res_table.items():
                 folded[l][res] += w * a
+        pivots.append((den, folded))
+    common = math.lcm(*(den for den, _ in pivots))
+    acc = [[0] * (2 * tau) for _ in range(m)]
+    for den, folded in pivots:
+        scale = common // den
         for bucket, res_table in zip(acc, folded):
+            size = len(res_table)
             for res, a in enumerate(res_table):
                 if a:
+                    a *= scale
                     for rho in range(res, 2 * tau, size):
                         bucket[rho] += a
-    return QuasiPoly(d, tuple(PeriodicFn(tau, vals) for vals in acc), tau)
+    den = common * top
+    coeffs = []
+    for vals in acc:
+        cell = {a: Fraction(a, den) for a in set(vals)}
+        coeffs.append(PeriodicFn(tau, [cell[a] for a in vals]))
+    return QuasiPoly(d, tuple(coeffs), tau)

@@ -24,6 +24,8 @@ PINNED = {
     (1, 2, 3, 4, 5, 6, 7): "71e11ec767aee5fbfda957821934c250826055de6dce892c0c8c23dbf746c19b",
     (4, 9, 11): "60598211e484465912ecfae788610c414530d5f72cb6a186fe0e2afcf6d212c2",
     (7, 8, 9): "338b328be2f7339ad962101fc9e6f85f1dd1aa8c491db400bebf2e38126c7323",
+    (1, 2, 3, 4, 5, 6, 7, 8): "615a3733c7efc1f021b898352626c65cc130779fa2101c160d8236c3bbd6f4fc",
+    (31, 37, 41): "07d17d1ddf1ab57cb8031b3d8ef4342e8cb06863ab0c7b7b9cb1d77d2cc08fbb",
 }
 
 

@@ -263,6 +263,14 @@ def test_over_guard_limit_exit_2(runner, monkeypatch, args):
     assert "over the limit 100" in res.output
 
 
+def test_certificate_over_guard_limit_exit_2(runner):
+    # 4 tables of 2 * lcm = 2 * 97*101*103*107 cells, about 8.6e8: refused
+    # before any table is allocated
+    res = runner.invoke(main, ["cert", "--parts", "97,101,103,107"])
+    assert res.exit_code == 2, res.output
+    assert "over the limit" in res.output
+
+
 def test_module_entry_point():
     """`python -m denumerant.cli` runs the command group from a checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -1,5 +1,7 @@
 """Certificates: construction by both routes, evaluation, structure, serialization."""
 
+import functools
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denumerant import (
+    CapacityError,
     HalfInt,
     InputError,
     IntegralityError,
@@ -27,7 +30,7 @@ from denumerant import (
     r_coeffs_recursive,
     v1_explicit,
 )
-from denumerant.quasipoly import _shift_weights
+from denumerant.quasipoly import _guard_cells, _shift_fold, _shift_weights
 
 HALF = Fraction(1, 2)
 
@@ -395,6 +398,34 @@ def _shift_weights_direct(dk, t, m, size):
     return per_e
 
 
+@functools.lru_cache(maxsize=None)
+def _direct_at_lcm(dk, m, size):
+    return _shift_weights_direct(dk, math.lcm(dk, size // 2), m, size)
+
+
+def _shift_fold_direct(d, m, start, size):
+    """The shift-sum fold on Fractions, position by position, over the direct
+    weights at t = lcm(d_k, size/2): the form _shift_fold runs on integer
+    numerators, kept here as its reference."""
+    fold = {(0, 0): {start % size: Fraction(1)}}
+    for dk in d:
+        per_e = _direct_at_lcm(dk, m, size)
+        nxt = {}
+        for (l, z), table in fold.items():
+            for e in range(m - l):
+                out = nxt.setdefault((l + e, z + (e == 0)), {})
+                for sh, w in per_e[e]:
+                    for res, a in table.items():
+                        key = (res + sh) % size
+                        out[key] = out.get(key, 0) + a * w
+        fold = nxt
+    return fold
+
+
+def _over_den(den, per_e):
+    return [[(key, Fraction(w, den)) for key, w in row] for row in per_e]
+
+
 class TestShiftWeights:
     def test_matches_direct_sum_at_multiples_of_lcm(self):
         for dk in range(1, 13):
@@ -404,11 +435,81 @@ class TestShiftWeights:
                     # the table for m is the first m rows of the table for 5
                     direct = _shift_weights_direct(dk, lcm * k, 5, 2 * period)
                     for m in range(1, 6):
-                        assert _shift_weights(dk, m, 2 * period) == direct[:m], (dk, period, k, m)
+                        den, per_e = _shift_weights(dk, m, 2 * period)
+                        assert _over_den(den, per_e) == direct[:m], (dk, period, k, m)
 
     def test_matches_direct_sum_at_full_period(self):
         # d_k = 31 read mod 2*37 inside (31, 37, 41), whose lcm is 47027
-        assert _shift_weights(31, 3, 74) == _shift_weights_direct(31, 47027, 3, 74)
+        den, per_e = _shift_weights(31, 3, 74)
+        assert _over_den(den, per_e) == _shift_weights_direct(31, 47027, 3, 74)
+
+    def test_integer_numerators_in_lowest_terms(self):
+        for dk in range(1, 13):
+            for period in range(1, 13):
+                den, per_e = _shift_weights(dk, 5, 2 * period)
+                nums = [w for row in per_e for _, w in row]
+                assert all(type(w) is int and w for w in nums)
+                assert type(den) is int and den > 0
+                assert math.gcd(den, *nums) == 1, (dk, period)
+
+
+@functools.lru_cache(maxsize=None)
+def _pivot_fold_direct(others, di):
+    """The reference fold over `others` around pivot d_i, as build_explicit and
+    closure_fn start it; cached because many lists share one (read-only)."""
+    return _shift_fold_direct(others, len(others) + 1, di, 2 * di)
+
+
+class TestShiftFold:
+    # every ordered list with m <= 4 and parts <= 6, and 1..7
+    LISTS = [
+        p for m in range(1, 5) for p in itertools.product(range(1, 7), repeat=m)
+    ] + [(1, 2, 3, 4, 5, 6, 7)]
+
+    def test_integer_fold_matches_fraction_fold(self):
+        # every pivot of every list; the fold depends only on (others, d_i)
+        pivots = {(d[:i] + d[i + 1 :], di) for d in self.LISTS for i, di in enumerate(d)}
+        for others, di in sorted(pivots):
+            den, fold = _shift_fold(others, len(others) + 1, di, 2 * di)
+            got = {
+                state: {res: Fraction(a, den) for res, a in table.items()}
+                for state, table in fold.items()
+            }
+            assert got == _pivot_fold_direct(others, di), (others, di)
+
+    def test_closure_fn_matches_fraction_fold(self):
+        for d in self.LISTS:
+            m, size = len(d), 2 * d[-1]
+            table = [Fraction(0)] * size
+            for (l, _), res_table in _pivot_fold_direct(d[:-1], d[-1]).items():
+                if l == m - 1:
+                    for res, a in res_table.items():
+                        table[res] += a
+            assert closure_fn(d).values == tuple(table), d
+
+
+class TestCapacityGuard:
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_builders_over_limit(self, monkeypatch, builder):
+        # (2, 3, 5, 7) takes 4 tables of 2 * 210 cells: 1680
+        monkeypatch.setenv("RPF_GUARD_LIMIT", "1000")
+        with pytest.raises(CapacityError, match="over the limit 1000"):
+            builder((2, 3, 5, 7))
+        monkeypatch.setenv("RPF_GUARD_LIMIT", "1680")
+        assert builder((2, 3, 5, 7)).master_period == 210  # at the limit
+
+    def test_extend_over_limit(self, monkeypatch):
+        prev = build_recursive((2, 3, 5))
+        monkeypatch.setenv("RPF_GUARD_LIMIT", "1000")
+        with pytest.raises(CapacityError, match="over the limit 1000"):
+            extend_recursive(prev, 7)
+
+    def test_default_limit(self, monkeypatch):
+        # (97, 101, 103): 3 x 2 * 1009091 cells, about 6.05 million, fits
+        monkeypatch.delenv("RPF_GUARD_LIMIT", raising=False)
+        assert _guard_cells((97, 101, 103)) == 97 * 101 * 103
+        with pytest.raises(CapacityError):
+            _guard_cells((97, 101, 103, 107))
 
 
 class TestSerialization:
