@@ -2,14 +2,16 @@
 
 Each check scans its argument space in increasing absolute value, so the first
 failure reported is a smallest one. The recurrence and parity laws are checked
-as identities between coefficient tables, one residue class of 2s at a time,
-and report the smallest failing class; the oracle check covers m points per
-class by default. Results never stop early across properties; a report
+as identities between coefficient tables, on integer numerators over one
+denominator per certificate, and report the smallest failing class of 2s; the
+oracle check covers m points per class by default and counts each distinct
+certificate once. Results never stop early across properties; a report
 carries one result per requested property.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -86,8 +88,14 @@ def default_n_max(parts: Sequence[int]) -> int:
 
 def _check_oracle(parts, certs: Mapping[str, quasipoly.QuasiPoly], n_max: int) -> PropertyResult:
     table = oracle.count_dp(parts, n_max)
+    # Equal certificates give equal counts, so each distinct one is evaluated
+    # once, under the first label that holds it; the first failure is unchanged.
+    distinct: dict[str, quasipoly.QuasiPoly] = {}
+    for label, cert in certs.items():
+        if all(cert != seen for seen in distinct.values()):
+            distinct[label] = cert
     for n in range(n_max + 1):
-        for label, cert in certs.items():
+        for label, cert in distinct.items():
             try:
                 got = cert.count(n)
             except IntegralityError as exc:
@@ -103,9 +111,28 @@ def _check_oracle(parts, certs: Mapping[str, quasipoly.QuasiPoly], n_max: int) -
     return PropertyResult("oracle", True, note=f"n up to {n_max}")
 
 
-def _column(cert: quasipoly.QuasiPoly, rho: int) -> polypart.Polynomial:
-    """V restricted to the class 2s = rho, as a polynomial in s."""
-    return polypart.Polynomial(fn.at_twice(rho) for fn in cert.coeffs)
+def _numerators(cert: quasipoly.QuasiPoly, twices: range) -> tuple[int, list[list[int]]]:
+    """Every coefficient read through at_twice over `twices`, as integer
+    numerators over den, the lcm of the values' denominators."""
+    cols = [[fn.at_twice(t) for t in twices] for fn in cert.coeffs]
+    dens = {v.denominator for col in cols for v in col}
+    den = math.lcm(*dens)
+    scale = {q: den // q for q in dens}
+    return den, [[v.numerator * scale[v.denominator] for v in col] for col in cols]
+
+
+def _shifted(tables: list[list[int]], a: int, b: int) -> list[list[int]]:
+    """Coefficient tables of b^(n-1) p(s + a/b), for p of degree n-1 given
+    highest power first: entry k is sum_{i<=k} C(n-1-i, k-i) a^(k-i) b^(n-1-k+i) p_i."""
+    n = len(tables)
+    out = []
+    for k in range(n):
+        acc = [0] * len(tables[0])
+        for i in range(k + 1):
+            w = math.comb(n - 1 - i, k - i) * a ** (k - i) * b ** (n - 1 - k + i)
+            acc = [x + w * y for x, y in zip(acc, tables[i])]
+        out.append(acc)
+    return out
 
 
 def _check_recurrence(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyResult:
@@ -113,46 +140,62 @@ def _check_recurrence(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> Proper
     if m == 1:
         return PropertyResult("recurrence", True, note="vacuous for a single part")
     dm = parts[-1]
-    prevs = {label: BUILDERS[label](parts[:-1]) for label in certs}
-    # One polynomial identity per class; the full-period iterate
-    # V(s + tau) - V(s) = sum_p V_{m-1}(s + tau - (2p+1) d_m/2) telescopes from it.
-    for rho in range(2 * lcm_of(parts)):
-        for label, cert in certs.items():
-            lhs = _column(cert, rho) - _column(cert, rho - 2 * dm).shifted(-dm)
-            rhs = _column(prevs[label], rho - dm).shifted(Fraction(-dm, 2))
-            for power, a, b in zip(range(m - 1, -1, -1), lhs.coeffs, (0,) + rhs.coeffs):
-                if a != b:
-                    return PropertyResult(
-                        "recurrence", False,
-                        {"path": label, "s": str(HalfInt(rho)), "power": power,
-                         "lhs": str(a), "rhs": str(b)},
-                    )
-    return PropertyResult("recurrence", True)
+    size = 2 * lcm_of(parts)
+    # One polynomial identity per class 2s = rho, on integer numerators:
+    # V(s) - V(s - d_m) = V_{m-1}(s - d_m/2), the right side scaled by 2^(m-2).
+    # The full-period iterate V(s + tau) - V(s) = sum_p V_{m-1}(s + tau - (2p+1) d_m/2)
+    # telescopes from it.
+    first = None
+    for label, cert in certs.items():
+        den, cur = _numerators(cert, range(-2 * dm, size))
+        back = _shifted([col[:size] for col in cur], -dm, 1)
+        den_prev, prev = _numerators(BUILDERS[label](parts[:-1]), range(-dm, size - dm))
+        half = _shifted(prev, -dm, 2)
+        lhs = [[x - y for x, y in zip(col[2 * dm:], sh)] for col, sh in zip(cur, back)]
+        rhs = [[0] * size] + half
+        rhs_den = den_prev << (m - 2)
+        for k, (a, b) in enumerate(zip(lhs, rhs)):
+            a_s, b_s = [x * rhs_den for x in a], [y * den for y in b]
+            if a_s != b_s:
+                rho = next(r for r, (x, y) in enumerate(zip(a_s, b_s)) if x != y)
+                if first is None or rho < first[0]:
+                    first = (rho, k, label, Fraction(a[rho], den), Fraction(b[rho], rhs_den))
+    if first is None:
+        return PropertyResult("recurrence", True)
+    rho, k, label, a, b = first
+    return PropertyResult(
+        "recurrence", False,
+        {"path": label, "s": str(HalfInt(rho)), "power": m - 1 - k, "lhs": str(a), "rhs": str(b)},
+    )
 
 
 def _check_parity(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyResult:
-    m = len(parts)
-    sign = -1 if m % 2 == 0 else 1
+    tau = lcm_of(parts)
     natural = sum(parts) % 2
-    # V(-s) = sign V(s) on the class of s holds iff R_j(-s) (-1)^(m-j) = sign R_j(s)
+    # V(-s) = -(-1)^m V(s) on the class of s holds iff R_j(-s) = (-1)^(j-1) R_j(s)
     # for every j; rho and -rho give the same condition, so rho <= tau covers every
     # class, smallest |s| first. Off-grid classes are described, never asserted.
     all_zero = symmetric = True
-    for rho in range(lcm_of(parts) + 1):
-        on_grid = rho % 2 == natural
-        for label, cert in certs.items():
-            for j, fn in enumerate(cert.coeffs, 1):
-                plus, minus = fn.at_twice(rho), fn.at_twice(-rho)
-                if minus * (-1) ** (m - j) != sign * plus:
-                    if on_grid:
-                        return PropertyResult(
-                            "parity", False,
-                            {"path": label, "s": str(HalfInt(rho)), "coefficient": j,
-                             "R_j(-s)": str(minus), "R_j(s)": str(plus)},
-                        )
-                    symmetric = False
-                if not on_grid and (plus or minus):
-                    all_zero = False
+    first = None
+    for label, cert in certs.items():
+        den, tables = _numerators(cert, range(-tau, tau + 1))
+        for j, col in enumerate(tables, 1):
+            plus, minus = col[tau:], col[tau::-1]
+            want = plus if j % 2 else [-x for x in plus]
+            if minus != want:
+                bad = [rho for rho, (x, y) in enumerate(zip(minus, want)) if x != y]
+                on_grid = [rho for rho in bad if rho % 2 == natural]
+                if on_grid and (first is None or on_grid[0] < first[0]):
+                    first = (on_grid[0], label, j, minus[on_grid[0]], plus[on_grid[0]], den)
+                symmetric = symmetric and len(on_grid) == len(bad)
+            all_zero = all_zero and not any(plus[1 - natural :: 2] + minus[1 - natural :: 2])
+    if first is not None:
+        rho, label, j, minus, plus, den = first
+        return PropertyResult(
+            "parity", False,
+            {"path": label, "s": str(HalfInt(rho)), "coefficient": j,
+             "R_j(-s)": str(Fraction(minus, den)), "R_j(s)": str(Fraction(plus, den))},
+        )
     if all_zero:
         note = "off-grid values identically zero"
     elif symmetric:
@@ -184,10 +227,11 @@ def _check_zeros(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyRes
 
 
 def _check_path_agreement(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyResult:
-    tau = lcm_of(parts)
-    a = certs["explicit"].aligned(tau)
-    b = certs["recursive"].aligned(tau)
-    for rho in range(2 * tau):
+    a, b = certs["explicit"], certs["recursive"]
+    # compared at the lcm of the two master periods, tau for builder output
+    period = math.lcm(a.master_period, b.master_period)
+    a, b = a.aligned(period), b.aligned(period)
+    for rho in range(2 * period):
         for j in range(1, len(parts) + 1):
             va = a.coeffs[j - 1].values[rho]
             vb = b.coeffs[j - 1].values[rho]
@@ -244,7 +288,8 @@ def run_properties(
     """Run the requested properties (all of them by default) on one part list.
 
     `certs` may inject prebuilt or deliberately broken certificates, one per
-    BUILDERS label ("explicit", "recursive"); by default both are built here.
+    BUILDERS label ("explicit", "recursive"), each for exactly these parts; by
+    default both are built here.
     """
     d = as_parts(parts)
     if props is None:
@@ -260,6 +305,10 @@ def run_properties(
         certs = {label: build(d) for label, build in BUILDERS.items()}
     elif set(certs) != set(BUILDERS):
         raise InputError(f"certs must have exactly the keys {', '.join(BUILDERS)}; got {list(certs)}")
+    else:
+        for label, cert in certs.items():
+            if cert.parts != d:
+                raise InputError(f"certificate {label!r} is for parts {cert.parts}, not {d}")
     if n_max is None:
         n_max = default_n_max(d)
     elif n_max < 0:

@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from denumerant import (
+    HalfInt,
     InputError,
     PeriodicFn,
+    Polynomial,
+    PropertyResult,
     QuasiPoly,
     build_explicit,
     build_recursive,
     iter_multisets,
+    lcm_of,
     run_properties,
 )
 from denumerant.verify import BUILDERS, PROPERTIES, default_n_max
@@ -163,3 +167,180 @@ class TestMultisets:
     def test_bad_bounds(self):
         with pytest.raises(InputError):
             list(iter_multisets(0, 3))
+
+
+class TestCertificateChecks:
+    def test_path_agreement_at_a_multiple_of_the_period(self):
+        parts = (2, 3)
+        explicit = build_explicit(parts).aligned(12)
+        report = run_properties(parts, certs={"explicit": explicit, "recursive": build_recursive(parts)})
+        assert report.passed
+        # a nudge in the upper half of the period-12 table is seen there, at 2s = 13
+        broken = _tampered(explicit, 1, 13)
+        report = run_properties(
+            parts, props=["path-agreement"],
+            certs={"explicit": broken, "recursive": build_recursive(parts)},
+        )
+        cex = report.results[0].counterexample
+        assert (cex["s"], cex["coefficient"]) == ("13/2", 2)
+
+    @pytest.mark.parametrize(
+        "cert_parts, props", [((1, 2, 3), ["oracle"]), ((1, 2, 3), None), ((2, 1), None)]
+    )
+    def test_certificates_for_other_parts_rejected(self, cert_parts, props):
+        certs = {label: build(cert_parts) for label, build in BUILDERS.items()}
+        with pytest.raises(InputError, match="is for parts"):
+            run_properties((1, 2), props=props, certs=certs)
+
+
+def _recurrence_direct(parts, certs) -> PropertyResult:
+    """The recurrence check column by column on Polynomial objects: the reference
+    for the integer-table identities."""
+    m = len(parts)
+    if m == 1:
+        return PropertyResult("recurrence", True, note="vacuous for a single part")
+    dm = parts[-1]
+    prevs = {label: BUILDERS[label](parts[:-1]) for label in certs}
+
+    def column(cert, rho):
+        return Polynomial(fn.at_twice(rho) for fn in cert.coeffs)
+
+    for rho in range(2 * lcm_of(parts)):
+        for label, cert in certs.items():
+            lhs = column(cert, rho) - column(cert, rho - 2 * dm).shifted(-dm)
+            rhs = column(prevs[label], rho - dm).shifted(Fraction(-dm, 2))
+            for power, a, b in zip(range(m - 1, -1, -1), lhs.coeffs, (0,) + rhs.coeffs):
+                if a != b:
+                    return PropertyResult(
+                        "recurrence", False,
+                        {"path": label, "s": str(HalfInt(rho)), "power": power,
+                         "lhs": str(a), "rhs": str(b)},
+                    )
+    return PropertyResult("recurrence", True)
+
+
+def _parity_direct(parts, certs) -> PropertyResult:
+    """The parity check cell by cell on Fractions: the reference for the
+    integer-table comparison."""
+    m = len(parts)
+    sign = -1 if m % 2 == 0 else 1
+    natural = sum(parts) % 2
+    all_zero = symmetric = True
+    for rho in range(lcm_of(parts) + 1):
+        on_grid = rho % 2 == natural
+        for label, cert in certs.items():
+            for j, fn in enumerate(cert.coeffs, 1):
+                plus, minus = fn.at_twice(rho), fn.at_twice(-rho)
+                if minus * (-1) ** (m - j) != sign * plus:
+                    if on_grid:
+                        return PropertyResult(
+                            "parity", False,
+                            {"path": label, "s": str(HalfInt(rho)), "coefficient": j,
+                             "R_j(-s)": str(minus), "R_j(s)": str(plus)},
+                        )
+                    symmetric = False
+                if not on_grid and (plus or minus):
+                    all_zero = False
+    if all_zero:
+        note = "off-grid values identically zero"
+    elif symmetric:
+        note = "off-grid values nonzero but symmetric"
+    else:
+        note = "off-grid symmetry deviates (reported only)"
+    return PropertyResult("parity", True, note=note)
+
+
+def _assert_identities_match_reference(parts, certs):
+    report = run_properties(parts, props=["recurrence", "parity"], certs=certs)
+    assert report.results == [_recurrence_direct(parts, certs), _parity_direct(parts, certs)]
+
+
+class TestIntegerIdentities:
+    def test_builder_certificates_match_reference(self):
+        for parts in list(iter_multisets(4, 6)) + [(2, 3, 5, 7), (3, 1, 2)]:
+            certs = {label: build(parts) for label, build in BUILDERS.items()}
+            _assert_identities_match_reference(parts, certs)
+
+    @pytest.mark.parametrize("parts", [(1, 2), (1, 2, 3), (3, 1, 2), (2, 3, 4), (2, 3, 5), (1, 1, 2, 3)])
+    def test_tampered_certificates_match_reference(self, parts):
+        good = {label: build(parts) for label, build in BUILDERS.items()}
+        size = 2 * lcm_of(parts)
+        failures = 0
+        for index in range(len(parts)):
+            for rho in (0, 1, 3, size // 2 + 1, size - 1):
+                for delta in (Fraction(1), Fraction(-1, 3)):
+                    for which in (("explicit",), ("recursive",), ("explicit", "recursive")):
+                        certs = {
+                            label: _tampered(cert, index, rho, delta) if label in which else cert
+                            for label, cert in good.items()
+                        }
+                        report = run_properties(parts, props=["recurrence", "parity"], certs=certs)
+                        assert report.results == [
+                            _recurrence_direct(parts, certs), _parity_direct(parts, certs)
+                        ]
+                        failures += not report.passed
+        assert failures  # the nudges are seen, not only matched
+
+    def test_certificate_at_twice_the_period_matches_reference(self):
+        parts = (1, 2, 3)
+        doubled = build_explicit(parts).aligned(12)
+        recursive = build_recursive(parts)
+        _assert_identities_match_reference(parts, {"explicit": doubled, "recursive": recursive})
+        # nudges above the first period, on and off the natural grid
+        for rho, delta in ((18, Fraction(1)), (19, Fraction(1, 3)), (23, Fraction(-2))):
+            broken = _tampered(doubled, 2, rho, delta)
+            certs = {"explicit": broken, "recursive": recursive}
+            _assert_identities_match_reference(parts, certs)
+            assert not run_properties(parts, props=["recurrence"], certs=certs).passed
+
+
+class TestOracleCounts:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        count = QuasiPoly.count
+
+        def counting(self, n):
+            seen.append(n)
+            return count(self, n)
+
+        monkeypatch.setattr(QuasiPoly, "count", counting)
+        return seen
+
+    def test_equal_certificates_counted_once(self, calls):
+        parts = (1, 2, 3)
+        report = run_properties(parts, props=["oracle"])
+        assert report.passed
+        assert len(calls) == default_n_max(parts) + 1
+
+    def test_distinct_valid_certificates_both_counted(self, calls):
+        parts = (1, 2, 3)
+        certs = {"explicit": build_explicit(parts).aligned(12), "recursive": build_recursive(parts)}
+        assert run_properties(parts, props=["oracle"], certs=certs).passed
+        assert len(calls) == 2 * (default_n_max(parts) + 1)
+
+    # +1 on the constant at 2s = 8 (mod 12) breaks n = 1, 7, 13, ...
+    def _oracle(self, order, tampered):
+        parts = (1, 2, 3)
+        good = {label: BUILDERS[label](parts) for label in order}
+        certs = {
+            label: _tampered(cert, 2, 8) if label in tampered else cert
+            for label, cert in good.items()
+        }
+        return run_properties(parts, props=["oracle"], certs=certs).results[0]
+
+    def test_only_recursive_tampered(self):
+        result = self._oracle(("explicit", "recursive"), ("recursive",))
+        assert result.counterexample == {"path": "recursive", "n": 1, "expected": "1", "actual": "2"}
+
+    def test_both_tampered_alike(self, calls):
+        result = self._oracle(("explicit", "recursive"), ("explicit", "recursive"))
+        assert result.counterexample == {"path": "explicit", "n": 1, "expected": "1", "actual": "2"}
+        assert calls == [0, 1]
+
+    def test_recursive_first_order(self):
+        assert self._oracle(("recursive", "explicit"), ()).passed
+        result = self._oracle(("recursive", "explicit"), ("explicit", "recursive"))
+        assert result.counterexample == {"path": "recursive", "n": 1, "expected": "1", "actual": "2"}
+        result = self._oracle(("recursive", "explicit"), ("explicit",))
+        assert result.counterexample == {"path": "explicit", "n": 1, "expected": "1", "actual": "2"}
