@@ -93,7 +93,12 @@ def d_higher_recursive(n: int, parts: Sequence[int]) -> Rational:
 
 
 def d_higher_symmetric(n: int, parts: Sequence[int]) -> Rational:
-    """D_n^(m) as a single symmetric sum over compositions of n.
+    """D_n^(m) as a single symmetric sum over the even compositions of n.
+
+    The sum runs over every composition r of n, each term n!/prod r_k!
+    prod d_k^(r_k) D_(r_k). Since B_e(1/2) = 0 for odd e (DLMF 24.4.27), a
+    term with an odd exponent is 0: D_n^(m) is 0 for odd n, and for even n
+    only the compositions of n/2, every exponent doubled, are summed.
 
     Agrees with d_higher_recursive; the two routes share no code beyond the
     scalar coefficients.
@@ -101,11 +106,12 @@ def d_higher_symmetric(n: int, parts: Sequence[int]) -> Rational:
     if n < 0:
         raise InputError("coefficient index must be nonnegative")
     total = Fraction(0)
-    for r in compositions(n, len(tuple(parts))):
+    if n % 2:
+        return total
+    for half in compositions(n // 2, len(tuple(parts))):
+        r = [2 * e for e in half]
         term = Fraction(multinomial(n, r))
         for d, e in zip(parts, r):
-            if not term:
-                break
             term *= Fraction(d) ** e * d_scalar(e)
         total += term
     return total

@@ -42,34 +42,12 @@ class Polynomial:
             acc = acc * sf + c
         return acc
 
-    def shifted(self, delta: Rational | int) -> "Polynomial":
-        """Coefficients of p(s + delta), by repeated synthetic division (Taylor shift)."""
-        df = Fraction(delta)
-        a = list(self.coeffs)
-        for top in range(len(a) - 1, 0, -1):
-            for k in range(1, top + 1):
-                a[k] += a[k - 1] * df
-        return Polynomial(a)
-
     def _trimmed(self) -> tuple[Fraction, ...]:
         cs = self.coeffs
         i = 0
         while i < len(cs) - 1 and cs[i] == 0:
             i += 1
         return cs[i:]
-
-    def _aligned(self, other: "Polynomial") -> zip:
-        """Coefficient pairs of both polynomials, the shorter padded with leading zeros."""
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        zero = (Fraction(0),)
-        return zip(zero * (n - len(a)) + a, zero * (n - len(b)) + b)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(x + y for x, y in self._aligned(other))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(x - y for x, y in self._aligned(other))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):

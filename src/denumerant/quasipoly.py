@@ -123,11 +123,6 @@ class PeriodicFn:
         span = 2 * self.period
         return PeriodicFn(target, [self.values[r % span] for r in range(2 * target)])
 
-    def natural_average(self, parity: int) -> Rational:
-        """Mean over one period of the integer-spaced grid with 2s = parity (mod 2)."""
-        sel = self.values[parity % 2 :: 2]
-        return sum(sel, Fraction(0)) / len(sel)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicFn):
             return NotImplemented

@@ -1,13 +1,16 @@
 """Property harness: structural checks on certificates, with minimal counterexamples.
 
 Each check scans its argument space in increasing absolute value, so the first
-failure reported is a smallest one. The recurrence and parity laws are checked
-as identities between coefficient tables, on integer numerators over one
-denominator per certificate, and report the smallest failing class of 2s; the
-oracle check covers m points per class by default and counts each distinct
-certificate once. Results never stop early across properties; a report
-carries one result per requested property.
-"""
+failure reported is a smallest one. Each certificate is read once per
+run_properties call, when a property first needs it, as integer numerators
+over one denominator on every class of its own master period. The oracle,
+recurrence, parity and mean-value checks run on those tables: the recurrence
+and parity laws as identities between coefficient tables on every class of
+the master period, reporting the smallest failing class of 2s; the oracle by
+integer Horner, at m points per class by default, counting each distinct
+certificate once; the mean value as one integer sum per coefficient. Results
+never stop early across properties; a report carries one result per
+requested property."""
 
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from . import oracle, polypart, quasipoly
 from .errors import InputError, IntegralityError
@@ -86,39 +89,71 @@ def default_n_max(parts: Sequence[int]) -> int:
     return max(3 * tau + 10, len(d) * tau - 1)
 
 
-def _check_oracle(parts, certs: Mapping[str, quasipoly.QuasiPoly], n_max: int) -> PropertyResult:
-    table = oracle.count_dp(parts, n_max)
-    # Equal certificates give equal counts, so each distinct one is evaluated
-    # once, under the first label that holds it; the first failure is unchanged.
-    distinct: dict[str, quasipoly.QuasiPoly] = {}
-    for label, cert in certs.items():
-        if all(cert != seen for seen in distinct.values()):
-            distinct[label] = cert
-    for n in range(n_max + 1):
-        for label, cert in distinct.items():
-            try:
-                got = cert.count(n)
-            except IntegralityError as exc:
-                return PropertyResult(
-                    "oracle", False,
-                    {"path": label, "n": n, "expected": str(table[n]), "actual": str(exc)},
-                )
-            if got != table[n]:
-                return PropertyResult(
-                    "oracle", False,
-                    {"path": label, "n": n, "expected": str(table[n]), "actual": str(got)},
-                )
-    return PropertyResult("oracle", True, note=f"n up to {n_max}")
+Certs = Mapping[str, quasipoly.QuasiPoly]
+# a certificate as integer numerator tables over one denominator, and the
+# per-call reader that gives each label's table once
+View = tuple[int, list[list[int]]]
+Views = Callable[[str], View]
 
 
-def _numerators(cert: quasipoly.QuasiPoly, twices: range) -> tuple[int, list[list[int]]]:
-    """Every coefficient read through at_twice over `twices`, as integer
-    numerators over den, the lcm of the values' denominators."""
+def _numerators(cert: quasipoly.QuasiPoly) -> View:
+    """The certificate read once over every class of its master period P:
+    (den, tables), tables[j-1][rho] the numerator of R_j at 2s = rho over
+    den, the lcm of the values' denominators, for rho in range(2P)."""
+    twices = range(2 * cert.master_period)
     cols = [[fn.at_twice(t) for t in twices] for fn in cert.coeffs]
     dens = {v.denominator for col in cols for v in col}
     den = math.lcm(*dens)
     scale = {q: den // q for q in dens}
     return den, [[v.numerator * scale[v.denominator] for v in col] for col in cols]
+
+
+def _scaled_counts(parts, tables: list[list[int]]) -> Iterator[int]:
+    """2^(m-1) den V(n + xi) for n = 0, 1, 2, ...: an integer, since with
+    t = 2n + sum(parts) it is sum_j N_j[t mod 2P] 2^(j-1) t^(m-j). Integer
+    Horner in t on one row per class of the parity of t, each N_j pre-shifted
+    by j-1."""
+    size = len(tables[0])
+    t = sum(parts)
+    rows: list[tuple[int, ...]] = [()] * size
+    for rho in range(t % 2, size, 2):
+        rows[rho] = tuple(col[rho] << j for j, col in enumerate(tables))
+    while True:
+        acc = 0
+        for c in rows[t % size]:
+            acc = acc * t + c
+        yield acc
+        t += 2
+
+
+def _check_oracle(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
+    counts = oracle.count_dp(parts, n_max).counts
+    # Equal tables give equal counts, so each distinct certificate is evaluated
+    # once, under the first label that holds it; the first failure is unchanged.
+    scans: list[tuple[str, View, Iterator[int]]] = []
+    for label in certs:
+        view = views(label)
+        if all(view != seen for _, seen, _ in scans):
+            scans.append((label, view, _scaled_counts(parts, view[1])))
+    shift = len(parts) - 1
+    for n, want in enumerate(counts):
+        for label, (den, _), got in scans:
+            if next(got) != (want * den) << shift:
+                try:
+                    actual = str(certs[label].count(n))
+                except IntegralityError as exc:
+                    actual = str(exc)
+                return PropertyResult(
+                    "oracle", False,
+                    {"path": label, "n": n, "expected": str(want), "actual": actual},
+                )
+    return PropertyResult("oracle", True, note=f"n up to {n_max}")
+
+
+def _rotated(col: list[int], shift: int) -> list[int]:
+    """The table read at rho - shift, for rho in range(len(col))."""
+    k = len(col) - shift % len(col)
+    return col[k:] + col[:k]
 
 
 def _shifted(tables: list[list[int]], a: int, b: int) -> list[list[int]]:
@@ -135,24 +170,24 @@ def _shifted(tables: list[list[int]], a: int, b: int) -> list[list[int]]:
     return out
 
 
-def _check_recurrence(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyResult:
+def _check_recurrence(parts, certs: Certs, views: Views) -> PropertyResult:
     m = len(parts)
     if m == 1:
         return PropertyResult("recurrence", True, note="vacuous for a single part")
     dm = parts[-1]
-    size = 2 * lcm_of(parts)
     # One polynomial identity per class 2s = rho, on integer numerators:
     # V(s) - V(s - d_m) = V_{m-1}(s - d_m/2), the right side scaled by 2^(m-2).
-    # The full-period iterate V(s + tau) - V(s) = sum_p V_{m-1}(s + tau - (2p+1) d_m/2)
-    # telescopes from it.
+    # Every class of both master periods is checked. The full-period iterate
+    # V(s + tau) - V(s) = sum_p V_{m-1}(s + tau - (2p+1) d_m/2) telescopes from it.
     first = None
-    for label, cert in certs.items():
-        den, cur = _numerators(cert, range(-2 * dm, size))
-        back = _shifted([col[:size] for col in cur], -dm, 1)
-        den_prev, prev = _numerators(BUILDERS[label](parts[:-1]), range(-dm, size - dm))
-        half = _shifted(prev, -dm, 2)
-        lhs = [[x - y for x, y in zip(col[2 * dm:], sh)] for col, sh in zip(cur, back)]
-        rhs = [[0] * size] + half
+    for label in certs:
+        den, cur = views(label)
+        den_prev, prev = _numerators(BUILDERS[label](parts[:-1]))
+        size = math.lcm(len(cur[0]), len(prev[0]))
+        back = _shifted([_rotated(col, 2 * dm) for col in cur], -dm, 1)
+        half = _shifted([_rotated(col, dm) for col in prev], -dm, 2)
+        lhs = [[x - y for x, y in zip(col, sh)] * (size // len(col)) for col, sh in zip(cur, back)]
+        rhs = [[0] * size] + [col * (size // len(col)) for col in half]
         rhs_den = den_prev << (m - 2)
         for k, (a, b) in enumerate(zip(lhs, rhs)):
             a_s, b_s = [x * rhs_den for x in a], [y * den for y in b]
@@ -169,18 +204,19 @@ def _check_recurrence(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> Proper
     )
 
 
-def _check_parity(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyResult:
-    tau = lcm_of(parts)
+def _check_parity(parts, certs: Certs, views: Views) -> PropertyResult:
     natural = sum(parts) % 2
     # V(-s) = -(-1)^m V(s) on the class of s holds iff R_j(-s) = (-1)^(j-1) R_j(s)
-    # for every j; rho and -rho give the same condition, so rho <= tau covers every
-    # class, smallest |s| first. Off-grid classes are described, never asserted.
+    # for every j; rho and -rho give the same condition, so rho <= P covers every
+    # class of the master period P, smallest |s| first. Off-grid classes are
+    # described, never asserted.
     all_zero = symmetric = True
     first = None
-    for label, cert in certs.items():
-        den, tables = _numerators(cert, range(-tau, tau + 1))
+    for label in certs:
+        den, tables = views(label)
+        half = len(tables[0]) // 2
         for j, col in enumerate(tables, 1):
-            plus, minus = col[tau:], col[tau::-1]
+            plus, minus = col[: half + 1], col[:1] + col[: half - 1 : -1]
             want = plus if j % 2 else [-x for x in plus]
             if minus != want:
                 bad = [rho for rho, (x, y) in enumerate(zip(minus, want)) if x != y]
@@ -211,7 +247,7 @@ def _zero_points_twice(m: int) -> list[int]:
     return [2 * k + 1 for k in range((m - 1) // 2)]
 
 
-def _check_zeros(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyResult:
+def _check_zeros(parts, certs: Certs) -> PropertyResult:
     pts = _zero_points_twice(len(parts))
     if not pts:
         return PropertyResult("zeros", True, note="no forced zeros at this order")
@@ -226,7 +262,7 @@ def _check_zeros(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyRes
     return PropertyResult("zeros", True)
 
 
-def _check_path_agreement(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyResult:
+def _check_path_agreement(parts, certs: Certs) -> PropertyResult:
     a, b = certs["explicit"], certs["recursive"]
     # compared at the lcm of the two master periods, tau for builder output
     period = math.lcm(a.master_period, b.master_period)
@@ -244,13 +280,15 @@ def _check_path_agreement(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> Pr
     return PropertyResult("path-agreement", True)
 
 
-def _check_mean_value(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> PropertyResult:
+def _check_mean_value(parts, certs: Certs, views: Views) -> PropertyResult:
     consts = polypart.v1_explicit(parts)
     parity = sum(parts) % 2
     for j in range(1, len(parts) + 1):
         want = consts.coeffs[j - 1]
-        for label, cert in certs.items():
-            got = cert.coeffs[j - 1].natural_average(parity)
+        for label in certs:
+            den, tables = views(label)
+            col = tables[j - 1]
+            got = Fraction(sum(col[parity::2]), den * (len(col) // 2))
             if got != want:
                 return PropertyResult(
                     "mean-value", False,
@@ -260,14 +298,15 @@ def _check_mean_value(parts, certs: Mapping[str, quasipoly.QuasiPoly]) -> Proper
     return PropertyResult("mean-value", True)
 
 
-# name -> check(parts, certs, n_max), in report order; only the oracle uses n_max
+# name -> check(parts, certs, views, n_max), in report order; only the oracle
+# uses n_max, and zeros and path-agreement read the certificates themselves
 _CHECKS = {
     "oracle": _check_oracle,
-    "recurrence": lambda parts, certs, n_max: _check_recurrence(parts, certs),
-    "parity": lambda parts, certs, n_max: _check_parity(parts, certs),
-    "zeros": lambda parts, certs, n_max: _check_zeros(parts, certs),
-    "path-agreement": lambda parts, certs, n_max: _check_path_agreement(parts, certs),
-    "mean-value": lambda parts, certs, n_max: _check_mean_value(parts, certs),
+    "recurrence": lambda parts, certs, views, n_max: _check_recurrence(parts, certs, views),
+    "parity": lambda parts, certs, views, n_max: _check_parity(parts, certs, views),
+    "zeros": lambda parts, certs, views, n_max: _check_zeros(parts, certs),
+    "path-agreement": lambda parts, certs, views, n_max: _check_path_agreement(parts, certs),
+    "mean-value": lambda parts, certs, views, n_max: _check_mean_value(parts, certs, views),
 }
 PROPERTIES = tuple(_CHECKS)
 # certificate label -> builder; run_properties checks one certificate of each.
@@ -314,9 +353,17 @@ def run_properties(
     elif n_max < 0:
         raise InputError("n_max must be nonnegative")
 
+    read: dict[str, View] = {}
+
+    def views(label: str) -> View:
+        # each certificate is read on first use, at most once per call
+        if label not in read:
+            read[label] = _numerators(certs[label])
+        return read[label]
+
     report = VerifyReport(parts=d)
     for name in selected:
-        report.results.append(_CHECKS[name](d, certs, n_max))
+        report.results.append(_CHECKS[name](d, certs, views, n_max))
     return report
 
 

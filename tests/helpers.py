@@ -26,6 +26,32 @@ def akiyama_tanigawa(n: int) -> list[Fraction]:
     return out
 
 
+def taylor_shift(coeffs, delta) -> list[Fraction]:
+    """Coefficients (highest power first) of p(s + delta), by repeated
+    synthetic division."""
+    a = [Fraction(c) for c in coeffs]
+    for top in range(len(a) - 1, 0, -1):
+        for k in range(1, top + 1):
+            a[k] += a[k - 1] * delta
+    return a
+
+
+def poly_sub(a, b) -> list[Fraction]:
+    """Coefficients (highest power first) of a - b, the shorter padded with
+    leading zeros."""
+    n = max(len(a), len(b))
+    a = [Fraction(0)] * (n - len(a)) + [Fraction(c) for c in a]
+    b = [Fraction(0)] * (n - len(b)) + [Fraction(c) for c in b]
+    return [x - y for x, y in zip(a, b)]
+
+
+def natural_average(fn, parity: int) -> Fraction:
+    """Mean of a periodic coefficient over one period of the integer-spaced
+    grid with 2s = parity (mod 2)."""
+    sel = fn.values[parity % 2 :: 2]
+    return sum(sel, Fraction(0)) / len(sel)
+
+
 def ser_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Truncated product; both inputs and the result share one length."""
     n = len(a)

@@ -7,16 +7,36 @@ import pytest
 
 from denumerant import (
     InputError,
+    compositions,
     bernoulli_higher,
     bernoulli_number,
     bernoulli_poly,
     d_higher_recursive,
     d_higher_symmetric,
     d_scalar,
+    iter_multisets,
+    multinomial,
 )
 from helpers import akiyama_tanigawa, higher_bernoulli_series
 
 HALF = Fraction(1, 2)
+
+
+def _d_symmetric_all(n, parts):
+    """D_n^(m) summed over every composition r of n, odd exponents included:
+    the reference for the even-composition sum. A term is skipped only when
+    one of its factors d^e D_e is zero."""
+    factors = [[Fraction(d) ** e * d_scalar(e) for e in range(n + 1)] for d in parts]
+    zero = [[not x for x in row] for row in factors]
+    total = Fraction(0)
+    for r in compositions(n, len(parts)):
+        if any(row[e] for row, e in zip(zero, r)):
+            continue
+        term = Fraction(multinomial(n, r))
+        for row, e in zip(factors, r):
+            term *= row[e]
+        total += term
+    return total
 
 
 class TestNumbers:
@@ -98,6 +118,13 @@ class TestHigherCoefficients:
             for parts in combinations_with_replacement(range(1, 6), m):
                 for n in range(9):
                     assert d_higher_recursive(n, parts) == d_higher_symmetric(n, parts), (n, parts)
+
+    def test_even_compositions_match_all_compositions(self):
+        for parts in list(iter_multisets(4, 6)) + [tuple(range(1, 10))]:
+            for n in range(len(parts) + 3):
+                want = _d_symmetric_all(n, parts)
+                assert d_higher_symmetric(n, parts) == want, (n, parts)
+                assert d_higher_recursive(n, parts) == want, (n, parts)
 
     def test_odd_vanish(self):
         for m in range(1, 5):

@@ -1,5 +1,7 @@
 """The property harness itself: detection power and minimality of counterexamples."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,17 +9,20 @@ import pytest
 from denumerant import (
     HalfInt,
     InputError,
+    IntegralityError,
     PeriodicFn,
-    Polynomial,
     PropertyResult,
     QuasiPoly,
     build_explicit,
     build_recursive,
+    count_dp,
     iter_multisets,
     lcm_of,
     run_properties,
 )
+from denumerant import verify
 from denumerant.verify import BUILDERS, PROPERTIES, default_n_max
+from helpers import poly_sub, taylor_shift
 
 
 def _tampered(cert: QuasiPoly, coeff_index: int, rho: int, delta=Fraction(1)) -> QuasiPoly:
@@ -193,9 +198,15 @@ class TestCertificateChecks:
             run_properties((1, 2), props=props, certs=certs)
 
 
+def _period(parts, certs) -> int:
+    """A common period of the certificates and the parts' own: scanning its
+    classes covers every class of each master period."""
+    return math.lcm(lcm_of(parts), *(cert.master_period for cert in certs.values()))
+
+
 def _recurrence_direct(parts, certs) -> PropertyResult:
-    """The recurrence check column by column on Polynomial objects: the reference
-    for the integer-table identities."""
+    """The recurrence check column by column on Fractions: the reference for
+    the integer-table identities."""
     m = len(parts)
     if m == 1:
         return PropertyResult("recurrence", True, note="vacuous for a single part")
@@ -203,13 +214,13 @@ def _recurrence_direct(parts, certs) -> PropertyResult:
     prevs = {label: BUILDERS[label](parts[:-1]) for label in certs}
 
     def column(cert, rho):
-        return Polynomial(fn.at_twice(rho) for fn in cert.coeffs)
+        return [fn.at_twice(rho) for fn in cert.coeffs]
 
-    for rho in range(2 * lcm_of(parts)):
+    for rho in range(2 * _period(parts, certs)):
         for label, cert in certs.items():
-            lhs = column(cert, rho) - column(cert, rho - 2 * dm).shifted(-dm)
-            rhs = column(prevs[label], rho - dm).shifted(Fraction(-dm, 2))
-            for power, a, b in zip(range(m - 1, -1, -1), lhs.coeffs, (0,) + rhs.coeffs):
+            lhs = poly_sub(column(cert, rho), taylor_shift(column(cert, rho - 2 * dm), -dm))
+            rhs = taylor_shift(column(prevs[label], rho - dm), Fraction(-dm, 2))
+            for power, a, b in zip(range(m - 1, -1, -1), lhs, [0] + rhs):
                 if a != b:
                     return PropertyResult(
                         "recurrence", False,
@@ -226,7 +237,7 @@ def _parity_direct(parts, certs) -> PropertyResult:
     sign = -1 if m % 2 == 0 else 1
     natural = sum(parts) % 2
     all_zero = symmetric = True
-    for rho in range(lcm_of(parts) + 1):
+    for rho in range(_period(parts, certs) + 1):
         on_grid = rho % 2 == natural
         for label, cert in certs.items():
             for j, fn in enumerate(cert.coeffs, 1):
@@ -293,18 +304,98 @@ class TestIntegerIdentities:
             _assert_identities_match_reference(parts, certs)
             assert not run_properties(parts, props=["recurrence"], certs=certs).passed
 
+    def test_classes_above_the_first_period_are_checked(self):
+        # the constant raised at 2s = 14 (mod 24): a class of the stored period
+        # 12 beyond tau = 6, so only a scan of every stored class sees it
+        parts = (1, 2, 3)
+        broken = _tampered(build_explicit(parts).aligned(12), 2, 14)
+        certs = {"explicit": broken, "recursive": build_recursive(parts)}
+        _assert_identities_match_reference(parts, certs)
+        recurrence, parity = run_properties(parts, props=["recurrence", "parity"], certs=certs).results
+        assert (recurrence.passed, parity.passed) == (False, False)
+        assert recurrence.counterexample["s"] == "7"
+        assert parity.counterexample["s"] == "5"
+
+
+def _oracle_direct(parts, certs, n_max) -> PropertyResult:
+    """The oracle check on Fractions, QuasiPoly.count against count_dp: the
+    reference for the integer Horner."""
+    table = count_dp(parts, n_max)
+    distinct = {}
+    for label, cert in certs.items():
+        if all(cert != seen for seen in distinct.values()):
+            distinct[label] = cert
+    for n in range(n_max + 1):
+        for label, cert in distinct.items():
+            try:
+                got = cert.count(n)
+            except IntegralityError as exc:
+                return PropertyResult(
+                    "oracle", False,
+                    {"path": label, "n": n, "expected": str(table[n]), "actual": str(exc)},
+                )
+            if got != table[n]:
+                return PropertyResult(
+                    "oracle", False,
+                    {"path": label, "n": n, "expected": str(table[n]), "actual": str(got)},
+                )
+    return PropertyResult("oracle", True, note=f"n up to {n_max}")
+
+
+def _assert_oracle_matches_reference(parts, certs, n_max=None):
+    report = run_properties(parts, props=["oracle"], n_max=n_max, certs=certs)
+    want = _oracle_direct(parts, certs, default_n_max(parts) if n_max is None else n_max)
+    assert report.results == [want]
+    return want
+
+
+class TestIntegerOracle:
+    def test_builder_certificates_match_reference(self):
+        for parts in list(iter_multisets(4, 6)) + [(2, 3, 5, 7)]:
+            certs = {label: build(parts) for label, build in BUILDERS.items()}
+            assert _assert_oracle_matches_reference(parts, certs).passed
+
+    @pytest.mark.parametrize("parts", [(4,), (1, 2), (2, 3, 4), (3, 1, 2), (1, 1, 2, 3), (2, 3, 5, 7)])
+    def test_tampered_certificates_match_reference(self, parts):
+        good = {label: build(parts) for label, build in BUILDERS.items()}
+        size = 2 * lcm_of(parts)
+        deltas = itertools.cycle((Fraction(1), Fraction(1, 3), Fraction(-2), Fraction(-2, 7)))
+        seen = set()
+        for index in range(len(parts)):
+            for rho in (0, 1, 3, size // 2 + 1, size - 1):
+                for which in (("explicit",), ("recursive",), ("explicit", "recursive")):
+                    delta = next(deltas)
+                    certs = {
+                        label: _tampered(cert, index, rho % size, delta) if label in which else cert
+                        for label, cert in good.items()
+                    }
+                    result = _assert_oracle_matches_reference(parts, certs)
+                    if not result.passed:
+                        seen.add("not an integer" in result.counterexample["actual"])
+        assert seen == {False, True}  # both kinds of failure are seen, not only matched
+
+    def test_short_range_and_stored_period_match_reference(self):
+        parts = (1, 2, 3)
+        doubled = build_explicit(parts).aligned(12)
+        for rho, delta in ((14, Fraction(1)), (19, Fraction(1)), (22, Fraction(-1, 3))):
+            certs = {"explicit": _tampered(doubled, 2, rho, delta), "recursive": build_recursive(parts)}
+            for n_max in (0, 5, None):
+                _assert_oracle_matches_reference(parts, certs, n_max)
+
 
 class TestOracleCounts:
     @pytest.fixture
     def calls(self, monkeypatch):
+        """Every n the oracle evaluates, through its per-point integer counts."""
         seen = []
-        count = QuasiPoly.count
+        scaled_counts = verify._scaled_counts
 
-        def counting(self, n):
-            seen.append(n)
-            return count(self, n)
+        def counting(parts, tables):
+            for n, value in enumerate(scaled_counts(parts, tables)):
+                seen.append(n)
+                yield value
 
-        monkeypatch.setattr(QuasiPoly, "count", counting)
+        monkeypatch.setattr(verify, "_scaled_counts", counting)
         return seen
 
     def test_equal_certificates_counted_once(self, calls):

@@ -1,0 +1,83 @@
+"""Verify reports pinned: `run_properties` gives exactly these reports.
+
+The digests are sha256 of `json.dumps(report.to_json_dict())`: one report per
+list for builder output, and one digest over a seeded run of tampered
+certificates (stored at the lcm of the parts, as the builders store them) per
+list. A change to how the properties are checked must keep them; a change
+that means to alter a report updates them in the same commit and says why.
+"""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from denumerant import lcm_of, run_properties
+from denumerant.verify import BUILDERS
+from test_verify import _tampered
+
+CLEAN = {
+    (1,): "ac84dac9fdf74bf9fcd51417a7f1c272520af8bbfab9bf5dc6c6d59c0c5ba1a3",
+    (4,): "1e428d4fd6a6f27ce105f83b4120f7ebdb14884cd4247dfeca7a6605d3bd0798",
+    (1, 2): "7e696095fcac54945af31e09ab92d92f9e92c1b43fbfdfa6de1cdb6cba26a3f5",
+    (2, 3): "bfaa634f7f07b785f916add07a66cd789ad558c68a1b4cd9b77fa807c0d09ee9",
+    (1, 2, 3): "f841ed592668827b846a86ba549b4eafd2d4255c81628ffaff9e9244d6851267",
+    (3, 1, 2): "551bf64605b141c3f9021999c67b5d176ca8f6543b7cd0bdbb0e2f394b40b72f",
+    (2, 3, 4): "52f07f562e36025ad196ba62c25fa28b73a35568549705e03b32a716118ae075",
+    (1, 1, 2, 3): "3b89d07a203057b991ccb0db777b4c41642eca3cb7ea9bd68189c877a3ffd447",
+    (5, 2, 2): "6356a329a1745efe7a5f5e2b46e9da9846333b6bb0cdb37f1c60b1a8a2c54c28",
+    (6, 1, 4, 1): "d11927cfc5efc884c76c690d251aa8073a2f2e0bcaa941316202cc0b69f67a0c",
+    (2, 1, 2, 1, 3): "21d72105054ad94cd3dc57fd9bf083e338eeb1990323288527085d5c0b92bbe3",
+    (1, 2, 3, 4, 5): "fd82d346ffb4f8c3c40a11c9fe7fa697e8542118c6073669d151528df95cf127",
+    (2, 3, 5, 7): "15b6291cee46ccb2bbaa8f708f9ecf36d1a9401f189b1d2fab2de5232ad93dfe",
+    (5, 7, 9): "944095e3c63381eefa0ec333e8bebcaf6c31a95989549ae64f0598bb584608d5",
+}
+
+TAMPERED = {
+    (1, 2): "1aaf6f9168f34d67cc3d156e6a849b85f5054a5e24d5fa191c87fe476d02d3d1",
+    (1, 2, 3): "d94cdd2d5dc563c1b679bff146aae4166076b0681ad8927c0867b70a6c3fb435",
+    (3, 1, 2): "4156e853f95660e46aaecd1800c4deb99be7ee9a4422ca8302c1bba946cb28a5",
+    (2, 3, 4): "815b6894fb703d2147958f61f32435c4cff826b9c97cd80efcaea89301323fa1",
+    (1, 1, 2, 3): "0843a3dd70c10825490e915c79847e046a98b480b018546d7cda47e76961a24b",
+    (5, 2, 2): "3c1e060309b8c12ec4843dab39d2a8d8b3e300abc9497e4d99cc95a36b6fd52c",
+    (2, 1, 2, 1, 3): "64d7f3829718a4a1fc24ebdcb47f94a05e462741728ec768aed6267c27f068e3",
+    (2, 3, 5, 7): "c226ac7be7c5b6a4beff2d31218194a0a2657ebbe3737c8d5b0dd3fcf8e22066",
+}
+N_TAMPERED = 12
+WHICH = (("explicit",), ("recursive",), ("explicit", "recursive"))
+DELTAS = (Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-2, 7))
+
+
+def _digest(reports) -> str:
+    text = json.dumps([report.to_json_dict() for report in reports])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _ids(parts) -> str:
+    return ",".join(map(str, parts))
+
+
+@pytest.mark.parametrize("parts", list(CLEAN), ids=_ids)
+def test_builder_reports(parts):
+    assert _digest([run_properties(parts)]) == CLEAN[parts]
+
+
+@pytest.mark.parametrize("parts", list(TAMPERED), ids=_ids)
+def test_tampered_reports(parts):
+    good = {label: build(parts) for label, build in BUILDERS.items()}
+    rng = random.Random(f"tampered:{_ids(parts)}")
+    reports = []
+    for _ in range(N_TAMPERED):
+        which = rng.choice(WHICH)
+        index = rng.randrange(len(parts))
+        rho = rng.randrange(2 * lcm_of(parts))
+        delta = rng.choice(DELTAS)
+        certs = {
+            label: _tampered(cert, index, rho, delta) if label in which else cert
+            for label, cert in good.items()
+        }
+        reports.append(run_properties(parts, certs=certs))
+    assert not all(report.passed for report in reports)
+    assert _digest(reports) == TAMPERED[parts]
