@@ -13,12 +13,13 @@ xi = sum(d)/2. Two constructions are provided:
   * build_explicit: a single pass over pivot positions and shift sums.
 
 build_recursive holds the certificate as a sum of pieces, one per distinct
-part period P, each m tables of 2P rationals (grouped by period like
-Sylvester's waves, but not reduced to the canonical waves). A step correlates every piece at its own
-period, since the correlation maps a period-P piece to a period-P piece, and
-adds closure_fn's piece at the new part's period; the 2*tau tables are filled
-once, at the end. extend_recursive is the same step on one certificate read
-as a single piece.
+part period P, each m tables of 2P integer numerators over the piece's
+denominator (grouped by period like Sylvester's waves, but not reduced to
+the canonical waves). A step correlates every piece at its own period, since
+the correlation maps a period-P piece to a period-P piece, and adds
+closure_fn's piece at the new part's period; the 2*tau tables are tiled and
+summed as integers once, at the end. extend_recursive is the same step on one
+certificate read as a single piece.
 
 Two kernels are shared. _shift_weights tabulates one position's Bernoulli
 shift weights by residue; _shift_fold multiplies them over positions as a DP
@@ -35,8 +36,9 @@ So the weights are evaluated at t = L, once per class, and no caller passes
 a period. At a/b = 1 - (2r+1)/2q the values B_e(a/b) are integer numerators
 over b^e and the Bernoulli denominators, so each position's weights are
 integers over one denominator. The fold runs on Python ints, every state after
-k positions sharing the product of k denominators, and a Fraction is built
-only once per output cell (per weight in the recursive step).
+k positions sharing the product of k denominators, and so does the recursive
+step's correlation; both builders hand their integer tables to
+PeriodicFn.from_numerators, which builds one Fraction per distinct value.
 
 build_explicit runs the fold once per pivot; closure_fn runs it for the one
 remainder of the free coefficient that build_recursive cannot reach by
@@ -49,8 +51,11 @@ table, and the counting oracle (oracle.count_dp), so table-level agreement
 remains a meaningful check.
 
 Periodic coefficients live on the half-integer lattice: a function of period T
-stores 2T rationals indexed by the scaled residue 2s mod 2T, so integer and
-half-odd points coexist in one table and every shift is index arithmetic.
+stores 2T values indexed by the scaled residue 2s mod 2T, so integer and
+half-odd points coexist in one table and every shift is index arithmetic. The
+values are held as integer numerators over one positive denominator, reduced
+so that gcd(den, *nums) = 1, together with the same values as Fractions for
+value, count and to_json.
 """
 
 from __future__ import annotations
@@ -89,29 +94,57 @@ class PeriodicFn:
     """An exact periodic function on the half-integer lattice.
 
     ``values[rho]`` is the value at every point s with 2s = rho (mod 2*period);
-    even rho are the integer points, odd rho the half-odd ones.
+    even rho are the integer points, odd rho the half-odd ones. The table is
+    held as integer numerators ``nums`` over one denominator ``den`` > 0 with
+    gcd(den, *nums) = 1, so equal functions at one period have equal integer
+    tables. ``values`` is the same table as Fractions, built at construction.
     """
 
-    __slots__ = ("period", "values")
+    __slots__ = ("period", "den", "nums", "values")
 
     def __init__(self, period: int, values: Iterable[Rational | int]):
+        vals = tuple(values)
+        for v in vals:
+            if not isinstance(v, Fraction) and (not isinstance(v, int) or isinstance(v, bool)):
+                raise InputError(f"periodic values must be ints or Fractions, got {v!r}")
+        den = math.lcm(*{v.denominator for v in vals})
+        self._set(period, den, tuple(v.numerator * (den // v.denominator) for v in vals),
+                  tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals))
+
+    @classmethod
+    def from_numerators(cls, period: int, den: int, nums: Sequence[int]) -> "PeriodicFn":
+        """The function with values nums[rho]/den, for a positive int den; the
+        table is reduced by gcd(den, *nums). One int and one Fraction are
+        kept per distinct numerator, shared by every cell that holds it."""
+        distinct = set(nums)
+        g = math.gcd(den, *distinct)
+        den //= g
+        reduced = {a: a // g for a in distinct}
+        cell = {a: Fraction(a, den) for a in reduced.values()}
+        nums = tuple(map(reduced.__getitem__, nums))
+        fn = cls.__new__(cls)
+        fn._set(period, den, nums, tuple(map(cell.__getitem__, nums)))
+        return fn
+
+    def _set(self, period: int, den: int, nums: tuple[int, ...], values: tuple[Fraction, ...]):
         if not isinstance(period, int) or period < 1:
             raise InputError(f"period must be a positive integer, got {period!r}")
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-        if len(vals) != 2 * period:
-            raise InputError(f"period {period} needs {2 * period} residue values, got {len(vals)}")
+        if len(nums) != 2 * period:
+            raise InputError(f"period {period} needs {2 * period} residue values, got {len(nums)}")
         self.period = period
-        self.values = vals
+        self.den = den
+        self.nums = nums
+        self.values = values
 
     @classmethod
     def constant(cls, value: Rational | int, period: int = 1) -> "PeriodicFn":
-        return cls(period, [Fraction(value)] * (2 * period))
+        return cls(period, [value] * (2 * period))
 
     def at(self, s: HalfLike) -> Rational:
         return self.values[HalfInt.coerce(s).twice % (2 * self.period)]
 
     def at_twice(self, twice: int) -> Rational:
-        """Value at the point twice/2; the fast path used by the builders."""
+        """Value at the point twice/2; the fast path used by QuasiPoly.value."""
         return self.values[twice % (2 * self.period)]
 
     def with_period(self, target: int) -> "PeriodicFn":
@@ -120,16 +153,18 @@ class PeriodicFn:
             raise InputError(f"{target!r} is not a positive multiple of period {self.period}")
         if target == self.period:
             return self
-        span = 2 * self.period
-        return PeriodicFn(target, [self.values[r % span] for r in range(2 * target)])
+        reps = target // self.period
+        fn = PeriodicFn.__new__(PeriodicFn)
+        fn._set(target, self.den, self.nums * reps, self.values * reps)
+        return fn
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicFn):
             return NotImplemented
-        return self.period == other.period and self.values == other.values
+        return self.period == other.period and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.period, self.values))
+        return hash((self.period, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"PeriodicFn(period={self.period})"
@@ -199,6 +234,23 @@ class QuasiPoly:
         if n >= 0:
             raise IntegralityError(f"count at n={n} evaluated to {v}, not an integer")
         return v
+
+    def numerator_tables(self, period: int | None = None) -> tuple[int, list[list[int]]]:
+        """(den, tables): tables[j-1][rho] is R_j's numerator at 2s = rho over
+        den, the lcm of the coefficients' denominators, for rho below twice
+        `period` (the master period by default)."""
+        size = 2 * (self.master_period if period is None else period)
+        den = math.lcm(*(fn.den for fn in self.coeffs))
+        tables = []
+        for fn in self.coeffs:
+            scale = den // fn.den
+            nums = fn.nums if scale == 1 else [a * scale for a in fn.nums]
+            span = len(nums)
+            if size % span:
+                tables.append([nums[r % span] for r in range(size)])
+            else:
+                tables.append(list(nums) * (size // span))
+        return den, tables
 
     def aligned(self, target: int) -> "QuasiPoly":
         """Same function, every table retabulated at the target period."""
@@ -284,11 +336,8 @@ def psi(d: int, x: HalfLike) -> Rational:
 def base_case(d1: int) -> QuasiPoly:
     """One part: V(s) is the indicator of d_1 | (s - d_1/2), period d_1."""
     (d1,) = as_parts([d1])
-    values = [
-        Fraction(1) if (rho - d1) % (2 * d1) == 0 else Fraction(0)
-        for rho in range(2 * d1)
-    ]
-    return QuasiPoly((d1,), (PeriodicFn(d1, values),), d1)
+    nums = [1 if (rho - d1) % (2 * d1) == 0 else 0 for rho in range(2 * d1)]
+    return QuasiPoly((d1,), (PeriodicFn.from_numerators(d1, 1, nums),), d1)
 
 
 def _shift_weights(dk: int, m: int, size: int) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -367,8 +416,8 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     theorem (see _shift_weights) it is taken at its own period lcm(d_i, d_m).
     Period of the result: d_m. It is the total-exponent m-1 slice of
     _shift_fold over the prefix, mod 2*d_m: the multinomial over (m-1)! is
-    exactly 1/prod r_k!. The slice is summed on numerators and divided once
-    per residue.
+    exactly 1/prod r_k!. The slice is summed on numerators over the fold's
+    denominator.
     """
     d = as_parts(parts)
     m = len(d)
@@ -379,7 +428,7 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
         if l == m - 1:
             for res, a in res_table.items():
                 table[res] += a
-    return PeriodicFn(d[-1], [Fraction(a, den) for a in table])
+    return PeriodicFn.from_numerators(d[-1], den, table)
 
 
 def _guard_cells(parts: tuple[int, ...]) -> int:
@@ -390,59 +439,79 @@ def _guard_cells(parts: tuple[int, ...]) -> int:
     return tau
 
 
-def _extend_pieces(pieces: dict[int, list[list[Fraction]]], parts: tuple[int, ...]) -> dict:
+# a piece of a certificate held as a sum of pieces: (den, tables), each table
+# 2P integer numerators over den for a piece of period P
+Piece = tuple[int, list[list[int]]]
+
+
+def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int, Piece]:
     """One recursive step on a certificate held as a sum of pieces.
 
     ``pieces`` maps a period P to the previous level's m-1 coefficient tables
-    of that piece, 2P rationals each; the result maps P to the m tables of the
-    new level. R_j of the new level is a cyclic correlation of the previous
-    R_{j-l}, l < j, with the new part's shift weights (tau^(l-1)
-    B_l(1 - (2p+1) d_new/2tau) / l! at the shift (2p+1) d_new), each times
-    (m-j+l-1)!/(m-j)!: in all (m-j+l-1)!/(l! (m-j)!) tau^(l-1), one weight for
-    every j. The correlation is shift-invariant, so it runs mod each piece's
-    own 2P with the weights summed by residue mod 2P, and a period-P piece
-    stays period P; by Raabe's theorem those sums are _shift_weights(d_new,
-    m, 2P), taken at lcm(d_new, P) rather than tau; each weight becomes one
-    Fraction, and the correlation itself runs on Fractions. The l = 0 term of
-    the free coefficient R_m has no previous coefficient to read; it is the
-    closure remainder closure_fn, added to the period-d_new piece.
+    of that piece, as integer numerators over the piece's denominator; the
+    result maps P to the m tables of the new level. R_j of the new level is a
+    cyclic correlation of the previous R_{j-l}, l < j, with the new part's
+    shift weights (tau^(l-1) B_l(1 - (2p+1) d_new/2tau) / l! at the shift
+    (2p+1) d_new), each times (m-j+l-1)!/(m-j)!: in all
+    (m-j+l-1)!/(l! (m-j)!) tau^(l-1), one weight for every j. The correlation
+    is shift-invariant, so it runs mod each piece's own 2P with the weights
+    summed by residue mod 2P, and a period-P piece stays period P; by Raabe's
+    theorem those sums are _shift_weights(d_new, m, 2P), taken at
+    lcm(d_new, P) rather than tau. They are integers over one denominator, so
+    times (m-1)! every weight is an integer and the correlation runs on
+    Python ints, over the previous denominator times the weights' times
+    (m-1)!. The l = 0 term of the free coefficient R_m has no previous
+    coefficient to read; it is the closure remainder closure_fn, added to the
+    period-d_new piece. Pieces are not reduced; _materialise's
+    PeriodicFn.from_numerators reduces the final tables once.
     """
     m = len(parts)
     d_new = parts[-1]
-    out: dict[int, list[list[Fraction]]] = {}
-    for period, prev in pieces.items():
+    top = math.factorial(m - 1)
+    out: dict[int, Piece] = {}
+    for period, (prev_den, prev) in pieces.items():
         size = 2 * period
         den, weights = _shift_weights(d_new, m, size)
-        tables = [[Fraction(0)] * size for _ in range(m)]
+        tables = [[0] * size for _ in range(m)]
         for j, table in enumerate(tables, 1):
             for i, prev_vals in enumerate(prev[:j]):
                 if not any(prev_vals):
                     continue
                 l = j - 1 - i
-                c_num, c_den = math.factorial(m - j + l - 1), math.factorial(m - j) * den
+                c = math.factorial(m - j + l - 1) * (top // math.factorial(m - j))
                 for shift, b in weights[l]:
-                    w = Fraction(c_num * b, c_den)
+                    w = c * b
                     # rotated[rho] is prev_vals at rho - shift (mod size)
                     rotated = prev_vals[size - shift :] + prev_vals[: size - shift]
                     table[:] = [a + w * v for a, v in zip(table, rotated)]
-        out[period] = tables
-    tables = out.setdefault(d_new, [[Fraction(0)] * (2 * d_new) for _ in range(m)])
-    tables[-1] = [a + v for a, v in zip(tables[-1], closure_fn(parts).values)]
+        out[period] = (prev_den * den * top, tables)
+    den, tables = out.get(d_new, (1, [[0] * (2 * d_new) for _ in range(m)]))
+    closure = closure_fn(parts)
+    common = math.lcm(den, closure.den)
+    k, kc = common // den, common // closure.den
+    tables = [[a * k for a in table] for table in tables]
+    tables[-1] = [a + kc * c for a, c in zip(tables[-1], closure.nums)]
+    out[d_new] = (common, tables)
     return out
 
 
-def _materialise(parts: tuple[int, ...], pieces: dict[int, list[list[Fraction]]]) -> QuasiPoly:
+def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
     """The certificate with every coefficient tabulated at tau = lcm(parts):
-    each piece's table tiled to 2 tau entries by list repetition, and the
-    tiles summed cell by cell where they are nonzero."""
+    each piece's numerators brought to the pieces' common denominator, tiled
+    to 2 tau entries by list repetition, and the tiles summed as ints."""
     tau = lcm_of(parts)
+    den = math.lcm(*(piece_den for piece_den, _ in pieces.values()))
     coeffs = []
     for j in range(len(parts)):
-        tiles = [tables[j] * (tau // period) for period, tables in pieces.items() if any(tables[j])]
-        values = tiles[0] if tiles else [Fraction(0)] * (2 * tau)
+        tiles = [
+            [a * (den // piece_den) for a in tables[j]] * (tau // period)
+            for period, (piece_den, tables) in pieces.items()
+            if any(tables[j])
+        ]
+        values = tiles[0] if tiles else [0] * (2 * tau)
         for tile in tiles[1:]:
-            values = [a + b if b else a for a, b in zip(values, tile)]
-        coeffs.append(PeriodicFn(tau, values))
+            values = [a + b for a, b in zip(values, tile)]
+        coeffs.append(PeriodicFn.from_numerators(tau, den, values))
     return QuasiPoly(parts, coeffs, tau)
 
 
@@ -458,7 +527,7 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     parts = prev.parts + (d_new,)
     _guard_cells(parts)
     period = lcm_of(prev.parts)
-    piece = [[fn.at_twice(rho) for rho in range(2 * period)] for fn in prev.coeffs]
+    piece = prev.numerator_tables(period)
     return _materialise(parts, _extend_pieces({period: piece}, parts))
 
 
@@ -472,7 +541,7 @@ def build_recursive(parts: Sequence[int]) -> QuasiPoly:
     """
     d = as_parts(parts)
     _guard_cells(d)
-    pieces = {d[0]: [list(base_case(d[0]).coeffs[0].values)]}
+    pieces = {d[0]: (1, [list(base_case(d[0]).coeffs[0].nums)])}
     for k in range(2, len(d) + 1):
         pieces = _extend_pieces(pieces, d[:k])
     return _materialise(d, pieces)
@@ -491,8 +560,8 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
 
     All of it runs on integer numerators: the bucket weight
     1/((1+zeros)(m-1-l)!) is taken over (m-1)! lcm(1..m), each pivot's fold
-    is brought to the pivots' common denominator, and the master cells become
-    Fractions at the end, one per distinct numerator of a table.
+    is brought to the pivots' common denominator, and the master tables are
+    handed over as integer numerators over it.
     """
     d = as_parts(parts)
     m = len(d)
@@ -519,9 +588,5 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
                     a *= scale
                     for rho in range(res, 2 * tau, size):
                         bucket[rho] += a
-    den = common * top
-    coeffs = []
-    for vals in acc:
-        cell = {a: Fraction(a, den) for a in set(vals)}
-        coeffs.append(PeriodicFn(tau, [cell[a] for a in vals]))
-    return QuasiPoly(d, tuple(coeffs), tau)
+    coeffs = tuple(PeriodicFn.from_numerators(tau, common * top, vals) for vals in acc)
+    return QuasiPoly(d, coeffs, tau)

@@ -1,16 +1,18 @@
 """Property harness: structural checks on certificates, with minimal counterexamples.
 
 Each check scans its argument space in increasing absolute value, so the first
-failure reported is a smallest one. Each certificate is read once per
-run_properties call, when a property first needs it, as integer numerators
-over one denominator on every class of its own master period. The oracle,
-recurrence, parity and mean-value checks run on those tables: the recurrence
-and parity laws as identities between coefficient tables on every class of
-the master period, reporting the smallest failing class of 2s; the oracle by
-integer Horner, at m points per class by default, counting each distinct
-certificate once; the mean value as one integer sum per coefficient. Results
-never stop early across properties; a report carries one result per
-requested property."""
+failure reported is a smallest one. A certificate holds its coefficients as
+integer numerators; each is taken once per run_properties call, when a
+property first needs it, over one common denominator on every class of its
+own master period (QuasiPoly.numerator_tables). The oracle, recurrence, parity
+and mean-value checks run on those tables: the recurrence and parity laws as
+identities between coefficient tables on every class of the master period,
+reporting the smallest failing class of 2s; the oracle by integer Horner, at
+m points per class by default, counting each distinct certificate once; the
+mean value as one integer sum per coefficient. Path-agreement compares the
+two certificates' integer tables at the lcm of their master periods.
+Fractions are built only to word a failure. Results never stop early across
+properties; a report carries one result per requested property."""
 
 from __future__ import annotations
 
@@ -90,22 +92,11 @@ def default_n_max(parts: Sequence[int]) -> int:
 
 
 Certs = Mapping[str, quasipoly.QuasiPoly]
-# a certificate as integer numerator tables over one denominator, and the
-# per-call reader that gives each label's table once
+# a certificate as integer numerator tables over one denominator, on every
+# class of its master period (QuasiPoly.numerator_tables), and the per-call
+# reader that gives each label's tables once
 View = tuple[int, list[list[int]]]
 Views = Callable[[str], View]
-
-
-def _numerators(cert: quasipoly.QuasiPoly) -> View:
-    """The certificate read once over every class of its master period P:
-    (den, tables), tables[j-1][rho] the numerator of R_j at 2s = rho over
-    den, the lcm of the values' denominators, for rho in range(2P)."""
-    twices = range(2 * cert.master_period)
-    cols = [[fn.at_twice(t) for t in twices] for fn in cert.coeffs]
-    dens = {v.denominator for col in cols for v in col}
-    den = math.lcm(*dens)
-    scale = {q: den // q for q in dens}
-    return den, [[v.numerator * scale[v.denominator] for v in col] for col in cols]
 
 
 def _scaled_counts(parts, tables: list[list[int]]) -> Iterator[int]:
@@ -182,7 +173,7 @@ def _check_recurrence(parts, certs: Certs, views: Views) -> PropertyResult:
     first = None
     for label in certs:
         den, cur = views(label)
-        den_prev, prev = _numerators(BUILDERS[label](parts[:-1]))
+        den_prev, prev = BUILDERS[label](parts[:-1]).numerator_tables()
         size = math.lcm(len(cur[0]), len(prev[0]))
         back = _shifted([_rotated(col, 2 * dm) for col in cur], -dm, 1)
         half = _shifted([_rotated(col, dm) for col in prev], -dm, 2)
@@ -264,20 +255,27 @@ def _check_zeros(parts, certs: Certs) -> PropertyResult:
 
 def _check_path_agreement(parts, certs: Certs) -> PropertyResult:
     a, b = certs["explicit"], certs["recursive"]
-    # compared at the lcm of the two master periods, tau for builder output
-    period = math.lcm(a.master_period, b.master_period)
-    a, b = a.aligned(period), b.aligned(period)
-    for rho in range(2 * period):
-        for j in range(1, len(parts) + 1):
-            va = a.coeffs[j - 1].values[rho]
-            vb = b.coeffs[j - 1].values[rho]
-            if va != vb:
-                return PropertyResult(
-                    "path-agreement", False,
-                    {"s": str(HalfInt(rho)), "coefficient": j,
-                     "explicit": str(va), "recursive": str(vb)},
-                )
-    return PropertyResult("path-agreement", True)
+    # compared at the lcm of the two master periods, tau for builder output.
+    # Each coefficient's table is reduced, so equal functions have equal
+    # denominators and numerators; the smallest differing class 2s is
+    # reported, and its smallest coefficient.
+    size = 2 * math.lcm(a.master_period, b.master_period)
+    first = None
+    for j, (fa, fb) in enumerate(zip(a.coeffs, b.coeffs), 1):
+        na = fa.nums * (size // len(fa.nums))
+        nb = fb.nums * (size // len(fb.nums))
+        if fa.den != fb.den or na != nb:
+            rho = next(r for r, (x, y) in enumerate(zip(na, nb)) if x * fb.den != y * fa.den)
+            if first is None or rho < first[0]:
+                first = (rho, j, fa, fb)
+    if first is None:
+        return PropertyResult("path-agreement", True)
+    rho, j, fa, fb = first
+    return PropertyResult(
+        "path-agreement", False,
+        {"s": str(HalfInt(rho)), "coefficient": j,
+         "explicit": str(fa.at_twice(rho)), "recursive": str(fb.at_twice(rho))},
+    )
 
 
 def _check_mean_value(parts, certs: Certs, views: Views) -> PropertyResult:
@@ -288,12 +286,12 @@ def _check_mean_value(parts, certs: Certs, views: Views) -> PropertyResult:
         for label in certs:
             den, tables = views(label)
             col = tables[j - 1]
-            got = Fraction(sum(col[parity::2]), den * (len(col) // 2))
-            if got != want:
+            total, count = sum(col[parity::2]), den * (len(col) // 2)
+            if total * want.denominator != want.numerator * count:
                 return PropertyResult(
                     "mean-value", False,
                     {"path": label, "coefficient": j,
-                     "expected": str(want), "actual": str(got)},
+                     "expected": str(want), "actual": str(Fraction(total, count))},
                 )
     return PropertyResult("mean-value", True)
 
@@ -358,7 +356,7 @@ def run_properties(
     def views(label: str) -> View:
         # each certificate is read on first use, at most once per call
         if label not in read:
-            read[label] = _numerators(certs[label])
+            read[label] = certs[label].numerator_tables()
         return read[label]
 
     report = VerifyReport(parts=d)

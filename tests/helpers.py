@@ -52,6 +52,21 @@ def natural_average(fn, parity: int) -> Fraction:
     return sum(sel, Fraction(0)) / len(sel)
 
 
+def numerators_reference(cert) -> tuple[int, list[list[int]]]:
+    """A certificate's integer tables read from its Fraction values, over
+    every class of its master period P: (den, tables), tables[j-1][rho] the
+    numerator of R_j at 2s = rho over den, the lcm of the values'
+    denominators, for rho in range(2P). The verifier's reader before the
+    certificates held integer tables, kept as the reference for
+    QuasiPoly.numerator_tables."""
+    twices = range(2 * cert.master_period)
+    cols = [[fn.at_twice(t) for t in twices] for fn in cert.coeffs]
+    dens = {v.denominator for col in cols for v in col}
+    den = math.lcm(*dens)
+    scale = {q: den // q for q in dens}
+    return den, [[v.numerator * scale[v.denominator] for v in col] for col in cols]
+
+
 def ser_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Truncated product; both inputs and the result share one length."""
     n = len(a)

@@ -2,7 +2,8 @@
 
 perfbench/run.py reads the library through `dn.<name>` and perfbench/tracing.py
 patches layer functions by module and name; a removal that breaks either
-fails here rather than in a benchmark run.
+fails here rather than in a benchmark run. Its --corrupt self-test path is
+checked here too.
 """
 
 import importlib
@@ -50,3 +51,30 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(getattr(mod, attr) is orig for mod, attr, orig in originals)
+
+
+def _load_run():
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
+@pytest.mark.parametrize("parts", [(1, 2, 3, 4), (5, 6, 7), (1, 1, 2, 2, 3, 3)])
+def test_corrupted_certificate_fails_the_oracle(parts):
+    # run.py's --corrupt self-test raises one cell of a Fraction list and rebuilds
+    # the certificate from it; the integer tables must carry exactly that change
+    clean = denumerant.build_explicit(parts)
+    bad = _load_run().corrupted(denumerant, clean)
+    assert [fn.den for fn in clean.coeffs] == [fn.den for fn in bad.coeffs]
+    diffs = [
+        (j, rho, b - a)
+        for j, (fa, fb) in enumerate(zip(clean.coeffs, bad.coeffs))
+        for rho, (a, b) in enumerate(zip(fa.nums, fb.nums))
+        if a != b
+    ]
+    assert diffs == [(len(parts) - 1, sum(parts) % 2, clean.coeffs[-1].den)]
+    certs = {"explicit": bad, "recursive": denumerant.build_recursive(parts)}
+    report = denumerant.run_properties(parts, certs=certs)
+    oracle = next(r for r in report.results if r.name == "oracle")
+    assert not oracle.passed and oracle.counterexample["path"] == "explicit"

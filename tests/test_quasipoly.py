@@ -25,13 +25,15 @@ from denumerant import (
     closure_fn,
     count_dp,
     extend_recursive,
+    iter_multisets,
     lcm_of,
     psi,
     r_coeffs_recursive,
     v1_explicit,
 )
 from denumerant.quasipoly import _guard_cells, _shift_fold, _shift_weights
-from helpers import natural_average
+from helpers import natural_average, numerators_reference
+from test_cert_bytes import PINNED
 
 HALF = Fraction(1, 2)
 
@@ -72,6 +74,21 @@ class TestPeriodicFn:
             assert f.at_twice(t) == g.at_twice(t)
         with pytest.raises(InputError):
             f.with_period(0)
+
+    def test_integer_table(self):
+        f = PeriodicFn(2, [Fraction(1, 6), 0, Fraction(-1, 4), 3])
+        assert (f.den, f.nums) == (12, (2, 0, -3, 36))
+        assert f.values == (Fraction(1, 6), 0, Fraction(-1, 4), 3)
+        assert all(type(v) is Fraction for v in f.values)
+        assert (PeriodicFn(1, [0, 0]).den, PeriodicFn(1, [0, 0]).nums) == (1, (0, 0))
+        assert PeriodicFn.from_numerators(2, 24, [4, 0, -6, 72]) == f
+
+    @pytest.mark.parametrize("bad", [0.1, True, "1/2", None, 1j])
+    def test_only_ints_and_fractions(self, bad):
+        with pytest.raises(InputError):
+            PeriodicFn(1, [0, bad])
+        with pytest.raises(InputError):
+            PeriodicFn.constant(bad)
 
     def test_natural_average(self):
         f = PeriodicFn(2, [1, 0, 3, 0])
@@ -487,6 +504,34 @@ class TestShiftFold:
                     for res, a in res_table.items():
                         table[res] += a
             assert closure_fn(d).values == tuple(table), d
+
+
+# the benchmark's deep and wide lists
+BENCH_LISTS = [
+    (1, 2, 3, 4, 5), (1, 1, 2, 3, 4), (1, 1, 1, 2, 2, 3), (1, 1, 2, 2, 3, 3),
+    (1, 2, 2, 3, 3, 4), (2, 2, 3, 3, 4, 4),
+    (2, 3, 5, 7), (5, 6, 7), (3, 7, 10), (3, 7, 11), (4, 5, 11), (5, 7, 9),
+]
+
+
+class TestIntegerTables:
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_builders_store_reduced_tables(self, builder):
+        for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
+            cert = builder(parts)
+            assert cert.numerator_tables() == numerators_reference(cert), parts
+            for fn in cert.coeffs:
+                assert fn.den > 0 and math.gcd(fn.den, *fn.nums) == 1, parts
+                assert len(fn.nums) == len(fn.values) == 2 * fn.period
+                copy = PeriodicFn(fn.period, fn.values)
+                assert copy == fn and hash(copy) == hash(fn), parts
+
+    def test_tables_at_other_periods(self):
+        # read as at_twice reads: tiled below, cut off above the stored period
+        cert = build_explicit((2, 3))
+        ref_den, ref = numerators_reference(cert.aligned(12))
+        for period in (3, 6, 12):
+            assert cert.numerator_tables(period) == (ref_den, [t[: 2 * period] for t in ref])
 
 
 class TestCapacityGuard:

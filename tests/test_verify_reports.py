@@ -33,6 +33,14 @@ CLEAN = {
     (1, 2, 3, 4, 5): "fd82d346ffb4f8c3c40a11c9fe7fa697e8542118c6073669d151528df95cf127",
     (2, 3, 5, 7): "15b6291cee46ccb2bbaa8f708f9ecf36d1a9401f189b1d2fab2de5232ad93dfe",
     (5, 7, 9): "944095e3c63381eefa0ec333e8bebcaf6c31a95989549ae64f0598bb584608d5",
+    (1, 1, 1, 2, 2, 3): "27e615af3026f7711e2a92bce8930aa28aee5400619a5cbaf7661bd3d1ca24af",
+    (1, 1, 2, 2, 3, 3): "c7133ad3136502169d07be1718d63052719dd75697e1d337142908c8b96d821a",
+    (1, 2, 2, 3, 3, 4): "82693b3ad8fa1c9828ef381e28a2cc624f44dc0dc3fa7cbbba3e7d94994d6390",
+    (2, 2, 3, 3, 4, 4): "407e7cbe71f47df80066bdc4ea7aa556167bc2a3394376a195d3c81f1f10d9f6",
+    (5, 6, 7): "90dab2177b34e0784e0023faa38d2c5b8b0ee5dce29f13836ec36f0baedd5171",
+    (3, 7, 10): "bc5ee1b8d09e1c9c315001be49b3bcba7d468c4a0ff45886bae71a59839d7e8b",
+    (3, 7, 11): "93d71a5dbbd15b96698790a55aa7b549eaaa6074b46cc6a8b3ce8f097e90d03c",
+    (4, 5, 11): "d006b963fc763a11eccf9eb709b4c0ad9775f0ad2552d926eb0e8e9a7187435b",
 }
 
 TAMPERED = {
@@ -44,6 +52,8 @@ TAMPERED = {
     (5, 2, 2): "3c1e060309b8c12ec4843dab39d2a8d8b3e300abc9497e4d99cc95a36b6fd52c",
     (2, 1, 2, 1, 3): "64d7f3829718a4a1fc24ebdcb47f94a05e462741728ec768aed6267c27f068e3",
     (2, 3, 5, 7): "c226ac7be7c5b6a4beff2d31218194a0a2657ebbe3737c8d5b0dd3fcf8e22066",
+    (5, 6, 7): "286333b0a366818688d1173115c0004e6410325062f702fedd559aaea9e98ee2",
+    (3, 7, 11): "d21a9df0146cae97e2a3b6eb0f6067d78815d7ede64015d01c82fb88699d65e3",
 }
 N_TAMPERED = 12
 WHICH = (("explicit",), ("recursive",), ("explicit", "recursive"))
