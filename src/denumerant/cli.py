@@ -237,6 +237,14 @@ def cmd_corpus(max_m, max_part, props, n_max, fmt):
     """Sweep every part multiset within the bounds and verify each one."""
     if max_m < 1 or max_part < 1:
         raise click.BadParameter("--max-m and --max-part must be positive")
+    # the sweep has C(max_part + max_m, max_m) - 1 lists; the partial products
+    # C(n - k + i, i) of that binomial grow at least as 2^i, so a huge sweep is
+    # refused after about log2(limit) steps, before the binomial is computed
+    n, k = max_part + max_m, min(max_m, max_part)
+    sets = 1
+    for i in range(1, k + 1):
+        sets = sets * (n - k + i) // i
+        oracle.guard(sets - 1, f"the sweep would verify at least {sets - 1} part lists")
     reports = []
     for d in verify.iter_multisets(max_m, max_part):
         reports.append(verify.run_properties(d, props=props, n_max=n_max))

@@ -54,8 +54,9 @@ Periodic coefficients live on the half-integer lattice: a function of period T
 stores 2T values indexed by the scaled residue 2s mod 2T, so integer and
 half-odd points coexist in one table and every shift is index arithmetic. The
 values are held as integer numerators over one positive denominator, reduced
-so that gcd(den, *nums) = 1, together with the same values as Fractions for
-value, count and to_json.
+so that gcd(den, *nums) = 1, together with the same values as Fractions.
+to_json writes from the integer tables; the Fractions are read only by at,
+at_twice, value, count, with_period and the wording of verify's failures.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from .exactnum import (
     HalfLike,
     Rational,
     as_parts,
-    format_rational,
     lcm_of,
     parse_rational,
 )
@@ -97,7 +97,10 @@ class PeriodicFn:
     even rho are the integer points, odd rho the half-odd ones. The table is
     held as integer numerators ``nums`` over one denominator ``den`` > 0 with
     gcd(den, *nums) = 1, so equal functions at one period have equal integer
-    tables. ``values`` is the same table as Fractions, built at construction.
+    tables. ``values`` is the same table as Fractions, built at construction
+    and read by ``at``, ``at_twice`` (so by QuasiPoly.value and count) and
+    ``with_period``; serialization reads ``den`` and ``nums``. A period is a
+    positive int, never a bool.
     """
 
     __slots__ = ("period", "den", "nums", "values")
@@ -127,7 +130,7 @@ class PeriodicFn:
         return fn
 
     def _set(self, period: int, den: int, nums: tuple[int, ...], values: tuple[Fraction, ...]):
-        if not isinstance(period, int) or period < 1:
+        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise InputError(f"period must be a positive integer, got {period!r}")
         if len(nums) != 2 * period:
             raise InputError(f"period {period} needs {2 * period} residue values, got {len(nums)}")
@@ -192,7 +195,7 @@ class QuasiPoly:
                 f"{len(self.parts)} parts need {len(self.parts)} coefficient functions, got {len(cs)}"
             )
         period = lcm_of(self.parts) if master_period is None else master_period
-        if not isinstance(period, int) or period < 1:
+        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise InputError(f"master period must be a positive integer, got {period!r}")
         for fn in cs:
             if period % fn.period:
@@ -275,29 +278,35 @@ class QuasiPoly:
     def __repr__(self) -> str:
         return f"QuasiPoly(parts={self.parts}, master_period={self.master_period})"
 
-    def to_json_dict(self) -> dict:
-        coefficients = []
-        for idx, fn in enumerate(self.coeffs):
-            coefficients.append(
-                {
-                    "power": self.m - 1 - idx,
-                    "period": fn.period,
-                    "values": {
-                        str(rho): format_rational(fn.values[rho])
-                        for rho in range(2 * fn.period)
-                    },
-                }
-            )
-        return {
-            "parts": list(self.parts),
-            "master_period": self.master_period,
-            "xi": str(self.xi),
-            "coefficients": coefficients,
-        }
-
     def to_json(self) -> str:
-        """Deterministic JSON: fixed key order, numeric residue order, exact strings."""
-        return json.dumps(self.to_json_dict(), indent=2)
+        """Deterministic JSON: fixed key order, numeric residue order, exact strings.
+
+        Written straight from the integer tables, laid out exactly as
+        json.dumps(..., indent=2) prints the same document. Each distinct
+        numerator a of a coefficient is reduced and formatted once: with
+        g = gcd(a, den), p = a/g and q = den/g it reads "p" when q == 1 and
+        "p/q" otherwise, the text str(Fraction(a, den)) gives. Every string
+        written is digits, "-" and "/", so nothing needs escaping.
+        """
+        blocks = []
+        for power, fn in zip(range(self.m - 1, -1, -1), self.coeffs):
+            den = fn.den
+            text = {}
+            for a in set(fn.nums):
+                g = math.gcd(a, den)
+                text[a] = f'"{a // g}"' if g == den else f'"{a // g}/{den // g}"'
+            cells = ",\n".join([f'        "{rho}": {text[a]}' for rho, a in enumerate(fn.nums)])
+            blocks.append(
+                f'    {{\n      "power": {power},\n      "period": {fn.period},\n'
+                f'      "values": {{\n{cells}\n      }}\n    }}'
+            )
+        parts = ",\n".join(f"    {d}" for d in self.parts)
+        return (
+            f'{{\n  "parts": [\n{parts}\n  ],\n'
+            f'  "master_period": {self.master_period},\n'
+            f'  "xi": "{self.xi}",\n'
+            f'  "coefficients": [\n' + ",\n".join(blocks) + "\n  ]\n}"
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "QuasiPoly":
@@ -309,7 +318,9 @@ class QuasiPoly:
             parts = tuple(raw["parts"])
             entries = sorted(raw["coefficients"], key=lambda e: -e["power"])
             powers = [e["power"] for e in entries]
-            if powers != list(range(len(parts) - 1, -1, -1)):
+            if powers != list(range(len(parts) - 1, -1, -1)) or any(
+                not isinstance(k, int) or isinstance(k, bool) for k in powers
+            ):
                 raise InputError(f"coefficient powers must cover {len(parts)-1}..0, got {powers}")
             fns = []
             for entry in entries:

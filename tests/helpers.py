@@ -6,6 +6,7 @@ separate computations the library is compared against.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -65,6 +66,30 @@ def numerators_reference(cert) -> tuple[int, list[list[int]]]:
     den = math.lcm(*dens)
     scale = {q: den // q for q in dens}
     return den, [[v.numerator * scale[v.denominator] for v in col] for col in cols]
+
+
+def to_json_reference(cert) -> str:
+    """A certificate's JSON from its Fraction values, through a dict and
+    json.dumps(indent=2). The serialiser before to_json wrote straight from
+    the integer tables (QuasiPoly.to_json_dict), kept as the reference for
+    QuasiPoly.to_json."""
+    coefficients = [
+        {
+            "power": cert.m - 1 - idx,
+            "period": fn.period,
+            "values": {str(rho): str(Fraction(fn.values[rho])) for rho in range(2 * fn.period)},
+        }
+        for idx, fn in enumerate(cert.coeffs)
+    ]
+    return json.dumps(
+        {
+            "parts": list(cert.parts),
+            "master_period": cert.master_period,
+            "xi": str(cert.xi),
+            "coefficients": coefficients,
+        },
+        indent=2,
+    )
 
 
 def ser_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 
 from denumerant import QuasiPoly, quasipoly
 from denumerant.cli import main
+from test_cert_bytes import PINNED
 
 
 @pytest.fixture()
@@ -96,6 +98,14 @@ class TestCert:
         assert res.exit_code == 0
         cert = QuasiPoly.from_json(res.output)
         assert [cert.count(n) for n in range(9)] == [n // 2 + 1 for n in range(9)]
+
+    @pytest.mark.parametrize("method", ["explicit", "recursive"])
+    def test_pinned_bytes(self, runner, method):
+        res = runner.invoke(main, ["cert", "--parts", "2,3,5,7", "--method", method])
+        assert res.exit_code == 0
+        # the pinned document and the one newline click.echo adds
+        assert res.output.endswith("\n")
+        assert hashlib.sha256(res.output[:-1].encode()).hexdigest() == PINNED[(2, 3, 5, 7)]
 
     def test_methods_produce_same_function(self, runner):
         outs = {}
@@ -197,6 +207,22 @@ class TestCorpus:
     def test_bad_bounds_exit_2(self, runner):
         res = runner.invoke(main, ["corpus", "--max-m", "0", "--max-part", "2"])
         assert res.exit_code == 2
+
+    def test_over_guard_limit_exit_2(self, runner, monkeypatch):
+        # C(6 + 4, 4) - 1 = 209 multisets of 1 to 4 parts from 1..6, one over
+        monkeypatch.setenv("RPF_GUARD_LIMIT", "208")
+        res = runner.invoke(main, ["corpus", "--max-m", "4", "--max-part", "6"])
+        assert res.exit_code == 2, res.output
+        assert "at least 209 part lists, over the limit 208" in res.output
+
+    @pytest.mark.parametrize("bound", ["30", "1000000000"])
+    def test_huge_sweep_refused(self, runner, bound):
+        # C(60, 30) - 1, about 1.2e17 lists, and a binomial of about 6e8
+        # digits: both refused before the first list, the second before its
+        # binomial is computed
+        res = runner.invoke(main, ["corpus", "--max-m", bound, "--max-part", bound])
+        assert res.exit_code == 2, res.output
+        assert "over the limit" in res.output
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from denumerant import (
     v1_explicit,
 )
 from denumerant.quasipoly import _guard_cells, _shift_fold, _shift_weights
-from helpers import natural_average, numerators_reference
+from helpers import natural_average, numerators_reference, to_json_reference
 from test_cert_bytes import PINNED
 
 HALF = Fraction(1, 2)
@@ -565,6 +565,41 @@ class TestSerialization:
             again = QuasiPoly.from_json(cert.to_json())
             assert again == cert
 
+    def test_writer_matches_reference(self):
+        # both builders' certificates, at tau and at 2 tau, print what
+        # json.dumps(indent=2) printed for the Fraction dict; the builders'
+        # certificates are equal, so one reference text serves both
+        for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
+            explicit, recursive = build_explicit(parts), build_recursive(parts)
+            assert explicit == recursive, parts
+            for period in (explicit.master_period, 2 * explicit.master_period):
+                want = to_json_reference(explicit.aligned(period))
+                assert explicit.aligned(period).to_json() == want, (parts, period)
+                assert recursive.aligned(period).to_json() == want, (parts, period)
+            text = explicit.to_json()
+            assert QuasiPoly.from_json(text).to_json() == text, parts
+
+    def test_writer_hand_built(self):
+        # negative Fractions, plain ints, numerators sharing a factor with the
+        # denominator, zero, and period-1 coefficients
+        certs = [
+            QuasiPoly((1,), (PeriodicFn(1, [Fraction(-3, 4), 2]),)),
+            QuasiPoly((2, 3), (
+                PeriodicFn.constant(Fraction(1, 6)),
+                PeriodicFn(3, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 0, -1, Fraction(-2, 3)]),
+            )),
+            QuasiPoly((2, 2), (
+                PeriodicFn.from_numerators(1, 12, [-8, 3]),
+                PeriodicFn.from_numerators(2, 12, [12, -6, 4, 0]),
+            ), 4),
+            QuasiPoly((5, 1), (PeriodicFn.constant(7), PeriodicFn.constant(-10**30, 5))),
+        ]
+        for cert in certs:
+            text = cert.to_json()
+            assert text == to_json_reference(cert), cert
+            assert QuasiPoly.from_json(text) == cert
+            assert QuasiPoly.from_json(text).to_json() == text
+
     def test_deterministic_bytes(self):
         a = build_explicit((2, 3)).to_json()
         b = build_explicit((2, 3)).to_json()
@@ -596,6 +631,20 @@ class TestSerialization:
         with pytest.raises(InputError):
             QuasiPoly.from_json(json.dumps(raw))
 
+    @pytest.mark.parametrize("path", [("master_period",), ("coefficients", 1, "period"),
+                                      ("coefficients", 0, "power"), ("coefficients", 1, "power")])
+    def test_json_booleans_rejected(self, path):
+        # true == 1 and false == 0 in Python, so these loaded, and a period or
+        # master period read as true was written back out as true
+        raw = json.loads(build_explicit((1, 1)).to_json())
+        *outer, key = path
+        node = raw
+        for k in outer:
+            node = node[k]
+        node[key] = bool(node[key])
+        with pytest.raises(InputError):
+            QuasiPoly.from_json(json.dumps(raw))
+
     def test_zero_denominator_rejected(self):
         raw = json.loads(build_explicit((1, 2)).to_json())
         raw["coefficients"][1]["values"]["0"] = "1/0"
@@ -614,6 +663,12 @@ class TestValidation:
     def test_coefficient_count_enforced(self):
         with pytest.raises(InputError):
             QuasiPoly((1, 2), (PeriodicFn.constant(1, 2),), 2)
+
+    def test_bool_periods_rejected(self):
+        with pytest.raises(InputError):
+            PeriodicFn(True, [1, 1])
+        with pytest.raises(InputError):
+            QuasiPoly((1,), (PeriodicFn.constant(1),), True)
 
     def test_period_divisibility_enforced(self):
         with pytest.raises(InputError):
