@@ -49,7 +49,7 @@ def count_dp(parts, max_n: int) -> CountTable:
     m * (max_n + 1) cell updates are checked against the guard limit first.
     """
     d = as_parts(parts)
-    if not isinstance(max_n, int) or max_n < 0:
+    if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0:
         raise InputError(f"max_n must be a nonnegative integer, got {max_n!r}")
     guard(len(d) * (max_n + 1), f"the DP table would take {len(d)} x {max_n + 1} cells")
     counts = [0] * (max_n + 1)
@@ -89,7 +89,7 @@ def count_enum(parts, n: int) -> int:
     when it is set, the default otherwise (see guard).
     """
     d = as_parts(parts)
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"n must be an integer, got {n!r}")
     if n < 0:
         return 0

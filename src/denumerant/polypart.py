@@ -18,7 +18,6 @@ from .exactnum import Rational, as_parts, binomial, multinomial
 
 __all__ = [
     "Polynomial",
-    "umbral_power",
     "v1_explicit",
     "r_mm_constant",
     "r_coeffs_recursive",
@@ -61,25 +60,20 @@ class Polynomial:
         return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
 
 
-def umbral_power(l: int, parts: Sequence[int]) -> Rational:
-    """Expand (d_1 B + ... + d_m B)^l where B^e means the central value B_e(1/2).
-
-    Each symbol keeps its own index, so this is the symmetric higher central
-    coefficient D_l^(m) = sum_r l!/prod r_k! prod (2 d_k)^(r_k) B_(r_k)(1/2)
-    scaled by 2^-l.
-    """
-    if l < 0:
-        raise InputError("power must be nonnegative")
-    return d_higher_symmetric(l, parts) / 2**l
-
-
 def v1_explicit(parts: Sequence[int]) -> Polynomial:
-    """Polynomial part in the symmetric variable: closed form, all parts at once."""
+    """Polynomial part in the symmetric variable: closed form, all parts at once.
+
+    Coefficient l is binomial(m-1, l) / ((m-1)! prod d) times the umbral power
+    (d_1 B + ... + d_m B)^l, where B^e means the central value B_e(1/2) and
+    each symbol keeps its own index: the symmetric higher central coefficient
+    D_l^(m) = sum_r l!/prod r_k! prod (2 d_k)^(r_k) B_(r_k)(1/2), scaled by
+    2^-l.
+    """
     d = as_parts(parts)
     m = len(d)
     pref = Fraction(1, math.factorial(m - 1) * math.prod(d))
     return Polynomial(
-        pref * binomial(m - 1, l) * umbral_power(l, d) for l in range(m)
+        pref * binomial(m - 1, l) * d_higher_symmetric(l, d) / 2**l for l in range(m)
     )
 
 
@@ -91,7 +85,7 @@ def r_mm_constant(parts: Sequence[int]) -> Rational:
     """
     d = as_parts(parts)
     m = len(d)
-    return umbral_power(m - 1, d[:-1]) / (math.factorial(m - 1) * math.prod(d))
+    return d_higher_symmetric(m - 1, d[:-1]) / (2 ** (m - 1) * math.factorial(m - 1) * math.prod(d))
 
 
 def r_coeffs_recursive(parts: Sequence[int]) -> Polynomial:

@@ -10,23 +10,25 @@ xi = sum(d)/2. Two constructions are provided:
 
   * build_recursive: start from one part and fold parts in one at a time
     (base_case / extend_recursive);
-  * build_explicit: a single pass over pivot positions and shift sums.
+  * build_explicit: a single pass over pivot parts and shift sums.
 
-build_recursive holds the certificate as a sum of pieces, one per distinct
-part period P, each m tables of 2P integer numerators over the piece's
-denominator (grouped by period like Sylvester's waves, but not reduced to
-the canonical waves). A step correlates every piece at its own period, since
-the correlation maps a period-P piece to a period-P piece, and adds
-closure_fn's piece at the new part's period; the 2*tau tables are tiled and
-summed as integers once, at the end. extend_recursive is the same step on one
-certificate read as a single piece.
+Both builders hold the certificate as pieces, m tables of 2P integer
+numerators over the piece's own denominator for a period P (grouped by period
+like Sylvester's waves, but not reduced to the canonical waves), and end in
+_materialise, which tiles each piece to 2*tau, sums the tiles as integers and
+hands the sums to PeriodicFn.from_numerators. build_recursive keeps one piece
+per distinct part period: a step correlates every piece at its own period
+(the correlation maps a period-P piece to a period-P piece) and adds
+closure_fn's piece at the new part's period; extend_recursive is the same
+step on one certificate read as a single piece. build_explicit makes one
+piece per distinct part, its pivot fold weighted by the part's multiplicity.
 
-Two kernels are shared. _shift_weights tabulates one position's Bernoulli
-shift weights by residue; _shift_fold multiplies them over positions as a DP
-with state (total exponent, zero exponents) -> residue table. A position's
-shift sum runs over p < t/d_k, and read mod 2P it is the same for every t
-that is a multiple of L = lcm(d_k, P): class r < q = L/d_k holds n = t/L
-values of p, whose arguments are spaced 1/n apart, and Raabe's
+Two kernels are shared by the folds. _shift_weights tabulates one position's
+Bernoulli shift weights by residue; _shift_fold multiplies them over positions
+as a DP with state (total exponent, zero exponents) -> residue table. A
+position's shift sum runs over p < t/d_k, and read mod 2P it is the same for
+every t that is a multiple of L = lcm(d_k, P): class r < q = L/d_k holds
+n = t/L values of p, whose arguments are spaced 1/n apart, and Raabe's
 multiplication theorem (DLMF 24.4.17) sums them to
 
     sum_{p = r mod q} t^(e-1) B_e(1 - (2p+1)d_k/2t) / e!
@@ -37,18 +39,17 @@ a period. At a/b = 1 - (2r+1)/2q the values B_e(a/b) are integer numerators
 over b^e and the Bernoulli denominators, so each position's weights are
 integers over one denominator. The fold runs on Python ints, every state after
 k positions sharing the product of k denominators, and so does the recursive
-step's correlation; both builders hand their integer tables to
-PeriodicFn.from_numerators, which builds one Fraction per distinct value.
+step's correlation.
 
-build_explicit runs the fold once per pivot; closure_fn runs it for the one
-remainder of the free coefficient that build_recursive cannot reach by
-extension, and the recursive step reads the new part's weights from
-_shift_weights. Both builders check the m tables of 2*tau cells against the
-guard limit (oracle.guard) before any of this. Everything else stays independent: the recursive step's
-cyclic correlation over the previous level's pieces, build_explicit's product
-over the pivot and spread of each pivot's residue tables into the master
-table, and the counting oracle (oracle.count_dp), so table-level agreement
-remains a meaningful check.
+closure_fn runs the fold for the one remainder of the free coefficient that
+build_recursive cannot reach by extension, and the recursive step reads the
+new part's weights from _shift_weights. Both builders check the m tables of
+2*tau cells against the guard limit (oracle.guard) before any of this.
+Everything else stays independent: the recursive step's cyclic correlation,
+build_explicit's product over the pivot, and the counting oracle
+(oracle.count_dp), so table-level agreement remains a meaningful check; the
+oracle, recurrence, parity and mean-value properties check the shared
+_materialise.
 
 Periodic coefficients live on the half-integer lattice: a function of period T
 stores 2T values indexed by the scaled residue 2s mod 2T, so integer and
@@ -152,7 +153,7 @@ class PeriodicFn:
 
     def with_period(self, target: int) -> "PeriodicFn":
         """Retabulate at a multiple of the current period. Values unchanged."""
-        if not isinstance(target, int) or target < 1 or target % self.period:
+        if type(target) is not int or target < 1 or target % self.period:
             raise InputError(f"{target!r} is not a positive multiple of period {self.period}")
         if target == self.period:
             return self
@@ -324,9 +325,18 @@ class QuasiPoly:
                 raise InputError(f"coefficient powers must cover {len(parts)-1}..0, got {powers}")
             fns = []
             for entry in entries:
-                period = entry["period"]
-                vals = [parse_rational(entry["values"][str(rho)]) for rho in range(2 * period)]
-                fns.append(PeriodicFn(period, vals))
+                period, values = entry["period"], entry["values"]
+                # each distinct string parsed once, in residue order, so the first
+                # bad cell is reported; parse_rational rejects every non-string
+                parsed, cells = {}, []
+                for rho in range(2 * period):
+                    cell = values[str(rho)]
+                    if not isinstance(cell, str) or cell not in parsed:
+                        parsed[cell] = parse_rational(cell)
+                    cells.append(cell)
+                den = math.lcm(*(v.denominator for v in parsed.values()))
+                nums = {cell: v.numerator * (den // v.denominator) for cell, v in parsed.items()}
+                fns.append(PeriodicFn.from_numerators(period, den, [nums[cell] for cell in cells]))
             q = cls(parts, tuple(fns), raw["master_period"])
             if str(q.xi) != raw["xi"]:
                 raise InputError(f"shift field {raw['xi']!r} does not match the parts")
@@ -559,45 +569,34 @@ def build_recursive(parts: Sequence[int]) -> QuasiPoly:
 
 
 def build_explicit(parts: Sequence[int]) -> QuasiPoly:
-    """Certificate in a single pass over pivot positions and shift sums.
+    """Certificate in a single pass over pivot parts and shift sums.
 
-    For each pivot i, _shift_fold runs over the other positions in the residue
-    ring mod 2*d_i, started at the pivot's own half-shift d_i (its divisibility
-    indicator). Power bucket l weights each (l, zeros) table by l!/(1+zeros),
+    For each distinct part d_i, _shift_fold runs once over the other positions
+    (d with one copy of d_i removed) in the residue ring mod 2*d_i, started at
+    the pivot's own half-shift d_i (its divisibility indicator). Pivots with
+    equal parts fold equal tables, so the fold is weighted by the multiplicity
+    of d_i. Power bucket l weights each (l, zeros) table by l!/(1+zeros),
     which is polypart.split_weight summed over the compositions of l with that
     many zero exponents, times the binomial(m-1, l)/(m-1)! of the closed form.
-    The bucket's residue table is then spread into the 2*tau master table once
-    per pivot.
 
     All of it runs on integer numerators: the bucket weight
-    1/((1+zeros)(m-1-l)!) is taken over (m-1)! lcm(1..m), each pivot's fold
-    is brought to the pivots' common denominator, and the master tables are
-    handed over as integer numerators over it.
+    1/((1+zeros)(m-1-l)!) is taken over top = (m-1)! lcm(1..m), so each part's
+    buckets are one piece of period d_i over the fold's denominator times
+    top, and _materialise tiles and sums the pieces into the 2*tau tables.
     """
     d = as_parts(parts)
     m = len(d)
-    tau = _guard_cells(d)
+    _guard_cells(d)
     top = math.factorial(m - 1) * math.lcm(*range(1, m + 1))
-    pivots = []
-    for i, di in enumerate(d):
-        size = 2 * di
-        folded = [[0] * size for _ in range(m)]
-        den, fold = _shift_fold([d[n] for n in range(m) if n != i], m, di, size)
+    pieces: dict[int, Piece] = {}
+    for di in dict.fromkeys(d):
+        others = list(d)
+        others.remove(di)
+        folded = [[0] * (2 * di) for _ in range(m)]
+        den, fold = _shift_fold(others, m, di, 2 * di)
         for (l, z), res_table in fold.items():
-            w = top // ((1 + z) * math.factorial(m - 1 - l))
+            w = d.count(di) * (top // ((1 + z) * math.factorial(m - 1 - l)))
             for res, a in res_table.items():
                 folded[l][res] += w * a
-        pivots.append((den, folded))
-    common = math.lcm(*(den for den, _ in pivots))
-    acc = [[0] * (2 * tau) for _ in range(m)]
-    for den, folded in pivots:
-        scale = common // den
-        for bucket, res_table in zip(acc, folded):
-            size = len(res_table)
-            for res, a in enumerate(res_table):
-                if a:
-                    a *= scale
-                    for rho in range(res, 2 * tau, size):
-                        bucket[rho] += a
-    coeffs = tuple(PeriodicFn.from_numerators(tau, common * top, vals) for vals in acc)
-    return QuasiPoly(d, coeffs, tau)
+        pieces[di] = (den * top, folded)
+    return _materialise(d, pieces)

@@ -4,13 +4,14 @@ Each check scans its argument space in increasing absolute value, so the first
 failure reported is a smallest one. A certificate holds its coefficients as
 integer numerators; each is taken once per run_properties call, when a
 property first needs it, over one common denominator on every class of its
-own master period (QuasiPoly.numerator_tables). The oracle, recurrence, parity
-and mean-value checks run on those tables: the recurrence and parity laws as
-identities between coefficient tables on every class of the master period,
-reporting the smallest failing class of 2s; the oracle by integer Horner, at
-m points per class by default, counting each distinct certificate once; the
-mean value as one integer sum per coefficient. Path-agreement compares the
-two certificates' integer tables at the lcm of their master periods.
+own master period (QuasiPoly.numerator_tables). The oracle, recurrence, parity,
+zeros and mean-value checks run on those tables: the recurrence and parity
+laws as identities between coefficient tables on every class of the master
+period, reporting the smallest failing class of 2s; the oracle and zeros by
+integer Horner, the oracle at m points per class by default, counting each
+distinct certificate once; the mean value as one integer sum per coefficient.
+Path-agreement compares the two certificates' integer tables at the lcm of
+their master periods.
 Fractions are built only to word a failure. Results never stop early across
 properties; a report carries one result per requested property."""
 
@@ -238,17 +239,21 @@ def _zero_points_twice(m: int) -> list[int]:
     return [2 * k + 1 for k in range((m - 1) // 2)]
 
 
-def _check_zeros(parts, certs: Certs) -> PropertyResult:
+def _check_zeros(parts, certs: Certs, views: Views) -> PropertyResult:
     pts = _zero_points_twice(len(parts))
     if not pts:
         return PropertyResult("zeros", True, note="no forced zeros at this order")
+    shift = len(parts) - 1
     for t in pts:
-        for label, cert in certs.items():
-            v = cert.value(HalfInt(t))
-            if v:
+        for label in certs:
+            den, tables = views(label)
+            acc = 0  # 2^(m-1) den V(t/2), by _scaled_counts' integer Horner
+            for j, col in enumerate(tables):
+                acc = acc * t + (col[t % len(col)] << j)
+            if acc:
                 return PropertyResult(
                     "zeros", False,
-                    {"path": label, "s": str(HalfInt(t)), "value": str(v)},
+                    {"path": label, "s": str(HalfInt(t)), "value": str(Fraction(acc, den << shift))},
                 )
     return PropertyResult("zeros", True)
 
@@ -297,12 +302,12 @@ def _check_mean_value(parts, certs: Certs, views: Views) -> PropertyResult:
 
 
 # name -> check(parts, certs, views, n_max), in report order; only the oracle
-# uses n_max, and zeros and path-agreement read the certificates themselves
+# uses n_max, and path-agreement reads the certificates themselves
 _CHECKS = {
     "oracle": _check_oracle,
     "recurrence": lambda parts, certs, views, n_max: _check_recurrence(parts, certs, views),
     "parity": lambda parts, certs, views, n_max: _check_parity(parts, certs, views),
-    "zeros": lambda parts, certs, views, n_max: _check_zeros(parts, certs),
+    "zeros": lambda parts, certs, views, n_max: _check_zeros(parts, certs, views),
     "path-agreement": lambda parts, certs, views, n_max: _check_path_agreement(parts, certs),
     "mean-value": lambda parts, certs, views, n_max: _check_mean_value(parts, certs, views),
 }

@@ -26,6 +26,8 @@ PINNED = {
     (7, 8, 9): "338b328be2f7339ad962101fc9e6f85f1dd1aa8c491db400bebf2e38126c7323",
     (1, 2, 3, 4, 5, 6, 7, 8): "615a3733c7efc1f021b898352626c65cc130779fa2101c160d8236c3bbd6f4fc",
     (31, 37, 41): "07d17d1ddf1ab57cb8031b3d8ef4342e8cb06863ab0c7b7b9cb1d77d2cc08fbb",
+    (2, 2, 2, 2): "5a3b1c37494a0ce7eaca77f2a4f9e97405325a518adca564cfbec8b708beb587",
+    (1, 1, 1, 2, 2, 3): "1276abfe0baed21dcb96cbafad925af40568ecaac8bc8a351444123fa32ae1b1",
 }
 
 

@@ -40,6 +40,8 @@ class TestCountDp:
             count_dp((1, 2), -1)
         with pytest.raises(InputError):
             count_dp((), 5)
+        with pytest.raises(InputError):
+            count_dp((1, 2), True)  # a bool is not a count
 
     def test_monotone_with_unit_part(self):
         t = count_dp((1, 3, 4), 40)
@@ -72,6 +74,11 @@ class TestCountEnum:
 
     def test_negative_n(self):
         assert count_enum((1, 2), -4) == 0
+
+    def test_bad_args(self):
+        for bad in (True, False, 2.0, "3"):
+            with pytest.raises(InputError):
+                count_enum((1, 2), bad)
 
     def test_matches_dp(self):
         for parts in [(1,), (2, 3), (1, 2, 3), (2, 2), (3, 5, 7)]:

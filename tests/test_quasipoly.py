@@ -31,6 +31,7 @@ from denumerant import (
     r_coeffs_recursive,
     v1_explicit,
 )
+from denumerant import quasipoly
 from denumerant.quasipoly import _guard_cells, _shift_fold, _shift_weights
 from helpers import natural_average, numerators_reference, to_json_reference
 from test_cert_bytes import PINNED
@@ -74,6 +75,8 @@ class TestPeriodicFn:
             assert f.at_twice(t) == g.at_twice(t)
         with pytest.raises(InputError):
             f.with_period(0)
+        with pytest.raises(InputError):
+            f.with_period(True)  # period 1: a bool is never a period
 
     def test_integer_table(self):
         f = PeriodicFn(2, [Fraction(1, 6), 0, Fraction(-1, 4), 3])
@@ -353,6 +356,8 @@ class TestEvaluation:
         c = build_explicit((1, 2))
         with pytest.raises(InputError):
             c.count(Fraction(1, 2))
+        with pytest.raises(InputError):
+            c.count(True)
 
     def test_integrality_violation_raises(self):
         broken = QuasiPoly(
@@ -534,6 +539,60 @@ class TestIntegerTables:
             assert cert.numerator_tables(period) == (ref_den, [t[: 2 * period] for t in ref])
 
 
+def _build_explicit_per_pivot(parts):
+    """build_explicit with one fold per pivot position: each pivot's buckets
+    brought to the pivots' common denominator and spread residue by residue
+    into the 2 tau tables. The form build_explicit had before it folded once
+    per distinct part and handed its pieces to _materialise, kept as the
+    reference for both."""
+    d = tuple(parts)
+    m = len(d)
+    tau = lcm_of(d)
+    top = math.factorial(m - 1) * math.lcm(*range(1, m + 1))
+    pivots = []
+    for i, di in enumerate(d):
+        folded = [[0] * (2 * di) for _ in range(m)]
+        den, fold = _shift_fold(d[:i] + d[i + 1 :], m, di, 2 * di)
+        for (l, z), res_table in fold.items():
+            w = top // ((1 + z) * math.factorial(m - 1 - l))
+            for res, a in res_table.items():
+                folded[l][res] += w * a
+        pivots.append((den, folded))
+    common = math.lcm(*(den for den, _ in pivots))
+    acc = [[0] * (2 * tau) for _ in range(m)]
+    for den, folded in pivots:
+        for bucket, res_table in zip(acc, folded):
+            for res, a in enumerate(res_table):
+                for rho in range(res, 2 * tau, len(res_table)):
+                    bucket[rho] += a * (common // den)
+    return QuasiPoly(d, [PeriodicFn.from_numerators(tau, common * top, vals) for vals in acc], tau)
+
+
+class TestExplicitPieces:
+    def test_matches_per_pivot_reference(self):
+        lists = list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED)
+        for parts in lists + [(1, 1, 1, 1, 1, 1, 1), (3, 3, 5), (7,), (2, 1, 2), (6, 1, 4, 1)]:
+            assert build_explicit(parts) == _build_explicit_per_pivot(parts), parts
+
+    @pytest.mark.parametrize("parts, starts", [
+        ((1, 1, 1, 2, 2, 3), [1, 2, 3]),
+        ((2, 3, 5, 7), [2, 3, 5, 7]),
+        ((2, 2, 2, 2), [2]),
+        ((6, 1, 4, 1), [6, 1, 4]),
+    ])
+    def test_one_fold_per_distinct_part(self, monkeypatch, parts, starts):
+        # the fold around a part is started at that part's half-shift
+        seen = []
+
+        def counted(d, m, start, size):
+            seen.append(start)
+            return _shift_fold(d, m, start, size)
+
+        monkeypatch.setattr(quasipoly, "_shift_fold", counted)
+        build_explicit(parts)
+        assert seen == starts
+
+
 class TestCapacityGuard:
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_builders_over_limit(self, monkeypatch, builder):
@@ -656,6 +715,33 @@ class TestSerialization:
         raw = json.loads(build_explicit((1, 2)).to_json())
         raw["coefficients"][1]["values"]["0"] = 0.1
         with pytest.raises(InputError):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("cell", [True, False, None, 1, [1], {"1": 1}])
+    def test_non_string_values_rejected(self, cell):
+        # residue 2 of R_2 for (1, 2) repeats the string at residue 0, so a
+        # non-string there must be rejected though the string parsed
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        values = raw["coefficients"][1]["values"]
+        assert values["0"] == values["2"]
+        values["2"] = cell
+        with pytest.raises(InputError, match="exact string"):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    def test_missing_residue_rejected(self):
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        del raw["coefficients"][1]["values"]["3"]
+        with pytest.raises(InputError, match="malformed"):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    def test_first_bad_cell_reported(self):
+        raw = json.loads(build_explicit((2, 3, 4)).to_json())
+        values = raw["coefficients"][2]["values"]
+        values["2"], values["5"] = "x", "1/0"
+        with pytest.raises(InputError, match="'x'"):
+            QuasiPoly.from_json(json.dumps(raw))
+        values["2"] = values["7"]
+        with pytest.raises(InputError, match="'1/0'"):
             QuasiPoly.from_json(json.dumps(raw))
 
 

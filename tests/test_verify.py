@@ -435,3 +435,60 @@ class TestOracleCounts:
         assert result.counterexample == {"path": "recursive", "n": 1, "expected": "1", "actual": "2"}
         result = self._oracle(("recursive", "explicit"), ("explicit",))
         assert result.counterexample == {"path": "explicit", "n": 1, "expected": "1", "actual": "2"}
+
+
+def _zeros_direct(parts, certs) -> PropertyResult:
+    """The zeros check on Fractions, through QuasiPoly.value: the reference for
+    the integer Horner."""
+    pts = verify._zero_points_twice(len(parts))
+    if not pts:
+        return PropertyResult("zeros", True, note="no forced zeros at this order")
+    for t in pts:
+        for label, cert in certs.items():
+            v = cert.value(HalfInt(t))
+            if v:
+                return PropertyResult(
+                    "zeros", False, {"path": label, "s": str(HalfInt(t)), "value": str(v)}
+                )
+    return PropertyResult("zeros", True)
+
+
+class TestIntegerZeros:
+    def test_builder_certificates_match_reference(self):
+        for parts in list(iter_multisets(4, 6)) + [(2, 3, 5, 7), (1, 1, 2, 2, 3)]:
+            certs = {label: build(parts) for label, build in BUILDERS.items()}
+            assert run_properties(parts, props=["zeros"], certs=certs).results == [
+                _zeros_direct(parts, certs)
+            ]
+
+    @pytest.mark.parametrize("parts", [(1, 2), (1, 2, 3), (2, 3, 4), (1, 1, 2, 3), (2, 1, 2, 1, 3)])
+    def test_tampered_certificates_match_reference(self, parts):
+        good = {label: build(parts) for label, build in BUILDERS.items()}
+        good["explicit"] = good["explicit"].aligned(2 * lcm_of(parts))
+        failures = 0
+        for index in range(len(parts)):
+            for rho in range(4):
+                for which in (("explicit",), ("recursive",), ("explicit", "recursive")):
+                    certs = {
+                        label: _tampered(cert, index, rho, Fraction(-2, 7)) if label in which else cert
+                        for label, cert in good.items()
+                    }
+                    report = run_properties(parts, props=["zeros"], certs=certs)
+                    assert report.results == [_zeros_direct(parts, certs)]
+                    failures += not report.passed
+        assert failures  # the nudges are seen, not only matched
+
+    def test_verify_reads_no_values(self, monkeypatch):
+        # a passing run reads integer tables only; QuasiPoly.value is left to
+        # the wording of an oracle failure
+        certs = {
+            parts: {label: build(parts) for label, build in BUILDERS.items()}
+            for parts in [(1, 2, 3), (2, 3, 5, 7), (1, 1, 2, 2, 3)]
+        }
+
+        def refuse(self, s):
+            raise AssertionError("QuasiPoly.value called")
+
+        monkeypatch.setattr(QuasiPoly, "value", refuse)
+        for parts, built in certs.items():
+            assert run_properties(parts, certs=built).passed, parts
