@@ -14,7 +14,6 @@ from .exactnum import (
     as_parts,
     binomial,
     compositions,
-    format_rational,
     lcm_of,
     multinomial,
     parse_rational,
@@ -57,7 +56,6 @@ __all__ = [
     "as_parts",
     "binomial",
     "compositions",
-    "format_rational",
     "lcm_of",
     "multinomial",
     "parse_rational",

@@ -22,7 +22,6 @@ __all__ = [
     "binomial",
     "multinomial",
     "compositions",
-    "format_rational",
     "parse_rational",
 ]
 
@@ -96,11 +95,6 @@ def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
     for head in range(total, -1, -1):
         for rest in compositions(total - head, length - 1):
             yield (head, *rest)
-
-
-def format_rational(q: Rational) -> str:
-    """Serialize exactly: "p/q", with "/q" omitted when the denominator is 1."""
-    return str(q) if isinstance(q, Fraction) else str(Fraction(q))
 
 
 def parse_rational(text: str) -> Rational:

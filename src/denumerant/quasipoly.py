@@ -8,8 +8,8 @@ with each R_j periodic of a period dividing tau = lcm(d). Counts live in the
 shifted frame: the number of solutions of sum x_i d_i = n is V(n + xi) with
 xi = sum(d)/2. Two constructions are provided:
 
-  * build_recursive: start from one part and fold parts in one at a time
-    (base_case / extend_recursive);
+  * build_recursive: fold parts in one at a time, from none
+    (extend_recursive; base_case is the one-part result);
   * build_explicit: a single pass over pivot parts and shift sums.
 
 Both builders hold the certificate as pieces, m tables of 2P integer
@@ -242,13 +242,17 @@ class QuasiPoly:
     def numerator_tables(self, period: int | None = None) -> tuple[int, list[list[int]]]:
         """(den, tables): tables[j-1][rho] is R_j's numerator at 2s = rho over
         den, the lcm of the coefficients' denominators, for rho below twice
-        `period` (the master period by default)."""
+        `period` (the master period by default). Each stored table is cut to
+        the requested size before it is scaled to den and tiled after, so a
+        short read scales only the cells it returns."""
         size = 2 * (self.master_period if period is None else period)
         den = math.lcm(*(fn.den for fn in self.coeffs))
         tables = []
         for fn in self.coeffs:
             scale = den // fn.den
-            nums = fn.nums if scale == 1 else [a * scale for a in fn.nums]
+            nums = fn.nums[:size]
+            if scale != 1:
+                nums = [a * scale for a in nums]
             span = len(nums)
             if size % span:
                 tables.append([nums[r % span] for r in range(size)])
@@ -396,13 +400,15 @@ def _shift_weights(dk: int, m: int, size: int) -> tuple[int, list[list[tuple[int
     return den // g, [[(key, w // g) for key, w in row] for row in per_e]
 
 
-def _shift_fold(d: Sequence[int], m: int, start: int, size: int) -> tuple[int, dict]:
-    """Products of per-position shift sums, folded in the residue ring mod size.
+def _shift_fold(d: Sequence[int], m: int, pivot: int) -> tuple[int, dict]:
+    """Products of per-position shift sums around a pivot part, folded in the
+    residue ring mod size = 2*pivot.
 
     Position k, with part d[k], offers the weights _shift_weights(d[k], m,
-    size). A DP over positions, from a unit weight at `start`, keeps one
-    residue table per (total exponent l < m, number of zero exponents z): the
-    sum over exponent vectors r of the folded product, which carries
+    size). A DP over positions, from a unit weight at the pivot's own
+    half-shift (its divisibility indicator), keeps one residue table per
+    (total exponent l < m, number of zero exponents z): the sum over
+    exponent vectors r of the folded product, which carries
     1/prod r_k!. Times l! that is the multinomial weighting, times l!/(1+z)
     the split weight; no composition is enumerated.
 
@@ -410,8 +416,9 @@ def _shift_fold(d: Sequence[int], m: int, start: int, size: int) -> tuple[int, d
     after k positions every state shares their product. Returns (den, fold);
     cell values are numerator/den.
     """
+    size = 2 * pivot
     den = 1
-    fold = {(0, 0): {start % size: 1}}
+    fold = {(0, 0): {pivot: 1}}
     for dk in d:
         dk_den, per_e = _shift_weights(dk, m, size)
         den *= dk_den
@@ -442,9 +449,8 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     """
     d = as_parts(parts)
     m = len(d)
-    size = 2 * d[-1]
-    table = [0] * size
-    den, fold = _shift_fold(d[:-1], m, d[-1], size)
+    table = [0] * (2 * d[-1])
+    den, fold = _shift_fold(d[:-1], m, d[-1])
     for (l, _), res_table in fold.items():
         if l == m - 1:
             for res, a in res_table.items():
@@ -452,12 +458,11 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     return PeriodicFn.from_numerators(d[-1], den, table)
 
 
-def _guard_cells(parts: tuple[int, ...]) -> int:
-    """tau = lcm(parts), once the certificate's m tables of 2 tau cells are
-    checked against the guard limit (oracle.guard)."""
+def _guard_cells(parts: tuple[int, ...]) -> None:
+    """Check the certificate's m tables of 2 tau cells, tau = lcm(parts),
+    against the guard limit (oracle.guard)."""
     tau = lcm_of(parts)
     guard(len(parts) * 2 * tau, f"the certificate would take {len(parts)} x {2 * tau} cells")
-    return tau
 
 
 # a piece of a certificate held as a sum of pieces: (den, tables), each table
@@ -556,14 +561,15 @@ def build_recursive(parts: Sequence[int]) -> QuasiPoly:
     """Certificate by the one-part-at-a-time route.
 
     The certificate is kept as a sum of pieces, one per distinct part period:
-    base_case(d_1) is the first, each step correlates every piece at its own
-    period and adds closure_fn's piece at the new part's period
-    (_extend_pieces). Only the final certificate is tabulated at tau.
+    starting from none, each step correlates every piece at its own period and
+    adds closure_fn's piece at the new part's period (_extend_pieces); the
+    first step's is the one-part indicator of base_case(d_1). Only the final
+    certificate is tabulated at tau.
     """
     d = as_parts(parts)
     _guard_cells(d)
-    pieces = {d[0]: (1, [list(base_case(d[0]).coeffs[0].nums)])}
-    for k in range(2, len(d) + 1):
+    pieces: dict[int, Piece] = {}
+    for k in range(1, len(d) + 1):
         pieces = _extend_pieces(pieces, d[:k])
     return _materialise(d, pieces)
 
@@ -593,7 +599,7 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
         others = list(d)
         others.remove(di)
         folded = [[0] * (2 * di) for _ in range(m)]
-        den, fold = _shift_fold(others, m, di, 2 * di)
+        den, fold = _shift_fold(others, m, di)
         for (l, z), res_table in fold.items():
             w = d.count(di) * (top // ((1 + z) * math.factorial(m - 1 - l)))
             for res, a in res_table.items():

@@ -1,17 +1,19 @@
 """Property harness: structural checks on certificates, with minimal counterexamples.
 
 Each check scans its argument space in increasing absolute value, so the first
-failure reported is a smallest one. A certificate holds its coefficients as
-integer numerators; each is taken once per run_properties call, when a
-property first needs it, over one common denominator on every class of its
-own master period (QuasiPoly.numerator_tables). The oracle, recurrence, parity,
-zeros and mean-value checks run on those tables: the recurrence and parity
+failure reported is a smallest one. Certificates are read only through
+QuasiPoly.numerator_tables: integer numerators over one common denominator.
+The full view, every class of a certificate's own master period, is taken
+once per run_properties call, when a property first needs it. The oracle,
+recurrence, parity and mean-value checks run on it: the recurrence and parity
 laws as identities between coefficient tables on every class of the master
-period, reporting the smallest failing class of 2s; the oracle and zeros by
-integer Horner, the oracle at m points per class by default, counting each
+period, reporting the smallest failing class of 2s; the oracle by integer
+Horner (_scaled_counts), at m points per class by default, counting each
 distinct certificate once; the mean value as one integer sum per coefficient.
-Path-agreement compares the two certificates' integer tables at the lcm of
-their master periods.
+Zeros reads only the first 2 (m // 2) classes of 2s, which hold every forced
+zero, and runs the same Horner on them. Path-agreement passes equal
+certificates at once and otherwise compares the two full views at the lcm of
+their lengths.
 Fractions are built only to word a failure. Results never stop early across
 properties; a report carries one result per requested property."""
 
@@ -100,13 +102,11 @@ View = tuple[int, list[list[int]]]
 Views = Callable[[str], View]
 
 
-def _scaled_counts(parts, tables: list[list[int]]) -> Iterator[int]:
-    """2^(m-1) den V(n + xi) for n = 0, 1, 2, ...: an integer, since with
-    t = 2n + sum(parts) it is sum_j N_j[t mod 2P] 2^(j-1) t^(m-j). Integer
-    Horner in t on one row per class of the parity of t, each N_j pre-shifted
-    by j-1."""
+def _scaled_counts(tables: list[list[int]], t: int) -> Iterator[int]:
+    """2^(m-1) den V(t/2) at t, t + 2, t + 4, ...: an integer, since it is
+    sum_j N_j[t mod 2P] 2^(j-1) t^(m-j). Integer Horner in t on one row per
+    class of the parity of t, each N_j pre-shifted by j-1."""
     size = len(tables[0])
-    t = sum(parts)
     rows: list[tuple[int, ...]] = [()] * size
     for rho in range(t % 2, size, 2):
         rows[rho] = tuple(col[rho] << j for j, col in enumerate(tables))
@@ -126,7 +126,7 @@ def _check_oracle(parts, certs: Certs, views: Views, n_max: int) -> PropertyResu
     for label in certs:
         view = views(label)
         if all(view != seen for _, seen, _ in scans):
-            scans.append((label, view, _scaled_counts(parts, view[1])))
+            scans.append((label, view, _scaled_counts(view[1], sum(parts))))
     shift = len(parts) - 1
     for n, want in enumerate(counts):
         for label, (den, _), got in scans:
@@ -162,7 +162,7 @@ def _shifted(tables: list[list[int]], a: int, b: int) -> list[list[int]]:
     return out
 
 
-def _check_recurrence(parts, certs: Certs, views: Views) -> PropertyResult:
+def _check_recurrence(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
     m = len(parts)
     if m == 1:
         return PropertyResult("recurrence", True, note="vacuous for a single part")
@@ -196,7 +196,7 @@ def _check_recurrence(parts, certs: Certs, views: Views) -> PropertyResult:
     )
 
 
-def _check_parity(parts, certs: Certs, views: Views) -> PropertyResult:
+def _check_parity(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
     natural = sum(parts) % 2
     # V(-s) = -(-1)^m V(s) on the class of s holds iff R_j(-s) = (-1)^(j-1) R_j(s)
     # for every j; rho and -rho give the same condition, so rho <= P covers every
@@ -233,57 +233,55 @@ def _check_parity(parts, certs: Certs, views: Views) -> PropertyResult:
     return PropertyResult("parity", True, note=note)
 
 
-def _zero_points_twice(m: int) -> list[int]:
-    if m % 2 == 0:
-        return [2 * k for k in range(m // 2)]
-    return [2 * k + 1 for k in range((m - 1) // 2)]
-
-
-def _check_zeros(parts, certs: Certs, views: Views) -> PropertyResult:
-    pts = _zero_points_twice(len(parts))
-    if not pts:
+def _check_zeros(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
+    m = len(parts)
+    if m == 1:
         return PropertyResult("zeros", True, note="no forced zeros at this order")
-    shift = len(parts) - 1
-    for t in pts:
-        for label in certs:
-            den, tables = views(label)
-            acc = 0  # 2^(m-1) den V(t/2), by _scaled_counts' integer Horner
-            for j, col in enumerate(tables):
-                acc = acc * t + (col[t % len(col)] << j)
+    # The forced zeros V(t/2) = 0 sit at t = m mod 2, ..., m - 2, all below
+    # 2 (m // 2), so each certificate is read on those first classes only.
+    scans = []
+    for label, cert in certs.items():
+        den, tables = cert.numerator_tables(m // 2)
+        scans.append((label, den, _scaled_counts(tables, m % 2)))
+    for t in range(m % 2, m - 1, 2):
+        for label, den, got in scans:
+            acc = next(got)
             if acc:
                 return PropertyResult(
                     "zeros", False,
-                    {"path": label, "s": str(HalfInt(t)), "value": str(Fraction(acc, den << shift))},
+                    {"path": label, "s": str(HalfInt(t)), "value": str(Fraction(acc, den << (m - 1)))},
                 )
     return PropertyResult("zeros", True)
 
 
-def _check_path_agreement(parts, certs: Certs) -> PropertyResult:
-    a, b = certs["explicit"], certs["recursive"]
-    # compared at the lcm of the two master periods, tau for builder output.
-    # Each coefficient's table is reduced, so equal functions have equal
-    # denominators and numerators; the smallest differing class 2s is
-    # reported, and its smallest coefficient.
-    size = 2 * math.lcm(a.master_period, b.master_period)
+def _check_path_agreement(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
+    if certs["explicit"] == certs["recursive"]:
+        return PropertyResult("path-agreement", True)
+    # Otherwise both views are tiled to the lcm of their lengths (2 tau for
+    # builder output) and cross-multiplied by the other's denominator; the
+    # smallest differing class 2s is reported, and its smallest coefficient.
+    (den_a, ta), (den_b, tb) = views("explicit"), views("recursive")
+    size = math.lcm(len(ta[0]), len(tb[0]))
     first = None
-    for j, (fa, fb) in enumerate(zip(a.coeffs, b.coeffs), 1):
-        na = fa.nums * (size // len(fa.nums))
-        nb = fb.nums * (size // len(fb.nums))
-        if fa.den != fb.den or na != nb:
-            rho = next(r for r, (x, y) in enumerate(zip(na, nb)) if x * fb.den != y * fa.den)
+    for j, (ca, cb) in enumerate(zip(ta, tb), 1):
+        xa = [x * den_b for x in ca] * (size // len(ca))
+        xb = [y * den_a for y in cb] * (size // len(cb))
+        if xa != xb:
+            rho = next(r for r, (x, y) in enumerate(zip(xa, xb)) if x != y)
             if first is None or rho < first[0]:
-                first = (rho, j, fa, fb)
+                first = (rho, j)
     if first is None:
         return PropertyResult("path-agreement", True)
-    rho, j, fa, fb = first
+    rho, j = first
     return PropertyResult(
         "path-agreement", False,
         {"s": str(HalfInt(rho)), "coefficient": j,
-         "explicit": str(fa.at_twice(rho)), "recursive": str(fb.at_twice(rho))},
+         "explicit": str(Fraction(ta[j - 1][rho % len(ta[0])], den_a)),
+         "recursive": str(Fraction(tb[j - 1][rho % len(tb[0])], den_b))},
     )
 
 
-def _check_mean_value(parts, certs: Certs, views: Views) -> PropertyResult:
+def _check_mean_value(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
     consts = polypart.v1_explicit(parts)
     parity = sum(parts) % 2
     for j in range(1, len(parts) + 1):
@@ -302,14 +300,14 @@ def _check_mean_value(parts, certs: Certs, views: Views) -> PropertyResult:
 
 
 # name -> check(parts, certs, views, n_max), in report order; only the oracle
-# uses n_max, and path-agreement reads the certificates themselves
+# uses n_max
 _CHECKS = {
     "oracle": _check_oracle,
-    "recurrence": lambda parts, certs, views, n_max: _check_recurrence(parts, certs, views),
-    "parity": lambda parts, certs, views, n_max: _check_parity(parts, certs, views),
-    "zeros": lambda parts, certs, views, n_max: _check_zeros(parts, certs, views),
-    "path-agreement": lambda parts, certs, views, n_max: _check_path_agreement(parts, certs),
-    "mean-value": lambda parts, certs, views, n_max: _check_mean_value(parts, certs, views),
+    "recurrence": _check_recurrence,
+    "parity": _check_parity,
+    "zeros": _check_zeros,
+    "path-agreement": _check_path_agreement,
+    "mean-value": _check_mean_value,
 }
 PROPERTIES = tuple(_CHECKS)
 # certificate label -> builder; run_properties checks one certificate of each.

@@ -12,7 +12,6 @@ from denumerant import (
     as_parts,
     binomial,
     compositions,
-    format_rational,
     lcm_of,
     multinomial,
     parse_rational,
@@ -110,10 +109,6 @@ def test_rational_arithmetic_is_exact(a, b, c, d):
 
 
 def test_rational_serialization():
-    assert format_rational(Fraction(3, 4)) == "3/4"
-    assert format_rational(Fraction(-5, 2)) == "-5/2"
-    assert format_rational(Fraction(7, 1)) == "7"
-    assert format_rational(Fraction(0)) == "0"
     assert parse_rational("22/7") == Fraction(22, 7)
     assert parse_rational("-3") == Fraction(-3)
 

@@ -158,6 +158,10 @@ class TestExplicit:
     def test_one_part_equals_base_case(self):
         assert build_explicit((1,)) == base_case(1)
         assert build_explicit((4,)) == base_case(4)
+        # build_recursive's first step is closure_fn alone: the one-part indicator
+        for d in range(1, 13):
+            assert closure_fn((d,)) == base_case(d).coeffs[0], d
+            assert build_recursive((d,)) == base_case(d), d
 
     def test_matches_recursive_tables(self):
         for parts in [(1, 2), (2, 3), (2, 2), (1, 2, 3), (2, 3, 4), (1, 1, 3)]:
@@ -426,11 +430,12 @@ def _direct_at_lcm(dk, m, size):
     return _shift_weights_direct(dk, math.lcm(dk, size // 2), m, size)
 
 
-def _shift_fold_direct(d, m, start, size):
+def _shift_fold_direct(d, m, pivot):
     """The shift-sum fold on Fractions, position by position, over the direct
-    weights at t = lcm(d_k, size/2): the form _shift_fold runs on integer
-    numerators, kept here as its reference."""
-    fold = {(0, 0): {start % size: Fraction(1)}}
+    weights at t = lcm(d_k, pivot) mod 2*pivot: the form _shift_fold runs on
+    integer numerators, kept here as its reference."""
+    size = 2 * pivot
+    fold = {(0, 0): {pivot: Fraction(1)}}
     for dk in d:
         per_e = _direct_at_lcm(dk, m, size)
         nxt = {}
@@ -480,7 +485,7 @@ class TestShiftWeights:
 def _pivot_fold_direct(others, di):
     """The reference fold over `others` around pivot d_i, as build_explicit and
     closure_fn start it; cached because many lists share one (read-only)."""
-    return _shift_fold_direct(others, len(others) + 1, di, 2 * di)
+    return _shift_fold_direct(others, len(others) + 1, di)
 
 
 class TestShiftFold:
@@ -493,7 +498,7 @@ class TestShiftFold:
         # every pivot of every list; the fold depends only on (others, d_i)
         pivots = {(d[:i] + d[i + 1 :], di) for d in self.LISTS for i, di in enumerate(d)}
         for others, di in sorted(pivots):
-            den, fold = _shift_fold(others, len(others) + 1, di, 2 * di)
+            den, fold = _shift_fold(others, len(others) + 1, di)
             got = {
                 state: {res: Fraction(a, den) for res, a in table.items()}
                 for state, table in fold.items()
@@ -535,7 +540,7 @@ class TestIntegerTables:
         # read as at_twice reads: tiled below, cut off above the stored period
         cert = build_explicit((2, 3))
         ref_den, ref = numerators_reference(cert.aligned(12))
-        for period in (3, 6, 12):
+        for period in (1, 3, 4, 6, 9, 12):
             assert cert.numerator_tables(period) == (ref_den, [t[: 2 * period] for t in ref])
 
 
@@ -552,7 +557,7 @@ def _build_explicit_per_pivot(parts):
     pivots = []
     for i, di in enumerate(d):
         folded = [[0] * (2 * di) for _ in range(m)]
-        den, fold = _shift_fold(d[:i] + d[i + 1 :], m, di, 2 * di)
+        den, fold = _shift_fold(d[:i] + d[i + 1 :], m, di)
         for (l, z), res_table in fold.items():
             w = top // ((1 + z) * math.factorial(m - 1 - l))
             for res, a in res_table.items():
@@ -581,12 +586,12 @@ class TestExplicitPieces:
         ((6, 1, 4, 1), [6, 1, 4]),
     ])
     def test_one_fold_per_distinct_part(self, monkeypatch, parts, starts):
-        # the fold around a part is started at that part's half-shift
+        # one fold per distinct part, started at that part: its pivot
         seen = []
 
-        def counted(d, m, start, size):
-            seen.append(start)
-            return _shift_fold(d, m, start, size)
+        def counted(d, m, pivot):
+            seen.append(pivot)
+            return _shift_fold(d, m, pivot)
 
         monkeypatch.setattr(quasipoly, "_shift_fold", counted)
         build_explicit(parts)
@@ -612,7 +617,7 @@ class TestCapacityGuard:
     def test_default_limit(self, monkeypatch):
         # (97, 101, 103): 3 x 2 * 1009091 cells, about 6.05 million, fits
         monkeypatch.delenv("RPF_GUARD_LIMIT", raising=False)
-        assert _guard_cells((97, 101, 103)) == 97 * 101 * 103
+        assert _guard_cells((97, 101, 103)) is None
         with pytest.raises(CapacityError):
             _guard_cells((97, 101, 103, 107))
 

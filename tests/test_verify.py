@@ -390,8 +390,8 @@ class TestOracleCounts:
         seen = []
         scaled_counts = verify._scaled_counts
 
-        def counting(parts, tables):
-            for n, value in enumerate(scaled_counts(parts, tables)):
+        def counting(tables, t):
+            for n, value in enumerate(scaled_counts(tables, t)):
                 seen.append(n)
                 yield value
 
@@ -439,11 +439,11 @@ class TestOracleCounts:
 
 def _zeros_direct(parts, certs) -> PropertyResult:
     """The zeros check on Fractions, through QuasiPoly.value: the reference for
-    the integer Horner."""
-    pts = verify._zero_points_twice(len(parts))
-    if not pts:
+    the integer Horner. The forced zeros sit at 2s = t = m mod 2, ..., m - 2."""
+    m = len(parts)
+    if m == 1:
         return PropertyResult("zeros", True, note="no forced zeros at this order")
-    for t in pts:
+    for t in range(m % 2, m - 1, 2):
         for label, cert in certs.items():
             v = cert.value(HalfInt(t))
             if v:
@@ -478,6 +478,20 @@ class TestIntegerZeros:
                     failures += not report.passed
         assert failures  # the nudges are seen, not only matched
 
+    @pytest.mark.parametrize("parts", [(1, 2), (1, 2, 3), (2, 3, 5, 7), (1, 1, 2, 2, 3)])
+    def test_reads_only_the_forced_zero_classes(self, monkeypatch, parts):
+        certs = {label: build(parts) for label, build in BUILDERS.items()}
+        periods = []
+        numerator_tables = QuasiPoly.numerator_tables
+
+        def recording(self, period=None):
+            periods.append(period)
+            return numerator_tables(self, period)
+
+        monkeypatch.setattr(QuasiPoly, "numerator_tables", recording)
+        assert run_properties(parts, props=["zeros"], certs=certs).passed
+        assert periods == [len(parts) // 2] * len(certs)
+
     def test_verify_reads_no_values(self, monkeypatch):
         # a passing run reads integer tables only; QuasiPoly.value is left to
         # the wording of an oracle failure
@@ -492,3 +506,47 @@ class TestIntegerZeros:
         monkeypatch.setattr(QuasiPoly, "value", refuse)
         for parts, built in certs.items():
             assert run_properties(parts, certs=built).passed, parts
+
+
+def _path_agreement_direct(parts, certs) -> PropertyResult:
+    """The path-agreement check column by column on Fractions, at the lcm of
+    the two master periods: the reference for the integer views."""
+    a, b = certs["explicit"], certs["recursive"]
+    for rho in range(2 * math.lcm(a.master_period, b.master_period)):
+        for j, (fa, fb) in enumerate(zip(a.coeffs, b.coeffs), 1):
+            if fa.at_twice(rho) != fb.at_twice(rho):
+                return PropertyResult(
+                    "path-agreement", False,
+                    {"s": str(HalfInt(rho)), "coefficient": j,
+                     "explicit": str(fa.at_twice(rho)), "recursive": str(fb.at_twice(rho))},
+                )
+    return PropertyResult("path-agreement", True)
+
+
+class TestPathAgreement:
+    @pytest.mark.parametrize(
+        "parts", [(1, 2), (1, 2, 3), (2, 3, 4), (1, 1, 2, 3), (2, 1, 2, 1, 3), (2, 3, 5, 7)]
+    )
+    def test_tampered_certificates_match_reference(self, parts):
+        tau = lcm_of(parts)
+        built = {label: build(parts) for label, build in BUILDERS.items()}
+        # one certificate stored at 2 tau, the other at tau, and both at tau
+        layouts = [built, {**built, "explicit": built["explicit"].aligned(2 * tau)}]
+        deltas = itertools.cycle((Fraction(1), Fraction(-1, 3), Fraction(2, 7)))
+        failures = 0
+        for good in layouts:
+            assert run_properties(parts, props=["path-agreement"], certs=good).results == [
+                _path_agreement_direct(parts, good)
+            ]
+            for index in range(len(parts)):
+                for rho in (0, 1, 3, tau + 1, 2 * tau - 1):
+                    for which in (("explicit",), ("recursive",), ("explicit", "recursive")):
+                        delta = next(deltas)
+                        certs = {
+                            label: _tampered(cert, index, rho, delta) if label in which else cert
+                            for label, cert in good.items()
+                        }
+                        report = run_properties(parts, props=["path-agreement"], certs=certs)
+                        assert report.results == [_path_agreement_direct(parts, certs)]
+                        failures += not report.passed
+        assert failures  # the nudges are seen, not only matched
