@@ -4,16 +4,15 @@ Each check scans its argument space in increasing absolute value, so the first
 failure reported is a smallest one. Certificates are read only through
 QuasiPoly.numerator_tables: integer numerators over one common denominator.
 The full view, every class of a certificate's own master period, is taken
-once per run_properties call, when a property first needs it. The oracle,
-recurrence, parity and mean-value checks run on it: the recurrence and parity
-laws as identities between coefficient tables on every class of the master
-period, reporting the smallest failing class of 2s; the oracle by integer
-Horner (_scaled_counts), at m points per class by default, counting each
-distinct certificate once; the mean value as one integer sum per coefficient.
-Zeros reads only the first 2 (m // 2) classes of 2s, which hold every forced
-zero, and runs the same Horner on them. Path-agreement passes equal
-certificates at once and otherwise compares the two full views at the lcm of
-their lengths.
+once per run_properties call, when a property first needs it, and every check
+runs on it: the recurrence and parity laws as identities between coefficient
+tables on every class of the master period, reporting the smallest failing
+class of 2s; the oracle by integer Horner (_scaled_counts), at m points per
+class by default, counting each distinct certificate once; zeros by the same
+Horner at the forced zeros 2s = m mod 2, ..., m - 2, which lie in the first m
+classes; the mean value as one integer sum per coefficient. Path-agreement
+passes equal certificates at once and otherwise compares the two views at the
+lcm of their lengths.
 Fractions are built only to word a failure. Results never stop early across
 properties; a report carries one result per requested property."""
 
@@ -105,14 +104,16 @@ Views = Callable[[str], View]
 def _scaled_counts(tables: list[list[int]], t: int) -> Iterator[int]:
     """2^(m-1) den V(t/2) at t, t + 2, t + 4, ...: an integer, since it is
     sum_j N_j[t mod 2P] 2^(j-1) t^(m-j). Integer Horner in t on one row per
-    class of the parity of t, each N_j pre-shifted by j-1."""
+    class, each N_j pre-shifted by j-1, built when the class is first met."""
     size = len(tables[0])
-    rows: list[tuple[int, ...]] = [()] * size
-    for rho in range(t % 2, size, 2):
-        rows[rho] = tuple(col[rho] << j for j, col in enumerate(tables))
+    rows: list[tuple[int, ...] | None] = [None] * size
     while True:
+        rho = t % size
+        row = rows[rho]
+        if row is None:
+            row = rows[rho] = tuple(col[rho] << j for j, col in enumerate(tables))
         acc = 0
-        for c in rows[t % size]:
+        for c in row:
             acc = acc * t + c
         yield acc
         t += 2
@@ -237,11 +238,10 @@ def _check_zeros(parts, certs: Certs, views: Views, n_max: int) -> PropertyResul
     m = len(parts)
     if m == 1:
         return PropertyResult("zeros", True, note="no forced zeros at this order")
-    # The forced zeros V(t/2) = 0 sit at t = m mod 2, ..., m - 2, all below
-    # 2 (m // 2), so each certificate is read on those first classes only.
+    # the forced zeros V(t/2) = 0 sit at t = m mod 2, ..., m - 2
     scans = []
-    for label, cert in certs.items():
-        den, tables = cert.numerator_tables(m // 2)
+    for label in certs:
+        den, tables = views(label)
         scans.append((label, den, _scaled_counts(tables, m % 2)))
     for t in range(m % 2, m - 1, 2):
         for label, den, got in scans:

@@ -478,19 +478,23 @@ class TestIntegerZeros:
                     failures += not report.passed
         assert failures  # the nudges are seen, not only matched
 
+    @pytest.mark.parametrize("props", [["zeros"], None])
     @pytest.mark.parametrize("parts", [(1, 2), (1, 2, 3), (2, 3, 5, 7), (1, 1, 2, 2, 3)])
-    def test_reads_only_the_forced_zero_classes(self, monkeypatch, parts):
+    def test_reads_each_certificate_once(self, monkeypatch, parts, props):
+        # zeros shares the full view with the other checks: one read of each
+        # certificate per call (the recurrence's prefix certificates aside)
         certs = {label: build(parts) for label, build in BUILDERS.items()}
-        periods = []
+        reads = []
         numerator_tables = QuasiPoly.numerator_tables
 
         def recording(self, period=None):
-            periods.append(period)
+            if self.parts == parts:
+                reads.append((id(self), period))
             return numerator_tables(self, period)
 
         monkeypatch.setattr(QuasiPoly, "numerator_tables", recording)
-        assert run_properties(parts, props=["zeros"], certs=certs).passed
-        assert periods == [len(parts) // 2] * len(certs)
+        assert run_properties(parts, props=props, certs=certs).passed
+        assert sorted(reads) == sorted((id(cert), None) for cert in certs.values())
 
     def test_verify_reads_no_values(self, monkeypatch):
         # a passing run reads integer tables only; QuasiPoly.value is left to
