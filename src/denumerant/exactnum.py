@@ -50,7 +50,7 @@ def lcm_of(values: Sequence[int]) -> int:
     if not values:
         raise InputError("lcm_of needs at least one value")
     for v in values:
-        if not isinstance(v, int) or v < 1:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise InputError(f"lcm_of needs positive integers, got {v!r}")
     return math.lcm(*values)
 

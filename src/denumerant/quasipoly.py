@@ -353,7 +353,7 @@ class QuasiPoly:
 
 def psi(d: int, x: HalfLike) -> Rational:
     """Indicator that d divides x; half-odd x is never divisible."""
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise InputError(f"modulus must be a positive integer, got {d!r}")
     return Fraction(1) if HalfInt.coerce(x).twice % (2 * d) == 0 else Fraction(0)
 

@@ -3,16 +3,18 @@
 Each check scans its argument space in increasing absolute value, so the first
 failure reported is a smallest one. Certificates are read only through
 QuasiPoly.numerator_tables: integer numerators over one common denominator.
-The full view, every class of a certificate's own master period, is taken
-once per run_properties call, when a property first needs it, and every check
-runs on it: the recurrence and parity laws as identities between coefficient
-tables on every class of the master period, reporting the smallest failing
-class of 2s; the oracle by integer Horner (_scaled_counts), at m points per
-class by default, counting each distinct certificate once; zeros by the same
-Horner at the forced zeros 2s = m mod 2, ..., m - 2, which lie in the first m
-classes; the mean value as one integer sum per coefficient. Path-agreement
-passes equal certificates at once and otherwise compares the two views at the
-lcm of their lengths.
+run_properties reads each certificate once, on every class of its own master
+period, and keeps the distinct views, each under the first label that holds
+it; every check scans that list, so equal certificates are checked once. The
+recurrence and parity laws are identities between coefficient tables on every
+class of the master period, reporting the smallest failing class of 2s; the
+recurrence checks every view against one prefix certificate, the recursive
+route's, read and shifted once. The oracle uses integer Horner
+(_scaled_counts), at m points per class by default; zeros the same Horner at
+the forced zeros 2s = m mod 2, ..., m - 2, which lie in the first m classes;
+the mean value one integer sum per coefficient. Path-agreement passes a single
+distinct view at once and otherwise compares the two views at the lcm of their
+lengths.
 Fractions are built only to word a failure. Results never stop early across
 properties; a report carries one result per requested property."""
 
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from . import oracle, polypart, quasipoly
 from .errors import InputError, IntegralityError
@@ -95,10 +97,8 @@ def default_n_max(parts: Sequence[int]) -> int:
 
 Certs = Mapping[str, quasipoly.QuasiPoly]
 # a certificate as integer numerator tables over one denominator, on every
-# class of its master period (QuasiPoly.numerator_tables), and the per-call
-# reader that gives each label's tables once
+# class of its master period (QuasiPoly.numerator_tables)
 View = tuple[int, list[list[int]]]
-Views = Callable[[str], View]
 
 
 def _scaled_counts(tables: list[list[int]], t: int) -> Iterator[int]:
@@ -119,18 +119,12 @@ def _scaled_counts(tables: list[list[int]], t: int) -> Iterator[int]:
         t += 2
 
 
-def _check_oracle(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
+def _check_oracle(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
     counts = oracle.count_dp(parts, n_max).counts
-    # Equal tables give equal counts, so each distinct certificate is evaluated
-    # once, under the first label that holds it; the first failure is unchanged.
-    scans: list[tuple[str, View, Iterator[int]]] = []
-    for label in certs:
-        view = views(label)
-        if all(view != seen for _, seen, _ in scans):
-            scans.append((label, view, _scaled_counts(view[1], sum(parts))))
+    scans = [(label, den, _scaled_counts(tables, sum(parts))) for label, (den, tables) in views]
     shift = len(parts) - 1
     for n, want in enumerate(counts):
-        for label, (den, _), got in scans:
+        for label, den, got in scans:
             if next(got) != (want * den) << shift:
                 try:
                     actual = str(certs[label].count(n))
@@ -163,7 +157,7 @@ def _shifted(tables: list[list[int]], a: int, b: int) -> list[list[int]]:
     return out
 
 
-def _check_recurrence(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
+def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
     m = len(parts)
     if m == 1:
         return PropertyResult("recurrence", True, note="vacuous for a single part")
@@ -172,16 +166,17 @@ def _check_recurrence(parts, certs: Certs, views: Views, n_max: int) -> Property
     # V(s) - V(s - d_m) = V_{m-1}(s - d_m/2), the right side scaled by 2^(m-2).
     # Every class of both master periods is checked. The full-period iterate
     # V(s + tau) - V(s) = sum_p V_{m-1}(s + tau - (2p+1) d_m/2) telescopes from it.
+    # Every view is checked against one V_{m-1}, the recursive route's, read
+    # and shifted once.
+    den_prev, prev = quasipoly.build_recursive(parts[:-1]).numerator_tables()
+    half = _shifted([_rotated(col, dm) for col in prev], -dm, 2)
+    rhs_den = den_prev << (m - 2)
     first = None
-    for label in certs:
-        den, cur = views(label)
-        den_prev, prev = BUILDERS[label](parts[:-1]).numerator_tables()
+    for label, (den, cur) in views:
         size = math.lcm(len(cur[0]), len(prev[0]))
         back = _shifted([_rotated(col, 2 * dm) for col in cur], -dm, 1)
-        half = _shifted([_rotated(col, dm) for col in prev], -dm, 2)
         lhs = [[x - y for x, y in zip(col, sh)] * (size // len(col)) for col, sh in zip(cur, back)]
         rhs = [[0] * size] + [col * (size // len(col)) for col in half]
-        rhs_den = den_prev << (m - 2)
         for k, (a, b) in enumerate(zip(lhs, rhs)):
             a_s, b_s = [x * rhs_den for x in a], [y * den for y in b]
             if a_s != b_s:
@@ -197,7 +192,7 @@ def _check_recurrence(parts, certs: Certs, views: Views, n_max: int) -> Property
     )
 
 
-def _check_parity(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
+def _check_parity(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
     natural = sum(parts) % 2
     # V(-s) = -(-1)^m V(s) on the class of s holds iff R_j(-s) = (-1)^(j-1) R_j(s)
     # for every j; rho and -rho give the same condition, so rho <= P covers every
@@ -205,8 +200,7 @@ def _check_parity(parts, certs: Certs, views: Views, n_max: int) -> PropertyResu
     # described, never asserted.
     all_zero = symmetric = True
     first = None
-    for label in certs:
-        den, tables = views(label)
+    for label, (den, tables) in views:
         half = len(tables[0]) // 2
         for j, col in enumerate(tables, 1):
             plus, minus = col[: half + 1], col[:1] + col[: half - 1 : -1]
@@ -234,15 +228,12 @@ def _check_parity(parts, certs: Certs, views: Views, n_max: int) -> PropertyResu
     return PropertyResult("parity", True, note=note)
 
 
-def _check_zeros(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
+def _check_zeros(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
     m = len(parts)
     if m == 1:
         return PropertyResult("zeros", True, note="no forced zeros at this order")
     # the forced zeros V(t/2) = 0 sit at t = m mod 2, ..., m - 2
-    scans = []
-    for label in certs:
-        den, tables = views(label)
-        scans.append((label, den, _scaled_counts(tables, m % 2)))
+    scans = [(label, den, _scaled_counts(tables, m % 2)) for label, (den, tables) in views]
     for t in range(m % 2, m - 1, 2):
         for label, den, got in scans:
             acc = next(got)
@@ -254,13 +245,14 @@ def _check_zeros(parts, certs: Certs, views: Views, n_max: int) -> PropertyResul
     return PropertyResult("zeros", True)
 
 
-def _check_path_agreement(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
-    if certs["explicit"] == certs["recursive"]:
+def _check_path_agreement(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
+    if len(views) == 1:
         return PropertyResult("path-agreement", True)
     # Otherwise both views are tiled to the lcm of their lengths (2 tau for
     # builder output) and cross-multiplied by the other's denominator; the
     # smallest differing class 2s is reported, and its smallest coefficient.
-    (den_a, ta), (den_b, tb) = views("explicit"), views("recursive")
+    by_label = dict(views)
+    (den_a, ta), (den_b, tb) = by_label["explicit"], by_label["recursive"]
     size = math.lcm(len(ta[0]), len(tb[0]))
     first = None
     for j, (ca, cb) in enumerate(zip(ta, tb), 1):
@@ -281,13 +273,12 @@ def _check_path_agreement(parts, certs: Certs, views: Views, n_max: int) -> Prop
     )
 
 
-def _check_mean_value(parts, certs: Certs, views: Views, n_max: int) -> PropertyResult:
+def _check_mean_value(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
     consts = polypart.v1_explicit(parts)
     parity = sum(parts) % 2
     for j in range(1, len(parts) + 1):
         want = consts.coeffs[j - 1]
-        for label in certs:
-            den, tables = views(label)
+        for label, (den, tables) in views:
             col = tables[j - 1]
             total, count = sum(col[parity::2]), den * (len(col) // 2)
             if total * want.denominator != want.numerator * count:
@@ -299,8 +290,9 @@ def _check_mean_value(parts, certs: Certs, views: Views, n_max: int) -> Property
     return PropertyResult("mean-value", True)
 
 
-# name -> check(parts, certs, views, n_max), in report order; only the oracle
-# uses n_max
+# name -> check(parts, certs, views, n_max), in report order. views lists the
+# distinct certificate views as (label, view), each under the first label that
+# holds it; only the oracle uses n_max
 _CHECKS = {
     "oracle": _check_oracle,
     "recurrence": _check_recurrence,
@@ -354,14 +346,13 @@ def run_properties(
     elif n_max < 0:
         raise InputError("n_max must be nonnegative")
 
-    read: dict[str, View] = {}
-
-    def views(label: str) -> View:
-        # each certificate is read on first use, at most once per call
-        if label not in read:
-            read[label] = certs[label].numerator_tables()
-        return read[label]
-
+    # each certificate is read once; equal tables give equal verdicts, so
+    # every check scans each distinct view once, under its first label
+    views: list[tuple[str, View]] = []
+    for label, cert in certs.items():
+        view = cert.numerator_tables()
+        if all(view != seen for _, seen in views):
+            views.append((label, view))
     report = VerifyReport(parts=d)
     for name in selected:
         report.results.append(_CHECKS[name](d, certs, views, n_max))
@@ -370,7 +361,8 @@ def run_properties(
 
 def iter_multisets(max_m: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """Every nondecreasing part list with 1 <= m <= max_m and parts <= max_part."""
-    if max_m < 1 or max_part < 1:
-        raise InputError("bounds must be positive")
+    for bound in (max_m, max_part):
+        if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
+            raise InputError(f"bounds must be positive integers, got {bound!r}")
     for m in range(1, max_m + 1):
         yield from combinations_with_replacement(range(1, max_part + 1), m)

@@ -12,9 +12,11 @@ from denumerant import (
     as_parts,
     binomial,
     compositions,
+    iter_multisets,
     lcm_of,
     multinomial,
     parse_rational,
+    psi,
 )
 
 
@@ -30,6 +32,26 @@ class TestParts:
     def test_rejects_nonpositive_and_nonint(self, bad):
         with pytest.raises(InputError):
             as_parts(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lcm_of([True, 2]),
+        lambda: psi(True, 3),
+        lambda: list(iter_multisets(True, 2)),
+        lambda: list(iter_multisets(2, True)),
+        lambda: list(iter_multisets(2.5, 2)),
+        lambda: list(iter_multisets(2, "3")),
+    ],
+    ids=["lcm_of-true", "psi-true", "multisets-true-m", "multisets-true-part",
+         "multisets-float", "multisets-str"],
+)
+def test_bool_and_nonint_bounds_refused(call):
+    # as_parts, HalfInt, PeriodicFn and count_dp already refuse bool; these
+    # took True as the integer 1
+    with pytest.raises(InputError):
+        call()
 
 
 class TestLcm:

@@ -20,7 +20,7 @@ from denumerant import (
     lcm_of,
     run_properties,
 )
-from denumerant import verify
+from denumerant import quasipoly, verify
 from denumerant.verify import BUILDERS, PROPERTIES, default_n_max
 from helpers import poly_sub, taylor_shift
 
@@ -188,6 +188,27 @@ class TestCertificateChecks:
         )
         cex = report.results[0].counterexample
         assert (cex["s"], cex["coefficient"]) == ("13/2", 2)
+        # the report does not depend on the order of the labels
+        swapped = {"recursive": build_recursive(parts), "explicit": broken}
+        assert run_properties(parts, props=["path-agreement"], certs=swapped).results == report.results
+
+    @pytest.mark.parametrize("parts", [(1, 2), (3, 1, 2), (2, 3, 5, 7), (1, 1, 2, 2, 3)])
+    def test_default_run_builds_one_prefix(self, monkeypatch, parts):
+        # both certificates, and one prefix for the recurrence: the recursive
+        # route's, against which the explicit certificate is checked too
+        built = {}
+        for name in ("build_explicit", "build_recursive"):
+            def counting(p, name=name, real=getattr(quasipoly, name)):
+                built[name, tuple(p)] = built.get((name, tuple(p)), 0) + 1
+                return real(p)
+
+            monkeypatch.setattr(quasipoly, name, counting)
+        assert run_properties(parts).passed
+        assert built == {
+            ("build_explicit", parts): 1,
+            ("build_recursive", parts): 1,
+            ("build_recursive", parts[:-1]): 1,
+        }
 
     @pytest.mark.parametrize(
         "cert_parts, props", [((1, 2, 3), ["oracle"]), ((1, 2, 3), None), ((2, 1), None)]
@@ -398,17 +419,25 @@ class TestOracleCounts:
         monkeypatch.setattr(verify, "_scaled_counts", counting)
         return seen
 
+    # points each property evaluates on one certificate of (1, 2, 3): the
+    # oracle's n = 0..n_max and the one forced zero at 2s = 1
+    POINTS = {"oracle": default_n_max((1, 2, 3)) + 1, "zeros": 1}
+
     def test_equal_certificates_counted_once(self, calls):
         parts = (1, 2, 3)
-        report = run_properties(parts, props=["oracle"])
-        assert report.passed
-        assert len(calls) == default_n_max(parts) + 1
+        for prop, points in self.POINTS.items():
+            calls.clear()
+            report = run_properties(parts, props=[prop])
+            assert report.passed
+            assert len(calls) == points, prop
 
     def test_distinct_valid_certificates_both_counted(self, calls):
         parts = (1, 2, 3)
         certs = {"explicit": build_explicit(parts).aligned(12), "recursive": build_recursive(parts)}
-        assert run_properties(parts, props=["oracle"], certs=certs).passed
-        assert len(calls) == 2 * (default_n_max(parts) + 1)
+        for prop, points in self.POINTS.items():
+            calls.clear()
+            assert run_properties(parts, props=[prop], certs=certs).passed
+            assert len(calls) == 2 * points, prop
 
     # +1 on the constant at 2s = 8 (mod 12) breaks n = 1, 7, 13, ...
     def _oracle(self, order, tampered):
@@ -481,8 +510,8 @@ class TestIntegerZeros:
     @pytest.mark.parametrize("props", [["zeros"], None])
     @pytest.mark.parametrize("parts", [(1, 2), (1, 2, 3), (2, 3, 5, 7), (1, 1, 2, 2, 3)])
     def test_reads_each_certificate_once(self, monkeypatch, parts, props):
-        # zeros shares the full view with the other checks: one read of each
-        # certificate per call (the recurrence's prefix certificates aside)
+        # run_properties reads each certificate once, before any check, and
+        # every check shares that view (the recurrence's one prefix aside)
         certs = {label: build(parts) for label, build in BUILDERS.items()}
         reads = []
         numerator_tables = QuasiPoly.numerator_tables
