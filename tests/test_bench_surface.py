@@ -3,11 +3,12 @@
 perfbench/run.py reads the library through `dn.<name>` and perfbench/tracing.py
 patches layer functions by module and name; a removal that breaks either
 fails here rather than in a benchmark run. Its --corrupt self-test path is
-checked here too.
+checked here too, and so is the shape of every committed BENCH_*.json.
 """
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 import sys
@@ -17,7 +18,8 @@ import pytest
 
 import denumerant
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 MODULES = ["denumerant"] + [f"denumerant.{m.name}" for m in pkgutil.iter_modules(denumerant.__path__)]
 
 
@@ -78,3 +80,16 @@ def test_corrupted_certificate_fails_the_oracle(parts):
     report = denumerant.run_properties(parts, certs=certs)
     oracle = next(r for r in report.results if r.name == "oracle")
     assert not oracle.passed and oracle.counterexample["path"] == "explicit"
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_file_covers_every_end_to_end_metric(path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    bench = json.loads(path.read_text())
+    assert {"python", "nproc", "git_sha"} <= set(bench)
+    for workload in spec["workloads"]:
+        metrics = bench["workloads"][workload["name"]]
+        for metric in spec["end_to_end"]:
+            entry = metrics[metric["name"]]
+            assert entry["unit"] == metric["unit"], (workload["name"], metric["name"])
+            assert entry["q1"] <= entry["median"] <= entry["q3"], (workload["name"], metric["name"])
