@@ -187,6 +187,7 @@ def cmd_bench(parts, n, fmt, repeat):
     """
     if repeat < 1:
         raise click.BadParameter("repeat must be positive")
+    oracle.guard(repeat, f"--repeat would time {repeat} evaluations")
     t0 = time.perf_counter()
     cert = quasipoly.build_explicit(parts)
     build_s = time.perf_counter() - t0

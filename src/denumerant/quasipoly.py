@@ -41,6 +41,14 @@ integers over one denominator. The fold runs on Python ints, every state after
 k positions sharing the product of k denominators, and so does the recursive
 step's correlation.
 
+_shift_weights depends only on its key (d_k, m, 2P), so each table is computed
+once per process: functools.lru_cache keeps the 1024 most recently used, as
+nested tuples that no caller can change (about 40 kB for the key
+(103, 4, 214), under 4 kB for corpus-sized keys). A miss evaluates one integer
+coefficient row per exponent e by Horner at each class. The kernel was shared
+by both routes before it was cached, so a shared cached table costs them no
+independence.
+
 closure_fn runs the fold for the one remainder of the free coefficient that
 build_recursive cannot reach by extension, and the recursive step reads the
 new part's weights from _shift_weights. Both builders check the m tables of
@@ -62,6 +70,7 @@ at_twice, value, count, with_period and the wording of verify's failures.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -242,10 +251,14 @@ class QuasiPoly:
     def numerator_tables(self, period: int | None = None) -> tuple[int, list[list[int]]]:
         """(den, tables): tables[j-1][rho] is R_j's numerator at 2s = rho over
         den, the lcm of the coefficients' denominators, for rho below twice
-        `period` (the master period by default). Each stored table is cut to
-        the requested size before it is scaled to den and tiled after, so a
-        short read scales only the cells it returns."""
-        size = 2 * (self.master_period if period is None else period)
+        `period` (the master period by default), a positive int, never a bool.
+        Each stored table is cut to the requested size before it is scaled to
+        den and tiled after, so a short read scales only the cells it returns."""
+        if period is None:
+            period = self.master_period
+        elif type(period) is not int or period < 1:
+            raise InputError(f"{period!r} is not a positive integer period")
+        size = 2 * period
         den = math.lcm(*(fn.den for fn in self.coeffs))
         tables = []
         for fn in self.coeffs:
@@ -365,7 +378,13 @@ def base_case(d1: int) -> QuasiPoly:
     return QuasiPoly((d1,), (PeriodicFn.from_numerators(d1, 1, nums),), d1)
 
 
-def _shift_weights(dk: int, m: int, size: int) -> tuple[int, list[list[tuple[int, int]]]]:
+# one position's shift weights: (den, per_e), per_e[e] the (residue, numerator)
+# pairs of exponent e
+Weights = tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
+
+
+@functools.lru_cache(maxsize=1024)
+def _shift_weights(dk: int, m: int, size: int) -> Weights:
     """One position's shift weights mod size = 2P, as integer numerators over
     one denominator: (den, per_e), where per_e[e] lists the nonzero
     t^(e-1) B_e(1 - (2p+1) d_k/2t) / e!, p < t/d_k, summed by their residue
@@ -378,7 +397,18 @@ def _shift_weights(dk: int, m: int, size: int) -> tuple[int, list[list[tuple[int
     are distinct, since q divides p - p' whenever two keys meet. With beta the
     lcm of the denominators of B_0..B_(m-1), the Appell sum
     B_e(a/b) b^e beta = sum_k C(e,k) (beta B_k) a^(e-k) b^k is an integer, so
-    every e sits over den = L (m-1)! beta b^(m-1), reduced by the common gcd."""
+    every e sits over den = L (m-1)! beta b^(m-1), reduced by the common gcd.
+    Each e's sum, times its scale onto den, is one integer polynomial in a,
+    evaluated by Horner.
+
+    The table depends only on the key (dk, m, size), so it is cached per
+    process on that key, least recently used first out past 1024 entries, and
+    returned as nested tuples that no caller can change. It holds at most q
+    (residue, numerator) pairs per e, about 90 bytes each: about 40 kB for
+    the key (103, 4, 214), under 4 kB for any key with d_k, P <= 6 and m <= 4
+    (the corpus). Both builders, closure_fn and verify's prefix rebuild
+    called this one kernel before it was cached, so sharing a cached table
+    makes the routes no less independent."""
     t = math.lcm(dk, size // 2)
     q = t // dk
     b = 2 * q
@@ -387,17 +417,21 @@ def _shift_weights(dk: int, m: int, size: int) -> tuple[int, list[list[tuple[int
     bb = [x.numerator * (beta // x.denominator) * b**k for k, x in enumerate(bs)]
     top = math.factorial(m - 1)
     scale = [t**e * (top // math.factorial(e)) * b ** (m - 1 - e) for e in range(m)]
+    # coeffs[e][k] is the coefficient of a^(e-k) in e's scaled sum
+    coeffs = [[math.comb(e, k) * bb[k] * scale[e] for k in range(e + 1)] for e in range(m)]
     per_e: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for r in range(q):
         a = 2 * q - 2 * r - 1
         key = ((2 * r + 1) * dk) % size
-        for e, row in enumerate(per_e):
-            num = sum(math.comb(e, k) * bb[k] * a ** (e - k) for k in range(e + 1))
+        for row, cs in zip(per_e, coeffs):
+            num = 0
+            for c in cs:
+                num = num * a + c
             if num:
-                row.append((key, num * scale[e]))
+                row.append((key, num))
     den = t * top * beta * b ** (m - 1)
     g = math.gcd(den, *(w for row in per_e for _, w in row))
-    return den // g, [[(key, w // g) for key, w in row] for row in per_e]
+    return den // g, tuple(tuple((key, w // g) for key, w in row) for row in per_e)
 
 
 def _shift_fold(d: Sequence[int], m: int, pivot: int) -> tuple[int, dict]:

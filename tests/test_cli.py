@@ -180,6 +180,13 @@ class TestBench:
         assert row["count"] == "51"
         assert row["agree"] == "yes"
 
+    def test_huge_repeat_refused(self, runner):
+        res = runner.invoke(
+            main, ["bench", "--parts", "1,2", "--n", "5", "--repeat", "100000000000"]
+        )
+        assert res.exit_code == 2, res.output
+        assert "--repeat would time 100000000000 evaluations, over the limit" in res.output
+
 
 class TestCorpus:
     def test_tiny_sweep(self, runner):

@@ -29,6 +29,7 @@ from denumerant import (
     lcm_of,
     psi,
     r_coeffs_recursive,
+    run_properties,
     v1_explicit,
 )
 from denumerant import quasipoly
@@ -481,6 +482,45 @@ class TestShiftWeights:
                 assert math.gcd(den, *nums) == 1, (dk, period)
 
 
+# the weight keys (d_k, m, 2P) of the corpus (parts and periods up to 6, m up
+# to 4), of parts and periods up to 8 at m = 8, and of (31, 37, 41)
+CACHE_KEYS = (
+    [(dk, m, 2 * p) for dk in range(1, 7) for p in range(1, 7) for m in range(1, 5)]
+    + [(dk, 8, 2 * p) for dk in range(1, 9) for p in range(1, 9)]
+    + [(dk, m, 2 * p) for dk in (31, 37, 41) for p in (31, 37, 41) for m in (2, 3)]
+)
+
+
+def _all_tuples(x):
+    return type(x) is int or (type(x) is tuple and all(map(_all_tuples, x)))
+
+
+class TestShiftWeightsCache:
+    def test_one_verify_call_computes_each_table_once(self):
+        _shift_weights.cache_clear()
+        run_properties((1, 2, 3, 4, 5))
+        info = _shift_weights.cache_info()
+        assert (info.misses, info.hits + info.misses) == (32, 52)
+        run_properties((1, 2, 3, 4, 5))
+        assert _shift_weights.cache_info().misses == 32
+        assert _shift_weights.cache_info().hits == info.hits + 52
+
+    def test_bounded(self):
+        assert _shift_weights.cache_info().maxsize == 1024
+
+    def test_cached_tables_are_tuples_at_every_level(self):
+        for key in CACHE_KEYS:
+            weights = _shift_weights(*key)
+            assert _shift_weights(*key) is weights
+            assert _all_tuples(weights), key
+
+    def test_cached_tables_match_uncached_and_direct(self):
+        for dk, m, size in CACHE_KEYS:
+            den, per_e = _shift_weights(dk, m, size)
+            assert (den, per_e) == _shift_weights.__wrapped__(dk, m, size), (dk, m, size)
+            assert _over_den(den, per_e) == _direct_at_lcm(dk, m, size), (dk, m, size)
+
+
 @functools.lru_cache(maxsize=None)
 def _pivot_fold_direct(others, di):
     """The reference fold over `others` around pivot d_i, as build_explicit and
@@ -535,6 +575,11 @@ class TestIntegerTables:
                 assert len(fn.nums) == len(fn.values) == 2 * fn.period
                 copy = PeriodicFn(fn.period, fn.values)
                 assert copy == fn and hash(copy) == hash(fn), parts
+
+    @pytest.mark.parametrize("period", [0, -1, True, 2.0, "2"])
+    def test_bad_periods_refused(self, period):
+        with pytest.raises(InputError, match="is not a positive integer period"):
+            build_explicit((2, 3)).numerator_tables(period)
 
     def test_tables_at_other_periods(self):
         # read as at_twice reads: tiled below, cut off above the stored period
