@@ -12,7 +12,6 @@ from .exactnum import (
     HalfInt,
     Rational,
     as_parts,
-    binomial,
     compositions,
     lcm_of,
     multinomial,
@@ -27,7 +26,6 @@ from .bernoulli import (
     d_scalar,
 )
 from .polypart import (
-    Polynomial,
     r_coeffs_recursive,
     split_weight,
     v1_explicit,
@@ -54,7 +52,6 @@ __all__ = [
     "HalfInt",
     "Rational",
     "as_parts",
-    "binomial",
     "compositions",
     "lcm_of",
     "multinomial",
@@ -65,7 +62,6 @@ __all__ = [
     "d_higher_recursive",
     "d_higher_symmetric",
     "d_scalar",
-    "Polynomial",
     "r_coeffs_recursive",
     "split_weight",
     "v1_explicit",

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InputError
-from .exactnum import Rational, binomial, compositions, multinomial
+from .exactnum import Rational, compositions, multinomial
 
 __all__ = [
     "bernoulli_number",
@@ -58,7 +58,7 @@ def bernoulli_poly(n: int, x: Rational | int) -> Rational:
     for k in range(n + 1):
         b = bernoulli_number(k)
         if b:
-            acc += binomial(n, k) * b * xf ** (n - k)
+            acc += math.comb(n, k) * b * xf ** (n - k)
     return acc
 
 
@@ -79,7 +79,7 @@ def _d_ladder(n: int, parts: Sequence[int]) -> list[Rational]:
     for d in parts:
         step = [Fraction(d) ** k * d_scalar(k) for k in range(n + 1)]
         cur = [
-            sum(binomial(k, l) * step[l] * cur[k - l] for l in range(k + 1))
+            sum(math.comb(k, l) * step[l] * cur[k - l] for l in range(k + 1))
             for k in range(n + 1)
         ]
     return cur
@@ -135,5 +135,5 @@ def bernoulli_higher(n: int, s: Rational | int, parts: Sequence[int]) -> Rationa
     acc = Fraction(0)
     for l in range(n + 1):
         if ladder[l]:
-            acc += binomial(n, l) * ladder[l] / 2**l * (sf - xi) ** (n - l)
+            acc += math.comb(n, l) * ladder[l] / 2**l * (sf - xi) ** (n - l)
     return acc

@@ -22,19 +22,20 @@ from .exactnum import as_parts
 def _parse_int(text: str) -> int:
     """Plain integer, or base^exponent shorthand like 10^6.
 
+    A sign binds looser than the power, as in arithmetic: -10^2 is -(10^2).
     A power gets the digit limit int() puts on plain integers, checked on an
     estimate before the power is computed.
     """
     text = text.strip()
     if "^" in text:
         base, _, exp = text.partition("^")
-        b, e = int(base), int(exp)
+        b, e = abs(int(base)), int(exp)
         if e < 0:
             raise ValueError("negative exponent")
         limit = sys.get_int_max_str_digits()
-        if limit and abs(b) > 1 and e >= limit / math.log10(abs(b)):
+        if limit and b > 1 and e >= limit / math.log10(b):
             raise ValueError(f"{text} has more than the {limit} digits allowed")
-        return b**e
+        return -(b**e) if base.startswith("-") else b**e
     return int(text)
 
 

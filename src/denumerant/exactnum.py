@@ -19,7 +19,6 @@ __all__ = [
     "HalfLike",
     "as_parts",
     "lcm_of",
-    "binomial",
     "multinomial",
     "compositions",
     "parse_rational",
@@ -53,13 +52,6 @@ def lcm_of(values: Sequence[int]) -> int:
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise InputError(f"lcm_of needs positive integers, got {v!r}")
     return math.lcm(*values)
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient, zero outside the range 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def multinomial(n: int, r: Sequence[int]) -> int:

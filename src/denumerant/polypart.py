@@ -3,21 +3,21 @@
 V_1 is the quasi-polynomial with every periodic coefficient replaced by its
 mean; its coefficients are plain rationals. `v1_explicit` expands the closed
 symmetric form, `r_coeffs_recursive` grows the coefficients one part at a time.
-Both are expressed through central Bernoulli values B_l(1/2).
+Both are expressed through central Bernoulli values B_l(1/2), and both return
+the m coefficients as a tuple of Fractions, highest power first.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bernoulli import central_value, d_higher_symmetric
 from .errors import InputError
-from .exactnum import Rational, as_parts, binomial, multinomial
+from .exactnum import Rational, as_parts, multinomial
 
 __all__ = [
-    "Polynomial",
     "v1_explicit",
     "r_mm_constant",
     "r_coeffs_recursive",
@@ -25,42 +25,7 @@ __all__ = [
 ]
 
 
-class Polynomial:
-    """Dense univariate polynomial, exact rational coefficients, highest power first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rational | int]):
-        cs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
-        self.coeffs = cs if cs else (Fraction(0),)
-
-    def __call__(self, s: Rational | int) -> Rational:
-        sf = Fraction(s)
-        acc = Fraction(0)
-        for c in self.coeffs:
-            acc = acc * sf + c
-        return acc
-
-    def _trimmed(self) -> tuple[Fraction, ...]:
-        cs = self.coeffs
-        i = 0
-        while i < len(cs) - 1 and cs[i] == 0:
-            i += 1
-        return cs[i:]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self._trimmed() == other._trimmed()
-
-    def __hash__(self) -> int:
-        return hash(self._trimmed())
-
-    def __repr__(self) -> str:
-        return f"Polynomial([{', '.join(str(c) for c in self.coeffs)}])"
-
-
-def v1_explicit(parts: Sequence[int]) -> Polynomial:
+def v1_explicit(parts: Sequence[int]) -> tuple[Rational, ...]:
     """Polynomial part in the symmetric variable: closed form, all parts at once.
 
     Coefficient l is binomial(m-1, l) / ((m-1)! prod d) times the umbral power
@@ -72,9 +37,7 @@ def v1_explicit(parts: Sequence[int]) -> Polynomial:
     d = as_parts(parts)
     m = len(d)
     pref = Fraction(1, math.factorial(m - 1) * math.prod(d))
-    return Polynomial(
-        pref * binomial(m - 1, l) * d_higher_symmetric(l, d) / 2**l for l in range(m)
-    )
+    return tuple(pref * math.comb(m - 1, l) * d_higher_symmetric(l, d) / 2**l for l in range(m))
 
 
 def r_mm_constant(parts: Sequence[int]) -> Rational:
@@ -88,7 +51,7 @@ def r_mm_constant(parts: Sequence[int]) -> Rational:
     return d_higher_symmetric(m - 1, d[:-1]) / (2 ** (m - 1) * math.factorial(m - 1) * math.prod(d))
 
 
-def r_coeffs_recursive(parts: Sequence[int]) -> Polynomial:
+def r_coeffs_recursive(parts: Sequence[int]) -> tuple[Rational, ...]:
     """Polynomial part grown one part at a time; independent of v1_explicit.
 
     Coefficient j of level m sums the previous level's coefficient j-l, l < j,
@@ -109,7 +72,7 @@ def r_coeffs_recursive(parts: Sequence[int]) -> Polynomial:
                     c = Fraction(math.factorial(k + l - 1), math.factorial(l) * math.factorial(k))
                     new[j - 1] += c * dm ** (l - 1) * b * prev
         coeffs = new
-    return Polynomial(coeffs)
+    return tuple(coeffs)
 
 
 def split_weight(l: int, m: int, i: int, r: Sequence[int]) -> Rational:

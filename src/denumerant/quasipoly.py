@@ -52,7 +52,9 @@ independence.
 closure_fn runs the fold for the one remainder of the free coefficient that
 build_recursive cannot reach by extension, and the recursive step reads the
 new part's weights from _shift_weights. Both builders check the m tables of
-2*tau cells against the guard limit (oracle.guard) before any of this.
+2*tau cells against the guard limit (oracle.guard) before any of this, and
+every QuasiPoly, parsed or hand-built, checks its m tables of 2*P cells when it
+is constructed, before aligned or numerator_tables tiles them to a larger P.
 Everything else stays independent: the recursive step's cyclic correlation,
 build_explicit's product over the pivot, and the counting oracle
 (oracle.count_dp), so table-level agreement remains a meaningful check; the
@@ -64,7 +66,7 @@ stores 2T values indexed by the scaled residue 2s mod 2T, so integer and
 half-odd points coexist in one table and every shift is index arithmetic. The
 values are held as integer numerators over one positive denominator, reduced
 so that gcd(den, *nums) = 1, together with the same values as Fractions.
-to_json writes from the integer tables; the Fractions are read only by at,
+to_json writes from the integer tables; the Fractions are read only by
 at_twice, value, count, with_period and the wording of verify's failures.
 """
 
@@ -108,7 +110,7 @@ class PeriodicFn:
     held as integer numerators ``nums`` over one denominator ``den`` > 0 with
     gcd(den, *nums) = 1, so equal functions at one period have equal integer
     tables. ``values`` is the same table as Fractions, built at construction
-    and read by ``at``, ``at_twice`` (so by QuasiPoly.value and count) and
+    and read by ``at_twice`` (so by QuasiPoly.value and count) and
     ``with_period``; serialization reads ``den`` and ``nums``. A period is a
     positive int, never a bool.
     """
@@ -149,13 +151,6 @@ class PeriodicFn:
         self.nums = nums
         self.values = values
 
-    @classmethod
-    def constant(cls, value: Rational | int, period: int = 1) -> "PeriodicFn":
-        return cls(period, [value] * (2 * period))
-
-    def at(self, s: HalfLike) -> Rational:
-        return self.values[HalfInt.coerce(s).twice % (2 * self.period)]
-
     def at_twice(self, twice: int) -> Rational:
         """Value at the point twice/2; the fast path used by QuasiPoly.value."""
         return self.values[twice % (2 * self.period)]
@@ -187,7 +182,9 @@ class QuasiPoly:
     """A certificate V(s) = sum_j R_j(s) s^(m-j) for one ordered part list.
 
     Immutable once built. ``coeffs[j-1]`` is R_j; every coefficient period
-    divides the master period.
+    divides the master period. Its m tables of 2 * master_period cells are
+    checked against the guard limit on construction, so a parsed certificate
+    is refused before any table is tiled to the master period.
     """
 
     __slots__ = ("parts", "coeffs", "master_period")
@@ -207,6 +204,7 @@ class QuasiPoly:
         period = lcm_of(self.parts) if master_period is None else master_period
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise InputError(f"master period must be a positive integer, got {period!r}")
+        _guard_cells(len(self.parts), period)
         for fn in cs:
             if period % fn.period:
                 raise InputError(
@@ -251,13 +249,16 @@ class QuasiPoly:
     def numerator_tables(self, period: int | None = None) -> tuple[int, list[list[int]]]:
         """(den, tables): tables[j-1][rho] is R_j's numerator at 2s = rho over
         den, the lcm of the coefficients' denominators, for rho below twice
-        `period` (the master period by default), a positive int, never a bool.
+        `period` (the master period by default), a positive int, never a bool,
+        whose m tables of 2*period cells are checked against the guard limit.
         Each stored table is cut to the requested size before it is scaled to
         den and tiled after, so a short read scales only the cells it returns."""
         if period is None:
             period = self.master_period
         elif type(period) is not int or period < 1:
             raise InputError(f"{period!r} is not a positive integer period")
+        else:
+            _guard_cells(self.m, period)
         size = 2 * period
         den = math.lcm(*(fn.den for fn in self.coeffs))
         tables = []
@@ -274,11 +275,13 @@ class QuasiPoly:
         return den, tables
 
     def aligned(self, target: int) -> "QuasiPoly":
-        """Same function, every table retabulated at the target period."""
+        """Same function, every table retabulated at the target period; its
+        m tables of 2*target cells are checked against the guard limit first."""
         if not isinstance(target, int) or target < 1 or target % self.master_period:
             raise InputError(
                 f"{target!r} is not a positive multiple of the master period {self.master_period}"
             )
+        _guard_cells(self.m, target)
         return QuasiPoly(self.parts, tuple(f.with_period(target) for f in self.coeffs), target)
 
     def __eq__(self, other: object) -> bool:
@@ -492,11 +495,10 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     return PeriodicFn.from_numerators(d[-1], den, table)
 
 
-def _guard_cells(parts: tuple[int, ...]) -> None:
-    """Check the certificate's m tables of 2 tau cells, tau = lcm(parts),
-    against the guard limit (oracle.guard)."""
-    tau = lcm_of(parts)
-    guard(len(parts) * 2 * tau, f"the certificate would take {len(parts)} x {2 * tau} cells")
+def _guard_cells(m: int, period: int) -> None:
+    """Check a certificate's m tables of 2*period cells against the guard
+    limit (oracle.guard)."""
+    guard(m * 2 * period, f"the certificate would take {m} x {2 * period} cells")
 
 
 # a piece of a certificate held as a sum of pieces: (den, tables), each table
@@ -585,7 +587,7 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     """
     (d_new,) = as_parts([d_new])
     parts = prev.parts + (d_new,)
-    _guard_cells(parts)
+    _guard_cells(len(parts), lcm_of(parts))
     period = lcm_of(prev.parts)
     piece = prev.numerator_tables(period)
     return _materialise(parts, _extend_pieces({period: piece}, parts))
@@ -601,7 +603,7 @@ def build_recursive(parts: Sequence[int]) -> QuasiPoly:
     certificate is tabulated at tau.
     """
     d = as_parts(parts)
-    _guard_cells(d)
+    _guard_cells(len(d), lcm_of(d))
     pieces: dict[int, Piece] = {}
     for k in range(1, len(d) + 1):
         pieces = _extend_pieces(pieces, d[:k])
@@ -626,7 +628,7 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     """
     d = as_parts(parts)
     m = len(d)
-    _guard_cells(d)
+    _guard_cells(len(d), lcm_of(d))
     top = math.factorial(m - 1) * math.lcm(*range(1, m + 1))
     pieces: dict[int, Piece] = {}
     for di in dict.fromkeys(d):

@@ -7,9 +7,10 @@ run_properties reads each certificate once, on every class of its own master
 period, and keeps the distinct views, each under the first label that holds
 it; every check scans that list, so equal certificates are checked once. The
 recurrence and parity laws are identities between coefficient tables on every
-class of the master period, reporting the smallest failing class of 2s; the
-recurrence checks every view against one prefix certificate, the recursive
-route's, read and shifted once. The oracle uses integer Horner
+class of the master period, reporting the smallest failing class of 2s;
+parity also requires every off-grid cell (2s != sum(parts) mod 2) to be zero.
+The recurrence checks every view against one prefix certificate, the
+recursive route's, read and shifted once. The oracle uses integer Horner
 (_scaled_counts), at m points per class by default; zeros the same Horner at
 the forced zeros 2s = m mod 2, ..., m - 2, which lie in the first m classes;
 the mean value one integer sum per coefficient. Path-agreement passes a single
@@ -21,7 +22,7 @@ properties; a report carries one result per requested property."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterator, Mapping, Optional, Sequence
@@ -48,12 +49,7 @@ class PropertyResult:
     note: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -196,36 +192,30 @@ def _check_parity(parts, certs: Certs, views: list[tuple[str, View]], n_max: int
     natural = sum(parts) % 2
     # V(-s) = -(-1)^m V(s) on the class of s holds iff R_j(-s) = (-1)^(j-1) R_j(s)
     # for every j; rho and -rho give the same condition, so rho <= P covers every
-    # class of the master period P, smallest |s| first. Off-grid classes are
-    # described, never asserted.
-    all_zero = symmetric = True
+    # class of the master period P, smallest |s| first. Off the natural grid
+    # (2s != sum(parts) mod 2) both cells must be zero, which also makes them
+    # symmetric.
     first = None
     for label, (den, tables) in views:
         half = len(tables[0]) // 2
         for j, col in enumerate(tables, 1):
             plus, minus = col[: half + 1], col[:1] + col[: half - 1 : -1]
             want = plus if j % 2 else [-x for x in plus]
-            if minus != want:
-                bad = [rho for rho, (x, y) in enumerate(zip(minus, want)) if x != y]
-                on_grid = [rho for rho in bad if rho % 2 == natural]
-                if on_grid and (first is None or on_grid[0] < first[0]):
-                    first = (on_grid[0], label, j, minus[on_grid[0]], plus[on_grid[0]], den)
-                symmetric = symmetric and len(on_grid) == len(bad)
-            all_zero = all_zero and not any(plus[1 - natural :: 2] + minus[1 - natural :: 2])
-    if first is not None:
-        rho, label, j, minus, plus, den = first
-        return PropertyResult(
-            "parity", False,
-            {"path": label, "s": str(HalfInt(rho)), "coefficient": j,
-             "R_j(-s)": str(Fraction(minus, den)), "R_j(s)": str(Fraction(plus, den))},
-        )
-    if all_zero:
-        note = "off-grid values identically zero"
-    elif symmetric:
-        note = "off-grid values nonzero but symmetric"
-    else:
-        note = "off-grid symmetry deviates (reported only)"
-    return PropertyResult("parity", True, note=note)
+            if minus != want or any(plus[1 - natural :: 2]):
+                rho = next(
+                    rho for rho, (x, y, w) in enumerate(zip(minus, plus, want))
+                    if x != w or (y and rho % 2 != natural)
+                )
+                if first is None or rho < first[0]:
+                    first = (rho, label, j, minus[rho], plus[rho], den)
+    if first is None:
+        return PropertyResult("parity", True, note="off-grid values identically zero")
+    rho, label, j, minus, plus, den = first
+    return PropertyResult(
+        "parity", False,
+        {"path": label, "s": str(HalfInt(rho)), "coefficient": j,
+         "R_j(-s)": str(Fraction(minus, den)), "R_j(s)": str(Fraction(plus, den))},
+    )
 
 
 def _check_zeros(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
@@ -277,7 +267,7 @@ def _check_mean_value(parts, certs: Certs, views: list[tuple[str, View]], n_max:
     consts = polypart.v1_explicit(parts)
     parity = sum(parts) % 2
     for j in range(1, len(parts) + 1):
-        want = consts.coeffs[j - 1]
+        want = consts[j - 1]
         for label, (den, tables) in views:
             col = tables[j - 1]
             total, count = sum(col[parity::2]), den * (len(col) // 2)

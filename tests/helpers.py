@@ -27,6 +27,14 @@ def akiyama_tanigawa(n: int) -> list[Fraction]:
     return out
 
 
+def horner(coeffs, s) -> Fraction:
+    """The polynomial with these coefficients (highest power first) at s."""
+    acc = Fraction(0)
+    for c in coeffs:
+        acc = acc * s + c
+    return acc
+
+
 def taylor_shift(coeffs, delta) -> list[Fraction]:
     """Coefficients (highest power first) of p(s + delta), by repeated
     synthetic division."""

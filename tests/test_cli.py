@@ -239,6 +239,11 @@ class TestCorpus:
         (["bench", "--parts", "1,2", "--n", "x"], "expected an integer"),
         (["verify", "--parts", "1,2", "--n-max", "-1"], "n-max must be nonnegative"),
         (["corpus", "--max-m", "1", "--max-part", "1", "--n-max", "-2"], "n-max must be nonnegative"),
+        # a sign binds looser than the power: -10^2 is -100, not (-10)^2
+        (["eval", "--parts", "1,2", "--n=-10^2"], "counts are defined for n >= 0"),
+        (["eval", "--parts", "1,2", "--n", "0..-2^2"], "empty range"),
+        (["bench", "--parts", "1,2", "--n=-2^2"], "n must be nonnegative"),
+        (["verify", "--parts", "1,2", "--n-max=-2^2"], "n-max must be nonnegative"),
     ],
 )
 def test_nonnegative_integer_options_exit_2(runner, args, message):

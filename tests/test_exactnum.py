@@ -1,5 +1,6 @@
 """Exact arithmetic and combinatorial primitives."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from denumerant import (
     HalfInt,
     InputError,
     as_parts,
-    binomial,
     compositions,
     iter_multisets,
     lcm_of,
@@ -70,18 +70,6 @@ class TestLcm:
         assert lcm_of(tuple(xs) + (xs[0],)) == lcm_of(tuple(xs))
 
 
-class TestBinomial:
-    def test_values(self):
-        assert binomial(5, 2) == 10
-        assert binomial(0, 0) == 1
-        assert binomial(7, 7) == 1
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(5, -1) == 0
-        assert binomial(5, 6) == 0
-        assert binomial(3, 17) == 0
-
-
 class TestMultinomial:
     def test_values(self):
         assert multinomial(4, (2, 1, 1)) == 12
@@ -110,7 +98,7 @@ class TestCompositions:
         for total in range(6):
             for length in range(1, 5):
                 got = list(compositions(total, length))
-                assert len(got) == binomial(total + length - 1, length - 1)
+                assert len(got) == math.comb(total + length - 1, length - 1)
                 assert len(set(got)) == len(got)
                 assert all(sum(c) == total and len(c) == length for c in got)
 

@@ -56,12 +56,13 @@ class TestPsi:
 
 class TestPeriodicFn:
     def test_residue_indexing(self):
+        # the value at s sits at 2s mod 2 * period
         f = PeriodicFn(2, [10, 11, 12, 13])
-        assert f.at(0) == 10
-        assert f.at(HALF) == 11
-        assert f.at(1) == 12
-        assert f.at(Fraction(-1, 2)) == 13
-        assert f.at(2) == 10  # wraps at the period
+        assert f.at_twice(0) == 10
+        assert f.at_twice(1) == 11
+        assert f.at_twice(2) == 12
+        assert f.at_twice(-1) == 13
+        assert f.at_twice(4) == 10  # wraps at the period
 
     def test_length_enforced(self):
         with pytest.raises(InputError):
@@ -92,7 +93,7 @@ class TestPeriodicFn:
         with pytest.raises(InputError):
             PeriodicFn(1, [0, bad])
         with pytest.raises(InputError):
-            PeriodicFn.constant(bad)
+            PeriodicFn(1, [bad] * 2)
 
     def test_natural_average(self):
         f = PeriodicFn(2, [1, 0, 3, 0])
@@ -130,7 +131,7 @@ class TestExtend:
         xi = HalfInt(3)
         for n in range(8):
             s = HalfInt(2 * n) + xi
-            w0 = Fraction(3, 2) * c.coeffs[0].at(s) + c.coeffs[1].at(s)
+            w0 = Fraction(3, 2) * c.coeffs[0].at_twice(s.twice) + c.coeffs[1].at_twice(s.twice)
             assert w0 == (1 if n % 2 == 0 else HALF), n
 
     def test_even_parts(self):
@@ -384,7 +385,7 @@ class TestEvaluation:
             consts = v1_explicit(parts)
             parity = sum(parts) % 2
             for j in range(len(parts)):
-                assert natural_average(cert.coeffs[j], parity) == consts.coeffs[j]
+                assert natural_average(cert.coeffs[j], parity) == consts[j]
 
 
 class TestAlign:
@@ -662,9 +663,39 @@ class TestCapacityGuard:
     def test_default_limit(self, monkeypatch):
         # (97, 101, 103): 3 x 2 * 1009091 cells, about 6.05 million, fits
         monkeypatch.delenv("RPF_GUARD_LIMIT", raising=False)
-        assert _guard_cells((97, 101, 103)) is None
+        assert _guard_cells(3, 97 * 101 * 103) is None
         with pytest.raises(CapacityError):
-            _guard_cells((97, 101, 103, 107))
+            _guard_cells(4, 97 * 101 * 103 * 107)
+
+    def test_parsed_and_hand_built_over_limit(self, monkeypatch):
+        # one part at master period 5000: 1 table of 10000 cells, refused when
+        # the certificate is made, before numerator_tables could tile its
+        # period-1 coefficient to the master period
+        fn = PeriodicFn(1, [0, 1])
+        text = QuasiPoly((1,), (fn,), 5000).to_json()
+        monkeypatch.setenv("RPF_GUARD_LIMIT", "100")
+        with pytest.raises(CapacityError, match="1 x 10000 cells, over the limit 100"):
+            QuasiPoly.from_json(text)
+        with pytest.raises(CapacityError, match="1 x 10000 cells, over the limit 100"):
+            QuasiPoly((1,), (fn,), 5000)
+        assert QuasiPoly((1,), (fn,), 50).master_period == 50  # at the limit
+
+    def test_retabulation_over_limit(self, monkeypatch):
+        # (1, 2) holds 2 tables of 4 cells; at period 24 they take 96 cells,
+        # at 26 they would take 104, refused before any table is tiled
+        cert = build_explicit((1, 2))
+        monkeypatch.setenv("RPF_GUARD_LIMIT", "100")
+        assert cert.aligned(24).master_period == 24
+        assert len(cert.numerator_tables(24)[1][0]) == 48
+
+        def untiled(*args):
+            raise AssertionError("a table was tiled past the guard")
+
+        monkeypatch.setattr(PeriodicFn, "with_period", untiled)
+        with pytest.raises(CapacityError, match="2 x 52 cells, over the limit 100"):
+            cert.aligned(26)
+        with pytest.raises(CapacityError, match="2 x 52 cells, over the limit 100"):
+            cert.numerator_tables(26)
 
 
 class TestSerialization:
@@ -694,14 +725,14 @@ class TestSerialization:
         certs = [
             QuasiPoly((1,), (PeriodicFn(1, [Fraction(-3, 4), 2]),)),
             QuasiPoly((2, 3), (
-                PeriodicFn.constant(Fraction(1, 6)),
+                PeriodicFn(1, [Fraction(1, 6)] * 2),
                 PeriodicFn(3, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 0, -1, Fraction(-2, 3)]),
             )),
             QuasiPoly((2, 2), (
                 PeriodicFn.from_numerators(1, 12, [-8, 3]),
                 PeriodicFn.from_numerators(2, 12, [12, -6, 4, 0]),
             ), 4),
-            QuasiPoly((5, 1), (PeriodicFn.constant(7), PeriodicFn.constant(-10**30, 5))),
+            QuasiPoly((5, 1), (PeriodicFn(1, [7] * 2), PeriodicFn(5, [-10**30] * 10))),
         ]
         for cert in certs:
             text = cert.to_json()
@@ -798,14 +829,14 @@ class TestSerialization:
 class TestValidation:
     def test_coefficient_count_enforced(self):
         with pytest.raises(InputError):
-            QuasiPoly((1, 2), (PeriodicFn.constant(1, 2),), 2)
+            QuasiPoly((1, 2), (PeriodicFn(2, [1] * 4),), 2)
 
     def test_bool_periods_rejected(self):
         with pytest.raises(InputError):
             PeriodicFn(True, [1, 1])
         with pytest.raises(InputError):
-            QuasiPoly((1,), (PeriodicFn.constant(1),), True)
+            QuasiPoly((1,), (PeriodicFn(1, [1] * 2),), True)
 
     def test_period_divisibility_enforced(self):
         with pytest.raises(InputError):
-            QuasiPoly((2, 3), (PeriodicFn.constant(1, 4), PeriodicFn.constant(0, 6)), 6)
+            QuasiPoly((2, 3), (PeriodicFn(4, [1] * 8), PeriodicFn(6, [0] * 12)), 6)

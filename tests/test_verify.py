@@ -140,6 +140,23 @@ class TestDetection:
         assert cex["R_j(s)"] == str(good.coeffs[1].values[4])
         assert cex["R_j(-s)"] == str(good.coeffs[1].values[8] + 1)
 
+    def test_parity_off_grid_failure(self):
+        # (1, 2, 3) sums to 6, so 2s = 3 is off the natural grid: a nonzero
+        # cell there fails at the smallest such class, even when the cells at
+        # s and -s are equal, which keeps the symmetry law
+        parts = (1, 2, 3)
+        good = build_explicit(parts)
+        for broken in (_tampered(good, 0, 9), _tampered(_tampered(good, 0, 9), 0, 3)):
+            report = run_properties(
+                parts, props=["parity"],
+                certs={"explicit": broken, "recursive": build_recursive(parts)},
+            )
+            assert not report.passed
+            cex = report.results[0].counterexample
+            assert (cex["path"], cex["s"], cex["coefficient"]) == ("explicit", "3/2", 1)
+            assert cex["R_j(-s)"] == "1"  # 2s = 9 = -3 (mod 12)
+            assert cex["R_j(s)"] == str(broken.coeffs[0].values[3])
+
     def test_mean_value_failure(self):
         parts = (1, 2)
         broken = _tampered(build_explicit(parts), 0, 3)  # odd residue: on the natural grid
@@ -253,33 +270,24 @@ def _recurrence_direct(parts, certs) -> PropertyResult:
 
 def _parity_direct(parts, certs) -> PropertyResult:
     """The parity check cell by cell on Fractions: the reference for the
-    integer-table comparison."""
+    integer-table comparison. On the natural grid a cell must satisfy the
+    symmetry law; off it, both cells at s and -s must be zero."""
     m = len(parts)
     sign = -1 if m % 2 == 0 else 1
     natural = sum(parts) % 2
-    all_zero = symmetric = True
     for rho in range(_period(parts, certs) + 1):
         on_grid = rho % 2 == natural
         for label, cert in certs.items():
             for j, fn in enumerate(cert.coeffs, 1):
                 plus, minus = fn.at_twice(rho), fn.at_twice(-rho)
-                if minus * (-1) ** (m - j) != sign * plus:
-                    if on_grid:
-                        return PropertyResult(
-                            "parity", False,
-                            {"path": label, "s": str(HalfInt(rho)), "coefficient": j,
-                             "R_j(-s)": str(minus), "R_j(s)": str(plus)},
-                        )
-                    symmetric = False
-                if not on_grid and (plus or minus):
-                    all_zero = False
-    if all_zero:
-        note = "off-grid values identically zero"
-    elif symmetric:
-        note = "off-grid values nonzero but symmetric"
-    else:
-        note = "off-grid symmetry deviates (reported only)"
-    return PropertyResult("parity", True, note=note)
+                broken = minus * (-1) ** (m - j) != sign * plus if on_grid else plus or minus
+                if broken:
+                    return PropertyResult(
+                        "parity", False,
+                        {"path": label, "s": str(HalfInt(rho)), "coefficient": j,
+                         "R_j(-s)": str(minus), "R_j(s)": str(plus)},
+                    )
+    return PropertyResult("parity", True, note="off-grid values identically zero")
 
 
 def _assert_identities_match_reference(parts, certs):

@@ -44,16 +44,16 @@ CLEAN = {
 }
 
 TAMPERED = {
-    (1, 2): "1aaf6f9168f34d67cc3d156e6a849b85f5054a5e24d5fa191c87fe476d02d3d1",
-    (1, 2, 3): "d94cdd2d5dc563c1b679bff146aae4166076b0681ad8927c0867b70a6c3fb435",
-    (3, 1, 2): "4156e853f95660e46aaecd1800c4deb99be7ee9a4422ca8302c1bba946cb28a5",
-    (2, 3, 4): "815b6894fb703d2147958f61f32435c4cff826b9c97cd80efcaea89301323fa1",
-    (1, 1, 2, 3): "0843a3dd70c10825490e915c79847e046a98b480b018546d7cda47e76961a24b",
-    (5, 2, 2): "3c1e060309b8c12ec4843dab39d2a8d8b3e300abc9497e4d99cc95a36b6fd52c",
-    (2, 1, 2, 1, 3): "64d7f3829718a4a1fc24ebdcb47f94a05e462741728ec768aed6267c27f068e3",
-    (2, 3, 5, 7): "c226ac7be7c5b6a4beff2d31218194a0a2657ebbe3737c8d5b0dd3fcf8e22066",
-    (5, 6, 7): "286333b0a366818688d1173115c0004e6410325062f702fedd559aaea9e98ee2",
-    (3, 7, 11): "d21a9df0146cae97e2a3b6eb0f6067d78815d7ede64015d01c82fb88699d65e3",
+    (1, 2): "e38fe185ce97f7e47cd9e5c77b0b082d5402488aa88af05d4222e656a47329a9",
+    (1, 2, 3): "3c4f02e1bc34e87245d4df0b8a5d8cd9a57c6810355586cfc8a32577a05a0557",
+    (3, 1, 2): "34958ac5b70722f158aa1b4c4472be3624d8429d22f716345e1c2ebf6eaca76b",
+    (2, 3, 4): "6968940d145974aed235ea8a7f67f2613792ccb5cb598f64d359d7b317d22360",
+    (1, 1, 2, 3): "47da28c0b2120098e4926cc2b77ec1675f71079b27631632e5aec52ca9c609d2",
+    (5, 2, 2): "df8e0a9fd439ddf11d218238bbd21573105fe7111e1c2bc7a81f2f9401031adb",
+    (2, 1, 2, 1, 3): "567cb7d61ed5bec908a3ac542addb9176db2fdd4f828f1332014228906d985b7",
+    (2, 3, 5, 7): "c6b9df008360bd34f195102caceb75171ac464b49bf2f9b30fbe883039b961be",
+    (5, 6, 7): "d52f220d14630998e66c07e969404d076479774398d42fc97df58ede4465e6ef",
+    (3, 7, 11): "d32098444e8f3c453a9f14b4c66e85e0b766cb0cf578715bf7cf4e3c28903166",
 }
 N_TAMPERED = 12
 WHICH = (("explicit",), ("recursive",), ("explicit", "recursive"))
