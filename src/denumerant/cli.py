@@ -1,8 +1,8 @@
 """Command-line front end: counts, certificates, verification, benchmarks.
 
 Exit codes: 0 on success, 1 when a verification property fails, 2 on usage
-errors (click's default for bad parameters), on inputs over the guard limit
-and on counts with more digits than int() prints.
+errors (click's default for bad parameters), on inputs the library refuses or
+finds over the guard limit, and on counts with more digits than int() prints.
 """
 
 from __future__ import annotations
@@ -91,13 +91,13 @@ def _props_cb(ctx, param, value):
 
 
 class _Group(click.Group):
-    """Turns a CapacityError from any subcommand, option callbacks included,
-    into a usage error (exit 2)."""
+    """Turns a CapacityError or InputError from any subcommand, option
+    callbacks included, into a usage error (exit 2)."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except CapacityError as exc:
+        except (CapacityError, InputError) as exc:
             raise click.UsageError(str(exc)) from exc
 
 

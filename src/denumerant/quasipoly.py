@@ -9,7 +9,7 @@ shifted frame: the number of solutions of sum x_i d_i = n is V(n + xi) with
 xi = sum(d)/2. Two constructions are provided:
 
   * build_recursive: fold parts in one at a time, from none
-    (extend_recursive; base_case is the one-part result);
+    (_extend_pieces; base_case is the one-part result);
   * build_explicit: a single pass over pivot parts and shift sums.
 
 Both builders hold the certificate as pieces, m tables of 2P integer
@@ -17,11 +17,11 @@ numerators over the piece's own denominator for a period P (grouped by period
 like Sylvester's waves, but not reduced to the canonical waves), and end in
 _materialise, which tiles each piece to 2*tau, sums the tiles as integers and
 hands the sums to PeriodicFn.from_numerators. build_recursive keeps one piece
-per distinct part period: a step correlates every piece at its own period
-(the correlation maps a period-P piece to a period-P piece) and adds
-closure_fn's piece at the new part's period; extend_recursive is the same
-step on one certificate read as a single piece. build_explicit makes one
-piece per distinct part, its pivot fold weighted by the part's multiplicity.
+per distinct part period: each step, _extend_pieces, correlates every piece at
+its own period (a period-P piece stays period P) and adds closure_fn's piece
+at the new part's period; extend_recursive runs that step on one certificate
+read as a single piece. build_explicit makes one piece per distinct part, its
+pivot fold weighted by the part's multiplicity.
 
 Two kernels are shared by the folds. _shift_weights tabulates one position's
 Bernoulli shift weights by residue; _shift_fold multiplies them over positions
@@ -41,13 +41,8 @@ integers over one denominator. The fold runs on Python ints, every state after
 k positions sharing the product of k denominators, and so does the recursive
 step's correlation.
 
-_shift_weights depends only on its key (d_k, m, 2P), so each table is computed
-once per process: functools.lru_cache keeps the 1024 most recently used, as
-nested tuples that no caller can change (about 40 kB for the key
-(103, 4, 214), under 4 kB for corpus-sized keys). A miss evaluates one integer
-coefficient row per exponent e by Horner at each class. The kernel was shared
-by both routes before it was cached, so a shared cached table costs them no
-independence.
+_shift_weights is computed once per process per key (d_k, m, 2P); its
+docstring gives the cache's bound and why sharing it costs no independence.
 
 closure_fn runs the fold for the one remainder of the free coefficient that
 build_recursive cannot reach by extension, and the recursive step reads the
@@ -64,10 +59,9 @@ _materialise.
 Periodic coefficients live on the half-integer lattice: a function of period T
 stores 2T values indexed by the scaled residue 2s mod 2T, so integer and
 half-odd points coexist in one table and every shift is index arithmetic. The
-values are held as integer numerators over one positive denominator, reduced
-so that gcd(den, *nums) = 1, together with the same values as Fractions.
-to_json writes from the integer tables; the Fractions are read only by
-at_twice, value, count, with_period and the wording of verify's failures.
+values are held only as integer numerators over one positive denominator,
+reduced so that gcd(den, *nums) = 1; value, count, to_json and aligned read
+them, and PeriodicFn.values and at_twice build Fractions from them per read.
 """
 
 from __future__ import annotations
@@ -105,66 +99,57 @@ __all__ = [
 class PeriodicFn:
     """An exact periodic function on the half-integer lattice.
 
-    ``values[rho]`` is the value at every point s with 2s = rho (mod 2*period);
-    even rho are the integer points, odd rho the half-odd ones. The table is
-    held as integer numerators ``nums`` over one denominator ``den`` > 0 with
-    gcd(den, *nums) = 1, so equal functions at one period have equal integer
-    tables. ``values`` is the same table as Fractions, built at construction
-    and read by ``at_twice`` (so by QuasiPoly.value and count) and
-    ``with_period``; serialization reads ``den`` and ``nums``. A period is a
-    positive int, never a bool.
+    Its value at every point s with 2s = rho (mod 2*period) is nums[rho]/den;
+    even rho are the integer points, odd rho the half-odd ones. It stores only
+    the integer numerators ``nums`` over one denominator ``den`` > 0, reduced
+    so that gcd(den, *nums) = 1: equal functions at one period have equal
+    tables. ``values`` and ``at_twice`` read them as Fractions, built on each
+    read. A period is a positive int, never a bool. ``PeriodicFn(period,
+    values)`` takes ints or Fractions and hands their numerators over the
+    common denominator to ``from_numerators``, the one constructor body.
     """
 
-    __slots__ = ("period", "den", "nums", "values")
+    __slots__ = ("period", "den", "nums")
 
     def __init__(self, period: int, values: Iterable[Rational | int]):
         vals = tuple(values)
         for v in vals:
-            if not isinstance(v, Fraction) and (not isinstance(v, int) or isinstance(v, bool)):
+            if type(v) is bool or not isinstance(v, (int, Fraction)):
                 raise InputError(f"periodic values must be ints or Fractions, got {v!r}")
         den = math.lcm(*{v.denominator for v in vals})
-        self._set(period, den, tuple(v.numerator * (den // v.denominator) for v in vals),
-                  tuple(v if isinstance(v, Fraction) else Fraction(v) for v in vals))
+        fn = self.from_numerators(period, den, [v.numerator * (den // v.denominator) for v in vals])
+        self.period, self.den, self.nums = fn.period, fn.den, fn.nums
 
     @classmethod
     def from_numerators(cls, period: int, den: int, nums: Sequence[int]) -> "PeriodicFn":
-        """The function with values nums[rho]/den, for a positive int den; the
-        table is reduced by gcd(den, *nums). One int and one Fraction are
+        """The function with values nums[rho]/den, for int numerators over a
+        positive int den, never bools, reduced by gcd(den, *nums). One int is
         kept per distinct numerator, shared by every cell that holds it."""
-        distinct = set(nums)
-        g = math.gcd(den, *distinct)
-        den //= g
-        reduced = {a: a // g for a in distinct}
-        cell = {a: Fraction(a, den) for a in reduced.values()}
-        nums = tuple(map(reduced.__getitem__, nums))
-        fn = cls.__new__(cls)
-        fn._set(period, den, nums, tuple(map(cell.__getitem__, nums)))
-        return fn
-
-    def _set(self, period: int, den: int, nums: tuple[int, ...], values: tuple[Fraction, ...]):
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise InputError(f"period must be a positive integer, got {period!r}")
+        if not isinstance(den, int) or isinstance(den, bool) or den < 1:
+            raise InputError(f"denominator must be a positive integer, got {den!r}")
         if len(nums) != 2 * period:
             raise InputError(f"period {period} needs {2 * period} residue values, got {len(nums)}")
-        self.period = period
-        self.den = den
-        self.nums = nums
-        self.values = values
-
-    def at_twice(self, twice: int) -> Rational:
-        """Value at the point twice/2; the fast path used by QuasiPoly.value."""
-        return self.values[twice % (2 * self.period)]
-
-    def with_period(self, target: int) -> "PeriodicFn":
-        """Retabulate at a multiple of the current period. Values unchanged."""
-        if type(target) is not int or target < 1 or target % self.period:
-            raise InputError(f"{target!r} is not a positive multiple of period {self.period}")
-        if target == self.period:
-            return self
-        reps = target // self.period
-        fn = PeriodicFn.__new__(PeriodicFn)
-        fn._set(target, self.den, self.nums * reps, self.values * reps)
+        if any(t is bool or not issubclass(t, int) for t in set(map(type, nums))):
+            bad = next(a for a in nums if type(a) is bool or not isinstance(a, int))
+            raise InputError(f"numerators must be ints, got {bad!r}")
+        distinct = set(nums)
+        g = math.gcd(den, *distinct)
+        reduced = {a: a // g for a in distinct}
+        fn = cls.__new__(cls)
+        fn.period, fn.den, fn.nums = period, den // g, tuple(map(reduced.__getitem__, nums))
         return fn
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The table as Fractions, one built per distinct numerator on each read."""
+        cell = {a: Fraction(a, self.den) for a in set(self.nums)}
+        return tuple(map(cell.__getitem__, self.nums))
+
+    def at_twice(self, twice: int) -> Fraction:
+        """Value at the point twice/2, as a Fraction built on each read."""
+        return Fraction(self.nums[twice % (2 * self.period)], self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicFn):
@@ -223,13 +208,16 @@ class QuasiPoly:
         return HalfInt(sum(self.parts))
 
     def value(self, s: HalfLike) -> Rational:
-        """V(s) at any half-integer lattice point, by Horner over the powers."""
-        sp = HalfInt.coerce(s)
-        sf = sp.fraction
-        acc = Fraction(0)
-        for fn in self.coeffs:
-            acc = acc * sf + fn.at_twice(sp.twice)
-        return acc
+        """V(s) at any half-integer lattice point: 2^(m-1) den V(s), with t = 2s
+        and N_j R_j's numerator at t over den, the lcm of the denominators, is
+        the integer sum_j N_j 2^(j-1) t^(m-j), summed by Horner in t as in
+        verify._scaled_counts and divided once at the end."""
+        t = HalfInt.coerce(s).twice
+        den = math.lcm(*(fn.den for fn in self.coeffs))
+        acc = 0
+        for j, fn in enumerate(self.coeffs):
+            acc = acc * t + (fn.nums[t % (2 * fn.period)] * (den // fn.den) << j)
+        return Fraction(acc, den << (len(self.coeffs) - 1))
 
     def count(self, n: int):
         """The count at integer n, i.e. V(n + xi), returned as an exact int.
@@ -275,14 +263,19 @@ class QuasiPoly:
         return den, tables
 
     def aligned(self, target: int) -> "QuasiPoly":
-        """Same function, every table retabulated at the target period; its
-        m tables of 2*target cells are checked against the guard limit first."""
-        if not isinstance(target, int) or target < 1 or target % self.master_period:
+        """Same function, every table tiled to the target period, a positive
+        int multiple of the master period, never a bool. Its m tables of
+        2*target cells are checked against the guard limit before any is tiled."""
+        if type(target) is not int or target < 1 or target % self.master_period:
             raise InputError(
                 f"{target!r} is not a positive multiple of the master period {self.master_period}"
             )
         _guard_cells(self.m, target)
-        return QuasiPoly(self.parts, tuple(f.with_period(target) for f in self.coeffs), target)
+        coeffs = (
+            PeriodicFn.from_numerators(target, fn.den, fn.nums * (target // fn.period))
+            for fn in self.coeffs
+        )
+        return QuasiPoly(self.parts, coeffs, target)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasiPoly):
@@ -354,6 +347,9 @@ class QuasiPoly:
                     if not isinstance(cell, str) or cell not in parsed:
                         parsed[cell] = parse_rational(cell)
                     cells.append(cell)
+                if len(values) != 2 * period:  # every "0".."2P-1" was read: a key is stray
+                    stray = sorted(set(values) - set(map(str, range(2 * period))))
+                    raise InputError(f"residue keys {stray} are outside 0..{2 * period - 1}")
                 den = math.lcm(*(v.denominator for v in parsed.values()))
                 nums = {cell: v.numerator * (den // v.denominator) for cell, v in parsed.items()}
                 fns.append(PeriodicFn.from_numerators(period, den, [nums[cell] for cell in cells]))

@@ -61,6 +61,28 @@ def natural_average(fn, parity: int) -> Fraction:
     return sum(sel, Fraction(0)) / len(sel)
 
 
+def value_reference(cert, s) -> Fraction:
+    """V(s) at a half-integer lattice point s, by Horner over the powers on
+    Fraction values read one cell at a time (PeriodicFn.at_twice). The form
+    QuasiPoly.value had before it ran on the integer numerators, kept as its
+    reference."""
+    sf = Fraction(s)
+    twice = 2 * sf
+    assert twice.denominator == 1, s
+    acc = Fraction(0)
+    for fn in cert.coeffs:
+        acc = acc * sf + fn.at_twice(int(twice))
+    return acc
+
+
+def count_reference(cert, n: int):
+    """The count at integer n from value_reference: an int when V(n + xi) is
+    integral, the Fraction itself otherwise (QuasiPoly.count raises there for
+    n >= 0). The Fraction count, kept as the reference for QuasiPoly.count."""
+    v = value_reference(cert, n + Fraction(sum(cert.parts), 2))
+    return int(v) if v.denominator == 1 else v
+
+
 def numerators_reference(cert) -> tuple[int, list[list[int]]]:
     """A certificate's integer tables read from its Fraction values, over
     every class of its master period P: (den, tables), tables[j-1][rho] the
@@ -69,7 +91,10 @@ def numerators_reference(cert) -> tuple[int, list[list[int]]]:
     certificates held integer tables, kept as the reference for
     QuasiPoly.numerator_tables."""
     twices = range(2 * cert.master_period)
-    cols = [[fn.at_twice(t) for t in twices] for fn in cert.coeffs]
+    cols = []
+    for fn in cert.coeffs:
+        vals = fn.values
+        cols.append([vals[t % len(vals)] for t in twices])
     dens = {v.denominator for col in cols for v in col}
     den = math.lcm(*dens)
     scale = {q: den // q for q in dens}
@@ -85,7 +110,7 @@ def to_json_reference(cert) -> str:
         {
             "power": cert.m - 1 - idx,
             "period": fn.period,
-            "values": {str(rho): str(Fraction(fn.values[rho])) for rho in range(2 * fn.period)},
+            "values": {str(rho): str(Fraction(v)) for rho, v in enumerate(fn.values)},
         }
         for idx, fn in enumerate(cert.coeffs)
     ]

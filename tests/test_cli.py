@@ -301,6 +301,21 @@ def test_over_guard_limit_exit_2(runner, monkeypatch, args):
     assert "over the limit 100" in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "--parts", "1,2", "--n", "5"],
+    ["cert", "--parts", "1,2"],
+])
+def test_malformed_guard_limit_exit_2(runner, monkeypatch, args):
+    # the builders' guard reads the limit, and the library's InputError is a
+    # usage error, not a traceback with the exit code of a failed verification
+    monkeypatch.setenv("RPF_GUARD_LIMIT", "abc")
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "RPF_GUARD_LIMIT must be an integer" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_certificate_over_guard_limit_exit_2(runner):
     # 4 tables of 2 * lcm = 2 * 97*101*103*107 cells, about 8.6e8: refused
     # before any table is allocated

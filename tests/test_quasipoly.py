@@ -34,7 +34,13 @@ from denumerant import (
 )
 from denumerant import quasipoly
 from denumerant.quasipoly import _guard_cells, _shift_fold, _shift_weights
-from helpers import natural_average, numerators_reference, to_json_reference
+from helpers import (
+    count_reference,
+    natural_average,
+    numerators_reference,
+    to_json_reference,
+    value_reference,
+)
 from test_cert_bytes import PINNED
 
 HALF = Fraction(1, 2)
@@ -68,18 +74,6 @@ class TestPeriodicFn:
         with pytest.raises(InputError):
             PeriodicFn(2, [1, 2, 3])
 
-    def test_with_period(self):
-        f = PeriodicFn(1, [5, 7])
-        g = f.with_period(3)
-        assert g.period == 3
-        assert g.values == (5, 7) * 3
-        for t in range(-6, 7):
-            assert f.at_twice(t) == g.at_twice(t)
-        with pytest.raises(InputError):
-            f.with_period(0)
-        with pytest.raises(InputError):
-            f.with_period(True)  # period 1: a bool is never a period
-
     def test_integer_table(self):
         f = PeriodicFn(2, [Fraction(1, 6), 0, Fraction(-1, 4), 3])
         assert (f.den, f.nums) == (12, (2, 0, -3, 36))
@@ -94,6 +88,22 @@ class TestPeriodicFn:
             PeriodicFn(1, [0, bad])
         with pytest.raises(InputError):
             PeriodicFn(1, [bad] * 2)
+
+    @pytest.mark.parametrize("den, nums", [
+        (-2, [0, 1]),  # compared unequal to its reduced form and wrote "0/-1"
+        (0, [0, 1]),
+        (True, [0, 1]),
+        (2.0, [0, 1]),
+        (Fraction(2), [0, 1]),
+        (1, [0, 0.5]),
+        (1, [0, True]),
+        (1, [1, True]),  # a bool equal to another cell's int
+        (1, [0, Fraction(1, 2)]),
+        (1, ["1", 0]),
+    ])
+    def test_constructor_checks_denominator_and_numerators(self, den, nums):
+        with pytest.raises(InputError):
+            PeriodicFn.from_numerators(1, den, nums)
 
     def test_natural_average(self):
         f = PeriodicFn(2, [1, 0, 3, 0])
@@ -410,6 +420,24 @@ class TestAlign:
         with pytest.raises(InputError):
             build_explicit((2, 3)).aligned(9)
 
+    def test_tiles_stored_tables(self):
+        # a period-1 coefficient tiled to period 3: the table repeats and
+        # every value is unchanged
+        c = QuasiPoly((1,), (PeriodicFn(1, [5, 7]),), 1)
+        d = c.aligned(3)
+        (f,), (g,) = c.coeffs, d.coeffs
+        assert g.period == 3
+        assert g.values == (5, 7) * 3
+        for t in range(-6, 7):
+            assert f.at_twice(t) == g.at_twice(t)
+            assert c.value(HalfInt(t)) == d.value(HalfInt(t))
+
+    @pytest.mark.parametrize("target", [0, -1, True, 2.0])
+    def test_rejects_non_periods(self, target):
+        # True == 1 is a multiple of master period 1, but a bool is never a period
+        with pytest.raises(InputError, match="is not a positive multiple"):
+            QuasiPoly((1,), (PeriodicFn(1, [5, 7]),), 1).aligned(target)
+
 
 def _shift_weights_direct(dk, t, m, size):
     """The shift weights summed term by term over p < t/d_k at the given t,
@@ -590,6 +618,51 @@ class TestIntegerTables:
             assert cert.numerator_tables(period) == (ref_den, [t[: 2 * period] for t in ref])
 
 
+def _own_periods(cert):
+    """The certificate with each coefficient stored at its least period, the
+    master period kept."""
+    coeffs = []
+    for fn in cert.coeffs:
+        p = next(p for p in range(1, fn.period + 1)
+                 if fn.period % p == 0 and fn.nums == fn.nums[: 2 * p] * (fn.period // p))
+        coeffs.append(PeriodicFn.from_numerators(p, fn.den, fn.nums[: 2 * p]))
+    return QuasiPoly(cert.parts, coeffs, cert.master_period)
+
+
+class TestIntegerEvaluation:
+    """value and count run integer Horner on the stored numerators and divide
+    once; the Fraction Horner they replaced is the reference."""
+
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_matches_fraction_reference(self, builder):
+        below = 0
+        for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
+            cert = builder(parts)
+            # coefficients stored below the master period, read back from JSON
+            parsed = QuasiPoly.from_json(_own_periods(cert).to_json())
+            below += any(fn.period < parsed.master_period for fn in parsed.coeffs)
+            sigma = sum(parts)
+            # negative n at both edges of the reciprocity window -sigma < n < 0
+            ns = [-sigma - 2, -sigma - 1, -sigma, -(sigma // 2), -1, *range(12), 10**6, 10**12 + 7]
+            off_grid = [t for t in range(-9, 10) if (t - sigma) % 2] + [2 * 10**12 + sigma + 1]
+            for view in (cert, cert.aligned(2 * cert.master_period), parsed):
+                assert [view.count(n) for n in ns] == [count_reference(view, n) for n in ns], parts
+                for t in off_grid:
+                    s = Fraction(t, 2)
+                    assert view.value(s) == value_reference(view, s), (parts, t)
+        assert below > 0
+
+    def test_integrality_and_continuation(self):
+        broken = QuasiPoly((1,), (PeriodicFn(1, [HALF, HALF]),), 1)
+        with pytest.raises(IntegralityError, match=r"^count at n=2 evaluated to 1/2, not an integer$"):
+            broken.count(2)
+        assert broken.count(-3) == count_reference(broken, -3) == HALF
+        cert = build_explicit((2, 3))
+        for n in range(-12, 0):
+            got = cert.count(n)
+            assert got == count_reference(cert, n) and type(got) is type(count_reference(cert, n))
+
+
 def _build_explicit_per_pivot(parts):
     """build_explicit with one fold per pivot position: each pivot's buckets
     brought to the pivots' common denominator and spread residue by residue
@@ -691,7 +764,7 @@ class TestCapacityGuard:
         def untiled(*args):
             raise AssertionError("a table was tiled past the guard")
 
-        monkeypatch.setattr(PeriodicFn, "with_period", untiled)
+        monkeypatch.setattr(PeriodicFn, "from_numerators", untiled)
         with pytest.raises(CapacityError, match="2 x 52 cells, over the limit 100"):
             cert.aligned(26)
         with pytest.raises(CapacityError, match="2 x 52 cells, over the limit 100"):
@@ -784,6 +857,14 @@ class TestSerialization:
         node[key] = bool(node[key])
         with pytest.raises(InputError):
             QuasiPoly.from_json(json.dumps(raw))
+
+    def test_stray_residue_keys_rejected(self):
+        # R_2 of (1, 2) has period 2: keys "0".."3" and nothing else
+        for key, cell in [("99", "5"), ("-1", "banana"), ("4", "0"), ("00", "0"), ("x", "1")]:
+            raw = json.loads(build_explicit((1, 2)).to_json())
+            raw["coefficients"][1]["values"][key] = cell
+            with pytest.raises(InputError, match="outside 0..3"):
+                QuasiPoly.from_json(json.dumps(raw))
 
     def test_zero_denominator_rejected(self):
         raw = json.loads(build_explicit((1, 2)).to_json())
