@@ -4,7 +4,10 @@ Convention: B_1 = -1/2, i.e. the numbers are the coefficients of t/(e^t - 1).
 The higher-order objects attached to a part list d = (d_1, ..., d_m) are the
 coefficients of (prod d_i) t^m e^{st} / prod(e^{d_i t} - 1); they are computed
 here through the central coefficients D_n rather than through any series
-manipulation, so tests can check the generating function independently.
+manipulation, so tests can check the generating function independently. The
+symmetric sum over compositions runs on ints: each D_e is scaled to an integer
+numerator over beta, the lcm of the denominators involved, so a sum over m
+parts sits over beta^m and one Fraction is built per result.
 
 The number cache is shared and only ever grows; writers take a lock, readers
 index into the already-filled prefix.
@@ -85,36 +88,64 @@ def _d_ladder(n: int, parts: Sequence[int]) -> list[Rational]:
     return cur
 
 
+def _int_args(n: int, parts: Sequence[int]) -> tuple[int, ...]:
+    """Refuse anything but a nonnegative int index and int parts (bools are neither)."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise InputError(f"coefficient index must be a nonnegative integer, got {n!r}")
+    d = tuple(parts)
+    for x in d:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise InputError(f"parts must be integers, got {x!r}")
+    return d
+
+
 def d_higher_recursive(n: int, parts: Sequence[int]) -> Rational:
     """D_n^(m) built one part at a time."""
-    if n < 0:
-        raise InputError("coefficient index must be nonnegative")
-    return _d_ladder(n, list(parts))[n]
+    return _d_ladder(n, _int_args(n, parts))[n]
+
+
+def _central_rows(parts: Sequence[int], n: int) -> tuple[int, list[list[int]]]:
+    """beta and, for each part d, the integers d^(2h) beta D_(2h) for 2h <= n.
+
+    beta is the lcm of the denominators of D_0, D_2, ..., so every entry is an
+    int and a product of one entry per part is beta^m times the Fraction one.
+    """
+    central = [d_scalar(2 * h) for h in range(n // 2 + 1)]
+    beta = math.lcm(*(c.denominator for c in central))
+    scaled = [c.numerator * (beta // c.denominator) for c in central]
+    return beta, [[d ** (2 * h) * c for h, c in enumerate(scaled)] for d in parts]
+
+
+def _even_sum(n: int, rows: Sequence[Sequence[int]]) -> int:
+    """beta^m D_n^(m) from the rows of _central_rows, one int term per composition.
+
+    Only the compositions of n/2 are summed, every exponent doubled: a term
+    with an odd exponent holds B_e(1/2) = 0 (DLMF 24.4.27), so odd n gives 0.
+    """
+    if n % 2:
+        return 0
+    total = 0
+    for half in compositions(n // 2, len(rows)):
+        term = multinomial(n, [2 * h for h in half])
+        for row, h in zip(rows, half):
+            term *= row[h]
+        total += term
+    return total
 
 
 def d_higher_symmetric(n: int, parts: Sequence[int]) -> Rational:
     """D_n^(m) as a single symmetric sum over the even compositions of n.
 
     The sum runs over every composition r of n, each term n!/prod r_k!
-    prod d_k^(r_k) D_(r_k). Since B_e(1/2) = 0 for odd e (DLMF 24.4.27), a
-    term with an odd exponent is 0: D_n^(m) is 0 for odd n, and for even n
-    only the compositions of n/2, every exponent doubled, are summed.
+    prod d_k^(r_k) D_(r_k); only the even compositions contribute. It is
+    summed on ints over beta^m (see _central_rows) and divided once.
 
     Agrees with d_higher_recursive; the two routes share no code beyond the
     scalar coefficients.
     """
-    if n < 0:
-        raise InputError("coefficient index must be nonnegative")
-    total = Fraction(0)
-    if n % 2:
-        return total
-    for half in compositions(n // 2, len(tuple(parts))):
-        r = [2 * e for e in half]
-        term = Fraction(multinomial(n, r))
-        for d, e in zip(parts, r):
-            term *= Fraction(d) ** e * d_scalar(e)
-        total += term
-    return total
+    d = _int_args(n, parts)
+    beta, rows = _central_rows(d, n)
+    return Fraction(_even_sum(n, rows), beta ** len(d))
 
 
 def bernoulli_higher(n: int, s: Rational | int, parts: Sequence[int]) -> Rational:

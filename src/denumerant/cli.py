@@ -53,12 +53,14 @@ def _range_cb(ctx, param, value):
             lo, hi = _parse_int(lo_s), _parse_int(hi_s)
             if lo > hi:
                 raise ValueError(f"empty range {value!r}")
-            oracle.guard(hi - lo + 1, f"the range {value} has {hi - lo + 1} values")
-            ns = tuple(range(lo, hi + 1))
         else:
-            ns = (_parse_int(value),)
+            lo = hi = _parse_int(value)
     except ValueError as exc:
         raise click.BadParameter(f"expected N or A..B (inclusive): {exc}")
+    # outside the try: a malformed RPF_GUARD_LIMIT is an InputError (a ValueError)
+    # that --n is not at fault for
+    oracle.guard(hi - lo + 1, f"the range {value} has {hi - lo + 1} values")
+    ns = tuple(range(lo, hi + 1))
     if ns[0] < 0:
         raise click.BadParameter("counts are defined for n >= 0")
     return ns

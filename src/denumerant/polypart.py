@@ -2,9 +2,10 @@
 
 V_1 is the quasi-polynomial with every periodic coefficient replaced by its
 mean; its coefficients are plain rationals. `v1_explicit` expands the closed
-symmetric form, `r_coeffs_recursive` grows the coefficients one part at a time.
-Both are expressed through central Bernoulli values B_l(1/2), and both return
-the m coefficients as a tuple of Fractions, highest power first.
+symmetric form, summing its compositions on ints over beta^m and building one
+Fraction per coefficient; `r_coeffs_recursive` grows the coefficients one part
+at a time. Both are expressed through central Bernoulli values B_l(1/2), and
+both return the m coefficients as a tuple of Fractions, highest power first.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .bernoulli import central_value, d_higher_symmetric
+from .bernoulli import _central_rows, _even_sum, central_value, d_higher_symmetric
 from .errors import InputError
 from .exactnum import Rational, as_parts, multinomial
 
@@ -33,11 +34,16 @@ def v1_explicit(parts: Sequence[int]) -> tuple[Rational, ...]:
     each symbol keeps its own index: the symmetric higher central coefficient
     D_l^(m) = sum_r l!/prod r_k! prod (2 d_k)^(r_k) B_(r_k)(1/2), scaled by
     2^-l.
+
+    One set of integer rows serves every l: each D_l^(m) comes out as an int
+    over beta^m, which joins the prefactor's denominator, so each coefficient
+    is one Fraction.
     """
     d = as_parts(parts)
     m = len(d)
-    pref = Fraction(1, math.factorial(m - 1) * math.prod(d))
-    return tuple(pref * math.comb(m - 1, l) * d_higher_symmetric(l, d) / 2**l for l in range(m))
+    beta, rows = _central_rows(d, m - 1)
+    den = math.factorial(m - 1) * math.prod(d) * beta**m
+    return tuple(Fraction(math.comb(m - 1, l) * _even_sum(l, rows), den * 2**l) for l in range(m))
 
 
 def r_mm_constant(parts: Sequence[int]) -> Rational:

@@ -13,7 +13,9 @@ The recurrence checks every view against one prefix certificate, the
 recursive route's, read and shifted once. The oracle uses integer Horner
 (_scaled_counts), at m points per class by default; zeros the same Horner at
 the forced zeros 2s = m mod 2, ..., m - 2, which lie in the first m classes;
-the mean value one integer sum per coefficient. Path-agreement passes a single
+the mean value one integer sum per coefficient, against a polynomial part
+whose composition sum also runs on ints (over beta^m, one Fraction per
+coefficient, see polypart.v1_explicit). Path-agreement passes a single
 distinct view at once and otherwise compares the two views at the lcm of their
 lengths.
 Fractions are built only to word a failure. Results never stop early across

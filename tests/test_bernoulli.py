@@ -18,8 +18,15 @@ from denumerant import (
     multinomial,
 )
 from helpers import akiyama_tanigawa, higher_bernoulli_series
+from test_cert_bytes import PINNED
+from test_quasipoly import BENCH_LISTS
 
 HALF = Fraction(1, 2)
+# the benchmark's deep and wide lists, the pinned certificate lists, 1..10, and
+# lists with negative and zero parts
+REFERENCE_LISTS = BENCH_LISTS + list(PINNED) + [
+    tuple(range(1, 11)), (1, -2), (-3, 4, -5), (-1, -1, 2, 0, 3),
+]
 
 
 def _d_symmetric_all(n, parts):
@@ -125,6 +132,20 @@ class TestHigherCoefficients:
                 want = _d_symmetric_all(n, parts)
                 assert d_higher_symmetric(n, parts) == want, (n, parts)
                 assert d_higher_recursive(n, parts) == want, (n, parts)
+
+    def test_integer_sum_matches_all_compositions(self):
+        for parts in REFERENCE_LISTS:
+            for n in range(len(parts) + 2):
+                assert d_higher_symmetric(n, parts) == _d_symmetric_all(n, parts), (n, parts)
+
+    @pytest.mark.parametrize("route", [d_higher_symmetric, d_higher_recursive])
+    @pytest.mark.parametrize("n, parts", [
+        (4, (1.5, 2)), (4, (Fraction(1), 2)), (2, (1, True)), (2, ("1",)),
+        (True, (1, 1)), (2.0, (1, 2)), (-1, (1, 2)),
+    ])
+    def test_non_integer_input_refused(self, route, n, parts):
+        with pytest.raises(InputError):
+            route(n, parts)
 
     def test_odd_vanish(self):
         for m in range(1, 5):

@@ -303,16 +303,19 @@ def test_over_guard_limit_exit_2(runner, monkeypatch, args):
 
 @pytest.mark.parametrize("args", [
     ["eval", "--parts", "1,2", "--n", "5"],
+    ["eval", "--parts", "1,2", "--n", "0..5"],
     ["cert", "--parts", "1,2"],
 ])
 def test_malformed_guard_limit_exit_2(runner, monkeypatch, args):
     # the builders' guard reads the limit, and the library's InputError is a
-    # usage error, not a traceback with the exit code of a failed verification
+    # usage error, not a traceback with the exit code of a failed verification;
+    # a range reads the limit while --n is parsed, and --n is not to blame
     monkeypatch.setenv("RPF_GUARD_LIMIT", "abc")
     res = runner.invoke(main, args)
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert "RPF_GUARD_LIMIT must be an integer" in res.output
+    assert "'--n'" not in res.output
     assert "Traceback" not in res.output
 
 

@@ -9,12 +9,15 @@ import pytest
 from denumerant import (
     InputError,
     bernoulli_poly,
+    iter_multisets,
     r_coeffs_recursive,
     split_weight,
     v1_explicit,
 )
 from denumerant.polypart import r_mm_constant
 from helpers import horner, poly_sub, taylor_shift
+from test_bernoulli import _d_symmetric_all
+from test_quasipoly import BENCH_LISTS
 
 HALF = Fraction(1, 2)
 SAMPLE_S = [Fraction(0), Fraction(1), HALF, Fraction(-3, 2), Fraction(5, 3)]
@@ -73,6 +76,17 @@ class TestV1:
             base = v1_explicit(parts)
             for perm in permutations(parts):
                 assert v1_explicit(perm) == base
+
+    def test_closed_form_over_all_compositions(self):
+        # C(m-1, l) D_l^(m) / ((m-1)! prod d 2^l), D_l^(m) summed in Fractions
+        # over every composition of l
+        for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + [tuple(range(1, 11))]:
+            m = len(parts)
+            pref = Fraction(1, math.factorial(m - 1) * math.prod(parts))
+            want = tuple(
+                pref * math.comb(m - 1, l) * _d_symmetric_all(l, parts) / 2**l for l in range(m)
+            )
+            assert v1_explicit(parts) == want, parts
 
 
 class TestRecursiveCoefficients:
