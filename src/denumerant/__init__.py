@@ -9,7 +9,6 @@ direct counting oracle. No floating point anywhere.
 
 from .errors import CapacityError, InputError, IntegralityError
 from .exactnum import (
-    HalfInt,
     Rational,
     as_parts,
     compositions,
@@ -38,7 +37,6 @@ from .quasipoly import (
     build_recursive,
     closure_fn,
     extend_recursive,
-    psi,
 )
 from .oracle import CountTable, count_dp, count_enum
 from .verify import PROPERTIES, PropertyResult, VerifyReport, iter_multisets, run_properties
@@ -49,7 +47,6 @@ __all__ = [
     "CapacityError",
     "InputError",
     "IntegralityError",
-    "HalfInt",
     "Rational",
     "as_parts",
     "compositions",
@@ -72,7 +69,6 @@ __all__ = [
     "build_recursive",
     "closure_fn",
     "extend_recursive",
-    "psi",
     "CountTable",
     "count_dp",
     "count_enum",

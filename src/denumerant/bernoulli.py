@@ -40,8 +40,7 @@ _B_LOCK = threading.Lock()
 
 def bernoulli_number(n: int) -> Rational:
     """B_n with B_1 = -1/2; odd indices above 1 come out zero."""
-    if not isinstance(n, int) or n < 0:
-        raise InputError(f"Bernoulli index must be a nonnegative integer, got {n!r}")
+    _int_args(n, ())
     if n >= len(_B):
         with _B_LOCK:
             while len(_B) <= n:
@@ -54,9 +53,8 @@ def bernoulli_number(n: int) -> Rational:
 
 def bernoulli_poly(n: int, x: Rational | int) -> Rational:
     """B_n(x) = sum_k C(n,k) B_k x^(n-k), evaluated exactly."""
-    if n < 0:
-        raise InputError("Bernoulli polynomial degree must be nonnegative")
-    xf = Fraction(x)
+    _int_args(n, ())
+    xf = _exact(x)
     acc = Fraction(0)
     for k in range(n + 1):
         b = bernoulli_number(k)
@@ -73,6 +71,7 @@ def central_value(n: int) -> Rational:
 
 def d_scalar(n: int) -> Rational:
     """D_n = 2^n B_n(1/2), the one-part central coefficient at d = 1."""
+    _int_args(n, ())  # before the cache, which takes True for 1
     return 2**n * central_value(n)
 
 
@@ -97,6 +96,13 @@ def _int_args(n: int, parts: Sequence[int]) -> tuple[int, ...]:
         if not isinstance(x, int) or isinstance(x, bool):
             raise InputError(f"parts must be integers, got {x!r}")
     return d
+
+
+def _exact(x: Rational | int) -> Fraction:
+    """x as a Fraction, refusing anything but an int or a Fraction (a bool is neither)."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise InputError(f"argument must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
 
 
 def d_higher_recursive(n: int, parts: Sequence[int]) -> Rational:
@@ -155,14 +161,12 @@ def bernoulli_higher(n: int, s: Rational | int, parts: Sequence[int]) -> Rationa
     the central coefficients appear. Parts may be any nonzero integers here;
     positivity only matters for counting.
     """
-    if n < 0:
-        raise InputError("order must be nonnegative")
-    d = tuple(parts)
+    d = _int_args(n, parts)
     if not d or any(x == 0 for x in d):
         raise InputError("parts must be nonzero integers")
     ladder = _d_ladder(n, d)
     xi = Fraction(sum(d), 2)
-    sf = Fraction(s)
+    sf = _exact(s)
     acc = Fraction(0)
     for l in range(n + 1):
         if ladder[l]:

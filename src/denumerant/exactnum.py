@@ -1,22 +1,21 @@
 """Exact numbers and small combinatorial helpers used by every other module.
 
-All arithmetic in this package is exact: Python integers, ``fractions.Fraction``
-(aliased ``Rational``) and points of the half-integer lattice. Floating point is
-deliberately absent.
+All arithmetic in this package is exact: Python integers and
+``fractions.Fraction`` (aliased ``Rational``). Points of the half-integer lattice
+are held inside as the int t = 2s and read or written as an int or a Fraction.
+Floating point is deliberately absent.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
 __all__ = [
     "Rational",
-    "HalfInt",
-    "HalfLike",
     "as_parts",
     "lcm_of",
     "multinomial",
@@ -25,8 +24,6 @@ __all__ = [
 ]
 
 Rational = Fraction
-
-HalfLike = Union["HalfInt", int, Fraction]
 
 
 def as_parts(parts: Iterable[int]) -> tuple[int, ...]:
@@ -101,60 +98,3 @@ def parse_rational(text: str) -> Rational:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not an exact rational: {text!r}") from exc
-
-
-class HalfInt:
-    """A point of the half-integer lattice (1/2)Z, stored as twice its value.
-
-    Shift arguments, evaluation points and table residues all live on this
-    lattice; keeping 2s as the representation makes every residue computation
-    plain integer arithmetic. ``HalfInt(3)`` is the point 3/2.
-    """
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice: int):
-        if not isinstance(twice, int) or isinstance(twice, bool):
-            raise InputError(f"HalfInt stores twice the value as an int, got {twice!r}")
-        self.twice = twice
-
-    @classmethod
-    def coerce(cls, value: HalfLike) -> "HalfInt":
-        """Accept a HalfInt, an integer, or a Fraction with denominator 1 or 2."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return cls(2 * value)
-        if isinstance(value, Fraction):
-            if value.denominator == 1:
-                return cls(2 * value.numerator)
-            if value.denominator == 2:
-                return cls(value.numerator)
-        raise InputError(f"{value!r} is not a half-integer lattice point")
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __add__(self, other: HalfLike) -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.coerce(other).twice)
-
-    def __sub__(self, other: HalfLike) -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.coerce(other).twice)
-
-    def __eq__(self, other: object) -> bool:
-        try:
-            return self.twice == HalfInt.coerce(other).twice  # type: ignore[arg-type]
-        except InputError:
-            return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.fraction)
-
-    def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-    def __repr__(self) -> str:
-        return f"HalfInt({self.twice})"

@@ -58,10 +58,13 @@ _materialise.
 
 Periodic coefficients live on the half-integer lattice: a function of period T
 stores 2T values indexed by the scaled residue 2s mod 2T, so integer and
-half-odd points coexist in one table and every shift is index arithmetic. The
-values are held only as integer numerators over one positive denominator,
-reduced so that gcd(den, *nums) = 1; value, count, to_json and aligned read
-them, and PeriodicFn.values and at_twice build Fractions from them per read.
+half-odd points coexist in one table and every shift is index arithmetic. A
+point is the int t = 2s inside; value takes s as an int or a Fraction with
+denominator 1 or 2, count passes t = 2n + sum(d) straight to the integer
+Horner, and xi is a Fraction. The values are held only as integer numerators
+over one positive denominator, reduced so that gcd(den, *nums) = 1; value,
+count, to_json and aligned read them, and PeriodicFn.values and at_twice build
+Fractions from them per read.
 """
 
 from __future__ import annotations
@@ -74,20 +77,12 @@ from typing import Iterable, Sequence
 
 from .bernoulli import bernoulli_number
 from .errors import InputError, IntegralityError
-from .exactnum import (
-    HalfInt,
-    HalfLike,
-    Rational,
-    as_parts,
-    lcm_of,
-    parse_rational,
-)
+from .exactnum import Rational, as_parts, lcm_of, parse_rational
 from .oracle import guard
 
 __all__ = [
     "PeriodicFn",
     "QuasiPoly",
-    "psi",
     "base_case",
     "extend_recursive",
     "build_recursive",
@@ -203,16 +198,25 @@ class QuasiPoly:
         return len(self.parts)
 
     @property
-    def xi(self) -> HalfInt:
+    def xi(self) -> Fraction:
         """The symmetrizing shift sum(parts)/2 between the two frames."""
-        return HalfInt(sum(self.parts))
+        return Fraction(sum(self.parts), 2)
 
-    def value(self, s: HalfLike) -> Rational:
-        """V(s) at any half-integer lattice point: 2^(m-1) den V(s), with t = 2s
-        and N_j R_j's numerator at t over den, the lcm of the denominators, is
-        the integer sum_j N_j 2^(j-1) t^(m-j), summed by Horner in t as in
-        verify._scaled_counts and divided once at the end."""
-        t = HalfInt.coerce(s).twice
+    def value(self, s: int | Fraction) -> Rational:
+        """V(s) at any half-integer lattice point s: an int, or a Fraction
+        with denominator 1 or 2, never a bool. Evaluated at t = 2s by
+        _at_twice."""
+        if isinstance(s, int) and not isinstance(s, bool):
+            return self._at_twice(2 * s)
+        if isinstance(s, Fraction) and s.denominator <= 2:
+            return self._at_twice(s.numerator * (2 // s.denominator))
+        raise InputError(f"{s!r} is not a half-integer lattice point")
+
+    def _at_twice(self, t: int) -> Fraction:
+        """V(t/2): 2^(m-1) den V(t/2), with N_j R_j's numerator at t over den,
+        the lcm of the denominators, is the integer sum_j N_j 2^(j-1) t^(m-j),
+        summed by Horner in t as in verify._scaled_counts and divided once at
+        the end."""
         den = math.lcm(*(fn.den for fn in self.coeffs))
         acc = 0
         for j, fn in enumerate(self.coeffs):
@@ -227,7 +231,7 @@ class QuasiPoly:
         """
         if not isinstance(n, int) or isinstance(n, bool):
             raise InputError(f"n must be an integer, got {n!r}")
-        v = self.value(HalfInt(2 * n + sum(self.parts)))
+        v = self._at_twice(2 * n + sum(self.parts))
         if v.denominator == 1:
             return int(v)
         if n >= 0:
@@ -346,13 +350,11 @@ class QuasiPoly:
                     cell = values[str(rho)]
                     if not isinstance(cell, str) or cell not in parsed:
                         parsed[cell] = parse_rational(cell)
-                    cells.append(cell)
+                    cells.append(parsed[cell])
                 if len(values) != 2 * period:  # every "0".."2P-1" was read: a key is stray
                     stray = sorted(set(values) - set(map(str, range(2 * period))))
                     raise InputError(f"residue keys {stray} are outside 0..{2 * period - 1}")
-                den = math.lcm(*(v.denominator for v in parsed.values()))
-                nums = {cell: v.numerator * (den // v.denominator) for cell, v in parsed.items()}
-                fns.append(PeriodicFn.from_numerators(period, den, [nums[cell] for cell in cells]))
+                fns.append(PeriodicFn(period, cells))
             q = cls(parts, tuple(fns), raw["master_period"])
             if str(q.xi) != raw["xi"]:
                 raise InputError(f"shift field {raw['xi']!r} does not match the parts")
@@ -361,13 +363,6 @@ class QuasiPoly:
                 raise
             raise InputError(f"malformed certificate JSON: {exc}") from exc
         return q
-
-
-def psi(d: int, x: HalfLike) -> Rational:
-    """Indicator that d divides x; half-odd x is never divisible."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise InputError(f"modulus must be a positive integer, got {d!r}")
-    return Fraction(1) if HalfInt.coerce(x).twice % (2 * d) == 0 else Fraction(0)
 
 
 def base_case(d1: int) -> QuasiPoly:

@@ -31,7 +31,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from . import oracle, polypart, quasipoly
 from .errors import InputError, IntegralityError
-from .exactnum import HalfInt, as_parts, lcm_of
+from .exactnum import as_parts, lcm_of
 
 __all__ = [
     "BUILDERS",
@@ -186,7 +186,7 @@ def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max:
     rho, k, label, a, b = first
     return PropertyResult(
         "recurrence", False,
-        {"path": label, "s": str(HalfInt(rho)), "power": m - 1 - k, "lhs": str(a), "rhs": str(b)},
+        {"path": label, "s": str(Fraction(rho, 2)), "power": m - 1 - k, "lhs": str(a), "rhs": str(b)},
     )
 
 
@@ -215,7 +215,7 @@ def _check_parity(parts, certs: Certs, views: list[tuple[str, View]], n_max: int
     rho, label, j, minus, plus, den = first
     return PropertyResult(
         "parity", False,
-        {"path": label, "s": str(HalfInt(rho)), "coefficient": j,
+        {"path": label, "s": str(Fraction(rho, 2)), "coefficient": j,
          "R_j(-s)": str(Fraction(minus, den)), "R_j(s)": str(Fraction(plus, den))},
     )
 
@@ -232,7 +232,7 @@ def _check_zeros(parts, certs: Certs, views: list[tuple[str, View]], n_max: int)
             if acc:
                 return PropertyResult(
                     "zeros", False,
-                    {"path": label, "s": str(HalfInt(t)), "value": str(Fraction(acc, den << (m - 1)))},
+                    {"path": label, "s": str(Fraction(t, 2)), "value": str(Fraction(acc, den << (m - 1)))},
                 )
     return PropertyResult("zeros", True)
 
@@ -259,7 +259,7 @@ def _check_path_agreement(parts, certs: Certs, views: list[tuple[str, View]], n_
     rho, j = first
     return PropertyResult(
         "path-agreement", False,
-        {"s": str(HalfInt(rho)), "coefficient": j,
+        {"s": str(Fraction(rho, 2)), "coefficient": j,
          "explicit": str(Fraction(ta[j - 1][rho % len(ta[0])], den_a)),
          "recursive": str(Fraction(tb[j - 1][rho % len(tb[0])], den_b))},
     )

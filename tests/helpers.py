@@ -10,6 +10,8 @@ import json
 import math
 from fractions import Fraction
 
+from denumerant import InputError
+
 
 def akiyama_tanigawa(n: int) -> list[Fraction]:
     """B_0..B_n by the Akiyama-Tanigawa triangle.
@@ -25,6 +27,15 @@ def akiyama_tanigawa(n: int) -> list[Fraction]:
             row[j - 1] = j * (row[j - 1] - row[j])
         out.append(row[0])
     return out
+
+
+def psi(d: int, t: int) -> Fraction:
+    """Indicator that d divides the lattice point t/2, given as the int t: 1
+    when 2d divides t, so a half-odd point (odd t) is never divisible. The
+    indicator the worked closure formulas are written in."""
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise InputError(f"modulus must be a positive integer, got {d!r}")
+    return Fraction(1) if t % (2 * d) == 0 else Fraction(0)
 
 
 def horner(coeffs, s) -> Fraction:

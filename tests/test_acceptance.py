@@ -13,7 +13,6 @@ from itertools import combinations_with_replacement
 import pytest
 
 from denumerant import (
-    HalfInt,
     bernoulli_higher,
     bernoulli_poly,
     build_explicit,
@@ -126,10 +125,10 @@ def test_criterion_04_fundamental_recurrence(corpus_certs):
         dm = parts[-1]
         tau = cert.master_period
         for rho in range(2 * tau):
-            lhs = cert.value(HalfInt(rho)) - cert.value(HalfInt(rho - 2 * dm))
-            rhs = prev.value(HalfInt(rho - dm))
+            lhs = cert.value(Fraction(rho, 2)) - cert.value(Fraction(rho - 2 * dm, 2))
+            rhs = prev.value(Fraction(rho - dm, 2))
             if lhs != rhs:
-                failures.append((parts, str(HalfInt(rho)), str(lhs), str(rhs)))
+                failures.append((parts, str(Fraction(rho, 2)), str(lhs), str(rhs)))
                 break
     _announce(4, "one-part recurrence at every half-lattice point of a period", failures)
     assert not failures
@@ -144,13 +143,13 @@ def test_criterion_05_parity_symmetry(corpus_certs):
         tau = cert.master_period
         natural = sum(parts) % 2
         for t in range(natural, 4 * tau + 1, 2):
-            if cert.value(HalfInt(-t)) != sign * cert.value(HalfInt(t)):
-                failures.append((parts, str(HalfInt(t))))
+            if cert.value(Fraction(-t, 2)) != sign * cert.value(Fraction(t, 2)):
+                failures.append((parts, str(Fraction(t, 2))))
                 break
         # off the natural grid the certificate vanishes, at s and at -s
         for t in range(1 - natural, 4 * tau + 1, 2):
-            if cert.value(HalfInt(t)) or cert.value(HalfInt(-t)):
-                failures.append(("off-grid", parts, str(HalfInt(t))))
+            if cert.value(Fraction(t, 2)) or cert.value(Fraction(-t, 2)):
+                failures.append(("off-grid", parts, str(Fraction(t, 2))))
                 break
     _announce(5, "parity symmetry on the natural grid and zero off it, |s| <= 2*lcm",
               failures)
@@ -164,9 +163,9 @@ def test_criterion_06_forced_zeros(corpus_certs):
         m = len(parts)
         cert = certs[parts][0]
         if m % 2 == 0:
-            points = [HalfInt(2 * k) for k in range(m // 2)]
+            points = [Fraction(2 * k, 2) for k in range(m // 2)]
         else:
-            points = [HalfInt(2 * k + 1) for k in range((m - 1) // 2)]
+            points = [Fraction(2 * k + 1, 2) for k in range((m - 1) // 2)]
         for s in points:
             if cert.value(s) != 0:
                 failures.append((parts, str(s), str(cert.value(s))))

@@ -70,6 +70,27 @@ class TestNumbers:
             bernoulli_number(-1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bernoulli_number(True),
+        lambda: bernoulli_poly(2, 0.5),
+        lambda: bernoulli_poly(2.0, 1),
+        lambda: bernoulli_poly(True, 1),
+        lambda: d_scalar(True),
+        lambda: bernoulli_higher(2, 0.5, (1, 2)),
+        lambda: bernoulli_higher(2, 0, (1.5, 2)),
+        lambda: bernoulli_higher(2, 0, (True, 2)),
+    ],
+    ids=["number-true", "poly-float-x", "poly-float-n", "poly-true-n", "d_scalar-true",
+         "higher-float-s", "higher-float-part", "higher-true-part"],
+)
+def test_inexact_or_bool_input_refused(call):
+    # each took True as 1 or a float as an exact value, or raised TypeError
+    with pytest.raises(InputError):
+        call()
+
+
 class TestPolynomials:
     def test_values(self):
         assert bernoulli_poly(0, Fraction(7, 3)) == 1

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from denumerant import (
-    HalfInt,
     InputError,
     as_parts,
     compositions,
@@ -16,8 +15,8 @@ from denumerant import (
     lcm_of,
     multinomial,
     parse_rational,
-    psi,
 )
+from helpers import psi
 
 
 class TestParts:
@@ -48,8 +47,8 @@ class TestParts:
          "multisets-float", "multisets-str"],
 )
 def test_bool_and_nonint_bounds_refused(call):
-    # as_parts, HalfInt, PeriodicFn and count_dp already refuse bool; these
-    # took True as the integer 1
+    # as_parts, PeriodicFn and count_dp already refuse bool; these took True
+    # as the integer 1 (psi is the test reference in helpers)
     with pytest.raises(InputError):
         call()
 
@@ -121,39 +120,3 @@ def test_rational_arithmetic_is_exact(a, b, c, d):
 def test_rational_serialization():
     assert parse_rational("22/7") == Fraction(22, 7)
     assert parse_rational("-3") == Fraction(-3)
-
-
-class TestHalfInt:
-    def test_twice_storage(self):
-        assert HalfInt(3).fraction == Fraction(3, 2)
-        assert HalfInt(-4).fraction == Fraction(-2)
-
-    def test_coerce(self):
-        assert HalfInt.coerce(2) == HalfInt(4)
-        assert HalfInt.coerce(Fraction(7, 2)) == HalfInt(7)
-        assert HalfInt.coerce(Fraction(-3)) == HalfInt(-6)
-        with pytest.raises(InputError):
-            HalfInt.coerce(Fraction(1, 3))
-        with pytest.raises(InputError):
-            HalfInt(Fraction(1, 2))  # constructor takes the doubled int only
-
-    def test_strings(self):
-        assert str(HalfInt(7)) == "7/2"
-        assert str(HalfInt(-7)) == "-7/2"
-        assert str(HalfInt(6)) == "3"
-        assert str(HalfInt(0)) == "0"
-
-    def test_arithmetic(self):
-        s = HalfInt(5)  # 5/2
-        assert s + 1 == HalfInt(7)
-        assert s - HalfInt(2) == HalfInt(3)
-
-    def test_ordering_and_hash(self):
-        assert HalfInt(3) == Fraction(3, 2)
-        assert hash(HalfInt(3)) == hash(Fraction(3, 2))
-        assert hash(HalfInt(4)) == hash(2)
-
-    @given(st.integers(min_value=-10**6, max_value=10**6))
-    def test_string_round_trip(self, t):
-        p = HalfInt(t)
-        assert HalfInt.coerce(Fraction(str(p))) == p

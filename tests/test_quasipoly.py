@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from denumerant import (
     CapacityError,
-    HalfInt,
     InputError,
     IntegralityError,
     PeriodicFn,
@@ -27,7 +26,6 @@ from denumerant import (
     extend_recursive,
     iter_multisets,
     lcm_of,
-    psi,
     r_coeffs_recursive,
     run_properties,
     v1_explicit,
@@ -38,6 +36,7 @@ from helpers import (
     count_reference,
     natural_average,
     numerators_reference,
+    psi,
     to_json_reference,
     value_reference,
 )
@@ -48,12 +47,13 @@ HALF = Fraction(1, 2)
 
 class TestPsi:
     def test_values(self):
-        assert psi(3, 6) == 1
-        assert psi(3, 4) == 0
+        # the reference indicator takes the point s as t = 2s
+        assert psi(3, 12) == 1
+        assert psi(3, 8) == 0
         assert psi(3, 0) == 1
-        assert psi(2, Fraction(7, 2)) == 0
-        assert psi(1, HalfInt(5)) == 0  # half-odd point, never divisible
-        assert psi(1, -4) == 1
+        assert psi(2, 7) == 0
+        assert psi(1, 5) == 0  # half-odd point, never divisible
+        assert psi(1, -8) == 1
 
     def test_bad_modulus(self):
         with pytest.raises(InputError):
@@ -138,10 +138,9 @@ class TestExtend:
         c = extend_recursive(base_case(1), 2)
         assert [c.count(n) for n in range(12)] == [n // 2 + 1 for n in range(12)]
         # free coefficient in the counting frame: 1 at even n, 1/2 at odd n
-        xi = HalfInt(3)
         for n in range(8):
-            s = HalfInt(2 * n) + xi
-            w0 = Fraction(3, 2) * c.coeffs[0].at_twice(s.twice) + c.coeffs[1].at_twice(s.twice)
+            t = 2 * n + 3  # 2s, s = n + xi
+            w0 = Fraction(3, 2) * c.coeffs[0].at_twice(t) + c.coeffs[1].at_twice(t)
             assert w0 == (1 if n % 2 == 0 else HALF), n
 
     def test_even_parts(self):
@@ -239,9 +238,8 @@ class TestWorkedTwoPartForms:
             tau = lcm_of((d1, d2))
             c = build_recursive((d1, d2))
             for rho in range(2 * tau):
-                s = HalfInt(rho)
                 want = sum(
-                    psi(d1, s - HalfInt((2 * p + 1) * d2) - HalfInt(d1))
+                    psi(d1, rho - (2 * p + 1) * d2 - d1)
                     for p in range(tau // d2)
                 ) / tau
                 assert c.coeffs[0].at_twice(rho) == want, (d1, d2, rho)
@@ -253,10 +251,9 @@ class TestWorkedTwoPartForms:
             c = build_recursive((d1, d2))
             rem = closure_fn((d1, d2))
             for rho in range(2 * tau):
-                s = HalfInt(rho)
                 want = sum(
                     bernoulli_poly(1, 1 - Fraction((2 * p + 1) * d2, 2 * tau))
-                    * psi(d1, s - HalfInt((2 * p + 1) * d2) - HalfInt(d1))
+                    * psi(d1, rho - (2 * p + 1) * d2 - d1)
                     for p in range(tau // d2)
                 )
                 assert c.coeffs[1].at_twice(rho) - rem.at_twice(rho) == want, (d1, d2, rho)
@@ -267,10 +264,9 @@ class TestWorkedTwoPartForms:
             tau = lcm_of((d1, d2))
             rem = closure_fn((d1, d2))
             for rho in range(2 * tau):
-                s = HalfInt(rho)
                 want = sum(
                     bernoulli_poly(1, 1 - Fraction((2 * p + 1) * d1, 2 * tau))
-                    * psi(d2, s - HalfInt((2 * p + 1) * d1) - HalfInt(d2))
+                    * psi(d2, rho - (2 * p + 1) * d1 - d2)
                     for p in range(tau // d1)
                 )
                 assert rem.at_twice(rho) == want, (d1, d2, rho)
@@ -288,18 +284,17 @@ class TestCompactFreeForm:
             prev = build_recursive(parts[:-1])
             rem = closure_fn(parts)
             for rho in range(2 * tau):
-                s = HalfInt(rho)
                 acc = rem.at_twice(rho)
                 for l in range(1, m):
                     for p in range(tau // dm):
-                        sp = s + HalfInt((2 * p + 1) * dm)
+                        sp = rho + (2 * p + 1) * dm  # 2s + (2p+1) d_m
                         acc += (
                             Fraction(tau) ** (l - 1)
                             / l
-                            * bernoulli_poly(l, Fraction(sp.twice, 2 * tau))
-                            * prev.coeffs[m - l - 1].at_twice(sp.twice)
+                            * bernoulli_poly(l, Fraction(sp, 2 * tau))
+                            * prev.coeffs[m - l - 1].at_twice(sp)
                         )
-                assert acc == cert.value(s), (parts, rho)
+                assert acc == cert.value(Fraction(rho, 2)), (parts, rho)
 
 
 class TestRecurrences:
@@ -310,8 +305,8 @@ class TestRecurrences:
             dm = parts[-1]
             tau = cert.master_period
             for rho in range(2 * tau):
-                lhs = cert.value(HalfInt(rho)) - cert.value(HalfInt(rho - 2 * dm))
-                assert lhs == prev.value(HalfInt(rho - dm)), (parts, rho)
+                lhs = cert.value(Fraction(rho, 2)) - cert.value(Fraction(rho - 2 * dm, 2))
+                assert lhs == prev.value(Fraction(rho - dm, 2)), (parts, rho)
 
     def test_full_period_step(self):
         for parts in [(1, 2), (2, 3), (1, 2, 3), (2, 2, 3)]:
@@ -320,9 +315,9 @@ class TestRecurrences:
             dm = parts[-1]
             tau = cert.master_period
             for rho in range(0, 2 * tau, 3):
-                lhs = cert.value(HalfInt(rho + 2 * tau)) - cert.value(HalfInt(rho))
+                lhs = cert.value(Fraction(rho + 2 * tau, 2)) - cert.value(Fraction(rho, 2))
                 rhs = sum(
-                    prev.value(HalfInt(rho + 2 * tau - (2 * p + 1) * dm))
+                    prev.value(Fraction(rho + 2 * tau - (2 * p + 1) * dm, 2))
                     for p in range(tau // dm)
                 )
                 assert lhs == rhs, (parts, rho)
@@ -336,16 +331,16 @@ class TestSymmetry:
             cert = build_explicit(parts)
             start = sum(parts) % 2
             for t in range(start, 4 * cert.master_period, 2):
-                assert cert.value(HalfInt(-t)) == sign * cert.value(HalfInt(t)), (parts, t)
+                assert cert.value(Fraction(-t, 2)) == sign * cert.value(Fraction(t, 2)), (parts, t)
 
     def test_forced_zeros(self):
         for parts in [(1, 2), (1, 2, 3, 4), (2, 3, 4, 5), (1, 1, 1, 2, 3)]:
             m = len(parts)
             cert = build_explicit(parts)
             if m % 2 == 0:
-                pts = [HalfInt(2 * k) for k in range(m // 2)]
+                pts = [Fraction(2 * k, 2) for k in range(m // 2)]
             else:
-                pts = [HalfInt(2 * k + 1) for k in range((m - 1) // 2)]
+                pts = [Fraction(2 * k + 1, 2) for k in range((m - 1) // 2)]
             for s in pts:
                 assert cert.value(s) == 0, (parts, s)
 
@@ -354,8 +349,8 @@ class TestSymmetry:
             cert = build_explicit(parts)
             off = 1 - sum(parts) % 2
             for t in range(off, 4 * cert.master_period, 2):
-                assert cert.value(HalfInt(t)) == 0
-                assert cert.value(HalfInt(-t)) == 0
+                assert cert.value(Fraction(t, 2)) == 0
+                assert cert.value(Fraction(-t, 2)) == 0
 
 
 class TestEvaluation:
@@ -374,6 +369,25 @@ class TestEvaluation:
             c.count(Fraction(1, 2))
         with pytest.raises(InputError):
             c.count(True)
+
+    def test_value_takes_lattice_points(self):
+        # an int, a half-odd Fraction and a Fraction with denominator 1, each on
+        # its certificate's natural grid, where V(n + xi) is the count at n
+        one_two, one_one = build_explicit((1, 2)), build_explicit((1, 1))
+        assert one_two.value(Fraction(5, 2)) == one_two.count(1) == 1
+        assert one_one.value(3) == one_one.count(2) == 3
+        assert one_one.value(Fraction(-4)) == one_one.count(-5) == -4
+
+    @pytest.mark.parametrize("s", [True, 1.5, Fraction(1, 3), "1/2"])
+    def test_value_refuses_off_lattice(self, s):
+        with pytest.raises(InputError, match="is not a half-integer lattice point"):
+            build_explicit((1, 2)).value(s)
+
+    @pytest.mark.parametrize("parts", list(PINNED), ids=lambda p: ",".join(map(str, p)))
+    def test_xi_is_the_json_shift(self, parts):
+        cert = build_explicit(parts)
+        assert cert.xi == Fraction(sum(parts), 2)
+        assert str(cert.xi) == json.loads(cert.to_json())["xi"]
 
     def test_integrality_violation_raises(self):
         broken = QuasiPoly(
@@ -414,7 +428,7 @@ class TestAlign:
         c = build_explicit((2, 3))
         d = c.aligned(12)
         for t in range(-20, 21):
-            assert c.value(HalfInt(t)) == d.value(HalfInt(t))
+            assert c.value(Fraction(t, 2)) == d.value(Fraction(t, 2))
 
     def test_rejects_non_multiple(self):
         with pytest.raises(InputError):
@@ -430,7 +444,7 @@ class TestAlign:
         assert g.values == (5, 7) * 3
         for t in range(-6, 7):
             assert f.at_twice(t) == g.at_twice(t)
-            assert c.value(HalfInt(t)) == d.value(HalfInt(t))
+            assert c.value(Fraction(t, 2)) == d.value(Fraction(t, 2))
 
     @pytest.mark.parametrize("target", [0, -1, True, 2.0])
     def test_rejects_non_periods(self, target):

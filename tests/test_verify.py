@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from denumerant import (
-    HalfInt,
     InputError,
     IntegralityError,
     PeriodicFn,
@@ -262,7 +261,7 @@ def _recurrence_direct(parts, certs) -> PropertyResult:
                 if a != b:
                     return PropertyResult(
                         "recurrence", False,
-                        {"path": label, "s": str(HalfInt(rho)), "power": power,
+                        {"path": label, "s": str(Fraction(rho, 2)), "power": power,
                          "lhs": str(a), "rhs": str(b)},
                     )
     return PropertyResult("recurrence", True)
@@ -284,7 +283,7 @@ def _parity_direct(parts, certs) -> PropertyResult:
                 if broken:
                     return PropertyResult(
                         "parity", False,
-                        {"path": label, "s": str(HalfInt(rho)), "coefficient": j,
+                        {"path": label, "s": str(Fraction(rho, 2)), "coefficient": j,
                          "R_j(-s)": str(minus), "R_j(s)": str(plus)},
                     )
     return PropertyResult("parity", True, note="off-grid values identically zero")
@@ -482,10 +481,10 @@ def _zeros_direct(parts, certs) -> PropertyResult:
         return PropertyResult("zeros", True, note="no forced zeros at this order")
     for t in range(m % 2, m - 1, 2):
         for label, cert in certs.items():
-            v = cert.value(HalfInt(t))
+            v = cert.value(Fraction(t, 2))
             if v:
                 return PropertyResult(
-                    "zeros", False, {"path": label, "s": str(HalfInt(t)), "value": str(v)}
+                    "zeros", False, {"path": label, "s": str(Fraction(t, 2)), "value": str(v)}
                 )
     return PropertyResult("zeros", True)
 
@@ -558,7 +557,7 @@ def _path_agreement_direct(parts, certs) -> PropertyResult:
             if fa.at_twice(rho) != fb.at_twice(rho):
                 return PropertyResult(
                     "path-agreement", False,
-                    {"s": str(HalfInt(rho)), "coefficient": j,
+                    {"s": str(Fraction(rho, 2)), "coefficient": j,
                      "explicit": str(fa.at_twice(rho)), "recursive": str(fb.at_twice(rho))},
                 )
     return PropertyResult("path-agreement", True)
