@@ -25,31 +25,40 @@ pivot fold weighted by the part's multiplicity.
 
 Two kernels are shared by the folds. _shift_weights tabulates one position's
 Bernoulli shift weights by residue; _shift_fold multiplies them over positions
-as a DP with state (total exponent, zero exponents) -> residue table. A
-position's shift sum runs over p < t/d_k, and read mod 2P it is the same for
-every t that is a multiple of L = lcm(d_k, P): class r < q = L/d_k holds
-n = t/L values of p, whose arguments are spaced 1/n apart, and Raabe's
+as a DP with state (total exponent, zero exponents) -> residue table, or, for
+closure_fn, which reads one total exponent and no zero count, total exponent
+alone. A position's shift sum runs over p < t/d_k, and read mod 2P it is the
+same for every t that is a multiple of L = lcm(d_k, P): class r < q = L/d_k
+holds n = t/L values of p, whose arguments are spaced 1/n apart, and Raabe's
 multiplication theorem (DLMF 24.4.17) sums them to
 
     sum_{p = r mod q} t^(e-1) B_e(1 - (2p+1)d_k/2t) / e!
         = L^(e-1) B_e(1 - (2r+1)/2q) / e!.
 
 So the weights are evaluated at t = L, once per class, and no caller passes
-a period. At a/b = 1 - (2r+1)/2q the values B_e(a/b) are integer numerators
-over b^e and the Bernoulli denominators, so each position's weights are
-integers over one denominator. The fold runs on Python ints, every state after
-k positions sharing the product of k denominators, and so does the recursive
-step's correlation.
+a period. Since B_0 = 1, the e = 0 weight is one value on all q classes,
+whose keys (2r+1) d_k form one coset of the subgroup gcd(2 d_k, 2P) generates
+mod 2P; the fold's e = 0 step sums the table over each coset and spreads the
+sum over the shifted coset, not q rotations. At a/b = 1 - (2r+1)/2q the
+values B_e(a/b) are integer numerators over b^e and the Bernoulli
+denominators, so each position's weights are integers over one denominator.
+The fold runs on Python ints, every state after k positions sharing the
+product of k denominators, and so does the recursive step's correlation.
 
 _shift_weights is computed once per process per key (d_k, m, 2P); its
 docstring gives the cache's bound and why sharing it costs no independence.
 
 closure_fn runs the fold for the one remainder of the free coefficient that
 build_recursive cannot reach by extension, and the recursive step reads the
-new part's weights from _shift_weights. Both builders check the m tables of
-2*tau cells against the guard limit (oracle.guard) before any of this, and
-every QuasiPoly, parsed or hand-built, checks its m tables of 2*P cells when it
-is constructed, before aligned or numerator_tables tiles them to a larger P.
+new part's weights from _shift_weights. While the context variable _LEVELS is
+set, for one verify.run_properties call that builds its own certificates,
+build_recursive records each level's pieces in it and reads a level it has
+already recorded, so verify's prefix certificate costs no second pass; it is
+None otherwise, and nothing is kept across calls. Both builders check the m
+tables of 2*tau cells against the guard limit (oracle.guard) before any of
+this, and every QuasiPoly, parsed or hand-built, checks its m tables of 2*P
+cells when it is constructed, before aligned or numerator_tables tiles them
+to a larger P.
 Everything else stays independent: the recursive step's cyclic correlation,
 build_explicit's product over the pivot, and the counting oracle
 (oracle.count_dp), so table-level agreement remains a meaningful check; the
@@ -69,6 +78,7 @@ Fractions from them per read.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import json
 import math
@@ -186,6 +196,8 @@ class QuasiPoly:
             raise InputError(f"master period must be a positive integer, got {period!r}")
         _guard_cells(len(self.parts), period)
         for fn in cs:
+            if not isinstance(fn, PeriodicFn):
+                raise InputError(f"coefficients must be PeriodicFn, got {fn!r}")
             if period % fn.period:
                 raise InputError(
                     f"coefficient period {fn.period} does not divide master period {period}"
@@ -347,6 +359,11 @@ class QuasiPoly:
                 # bad cell is reported; parse_rational rejects every non-string
                 parsed, cells = {}, []
                 for rho in range(2 * period):
+                    if str(rho) not in values:
+                        raise InputError(
+                            f"malformed certificate JSON: the power {entry['power']} coefficient "
+                            f"(period {period}) has no residue key {str(rho)!r}"
+                        )
                     cell = values[str(rho)]
                     if not isinstance(cell, str) or cell not in parsed:
                         parsed[cell] = parse_rational(cell)
@@ -400,9 +417,13 @@ def _shift_weights(dk: int, m: int, size: int) -> Weights:
     returned as nested tuples that no caller can change. It holds at most q
     (residue, numerator) pairs per e, about 90 bytes each: about 40 kB for
     the key (103, 4, 214), under 4 kB for any key with d_k, P <= 6 and m <= 4
-    (the corpus). Both builders, closure_fn and verify's prefix rebuild
+    (the corpus). Both builders, closure_fn and verify's prefix build
     called this one kernel before it was cached, so sharing a cached table
-    makes the routes no less independent."""
+    makes the routes no less independent.
+
+    B_0 = 1, so the q e = 0 weights are all L^(-1) over den, one value on
+    the coset of keys; this is asserted as the table is built, and
+    _shift_fold's coset step relies on it."""
     t = math.lcm(dk, size // 2)
     q = t // dk
     b = 2 * q
@@ -423,12 +444,13 @@ def _shift_weights(dk: int, m: int, size: int) -> Weights:
                 num = num * a + c
             if num:
                 row.append((key, num))
+    assert len(per_e[0]) == q and len({w for _, w in per_e[0]}) == 1, (dk, m, size)
     den = t * top * beta * b ** (m - 1)
     g = math.gcd(den, *(w for row in per_e for _, w in row))
     return den // g, tuple(tuple((key, w // g) for key, w in row) for row in per_e)
 
 
-def _shift_fold(d: Sequence[int], m: int, pivot: int) -> tuple[int, dict]:
+def _shift_fold(d: Sequence[int], m: int, pivot: int, by_total: bool = False) -> tuple[int, dict]:
     """Products of per-position shift sums around a pivot part, folded in the
     residue ring mod size = 2*pivot.
 
@@ -438,7 +460,15 @@ def _shift_fold(d: Sequence[int], m: int, pivot: int) -> tuple[int, dict]:
     (total exponent l < m, number of zero exponents z): the sum over
     exponent vectors r of the folded product, which carries
     1/prod r_k!. Times l! that is the multinomial weighting, times l!/(1+z)
-    the split weight; no composition is enumerated.
+    the split weight; no composition is enumerated. With by_total, which
+    closure_fn passes, the states are keyed by l alone: z stays 0 and every
+    table of one l is summed into (l, 0).
+
+    The e = 0 weights are one value w0 on the coset d_k + <g> of the subgroup
+    g = gcd(2 d_k, size) generates (see _shift_weights). So when that coset
+    has q > 1 keys, the e = 0 step sums the table over each residue c mod g
+    and adds w0 times the sum at every key = c + d_k (mod g), in place of q
+    rotations; a zero sum writes nothing. At q = 1 it is one rotation.
 
     The tables hold integer numerators: each position has one denominator, so
     after k positions every state shares their product. Returns (den, fold);
@@ -450,10 +480,27 @@ def _shift_fold(d: Sequence[int], m: int, pivot: int) -> tuple[int, dict]:
     for dk in d:
         dk_den, per_e = _shift_weights(dk, m, size)
         den *= dk_den
+        g = math.gcd(2 * dk, size)
+        shift, w0 = per_e[0][0]
         nxt: dict[tuple[int, int], dict[int, int]] = {}
         for (l, z), table in fold.items():
-            for e in range(m - l):
-                out = nxt.setdefault((l + e, z + (e == 0)), {})
+            out = nxt.setdefault((l, z if by_total else z + 1), {})
+            if g < size:
+                sums: dict[int, int] = {}
+                for res, a in table.items():
+                    c = res % g
+                    sums[c] = sums.get(c, 0) + a
+                for c, total in sums.items():
+                    if total:
+                        w = w0 * total
+                        for key in range((c + dk) % g, size, g):
+                            out[key] = out.get(key, 0) + w
+            else:
+                for res, a in table.items():
+                    key = (res + shift) % size
+                    out[key] = out.get(key, 0) + a * w0
+            for e in range(1, m - l):
+                out = nxt.setdefault((l + e, z), {})
                 for sh, w in per_e[e]:
                     for res, a in table.items():
                         key = (res + sh) % size
@@ -470,19 +517,18 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     divisibility indicator and each central Bernoulli symbol replaced by its
     finite shift sum. Every shift sum is reduced mod 2*d_m, so by Raabe's
     theorem (see _shift_weights) it is taken at its own period lcm(d_i, d_m).
-    Period of the result: d_m. It is the total-exponent m-1 slice of
-    _shift_fold over the prefix, mod 2*d_m: the multinomial over (m-1)! is
-    exactly 1/prod r_k!. The slice is summed on numerators over the fold's
+    Period of the result: d_m. It is the total-exponent m-1 table of
+    _shift_fold over the prefix, mod 2*d_m, folded by total exponent alone
+    (by_total): the multinomial over (m-1)! is exactly 1/prod r_k!, whatever
+    the zero exponents. The table holds numerators over the fold's
     denominator.
     """
     d = as_parts(parts)
     m = len(d)
     table = [0] * (2 * d[-1])
-    den, fold = _shift_fold(d[:-1], m, d[-1])
-    for (l, _), res_table in fold.items():
-        if l == m - 1:
-            for res, a in res_table.items():
-                table[res] += a
+    den, fold = _shift_fold(d[:-1], m, d[-1], by_total=True)
+    for res, a in fold[m - 1, 0].items():
+        table[res] = a
     return PeriodicFn.from_numerators(d[-1], den, table)
 
 
@@ -584,6 +630,13 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     return _materialise(parts, _extend_pieces({period: piece}, parts))
 
 
+# prefix tuple -> the pieces _extend_pieces returned for that level, while one
+# verify.run_properties call builds its own certificates; None otherwise
+_LEVELS: contextvars.ContextVar[dict[tuple[int, ...], dict[int, Piece]] | None] = (
+    contextvars.ContextVar("denumerant_levels", default=None)
+)
+
+
 def build_recursive(parts: Sequence[int]) -> QuasiPoly:
     """Certificate by the one-part-at-a-time route.
 
@@ -591,13 +644,20 @@ def build_recursive(parts: Sequence[int]) -> QuasiPoly:
     starting from none, each step correlates every piece at its own period and
     adds closure_fn's piece at the new part's period (_extend_pieces); the
     first step's is the one-part indicator of base_case(d_1). Only the final
-    certificate is tabulated at tau.
+    certificate is tabulated at tau. While _LEVELS is set, each level's pieces
+    are recorded in it, and a level already recorded is read, not rebuilt.
     """
     d = as_parts(parts)
     _guard_cells(len(d), lcm_of(d))
+    levels = _LEVELS.get()
     pieces: dict[int, Piece] = {}
     for k in range(1, len(d) + 1):
-        pieces = _extend_pieces(pieces, d[:k])
+        if levels is None:
+            pieces = _extend_pieces(pieces, d[:k])
+        elif d[:k] in levels:
+            pieces = levels[d[:k]]
+        else:
+            pieces = levels[d[:k]] = _extend_pieces(pieces, d[:k])
     return _materialise(d, pieces)
 
 

@@ -10,7 +10,10 @@ recurrence and parity laws are identities between coefficient tables on every
 class of the master period, reporting the smallest failing class of 2s;
 parity also requires every off-grid cell (2s != sum(parts) mod 2) to be zero.
 The recurrence checks every view against one prefix certificate, the
-recursive route's, read and shifted once. The oracle uses integer Horner
+recursive route's, read and shifted once; when run_properties builds the
+certificates itself, build_recursive reads that prefix from the levels its
+pass for the full list recorded in the same call (quasipoly._LEVELS), so no
+level is built twice. The oracle uses integer Horner
 (_scaled_counts), at m points per class by default; zeros the same Horner at
 the forced zeros 2s = m mod 2, ..., m - 2, which lie in the first m classes;
 the mean value one integer sum per coefficient, against a polynomial part
@@ -165,7 +168,8 @@ def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max:
     # Every class of both master periods is checked. The full-period iterate
     # V(s + tau) - V(s) = sum_p V_{m-1}(s + tau - (2p+1) d_m/2) telescopes from it.
     # Every view is checked against one V_{m-1}, the recursive route's, read
-    # and shifted once.
+    # and shifted once; on the default path it is the recursive pass's level
+    # m-1, recorded in quasipoly._LEVELS, not a second pass.
     den_prev, prev = quasipoly.build_recursive(parts[:-1]).numerator_tables()
     half = _shifted([_rotated(col, dm) for col in prev], -dm, 2)
     rhs_den = den_prev << (m - 2)
@@ -313,7 +317,12 @@ def run_properties(
 
     `certs` may inject prebuilt or deliberately broken certificates, one per
     BUILDERS label ("explicit", "recursive"), each for exactly these parts; by
-    default both are built here.
+    default both are built here. On that default path the recurrence's prefix
+    certificate, build_recursive(parts[:-1]), is read from the levels the
+    recursive certificate's own pass recorded (quasipoly._LEVELS) for this
+    call only; injected certificates record none, so the prefix is built
+    fresh. `n_max`, the oracle's bound, is a nonnegative int, never a bool;
+    it defaults to default_n_max(parts).
     """
     d = as_parts(parts)
     if props is None:
@@ -325,21 +334,28 @@ def run_properties(
         if unknown:
             raise InputError(f"unknown properties {unknown}; valid: {', '.join(PROPERTIES)}")
         selected = tuple(p for p in PROPERTIES if p in set(props))
-    if certs is None:
-        certs = {label: build(d) for label, build in BUILDERS.items()}
-    elif set(certs) != set(BUILDERS):
-        raise InputError(f"certs must have exactly the keys {', '.join(BUILDERS)}; got {list(certs)}")
-    else:
+    if n_max is None:
+        n_max = default_n_max(d)
+    elif not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
+        raise InputError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    if certs is not None:
+        if set(certs) != set(BUILDERS):
+            raise InputError(f"certs must have exactly the keys {', '.join(BUILDERS)}; got {list(certs)}")
         for label, cert in certs.items():
             if cert.parts != d:
                 raise InputError(f"certificate {label!r} is for parts {cert.parts}, not {d}")
-    if n_max is None:
-        n_max = default_n_max(d)
-    elif n_max < 0:
-        raise InputError("n_max must be nonnegative")
+        return _run_checks(d, selected, n_max, certs)
+    token = quasipoly._LEVELS.set({})
+    try:
+        return _run_checks(d, selected, n_max, {label: build(d) for label, build in BUILDERS.items()})
+    finally:
+        quasipoly._LEVELS.reset(token)
 
-    # each certificate is read once; equal tables give equal verdicts, so
-    # every check scans each distinct view once, under its first label
+
+def _run_checks(d: tuple[int, ...], selected: Sequence[str], n_max: int, certs: Certs) -> VerifyReport:
+    """The selected checks on the certificates, in PROPERTIES order. Each
+    certificate is read once; equal tables give equal verdicts, so every
+    check scans each distinct view once, under its first label."""
     views: list[tuple[str, View]] = []
     for label, cert in certs.items():
         view = cert.numerator_tables()

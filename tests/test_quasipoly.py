@@ -540,13 +540,15 @@ def _all_tuples(x):
 
 class TestShiftWeightsCache:
     def test_one_verify_call_computes_each_table_once(self):
+        # 40 lookups: the recurrence's prefix reads the recursive pass's
+        # levels, so it looks up no weights of its own
         _shift_weights.cache_clear()
         run_properties((1, 2, 3, 4, 5))
         info = _shift_weights.cache_info()
-        assert (info.misses, info.hits + info.misses) == (32, 52)
+        assert (info.misses, info.hits + info.misses) == (32, 40)
         run_properties((1, 2, 3, 4, 5))
         assert _shift_weights.cache_info().misses == 32
-        assert _shift_weights.cache_info().hits == info.hits + 52
+        assert _shift_weights.cache_info().hits == info.hits + 40
 
     def test_bounded(self):
         assert _shift_weights.cache_info().maxsize == 1024
@@ -571,6 +573,41 @@ def _pivot_fold_direct(others, di):
     return _shift_fold_direct(others, len(others) + 1, di)
 
 
+def _shift_fold_reference(d, m, pivot, by_total=False):
+    """_shift_fold on integer numerators as it ran with (l, z) states only and
+    q rotations per e = 0 step; for by_total, its tables summed over z into
+    (l, 0). Kept as the reference for the coset step and the merged states."""
+    size = 2 * pivot
+    den = 1
+    fold = {(0, 0): {pivot: 1}}
+    for dk in d:
+        dk_den, per_e = _shift_weights(dk, m, size)
+        den *= dk_den
+        nxt = {}
+        for (l, z), table in fold.items():
+            for e in range(m - l):
+                out = nxt.setdefault((l + e, z + (e == 0)), {})
+                for sh, w in per_e[e]:
+                    for res, a in table.items():
+                        key = (res + sh) % size
+                        out[key] = out.get(key, 0) + a * w
+        fold = nxt
+    if by_total:
+        merged = {}
+        for (l, _), table in fold.items():
+            out = merged.setdefault((l, 0), {})
+            for res, a in table.items():
+                out[res] = out.get(res, 0) + a
+        fold = merged
+    return den, fold
+
+
+def _nonzero(fold):
+    """The fold as a function: each state's table with its zero cells dropped.
+    The coset step writes no cell whose sum is zero; a rotation may."""
+    return {state: {res: a for res, a in table.items() if a} for state, table in fold.items()}
+
+
 class TestShiftFold:
     # every ordered list with m <= 4 and parts <= 6, and 1..7
     LISTS = [
@@ -584,9 +621,24 @@ class TestShiftFold:
             den, fold = _shift_fold(others, len(others) + 1, di)
             got = {
                 state: {res: Fraction(a, den) for res, a in table.items()}
-                for state, table in fold.items()
+                for state, table in _nonzero(fold).items()
             }
-            assert got == _pivot_fold_direct(others, di), (others, di)
+            assert got == _nonzero(_pivot_fold_direct(others, di)), (others, di)
+
+    @pytest.mark.parametrize("by_total", [False, True])
+    def test_fold_matches_reference(self, by_total):
+        # every pivot of every list here, of the benchmark's and of PINNED,
+        # with (l, z) states and with states keyed by total exponent
+        lists = self.LISTS + BENCH_LISTS + list(PINNED)
+        pivots = {(d[:i] + d[i + 1 :], di) for d in lists for i, di in enumerate(d)}
+        cosets = 0
+        for others, di in sorted(pivots):
+            m = len(others) + 1
+            den, fold = _shift_fold(others, m, di, by_total=by_total)
+            ref_den, ref = _shift_fold_reference(others, m, di, by_total)
+            assert (den, _nonzero(fold)) == (ref_den, _nonzero(ref)), (others, di)
+            cosets += any(math.gcd(2 * dk, 2 * di) < 2 * di for dk in others)
+        assert cosets > 1000  # the coset step is what most of these folds run
 
     def test_closure_fn_matches_fraction_fold(self):
         for d in self.LISTS:
@@ -910,6 +962,14 @@ class TestSerialization:
         with pytest.raises(InputError, match="malformed"):
             QuasiPoly.from_json(json.dumps(raw))
 
+    def test_missing_residue_named(self):
+        raw = json.loads(QuasiPoly((1,), (PeriodicFn(1, [0, 1]),)).to_json())
+        del raw["coefficients"][0]["values"]["1"]
+        with pytest.raises(
+            InputError, match=r"the power 0 coefficient \(period 1\) has no residue key '1'$"
+        ):
+            QuasiPoly.from_json(json.dumps(raw))
+
     def test_first_bad_cell_reported(self):
         raw = json.loads(build_explicit((2, 3, 4)).to_json())
         values = raw["coefficients"][2]["values"]
@@ -925,6 +985,11 @@ class TestValidation:
     def test_coefficient_count_enforced(self):
         with pytest.raises(InputError):
             QuasiPoly((1, 2), (PeriodicFn(2, [1] * 4),), 2)
+
+    @pytest.mark.parametrize("coeffs", [[1, 2], [PeriodicFn(1, [1, 1]), Fraction(1, 2)]])
+    def test_coefficients_must_be_periodic_functions(self, coeffs):
+        with pytest.raises(InputError, match="coefficients must be PeriodicFn, got"):
+            QuasiPoly((1, 2), coeffs)
 
     def test_bool_periods_rejected(self):
         with pytest.raises(InputError):

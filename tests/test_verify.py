@@ -72,6 +72,17 @@ class TestCleanRuns:
         with pytest.raises(InputError, match="exactly the keys"):
             run_properties(parts, certs=certs)
 
+    @pytest.mark.parametrize("n_max", ["5", 5.0, True, False, -1])
+    @pytest.mark.parametrize("props", [None, ["parity"]])
+    def test_bad_n_max_refused_before_any_build(self, monkeypatch, n_max, props):
+        def unbuilt(parts):
+            raise AssertionError("a certificate was built")
+
+        for name in ("build_explicit", "build_recursive"):
+            monkeypatch.setattr(quasipoly, name, unbuilt)
+        with pytest.raises(InputError, match=r"^n_max must be a nonnegative integer, got "):
+            run_properties((1, 2), props=props, n_max=n_max)
+
     def test_default_n_max(self):
         assert default_n_max((1, 2, 3)) == 28
         assert default_n_max((4,)) == 22
@@ -225,6 +236,39 @@ class TestCertificateChecks:
             ("build_recursive", parts): 1,
             ("build_recursive", parts[:-1]): 1,
         }
+
+    @pytest.mark.parametrize("parts", [(1, 2), (3, 1, 2), (2, 3, 5, 7), (1, 1, 2, 2, 3)])
+    def test_one_recursive_pass_per_call(self, monkeypatch, parts):
+        # the default path's prefix reads level m-1 of the recursive
+        # certificate's own pass: m steps per call, not m + (m-1). Injected
+        # certificates record no levels, so their prefix takes m-1 steps.
+        # Nothing is kept from one call to the next.
+        steps = []
+
+        def counting(pieces, p, real=quasipoly._extend_pieces):
+            steps.append(p)
+            return real(pieces, p)
+
+        monkeypatch.setattr(quasipoly, "_extend_pieces", counting)
+        m = len(parts)
+        assert run_properties(parts).passed
+        assert steps == [parts[:k] for k in range(1, m + 1)]
+        assert run_properties(parts).passed
+        assert len(steps) == 2 * m
+        certs = {label: build(parts) for label, build in BUILDERS.items()}
+        steps.clear()
+        assert run_properties(parts, certs=certs).passed
+        assert steps == [parts[:k] for k in range(1, m)]
+        assert quasipoly._LEVELS.get() is None
+
+    def test_levels_cleared_when_a_build_raises(self, monkeypatch):
+        def failing(parts):
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(quasipoly, "build_explicit", failing)
+        with pytest.raises(RuntimeError, match="build failed"):
+            run_properties((1, 2, 3))
+        assert quasipoly._LEVELS.get() is None
 
     @pytest.mark.parametrize(
         "cert_parts, props", [((1, 2, 3), ["oracle"]), ((1, 2, 3), None), ((2, 1), None)]
