@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import CapacityError, InputError
 from .exactnum import as_parts
@@ -45,8 +46,11 @@ class CountTable:
 def count_dp(parts, max_n: int) -> CountTable:
     """Coefficients of prod_i 1/(1 - t^(d_i)) up to t^max_n.
 
-    One in-place convolution pass per part; linear in max_n per part. The
-    m * (max_n + 1) cell updates are checked against the guard limit first.
+    One in-place convolution pass per part, linear in max_n: multiplying by
+    1/(1 - t^d) is counts[n] += counts[n - d] in increasing n, that is a
+    running sum along each residue class n = r (mod d), taken as one prefix
+    sum per class, counts[r::d] = accumulate(counts[r::d]). The m * (max_n + 1)
+    cell updates are checked against the guard limit first.
     """
     d = as_parts(parts)
     if not isinstance(max_n, int) or isinstance(max_n, bool) or max_n < 0:
@@ -55,8 +59,9 @@ def count_dp(parts, max_n: int) -> CountTable:
     counts = [0] * (max_n + 1)
     counts[0] = 1
     for di in d:
-        for n in range(di, max_n + 1):
-            counts[n] += counts[n - di]
+        # a class with one cell below max_n is its own prefix sum
+        for r in range(min(di, max_n + 1 - di)):
+            counts[r::di] = accumulate(counts[r::di])
     return CountTable(d, tuple(counts))
 
 

@@ -227,7 +227,7 @@ class QuasiPoly:
     def _at_twice(self, t: int) -> Fraction:
         """V(t/2): 2^(m-1) den V(t/2), with N_j R_j's numerator at t over den,
         the lcm of the denominators, is the integer sum_j N_j 2^(j-1) t^(m-j),
-        summed by Horner in t as in verify._scaled_counts and divided once at
+        summed by Horner in t as in verify._scaled_blocks and divided once at
         the end."""
         den = math.lcm(*(fn.den for fn in self.coeffs))
         acc = 0

@@ -13,9 +13,15 @@ The recurrence checks every view against one prefix certificate, the
 recursive route's, read and shifted once; when run_properties builds the
 certificates itself, build_recursive reads that prefix from the levels its
 pass for the full list recorded in the same call (quasipoly._LEVELS), so no
-level is built twice. The oracle uses integer Horner
-(_scaled_counts), at m points per class by default; zeros the same Horner at
-the forced zeros 2s = m mod 2, ..., m - 2, which lie in the first m classes;
+level is built twice. It cuts every column to its least period
+(_own_periods) and forms each Taylor row, and compares the two sides, at the
+lcm of the lengths involved, so a coefficient of period 1 is shifted as 2
+cells, not 2 tau. The oracle compares count_dp with integer Horner run by
+columns (_scaled_blocks), one block of n at a time: the blocks are as long as
+the lcm of the views' master periods, each a list pass per coefficient, and
+the first block that holds a mismatch ends the scan; by default every class
+gets m points. Zeros runs the same evaluator on the forced zeros
+2s = m mod 2, ..., m - 2 alone, which lie in the first m classes;
 the mean value one integer sum per coefficient, against a polynomial part
 whose composition sum also runs on ints (over beta^m, one Fraction per
 coefficient, see polypart.v1_explicit). Path-agreement passes a single
@@ -102,58 +108,130 @@ Certs = Mapping[str, quasipoly.QuasiPoly]
 View = tuple[int, list[list[int]]]
 
 
-def _scaled_counts(tables: list[list[int]], t: int) -> Iterator[int]:
-    """2^(m-1) den V(t/2) at t, t + 2, t + 4, ...: an integer, since it is
-    sum_j N_j[t mod 2P] 2^(j-1) t^(m-j). Integer Horner in t on one row per
-    class, each N_j pre-shifted by j-1, built when the class is first met."""
+def _scaled_blocks(tables: list[list[int]], t: int, stop: int, block: int) -> Iterator[list[int]]:
+    """2^(m-1) den V(t/2) at t, t + 2, ..., t + 2(stop - 1), yielded block
+    values at a time, the last block possibly shorter: integers, since the
+    value at t is sum_j N_j[t mod 2P] 2^(j-1) t^(m-j). stop is positive, and
+    block a multiple of the master period P = len(tables[0]) / 2 or at least
+    stop. Each N_j, pre-shifted by j-1, is sliced once into the classes a
+    block visits in turn (t, t + 2, ... mod 2P, tiled to the block); every
+    block is then one integer Horner pass [a * t + c for ...] per coefficient."""
     size = len(tables[0])
-    rows: list[tuple[int, ...] | None] = [None] * size
-    while True:
-        rho = t % size
-        row = rows[rho]
-        if row is None:
-            row = rows[rho] = tuple(col[rho] << j for j, col in enumerate(tables))
-        acc = 0
-        for c in row:
-            acc = acc * t + c
+    width = min(block, stop)
+    n = min(width, size // 2)
+    r = t % size
+    cols = []
+    for j, col in enumerate(tables):
+        stepped = col[r : r + 2 * n : 2]
+        if len(stepped) < n:
+            stepped += col[r % 2 : r : 2]
+        if j:
+            stepped = [c << j for c in stepped]
+        cols.append(stepped if n == width else (stepped * -(-width // n))[:width])
+    head, rest = cols[0], cols[1:]
+    for start in range(0, stop, width):
+        ts = range(t + 2 * start, t + 2 * min(start + width, stop), 2)
+        acc = head if len(ts) == width else head[: len(ts)]
+        for col in rest:
+            acc = [a * x + c for a, x, c in zip(acc, ts, col)]
         yield acc
-        t += 2
+
+
+def _first_mismatch(got: list[int], want: list[int]) -> int | None:
+    """The first index where the equal-length lists differ, or None."""
+    if got == want:
+        return None
+    return next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
 
 
 def _check_oracle(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
     counts = oracle.count_dp(parts, n_max).counts
-    scans = [(label, den, _scaled_counts(tables, sum(parts))) for label, (den, tables) in views]
     shift = len(parts) - 1
-    for n, want in enumerate(counts):
-        for label, den, got in scans:
-            if next(got) != (want * den) << shift:
-                try:
-                    actual = str(certs[label].count(n))
-                except IntegralityError as exc:
-                    actual = str(exc)
-                return PropertyResult(
-                    "oracle", False,
-                    {"path": label, "n": n, "expected": str(want), "actual": actual},
-                )
+    # every view is evaluated over the same blocks of n, one lcm of the
+    # master periods long, so a block's failures are compared at equal n
+    block = math.lcm(*(len(tables[0]) // 2 for _, (_, tables) in views))
+    scans = [
+        (label, den << shift, _scaled_blocks(tables, sum(parts), n_max + 1, block))
+        for label, (den, tables) in views
+    ]
+    for start in range(0, n_max + 1, block):
+        want = counts[start : start + block]
+        first = None
+        for label, scale, blocks in scans:
+            k = _first_mismatch(next(blocks), [c * scale for c in want])
+            if k is not None and (first is None or k < first[0]):
+                first = (k, label)
+        if first is not None:
+            k, label = first
+            n = start + k
+            try:
+                actual = str(certs[label].count(n))
+            except IntegralityError as exc:
+                actual = str(exc)
+            return PropertyResult(
+                "oracle", False,
+                {"path": label, "n": n, "expected": str(counts[n]), "actual": actual},
+            )
     return PropertyResult("oracle", True, note=f"n up to {n_max}")
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing the positive int n, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _own_periods(tables: list[list[int]]) -> list[list[int]]:
+    """Each column cut to its least period: the column read on one period,
+    from rho = 0. The columns share one length S, a period of each, so a
+    column's least period divides S; it is found by descending from S over
+    the prime factors of S, dividing by q while the column still repeats with
+    the quotient, checked by an exact list comparison."""
+    primes = _prime_factors(len(tables[0]))
+    out = []
+    for col in tables:
+        p = len(col)
+        for q in primes:
+            while p % q == 0 and col[p // q : p] == col[: p - p // q]:
+                p //= q
+        out.append(col[:p])
+    return out
+
+
 def _rotated(col: list[int], shift: int) -> list[int]:
-    """The table read at rho - shift, for rho in range(len(col))."""
+    """The column read at rho - shift, for rho in range(len(col)): the same
+    periodic function shifted, at any period the column is stored at."""
     k = len(col) - shift % len(col)
     return col[k:] + col[:k]
 
 
-def _shifted(tables: list[list[int]], a: int, b: int) -> list[list[int]]:
-    """Coefficient tables of b^(n-1) p(s + a/b), for p of degree n-1 given
-    highest power first: entry k is sum_{i<=k} C(n-1-i, k-i) a^(k-i) b^(n-1-k+i) p_i."""
-    n = len(tables)
+def _tiled(col: list[int], size: int) -> list[int]:
+    """The column repeated to size cells, a multiple of its length."""
+    return col * (size // len(col))
+
+
+def _shifted(cols: list[list[int]], a: int, b: int) -> list[list[int]]:
+    """Coefficient rows of b^(n-1) p(s + a/b), for p of degree n-1 given
+    highest power first, each column periodic at its own length: row k is
+    sum_{i<=k} C(n-1-i, k-i) a^(k-i) b^(n-1-k+i) p_i, summed in i with the
+    partial sum at the lcm of the lengths of p_0..p_i, so short columns are
+    added at their own lengths and only the long ones at the full length."""
+    n = len(cols)
     out = []
     for k in range(n):
-        acc = [0] * len(tables[0])
+        acc = [0]
         for i in range(k + 1):
             w = math.comb(n - 1 - i, k - i) * a ** (k - i) * b ** (n - 1 - k + i)
-            acc = [x + w * y for x, y in zip(acc, tables[i])]
+            size = math.lcm(len(acc), len(cols[i]))
+            acc = [x + w * y for x, y in zip(_tiled(acc, size), _tiled(cols[i], size))]
         out.append(acc)
     return out
 
@@ -170,21 +248,26 @@ def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max:
     # Every view is checked against one V_{m-1}, the recursive route's, read
     # and shifted once; on the default path it is the recursive pass's level
     # m-1, recorded in quasipoly._LEVELS, not a second pass.
+    # Every column is cut to its least period first, and each side of a row
+    # is periodic with the lcm of the lengths it was formed from, so comparing
+    # the sides at the lcm of their lengths finds the same smallest failing
+    # class as a comparison at the lcm of the master periods.
     den_prev, prev = quasipoly.build_recursive(parts[:-1]).numerator_tables()
-    half = _shifted([_rotated(col, dm) for col in prev], -dm, 2)
+    half = _shifted([_rotated(col, dm) for col in _own_periods(prev)], -dm, 2)
     rhs_den = den_prev << (m - 2)
     first = None
-    for label, (den, cur) in views:
-        size = math.lcm(len(cur[0]), len(prev[0]))
+    for label, (den, tables) in views:
+        cur = _own_periods(tables)
         back = _shifted([_rotated(col, 2 * dm) for col in cur], -dm, 1)
-        lhs = [[x - y for x, y in zip(col, sh)] * (size // len(col)) for col, sh in zip(cur, back)]
-        rhs = [[0] * size] + [col * (size // len(col)) for col in half]
-        for k, (a, b) in enumerate(zip(lhs, rhs)):
-            a_s, b_s = [x * rhs_den for x in a], [y * den for y in b]
-            if a_s != b_s:
-                rho = next(r for r, (x, y) in enumerate(zip(a_s, b_s)) if x != y)
-                if first is None or rho < first[0]:
-                    first = (rho, k, label, Fraction(a[rho], den), Fraction(b[rho], rhs_den))
+        scale = den * rhs_den
+        for k, (col, sh, rhs) in enumerate(zip(cur, back, [[0]] + half)):
+            # both sides of row k over den * rhs_den
+            a = [(x - y) * rhs_den for x, y in zip(_tiled(col, len(sh)), sh)]
+            b = [y * den for y in rhs]
+            size = math.lcm(len(a), len(b))
+            rho = _first_mismatch(_tiled(a, size), _tiled(b, size))
+            if rho is not None and (first is None or rho < first[0]):
+                first = (rho, k, label, Fraction(a[rho % len(a)], scale), Fraction(b[rho % len(b)], scale))
     if first is None:
         return PropertyResult("recurrence", True)
     rho, k, label, a, b = first
@@ -228,17 +311,21 @@ def _check_zeros(parts, certs: Certs, views: list[tuple[str, View]], n_max: int)
     m = len(parts)
     if m == 1:
         return PropertyResult("zeros", True, note="no forced zeros at this order")
-    # the forced zeros V(t/2) = 0 sit at t = m mod 2, ..., m - 2
-    scans = [(label, den, _scaled_counts(tables, m % 2)) for label, (den, tables) in views]
-    for t in range(m % 2, m - 1, 2):
-        for label, den, got in scans:
-            acc = next(got)
-            if acc:
-                return PropertyResult(
-                    "zeros", False,
-                    {"path": label, "s": str(Fraction(t, 2)), "value": str(Fraction(acc, den << (m - 1)))},
-                )
-    return PropertyResult("zeros", True)
+    # the forced zeros V(t/2) = 0 sit at the m // 2 points t = m mod 2, ..., m - 2,
+    # evaluated as one block per view
+    points = m // 2
+    first = None
+    for label, (den, tables) in views:
+        values = next(_scaled_blocks(tables, m % 2, points, points))
+        k = _first_mismatch(values, [0] * points)
+        if k is not None and (first is None or k < first[0]):
+            first = (k, label, Fraction(values[k], den << (m - 1)))
+    if first is None:
+        return PropertyResult("zeros", True)
+    k, label, value = first
+    return PropertyResult(
+        "zeros", False, {"path": label, "s": str(Fraction(m % 2 + 2 * k, 2)), "value": str(value)}
+    )
 
 
 def _check_path_agreement(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
@@ -254,10 +341,9 @@ def _check_path_agreement(parts, certs: Certs, views: list[tuple[str, View]], n_
     for j, (ca, cb) in enumerate(zip(ta, tb), 1):
         xa = [x * den_b for x in ca] * (size // len(ca))
         xb = [y * den_a for y in cb] * (size // len(cb))
-        if xa != xb:
-            rho = next(r for r, (x, y) in enumerate(zip(xa, xb)) if x != y)
-            if first is None or rho < first[0]:
-                first = (rho, j)
+        rho = _first_mismatch(xa, xb)
+        if rho is not None and (first is None or rho < first[0]):
+            first = (rho, j)
     if first is None:
         return PropertyResult("path-agreement", True)
     rho, j = first
@@ -315,7 +401,8 @@ def run_properties(
 ) -> VerifyReport:
     """Run the requested properties (all of them by default) on one part list.
 
-    `certs` may inject prebuilt or deliberately broken certificates, one per
+    `props` is a sequence of PROPERTIES names, never a bare string. `certs`
+    may inject prebuilt or deliberately broken certificates, one QuasiPoly per
     BUILDERS label ("explicit", "recursive"), each for exactly these parts; by
     default both are built here. On that default path the recurrence's prefix
     certificate, build_recursive(parts[:-1]), is read from the levels the
@@ -327,6 +414,8 @@ def run_properties(
     d = as_parts(parts)
     if props is None:
         selected = PROPERTIES
+    elif isinstance(props, str):
+        raise InputError(f"props must be a sequence of property names, not the string {props!r}")
     else:
         if not props:
             raise InputError(f"no properties requested; valid: {', '.join(PROPERTIES)}")
@@ -342,6 +431,8 @@ def run_properties(
         if set(certs) != set(BUILDERS):
             raise InputError(f"certs must have exactly the keys {', '.join(BUILDERS)}; got {list(certs)}")
         for label, cert in certs.items():
+            if not isinstance(cert, quasipoly.QuasiPoly):
+                raise InputError(f"certificate {label!r} must be a QuasiPoly, got {cert!r}")
             if cert.parts != d:
                 raise InputError(f"certificate {label!r} is for parts {cert.parts}, not {d}")
         return _run_checks(d, selected, n_max, certs)

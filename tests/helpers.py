@@ -208,3 +208,15 @@ def genfunc_mismatches(max_m: int, max_part: int, max_n: int, s_values) -> list[
                     if got != want:
                         bad.append((parts, n, s, got, want))
     return bad
+
+
+def count_dp_reference(parts, max_n: int) -> list[int]:
+    """Coefficients of prod_i 1/(1 - t^(d_i)) up to t^max_n, one cell at a
+    time in increasing n: counts[n] += counts[n - d]. The loop count_dp ran
+    before it took one prefix sum per residue class, kept as its reference."""
+    counts = [0] * (max_n + 1)
+    counts[0] = 1
+    for d in parts:
+        for n in range(d, max_n + 1):
+            counts[n] += counts[n - d]
+    return counts

@@ -10,7 +10,9 @@ from denumerant import (
     InputError,
     count_dp,
     count_enum,
+    iter_multisets,
 )
+from helpers import count_dp_reference
 
 
 class TestCountDp:
@@ -57,6 +59,14 @@ class TestCountDp:
         b = count_dp((2, 3, 4), 25)
         for n in range(26):
             assert b[n] == sum(a[n - 4 * k] for k in range(n // 4 + 1))
+
+    @pytest.mark.parametrize("max_n", [0, 1, 5, 6, 7, 29, 60, 211])
+    def test_matches_per_cell_reference(self, max_n):
+        # the prefix sums per residue class against the per-cell loop, with
+        # parts below, at and above max_n
+        lists = list(iter_multisets(3, 7)) + [(1, 2, 3, 4, 5, 6), (31, 37, 41), (2, 100), (300,), (7, 7, 250)]
+        for parts in lists:
+            assert count_dp(parts, max_n).counts == tuple(count_dp_reference(parts, max_n)), parts
 
     def test_guard(self, monkeypatch):
         monkeypatch.setenv("RPF_GUARD_LIMIT", "100")

@@ -60,6 +60,26 @@ class TestCleanRuns:
         with pytest.raises(InputError):
             run_properties((1, 2), props=[])
 
+    @pytest.mark.parametrize("props", ["oracle", "zeros", ""])
+    def test_bare_string_props_rejected(self, props):
+        # a string is a sequence of letters, not of property names
+        with pytest.raises(InputError, match="not the string"):
+            run_properties((1, 2), props=props)
+        assert [r.name for r in run_properties((1, 2), props=["oracle"]).results] == ["oracle"]
+
+    @pytest.mark.parametrize("bad", [1, "cert", None, build_explicit((1, 2)).coeffs[0]])
+    @pytest.mark.parametrize("label", ["explicit", "recursive"])
+    def test_non_certificate_rejected(self, label, bad):
+        parts = (1, 2)
+        certs = {name: build(parts) for name, build in BUILDERS.items()}
+        certs[label] = bad
+        with pytest.raises(InputError, match=f"certificate '{label}' must be a QuasiPoly"):
+            run_properties(parts, certs=certs)
+
+    def test_first_non_certificate_named(self):
+        with pytest.raises(InputError, match="certificate 'explicit' must be a QuasiPoly, got 1"):
+            run_properties((1, 2), certs={"explicit": 1, "recursive": 2})
+
     def test_missing_certificate_rejected(self):
         parts = (1, 2)
         with pytest.raises(InputError, match="exactly the keys"):
@@ -376,6 +396,26 @@ class TestIntegerIdentities:
             _assert_identities_match_reference(parts, certs)
             assert not run_properties(parts, props=["recurrence"], certs=certs).passed
 
+    @pytest.mark.parametrize("parts", [(1,), (1, 1), (1, 2), (2, 3), (1, 2, 3), (2, 3, 4), (1, 1, 2, 3)])
+    def test_views_at_different_periods_match_reference(self, parts):
+        # one view at 2 tau or 3 tau next to the other at tau, clean and with
+        # one cell nudged above the first period of either view
+        tau = lcm_of(parts)
+        for factor in (2, 3):
+            for long_label in BUILDERS:
+                built = {label: build(parts) for label, build in BUILDERS.items()}
+                built[long_label] = built[long_label].aligned(factor * tau)
+                _assert_identities_match_reference(parts, built)
+                failures = 0
+                for label, cert in built.items():
+                    size = 2 * cert.master_period
+                    for rho in (size - 1, (size // 2 + 1) % size):
+                        certs = {**built, label: _tampered(cert, len(parts) - 1, rho, Fraction(-1, 3))}
+                        _assert_identities_match_reference(parts, certs)
+                        failures += not run_properties(parts, props=["recurrence"], certs=certs).passed
+                # the nudges are seen, not only matched; one part has no recurrence
+                assert failures or len(parts) == 1
+
     def test_classes_above_the_first_period_are_checked(self):
         # the constant raised at 2s = 14 (mod 24): a class of the stored period
         # 12 beyond tau = 6, so only a scan of every stored class sees it
@@ -454,20 +494,46 @@ class TestIntegerOracle:
             for n_max in (0, 5, None):
                 _assert_oracle_matches_reference(parts, certs, n_max)
 
+    @pytest.mark.parametrize("parts", [(1,), (1, 1), (1, 2), (2, 3), (1, 2, 3), (2, 3, 4), (1, 1, 2, 3)])
+    def test_views_at_different_periods_match_reference(self, parts):
+        # the blocks of n are as long as the lcm of the view periods, so every
+        # view is compared over the same n; the smallest failing n is
+        # reported, ties going to the earlier view
+        tau = lcm_of(parts)
+        for factor in (2, 3):
+            for long_label in BUILDERS:
+                built = {label: build(parts) for label, build in BUILDERS.items()}
+                built[long_label] = built[long_label].aligned(factor * tau)
+                for n_max in (0, factor * tau - 1, factor * tau, None):
+                    assert _assert_oracle_matches_reference(parts, built, n_max).passed
+                failures = 0
+                for rho in range(2 * factor * tau):
+                    for which in (("explicit",), ("recursive",), ("explicit", "recursive")):
+                        certs = {
+                            label: _tampered(cert, len(parts) - 1, rho % (2 * cert.master_period))
+                            if label in which else cert
+                            for label, cert in built.items()
+                        }
+                        failures += not _assert_oracle_matches_reference(parts, certs).passed
+                assert failures  # the nudges are seen, not only matched
+
 
 class TestOracleCounts:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Every n the oracle evaluates, through its per-point integer counts."""
+        """Every point each view is evaluated at, as the index n of the point
+        from the start of its scan, through the block evaluator."""
         seen = []
-        scaled_counts = verify._scaled_counts
+        scaled_blocks = verify._scaled_blocks
 
-        def counting(tables, t):
-            for n, value in enumerate(scaled_counts(tables, t)):
-                seen.append(n)
-                yield value
+        def counting(tables, t, stop, block):
+            n = 0
+            for values in scaled_blocks(tables, t, stop, block):
+                seen.extend(range(n, n + len(values)))
+                n += len(values)
+                yield values
 
-        monkeypatch.setattr(verify, "_scaled_counts", counting)
+        monkeypatch.setattr(verify, "_scaled_blocks", counting)
         return seen
 
     # points each property evaluates on one certificate of (1, 2, 3): the
@@ -507,7 +573,9 @@ class TestOracleCounts:
     def test_both_tampered_alike(self, calls):
         result = self._oracle(("explicit", "recursive"), ("explicit", "recursive"))
         assert result.counterexample == {"path": "explicit", "n": 1, "expected": "1", "actual": "2"}
-        assert calls == [0, 1]
+        # one view, evaluated up to the end of the first block that fails:
+        # n = 0..5, one master period tau = 6 of (1, 2, 3)
+        assert calls == list(range(6))
 
     def test_recursive_first_order(self):
         assert self._oracle(("recursive", "explicit"), ()).passed
@@ -634,3 +702,98 @@ class TestPathAgreement:
                         assert report.results == [_path_agreement_direct(parts, certs)]
                         failures += not report.passed
         assert failures  # the nudges are seen, not only matched
+
+
+def _least_period_brute(col: list[int]) -> int:
+    """The smallest divisor p of len(col) with col equal to its first p cells
+    repeated, tried over every divisor in increasing order."""
+    size = len(col)
+    return next(p for p in range(1, size + 1) if size % p == 0 and col == col[:p] * (size // p))
+
+
+class TestOwnPeriods:
+    def _assert_cut(self, tables):
+        cut = verify._own_periods(tables)
+        assert [len(c) for c in cut] == [_least_period_brute(col) for col in tables]
+        assert all(col == c * (len(col) // len(c)) for col, c in zip(tables, cut))
+
+    def test_builder_tables(self):
+        for parts in list(iter_multisets(4, 6)) + [(2, 3, 5, 7), (5, 7, 9), (1, 2, 3, 4, 5, 6)]:
+            for build in BUILDERS.values():
+                self._assert_cut(build(parts).numerator_tables()[1])
+
+    def test_aligned_and_tampered_tables(self):
+        for parts in [(1,), (1, 1), (1, 2, 3), (2, 3, 4), (2, 2, 3, 3), (5, 6, 7)]:
+            tau = lcm_of(parts)
+            for factor in (1, 2, 3, 4):
+                tables = build_explicit(parts).aligned(factor * tau).numerator_tables()[1]
+                self._assert_cut(tables)
+                size = len(tables[0])
+                for rho in {0, 1, size // 2, size - 1}:
+                    for j in range(len(tables)):
+                        tampered = [list(col) for col in tables]
+                        tampered[j][rho] += 1
+                        self._assert_cut(tampered)
+
+    @pytest.mark.parametrize("size", [8, 9, 12, 16, 18, 27, 36, 60])
+    def test_periods_with_repeated_primes(self, size):
+        # every divisor of the length as the true period, and a one-cell break
+        # of each, which leaves the full length
+        for p in (p for p in range(1, size + 1) if size % p == 0):
+            base = [(7 * r * r + 3) % 11 for r in range(p)]
+            if p > 1 and len(set(base)) == 1:
+                base[-1] += 1
+            col = base * (size // p)
+            self._assert_cut([col, [0] * size, [5] * size])
+            broken = list(col)
+            broken[size - 1] += 1
+            self._assert_cut([broken])
+
+    def test_period_47027(self):
+        # (31, 37, 41): tau = 47027, stored at 2 tau = 94054 = 2 * 31 * 37 * 41
+        parts = (31, 37, 41)
+        cert = build_recursive(parts)
+        tables = cert.numerator_tables()[1]
+        assert len(tables[0]) == 94054
+        self._assert_cut(tables)
+        tampered = [list(col) for col in tables]
+        tampered[0][94053] += 1
+        self._assert_cut(tampered[:1])
+
+
+class TestScaledBlocks:
+    """The block evaluator against QuasiPoly.count at every n <= default_n_max."""
+
+    @pytest.mark.parametrize("parts", [(1,), (6,), (1, 1, 1), (1, 2, 3), (3, 4, 5), (2, 3, 5, 7)])
+    def test_matches_count(self, parts):
+        m = len(parts)
+        tau = lcm_of(parts)
+        assert tau in (1, 6, 60, 210)
+        n_max = default_n_max(parts)
+        for cert in (build_explicit(parts), build_recursive(parts).aligned(2 * tau)):
+            den, tables = cert.numerator_tables()
+            want = [(cert.count(n) * den) << (m - 1) for n in range(n_max + 1)]
+            period = cert.master_period
+            # stop both on a block boundary and off it, for blocks of one and
+            # of several master periods
+            for block in (period, 3 * period):
+                for stop in (n_max + 1, block * (n_max // block), block * (n_max // block) + 1, 1):
+                    if stop == 0:
+                        continue
+                    blocks = list(verify._scaled_blocks(tables, sum(parts), stop, block))
+                    assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+                    assert 0 < len(blocks[-1]) <= block
+                    assert [v for b in blocks for v in b] == want[:stop], (block, stop)
+
+    @pytest.mark.parametrize("parts", [(1, 1, 1), (1, 2, 3), (2, 3, 5, 7), (1, 1, 2, 2, 3)])
+    def test_short_scan_at_any_start(self, parts):
+        # a scan shorter than the period, from any t, as zeros makes it: the
+        # values 2^(m-1) den V(t/2) at t, t + 2, ...
+        m = len(parts)
+        cert = build_explicit(parts)
+        den, tables = cert.numerator_tables()
+        for t in range(-3, 2 * cert.master_period + 3):
+            for stop in (1, 2, 5):
+                got = next(verify._scaled_blocks(tables, t, stop, stop))
+                want = [cert.value(Fraction(t + 2 * k, 2)) * (den << (m - 1)) for k in range(stop)]
+                assert got == want, (t, stop)
