@@ -113,21 +113,19 @@ def _scaled_blocks(tables: list[list[int]], t: int, stop: int, block: int) -> It
     values at a time, the last block possibly shorter: integers, since the
     value at t is sum_j N_j[t mod 2P] 2^(j-1) t^(m-j). stop is positive, and
     block a multiple of the master period P = len(tables[0]) / 2 or at least
-    stop. Each N_j, pre-shifted by j-1, is sliced once into the classes a
-    block visits in turn (t, t + 2, ... mod 2P, tiled to the block); every
-    block is then one integer Horner pass [a * t + c for ...] per coefficient."""
-    size = len(tables[0])
+    stop. Each N_j is sliced once into the classes a block visits in turn
+    (t, t + 2, ... mod 2P): the cells from t on, and when those run out
+    before a block is full, the classes below t as well, so either a whole
+    block or all P classes; that is tiled or cut to the block and pre-shifted
+    by j-1. Every block is then one integer Horner pass [a * t + c for ...]
+    per coefficient."""
     width = min(block, stop)
-    n = min(width, size // 2)
-    r = t % size
+    r = t % len(tables[0])
     cols = []
     for j, col in enumerate(tables):
-        stepped = col[r : r + 2 * n : 2]
-        if len(stepped) < n:
-            stepped += col[r % 2 : r : 2]
-        if j:
-            stepped = [c << j for c in stepped]
-        cols.append(stepped if n == width else (stepped * -(-width // n))[:width])
+        stepped = col[r : r + 2 * width : 2] + col[r % 2 : r : 2]
+        stepped = (stepped * -(-width // len(stepped)))[:width]
+        cols.append([c << j for c in stepped] if j else stepped)
     head, rest = cols[0], cols[1:]
     for start in range(0, stop, width):
         ts = range(t + 2 * start, t + 2 * min(start + width, stop), 2)
@@ -339,8 +337,8 @@ def _check_path_agreement(parts, certs: Certs, views: list[tuple[str, View]], n_
     size = math.lcm(len(ta[0]), len(tb[0]))
     first = None
     for j, (ca, cb) in enumerate(zip(ta, tb), 1):
-        xa = [x * den_b for x in ca] * (size // len(ca))
-        xb = [y * den_a for y in cb] * (size // len(cb))
+        xa = _tiled([x * den_b for x in ca], size)
+        xb = _tiled([y * den_a for y in cb], size)
         rho = _first_mismatch(xa, xb)
         if rho is not None and (first is None or rho < first[0]):
             first = (rho, j)

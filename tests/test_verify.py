@@ -518,6 +518,22 @@ class TestIntegerOracle:
                 assert failures  # the nudges are seen, not only matched
 
 
+    @pytest.mark.parametrize("parts", [(4,), (5,), (6,), (7,)])
+    def test_one_part_short_range_matches_reference(self, parts):
+        # n_max + 1 below the period P = d, and past P / 2, makes a scan that
+        # wraps around the table once without covering it; a single part has
+        # no Horner pass to cut a block, so the evaluator alone must give it
+        # exactly n_max + 1 values
+        (d,) = parts
+        good = {label: build(parts) for label, build in BUILDERS.items()}
+        for n_max in range(2 * d + 1):
+            assert _assert_oracle_matches_reference(parts, good, n_max).passed
+            for label in BUILDERS:
+                for rho in range(len(good[label].coeffs[0].values)):
+                    certs = dict(good, **{label: _tampered(good[label], 0, rho)})
+                    _assert_oracle_matches_reference(parts, certs, n_max)
+
+
 class TestOracleCounts:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -784,6 +800,23 @@ class TestScaledBlocks:
                     assert [len(b) for b in blocks[:-1]] == [block] * (len(blocks) - 1)
                     assert 0 < len(blocks[-1]) <= block
                     assert [v for b in blocks for v in b] == want[:stop], (block, stop)
+
+    @pytest.mark.parametrize("parts", [(4,), (5,), (7,), (2, 5), (3, 4, 5)])
+    def test_scan_between_half_and_one_period(self, parts):
+        # P / 2 < stop < P: the scan wraps past the end of the table without
+        # covering it, and every block holds exactly its share of the stop
+        # values, for one part as for several
+        m = len(parts)
+        cert = build_explicit(parts)
+        den, tables = cert.numerator_tables()
+        period = cert.master_period
+        for t in (sum(parts), sum(parts) + 1, 2 * period - 1):
+            for stop in range(period // 2 + 1, period):
+                for block in (stop, period, 2 * period):
+                    blocks = list(verify._scaled_blocks(tables, t, stop, block))
+                    assert [len(b) for b in blocks] == [stop], (t, stop, block)
+                    want = [cert.value(Fraction(t + 2 * k, 2)) * (den << (m - 1)) for k in range(stop)]
+                    assert blocks[0] == want, (t, stop, block)
 
     @pytest.mark.parametrize("parts", [(1, 1, 1), (1, 2, 3), (2, 3, 5, 7), (1, 1, 2, 2, 3)])
     def test_short_scan_at_any_start(self, parts):
