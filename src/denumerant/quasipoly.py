@@ -57,8 +57,8 @@ already recorded, so verify's prefix certificate costs no second pass; it is
 None otherwise, and nothing is kept across calls. Both builders check the m
 tables of 2*tau cells against the guard limit (oracle.guard) before any of
 this, and every QuasiPoly, parsed or hand-built, checks its m tables of 2*P
-cells when it is constructed, before aligned or numerator_tables tiles them
-to a larger P.
+cells when it is constructed, before numerator_tables tiles its coefficients
+to that P; aligned checks a larger P before it tiles to it.
 Everything else stays independent: the recursive step's cyclic correlation,
 build_explicit's product over the pivot, and the counting oracle
 (oracle.count_dp), so table-level agreement remains a meaningful check; the
@@ -250,32 +250,18 @@ class QuasiPoly:
             raise IntegralityError(f"count at n={n} evaluated to {v}, not an integer")
         return v
 
-    def numerator_tables(self, period: int | None = None) -> tuple[int, list[list[int]]]:
+    def numerator_tables(self) -> tuple[int, list[list[int]]]:
         """(den, tables): tables[j-1][rho] is R_j's numerator at 2s = rho over
-        den, the lcm of the coefficients' denominators, for rho below twice
-        `period` (the master period by default), a positive int, never a bool,
-        whose m tables of 2*period cells are checked against the guard limit.
-        Each stored table is cut to the requested size before it is scaled to
-        den and tiled after, so a short read scales only the cells it returns."""
-        if period is None:
-            period = self.master_period
-        elif type(period) is not int or period < 1:
-            raise InputError(f"{period!r} is not a positive integer period")
-        else:
-            _guard_cells(self.m, period)
-        size = 2 * period
+        den, the lcm of the coefficients' denominators, for every rho below
+        twice the master period. Each stored table is scaled to den and tiled
+        to the m tables of 2*master_period cells that the constructor checked
+        against the guard limit."""
         den = math.lcm(*(fn.den for fn in self.coeffs))
         tables = []
         for fn in self.coeffs:
             scale = den // fn.den
-            nums = fn.nums[:size]
-            if scale != 1:
-                nums = [a * scale for a in nums]
-            span = len(nums)
-            if size % span:
-                tables.append([nums[r % span] for r in range(size)])
-            else:
-                tables.append(list(nums) * (size // span))
+            nums = list(fn.nums) if scale == 1 else [a * scale for a in fn.nums]
+            tables.append(nums * (self.master_period // fn.period))
         return den, tables
 
     def aligned(self, target: int) -> "QuasiPoly":
@@ -496,6 +482,7 @@ def _shift_fold(d: Sequence[int], m: int, pivot: int, by_total: bool = False) ->
                         for key in range((c + dk) % g, size, g):
                             out[key] = out.get(key, 0) + w
             else:
+                # q = 1: the coset step gives the same nonzero cells 3-9% slower on corpus and deep
                 for res, a in table.items():
                     key = (res + shift) % size
                     out[key] = out.get(key, 0) + a * w0
@@ -618,15 +605,17 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     """Grow a certificate by one more part.
 
     The previous certificate is read as one piece at its true period
-    lcm(prev.parts), through its coefficient functions, so the period its
-    tables are stored at does not matter; the step is _extend_pieces, and the
-    result is tabulated at the new lcm.
+    L = lcm(prev.parts): its numerator_tables(), at whatever master period
+    they are stored, are read at rho mod their length for rho < 2L, which is
+    R_j's numerator at 2s = rho, so the stored period does not matter. The
+    step is _extend_pieces, and the result is tabulated at the new lcm.
     """
     (d_new,) = as_parts([d_new])
     parts = prev.parts + (d_new,)
     _guard_cells(len(parts), lcm_of(parts))
     period = lcm_of(prev.parts)
-    piece = prev.numerator_tables(period)
+    den, tables = prev.numerator_tables()
+    piece = (den, [[t[r % len(t)] for r in range(2 * period)] for t in tables])
     return _materialise(parts, _extend_pieces({period: piece}, parts))
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,20 @@ from test_cert_bytes import PINNED
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def _nudge_builder(monkeypatch, delta):
+    """Patch quasipoly.build_explicit to add delta to the free coefficient
+    everywhere, so every count it gives is off by delta."""
+    real = quasipoly.build_explicit
+
+    def nudged(parts):
+        cert = real(parts)
+        *fns, last = cert.coeffs
+        last = quasipoly.PeriodicFn(last.period, [v + delta for v in last.values])
+        return QuasiPoly(cert.parts, (*fns, last), cert.master_period)
+
+    monkeypatch.setattr(quasipoly, "build_explicit", nudged)
 
 
 class TestEval:
@@ -84,6 +99,12 @@ class TestEval:
     def test_usage_errors_exit_2(self, runner, args):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, res.output
+
+    def test_non_integer_count_exit_1(self, runner, monkeypatch):
+        _nudge_builder(monkeypatch, Fraction(1, 2))
+        res = runner.invoke(main, ["eval", "--parts", "1,2", "--n", "3"])
+        assert res.exit_code == 1, res.output
+        assert "count at n=3 evaluated to 5/2, not an integer" in res.output
 
 
 class TestCert:
@@ -180,6 +201,13 @@ class TestBench:
         assert row["count"] == "51"
         assert row["agree"] == "yes"
 
+    def test_disagreement_exit_1(self, runner, monkeypatch):
+        _nudge_builder(monkeypatch, 1)
+        res = runner.invoke(main, ["bench", "--parts", "1,2", "--n", "4", "--repeat", "1"])
+        assert res.exit_code == 1, res.output
+        assert "count          4" in res.output
+        assert "agree          NO" in res.output
+
     def test_huge_repeat_refused(self, runner):
         res = runner.invoke(
             main, ["bench", "--parts", "1,2", "--n", "5", "--repeat", "100000000000"]
@@ -210,6 +238,12 @@ class TestCorpus:
         assert res.exit_code == 0
         data = json.loads(res.output)
         assert data["sets"] == 3 and data["failures"] == 0
+
+    def test_failures_exit_1(self, runner, monkeypatch):
+        _nudge_builder(monkeypatch, 1)
+        res = runner.invoke(main, ["corpus", "--max-m", "1", "--max-part", "2"])
+        assert res.exit_code == 1, res.output
+        assert "2 sets checked, 2 failing" in res.output
 
     def test_bad_bounds_exit_2(self, runner):
         res = runner.invoke(main, ["corpus", "--max-m", "0", "--max-part", "2"])
@@ -244,6 +278,8 @@ class TestCorpus:
         (["eval", "--parts", "1,2", "--n", "0..-2^2"], "empty range"),
         (["bench", "--parts", "1,2", "--n=-2^2"], "n must be nonnegative"),
         (["verify", "--parts", "1,2", "--n-max=-2^2"], "n-max must be nonnegative"),
+        (["eval", "--parts", "1,2", "--n", "10^-1"], "negative exponent"),
+        (["bench", "--parts", "1,2", "--n", "5", "--repeat", "0"], "repeat must be positive"),
     ],
 )
 def test_nonnegative_integer_options_exit_2(runner, args, message):

@@ -140,8 +140,8 @@ class TestSplitWeights:
     def test_validation(self):
         with pytest.raises(InputError):
             split_weight(1, 3, 1, (2, 1))  # sum mismatch
-        with pytest.raises(InputError):
-            split_weight(2, 2, 3, (2,))  # pivot out of range
+        with pytest.raises(InputError, match="pivot must be in 1..3, got 0"):
+            split_weight(1, 3, 0, (1, 0))
         with pytest.raises(InputError):
             split_weight(3, 3, 1, (2, 1))  # l must stay below m
         with pytest.raises(InputError):

@@ -156,13 +156,19 @@ class TestExtend:
             assert c.count(n) == t[n]
 
     def test_reads_previous_level_at_its_true_period(self):
-        # the same function stored at period 6 (both builders) and at 12,
-        # which does not divide the new lcm 30: one result
-        prevs = [build_recursive((2, 3)), build_explicit((2, 3)), build_recursive((2, 3)).aligned(12)]
-        grown = [extend_recursive(prev, 5) for prev in prevs]
-        assert grown[0] == build_recursive((2, 3, 5))
-        assert grown[1] == grown[0]
-        assert grown[2] == grown[0]
+        # the same function stored at period 6 (both builders) and at 12 and
+        # 18, neither of which divides the new lcm 30: one result
+        prevs = [
+            build_recursive((2, 3)),
+            build_explicit((2, 3)),
+            build_recursive((2, 3)).aligned(12),
+            build_recursive((2, 3)).aligned(18),
+        ]
+        for prev in prevs:
+            assert extend_recursive(prev, 5) == build_recursive((2, 3, 5)), prev
+        # three parts stored at 24, which does not divide the new lcm 60
+        prev = build_recursive((2, 3, 4)).aligned(24)
+        assert extend_recursive(prev, 5) == build_recursive((2, 3, 4, 5))
 
 
 class TestExplicit:
@@ -671,18 +677,6 @@ class TestIntegerTables:
                 copy = PeriodicFn(fn.period, fn.values)
                 assert copy == fn and hash(copy) == hash(fn), parts
 
-    @pytest.mark.parametrize("period", [0, -1, True, 2.0, "2"])
-    def test_bad_periods_refused(self, period):
-        with pytest.raises(InputError, match="is not a positive integer period"):
-            build_explicit((2, 3)).numerator_tables(period)
-
-    def test_tables_at_other_periods(self):
-        # read as at_twice reads: tiled below, cut off above the stored period
-        cert = build_explicit((2, 3))
-        ref_den, ref = numerators_reference(cert.aligned(12))
-        for period in (1, 3, 4, 6, 9, 12):
-            assert cert.numerator_tables(period) == (ref_den, [t[: 2 * period] for t in ref])
-
 
 def _own_periods(cert):
     """The certificate with each coefficient stored at its least period, the
@@ -825,7 +819,6 @@ class TestCapacityGuard:
         cert = build_explicit((1, 2))
         monkeypatch.setenv("RPF_GUARD_LIMIT", "100")
         assert cert.aligned(24).master_period == 24
-        assert len(cert.numerator_tables(24)[1][0]) == 48
 
         def untiled(*args):
             raise AssertionError("a table was tiled past the guard")
@@ -833,8 +826,6 @@ class TestCapacityGuard:
         monkeypatch.setattr(PeriodicFn, "from_numerators", untiled)
         with pytest.raises(CapacityError, match="2 x 52 cells, over the limit 100"):
             cert.aligned(26)
-        with pytest.raises(CapacityError, match="2 x 52 cells, over the limit 100"):
-            cert.numerator_tables(26)
 
 
 class TestSerialization:
@@ -909,6 +900,16 @@ class TestSerialization:
         raw["xi"] = "7/2"
         with pytest.raises(InputError):
             QuasiPoly.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"parts": [1]}', "'coefficients'"), ("[]", "list indices must be integers")],
+    )
+    def test_wrong_shape_rejected(self, text, message):
+        # a missing key or a document that is no object: the KeyError or
+        # TypeError of the read is reported as malformed
+        with pytest.raises(InputError, match=f"^malformed certificate JSON: {message}"):
+            QuasiPoly.from_json(text)
 
     @pytest.mark.parametrize("path", [("master_period",), ("coefficients", 1, "period"),
                                       ("coefficients", 0, "power"), ("coefficients", 1, "power")])
