@@ -15,8 +15,10 @@ xi = sum(d)/2. Two constructions are provided:
 Both builders hold the certificate as pieces, m tables of 2P integer
 numerators over the piece's own denominator for a period P (grouped by period
 like Sylvester's waves, but not reduced to the canonical waves), and end in
-_materialise, which tiles each piece to 2*tau, sums the tiles as integers and
-hands the sums to PeriodicFn.from_numerators. build_recursive keeps one piece
+_materialise, which sums each coefficient's piece tables as integers at the
+lcm of their lengths (2 cells for a table constant on each lattice, 2P for
+any other), reduces the sum there by PeriodicFn.from_numerators and tiles the
+reduced table to 2*tau. build_recursive keeps one piece
 per distinct part period: each step, _extend_pieces, correlates every piece at
 its own period (a period-P piece stays period P) and adds closure_fn's piece
 at the new part's period; extend_recursive runs that step on one certificate
@@ -273,11 +275,7 @@ class QuasiPoly:
                 f"{target!r} is not a positive multiple of the master period {self.master_period}"
             )
         _guard_cells(self.m, target)
-        coeffs = (
-            PeriodicFn.from_numerators(target, fn.den, fn.nums * (target // fn.period))
-            for fn in self.coeffs
-        )
-        return QuasiPoly(self.parts, coeffs, target)
+        return QuasiPoly(self.parts, [_tiled(fn, target) for fn in self.coeffs], target)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasiPoly):
@@ -301,17 +299,26 @@ class QuasiPoly:
         json.dumps(..., indent=2) prints the same document. Each distinct
         numerator a of a coefficient is reduced and formatted once: with
         g = gcd(a, den), p = a/g and q = den/g it reads "p" when q == 1 and
-        "p/q" otherwise, the text str(Fraction(a, den)) gives. Every string
-        written is digits, "-" and "/", so nothing needs escaping.
+        "p/q" otherwise, the text str(Fraction(a, den)) gives. The residue
+        lines of one period are one %s template, built once per call and
+        shared by every coefficient at that period, filled with the texts in
+        residue order. Every string written is digits, "-" and "/", so
+        nothing needs escaping.
         """
         blocks = []
+        templates: dict[int, str] = {}
         for power, fn in zip(range(self.m - 1, -1, -1), self.coeffs):
             den = fn.den
             text = {}
             for a in set(fn.nums):
                 g = math.gcd(a, den)
                 text[a] = f'"{a // g}"' if g == den else f'"{a // g}/{den // g}"'
-            cells = ",\n".join([f'        "{rho}": {text[a]}' for rho, a in enumerate(fn.nums)])
+            template = templates.get(fn.period)
+            if template is None:
+                template = templates[fn.period] = ",\n".join(
+                    [f'        "{rho}": %s' for rho in range(2 * fn.period)]
+                )
+            cells = template % tuple(map(text.__getitem__, fn.nums))
             blocks.append(
                 f'    {{\n      "power": {power},\n      "period": {fn.period},\n'
                 f'      "values": {{\n{cells}\n      }}\n    }}'
@@ -519,6 +526,16 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     return PeriodicFn.from_numerators(d[-1], den, table)
 
 
+def _tiled(fn: PeriodicFn, period: int) -> PeriodicFn:
+    """fn's table repeated to a period that fn.period divides. The numerators
+    are already reduced, and repeating them keeps gcd(den, *nums) = 1 and the
+    one int object per distinct numerator, so nothing is reduced again.
+    Callers check the cells against the guard limit first."""
+    out = PeriodicFn.__new__(PeriodicFn)
+    out.period, out.den, out.nums = period, fn.den, fn.nums * (period // fn.period)
+    return out
+
+
 def _guard_cells(m: int, period: int) -> None:
     """Check a certificate's m tables of 2*period cells against the guard
     limit (oracle.guard)."""
@@ -582,22 +599,32 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
 
 
 def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
-    """The certificate with every coefficient tabulated at tau = lcm(parts):
-    each piece's numerators brought to the pieces' common denominator, tiled
-    to 2 tau entries by list repetition, and the tiles summed as ints."""
+    """The certificate with every coefficient tabulated at tau = lcm(parts).
+
+    Each piece's numerators are brought to the pieces' common denominator. A
+    piece table that is constant on each lattice (t[2:] == t[:-2]) joins the
+    sum as its 2 cells, every other one at its piece's 2P. Coefficient j is
+    summed at the lcm L_j of those lengths, reduced there once by
+    PeriodicFn.from_numerators, and tiled to 2 tau by _tiled: the sums at 2 tau
+    are the same cells repeated, so the reduced table is the one the sums at
+    2 tau would give."""
     tau = lcm_of(parts)
     den = math.lcm(*(piece_den for piece_den, _ in pieces.values()))
     coeffs = []
     for j in range(len(parts)):
-        tiles = [
-            [a * (den // piece_den) for a in tables[j]] * (tau // period)
-            for period, (piece_den, tables) in pieces.items()
-            if any(tables[j])
-        ]
-        values = tiles[0] if tiles else [0] * (2 * tau)
+        tiles = []
+        for piece_den, tables in pieces.values():
+            table = tables[j]
+            if any(table):
+                if table[2:] == table[:-2]:
+                    table = table[:2]
+                scale = den // piece_den
+                tiles.append([a * scale for a in table])
+        size = math.lcm(2, *map(len, tiles))
+        values = tiles[0] * (size // len(tiles[0])) if tiles else [0] * size
         for tile in tiles[1:]:
-            values = [a + b for a, b in zip(values, tile)]
-        coeffs.append(PeriodicFn.from_numerators(tau, den, values))
+            values = [a + b for a, b in zip(values, tile * (size // len(tile)))]
+        coeffs.append(_tiled(PeriodicFn.from_numerators(size // 2, den, values), tau))
     return QuasiPoly(parts, coeffs, tau)
 
 
@@ -664,7 +691,7 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     All of it runs on integer numerators: the bucket weight
     1/((1+zeros)(m-1-l)!) is taken over top = (m-1)! lcm(1..m), so each part's
     buckets are one piece of period d_i over the fold's denominator times
-    top, and _materialise tiles and sums the pieces into the 2*tau tables.
+    top, and _materialise sums the pieces and tiles the sums to 2*tau.
     """
     d = as_parts(parts)
     m = len(d)

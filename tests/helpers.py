@@ -10,7 +10,7 @@ import json
 import math
 from fractions import Fraction
 
-from denumerant import InputError
+from denumerant import InputError, PeriodicFn, QuasiPoly, lcm_of
 
 
 def akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -134,6 +134,29 @@ def to_json_reference(cert) -> str:
         },
         indent=2,
     )
+
+
+def materialise_reference(parts, pieces) -> QuasiPoly:
+    """The certificate from a builder's pieces, {P: (den, tables)} with each
+    table 2P integer numerators over den: every piece brought to the pieces'
+    common denominator, tiled to 2 tau entries by list repetition, the tiles
+    summed as ints and the 2 tau sums reduced by PeriodicFn.from_numerators.
+    The form quasipoly._materialise had before it summed each coefficient at
+    the lcm of its pieces' own lengths, kept as its reference."""
+    tau = lcm_of(parts)
+    den = math.lcm(*(piece_den for piece_den, _ in pieces.values()))
+    coeffs = []
+    for j in range(len(parts)):
+        tiles = [
+            [a * (den // piece_den) for a in tables[j]] * (tau // period)
+            for period, (piece_den, tables) in pieces.items()
+            if any(tables[j])
+        ]
+        values = tiles[0] if tiles else [0] * (2 * tau)
+        for tile in tiles[1:]:
+            values = [a + b for a, b in zip(values, tile)]
+        coeffs.append(PeriodicFn.from_numerators(tau, den, values))
+    return QuasiPoly(parts, coeffs, tau)
 
 
 def ser_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

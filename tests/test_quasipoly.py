@@ -34,6 +34,7 @@ from denumerant import quasipoly
 from denumerant.quasipoly import _guard_cells, _shift_fold, _shift_weights
 from helpers import (
     count_reference,
+    materialise_reference,
     natural_average,
     numerators_reference,
     psi,
@@ -677,6 +678,43 @@ class TestIntegerTables:
                 copy = PeriodicFn(fn.period, fn.values)
                 assert copy == fn and hash(copy) == hash(fn), parts
 
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_one_int_per_distinct_numerator(self, builder):
+        # _materialise reduces each coefficient before it tiles it, and aligned
+        # tiles it again: every cell holding a numerator holds the same int
+        for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
+            cert = builder(parts)
+            for view in (cert, cert.aligned(2 * cert.master_period)):
+                for fn in view.coeffs:
+                    assert len({id(a) for a in fn.nums}) == len(set(fn.nums)), parts
+
+
+class TestMaterialise:
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_matches_reference(self, monkeypatch, builder):
+        # every pieces dict either builder hands _materialise, against the form
+        # that tiled each piece to 2 tau and reduced the 2 tau sums
+        seen = []
+        original = quasipoly._materialise
+
+        def recording(parts, pieces):
+            seen.append((parts, pieces))
+            return original(parts, pieces)
+
+        monkeypatch.setattr(quasipoly, "_materialise", recording)
+        for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
+            builder(parts)
+        partial = 0
+        for parts, pieces in seen:
+            assert original(parts, pieces) == materialise_reference(parts, pieces), parts
+            for period, (_, tables) in pieces.items():
+                for table in tables:
+                    least = next(p for p in range(1, period + 1)
+                                 if table == table[: 2 * p] * (period // p))
+                    partial += 1 < least < period
+        # tables that join neither as 2 cells nor at a least period of P
+        assert partial > 0
+
 
 def _own_periods(cert):
     """The certificate with each coefficient stored at its least period, the
@@ -824,6 +862,7 @@ class TestCapacityGuard:
             raise AssertionError("a table was tiled past the guard")
 
         monkeypatch.setattr(PeriodicFn, "from_numerators", untiled)
+        monkeypatch.setattr(quasipoly, "_tiled", untiled)
         with pytest.raises(CapacityError, match="2 x 52 cells, over the limit 100"):
             cert.aligned(26)
 
