@@ -712,7 +712,7 @@ class TestMaterialise:
                     least = next(p for p in range(1, period + 1)
                                  if table == table[: 2 * p] * (period // p))
                     partial += 1 < least < period
-        # tables that join neither as 2 cells nor at a least period of P
+        # some tables have a least period strictly between 1 and P and join at 2P
         assert partial > 0
 
 
