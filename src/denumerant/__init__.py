@@ -32,7 +32,6 @@ from .polypart import (
 from .quasipoly import (
     PeriodicFn,
     QuasiPoly,
-    base_case,
     build_explicit,
     build_recursive,
     closure_fn,
@@ -64,7 +63,6 @@ __all__ = [
     "v1_explicit",
     "PeriodicFn",
     "QuasiPoly",
-    "base_case",
     "build_explicit",
     "build_recursive",
     "closure_fn",

@@ -9,7 +9,7 @@ shifted frame: the number of solutions of sum x_i d_i = n is V(n + xi) with
 xi = sum(d)/2. Two constructions are provided:
 
   * build_recursive: fold parts in one at a time, from none
-    (_extend_pieces; base_case is the one-part result);
+    (_extend_pieces, whose first step gives the one-part indicator);
   * build_explicit: a single pass over pivot parts and shift sums.
 
 Both builders hold the certificate as pieces, m tables of 2P integer
@@ -22,17 +22,23 @@ reduced table to 2*tau. build_recursive keeps one piece
 per distinct part period: each step, _extend_pieces, correlates every piece at
 its own period (a period-P piece stays period P) and adds closure_fn's piece
 at the new part's period; extend_recursive runs that step on one certificate
-read as a single piece. build_explicit makes one piece per distinct part, its
-pivot fold weighted by the part's multiplicity.
+read as a single piece. build_explicit folds once per position, that
+position the pivot, and gives each composition of exponents wholly to its
+first zero position in list order, not 1/(1+z) of it to each of its 1 + z
+zero positions as the paper's formula does. That is exact because a
+composition's pivot term is the same at each of its zero positions (the
+argument is in build_explicit). Every copy of a part adds into one piece of
+that part's period.
 
 Two kernels are shared by the folds. _shift_weights tabulates one position's
 Bernoulli shift weights by residue; _shift_fold multiplies them over positions
-as a DP with state (total exponent, zero exponents) -> residue table, or, for
-closure_fn, which reads one total exponent and no zero count, total exponent
-alone. A position's shift sum runs over p < t/d_k, and read mod 2P it is the
-same for every t that is a multiple of L = lcm(d_k, P): class r < q = L/d_k
-holds n = t/L values of p, whose arguments are spaced 1/n apart, and Raabe's
-multiplication theorem (DLMF 24.4.17) sums them to
+as a DP with state total exponent -> residue table. Its one option is the
+number of leading positions that skip the e = 0 step: build_explicit passes
+the pivot's index, closure_fn 0. A position's shift sum runs over p < t/d_k,
+and read mod 2P it is the same for every t that is a multiple of
+L = lcm(d_k, P): class r < q = L/d_k holds n = t/L values of p, whose
+arguments are spaced 1/n apart, and Raabe's multiplication theorem
+(DLMF 24.4.17) sums them to
 
     sum_{p = r mod q} t^(e-1) B_e(1 - (2p+1)d_k/2t) / e!
         = L^(e-1) B_e(1 - (2r+1)/2q) / e!.
@@ -95,7 +101,6 @@ from .oracle import guard
 __all__ = [
     "PeriodicFn",
     "QuasiPoly",
-    "base_case",
     "extend_recursive",
     "build_recursive",
     "closure_fn",
@@ -375,13 +380,6 @@ class QuasiPoly:
         return q
 
 
-def base_case(d1: int) -> QuasiPoly:
-    """One part: V(s) is the indicator of d_1 | (s - d_1/2), period d_1."""
-    (d1,) = as_parts([d1])
-    nums = [1 if (rho - d1) % (2 * d1) == 0 else 0 for rho in range(2 * d1)]
-    return QuasiPoly((d1,), (PeriodicFn.from_numerators(d1, 1, nums),), d1)
-
-
 # one position's shift weights: (den, per_e), per_e[e] the (residue, numerator)
 # pairs of exponent e
 Weights = tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
@@ -443,19 +441,19 @@ def _shift_weights(dk: int, m: int, size: int) -> Weights:
     return den // g, tuple(tuple((key, w // g) for key, w in row) for row in per_e)
 
 
-def _shift_fold(d: Sequence[int], m: int, pivot: int, by_total: bool = False) -> tuple[int, dict]:
+def _shift_fold(d: Sequence[int], m: int, pivot: int, skip: int) -> tuple[int, list[dict[int, int]]]:
     """Products of per-position shift sums around a pivot part, folded in the
     residue ring mod size = 2*pivot.
 
     Position k, with part d[k], offers the weights _shift_weights(d[k], m,
     size). A DP over positions, from a unit weight at the pivot's own
     half-shift (its divisibility indicator), keeps one residue table per
-    (total exponent l < m, number of zero exponents z): the sum over
-    exponent vectors r of the folded product, which carries
-    1/prod r_k!. Times l! that is the multinomial weighting, times l!/(1+z)
-    the split weight; no composition is enumerated. With by_total, which
-    closure_fn passes, the states are keyed by l alone: z stays 0 and every
-    table of one l is summed into (l, 0).
+    total exponent l < m: the sum over exponent vectors r of the folded
+    product, which carries 1/prod r_k!. Times l! that is the multinomial
+    weighting; no composition is enumerated. The first ``skip`` positions
+    take exponents e >= 1 only and skip the e = 0 step: build_explicit
+    passes the pivot's index, so each composition reaches the fold of its
+    first zero position only, and closure_fn passes 0.
 
     The e = 0 weights are one value w0 on the coset d_k + <g> of the subgroup
     g = gcd(2 d_k, size) generates (see _shift_weights). So when that coset
@@ -464,21 +462,23 @@ def _shift_fold(d: Sequence[int], m: int, pivot: int, by_total: bool = False) ->
     rotations; a zero sum writes nothing. At q = 1 it is one rotation.
 
     The tables hold integer numerators: each position has one denominator, so
-    after k positions every state shares their product. Returns (den, fold);
-    cell values are numerator/den.
+    after k positions every table shares their product. Returns (den, fold),
+    fold[l] the table of total exponent l; cell values are numerator/den.
     """
     size = 2 * pivot
     den = 1
-    fold = {(0, 0): {pivot: 1}}
-    for dk in d:
+    fold: list[dict[int, int]] = [{pivot: 1}] + [{} for _ in range(m - 1)]
+    for k, dk in enumerate(d):
         dk_den, per_e = _shift_weights(dk, m, size)
         den *= dk_den
         g = math.gcd(2 * dk, size)
         shift, w0 = per_e[0][0]
-        nxt: dict[tuple[int, int], dict[int, int]] = {}
-        for (l, z), table in fold.items():
-            out = nxt.setdefault((l, z if by_total else z + 1), {})
-            if g < size:
+        nxt: list[dict[int, int]] = [{} for _ in range(m)]
+        for l, table in enumerate(fold):
+            if not table:
+                continue
+            out = nxt[l]
+            if k >= skip and g < size:
                 sums: dict[int, int] = {}
                 for res, a in table.items():
                     c = res % g
@@ -488,13 +488,13 @@ def _shift_fold(d: Sequence[int], m: int, pivot: int, by_total: bool = False) ->
                         w = w0 * total
                         for key in range((c + dk) % g, size, g):
                             out[key] = out.get(key, 0) + w
-            else:
+            elif k >= skip:
                 # q = 1: the coset step gives the same nonzero cells 3-9% slower on corpus and deep
                 for res, a in table.items():
                     key = (res + shift) % size
                     out[key] = out.get(key, 0) + a * w0
             for e in range(1, m - l):
-                out = nxt.setdefault((l + e, z), {})
+                out = nxt[l + e]
                 for sh, w in per_e[e]:
                     for res, a in table.items():
                         key = (res + sh) % size
@@ -512,16 +512,15 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     finite shift sum. Every shift sum is reduced mod 2*d_m, so by Raabe's
     theorem (see _shift_weights) it is taken at its own period lcm(d_i, d_m).
     Period of the result: d_m. It is the total-exponent m-1 table of
-    _shift_fold over the prefix, mod 2*d_m, folded by total exponent alone
-    (by_total): the multinomial over (m-1)! is exactly 1/prod r_k!, whatever
-    the zero exponents. The table holds numerators over the fold's
-    denominator.
+    _shift_fold over the prefix, mod 2*d_m, with every position taking every
+    exponent (skip 0): the multinomial over (m-1)! is exactly 1/prod r_k!.
+    The table holds numerators over the fold's denominator.
     """
     d = as_parts(parts)
     m = len(d)
     table = [0] * (2 * d[-1])
-    den, fold = _shift_fold(d[:-1], m, d[-1], by_total=True)
-    for res, a in fold[m - 1, 0].items():
+    den, fold = _shift_fold(d[:-1], m, d[-1], 0)
+    for res, a in fold[m - 1].items():
         table[res] = a
     return PeriodicFn.from_numerators(d[-1], den, table)
 
@@ -659,7 +658,7 @@ def build_recursive(parts: Sequence[int]) -> QuasiPoly:
     The certificate is kept as a sum of pieces, one per distinct part period:
     starting from none, each step correlates every piece at its own period and
     adds closure_fn's piece at the new part's period (_extend_pieces); the
-    first step's is the one-part indicator of base_case(d_1). Only the final
+    first step's is the one-part indicator of d_1 | (s - d_1/2). Only the final
     certificate is tabulated at tau. While _LEVELS is set, each level's pieces
     are recorded in it, and a level already recorded is read, not rebuilt.
     """
@@ -678,34 +677,43 @@ def build_recursive(parts: Sequence[int]) -> QuasiPoly:
 
 
 def build_explicit(parts: Sequence[int]) -> QuasiPoly:
-    """Certificate in a single pass over pivot parts and shift sums.
+    """Certificate in a single pass over pivot positions and shift sums.
 
-    For each distinct part d_i, _shift_fold runs once over the other positions
-    (d with one copy of d_i removed) in the residue ring mod 2*d_i, started at
-    the pivot's own half-shift d_i (its divisibility indicator). Pivots with
-    equal parts fold equal tables, so the fold is weighted by the multiplicity
-    of d_i. Power bucket l weights each (l, zeros) table by l!/(1+zeros),
-    which is polypart.split_weight summed over the compositions of l with that
-    many zero exponents, times the binomial(m-1, l)/(m-1)! of the closed form.
+    The paper's formula sums, for every pivot position i, products of the
+    other positions' shift sums, one exponent r_k each, around the pivot's
+    divisibility indicator, and splits a composition with 1 + z zero
+    positions (the pivot among them) evenly over them, 1/(1+z) each. Here
+    each composition goes wholly to its first zero position in list order:
+    position i runs _shift_fold once over d[:i] + d[i+1:] in the residue
+    ring mod 2*d_i, started at the pivot's own half-shift d_i, and its i
+    leading positions skip the e = 0 step. Power bucket l weights table l by
+    binomial(m-1, l)/(m-1)! times the multinomial l!, that is 1/(m-1-l)!.
 
-    All of it runs on integer numerators: the bucket weight
-    1/((1+zeros)(m-1-l)!) is taken over top = (m-1)! lcm(1..m), so each part's
-    buckets are one piece of period d_i over the fold's denominator times
-    top, and _materialise sums the pieces and tiles the sums to 2*tau.
+    Why this is exact: read at a common multiple t of the parts, a position
+    k's e = 0 weight is 1/t at each shift (2p+1) d_k, p < t/d_k, and the
+    pivot's indicator is a unit at each (2a+1) d_i, a < t/d_i. Their
+    convolution is (1/t) #{(p, a) : x = (2p+1) d_k + (2a+1) d_i (mod 2t)},
+    which is symmetric in i and k, and the nonzero positions' factors do not
+    depend on the pivot. So a composition's pivot term is the same at each
+    of its 1 + z zero positions, and summing it with weight 1/(1+z) over
+    them equals giving all of it to the first.
+
+    All of it runs on integer numerators: bucket l's weight is taken over
+    top = (m-1)! as (m-1)!/(m-1-l)!. Copies of one part fold over the same
+    multiset of other parts, so their folds share one denominator and add
+    into one piece of period d_i over that denominator times top;
+    _materialise sums the pieces and tiles the sums to 2*tau.
     """
     d = as_parts(parts)
     m = len(d)
-    _guard_cells(len(d), lcm_of(d))
-    top = math.factorial(m - 1) * math.lcm(*range(1, m + 1))
+    _guard_cells(m, lcm_of(d))
+    top = math.factorial(m - 1)
     pieces: dict[int, Piece] = {}
-    for di in dict.fromkeys(d):
-        others = list(d)
-        others.remove(di)
-        folded = [[0] * (2 * di) for _ in range(m)]
-        den, fold = _shift_fold(others, m, di)
-        for (l, z), res_table in fold.items():
-            w = d.count(di) * (top // ((1 + z) * math.factorial(m - 1 - l)))
+    for i, di in enumerate(d):
+        den, fold = _shift_fold(d[:i] + d[i + 1 :], m, di, i)
+        _, folded = pieces.setdefault(di, (den * top, [[0] * (2 * di) for _ in range(m)]))
+        for l, res_table in enumerate(fold):
+            w = top // math.factorial(m - 1 - l)
             for res, a in res_table.items():
                 folded[l][res] += w * a
-        pieces[di] = (den * top, folded)
     return _materialise(d, pieces)

@@ -10,7 +10,7 @@ import json
 import math
 from fractions import Fraction
 
-from denumerant import InputError, PeriodicFn, QuasiPoly, lcm_of
+from denumerant import InputError, PeriodicFn, QuasiPoly, as_parts, lcm_of
 
 
 def akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -134,6 +134,15 @@ def to_json_reference(cert) -> str:
         },
         indent=2,
     )
+
+
+def base_case(d1: int) -> QuasiPoly:
+    """One part: V(s) is the indicator of d_1 | (s - d_1/2), period d_1. The
+    one-part certificate the first step of build_recursive, closure_fn on one
+    part and build_explicit must each give, kept as their reference."""
+    (d1,) = as_parts([d1])
+    nums = [1 if (rho - d1) % (2 * d1) == 0 else 0 for rho in range(2 * d1)]
+    return QuasiPoly((d1,), (PeriodicFn.from_numerators(d1, 1, nums),), d1)
 
 
 def materialise_reference(parts, pieces) -> QuasiPoly:

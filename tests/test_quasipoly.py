@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -17,7 +18,6 @@ from denumerant import (
     IntegralityError,
     PeriodicFn,
     QuasiPoly,
-    base_case,
     bernoulli_poly,
     build_explicit,
     build_recursive,
@@ -33,6 +33,7 @@ from denumerant import (
 from denumerant import quasipoly
 from denumerant.quasipoly import _guard_cells, _shift_fold, _shift_weights
 from helpers import (
+    base_case,
     count_reference,
     materialise_reference,
     natural_average,
@@ -481,17 +482,18 @@ def _direct_at_lcm(dk, m, size):
     return _shift_weights_direct(dk, math.lcm(dk, size // 2), m, size)
 
 
-def _shift_fold_direct(d, m, pivot):
+def _shift_fold_direct(d, m, pivot, skip):
     """The shift-sum fold on Fractions, position by position, over the direct
-    weights at t = lcm(d_k, pivot) mod 2*pivot: the form _shift_fold runs on
-    integer numerators, kept here as its reference."""
+    weights at t = lcm(d_k, pivot) mod 2*pivot, with (total exponent, zero
+    count) states and e = 0 dropped at the first `skip` positions: the form
+    _shift_fold runs on integer numerators, kept here as its reference."""
     size = 2 * pivot
     fold = {(0, 0): {pivot: Fraction(1)}}
-    for dk in d:
+    for k, dk in enumerate(d):
         per_e = _direct_at_lcm(dk, m, size)
         nxt = {}
         for (l, z), table in fold.items():
-            for e in range(m - l):
+            for e in range(1 if k < skip else 0, m - l):
                 out = nxt.setdefault((l + e, z + (e == 0)), {})
                 for sh, w in per_e[e]:
                     for res, a in table.items():
@@ -574,45 +576,49 @@ class TestShiftWeightsCache:
 
 
 @functools.lru_cache(maxsize=None)
-def _pivot_fold_direct(others, di):
+def _pivot_fold_direct(others, di, skip):
     """The reference fold over `others` around pivot d_i, as build_explicit and
     closure_fn start it; cached because many lists share one (read-only)."""
-    return _shift_fold_direct(others, len(others) + 1, di)
+    return _shift_fold_direct(others, len(others) + 1, di, skip)
 
 
-def _shift_fold_reference(d, m, pivot, by_total=False):
-    """_shift_fold on integer numerators as it ran with (l, z) states only and
-    q rotations per e = 0 step; for by_total, its tables summed over z into
-    (l, 0). Kept as the reference for the coset step and the merged states."""
+def _shift_fold_reference(d, m, pivot, skip=0):
+    """_shift_fold on integer numerators as it ran with (total exponent, zero
+    count) states and q rotations per e = 0 step, with e = 0 dropped at the
+    first `skip` positions. Kept as the reference for the coset step and for
+    the paper's split weight 1/(1+z), which reads the zero count."""
     size = 2 * pivot
     den = 1
     fold = {(0, 0): {pivot: 1}}
-    for dk in d:
+    for k, dk in enumerate(d):
         dk_den, per_e = _shift_weights(dk, m, size)
         den *= dk_den
         nxt = {}
         for (l, z), table in fold.items():
-            for e in range(m - l):
+            for e in range(1 if k < skip else 0, m - l):
                 out = nxt.setdefault((l + e, z + (e == 0)), {})
                 for sh, w in per_e[e]:
                     for res, a in table.items():
                         key = (res + sh) % size
                         out[key] = out.get(key, 0) + a * w
         fold = nxt
-    if by_total:
-        merged = {}
-        for (l, _), table in fold.items():
-            out = merged.setdefault((l, 0), {})
-            for res, a in table.items():
-                out[res] = out.get(res, 0) + a
-        fold = merged
     return den, fold
 
 
+def _by_total(fold, m):
+    """An (l, z)-keyed fold as _shift_fold keeps it: the m tables of total
+    exponent l, each summed over the zero count z."""
+    merged = [{} for _ in range(m)]
+    for (l, _), table in fold.items():
+        for res, a in table.items():
+            merged[l][res] = merged[l].get(res, 0) + a
+    return merged
+
+
 def _nonzero(fold):
-    """The fold as a function: each state's table with its zero cells dropped.
-    The coset step writes no cell whose sum is zero; a rotation may."""
-    return {state: {res: a for res, a in table.items() if a} for state, table in fold.items()}
+    """The fold as a function: each table with its zero cells dropped. The
+    coset step writes no cell whose sum is zero; a rotation may."""
+    return [{res: a for res, a in table.items() if a} for table in fold]
 
 
 class TestShiftFold:
@@ -622,36 +628,39 @@ class TestShiftFold:
     ] + [(1, 2, 3, 4, 5, 6, 7)]
 
     def test_integer_fold_matches_fraction_fold(self):
-        # every pivot of every list; the fold depends only on (others, d_i)
+        # every pivot of every list, at every number 0..m-1 of leading
+        # positions that skip e = 0; the fold depends only on (others, d_i)
         pivots = {(d[:i] + d[i + 1 :], di) for d in self.LISTS for i, di in enumerate(d)}
         for others, di in sorted(pivots):
-            den, fold = _shift_fold(others, len(others) + 1, di)
-            got = {
-                state: {res: Fraction(a, den) for res, a in table.items()}
-                for state, table in _nonzero(fold).items()
-            }
-            assert got == _nonzero(_pivot_fold_direct(others, di)), (others, di)
+            m = len(others) + 1
+            for skip in range(m):
+                den, fold = _shift_fold(others, m, di, skip)
+                got = [{res: Fraction(a, den) for res, a in table.items()} for table in _nonzero(fold)]
+                ref = _by_total(_pivot_fold_direct(others, di, skip), m)
+                assert got == _nonzero(ref), (others, di, skip)
 
-    @pytest.mark.parametrize("by_total", [False, True])
-    def test_fold_matches_reference(self, by_total):
-        # every pivot of every list here, of the benchmark's and of PINNED,
-        # with (l, z) states and with states keyed by total exponent
+    def test_fold_matches_reference(self):
+        # every pivot of every list here, of the benchmark's and of PINNED, at
+        # every number 0..m-1 of leading positions that take e >= 1 only: 0 as
+        # closure_fn folds and the pivot's index as build_explicit does
         lists = self.LISTS + BENCH_LISTS + list(PINNED)
         pivots = {(d[:i] + d[i + 1 :], di) for d in lists for i, di in enumerate(d)}
         cosets = 0
         for others, di in sorted(pivots):
             m = len(others) + 1
-            den, fold = _shift_fold(others, m, di, by_total=by_total)
-            ref_den, ref = _shift_fold_reference(others, m, di, by_total)
-            assert (den, _nonzero(fold)) == (ref_den, _nonzero(ref)), (others, di)
-            cosets += any(math.gcd(2 * dk, 2 * di) < 2 * di for dk in others)
+            for skip in range(m):
+                den, fold = _shift_fold(others, m, di, skip)
+                ref_den, ref = _shift_fold_reference(others, m, di, skip)
+                expected = (ref_den, _nonzero(_by_total(ref, m)))
+                assert (den, _nonzero(fold)) == expected, (others, di, skip)
+                cosets += any(math.gcd(2 * dk, 2 * di) < 2 * di for dk in others[skip:])
         assert cosets > 1000  # the coset step is what most of these folds run
 
     def test_closure_fn_matches_fraction_fold(self):
         for d in self.LISTS:
             m, size = len(d), 2 * d[-1]
             table = [Fraction(0)] * size
-            for (l, _), res_table in _pivot_fold_direct(d[:-1], d[-1]).items():
+            for (l, _), res_table in _pivot_fold_direct(d[:-1], d[-1], 0).items():
                 if l == m - 1:
                     for res, a in res_table.items():
                         table[res] += a
@@ -762,11 +771,13 @@ class TestIntegerEvaluation:
 
 
 def _build_explicit_per_pivot(parts):
-    """build_explicit with one fold per pivot position: each pivot's buckets
-    brought to the pivots' common denominator and spread residue by residue
-    into the 2 tau tables. The form build_explicit had before it folded once
-    per distinct part and handed its pieces to _materialise, kept as the
-    reference for both."""
+    """The paper's explicit formula, one fold per pivot position with
+    (total exponent, zero count) states: each composition split evenly over
+    its 1 + z zero positions, bucket (l, z) weighted by l!/(1+z) times
+    binomial(m-1, l)/(m-1)!, each pivot's buckets brought to the pivots'
+    common denominator and spread residue by residue into the 2 tau tables.
+    The reference for build_explicit, which gives each composition to its
+    first zero position and hands its pieces to _materialise."""
     d = tuple(parts)
     m = len(d)
     tau = lcm_of(d)
@@ -774,7 +785,7 @@ def _build_explicit_per_pivot(parts):
     pivots = []
     for i, di in enumerate(d):
         folded = [[0] * (2 * di) for _ in range(m)]
-        den, fold = _shift_fold(d[:i] + d[i + 1 :], m, di)
+        den, fold = _shift_fold_reference(d[:i] + d[i + 1 :], m, di)
         for (l, z), res_table in fold.items():
             w = top // ((1 + z) * math.factorial(m - 1 - l))
             for res, a in res_table.items():
@@ -792,27 +803,54 @@ def _build_explicit_per_pivot(parts):
 
 class TestExplicitPieces:
     def test_matches_per_pivot_reference(self):
-        lists = list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED)
-        for parts in lists + [(1, 1, 1, 1, 1, 1, 1), (3, 3, 5), (7,), (2, 1, 2), (6, 1, 4, 1)]:
+        # the multi-part lists with m <= 5 and parts <= 6, sorted and in one
+        # seeded shuffled order each: the first zero position depends on order
+        multi = [p for p in iter_multisets(5, 6) if len(p) > 1]
+        rng = random.Random(26)
+        shuffled = [tuple(rng.sample(p, len(p))) for p in multi]
+        extra = [(1, 1, 1, 1, 1, 1, 1), (3, 3, 5), (7,), (2, 1, 2), (6, 1, 4, 1)]
+        for parts in multi + shuffled + BENCH_LISTS + list(PINNED) + extra:
             assert build_explicit(parts) == _build_explicit_per_pivot(parts), parts
 
-    @pytest.mark.parametrize("parts, starts", [
-        ((1, 1, 1, 2, 2, 3), [1, 2, 3]),
-        ((2, 3, 5, 7), [2, 3, 5, 7]),
-        ((2, 2, 2, 2), [2]),
-        ((6, 1, 4, 1), [6, 1, 4]),
-    ])
-    def test_one_fold_per_distinct_part(self, monkeypatch, parts, starts):
-        # one fold per distinct part, started at that part: its pivot
+    @pytest.mark.parametrize("parts", [(2, 3, 4), (4, 6, 3), (1, 2, 2, 3), (3, 1, 3, 2)])
+    def test_pivot_term_same_at_every_zero_position(self, parts):
+        # the argument in build_explicit's docstring, term by term at tau: for
+        # every composition r with total below m, the pivot's indicator
+        # convolved with the other positions' direct weights of exponent r_k
+        # is one table, whichever position with r_i = 0 is the pivot
+        m, size = len(parts), 2 * lcm_of(parts)
+        weights = [_shift_weights_direct(dk, size // 2, m, size) for dk in parts]
+        for r in itertools.product(range(m), repeat=m):
+            zeros = [i for i, e in enumerate(r) if e == 0]
+            if sum(r) >= m or len(zeros) < 2:
+                continue
+            terms = []
+            for i in zeros:
+                table = {key: Fraction(1) for key in range(parts[i], size, 2 * parts[i])}
+                for k in range(m):
+                    if k != i:
+                        out = {}
+                        for sh, w in weights[k][r[k]]:
+                            for res, a in table.items():
+                                key = (res + sh) % size
+                                out[key] = out.get(key, 0) + a * w
+                        table = out
+                terms.append({res: a for res, a in table.items() if a})
+            assert all(term == terms[0] for term in terms), (parts, r)
+
+    @pytest.mark.parametrize("parts", [(1, 1, 1, 2, 2, 3), (2, 3, 5, 7), (2, 2, 2, 2), (6, 1, 4, 1)])
+    def test_one_fold_per_position(self, monkeypatch, parts):
+        # one fold per position i, started at its part, the pivot, over the
+        # other positions, with the i before it taking e >= 1 only
         seen = []
 
-        def counted(d, m, pivot):
-            seen.append(pivot)
-            return _shift_fold(d, m, pivot)
+        def counted(d, m, pivot, skip):
+            seen.append((pivot, skip, tuple(d)))
+            return _shift_fold(d, m, pivot, skip)
 
         monkeypatch.setattr(quasipoly, "_shift_fold", counted)
         build_explicit(parts)
-        assert seen == starts
+        assert seen == [(di, i, parts[:i] + parts[i + 1 :]) for i, di in enumerate(parts)]
 
 
 class TestCapacityGuard:
