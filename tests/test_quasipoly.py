@@ -639,16 +639,17 @@ class TestShiftFold:
                 ref = _by_total(_pivot_fold_direct(others, di, skip), m)
                 assert got == _nonzero(ref), (others, di, skip)
 
-    def test_fold_matches_reference(self):
+    @pytest.mark.parametrize("leading", [False, True])
+    def test_fold_matches_reference(self, leading):
         # every pivot of every list here, of the benchmark's and of PINNED, at
-        # every number 0..m-1 of leading positions that take e >= 1 only: 0 as
-        # closure_fn folds and the pivot's index as build_explicit does
+        # every number of leading positions that take e >= 1 only: none, as
+        # closure_fn folds, or each count 1..m-1 that build_explicit passes
         lists = self.LISTS + BENCH_LISTS + list(PINNED)
         pivots = {(d[:i] + d[i + 1 :], di) for d in lists for i, di in enumerate(d)}
         cosets = 0
         for others, di in sorted(pivots):
             m = len(others) + 1
-            for skip in range(m):
+            for skip in range(1, m) if leading else [0]:
                 den, fold = _shift_fold(others, m, di, skip)
                 ref_den, ref = _shift_fold_reference(others, m, di, skip)
                 expected = (ref_den, _nonzero(_by_total(ref, m)))
