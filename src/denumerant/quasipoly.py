@@ -17,18 +17,20 @@ numerators over the piece's own denominator for a period P (grouped by period
 like Sylvester's waves, but not reduced to the canonical waves), and end in
 _materialise, which sums each coefficient's piece tables as integers at the
 lcm of their lengths (2 cells for a table constant on each lattice, 2P for
-any other), reduces the sum there by PeriodicFn.from_numerators and tiles the
-reduced table to 2*tau. build_recursive keeps one piece
-per distinct part period: each step, _extend_pieces, correlates every piece at
-its own period (a period-P piece stays period P) and adds closure_fn's piece
-at the new part's period; extend_recursive runs that step on one certificate
-read as a single piece. build_explicit folds once per position, that
-position the pivot, and gives each composition of exponents wholly to its
-first zero position in list order, not 1/(1+z) of it to each of its 1 + z
-zero positions as the paper's formula does. That is exact because a
-composition's pivot term is the same at each of its zero positions (the
-argument is in build_explicit). Every copy of a part adds into one piece of
-that part's period.
+any other), cuts the sum to its least period (_least_length) and reduces it
+there by PeriodicFn.from_numerators. A built certificate has master period
+tau and stores each coefficient at its least period, which to_json writes;
+only numerator_tables and aligned tile it to tau. build_recursive keeps one
+piece per distinct part period: each step, _extend_pieces, correlates every
+piece at its own period (a period-P piece stays period P) and adds
+closure_fn's piece at the new part's period; extend_recursive runs that step
+on one certificate read as a single piece. build_explicit folds once per
+position, that position the pivot, and gives each composition of exponents
+wholly to its first zero position in list order, not 1/(1+z) of it to each
+of its 1 + z zero positions as the paper's formula does. That is exact
+because a composition's pivot term is the same at each of its zero
+positions (the argument is in build_explicit). Every copy of a part adds
+into one piece of that part's period.
 
 Two kernels are shared by the folds. _shift_weights tabulates one position's
 Bernoulli shift weights by residue; _shift_fold multiplies them over positions
@@ -64,9 +66,10 @@ build_recursive records each level's pieces in it and reads a level it has
 already recorded, so verify's prefix certificate costs no second pass; it is
 None otherwise, and nothing is kept across calls. Both builders check the m
 tables of 2*tau cells against the guard limit (oracle.guard) before any of
-this, and every QuasiPoly, parsed or hand-built, checks its m tables of 2*P
-cells when it is constructed, before numerator_tables tiles its coefficients
-to that P; aligned checks a larger P before it tiles to it.
+this, and every QuasiPoly, built, parsed or hand-built, checks its m tables
+of 2*P cells at its master period P when it is constructed, whatever periods
+its coefficients are stored at, before numerator_tables tiles its
+coefficients to that P; aligned checks a larger P before it tiles to it.
 Everything else stays independent: the recursive step's cyclic correlation,
 build_explicit's product over the pivot, and the counting oracle
 (oracle.count_dp), so table-level agreement remains a meaningful check; the
@@ -81,7 +84,9 @@ denominator 1 or 2, count passes t = 2n + sum(d) straight to the integer
 Horner, and xi is a Fraction. The values are held only as integer numerators
 over one positive denominator, reduced so that gcd(den, *nums) = 1; value,
 count, to_json and aligned read them, and PeriodicFn.values and at_twice build
-Fractions from them per read.
+Fractions from them per read. One function may be stored at any multiple of
+its least period (from_json keeps the period it reads, aligned tiles), so
+PeriodicFn compares and hashes by the function, not by the stored period.
 """
 
 from __future__ import annotations
@@ -114,11 +119,18 @@ class PeriodicFn:
     Its value at every point s with 2s = rho (mod 2*period) is nums[rho]/den;
     even rho are the integer points, odd rho the half-odd ones. It stores only
     the integer numerators ``nums`` over one denominator ``den`` > 0, reduced
-    so that gcd(den, *nums) = 1: equal functions at one period have equal
-    tables. ``values`` and ``at_twice`` read them as Fractions, built on each
-    read. A period is a positive int, never a bool. ``PeriodicFn(period,
-    values)`` takes ints or Fractions and hands their numerators over the
-    common denominator to ``from_numerators``, the one constructor body.
+    so that gcd(den, *nums) = 1: equal functions have equal denominators and,
+    at one period, equal tables. ``values`` and ``at_twice`` read them as
+    Fractions, built on each read. A period is a positive int, never a bool.
+    ``PeriodicFn(period, values)`` takes ints or Fractions and hands their
+    numerators over the common denominator to ``from_numerators``, the one
+    constructor body.
+
+    Equality and hash go by the function, not by the stored period: two
+    tables are equal iff their denominators are equal and their numerators
+    agree tiled to the lcm of the two periods, so PeriodicFn(1, [5, 7]) ==
+    PeriodicFn(3, [5, 7] * 3). The hash is taken over the denominator and the
+    numerators cut to the least period.
     """
 
     __slots__ = ("period", "den", "nums")
@@ -166,10 +178,16 @@ class PeriodicFn:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicFn):
             return NotImplemented
-        return self.period == other.period and self.den == other.den and self.nums == other.nums
+        if self.den != other.den:
+            return False
+        if self.period == other.period:
+            return self.nums == other.nums
+        size = math.lcm(self.period, other.period)
+        return self.nums * (size // self.period) == other.nums * (size // other.period)
 
     def __hash__(self) -> int:
-        return hash((self.period, self.den, self.nums))
+        cells = math.lcm(2, _least_length(self.nums, _prime_factors(len(self.nums))))
+        return hash((self.den, self.nums[:cells]))
 
     def __repr__(self) -> str:
         return f"PeriodicFn(period={self.period})"
@@ -179,9 +197,12 @@ class QuasiPoly:
     """A certificate V(s) = sum_j R_j(s) s^(m-j) for one ordered part list.
 
     Immutable once built. ``coeffs[j-1]`` is R_j; every coefficient period
-    divides the master period. Its m tables of 2 * master_period cells are
-    checked against the guard limit on construction, so a parsed certificate
-    is refused before any table is tiled to the master period.
+    divides the master period, and the builders store each at its least
+    period. Equality compares parts, master period and coefficients as
+    functions, so a certificate equals its ``aligned(master_period)`` copy.
+    Its m tables of 2 * master_period cells are checked against the guard
+    limit on construction, so a parsed certificate is refused before any
+    table is tiled to the master period.
     """
 
     __slots__ = ("parts", "coeffs", "master_period")
@@ -535,6 +556,37 @@ def _tiled(fn: PeriodicFn, period: int) -> PeriodicFn:
     return out
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing the positive int n, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
+def _least_length(col: Sequence[int], primes: Sequence[int]) -> int:
+    """The least number of cells p with which the column repeats: col[i] ==
+    col[i + p] wherever both exist. The column's own length is one such p,
+    so the least divides it; it is found by descending from that length over
+    ``primes``, which hold every prime factor of the length (the factors of a
+    multiple of it serve as well), dividing by q while the column still
+    repeats with the quotient, checked by an exact list comparison. The one
+    least-period cut: _materialise, PeriodicFn.__hash__ and verify's
+    recurrence all use it. On a table of 2P cells it may be odd; the least
+    period of the function, in s, is then lcm(2, p)/2."""
+    p = len(col)
+    for q in primes:
+        while p % q == 0 and col[p // q : p] == col[: p - p // q]:
+            p //= q
+    return p
+
+
 def _guard_cells(m: int, period: int) -> None:
     """Check a certificate's m tables of 2*period cells against the guard
     limit (oracle.guard)."""
@@ -598,16 +650,20 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
 
 
 def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
-    """The certificate with every coefficient tabulated at tau = lcm(parts).
+    """The certificate at master period tau = lcm(parts), every coefficient
+    stored at its least period.
 
     Each piece's numerators are brought to the pieces' common denominator. A
     piece table that is constant on each lattice (t[2:] == t[:-2]) joins the
     sum as its 2 cells, every other one at its piece's 2P. Coefficient j is
-    summed at the lcm L_j of those lengths, reduced there once by
-    PeriodicFn.from_numerators, and tiled to 2 tau by _tiled: the sums at 2 tau
-    are the same cells repeated, so the reduced table is the one the sums at
-    2 tau would give."""
+    summed at the lcm L_j of those lengths, which divides 2 tau, cut by
+    _least_length to its least period (a sum of 2 cells is one already) and
+    reduced there once by PeriodicFn.from_numerators: cutting and reducing
+    commute, and the sums at 2 tau are the same cells repeated, so the table
+    is the one the sums at 2 tau would give, cut. The prime factors of 2 tau
+    serve every cut and are found once per call."""
     tau = lcm_of(parts)
+    primes = _prime_factors(2 * tau)
     den = math.lcm(*(piece_den for piece_den, _ in pieces.values()))
     coeffs = []
     for j in range(len(parts)):
@@ -623,7 +679,9 @@ def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
         values = tiles[0] * (size // len(tiles[0])) if tiles else [0] * size
         for tile in tiles[1:]:
             values = [a + b for a, b in zip(values, tile * (size // len(tile)))]
-        coeffs.append(_tiled(PeriodicFn.from_numerators(size // 2, den, values), tau))
+        if size > 2:
+            size = math.lcm(2, _least_length(values, primes))
+        coeffs.append(PeriodicFn.from_numerators(size // 2, den, values[:size]))
     return QuasiPoly(parts, coeffs, tau)
 
 
@@ -634,7 +692,8 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     L = lcm(prev.parts): its numerator_tables(), at whatever master period
     they are stored, are read at rho mod their length for rho < 2L, which is
     R_j's numerator at 2s = rho, so the stored period does not matter. The
-    step is _extend_pieces, and the result is tabulated at the new lcm.
+    step is _extend_pieces, and the result has the new lcm as its master
+    period, each coefficient at its least period (_materialise).
     """
     (d_new,) = as_parts([d_new])
     parts = prev.parts + (d_new,)
@@ -659,7 +718,8 @@ def build_recursive(parts: Sequence[int]) -> QuasiPoly:
     starting from none, each step correlates every piece at its own period and
     adds closure_fn's piece at the new part's period (_extend_pieces); the
     first step's is the one-part indicator of d_1 | (s - d_1/2). Only the final
-    certificate is tabulated at tau. While _LEVELS is set, each level's pieces
+    certificate is materialised, at master period tau with each coefficient
+    at its least period. While _LEVELS is set, each level's pieces
     are recorded in it, and a level already recorded is read, not rebuilt.
     """
     d = as_parts(parts)
@@ -702,7 +762,7 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     top = (m-1)! as (m-1)!/(m-1-l)!. Copies of one part fold over the same
     multiset of other parts, so their folds share one denominator and add
     into one piece of period d_i over that denominator times top;
-    _materialise sums the pieces and tiles the sums to 2*tau.
+    _materialise sums the pieces and cuts each sum to its least period.
     """
     d = as_parts(parts)
     m = len(d)

@@ -14,12 +14,13 @@ recursive route's, read and shifted once; when run_properties builds the
 certificates itself, build_recursive reads that prefix from the levels its
 pass for the full list recorded in the same call (quasipoly._LEVELS), so no
 level is built twice. It cuts every column to its least period
-(_own_periods) and forms each Taylor row, and compares the two sides, at the
-lcm of the lengths involved, so a coefficient of period 1 is shifted as 2
-cells, not 2 tau. The oracle compares count_dp with integer Horner run by
-columns (_scaled_blocks), one block of n at a time: the blocks are as long as
-the lcm of the views' master periods, each a list pass per coefficient, and
-the first block that holds a mismatch ends the scan; by default every class
+(_own_periods, by quasipoly._least_length, the cut the builders make) and
+forms each Taylor row, and compares the two sides, at the lcm of the lengths
+involved, so a coefficient of period 1 is shifted as 2 cells, not 2 tau. The
+oracle compares count_dp with integer Horner run by columns
+(_scaled_blocks), one block of n at a time: the blocks are as long as the
+lcm of the views' master periods, each a list pass per coefficient, and the
+first block that holds a mismatch ends the scan; by default every class
 gets m points. Zeros runs the same evaluator on the forced zeros
 2s = m mod 2, ..., m - 2 alone, which lie in the first m classes;
 the mean value one integer sum per coefficient, against a polynomial part
@@ -173,35 +174,12 @@ def _check_oracle(parts, certs: Certs, views: list[tuple[str, View]], n_max: int
     return PropertyResult("oracle", True, note=f"n up to {n_max}")
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing the positive int n, by trial division."""
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 def _own_periods(tables: list[list[int]]) -> list[list[int]]:
-    """Each column cut to its least period: the column read on one period,
-    from rho = 0. The columns share one length S, a period of each, so a
-    column's least period divides S; it is found by descending from S over
-    the prime factors of S, dividing by q while the column still repeats with
-    the quotient, checked by an exact list comparison."""
-    primes = _prime_factors(len(tables[0]))
-    out = []
-    for col in tables:
-        p = len(col)
-        for q in primes:
-            while p % q == 0 and col[p // q : p] == col[: p - p // q]:
-                p //= q
-        out.append(col[:p])
-    return out
+    """Each column cut to its least period (quasipoly._least_length): the
+    column read on one period, from rho = 0. The columns share one length,
+    so the prime factors of that length serve every cut."""
+    primes = quasipoly._prime_factors(len(tables[0]))
+    return [col[: quasipoly._least_length(col, primes)] for col in tables]
 
 
 def _rotated(col: list[int], shift: int) -> list[int]:

@@ -28,7 +28,7 @@ def _nudge_builder(monkeypatch, delta):
 
     def nudged(parts):
         cert = real(parts)
-        *fns, last = cert.coeffs
+        *fns, last = cert.aligned(cert.master_period).coeffs
         last = quasipoly.PeriodicFn(last.period, [v + delta for v in last.values])
         return QuasiPoly(cert.parts, (*fns, last), cert.master_period)
 
@@ -168,7 +168,7 @@ class TestVerify:
 
         def sabotaged(parts):
             cert = real(parts)
-            fns = list(cert.coeffs)
+            fns = list(cert.aligned(cert.master_period).coeffs)
             vals = list(fns[-1].values)
             vals[1] += 1  # odd residue class: the one counts actually visit
             fns[-1] = quasipoly.PeriodicFn(fns[-1].period, vals)

@@ -1,6 +1,7 @@
 """Certificates: construction by both routes, evaluation, structure, serialization."""
 
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -42,7 +43,7 @@ from helpers import (
     to_json_reference,
     value_reference,
 )
-from test_cert_bytes import PINNED
+from test_cert_bytes import PINNED, PINNED_TILED
 
 HALF = Fraction(1, 2)
 
@@ -83,6 +84,24 @@ class TestPeriodicFn:
         assert all(type(v) is Fraction for v in f.values)
         assert (PeriodicFn(1, [0, 0]).den, PeriodicFn(1, [0, 0]).nums) == (1, (0, 0))
         assert PeriodicFn.from_numerators(2, 24, [4, 0, -6, 72]) == f
+
+    def test_equality_by_function(self):
+        # one function stored at period 1 and at period 3: equal, one hash
+        short, long = PeriodicFn(1, [5, 7]), PeriodicFn(3, [5, 7] * 3)
+        assert short == long and long == short
+        assert hash(short) == hash(long)
+        assert len({short, long, PeriodicFn(2, [5, 7] * 2)}) == 1
+        # least period 2 stored at 2 and at 6; least period 1 stored at 2
+        # and at 3, neither of which divides the other
+        two, six = PeriodicFn(2, [1, 0, 3, 0]), PeriodicFn(6, [1, 0, 3, 0] * 3)
+        assert two == six and hash(two) == hash(six)
+        assert PeriodicFn(2, [1, 2, 1, 2]) == PeriodicFn(3, [1, 2] * 3)
+        # a different denominator, or one different cell at either period
+        assert short != PeriodicFn(1, [Fraction(5, 2), Fraction(7, 2)])
+        assert short != PeriodicFn(3, [5, 7, 5, 7, 5, 8])
+        assert PeriodicFn(3, [5, 7, 5, 7, 5, 8]) != short
+        assert two != PeriodicFn(6, [1, 0, 3, 0, 1, 0, 3, 0, 1, 1, 3, 0])
+        assert PeriodicFn(2, [1, 2, 1, 2]) != PeriodicFn(3, [1, 2, 1, 2, 2, 2])
 
     @pytest.mark.parametrize("bad", [0.1, True, "1/2", None, 1j])
     def test_only_ints_and_fractions(self, bad):
@@ -426,10 +445,11 @@ class TestAlign:
         assert c.aligned(2) == c
 
     def test_doubling(self):
+        # doubling the period repeats the table at the master period
         c = build_explicit((1, 2))
         d = c.aligned(4)
         assert d.master_period == 4
-        for fn_c, fn_d in zip(c.coeffs, d.coeffs):
+        for fn_c, fn_d in zip(c.aligned(2).coeffs, d.coeffs):
             assert fn_d.values == fn_c.values * 2
 
     def test_values_unchanged(self):
@@ -689,6 +709,17 @@ class TestIntegerTables:
                 assert copy == fn and hash(copy) == hash(fn), parts
 
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_builders_store_least_periods(self, builder):
+        # every coefficient is stored at the least period _own_periods finds
+        # on its table tiled to the master period, at that period's cells
+        for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
+            cert = builder(parts)
+            assert cert.master_period == lcm_of(parts), parts
+            own = _own_periods(cert.aligned(cert.master_period))
+            got = [(fn.period, fn.den, fn.nums) for fn in cert.coeffs]
+            assert got == [(fn.period, fn.den, fn.nums) for fn in own.coeffs], parts
+
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_one_int_per_distinct_numerator(self, builder):
         # _materialise reduces each coefficient before it tiles it, and aligned
         # tiles it again: every cell holding a numerator holds the same int
@@ -924,8 +955,29 @@ class TestSerialization:
                 want = to_json_reference(explicit.aligned(period))
                 assert explicit.aligned(period).to_json() == want, (parts, period)
                 assert recursive.aligned(period).to_json() == want, (parts, period)
+            # as built, at least periods; read back, it tiles to the bytes at tau
             text = explicit.to_json()
-            assert QuasiPoly.from_json(text).to_json() == text, parts
+            assert text == recursive.to_json() == to_json_reference(explicit), parts
+            back = QuasiPoly.from_json(text)
+            assert back.to_json() == text, parts
+            tau = explicit.master_period
+            assert back.aligned(tau).to_json() == to_json_reference(explicit.aligned(tau)), parts
+
+    def test_tiled_file_reads_as_built(self):
+        # a certificate written with every coefficient tiled to tau, as the
+        # builders wrote it before they stored least periods, reads back equal
+        # to the built one, counts the same, and writes its own bytes back
+        for parts in PINNED_TILED:
+            cert = build_explicit(parts)
+            tau = cert.master_period
+            text = cert.aligned(tau).to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TILED[parts]
+            old = QuasiPoly.from_json(text)
+            assert all(fn.period == tau for fn in old.coeffs)
+            assert old == cert and cert == old and hash(old) == hash(cert), parts
+            ns = [0, 1, 7, 2 * tau + 1, 10**12]
+            assert [old.count(n) for n in ns] == [cert.count(n) for n in ns], parts
+            assert old.to_json() == text, parts
 
     def test_writer_hand_built(self):
         # negative Fractions, plain ints, numerators sharing a factor with the

@@ -25,8 +25,11 @@ from helpers import poly_sub, taylor_shift
 
 
 def _tampered(cert: QuasiPoly, coeff_index: int, rho: int, delta=Fraction(1)) -> QuasiPoly:
-    """Copy of a certificate with one table entry nudged."""
-    fns = list(cert.coeffs)
+    """Copy of a certificate with one entry of its tables at the master period
+    nudged, rho < 2 * master_period: the coefficients are tiled to the master
+    period first, so the nudge reaches one class of it whatever period a
+    coefficient is stored at."""
+    fns = list(cert.aligned(cert.master_period).coeffs)
     fn = fns[coeff_index]
     vals = list(fn.values)
     vals[rho] += delta
@@ -167,8 +170,8 @@ class TestDetection:
         assert cex["path"] == "recursive"
         assert cex["s"] == "2"
         assert cex["coefficient"] == 2
-        assert cex["R_j(s)"] == str(good.coeffs[1].values[4])
-        assert cex["R_j(-s)"] == str(good.coeffs[1].values[8] + 1)
+        assert cex["R_j(s)"] == str(good.coeffs[1].at_twice(4))
+        assert cex["R_j(-s)"] == str(good.coeffs[1].at_twice(8) + 1)
 
     def test_parity_off_grid_failure(self):
         # (1, 2, 3) sums to 6, so 2s = 3 is off the natural grid: a nonzero
@@ -529,7 +532,7 @@ class TestIntegerOracle:
         for n_max in range(2 * d + 1):
             assert _assert_oracle_matches_reference(parts, good, n_max).passed
             for label in BUILDERS:
-                for rho in range(len(good[label].coeffs[0].values)):
+                for rho in range(2 * good[label].master_period):
                     certs = dict(good, **{label: _tampered(good[label], 0, rho)})
                     _assert_oracle_matches_reference(parts, certs, n_max)
 
@@ -830,3 +833,63 @@ class TestScaledBlocks:
                 got = next(verify._scaled_blocks(tables, t, stop, stop))
                 want = [cert.value(Fraction(t + 2 * k, 2)) * (den << (m - 1)) for k in range(stop)]
                 assert got == want, (t, stop)
+
+
+def _kernel_tampered(cert: QuasiPoly, bumps: dict[int, int]) -> QuasiPoly:
+    """Copy of a certificate with a d_m-periodic function K added to its free
+    coefficient R_m, read at the master period: bumps maps a class of 2s mod
+    2 d_m to K's value there, zero elsewhere. K(s) = K(s - d_m), so
+    V(s) - V(s - d_m) is unchanged: K is in the recurrence's kernel."""
+    *fns, last = cert.aligned(cert.master_period).coeffs
+    size = 2 * cert.parts[-1]
+    vals = [v + bumps.get(rho % size, 0) for rho, v in enumerate(last.values)]
+    return QuasiPoly(cert.parts, (*fns, PeriodicFn(last.period, vals)), cert.master_period)
+
+
+class TestTamperMatrix:
+    """Which properties catch a kernel tamper of R_m on (2, 3, 5, 7), applied
+    to one certificate or to both. sum(parts) = 17 is odd, so the natural
+    grid is odd 2s. Both tampers are +1 and -1 at 2s = +-c (mod 14): 7-periodic,
+    antisymmetric like R_4, and of mean zero, so recurrence, parity's symmetry
+    and mean-value pass. On the grid (c = 1) only the oracle, and
+    path-agreement when the certificates differ, catch it; off the grid
+    (c = 2) parity's zero rule and zeros' point 2s = 2 do. This pins what
+    verify catches today; a stronger check may only add failures here."""
+
+    PARTS = (2, 3, 5, 7)
+    TAMPERS = {"on-grid": {1: 1, 13: -1}, "off-grid": {2: 1, 12: -1}}
+    FAILS = {
+        ("on-grid", ("explicit",)): ["oracle", "path-agreement"],
+        ("on-grid", ("recursive",)): ["oracle", "path-agreement"],
+        ("on-grid", ("explicit", "recursive")): ["oracle"],
+        ("off-grid", ("explicit",)): ["parity", "zeros", "path-agreement"],
+        ("off-grid", ("recursive",)): ["parity", "zeros", "path-agreement"],
+        ("off-grid", ("explicit", "recursive")): ["parity", "zeros"],
+    }
+
+    @pytest.mark.parametrize(
+        "tamper, which", list(FAILS), ids=lambda k: "+".join(k) if isinstance(k, tuple) else k
+    )
+    def test_failing_properties(self, tamper, which):
+        parts = self.PARTS
+        good = {label: build(parts) for label, build in BUILDERS.items()}
+        certs = {
+            label: _kernel_tampered(cert, self.TAMPERS[tamper]) if label in which else cert
+            for label, cert in good.items()
+        }
+        report = run_properties(parts, certs=certs)
+        assert [r.name for r in report.results if not r.passed] == self.FAILS[tamper, which]
+        for r in report.results:
+            if not r.passed and r.name != "path-agreement":
+                assert r.counterexample["path"] == which[0]
+
+    def test_tamper_is_in_the_recurrence_kernel(self):
+        # the tampered R_4 differs from the built one on the natural grid,
+        # and V(s) - V(s - 7) is unchanged at every class
+        cert = build_explicit(self.PARTS)
+        bad = _kernel_tampered(cert, self.TAMPERS["on-grid"])
+        assert bad != cert
+        for t in range(-30, 30):
+            s = Fraction(t, 2)
+            assert bad.value(s) - bad.value(s - 7) == cert.value(s) - cert.value(s - 7)
+        assert bad.value(Fraction(1, 2)) - cert.value(Fraction(1, 2)) == 1
