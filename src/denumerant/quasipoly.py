@@ -19,8 +19,8 @@ _materialise, which sums each coefficient's piece tables as integers at the
 lcm of their lengths (2 cells for a table constant on each lattice, 2P for
 any other), cuts the sum to its least period (_least_length) and reduces it
 there by PeriodicFn.from_numerators. A built certificate has master period
-tau and stores each coefficient at its least period, which to_json writes;
-only numerator_tables and aligned tile it to tau. build_recursive keeps one
+tau and stores each coefficient at its least period, which to_json writes
+and numerator_tables reads; only aligned tiles it. build_recursive keeps one
 piece per distinct part period: each step, _extend_pieces, correlates every
 piece at its own period (a period-P piece stays period P) and adds
 closure_fn's piece at the new part's period; extend_recursive runs that step
@@ -68,10 +68,9 @@ None otherwise, and nothing is kept across calls. Both builders check the m
 tables of 2*tau cells against the guard limit (oracle.guard) before any of
 this, and every QuasiPoly, built, parsed or hand-built, checks its m tables
 of 2*P cells at its master period P when it is constructed, whatever periods
-its coefficients are stored at, before numerator_tables tiles its
-coefficients to that P; aligned checks a larger P before it tiles to it.
-Everything else stays independent: the recursive step's cyclic correlation,
-build_explicit's product over the pivot, and the counting oracle
+its coefficients are stored at; aligned checks a larger P before it tiles to
+it. Everything else stays independent: the recursive step's cyclic
+correlation, build_explicit's product over the pivot, and the counting oracle
 (oracle.count_dp), so table-level agreement remains a meaningful check; the
 oracle, recurrence, parity and mean-value properties check the shared
 _materialise.
@@ -83,10 +82,11 @@ point is the int t = 2s inside; value takes s as an int or a Fraction with
 denominator 1 or 2, count passes t = 2n + sum(d) straight to the integer
 Horner, and xi is a Fraction. The values are held only as integer numerators
 over one positive denominator, reduced so that gcd(den, *nums) = 1; value,
-count, to_json and aligned read them, and PeriodicFn.values and at_twice build
-Fractions from them per read. One function may be stored at any multiple of
-its least period (from_json keeps the period it reads, aligned tiles), so
-PeriodicFn compares and hashes by the function, not by the stored period.
+count, to_json, numerator_tables and aligned read them, and PeriodicFn.values
+builds Fractions from them per read. One function may be stored at any
+multiple of its least period (from_json keeps the period it reads, aligned
+tiles), so PeriodicFn compares and hashes by the function, not by the stored
+period.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ class PeriodicFn:
     even rho are the integer points, odd rho the half-odd ones. It stores only
     the integer numerators ``nums`` over one denominator ``den`` > 0, reduced
     so that gcd(den, *nums) = 1: equal functions have equal denominators and,
-    at one period, equal tables. ``values`` and ``at_twice`` read them as
-    Fractions, built on each read. A period is a positive int, never a bool.
+    at one period, equal tables. ``values`` reads them as Fractions, built
+    on each read. A period is a positive int, never a bool.
     ``PeriodicFn(period, values)`` takes ints or Fractions and hands their
     numerators over the common denominator to ``from_numerators``, the one
     constructor body.
@@ -171,10 +171,6 @@ class PeriodicFn:
         cell = {a: Fraction(a, self.den) for a in set(self.nums)}
         return tuple(map(cell.__getitem__, self.nums))
 
-    def at_twice(self, twice: int) -> Fraction:
-        """Value at the point twice/2, as a Fraction built on each read."""
-        return Fraction(self.nums[twice % (2 * self.period)], self.den)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicFn):
             return NotImplemented
@@ -202,7 +198,7 @@ class QuasiPoly:
     functions, so a certificate equals its ``aligned(master_period)`` copy.
     Its m tables of 2 * master_period cells are checked against the guard
     limit on construction, so a parsed certificate is refused before any
-    table is tiled to the master period.
+    table is tiled to the master period or read.
     """
 
     __slots__ = ("parts", "coeffs", "master_period")
@@ -279,17 +275,16 @@ class QuasiPoly:
         return v
 
     def numerator_tables(self) -> tuple[int, list[list[int]]]:
-        """(den, tables): tables[j-1][rho] is R_j's numerator at 2s = rho over
-        den, the lcm of the coefficients' denominators, for every rho below
-        twice the master period. Each stored table is scaled to den and tiled
-        to the m tables of 2*master_period cells that the constructor checked
-        against the guard limit."""
+        """(den, tables): tables[j-1] is R_j's stored table of 2*period
+        cells scaled to den, the lcm of the coefficients' denominators, so
+        R_j's numerator over den at 2s = rho is tables[j-1][rho mod its
+        length]. Nothing is tiled: the tables hold no more cells than the
+        coefficients store."""
         den = math.lcm(*(fn.den for fn in self.coeffs))
         tables = []
         for fn in self.coeffs:
             scale = den // fn.den
-            nums = list(fn.nums) if scale == 1 else [a * scale for a in fn.nums]
-            tables.append(nums * (self.master_period // fn.period))
+            tables.append(list(fn.nums) if scale == 1 else [a * scale for a in fn.nums])
         return den, tables
 
     def aligned(self, target: int) -> "QuasiPoly":
@@ -577,9 +572,9 @@ def _least_length(col: Sequence[int], primes: Sequence[int]) -> int:
     ``primes``, which hold every prime factor of the length (the factors of a
     multiple of it serve as well), dividing by q while the column still
     repeats with the quotient, checked by an exact list comparison. The one
-    least-period cut: _materialise, PeriodicFn.__hash__ and verify's
-    recurrence all use it. On a table of 2P cells it may be odd; the least
-    period of the function, in s, is then lcm(2, p)/2."""
+    least-period cut: _materialise and PeriodicFn.__hash__ both use it. On a
+    table of 2P cells it may be odd; the least period of the function, in s,
+    is then lcm(2, p)/2."""
     p = len(col)
     for q in primes:
         while p % q == 0 and col[p // q : p] == col[: p - p // q]:
@@ -689,11 +684,11 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     """Grow a certificate by one more part.
 
     The previous certificate is read as one piece at its true period
-    L = lcm(prev.parts): its numerator_tables(), at whatever master period
-    they are stored, are read at rho mod their length for rho < 2L, which is
-    R_j's numerator at 2s = rho, so the stored period does not matter. The
-    step is _extend_pieces, and the result has the new lcm as its master
-    period, each coefficient at its least period (_materialise).
+    L = lcm(prev.parts): its numerator_tables(), each at the period its
+    coefficient is stored at, are read at rho mod their length for rho < 2L,
+    which is R_j's numerator at 2s = rho, so the stored period does not
+    matter. The step is _extend_pieces, and the result has the new lcm as
+    its master period, each coefficient at its least period (_materialise).
     """
     (d_new,) = as_parts([d_new])
     parts = prev.parts + (d_new,)

@@ -1,33 +1,34 @@
 """Property harness: structural checks on certificates, with minimal counterexamples.
 
-Each check scans its argument space in increasing absolute value, so the first
-failure reported is a smallest one. Certificates are read only through
-QuasiPoly.numerator_tables: integer numerators over one common denominator.
-run_properties reads each certificate once, on every class of its own master
-period, and keeps the distinct views, each under the first label that holds
-it; every check scans that list, so equal certificates are checked once. The
-recurrence and parity laws are identities between coefficient tables on every
-class of the master period, reporting the smallest failing class of 2s;
-parity also requires every off-grid cell (2s != sum(parts) mod 2) to be zero.
-The recurrence checks every view against one prefix certificate, the
-recursive route's, read and shifted once; when run_properties builds the
-certificates itself, build_recursive reads that prefix from the levels its
-pass for the full list recorded in the same call (quasipoly._LEVELS), so no
-level is built twice. It cuts every column to its least period
-(_own_periods, by quasipoly._least_length, the cut the builders make) and
-forms each Taylor row, and compares the two sides, at the lcm of the lengths
-involved, so a coefficient of period 1 is shifted as 2 cells, not 2 tau. The
-oracle compares count_dp with integer Horner run by columns
-(_scaled_blocks), one block of n at a time: the blocks are as long as the
-lcm of the views' master periods, each a list pass per coefficient, and the
-first block that holds a mismatch ends the scan; by default every class
-gets m points. Zeros runs the same evaluator on the forced zeros
-2s = m mod 2, ..., m - 2 alone, which lie in the first m classes;
-the mean value one integer sum per coefficient, against a polynomial part
-whose composition sum also runs on ints (over beta^m, one Fraction per
-coefficient, see polypart.v1_explicit). Path-agreement passes a single
-distinct view at once and otherwise compares the two views at the lcm of their
-lengths.
+Each check scans its argument space in increasing absolute value, so the
+first failure reported is a smallest one. Certificates are read only through
+QuasiPoly.numerator_tables: integer numerators over one common denominator,
+each coefficient at the period it is stored at (its least period, for a built
+certificate), never tiled to the master period. run_properties reads each
+certificate once and keeps the views of the distinct certificates (QuasiPoly
+equality: one master period and equal functions, at whatever periods the
+coefficients are stored), each under the first label that holds it; every
+check scans that list, so equal certificates are checked once. The recurrence
+and parity laws are identities between coefficient tables on every class,
+reporting the smallest failing class of 2s; parity also requires every
+off-grid cell (2s != sum(parts) mod 2) to be zero, and checks each column on
+the classes of its own period, where a failing class repeats. The recurrence
+checks every view against one prefix certificate, the recursive route's, read
+and shifted once; when run_properties builds the certificates itself,
+build_recursive reads that prefix from the levels its pass for the full list
+recorded in the same call (quasipoly._LEVELS), so no level is built twice. It
+forms each Taylor row, and compares the two sides, at the lcm of the column
+lengths involved, so a coefficient of period 1 is shifted as 2 cells, not 2
+tau. The oracle compares count_dp with integer Horner run by columns
+(_scaled_blocks), one block of n at a time: the blocks are as long as the lcm
+of every column's period, each a list pass per coefficient, and the first
+block that holds a mismatch ends the scan; by default every class gets m
+points. Zeros runs the same evaluator on the forced zeros 2s = m mod 2, ...,
+m - 2 alone, which lie in the first m classes; the mean value one integer sum
+per coefficient, against a polynomial part whose composition sum also runs on
+ints (over beta^m, one Fraction per coefficient, see polypart.v1_explicit).
+Path-agreement passes a single distinct view at once and otherwise compares
+each pair of columns at the lcm of their lengths.
 Fractions are built only to word a failure. Results never stop early across
 properties; a report carries one result per requested property."""
 
@@ -104,26 +105,26 @@ def default_n_max(parts: Sequence[int]) -> int:
 
 
 Certs = Mapping[str, quasipoly.QuasiPoly]
-# a certificate as integer numerator tables over one denominator, on every
-# class of its master period (QuasiPoly.numerator_tables)
+# a certificate as integer numerator tables over one denominator, each
+# coefficient on the 2P classes of its stored period P (QuasiPoly.numerator_tables)
 View = tuple[int, list[list[int]]]
 
 
 def _scaled_blocks(tables: list[list[int]], t: int, stop: int, block: int) -> Iterator[list[int]]:
     """2^(m-1) den V(t/2) at t, t + 2, ..., t + 2(stop - 1), yielded block
     values at a time, the last block possibly shorter: integers, since the
-    value at t is sum_j N_j[t mod 2P] 2^(j-1) t^(m-j). stop is positive, and
-    block a multiple of the master period P = len(tables[0]) / 2 or at least
-    stop. Each N_j is sliced once into the classes a block visits in turn
-    (t, t + 2, ... mod 2P): the cells from t on, and when those run out
-    before a block is full, the classes below t as well, so either a whole
-    block or all P classes; that is tiled or cut to the block and pre-shifted
-    by j-1. Every block is then one integer Horner pass [a * t + c for ...]
-    per coefficient."""
+    value at t is sum_j N_j[t mod 2P_j] 2^(j-1) t^(m-j), for N_j stored at
+    its own period P_j. stop is positive, and block a multiple of every P_j
+    or at least stop. Each N_j is sliced once into the classes a block visits
+    in turn (t, t + 2, ... mod 2P_j): the cells from t on, and when those run
+    out before a block is full, the classes below t as well, so either a
+    whole block or all P_j classes; that is tiled or cut to the block and
+    pre-shifted by j-1. Every block is then one integer Horner pass
+    [a * t + c for ...] per coefficient."""
     width = min(block, stop)
-    r = t % len(tables[0])
     cols = []
     for j, col in enumerate(tables):
+        r = t % len(col)
         stepped = col[r : r + 2 * width : 2] + col[r % 2 : r : 2]
         stepped = (stepped * -(-width // len(stepped)))[:width]
         cols.append([c << j for c in stepped] if j else stepped)
@@ -146,9 +147,9 @@ def _first_mismatch(got: list[int], want: list[int]) -> int | None:
 def _check_oracle(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
     counts = oracle.count_dp(parts, n_max).counts
     shift = len(parts) - 1
-    # every view is evaluated over the same blocks of n, one lcm of the
-    # master periods long, so a block's failures are compared at equal n
-    block = math.lcm(*(len(tables[0]) // 2 for _, (_, tables) in views))
+    # every view is evaluated over the same blocks of n, one lcm of every
+    # column's period long, so a block's failures are compared at equal n
+    block = math.lcm(*(len(col) // 2 for _, (_, tables) in views for col in tables))
     scans = [
         (label, den << shift, _scaled_blocks(tables, sum(parts), n_max + 1, block))
         for label, (den, tables) in views
@@ -172,14 +173,6 @@ def _check_oracle(parts, certs: Certs, views: list[tuple[str, View]], n_max: int
                 {"path": label, "n": n, "expected": str(counts[n]), "actual": actual},
             )
     return PropertyResult("oracle", True, note=f"n up to {n_max}")
-
-
-def _own_periods(tables: list[list[int]]) -> list[list[int]]:
-    """Each column cut to its least period (quasipoly._least_length): the
-    column read on one period, from rho = 0. The columns share one length,
-    so the prime factors of that length serve every cut."""
-    primes = quasipoly._prime_factors(len(tables[0]))
-    return [col[: quasipoly._least_length(col, primes)] for col in tables]
 
 
 def _rotated(col: list[int], shift: int) -> list[int]:
@@ -224,19 +217,18 @@ def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max:
     # Every view is checked against one V_{m-1}, the recursive route's, read
     # and shifted once; on the default path it is the recursive pass's level
     # m-1, recorded in quasipoly._LEVELS, not a second pass.
-    # Every column is cut to its least period first, and each side of a row
-    # is periodic with the lcm of the lengths it was formed from, so comparing
+    # Every column is read at its stored period, and each side of a row is
+    # periodic with the lcm of the lengths it was formed from, so comparing
     # the sides at the lcm of their lengths finds the same smallest failing
     # class as a comparison at the lcm of the master periods.
     den_prev, prev = quasipoly.build_recursive(parts[:-1]).numerator_tables()
-    half = _shifted([_rotated(col, dm) for col in _own_periods(prev)], -dm, 2)
+    half = _shifted([_rotated(col, dm) for col in prev], -dm, 2)
     rhs_den = den_prev << (m - 2)
     first = None
     for label, (den, tables) in views:
-        cur = _own_periods(tables)
-        back = _shifted([_rotated(col, 2 * dm) for col in cur], -dm, 1)
+        back = _shifted([_rotated(col, 2 * dm) for col in tables], -dm, 1)
         scale = den * rhs_den
-        for k, (col, sh, rhs) in enumerate(zip(cur, back, [[0]] + half)):
+        for k, (col, sh, rhs) in enumerate(zip(tables, back, [[0]] + half)):
             # both sides of row k over den * rhs_den
             a = [(x - y) * rhs_den for x, y in zip(_tiled(col, len(sh)), sh)]
             b = [y * den for y in rhs]
@@ -256,14 +248,14 @@ def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max:
 def _check_parity(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
     natural = sum(parts) % 2
     # V(-s) = -(-1)^m V(s) on the class of s holds iff R_j(-s) = (-1)^(j-1) R_j(s)
-    # for every j; rho and -rho give the same condition, so rho <= P covers every
-    # class of the master period P, smallest |s| first. Off the natural grid
-    # (2s != sum(parts) mod 2) both cells must be zero, which also makes them
-    # symmetric.
+    # for every j; rho and -rho give the same condition, so rho <= P_j covers
+    # every class of R_j's stored period P_j, smallest |s| first, and a failing
+    # class repeats with P_j. Off the natural grid (2s != sum(parts) mod 2) both
+    # cells must be zero, which also makes them symmetric.
     first = None
     for label, (den, tables) in views:
-        half = len(tables[0]) // 2
         for j, col in enumerate(tables, 1):
+            half = len(col) // 2
             plus, minus = col[: half + 1], col[:1] + col[: half - 1 : -1]
             want = plus if j % 2 else [-x for x in plus]
             if minus != want or any(plus[1 - natural :: 2]):
@@ -307,14 +299,14 @@ def _check_zeros(parts, certs: Certs, views: list[tuple[str, View]], n_max: int)
 def _check_path_agreement(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
     if len(views) == 1:
         return PropertyResult("path-agreement", True)
-    # Otherwise both views are tiled to the lcm of their lengths (2 tau for
-    # builder output) and cross-multiplied by the other's denominator; the
-    # smallest differing class 2s is reported, and its smallest coefficient.
+    # Otherwise each pair of columns is tiled to the lcm of its two lengths
+    # and cross-multiplied by the other's denominator; the smallest differing
+    # class 2s is reported, and its smallest coefficient.
     by_label = dict(views)
     (den_a, ta), (den_b, tb) = by_label["explicit"], by_label["recursive"]
-    size = math.lcm(len(ta[0]), len(tb[0]))
     first = None
     for j, (ca, cb) in enumerate(zip(ta, tb), 1):
+        size = math.lcm(len(ca), len(cb))
         xa = _tiled([x * den_b for x in ca], size)
         xb = _tiled([y * den_a for y in cb], size)
         rho = _first_mismatch(xa, xb)
@@ -323,11 +315,12 @@ def _check_path_agreement(parts, certs: Certs, views: list[tuple[str, View]], n_
     if first is None:
         return PropertyResult("path-agreement", True)
     rho, j = first
+    ca, cb = ta[j - 1], tb[j - 1]
     return PropertyResult(
         "path-agreement", False,
         {"s": str(Fraction(rho, 2)), "coefficient": j,
-         "explicit": str(Fraction(ta[j - 1][rho % len(ta[0])], den_a)),
-         "recursive": str(Fraction(tb[j - 1][rho % len(tb[0])], den_b))},
+         "explicit": str(Fraction(ca[rho % len(ca)], den_a)),
+         "recursive": str(Fraction(cb[rho % len(cb)], den_b))},
     )
 
 
@@ -349,8 +342,8 @@ def _check_mean_value(parts, certs: Certs, views: list[tuple[str, View]], n_max:
 
 
 # name -> check(parts, certs, views, n_max), in report order. views lists the
-# distinct certificate views as (label, view), each under the first label that
-# holds it; only the oracle uses n_max
+# views of the distinct certificates as (label, view), each under the first
+# label that holds it; only the oracle uses n_max
 _CHECKS = {
     "oracle": _check_oracle,
     "recurrence": _check_recurrence,
@@ -421,12 +414,15 @@ def run_properties(
 
 def _run_checks(d: tuple[int, ...], selected: Sequence[str], n_max: int, certs: Certs) -> VerifyReport:
     """The selected checks on the certificates, in PROPERTIES order. Each
-    certificate is read once; equal tables give equal verdicts, so every
-    check scans each distinct view once, under its first label."""
+    certificate is read once; equal certificates give equal verdicts, so
+    every check scans the view of each distinct one once, under its first
+    label. QuasiPoly equality goes by the functions, so a certificate
+    stored at the master period and its equal at least periods are one
+    view."""
     views: list[tuple[str, View]] = []
     for label, cert in certs.items():
         view = cert.numerator_tables()
-        if all(view != seen for _, seen in views):
+        if all(cert != certs[seen] for seen, _ in views):
             views.append((label, view))
     report = VerifyReport(parts=d)
     for name in selected:

@@ -38,6 +38,13 @@ def psi(d: int, t: int) -> Fraction:
     return Fraction(1) if t % (2 * d) == 0 else Fraction(0)
 
 
+def at_twice(fn: PeriodicFn, twice: int) -> Fraction:
+    """A periodic coefficient's value at the point twice/2, as a Fraction
+    built on each read: the cell-at-a-time reader the Fraction references
+    below are written in."""
+    return Fraction(fn.nums[twice % (2 * fn.period)], fn.den)
+
+
 def horner(coeffs, s) -> Fraction:
     """The polynomial with these coefficients (highest power first) at s."""
     acc = Fraction(0)
@@ -74,7 +81,7 @@ def natural_average(fn, parity: int) -> Fraction:
 
 def value_reference(cert, s) -> Fraction:
     """V(s) at a half-integer lattice point s, by Horner over the powers on
-    Fraction values read one cell at a time (PeriodicFn.at_twice). The form
+    Fraction values read one cell at a time (at_twice). The form
     QuasiPoly.value had before it ran on the integer numerators, kept as its
     reference."""
     sf = Fraction(s)
@@ -82,7 +89,7 @@ def value_reference(cert, s) -> Fraction:
     assert twice.denominator == 1, s
     acc = Fraction(0)
     for fn in cert.coeffs:
-        acc = acc * sf + fn.at_twice(int(twice))
+        acc = acc * sf + at_twice(fn, int(twice))
     return acc
 
 
@@ -100,7 +107,8 @@ def numerators_reference(cert) -> tuple[int, list[list[int]]]:
     numerator of R_j at 2s = rho over den, the lcm of the values'
     denominators, for rho in range(2P). The verifier's reader before the
     certificates held integer tables, kept as the reference for
-    QuasiPoly.numerator_tables."""
+    QuasiPoly.numerator_tables, which reads each table at its stored period:
+    tiled to 2P, its tables are these."""
     twices = range(2 * cert.master_period)
     cols = []
     for fn in cert.coeffs:
@@ -110,6 +118,18 @@ def numerators_reference(cert) -> tuple[int, list[list[int]]]:
     den = math.lcm(*dens)
     scale = {q: den // q for q in dens}
     return den, [[v.numerator * scale[v.denominator] for v in col] for col in cols]
+
+
+def least_periods(cert) -> QuasiPoly:
+    """The certificate with each coefficient stored at its least period, the
+    master period kept, found by trying every divisor of the stored period in
+    increasing order."""
+    coeffs = []
+    for fn in cert.coeffs:
+        p = next(p for p in range(1, fn.period + 1)
+                 if fn.period % p == 0 and fn.nums == fn.nums[: 2 * p] * (fn.period // p))
+        coeffs.append(PeriodicFn.from_numerators(p, fn.den, fn.nums[: 2 * p]))
+    return QuasiPoly(cert.parts, coeffs, cert.master_period)
 
 
 def to_json_reference(cert) -> str:

@@ -34,8 +34,10 @@ from denumerant import (
 from denumerant import quasipoly
 from denumerant.quasipoly import _guard_cells, _shift_fold, _shift_weights
 from helpers import (
+    at_twice,
     base_case,
     count_reference,
+    least_periods,
     materialise_reference,
     natural_average,
     numerators_reference,
@@ -67,11 +69,11 @@ class TestPeriodicFn:
     def test_residue_indexing(self):
         # the value at s sits at 2s mod 2 * period
         f = PeriodicFn(2, [10, 11, 12, 13])
-        assert f.at_twice(0) == 10
-        assert f.at_twice(1) == 11
-        assert f.at_twice(2) == 12
-        assert f.at_twice(-1) == 13
-        assert f.at_twice(4) == 10  # wraps at the period
+        assert at_twice(f, 0) == 10
+        assert at_twice(f, 1) == 11
+        assert at_twice(f, 2) == 12
+        assert at_twice(f, -1) == 13
+        assert at_twice(f, 4) == 10  # wraps at the period
 
     def test_length_enforced(self):
         with pytest.raises(InputError):
@@ -161,7 +163,7 @@ class TestExtend:
         # free coefficient in the counting frame: 1 at even n, 1/2 at odd n
         for n in range(8):
             t = 2 * n + 3  # 2s, s = n + xi
-            w0 = Fraction(3, 2) * c.coeffs[0].at_twice(t) + c.coeffs[1].at_twice(t)
+            w0 = Fraction(3, 2) * at_twice(c.coeffs[0], t) + at_twice(c.coeffs[1], t)
             assert w0 == (1 if n % 2 == 0 else HALF), n
 
     def test_even_parts(self):
@@ -269,7 +271,7 @@ class TestWorkedTwoPartForms:
                     psi(d1, rho - (2 * p + 1) * d2 - d1)
                     for p in range(tau // d2)
                 ) / tau
-                assert c.coeffs[0].at_twice(rho) == want, (d1, d2, rho)
+                assert at_twice(c.coeffs[0], rho) == want, (d1, d2, rho)
 
     def test_free_coefficient_partial(self):
         # the piece reachable from the one-part level
@@ -283,7 +285,7 @@ class TestWorkedTwoPartForms:
                     * psi(d1, rho - (2 * p + 1) * d2 - d1)
                     for p in range(tau // d2)
                 )
-                assert c.coeffs[1].at_twice(rho) - rem.at_twice(rho) == want, (d1, d2, rho)
+                assert at_twice(c.coeffs[1], rho) - at_twice(rem, rho) == want, (d1, d2, rho)
 
     def test_free_coefficient_remainder(self):
         # remainder piece, periodic in the second part
@@ -296,7 +298,7 @@ class TestWorkedTwoPartForms:
                     * psi(d2, rho - (2 * p + 1) * d1 - d2)
                     for p in range(tau // d1)
                 )
-                assert rem.at_twice(rho) == want, (d1, d2, rho)
+                assert at_twice(rem, rho) == want, (d1, d2, rho)
 
 
 class TestCompactFreeForm:
@@ -311,7 +313,7 @@ class TestCompactFreeForm:
             prev = build_recursive(parts[:-1])
             rem = closure_fn(parts)
             for rho in range(2 * tau):
-                acc = rem.at_twice(rho)
+                acc = at_twice(rem, rho)
                 for l in range(1, m):
                     for p in range(tau // dm):
                         sp = rho + (2 * p + 1) * dm  # 2s + (2p+1) d_m
@@ -319,7 +321,7 @@ class TestCompactFreeForm:
                             Fraction(tau) ** (l - 1)
                             / l
                             * bernoulli_poly(l, Fraction(sp, 2 * tau))
-                            * prev.coeffs[m - l - 1].at_twice(sp)
+                            * at_twice(prev.coeffs[m - l - 1], sp)
                         )
                 assert acc == cert.value(Fraction(rho, 2)), (parts, rho)
 
@@ -471,7 +473,7 @@ class TestAlign:
         assert g.period == 3
         assert g.values == (5, 7) * 3
         for t in range(-6, 7):
-            assert f.at_twice(t) == g.at_twice(t)
+            assert at_twice(f, t) == at_twice(g, t)
             assert c.value(Fraction(t, 2)) == d.value(Fraction(t, 2))
 
     @pytest.mark.parametrize("target", [0, -1, True, 2.0])
@@ -699,23 +701,32 @@ BENCH_LISTS = [
 class TestIntegerTables:
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_builders_store_reduced_tables(self, builder):
+        # numerator_tables reads each coefficient at its stored 2 * period
+        # cells, untiled; tiled to the master period it is the reference read
+        below = 0
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             cert = builder(parts)
-            assert cert.numerator_tables() == numerators_reference(cert), parts
+            den, tables = cert.numerator_tables()
+            assert [len(col) for col in tables] == [2 * fn.period for fn in cert.coeffs], parts
+            tiled = [col * (cert.master_period // fn.period) for col, fn in zip(tables, cert.coeffs)]
+            assert (den, tiled) == numerators_reference(cert), parts
+            below += any(fn.period < cert.master_period for fn in cert.coeffs)
             for fn in cert.coeffs:
                 assert fn.den > 0 and math.gcd(fn.den, *fn.nums) == 1, parts
                 assert len(fn.nums) == len(fn.values) == 2 * fn.period
                 copy = PeriodicFn(fn.period, fn.values)
                 assert copy == fn and hash(copy) == hash(fn), parts
+        # some columns are read shorter than the master period
+        assert below > 0
 
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_builders_store_least_periods(self, builder):
-        # every coefficient is stored at the least period _own_periods finds
+        # every coefficient is stored at the least period least_periods finds
         # on its table tiled to the master period, at that period's cells
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             cert = builder(parts)
             assert cert.master_period == lcm_of(parts), parts
-            own = _own_periods(cert.aligned(cert.master_period))
+            own = least_periods(cert.aligned(cert.master_period))
             got = [(fn.period, fn.den, fn.nums) for fn in cert.coeffs]
             assert got == [(fn.period, fn.den, fn.nums) for fn in own.coeffs], parts
 
@@ -757,17 +768,6 @@ class TestMaterialise:
         assert partial > 0
 
 
-def _own_periods(cert):
-    """The certificate with each coefficient stored at its least period, the
-    master period kept."""
-    coeffs = []
-    for fn in cert.coeffs:
-        p = next(p for p in range(1, fn.period + 1)
-                 if fn.period % p == 0 and fn.nums == fn.nums[: 2 * p] * (fn.period // p))
-        coeffs.append(PeriodicFn.from_numerators(p, fn.den, fn.nums[: 2 * p]))
-    return QuasiPoly(cert.parts, coeffs, cert.master_period)
-
-
 class TestIntegerEvaluation:
     """value and count run integer Horner on the stored numerators and divide
     once; the Fraction Horner they replaced is the reference."""
@@ -778,7 +778,7 @@ class TestIntegerEvaluation:
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             cert = builder(parts)
             # coefficients stored below the master period, read back from JSON
-            parsed = QuasiPoly.from_json(_own_periods(cert).to_json())
+            parsed = QuasiPoly.from_json(least_periods(cert).to_json())
             below += any(fn.period < parsed.master_period for fn in parsed.coeffs)
             sigma = sum(parts)
             # negative n at both edges of the reciprocity window -sigma < n < 0

@@ -1,6 +1,7 @@
 """The property harness itself: detection power and minimality of counterexamples."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from denumerant import (
 )
 from denumerant import quasipoly, verify
 from denumerant.verify import BUILDERS, PROPERTIES, default_n_max
-from helpers import poly_sub, taylor_shift
+from helpers import at_twice, least_periods, poly_sub, taylor_shift
 
 
 def _tampered(cert: QuasiPoly, coeff_index: int, rho: int, delta=Fraction(1)) -> QuasiPoly:
@@ -170,8 +171,8 @@ class TestDetection:
         assert cex["path"] == "recursive"
         assert cex["s"] == "2"
         assert cex["coefficient"] == 2
-        assert cex["R_j(s)"] == str(good.coeffs[1].at_twice(4))
-        assert cex["R_j(-s)"] == str(good.coeffs[1].at_twice(8) + 1)
+        assert cex["R_j(s)"] == str(at_twice(good.coeffs[1], 4))
+        assert cex["R_j(-s)"] == str(at_twice(good.coeffs[1], 8) + 1)
 
     def test_parity_off_grid_failure(self):
         # (1, 2, 3) sums to 6, so 2s = 3 is off the natural grid: a nonzero
@@ -318,7 +319,7 @@ def _recurrence_direct(parts, certs) -> PropertyResult:
     prevs = {label: BUILDERS[label](parts[:-1]) for label in certs}
 
     def column(cert, rho):
-        return [fn.at_twice(rho) for fn in cert.coeffs]
+        return [at_twice(fn, rho) for fn in cert.coeffs]
 
     for rho in range(2 * _period(parts, certs)):
         for label, cert in certs.items():
@@ -345,7 +346,7 @@ def _parity_direct(parts, certs) -> PropertyResult:
         on_grid = rho % 2 == natural
         for label, cert in certs.items():
             for j, fn in enumerate(cert.coeffs, 1):
-                plus, minus = fn.at_twice(rho), fn.at_twice(-rho)
+                plus, minus = at_twice(fn, rho), at_twice(fn, -rho)
                 broken = minus * (-1) ** (m - j) != sign * plus if on_grid else plus or minus
                 if broken:
                     return PropertyResult(
@@ -560,12 +561,18 @@ class TestOracleCounts:
     POINTS = {"oracle": default_n_max((1, 2, 3)) + 1, "zeros": 1}
 
     def test_equal_certificates_counted_once(self, calls):
+        # built here, and injected as one certificate stored at the master
+        # period next to its equal stored at least periods
         parts = (1, 2, 3)
-        for prop, points in self.POINTS.items():
-            calls.clear()
-            report = run_properties(parts, props=[prop])
-            assert report.passed
-            assert len(calls) == points, prop
+        built = build_explicit(parts)
+        assert any(fn.period < built.master_period for fn in built.coeffs)
+        mixed = {"explicit": built.aligned(built.master_period), "recursive": build_recursive(parts)}
+        for certs in (None, mixed):
+            for prop, points in self.POINTS.items():
+                calls.clear()
+                report = run_properties(parts, props=[prop], certs=certs)
+                assert report.passed
+                assert len(calls) == points, prop
 
     def test_distinct_valid_certificates_both_counted(self, calls):
         parts = (1, 2, 3)
@@ -593,7 +600,7 @@ class TestOracleCounts:
         result = self._oracle(("explicit", "recursive"), ("explicit", "recursive"))
         assert result.counterexample == {"path": "explicit", "n": 1, "expected": "1", "actual": "2"}
         # one view, evaluated up to the end of the first block that fails:
-        # n = 0..5, one master period tau = 6 of (1, 2, 3)
+        # n = 0..5, one block of the lcm of the column periods, tau = 6 of (1, 2, 3)
         assert calls == list(range(6))
 
     def test_recursive_first_order(self):
@@ -685,11 +692,11 @@ def _path_agreement_direct(parts, certs) -> PropertyResult:
     a, b = certs["explicit"], certs["recursive"]
     for rho in range(2 * math.lcm(a.master_period, b.master_period)):
         for j, (fa, fb) in enumerate(zip(a.coeffs, b.coeffs), 1):
-            if fa.at_twice(rho) != fb.at_twice(rho):
+            if at_twice(fa, rho) != at_twice(fb, rho):
                 return PropertyResult(
                     "path-agreement", False,
                     {"s": str(Fraction(rho, 2)), "coefficient": j,
-                     "explicit": str(fa.at_twice(rho)), "recursive": str(fb.at_twice(rho))},
+                     "explicit": str(at_twice(fa, rho)), "recursive": str(at_twice(fb, rho))},
                 )
     return PropertyResult("path-agreement", True)
 
@@ -731,15 +738,21 @@ def _least_period_brute(col: list[int]) -> int:
 
 
 class TestOwnPeriods:
+    """quasipoly._least_length, the one least-period cut, on columns tiled to
+    the master period or beyond, so every cut starts from a column longer
+    than its least period wherever that period is short."""
+
     def _assert_cut(self, tables):
-        cut = verify._own_periods(tables)
-        assert [len(c) for c in cut] == [_least_period_brute(col) for col in tables]
-        assert all(col == c * (len(col) // len(c)) for col, c in zip(tables, cut))
+        primes = quasipoly._prime_factors(len(tables[0]))
+        cut = [quasipoly._least_length(col, primes) for col in tables]
+        assert cut == [_least_period_brute(col) for col in tables]
+        assert all(col == col[:p] * (len(col) // p) for col, p in zip(tables, cut))
 
     def test_builder_tables(self):
         for parts in list(iter_multisets(4, 6)) + [(2, 3, 5, 7), (5, 7, 9), (1, 2, 3, 4, 5, 6)]:
             for build in BUILDERS.values():
-                self._assert_cut(build(parts).numerator_tables()[1])
+                cert = build(parts)
+                self._assert_cut(cert.aligned(cert.master_period).numerator_tables()[1])
 
     def test_aligned_and_tampered_tables(self):
         for parts in [(1,), (1, 1), (1, 2, 3), (2, 3, 4), (2, 2, 3, 3), (5, 6, 7)]:
@@ -772,7 +785,7 @@ class TestOwnPeriods:
         # (31, 37, 41): tau = 47027, stored at 2 tau = 94054 = 2 * 31 * 37 * 41
         parts = (31, 37, 41)
         cert = build_recursive(parts)
-        tables = cert.numerator_tables()[1]
+        tables = cert.aligned(cert.master_period).numerator_tables()[1]
         assert len(tables[0]) == 94054
         self._assert_cut(tables)
         tampered = [list(col) for col in tables]
@@ -893,3 +906,41 @@ class TestTamperMatrix:
             s = Fraction(t, 2)
             assert bad.value(s) - bad.value(s - 7) == cert.value(s) - cert.value(s - 7)
         assert bad.value(Fraction(1, 2)) - cert.value(Fraction(1, 2)) == 1
+
+
+class TestMixedStoredPeriods:
+    """A certificate stored at the master period next to one stored at its
+    least periods gives, byte for byte, the report of two certificates stored
+    alike: clean and with each TestTamperMatrix tamper, on either side or
+    both. Where the two certificates differ, both views are checked, and
+    their mixed lengths meet in the oracle's block (the lcm of every column's
+    period), in parity's per-column half and in path-agreement's per-column
+    lcm; where they are equal, the first label's view alone is checked."""
+
+    @pytest.mark.parametrize("parts", [(2, 3, 5, 7), (1, 2, 3, 4, 5, 6, 7, 8), (31, 37, 41)])
+    def test_reports_match_stored_alike(self, parts):
+        built = {label: build(parts) for label, build in BUILDERS.items()}
+        # the clean certificates as a file written at the master period reads
+        tiled = {
+            label: QuasiPoly.from_json(cert.aligned(cert.master_period).to_json())
+            for label, cert in built.items()
+        }
+        assert all(len(fn.nums) == 2 * cert.master_period for cert in tiled.values() for fn in cert.coeffs)
+        assert any(fn.period < cert.master_period for cert in built.values() for fn in cert.coeffs)
+        cases = [("clean", (), tiled, built)]
+        for tamper, which in TestTamperMatrix.FAILS:
+            bumps = TestTamperMatrix.TAMPERS[tamper]
+            # _kernel_tampered stores every coefficient at the master period
+            bad = {label: _kernel_tampered(cert, bumps) if label in which else tiled[label]
+                   for label, cert in built.items()}
+            least = {label: least_periods(cert) if label in which else built[label]
+                     for label, cert in bad.items()}
+            cases.append((tamper, which, bad, least))
+        failures = 0
+        for tamper, which, long, short in cases:
+            want = json.dumps(run_properties(parts, certs=short).to_json_dict())
+            for mixed in ({**short, "explicit": long["explicit"]}, {**short, "recursive": long["recursive"]}):
+                got = json.dumps(run_properties(parts, certs=mixed).to_json_dict())
+                assert got == want, (parts, tamper, which)
+            failures += '"passed": false' in want
+        assert failures == len(TestTamperMatrix.FAILS)
