@@ -17,10 +17,8 @@ numerators over the piece's own denominator for a period P (grouped by period
 like Sylvester's waves, but not reduced to the canonical waves), and end in
 _materialise, which sums each coefficient's piece tables as integers at the
 lcm of their lengths (2 cells for a table constant on each lattice, 2P for
-any other), cuts the sum to its least period (_least_length) and reduces it
-there by PeriodicFn.from_numerators. A built certificate has master period
-tau and stores each coefficient at its least period, which to_json writes
-and numerator_tables reads; only aligned tiles it. build_recursive keeps one
+any other) and hands each sum to PeriodicFn.from_numerators. A built
+certificate has master period tau. build_recursive keeps one
 piece per distinct part period: each step, _extend_pieces, correlates every
 piece at its own period (a period-P piece stays period P) and adds
 closure_fn's piece at the new part's period; extend_recursive runs that step
@@ -67,9 +65,8 @@ already recorded, so verify's prefix certificate costs no second pass; it is
 None otherwise, and nothing is kept across calls. Both builders check the m
 tables of 2*tau cells against the guard limit (oracle.guard) before any of
 this, and every QuasiPoly, built, parsed or hand-built, checks its m tables
-of 2*P cells at its master period P when it is constructed, whatever periods
-its coefficients are stored at; aligned checks a larger P before it tiles to
-it. Everything else stays independent: the recursive step's cyclic
+of 2*P cells at its master period P when it is constructed, aligned's larger
+P included. Everything else stays independent: the recursive step's cyclic
 correlation, build_explicit's product over the pivot, and the counting oracle
 (oracle.count_dp), so table-level agreement remains a meaningful check; the
 oracle, recurrence, parity and mean-value properties check the shared
@@ -82,11 +79,13 @@ point is the int t = 2s inside; value takes s as an int or a Fraction with
 denominator 1 or 2, count passes t = 2n + sum(d) straight to the integer
 Horner, and xi is a Fraction. The values are held only as integer numerators
 over one positive denominator, reduced so that gcd(den, *nums) = 1; value,
-count, to_json, numerator_tables and aligned read them, and PeriodicFn.values
-builds Fractions from them per read. One function may be stored at any
-multiple of its least period (from_json keeps the period it reads, aligned
-tiles), so PeriodicFn compares and hashes by the function, not by the stored
-period.
+count, to_json and numerator_tables read them, and PeriodicFn.values builds
+Fractions from them per read. Every table, built, parsed or hand-built, is
+cut to its function's least period by PeriodicFn.from_numerators, the one
+constructor body (_least_length), so one function has one stored form: a
+file written with its coefficients tiled to tau reads as the built
+certificate and writes the built bytes, and PeriodicFn compares and hashes
+as plain (den, nums) data.
 """
 
 from __future__ import annotations
@@ -118,19 +117,14 @@ class PeriodicFn:
 
     Its value at every point s with 2s = rho (mod 2*period) is nums[rho]/den;
     even rho are the integer points, odd rho the half-odd ones. It stores only
-    the integer numerators ``nums`` over one denominator ``den`` > 0, reduced
-    so that gcd(den, *nums) = 1: equal functions have equal denominators and,
-    at one period, equal tables. ``values`` reads them as Fractions, built
-    on each read. A period is a positive int, never a bool.
-    ``PeriodicFn(period, values)`` takes ints or Fractions and hands their
-    numerators over the common denominator to ``from_numerators``, the one
-    constructor body.
-
-    Equality and hash go by the function, not by the stored period: two
-    tables are equal iff their denominators are equal and their numerators
-    agree tiled to the lcm of the two periods, so PeriodicFn(1, [5, 7]) ==
-    PeriodicFn(3, [5, 7] * 3). The hash is taken over the denominator and the
-    numerators cut to the least period.
+    the integer numerators ``nums`` over one denominator ``den`` > 0, at the
+    function's least period ``period``, reduced so that gcd(den, *nums) = 1:
+    one function has one stored form, so equality and hash are those of
+    (den, nums), and PeriodicFn(3, [5, 7] * 3) is stored as PeriodicFn(1,
+    [5, 7]). ``values`` reads them as Fractions, built on each read. A period
+    is a positive int, never a bool. ``PeriodicFn(period, values)`` takes
+    ints or Fractions and hands their numerators over the common denominator
+    to ``from_numerators``, the one constructor body.
     """
 
     __slots__ = ("period", "den", "nums")
@@ -146,9 +140,11 @@ class PeriodicFn:
 
     @classmethod
     def from_numerators(cls, period: int, den: int, nums: Sequence[int]) -> "PeriodicFn":
-        """The function with values nums[rho]/den, for int numerators over a
-        positive int den, never bools, reduced by gcd(den, *nums). One int is
-        kept per distinct numerator, shared by every cell that holds it."""
+        """The function with values nums[rho mod 2*period]/den, for int
+        numerators over a positive int den, never bools: the table is cut to
+        its least period (_least_length) and reduced there by gcd(den, *nums).
+        One int is kept per distinct numerator, shared by every cell that
+        holds it."""
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise InputError(f"period must be a positive integer, got {period!r}")
         if not isinstance(den, int) or isinstance(den, bool) or den < 1:
@@ -158,11 +154,13 @@ class PeriodicFn:
         if any(t is bool or not issubclass(t, int) for t in set(map(type, nums))):
             bad = next(a for a in nums if type(a) is bool or not isinstance(a, int))
             raise InputError(f"numerators must be ints, got {bad!r}")
+        if period > 1:  # 2 cells are at their least period already
+            nums = nums[: math.lcm(2, _least_length(nums))]
         distinct = set(nums)
         g = math.gcd(den, *distinct)
         reduced = {a: a // g for a in distinct}
         fn = cls.__new__(cls)
-        fn.period, fn.den, fn.nums = period, den // g, tuple(map(reduced.__getitem__, nums))
+        fn.period, fn.den, fn.nums = len(nums) // 2, den // g, tuple(map(reduced.__getitem__, nums))
         return fn
 
     @property
@@ -174,16 +172,10 @@ class PeriodicFn:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicFn):
             return NotImplemented
-        if self.den != other.den:
-            return False
-        if self.period == other.period:
-            return self.nums == other.nums
-        size = math.lcm(self.period, other.period)
-        return self.nums * (size // self.period) == other.nums * (size // other.period)
+        return (self.den, self.nums) == (other.den, other.nums)
 
     def __hash__(self) -> int:
-        cells = math.lcm(2, _least_length(self.nums, _prime_factors(len(self.nums))))
-        return hash((self.den, self.nums[:cells]))
+        return hash((self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"PeriodicFn(period={self.period})"
@@ -192,13 +184,11 @@ class PeriodicFn:
 class QuasiPoly:
     """A certificate V(s) = sum_j R_j(s) s^(m-j) for one ordered part list.
 
-    Immutable once built. ``coeffs[j-1]`` is R_j; every coefficient period
-    divides the master period, and the builders store each at its least
-    period. Equality compares parts, master period and coefficients as
-    functions, so a certificate equals its ``aligned(master_period)`` copy.
-    Its m tables of 2 * master_period cells are checked against the guard
-    limit on construction, so a parsed certificate is refused before any
-    table is tiled to the master period or read.
+    Immutable once built. ``coeffs[j-1]`` is R_j, held at its least period
+    (PeriodicFn), which must divide the master period. Equality compares
+    parts, master period and coefficients. Its m tables of 2 * master_period
+    cells are checked against the guard limit on construction, so a parsed
+    certificate is refused before any table is read.
     """
 
     __slots__ = ("parts", "coeffs", "master_period")
@@ -288,15 +278,14 @@ class QuasiPoly:
         return den, tables
 
     def aligned(self, target: int) -> "QuasiPoly":
-        """Same function, every table tiled to the target period, a positive
-        int multiple of the master period, never a bool. Its m tables of
-        2*target cells are checked against the guard limit before any is tiled."""
+        """The same coefficients under the master period target, a positive
+        int multiple of the master period, never a bool. The constructor
+        checks its m tables of 2*target cells against the guard limit."""
         if type(target) is not int or target < 1 or target % self.master_period:
             raise InputError(
                 f"{target!r} is not a positive multiple of the master period {self.master_period}"
             )
-        _guard_cells(self.m, target)
-        return QuasiPoly(self.parts, [_tiled(fn, target) for fn in self.coeffs], target)
+        return QuasiPoly(self.parts, self.coeffs, target)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasiPoly):
@@ -527,10 +516,11 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     divisibility indicator and each central Bernoulli symbol replaced by its
     finite shift sum. Every shift sum is reduced mod 2*d_m, so by Raabe's
     theorem (see _shift_weights) it is taken at its own period lcm(d_i, d_m).
-    Period of the result: d_m. It is the total-exponent m-1 table of
-    _shift_fold over the prefix, mod 2*d_m, with every position taking every
-    exponent (skip 0): the multinomial over (m-1)! is exactly 1/prod r_k!.
-    The table holds numerators over the fold's denominator.
+    It is the total-exponent m-1 table of _shift_fold over the prefix, mod
+    2*d_m, with every position taking every exponent (skip 0): the
+    multinomial over (m-1)! is exactly 1/prod r_k!. The table holds
+    numerators over the fold's denominator, and the result is stored at its
+    least period, a divisor of d_m.
     """
     d = as_parts(parts)
     m = len(d)
@@ -539,16 +529,6 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     for res, a in fold[m - 1].items():
         table[res] = a
     return PeriodicFn.from_numerators(d[-1], den, table)
-
-
-def _tiled(fn: PeriodicFn, period: int) -> PeriodicFn:
-    """fn's table repeated to a period that fn.period divides. The numerators
-    are already reduced, and repeating them keeps gcd(den, *nums) = 1 and the
-    one int object per distinct numerator, so nothing is reduced again.
-    Callers check the cells against the guard limit first."""
-    out = PeriodicFn.__new__(PeriodicFn)
-    out.period, out.den, out.nums = period, fn.den, fn.nums * (period // fn.period)
-    return out
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -565,18 +545,17 @@ def _prime_factors(n: int) -> list[int]:
     return primes
 
 
-def _least_length(col: Sequence[int], primes: Sequence[int]) -> int:
+def _least_length(col: Sequence[int]) -> int:
     """The least number of cells p with which the column repeats: col[i] ==
     col[i + p] wherever both exist. The column's own length is one such p,
     so the least divides it; it is found by descending from that length over
-    ``primes``, which hold every prime factor of the length (the factors of a
-    multiple of it serve as well), dividing by q while the column still
+    the length's prime factors q, dividing by q while the column still
     repeats with the quotient, checked by an exact list comparison. The one
-    least-period cut: _materialise and PeriodicFn.__hash__ both use it. On a
-    table of 2P cells it may be odd; the least period of the function, in s,
-    is then lcm(2, p)/2."""
+    least-period cut, made by PeriodicFn.from_numerators. On a table of 2P
+    cells it may be odd; the least period of the function, in s, is then
+    lcm(2, p)/2."""
     p = len(col)
-    for q in primes:
+    for q in _prime_factors(p):
         while p % q == 0 and col[p // q : p] == col[: p - p // q]:
             p //= q
     return p
@@ -611,8 +590,9 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
     Python ints, over the previous denominator times the weights' times
     (m-1)!. The l = 0 term of the free coefficient R_m has no previous
     coefficient to read; it is the closure remainder closure_fn, added to the
-    period-d_new piece. Pieces are not reduced; _materialise's
-    PeriodicFn.from_numerators reduces the final tables once.
+    period-d_new piece, its table repeated from its least period to 2 d_new
+    cells. Pieces are not reduced; _materialise's PeriodicFn.from_numerators
+    reduces the final tables once.
     """
     m = len(parts)
     d_new = parts[-1]
@@ -639,7 +619,8 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
     common = math.lcm(den, closure.den)
     k, kc = common // den, common // closure.den
     tables = [[a * k for a in table] for table in tables]
-    tables[-1] = [a + kc * c for a, c in zip(tables[-1], closure.nums)]
+    closure_nums = closure.nums * (d_new // closure.period)
+    tables[-1] = [a + kc * c for a, c in zip(tables[-1], closure_nums, strict=True)]
     out[d_new] = (common, tables)
     return out
 
@@ -651,14 +632,11 @@ def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
     Each piece's numerators are brought to the pieces' common denominator. A
     piece table that is constant on each lattice (t[2:] == t[:-2]) joins the
     sum as its 2 cells, every other one at its piece's 2P. Coefficient j is
-    summed at the lcm L_j of those lengths, which divides 2 tau, cut by
-    _least_length to its least period (a sum of 2 cells is one already) and
-    reduced there once by PeriodicFn.from_numerators: cutting and reducing
-    commute, and the sums at 2 tau are the same cells repeated, so the table
-    is the one the sums at 2 tau would give, cut. The prime factors of 2 tau
-    serve every cut and are found once per call."""
+    summed at the lcm L_j of those lengths, which divides 2 tau, and handed
+    over at L_j cells to PeriodicFn.from_numerators, which cuts it to its
+    least period and reduces it there: the sums at 2 tau are the same cells
+    repeated, so the function is the one the sums at 2 tau would give."""
     tau = lcm_of(parts)
-    primes = _prime_factors(2 * tau)
     den = math.lcm(*(piece_den for piece_den, _ in pieces.values()))
     coeffs = []
     for j in range(len(parts)):
@@ -673,10 +651,8 @@ def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
         size = math.lcm(2, *map(len, tiles))
         values = tiles[0] * (size // len(tiles[0])) if tiles else [0] * size
         for tile in tiles[1:]:
-            values = [a + b for a, b in zip(values, tile * (size // len(tile)))]
-        if size > 2:
-            size = math.lcm(2, _least_length(values, primes))
-        coeffs.append(PeriodicFn.from_numerators(size // 2, den, values[:size]))
+            values = [a + b for a, b in zip(values, tile * (size // len(tile)), strict=True)]
+        coeffs.append(PeriodicFn.from_numerators(size // 2, den, values))
     return QuasiPoly(parts, coeffs, tau)
 
 

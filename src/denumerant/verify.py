@@ -3,14 +3,13 @@
 Each check scans its argument space in increasing absolute value, so the
 first failure reported is a smallest one. Certificates are read only through
 QuasiPoly.numerator_tables: integer numerators over one common denominator,
-each coefficient at the period it is stored at (its least period, for a built
-certificate), never tiled to the master period. run_properties reads each
-certificate once and keeps the views of the distinct certificates (QuasiPoly
-equality: one master period and equal functions, at whatever periods the
-coefficients are stored), each under the first label that holds it; every
-check scans that list, so equal certificates are checked once. The recurrence
-and parity laws are identities between coefficient tables on every class,
-reporting the smallest failing class of 2s; parity also requires every
+each coefficient at its least period, the one period it is stored at.
+run_properties reads each certificate once and keeps the views of the
+distinct certificates (QuasiPoly equality), each under the first label that
+holds it; every check scans that list, so equal certificates are checked
+once, a parsed file and the built certificate it equals included. The
+recurrence and parity laws are identities between coefficient tables on every
+class, reporting the smallest failing class of 2s; parity also requires every
 off-grid cell (2s != sum(parts) mod 2) to be zero, and checks each column on
 the classes of its own period, where a failing class repeats. The recurrence
 checks every view against one prefix certificate, the recursive route's, read
@@ -106,7 +105,7 @@ def default_n_max(parts: Sequence[int]) -> int:
 
 Certs = Mapping[str, quasipoly.QuasiPoly]
 # a certificate as integer numerator tables over one denominator, each
-# coefficient on the 2P classes of its stored period P (QuasiPoly.numerator_tables)
+# coefficient on the 2P classes of its least period P (QuasiPoly.numerator_tables)
 View = tuple[int, list[list[int]]]
 
 
@@ -416,9 +415,7 @@ def _run_checks(d: tuple[int, ...], selected: Sequence[str], n_max: int, certs: 
     """The selected checks on the certificates, in PROPERTIES order. Each
     certificate is read once; equal certificates give equal verdicts, so
     every check scans the view of each distinct one once, under its first
-    label. QuasiPoly equality goes by the functions, so a certificate
-    stored at the master period and its equal at least periods are one
-    view."""
+    label."""
     views: list[tuple[str, View]] = []
     for label, cert in certs.items():
         view = cert.numerator_tables()

@@ -45,6 +45,28 @@ def at_twice(fn: PeriodicFn, twice: int) -> Fraction:
     return Fraction(fn.nums[twice % (2 * fn.period)], fn.den)
 
 
+def tiled_values(fn: PeriodicFn, period: int) -> list[Fraction]:
+    """A periodic coefficient's values repeated to the 2*period cells of a
+    period that fn.period divides: its table at a period it is not stored
+    at, the one the tests' tampers nudge one class of."""
+    return list(fn.values) * (period // fn.period)
+
+
+def tiled_json(text: str) -> str:
+    """A certificate's JSON with every coefficient's "values" repeated to
+    the master period and "period" set to it, written by
+    json.dumps(indent=2): the document the builders wrote before they stored
+    each coefficient at its least period, made by the standard library
+    alone."""
+    raw = json.loads(text)
+    tau = raw["master_period"]
+    for entry in raw["coefficients"]:
+        values, size = entry["values"], 2 * entry["period"]
+        entry["period"] = tau
+        entry["values"] = {str(rho): values[str(rho % size)] for rho in range(2 * tau)}
+    return json.dumps(raw, indent=2)
+
+
 def horner(coeffs, s) -> Fraction:
     """The polynomial with these coefficients (highest power first) at s."""
     acc = Fraction(0)
@@ -107,7 +129,7 @@ def numerators_reference(cert) -> tuple[int, list[list[int]]]:
     numerator of R_j at 2s = rho over den, the lcm of the values'
     denominators, for rho in range(2P). The verifier's reader before the
     certificates held integer tables, kept as the reference for
-    QuasiPoly.numerator_tables, which reads each table at its stored period:
+    QuasiPoly.numerator_tables, which reads each table at its least period:
     tiled to 2P, its tables are these."""
     twices = range(2 * cert.master_period)
     cols = []
@@ -120,16 +142,18 @@ def numerators_reference(cert) -> tuple[int, list[list[int]]]:
     return den, [[v.numerator * scale[v.denominator] for v in col] for col in cols]
 
 
-def least_periods(cert) -> QuasiPoly:
-    """The certificate with each coefficient stored at its least period, the
-    master period kept, found by trying every divisor of the stored period in
-    increasing order."""
-    coeffs = []
+def least_periods(cert) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(period, den, nums) of each coefficient at its least period: its
+    numerators tiled here to the master period P, then cut at the first
+    divisor p of P, tried in increasing order, with which the tiled table
+    repeats. The reference for the cut PeriodicFn.from_numerators makes."""
+    tau = cert.master_period
+    out = []
     for fn in cert.coeffs:
-        p = next(p for p in range(1, fn.period + 1)
-                 if fn.period % p == 0 and fn.nums == fn.nums[: 2 * p] * (fn.period // p))
-        coeffs.append(PeriodicFn.from_numerators(p, fn.den, fn.nums[: 2 * p]))
-    return QuasiPoly(cert.parts, coeffs, cert.master_period)
+        col = fn.nums * (tau // fn.period)
+        p = next(p for p in range(1, tau + 1) if tau % p == 0 and col == col[: 2 * p] * (tau // p))
+        out.append((p, fn.den, col[: 2 * p]))
+    return out
 
 
 def to_json_reference(cert) -> str:

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from denumerant import QuasiPoly, quasipoly
 from denumerant.cli import main
+from helpers import tiled_values
 from test_cert_bytes import PINNED
 
 
@@ -23,13 +24,15 @@ def runner():
 
 def _nudge_builder(monkeypatch, delta):
     """Patch quasipoly.build_explicit to add delta to the free coefficient
-    everywhere, so every count it gives is off by delta."""
+    everywhere, its table tiled here to the master period, so every count it
+    gives is off by delta."""
     real = quasipoly.build_explicit
 
     def nudged(parts):
         cert = real(parts)
-        *fns, last = cert.aligned(cert.master_period).coeffs
-        last = quasipoly.PeriodicFn(last.period, [v + delta for v in last.values])
+        *fns, last = cert.coeffs
+        vals = [v + delta for v in tiled_values(last, cert.master_period)]
+        last = quasipoly.PeriodicFn(cert.master_period, vals)
         return QuasiPoly(cert.parts, (*fns, last), cert.master_period)
 
     monkeypatch.setattr(quasipoly, "build_explicit", nudged)
@@ -168,10 +171,10 @@ class TestVerify:
 
         def sabotaged(parts):
             cert = real(parts)
-            fns = list(cert.aligned(cert.master_period).coeffs)
-            vals = list(fns[-1].values)
+            fns = list(cert.coeffs)
+            vals = tiled_values(fns[-1], cert.master_period)
             vals[1] += 1  # odd residue class: the one counts actually visit
-            fns[-1] = quasipoly.PeriodicFn(fns[-1].period, vals)
+            fns[-1] = quasipoly.PeriodicFn(cert.master_period, vals)
             return QuasiPoly(cert.parts, tuple(fns), cert.master_period)
 
         monkeypatch.setattr(quasipoly, "build_explicit", sabotaged)

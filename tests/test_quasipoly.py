@@ -42,6 +42,8 @@ from helpers import (
     natural_average,
     numerators_reference,
     psi,
+    tiled_json,
+    tiled_values,
     to_json_reference,
     value_reference,
 )
@@ -87,16 +89,31 @@ class TestPeriodicFn:
         assert (PeriodicFn(1, [0, 0]).den, PeriodicFn(1, [0, 0]).nums) == (1, (0, 0))
         assert PeriodicFn.from_numerators(2, 24, [4, 0, -6, 72]) == f
 
+    def test_stored_at_least_period(self):
+        # the table is cut to its least period before it is reduced there:
+        # 2 cells, an odd number of cells (stored as twice as many), and a
+        # full table that does not repeat
+        halves = PeriodicFn.from_numerators(3, 4, [2, 6] * 3)
+        assert (halves.period, halves.den, halves.nums) == (1, 2, (1, 3))
+        odd = PeriodicFn.from_numerators(6, 1, [1, 2, 3] * 4)
+        assert (odd.period, odd.nums) == (3, (1, 2, 3, 1, 2, 3))
+        whole = PeriodicFn.from_numerators(3, 1, [0, 0, 0, 0, 0, 1])
+        assert (whole.period, whole.nums) == (3, (0, 0, 0, 0, 0, 1))
+        constant = PeriodicFn(5, [Fraction(-3, 4)] * 10)
+        assert (constant.period, constant.den, constant.nums) == (1, 4, (-3, -3))
+
     def test_equality_by_function(self):
-        # one function stored at period 1 and at period 3: equal, one hash
+        # one function handed over at period 1 and at period 3 is stored
+        # once, at period 1, so plain (den, nums) equality and hash go by it
         short, long = PeriodicFn(1, [5, 7]), PeriodicFn(3, [5, 7] * 3)
+        assert (long.period, long.den, long.nums) == (short.period, short.den, short.nums)
         assert short == long and long == short
         assert hash(short) == hash(long)
         assert len({short, long, PeriodicFn(2, [5, 7] * 2)}) == 1
-        # least period 2 stored at 2 and at 6; least period 1 stored at 2
-        # and at 3, neither of which divides the other
+        # least period 2 handed over at 2 and at 6; least period 1 handed
+        # over at 2 and at 3, neither of which divides the other
         two, six = PeriodicFn(2, [1, 0, 3, 0]), PeriodicFn(6, [1, 0, 3, 0] * 3)
-        assert two == six and hash(two) == hash(six)
+        assert two == six and hash(two) == hash(six) and six.period == 2
         assert PeriodicFn(2, [1, 2, 1, 2]) == PeriodicFn(3, [1, 2] * 3)
         # a different denominator, or one different cell at either period
         assert short != PeriodicFn(1, [Fraction(5, 2), Fraction(7, 2)])
@@ -179,7 +196,7 @@ class TestExtend:
             assert c.count(n) == t[n]
 
     def test_reads_previous_level_at_its_true_period(self):
-        # the same function stored at period 6 (both builders) and at 12 and
+        # the same function at master period 6 (both builders) and at 12 and
         # 18, neither of which divides the new lcm 30: one result
         prevs = [
             build_recursive((2, 3)),
@@ -189,7 +206,7 @@ class TestExtend:
         ]
         for prev in prevs:
             assert extend_recursive(prev, 5) == build_recursive((2, 3, 5)), prev
-        # three parts stored at 24, which does not divide the new lcm 60
+        # three parts at master period 24, which does not divide the new lcm 60
         prev = build_recursive((2, 3, 4)).aligned(24)
         assert extend_recursive(prev, 5) == build_recursive((2, 3, 4, 5))
 
@@ -207,7 +224,7 @@ class TestExplicit:
         for parts in [(1, 2), (2, 3), (2, 2), (1, 2, 3), (2, 3, 4), (1, 1, 3)]:
             e = build_explicit(parts)
             r = build_recursive(parts)
-            assert e.aligned(e.master_period) == r.aligned(e.master_period), parts
+            assert e == r, parts
 
     def test_matches_oracle(self):
         c = build_explicit((2, 3, 5))
@@ -234,7 +251,7 @@ class TestExplicit:
         for cert in certs:
             assert tuple(cert.count(n) for n in range(m * tau)) == table.counts
         for cert in certs[1:]:
-            assert cert.aligned(tau) == certs[0].aligned(tau)
+            assert cert == certs[0]
 
 
 # any order, duplicates allowed: m <= 4 with parts <= 6, or m = 5 with parts <= 4
@@ -447,12 +464,12 @@ class TestAlign:
         assert c.aligned(2) == c
 
     def test_doubling(self):
-        # doubling the period repeats the table at the master period
+        # doubling the master period keeps every coefficient as it is stored
         c = build_explicit((1, 2))
         d = c.aligned(4)
         assert d.master_period == 4
-        for fn_c, fn_d in zip(c.aligned(2).coeffs, d.coeffs):
-            assert fn_d.values == fn_c.values * 2
+        assert d.coeffs == c.coeffs
+        assert [fn.period for fn in d.coeffs] == [fn.period for fn in c.coeffs]
 
     def test_values_unchanged(self):
         c = build_explicit((2, 3))
@@ -464,14 +481,14 @@ class TestAlign:
         with pytest.raises(InputError):
             build_explicit((2, 3)).aligned(9)
 
-    def test_tiles_stored_tables(self):
-        # a period-1 coefficient tiled to period 3: the table repeats and
-        # every value is unchanged
+    def test_keeps_stored_tables(self):
+        # a period-1 coefficient under master period 3: the stored table is
+        # not tiled, and every value is unchanged
         c = QuasiPoly((1,), (PeriodicFn(1, [5, 7]),), 1)
         d = c.aligned(3)
         (f,), (g,) = c.coeffs, d.coeffs
-        assert g.period == 3
-        assert g.values == (5, 7) * 3
+        assert (d.master_period, g.period) == (3, 1)
+        assert g.values == (5, 7)
         for t in range(-6, 7):
             assert at_twice(f, t) == at_twice(g, t)
             assert c.value(Fraction(t, 2)) == d.value(Fraction(t, 2))
@@ -680,6 +697,8 @@ class TestShiftFold:
         assert cosets > 1000  # the coset step is what most of these folds run
 
     def test_closure_fn_matches_fraction_fold(self):
+        # the same function: its period divides d_m, and its table tiled to
+        # 2 d_m cells is the reference table
         for d in self.LISTS:
             m, size = len(d), 2 * d[-1]
             table = [Fraction(0)] * size
@@ -687,7 +706,9 @@ class TestShiftFold:
                 if l == m - 1:
                     for res, a in res_table.items():
                         table[res] += a
-            assert closure_fn(d).values == tuple(table), d
+            fn = closure_fn(d)
+            assert d[-1] % fn.period == 0, d
+            assert tiled_values(fn, d[-1]) == table, d
 
 
 # the benchmark's deep and wide lists
@@ -722,21 +743,27 @@ class TestIntegerTables:
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_builders_store_least_periods(self, builder):
         # every coefficient is stored at the least period least_periods finds
-        # on its table tiled to the master period, at that period's cells
+        # on its table tiled to the master period, at that period's cells, and
+        # so is every coefficient of the file tiled to the master period
+        below = 0
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             cert = builder(parts)
             assert cert.master_period == lcm_of(parts), parts
-            own = least_periods(cert.aligned(cert.master_period))
-            got = [(fn.period, fn.den, fn.nums) for fn in cert.coeffs]
-            assert got == [(fn.period, fn.den, fn.nums) for fn in own.coeffs], parts
+            own = least_periods(cert)
+            parsed = QuasiPoly.from_json(tiled_json(cert.to_json()))
+            for view in (cert, parsed):
+                assert [(fn.period, fn.den, fn.nums) for fn in view.coeffs] == own, parts
+            below += any(p < cert.master_period for p, _, _ in own)
+        assert below > 0
 
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_one_int_per_distinct_numerator(self, builder):
-        # _materialise reduces each coefficient before it tiles it, and aligned
-        # tiles it again: every cell holding a numerator holds the same int
+        # from_numerators reduces each distinct numerator once, for a built
+        # certificate and for one read from a file tiled to the master
+        # period: every cell holding a numerator holds the same int
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             cert = builder(parts)
-            for view in (cert, cert.aligned(2 * cert.master_period)):
+            for view in (cert, QuasiPoly.from_json(tiled_json(cert.to_json()))):
                 for fn in view.coeffs:
                     assert len({id(a) for a in fn.nums}) == len(set(fn.nums)), parts
 
@@ -777,8 +804,9 @@ class TestIntegerEvaluation:
         below = 0
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             cert = builder(parts)
-            # coefficients stored below the master period, read back from JSON
-            parsed = QuasiPoly.from_json(least_periods(cert).to_json())
+            # coefficients stored below the master period, read back from a
+            # file written at the master period
+            parsed = QuasiPoly.from_json(tiled_json(cert.to_json()))
             below += any(fn.period < parsed.master_period for fn in parsed.coeffs)
             sigma = sum(parts)
             # negative n at both edges of the reciprocity window -sigma < n < 0
@@ -910,8 +938,7 @@ class TestCapacityGuard:
 
     def test_parsed_and_hand_built_over_limit(self, monkeypatch):
         # one part at master period 5000: 1 table of 10000 cells, refused when
-        # the certificate is made, before numerator_tables could tile its
-        # period-1 coefficient to the master period
+        # the certificate is made, though its period-1 coefficient holds 2
         fn = PeriodicFn(1, [0, 1])
         text = QuasiPoly((1,), (fn,), 5000).to_json()
         monkeypatch.setenv("RPF_GUARD_LIMIT", "100")
@@ -922,17 +949,17 @@ class TestCapacityGuard:
         assert QuasiPoly((1,), (fn,), 50).master_period == 50  # at the limit
 
     def test_retabulation_over_limit(self, monkeypatch):
-        # (1, 2) holds 2 tables of 4 cells; at period 24 they take 96 cells,
-        # at 26 they would take 104, refused before any table is tiled
+        # (1, 2) at master period 24 counts 2 tables of 48 cells, 96; at 26
+        # it would count 104, refused by the constructor's guard, before any
+        # coefficient is made
         cert = build_explicit((1, 2))
         monkeypatch.setenv("RPF_GUARD_LIMIT", "100")
         assert cert.aligned(24).master_period == 24
 
-        def untiled(*args):
-            raise AssertionError("a table was tiled past the guard")
+        def unmade(*args):
+            raise AssertionError("a coefficient was made past the guard")
 
-        monkeypatch.setattr(PeriodicFn, "from_numerators", untiled)
-        monkeypatch.setattr(quasipoly, "_tiled", untiled)
+        monkeypatch.setattr(PeriodicFn, "from_numerators", unmade)
         with pytest.raises(CapacityError, match="2 x 52 cells, over the limit 100"):
             cert.aligned(26)
 
@@ -955,29 +982,29 @@ class TestSerialization:
                 want = to_json_reference(explicit.aligned(period))
                 assert explicit.aligned(period).to_json() == want, (parts, period)
                 assert recursive.aligned(period).to_json() == want, (parts, period)
-            # as built, at least periods; read back, it tiles to the bytes at tau
+            # as built, at least periods; read back, and read from the file
+            # tiled to tau, it writes the same bytes
             text = explicit.to_json()
             assert text == recursive.to_json() == to_json_reference(explicit), parts
-            back = QuasiPoly.from_json(text)
-            assert back.to_json() == text, parts
-            tau = explicit.master_period
-            assert back.aligned(tau).to_json() == to_json_reference(explicit.aligned(tau)), parts
+            assert QuasiPoly.from_json(text).to_json() == text, parts
+            assert QuasiPoly.from_json(tiled_json(text)).to_json() == text, parts
 
     def test_tiled_file_reads_as_built(self):
         # a certificate written with every coefficient tiled to tau, as the
-        # builders wrote it before they stored least periods, reads back equal
-        # to the built one, counts the same, and writes its own bytes back
+        # builders wrote it before they stored least periods, reads back as
+        # the built one: equal, at the same stored periods, counting the
+        # same, and writing the built bytes, not its own
         for parts in PINNED_TILED:
             cert = build_explicit(parts)
             tau = cert.master_period
-            text = cert.aligned(tau).to_json()
+            text = tiled_json(cert.to_json())
             assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TILED[parts]
             old = QuasiPoly.from_json(text)
-            assert all(fn.period == tau for fn in old.coeffs)
+            assert [fn.period for fn in old.coeffs] == [fn.period for fn in cert.coeffs], parts
             assert old == cert and cert == old and hash(old) == hash(cert), parts
             ns = [0, 1, 7, 2 * tau + 1, 10**12]
             assert [old.count(n) for n in ns] == [cert.count(n) for n in ns], parts
-            assert old.to_json() == text, parts
+            assert old.to_json() == cert.to_json() != text, parts
 
     def test_writer_hand_built(self):
         # negative Fractions, plain ints, numerators sharing a factor with the
@@ -1129,5 +1156,10 @@ class TestValidation:
             QuasiPoly((1,), (PeriodicFn(1, [1] * 2),), True)
 
     def test_period_divisibility_enforced(self):
-        with pytest.raises(InputError):
-            QuasiPoly((2, 3), (PeriodicFn(4, [1] * 8), PeriodicFn(6, [0] * 12)), 6)
+        # a function of least period 4 under master period 6 is refused
+        with pytest.raises(InputError, match="coefficient period 4 does not divide master period 6"):
+            QuasiPoly((2, 3), (PeriodicFn(4, [1] + [0] * 7), PeriodicFn(6, [0] * 12)), 6)
+        # the check refuses a function, not a layout: a table handed over at
+        # period 4 whose function has period 1 is accepted
+        cert = QuasiPoly((2, 3), (PeriodicFn(4, [1] * 8), PeriodicFn(6, [0] * 12)), 6)
+        assert [fn.period for fn in cert.coeffs] == [1, 1]

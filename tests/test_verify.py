@@ -22,19 +22,18 @@ from denumerant import (
 )
 from denumerant import quasipoly, verify
 from denumerant.verify import BUILDERS, PROPERTIES, default_n_max
-from helpers import at_twice, least_periods, poly_sub, taylor_shift
+from helpers import at_twice, poly_sub, taylor_shift, tiled_json, tiled_values
 
 
 def _tampered(cert: QuasiPoly, coeff_index: int, rho: int, delta=Fraction(1)) -> QuasiPoly:
     """Copy of a certificate with one entry of its tables at the master period
-    nudged, rho < 2 * master_period: the coefficients are tiled to the master
-    period first, so the nudge reaches one class of it whatever period a
-    coefficient is stored at."""
-    fns = list(cert.aligned(cert.master_period).coeffs)
-    fn = fns[coeff_index]
-    vals = list(fn.values)
+    nudged, rho < 2 * master_period: the coefficient's table is tiled here to
+    the master period first, so the nudge reaches one class of it whatever
+    period the coefficient is stored at."""
+    fns = list(cert.coeffs)
+    vals = tiled_values(fns[coeff_index], cert.master_period)
     vals[rho] += delta
-    fns[coeff_index] = PeriodicFn(fn.period, vals)
+    fns[coeff_index] = PeriodicFn(cert.master_period, vals)
     return QuasiPoly(cert.parts, tuple(fns), cert.master_period)
 
 
@@ -561,12 +560,13 @@ class TestOracleCounts:
     POINTS = {"oracle": default_n_max((1, 2, 3)) + 1, "zeros": 1}
 
     def test_equal_certificates_counted_once(self, calls):
-        # built here, and injected as one certificate stored at the master
-        # period next to its equal stored at least periods
+        # built here, and injected as one certificate read from a file tiled
+        # to the master period next to its equal built one
         parts = (1, 2, 3)
         built = build_explicit(parts)
         assert any(fn.period < built.master_period for fn in built.coeffs)
-        mixed = {"explicit": built.aligned(built.master_period), "recursive": build_recursive(parts)}
+        read = QuasiPoly.from_json(tiled_json(built.to_json()))
+        mixed = {"explicit": read, "recursive": build_recursive(parts)}
         for certs in (None, mixed):
             for prop, points in self.POINTS.items():
                 calls.clear()
@@ -708,7 +708,7 @@ class TestPathAgreement:
     def test_tampered_certificates_match_reference(self, parts):
         tau = lcm_of(parts)
         built = {label: build(parts) for label, build in BUILDERS.items()}
-        # one certificate stored at 2 tau, the other at tau, and both at tau
+        # one certificate at master period 2 tau, the other at tau, and both at tau
         layouts = [built, {**built, "explicit": built["explicit"].aligned(2 * tau)}]
         deltas = itertools.cycle((Fraction(1), Fraction(-1, 3), Fraction(2, 7)))
         failures = 0
@@ -737,14 +737,19 @@ def _least_period_brute(col: list[int]) -> int:
     return next(p for p in range(1, size + 1) if size % p == 0 and col == col[:p] * (size // p))
 
 
+def _tiled_tables(cert: QuasiPoly, period: int) -> list[list[int]]:
+    """The certificate's numerator_tables, each repeated here to 2 * period
+    cells, for a multiple period of its master period."""
+    return [col * (2 * period // len(col)) for col in cert.numerator_tables()[1]]
+
+
 class TestOwnPeriods:
-    """quasipoly._least_length, the one least-period cut, on columns tiled to
-    the master period or beyond, so every cut starts from a column longer
-    than its least period wherever that period is short."""
+    """quasipoly._least_length, the one least-period cut, on columns tiled in
+    the test to the master period or beyond, so every cut starts from a
+    column longer than its least period wherever that period is short."""
 
     def _assert_cut(self, tables):
-        primes = quasipoly._prime_factors(len(tables[0]))
-        cut = [quasipoly._least_length(col, primes) for col in tables]
+        cut = [quasipoly._least_length(col) for col in tables]
         assert cut == [_least_period_brute(col) for col in tables]
         assert all(col == col[:p] * (len(col) // p) for col, p in zip(tables, cut))
 
@@ -752,13 +757,13 @@ class TestOwnPeriods:
         for parts in list(iter_multisets(4, 6)) + [(2, 3, 5, 7), (5, 7, 9), (1, 2, 3, 4, 5, 6)]:
             for build in BUILDERS.values():
                 cert = build(parts)
-                self._assert_cut(cert.aligned(cert.master_period).numerator_tables()[1])
+                self._assert_cut(_tiled_tables(cert, cert.master_period))
 
     def test_aligned_and_tampered_tables(self):
         for parts in [(1,), (1, 1), (1, 2, 3), (2, 3, 4), (2, 2, 3, 3), (5, 6, 7)]:
             tau = lcm_of(parts)
             for factor in (1, 2, 3, 4):
-                tables = build_explicit(parts).aligned(factor * tau).numerator_tables()[1]
+                tables = _tiled_tables(build_explicit(parts), factor * tau)
                 self._assert_cut(tables)
                 size = len(tables[0])
                 for rho in {0, 1, size // 2, size - 1}:
@@ -782,10 +787,10 @@ class TestOwnPeriods:
             self._assert_cut([broken])
 
     def test_period_47027(self):
-        # (31, 37, 41): tau = 47027, stored at 2 tau = 94054 = 2 * 31 * 37 * 41
+        # (31, 37, 41): tau = 47027, tiled here to 2 tau = 94054 = 2 * 31 * 37 * 41 cells
         parts = (31, 37, 41)
         cert = build_recursive(parts)
-        tables = cert.aligned(cert.master_period).numerator_tables()[1]
+        tables = _tiled_tables(cert, cert.master_period)
         assert len(tables[0]) == 94054
         self._assert_cut(tables)
         tampered = [list(col) for col in tables]
@@ -852,11 +857,12 @@ def _kernel_tampered(cert: QuasiPoly, bumps: dict[int, int]) -> QuasiPoly:
     """Copy of a certificate with a d_m-periodic function K added to its free
     coefficient R_m, read at the master period: bumps maps a class of 2s mod
     2 d_m to K's value there, zero elsewhere. K(s) = K(s - d_m), so
-    V(s) - V(s - d_m) is unchanged: K is in the recurrence's kernel."""
-    *fns, last = cert.aligned(cert.master_period).coeffs
+    V(s) - V(s - d_m) is unchanged: K is in the recurrence's kernel. R_m's
+    table is tiled here to the master period before K is added."""
+    *fns, last = cert.coeffs
     size = 2 * cert.parts[-1]
-    vals = [v + bumps.get(rho % size, 0) for rho, v in enumerate(last.values)]
-    return QuasiPoly(cert.parts, (*fns, PeriodicFn(last.period, vals)), cert.master_period)
+    vals = [v + bumps.get(rho % size, 0) for rho, v in enumerate(tiled_values(last, cert.master_period))]
+    return QuasiPoly(cert.parts, (*fns, PeriodicFn(cert.master_period, vals)), cert.master_period)
 
 
 class TestTamperMatrix:
@@ -909,38 +915,61 @@ class TestTamperMatrix:
 
 
 class TestMixedStoredPeriods:
-    """A certificate stored at the master period next to one stored at its
-    least periods gives, byte for byte, the report of two certificates stored
-    alike: clean and with each TestTamperMatrix tamper, on either side or
-    both. Where the two certificates differ, both views are checked, and
-    their mixed lengths meet in the oracle's block (the lcm of every column's
-    period), in parity's per-column half and in path-agreement's per-column
-    lcm; where they are equal, the first label's view alone is checked."""
+    """A certificate read from a file written with every coefficient tiled to
+    the master period is the built certificate: equal, at the same stored
+    periods, writing the built bytes, and read by verify at those periods.
+    Next to a built certificate it gives, byte for byte, the report of two
+    built certificates: clean and with each TestTamperMatrix tamper, on
+    either side or both."""
 
     @pytest.mark.parametrize("parts", [(2, 3, 5, 7), (1, 2, 3, 4, 5, 6, 7, 8), (31, 37, 41)])
     def test_reports_match_stored_alike(self, parts):
         built = {label: build(parts) for label, build in BUILDERS.items()}
-        # the clean certificates as a file written at the master period reads
-        tiled = {
-            label: QuasiPoly.from_json(cert.aligned(cert.master_period).to_json())
-            for label, cert in built.items()
-        }
-        assert all(len(fn.nums) == 2 * cert.master_period for cert in tiled.values() for fn in cert.coeffs)
+        tiled = {label: QuasiPoly.from_json(tiled_json(cert.to_json())) for label, cert in built.items()}
         assert any(fn.period < cert.master_period for cert in built.values() for fn in cert.coeffs)
+        for label, cert in built.items():
+            assert tiled[label] == cert
+            assert [fn.period for fn in tiled[label].coeffs] == [fn.period for fn in cert.coeffs]
+            assert tiled[label].to_json() == cert.to_json()
         cases = [("clean", (), tiled, built)]
         for tamper, which in TestTamperMatrix.FAILS:
             bumps = TestTamperMatrix.TAMPERS[tamper]
-            # _kernel_tampered stores every coefficient at the master period
-            bad = {label: _kernel_tampered(cert, bumps) if label in which else tiled[label]
-                   for label, cert in built.items()}
-            least = {label: least_periods(cert) if label in which else built[label]
-                     for label, cert in bad.items()}
-            cases.append((tamper, which, bad, least))
+            read, made = (
+                {label: _kernel_tampered(c, bumps) if label in which else c for label, c in certs.items()}
+                for certs in (tiled, built)
+            )
+            cases.append((tamper, which, read, made))
         failures = 0
-        for tamper, which, long, short in cases:
-            want = json.dumps(run_properties(parts, certs=short).to_json_dict())
-            for mixed in ({**short, "explicit": long["explicit"]}, {**short, "recursive": long["recursive"]}):
+        for tamper, which, read, made in cases:
+            want = json.dumps(run_properties(parts, certs=made).to_json_dict())
+            for label in BUILDERS:
+                mixed = {**made, label: read[label]}
                 got = json.dumps(run_properties(parts, certs=mixed).to_json_dict())
-                assert got == want, (parts, tamper, which)
+                assert got == want, (parts, tamper, which, label)
+            assert json.dumps(run_properties(parts, certs=read).to_json_dict()) == want
             failures += '"passed": false' in want
         assert failures == len(TestTamperMatrix.FAILS)
+
+    def test_tiled_file_read_at_least_periods(self, monkeypatch):
+        # (31, 37, 41) tiled to tau = 47027 writes 3 x 94054 cells; read back
+        # and injected, its explicit certificate is read by the recurrence at
+        # the built one's 2 + 2 + 94054 cells
+        parts = (31, 37, 41)
+        built = {label: build(parts) for label, build in BUILDERS.items()}
+        text = tiled_json(built["explicit"].to_json())
+        assert sum(len(entry["values"]) for entry in json.loads(text)["coefficients"]) == 3 * 94054
+        certs = {**built, "explicit": QuasiPoly.from_json(text)}
+        assert sum(map(len, certs["explicit"].numerator_tables()[1])) == 94058
+        cells = {}
+        numerator_tables = QuasiPoly.numerator_tables
+
+        def counting(self):
+            den, tables = numerator_tables(self)
+            for label, cert in certs.items():
+                if cert is self:
+                    cells[label] = sum(map(len, tables))
+            return den, tables
+
+        monkeypatch.setattr(QuasiPoly, "numerator_tables", counting)
+        assert run_properties(parts, props=["recurrence"], certs=certs).passed
+        assert cells == {"explicit": 94058, "recursive": 94058}

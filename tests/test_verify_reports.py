@@ -2,9 +2,9 @@
 
 The digests are sha256 of `json.dumps(report.to_json_dict())`: one report per
 list for builder output, and one digest over a seeded run of tampered
-certificates (stored at the lcm of the parts, as the builders store them) per
-list. A change to how the properties are checked must keep them; a change
-that means to alter a report updates them in the same commit and says why.
+certificates (each nudged at one class of the lcm of the parts) per list. A
+change to how the properties are checked must keep them; a change that means
+to alter a report updates them in the same commit and says why.
 """
 
 import hashlib
