@@ -2,10 +2,11 @@
 
 V_1 is the quasi-polynomial with every periodic coefficient replaced by its
 mean; its coefficients are plain rationals. `v1_explicit` expands the closed
-symmetric form, summing its compositions on ints over beta^m and building one
-Fraction per coefficient; `r_coeffs_recursive` grows the coefficients one part
-at a time. Both are expressed through central Bernoulli values B_l(1/2), and
-both return the m coefficients as a tuple of Fractions, highest power first.
+symmetric form as a product over parts of each part's integer row, on ints
+over beta^m, and builds one Fraction per coefficient; `r_coeffs_recursive`
+grows the coefficients one part at a time. Both are expressed through
+central Bernoulli values B_l(1/2), and both return the m coefficients as a
+tuple of Fractions, highest power first.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .bernoulli import _central_rows, _even_sum, central_value, d_higher_symmetric
+from .bernoulli import _central_rows, central_value, d_higher_symmetric
 from .errors import InputError
 from .exactnum import Rational, as_parts, multinomial
 
@@ -35,15 +36,29 @@ def v1_explicit(parts: Sequence[int]) -> tuple[Rational, ...]:
     D_l^(m) = sum_r l!/prod r_k! prod (2 d_k)^(r_k) B_(r_k)(1/2), scaled by
     2^-l.
 
-    One set of integer rows serves every l: each D_l^(m) comes out as an int
-    over beta^m, which joins the prefactor's denominator, so each coefficient
-    is one Fraction.
+    D^(m) is the binomial convolution over parts of each part's central row,
+    D_n^(m) = sum_i C(n, i) d_m^i D_i D_(n-i)^(m-1), and only its even
+    entries are nonzero (B_e(1/2) = 0 for odd e). So beta^m D_(2h)^(m) for
+    every 2h < m is a product over parts of the integer rows of
+    _central_rows, one short list carried from part to part, with no
+    composition enumerated (bernoulli._even_sum is the composition sum it
+    equals). Each D_l^(m) is an int over beta^m, which joins the prefactor's
+    denominator, so each coefficient is one Fraction.
     """
     d = as_parts(parts)
     m = len(d)
     beta, rows = _central_rows(d, m - 1)
+    even = [1] + [0] * ((m - 1) // 2)  # beta^k D_(2h)^(k) over the first k parts
+    for row in rows:
+        even = [
+            sum(math.comb(2 * h, 2 * i) * row[i] * even[h - i] for i in range(h + 1))
+            for h in range(len(even))
+        ]
     den = math.factorial(m - 1) * math.prod(d) * beta**m
-    return tuple(Fraction(math.comb(m - 1, l) * _even_sum(l, rows), den * 2**l) for l in range(m))
+    return tuple(
+        Fraction(math.comb(m - 1, l) * even[l // 2], den * 2**l) if l % 2 == 0 else Fraction(0)
+        for l in range(m)
+    )
 
 
 def r_mm_constant(parts: Sequence[int]) -> Rational:

@@ -18,21 +18,22 @@ like Sylvester's waves, but not reduced to the canonical waves), and end in
 _materialise, which sums each coefficient's piece tables as integers at the
 lcm of their lengths (2 cells for a table constant on each lattice, 2P for
 any other) and hands each sum to PeriodicFn.from_numerators. A built
-certificate has master period tau. build_recursive keeps one
-piece per distinct part period: each step, _extend_pieces, correlates every
-piece at its own period (a period-P piece stays period P) and adds
-closure_fn's piece at the new part's period; extend_recursive runs that step
-on one certificate read as a single piece. build_explicit folds once per
-position, that position the pivot, and gives each composition of exponents
-wholly to its first zero position in list order, not 1/(1+z) of it to each
-of its 1 + z zero positions as the paper's formula does. That is exact
-because a composition's pivot term is the same at each of its zero
-positions (the argument is in build_explicit). Every copy of a part adds
-into one piece of that part's period.
+certificate has master period tau. build_recursive keeps one piece per
+distinct part period: each step, _extend_pieces, correlates every piece at
+its own period (a period-P piece stays period P), over each table's nonzero
+cells, and adds closure_fn's table at the new part's period;
+extend_recursive runs that step on one certificate read as a single piece.
+build_explicit folds once per position, that position the pivot, and gives
+each composition of exponents wholly to its first zero position in list
+order, not 1/(1+z) of it to each of its 1 + z zero positions as the paper's
+formula does. That is exact because a composition's pivot term is the same
+at each of its zero positions (the argument is in build_explicit). Every
+copy of a part adds into one piece of that part's period.
 
 Two kernels are shared by the folds. _shift_weights tabulates one position's
 Bernoulli shift weights by residue; _shift_fold multiplies them over positions
-as a DP with state total exponent -> residue table. Its one option is the
+as a DP with state total exponent -> residue table plus one flat integer,
+added at every cell of the table's parity class. Its one option is the
 number of leading positions that skip the e = 0 step: build_explicit passes
 the pivot's index, closure_fn 0. A position's shift sum runs over p < t/d_k,
 and read mod 2P it is the same for every t that is a multiple of
@@ -47,30 +48,35 @@ So the weights are evaluated at t = L, once per class, and no caller passes
 a period. Since B_0 = 1, the e = 0 weight is one value on all q classes,
 whose keys (2r+1) d_k form one coset of the subgroup gcd(2 d_k, 2P) generates
 mod 2P; the fold's e = 0 step sums the table over each coset and spreads the
-sum over the shifted coset, not q rotations. At a/b = 1 - (2r+1)/2q the
-values B_e(a/b) are integer numerators over b^e and the Bernoulli
-denominators, so each position's weights are integers over one denominator.
-The fold runs on Python ints, every state after k positions sharing the
-product of k denominators, and so does the recursive step's correlation.
+sum over the shifted coset, not q rotations. When d_k is coprime to the
+pivot the coset is the whole parity class: the step averages the table onto
+the class, the constant (first-wave) part in Sylvester's terms, and the fold
+keeps it as the flat integer, which each later weight row only scales by its
+total, instead of P equal cells. At a/b = 1 - (2r+1)/2q the values B_e(a/b)
+are integer numerators over b^e and the Bernoulli denominators, so each
+position's weights are integers over one denominator. The fold runs on
+Python ints, every state after k positions sharing the product of k
+denominators, and so does the recursive step's correlation.
 
 _shift_weights is computed once per process per key (d_k, m, 2P); its
 docstring gives the cache's bound and why sharing it costs no independence.
 
 closure_fn runs the fold for the one remainder of the free coefficient that
-build_recursive cannot reach by extension, and the recursive step reads the
-new part's weights from _shift_weights. While the context variable _LEVELS is
-set, for one verify.run_properties call that builds its own certificates,
-build_recursive records each level's pieces in it and reads a level it has
-already recorded, so verify's prefix certificate costs no second pass; it is
-None otherwise, and nothing is kept across calls. Both builders check the m
-tables of 2*tau cells against the guard limit (oracle.guard) before any of
-this, and every QuasiPoly, built, parsed or hand-built, checks its m tables
-of 2*P cells at its master period P when it is constructed, aligned's larger
-P included. Everything else stays independent: the recursive step's cyclic
-correlation, build_explicit's product over the pivot, and the counting oracle
-(oracle.count_dp), so table-level agreement remains a meaningful check; the
-oracle, recurrence, parity and mean-value properties check the shared
-_materialise.
+build_recursive cannot reach by extension and returns its integer table at
+2 d_m cells, which the recursive step adds into its piece as it is; the step
+reads the new part's weights from _shift_weights. While the context variable
+_LEVELS is set, for one verify.run_properties call that builds its own
+certificates, build_recursive records each level's pieces in it and reads a
+level it has already recorded, so verify's prefix certificate costs no
+second pass; it is None otherwise, and nothing is kept across calls. Both
+builders check the m tables of 2*tau cells against the guard limit
+(oracle.guard) before any of this, and every QuasiPoly, built, parsed or
+hand-built, checks its m tables of 2*P cells at its master period P when it
+is constructed, aligned's larger P included. Everything else stays
+independent: the recursive step's cyclic correlation, build_explicit's
+product over the pivot, and the counting oracle (oracle.count_dp), so
+table-level agreement remains a meaningful check; the oracle, recurrence,
+parity and mean-value properties check the shared _materialise.
 
 Periodic coefficients live on the half-integer lattice: a function of period T
 stores 2T values indexed by the scaled residue 2s mod 2T, so integer and
@@ -446,7 +452,17 @@ def _shift_weights(dk: int, m: int, size: int) -> Weights:
     return den // g, tuple(tuple((key, w // g) for key, w in row) for row in per_e)
 
 
-def _shift_fold(d: Sequence[int], m: int, pivot: int, skip: int) -> tuple[int, list[dict[int, int]]]:
+@functools.lru_cache(maxsize=1024)
+def _row_totals(dk: int, m: int, size: int) -> tuple[int, ...]:
+    """The total of each row e of _shift_weights(dk, m, size): the factor a
+    table constant on its parity class takes from that row. Cached per
+    process on the same key and bound as _shift_weights, m ints per key."""
+    return tuple(sum(w for _, w in row) for row in _shift_weights(dk, m, size)[1])
+
+
+def _shift_fold(
+    d: Sequence[int], m: int, pivot: int, skip: int
+) -> tuple[int, list[dict[int, int]], list[int]]:
     """Products of per-position shift sums around a pivot part, folded in the
     residue ring mod size = 2*pivot.
 
@@ -460,40 +476,70 @@ def _shift_fold(d: Sequence[int], m: int, pivot: int, skip: int) -> tuple[int, l
     passes the pivot's index, so each composition reaches the fold of its
     first zero position only, and closure_fn passes 0.
 
+    Every shift (2r+1) d_k has the parity of d_k, so after k positions every
+    cell of every table lies in one parity class, pivot + d_0 + ... + d_(k-1)
+    mod 2, of P = pivot cells. The state for total exponent l is a table of
+    cells plus one integer flat[l], added to the table at every cell of that
+    class.
+
     The e = 0 weights are one value w0 on the coset d_k + <g> of the subgroup
     g = gcd(2 d_k, size) generates (see _shift_weights). So when that coset
     has q > 1 keys, the e = 0 step sums the table over each residue c mod g
     and adds w0 times the sum at every key = c + d_k (mod g), in place of q
-    rotations; a zero sum writes nothing. At q = 1 it is one rotation.
+    rotations; a zero sum writes nothing. At q = 1 it is one rotation. At
+    g = 2 (d_k coprime to the pivot, pivot > 1) the coset is the whole class,
+    so the step writes no cells: it adds w0 times the table's sum to flat[l].
+    A flat value u correlated with row e is u times the row's total, the sum
+    of its weights (_row_totals; for e = 0 that is q w0), so flat moves
+    through each later position as m integers, not as P cells. flat is None
+    until the first g = 2 step, so a fold with none pays one test per
+    position for it.
 
     The tables hold integer numerators: each position has one denominator, so
-    after k positions every table shares their product. Returns (den, fold),
-    fold[l] the table of total exponent l; cell values are numerator/den.
+    after k positions every table shares their product. Returns (den, fold,
+    flat): state l is fold[l] plus flat[l] at every key of the parity class
+    pivot + sum(d) mod 2 (all zeros when no g = 2 step ran); cell values are
+    numerator/den.
     """
     size = 2 * pivot
     den = 1
     fold: list[dict[int, int]] = [{pivot: 1}] + [{} for _ in range(m - 1)]
+    flat: list[int] | None = None
     for k, dk in enumerate(d):
         dk_den, per_e = _shift_weights(dk, m, size)
         den *= dk_den
         g = math.gcd(2 * dk, size)
         shift, w0 = per_e[0][0]
+        zero_step = k >= skip
+        if flat:
+            totals = _row_totals(dk, m, size)
+            carried = [0] * m
+            for l, u in enumerate(flat):
+                if u:
+                    for e in range(0 if zero_step else 1, m - l):
+                        carried[l + e] += u * totals[e]
+            flat = carried
         nxt: list[dict[int, int]] = [{} for _ in range(m)]
         for l, table in enumerate(fold):
             if not table:
                 continue
             out = nxt[l]
-            if k >= skip and g < size:
-                sums: dict[int, int] = {}
-                for res, a in table.items():
-                    c = res % g
-                    sums[c] = sums.get(c, 0) + a
-                for c, total in sums.items():
-                    if total:
-                        w = w0 * total
-                        for key in range((c + dk) % g, size, g):
-                            out[key] = out.get(key, 0) + w
-            elif k >= skip:
+            if zero_step and g < size:
+                if g == 2:
+                    if flat is None:
+                        flat = [0] * m
+                    flat[l] += w0 * sum(table.values())
+                else:
+                    sums: dict[int, int] = {}
+                    for res, a in table.items():
+                        c = res % g
+                        sums[c] = sums.get(c, 0) + a
+                    for c, total in sums.items():
+                        if total:
+                            w = w0 * total
+                            for key in range((c + dk) % g, size, g):
+                                out[key] = out.get(key, 0) + w
+            elif zero_step:
                 # q = 1: the coset step gives the same nonzero cells 3-9% slower on corpus and deep
                 for res, a in table.items():
                     key = (res + shift) % size
@@ -505,10 +551,10 @@ def _shift_fold(d: Sequence[int], m: int, pivot: int, skip: int) -> tuple[int, l
                         key = (res + sh) % size
                         out[key] = out.get(key, 0) + a * w
         fold = nxt
-    return den, fold
+    return den, fold, flat or [0] * m
 
 
-def closure_fn(parts: Sequence[int]) -> PeriodicFn:
+def closure_fn(parts: Sequence[int]) -> tuple[int, list[int]]:
     """The last-part-periodic remainder of the free coefficient.
 
     This is the piece of R_m the one-part extension cannot reach from the
@@ -516,19 +562,23 @@ def closure_fn(parts: Sequence[int]) -> PeriodicFn:
     divisibility indicator and each central Bernoulli symbol replaced by its
     finite shift sum. Every shift sum is reduced mod 2*d_m, so by Raabe's
     theorem (see _shift_weights) it is taken at its own period lcm(d_i, d_m).
-    It is the total-exponent m-1 table of _shift_fold over the prefix, mod
+    It is the total-exponent m-1 state of _shift_fold over the prefix, mod
     2*d_m, with every position taking every exponent (skip 0): the
-    multinomial over (m-1)! is exactly 1/prod r_k!. The table holds
-    numerators over the fold's denominator, and the result is stored at its
-    least period, a divisor of d_m.
+    multinomial over (m-1)! is exactly 1/prod r_k!. Returns (den, table):
+    the state's 2*d_m integer numerators over the fold's denominator, its
+    flat value written at every key of the parity class sum(parts) mod 2 and
+    its cells added, unreduced, as the recursive step adds them into its
+    period-d_m piece.
     """
     d = as_parts(parts)
     m = len(d)
+    den, fold, flat = _shift_fold(d[:-1], m, d[-1], 0)
     table = [0] * (2 * d[-1])
-    den, fold = _shift_fold(d[:-1], m, d[-1], 0)
+    if flat[m - 1]:
+        table[sum(d) % 2 :: 2] = [flat[m - 1]] * d[-1]
     for res, a in fold[m - 1].items():
-        table[res] = a
-    return PeriodicFn.from_numerators(d[-1], den, table)
+        table[res] += a
+    return den, table
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -588,10 +638,14 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
     lcm(d_new, P) rather than tau. They are integers over one denominator, so
     times (m-1)! every weight is an integer and the correlation runs on
     Python ints, over the previous denominator times the weights' times
-    (m-1)!. The l = 0 term of the free coefficient R_m has no previous
-    coefficient to read; it is the closure remainder closure_fn, added to the
-    period-d_new piece, its table repeated from its least period to 2 d_new
-    cells. Pieces are not reduced; _materialise's PeriodicFn.from_numerators
+    (m-1)!. Each previous table is read once for its nonzero cells, and each
+    (cell, shift) pair adds into the cell rho + shift mod 2P, found by index
+    arithmetic: rho - 2P + shift is a negative index to that cell, as
+    shift < 2P. No cell's parity is assumed, and a zero cell costs nothing.
+    The l = 0 term of the free coefficient R_m has no previous coefficient to
+    read; it is the closure remainder, closure_fn's 2 d_new integer
+    numerators over its denominator, added as they are to the period-d_new
+    piece. Pieces are not reduced; _materialise's PeriodicFn.from_numerators
     reduces the final tables once.
     """
     m = len(parts)
@@ -602,25 +656,26 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
         size = 2 * period
         den, weights = _shift_weights(d_new, m, size)
         tables = [[0] * size for _ in range(m)]
-        for j, table in enumerate(tables, 1):
-            for i, prev_vals in enumerate(prev[:j]):
-                if not any(prev_vals):
-                    continue
+        for i, prev_vals in enumerate(prev):
+            # rho - size + shift indexes (rho + shift) mod size, as shift < size
+            cells = [(rho - size, v) for rho, v in enumerate(prev_vals) if v]
+            if not cells:
+                continue
+            for j in range(i + 1, m + 1):
                 l = j - 1 - i
                 c = math.factorial(m - j + l - 1) * (top // math.factorial(m - j))
+                table = tables[j - 1]
                 for shift, b in weights[l]:
                     w = c * b
-                    # rotated[rho] is prev_vals at rho - shift (mod size)
-                    rotated = prev_vals[size - shift :] + prev_vals[: size - shift]
-                    table[:] = [a + w * v for a, v in zip(table, rotated)]
+                    for at, v in cells:
+                        table[at + shift] += w * v
         out[period] = (prev_den * den * top, tables)
     den, tables = out.get(d_new, (1, [[0] * (2 * d_new) for _ in range(m)]))
-    closure = closure_fn(parts)
-    common = math.lcm(den, closure.den)
-    k, kc = common // den, common // closure.den
+    closure_den, closure = closure_fn(parts)
+    common = math.lcm(den, closure_den)
+    k, kc = common // den, common // closure_den
     tables = [[a * k for a in table] for table in tables]
-    closure_nums = closure.nums * (d_new // closure.period)
-    tables[-1] = [a + kc * c for a, c in zip(tables[-1], closure_nums, strict=True)]
+    tables[-1] = [a + kc * c for a, c in zip(tables[-1], closure, strict=True)]
     out[d_new] = (common, tables)
     return out
 
@@ -732,19 +787,25 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     All of it runs on integer numerators: bucket l's weight is taken over
     top = (m-1)! as (m-1)!/(m-1-l)!. Copies of one part fold over the same
     multiset of other parts, so their folds share one denominator and add
-    into one piece of period d_i over that denominator times top;
+    into one piece of period d_i over that denominator times top, a fold's
+    flat value as one slice update of its table's parity class, sum(d) mod 2;
     _materialise sums the pieces and cuts each sum to its least period.
     """
     d = as_parts(parts)
     m = len(d)
     _guard_cells(m, lcm_of(d))
     top = math.factorial(m - 1)
+    parity = sum(d) % 2  # the class every fold's cells lie in
     pieces: dict[int, Piece] = {}
     for i, di in enumerate(d):
-        den, fold = _shift_fold(d[:i] + d[i + 1 :], m, di, i)
+        den, fold, flat = _shift_fold(d[:i] + d[i + 1 :], m, di, i)
         _, folded = pieces.setdefault(di, (den * top, [[0] * (2 * di) for _ in range(m)]))
         for l, res_table in enumerate(fold):
             w = top // math.factorial(m - 1 - l)
+            row = folded[l]
             for res, a in res_table.items():
-                folded[l][res] += w * a
+                row[res] += w * a
+            if flat[l]:
+                u = w * flat[l]
+                row[parity::2] = [a + u for a in row[parity::2]]
     return _materialise(d, pieces)

@@ -24,8 +24,8 @@ of every column's period, each a list pass per coefficient, and the first
 block that holds a mismatch ends the scan; by default every class gets m
 points. Zeros runs the same evaluator on the forced zeros 2s = m mod 2, ...,
 m - 2 alone, which lie in the first m classes; the mean value one integer sum
-per coefficient, against a polynomial part whose composition sum also runs on
-ints (over beta^m, one Fraction per coefficient, see polypart.v1_explicit).
+per coefficient, against a polynomial part whose product over parts also runs
+on ints (over beta^m, one Fraction per coefficient, see polypart.v1_explicit).
 Path-agreement passes a single distinct view at once and otherwise compares
 each pair of columns at the lcm of their lengths.
 Fractions are built only to word a failure. Results never stop early across

@@ -10,7 +10,15 @@ import json
 import math
 from fractions import Fraction
 
-from denumerant import InputError, PeriodicFn, QuasiPoly, as_parts, lcm_of
+from denumerant import (
+    InputError,
+    PeriodicFn,
+    QuasiPoly,
+    as_parts,
+    bernoulli_poly,
+    closure_fn,
+    lcm_of,
+)
 
 
 def akiyama_tanigawa(n: int) -> list[Fraction]:
@@ -210,6 +218,37 @@ def materialise_reference(parts, pieces) -> QuasiPoly:
             values = [a + b for a, b in zip(values, tile)]
         coeffs.append(PeriodicFn.from_numerators(tau, den, values))
     return QuasiPoly(parts, coeffs, tau)
+
+
+def extend_reference(prev: QuasiPoly, d_new: int) -> QuasiPoly:
+    """One recursive step by dense rotation, on Fractions at the new master
+    period tau = lcm of the new parts. R_j of the new level is, for l < j,
+    (m-j+l-1)!/(m-j)! times the previous R_(j-l) rotated by each shift
+    (2p+1) d_new, p < tau/d_new, times tau^(l-1) B_l(1 - (2p+1) d_new/2tau)/l!,
+    and the free coefficient adds closure_fn's table. Every cell of every
+    rotated list is read, whatever its value or parity: the form
+    quasipoly._extend_pieces' correlation had before it ran over each
+    table's nonzero cells, kept as its reference. prev's coefficients must
+    have periods dividing tau."""
+    parts = prev.parts + as_parts([d_new])
+    m, tau = len(parts), lcm_of(parts)
+    size = 2 * tau
+    old = [[fn.values[rho % (2 * fn.period)] for rho in range(size)] for fn in prev.coeffs]
+    shifts = [(2 * p + 1) * d_new for p in range(tau // d_new)]
+    new = [[Fraction(0)] * size for _ in range(m)]
+    for j in range(1, m + 1):
+        for l in range(max(j - m + 1, 0), j):
+            c = Fraction(math.factorial(m - j + l - 1), math.factorial(m - j))
+            vals = old[j - 1 - l]
+            for shift in shifts:
+                w = c * Fraction(tau) ** (l - 1) * bernoulli_poly(l, 1 - Fraction(shift, size))
+                w /= math.factorial(l)
+                shift %= size
+                rotated = vals[size - shift :] + vals[: size - shift]  # rotated[rho] = vals[rho - shift]
+                new[j - 1] = [a + w * v for a, v in zip(new[j - 1], rotated)]
+    den, closure = closure_fn(parts)
+    new[-1] = [a + Fraction(closure[rho % len(closure)], den) for rho, a in enumerate(new[-1])]
+    return QuasiPoly(parts, [PeriodicFn(tau, col) for col in new], tau)
 
 
 def ser_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:

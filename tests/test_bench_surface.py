@@ -55,6 +55,21 @@ def test_tracer_installs_and_uninstalls():
     assert all(getattr(mod, attr) is orig for mod, attr, orig in originals)
 
 
+def test_tracer_sees_closure_fn():
+    # the recursive step calls closure_fn by its module name, once per level,
+    # so the tracer's quasipoly.closure_fn layer counts every call
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        denumerant.build_recursive((1, 2, 3, 4))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["quasipoly.closure_fn"] == 4
+
+
 def _load_run():
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)

@@ -14,9 +14,11 @@ from denumerant import (
     split_weight,
     v1_explicit,
 )
+from denumerant.bernoulli import _central_rows, _even_sum
 from denumerant.polypart import r_mm_constant
 from helpers import horner, poly_sub, taylor_shift
 from test_bernoulli import _d_symmetric_all
+from test_cert_bytes import PINNED
 from test_quasipoly import BENCH_LISTS
 
 HALF = Fraction(1, 2)
@@ -85,6 +87,19 @@ class TestV1:
             pref = Fraction(1, math.factorial(m - 1) * math.prod(parts))
             want = tuple(
                 pref * math.comb(m - 1, l) * _d_symmetric_all(l, parts) / 2**l for l in range(m)
+            )
+            assert v1_explicit(parts) == want, parts
+
+    def test_product_matches_composition_sum(self):
+        # the per-part product against the composition sum it replaced:
+        # C(m-1, l) beta^m D_l^(m) from _even_sum, over (m-1)! prod d beta^m 2^l
+        lists = list(iter_multisets(5, 6)) + BENCH_LISTS + list(PINNED) + [tuple(range(1, 11))]
+        for parts in lists:
+            m = len(parts)
+            beta, rows = _central_rows(parts, m - 1)
+            den = math.factorial(m - 1) * math.prod(parts) * beta**m
+            want = tuple(
+                Fraction(math.comb(m - 1, l) * _even_sum(l, rows), den * 2**l) for l in range(m)
             )
             assert v1_explicit(parts) == want, parts
 

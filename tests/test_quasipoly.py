@@ -37,13 +37,13 @@ from helpers import (
     at_twice,
     base_case,
     count_reference,
+    extend_reference,
     least_periods,
     materialise_reference,
     natural_average,
     numerators_reference,
     psi,
     tiled_json,
-    tiled_values,
     to_json_reference,
     value_reference,
 )
@@ -210,6 +210,30 @@ class TestExtend:
         prev = build_recursive((2, 3, 4)).aligned(24)
         assert extend_recursive(prev, 5) == build_recursive((2, 3, 4, 5))
 
+    def test_matches_dense_rotation_on_both_parities(self):
+        # hand-built previous levels, not certificates, with nonzero cells
+        # on both parities of every coefficient: the correlation over
+        # nonzero cells assumes no parity class and equals dense rotation
+        rng = random.Random(30)
+        for prev_parts, d_new in [((2, 3), 5), ((2, 3), 4), ((1, 2), 2), ((4,), 6), ((1, 3, 2), 3)]:
+            tau = lcm_of(prev_parts)
+            periods = [p for p in range(1, tau + 1) if tau % p == 0]
+            coeffs = []
+            for _ in prev_parts:
+                period = rng.choice(periods)
+                cells = [Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 6))
+                         for _ in range(2 * period)]
+                coeffs.append(PeriodicFn(period, cells))
+            prev = QuasiPoly(prev_parts, coeffs, tau)
+            for fn in prev.coeffs:
+                assert any(fn.nums[0::2]) and any(fn.nums[1::2])
+            assert extend_recursive(prev, d_new) == extend_reference(prev, d_new), prev_parts
+
+
+def _closure(parts):
+    """closure_fn's (den, table) of 2 d_m numerators as the function it is."""
+    return PeriodicFn.from_numerators(parts[-1], *closure_fn(parts))
+
 
 class TestExplicit:
     def test_one_part_equals_base_case(self):
@@ -217,7 +241,7 @@ class TestExplicit:
         assert build_explicit((4,)) == base_case(4)
         # build_recursive's first step is closure_fn alone: the one-part indicator
         for d in range(1, 13):
-            assert closure_fn((d,)) == base_case(d).coeffs[0], d
+            assert _closure((d,)) == base_case(d).coeffs[0], d
             assert build_recursive((d,)) == base_case(d), d
 
     def test_matches_recursive_tables(self):
@@ -295,7 +319,7 @@ class TestWorkedTwoPartForms:
         for d1, d2 in self.PAIRS:
             tau = lcm_of((d1, d2))
             c = build_recursive((d1, d2))
-            rem = closure_fn((d1, d2))
+            rem = _closure((d1, d2))
             for rho in range(2 * tau):
                 want = sum(
                     bernoulli_poly(1, 1 - Fraction((2 * p + 1) * d2, 2 * tau))
@@ -308,7 +332,7 @@ class TestWorkedTwoPartForms:
         # remainder piece, periodic in the second part
         for d1, d2 in self.PAIRS:
             tau = lcm_of((d1, d2))
-            rem = closure_fn((d1, d2))
+            rem = _closure((d1, d2))
             for rho in range(2 * tau):
                 want = sum(
                     bernoulli_poly(1, 1 - Fraction((2 * p + 1) * d1, 2 * tau))
@@ -328,7 +352,7 @@ class TestCompactFreeForm:
             tau = lcm_of(parts)
             cert = build_recursive(parts)
             prev = build_recursive(parts[:-1])
-            rem = closure_fn(parts)
+            rem = _closure(parts)
             for rho in range(2 * tau):
                 acc = at_twice(rem, rho)
                 for l in range(1, m):
@@ -654,6 +678,24 @@ def _by_total(fold, m):
     return merged
 
 
+def _fold_cells(pivot, d, folded):
+    """_shift_fold's (den, fold, flat) as (den, tables): each flat value
+    folded back into its table, added at every key of the parity class
+    pivot + sum(d) mod 2. The plain residue tables the references keep."""
+    den, fold, flat = folded
+    tables = [dict(table) for table in fold]
+    for table, u in zip(tables, flat):
+        for key in range((pivot + sum(d)) % 2, 2 * pivot, 2):
+            table[key] = table.get(key, 0) + u
+    return den, tables
+
+
+def _carries(pivot, d, skip):
+    """Whether a fold takes an e = 0 step at a part coprime to a pivot above
+    1, the step whose table _shift_fold carries as one integer."""
+    return pivot > 1 and any(math.gcd(dk, pivot) == 1 for dk in d[skip:])
+
+
 def _nonzero(fold):
     """The fold as a function: each table with its zero cells dropped. The
     coset step writes no cell whose sum is zero; a rotation may."""
@@ -673,7 +715,7 @@ class TestShiftFold:
         for others, di in sorted(pivots):
             m = len(others) + 1
             for skip in range(m):
-                den, fold = _shift_fold(others, m, di, skip)
+                den, fold = _fold_cells(di, others, _shift_fold(others, m, di, skip))
                 got = [{res: Fraction(a, den) for res, a in table.items()} for table in _nonzero(fold)]
                 ref = _by_total(_pivot_fold_direct(others, di, skip), m)
                 assert got == _nonzero(ref), (others, di, skip)
@@ -685,20 +727,27 @@ class TestShiftFold:
         # closure_fn folds, or each count 1..m-1 that build_explicit passes
         lists = self.LISTS + BENCH_LISTS + list(PINNED)
         pivots = {(d[:i] + d[i + 1 :], di) for d in lists for i, di in enumerate(d)}
-        cosets = 0
+        cosets = carries = 0
         for others, di in sorted(pivots):
             m = len(others) + 1
             for skip in range(1, m) if leading else [0]:
-                den, fold = _shift_fold(others, m, di, skip)
+                folded = _shift_fold(others, m, di, skip)
+                den, fold = _fold_cells(di, others, folded)
                 ref_den, ref = _shift_fold_reference(others, m, di, skip)
                 expected = (ref_den, _nonzero(_by_total(ref, m)))
                 assert (den, _nonzero(fold)) == expected, (others, di, skip)
                 cosets += any(math.gcd(2 * dk, 2 * di) < 2 * di for dk in others[skip:])
+                # only such a step makes a flat value (a fold whose tables
+                # all vanish before it makes none)
+                carried = _carries(di, others, skip)
+                assert carried or not any(folded[2]), (others, di, skip)
+                carries += carried
         assert cosets > 1000  # the coset step is what most of these folds run
+        assert carries > 1000  # and an e = 0 step at a part coprime to the pivot
 
     def test_closure_fn_matches_fraction_fold(self):
-        # the same function: its period divides d_m, and its table tiled to
-        # 2 d_m cells is the reference table
+        # its 2 d_m numerators over its denominator are the reference table,
+        # cell for cell, the flat value included
         for d in self.LISTS:
             m, size = len(d), 2 * d[-1]
             table = [Fraction(0)] * size
@@ -706,9 +755,9 @@ class TestShiftFold:
                 if l == m - 1:
                     for res, a in res_table.items():
                         table[res] += a
-            fn = closure_fn(d)
-            assert d[-1] % fn.period == 0, d
-            assert tiled_values(fn, d[-1]) == table, d
+            den, nums = closure_fn(d)
+            assert len(nums) == size and all(type(a) is int for a in nums), d
+            assert [Fraction(a, den) for a in nums] == table, d
 
 
 # the benchmark's deep and wide lists
