@@ -23,23 +23,26 @@ distinct part period: each step, _extend_pieces, correlates every piece at
 its own period (a period-P piece stays period P), over each table's nonzero
 cells, and adds closure_fn's table at the new part's period;
 extend_recursive runs that step on one certificate read as a single piece.
-build_explicit folds once per position, that position the pivot, and gives
-each composition of exponents wholly to its first zero position in list
-order, not 1/(1+z) of it to each of its 1 + z zero positions as the paper's
-formula does. That is exact because a composition's pivot term is the same
-at each of its zero positions (the argument is in build_explicit). Every
-copy of a part adds into one piece of that part's period.
+build_explicit gives each composition of exponents wholly to its first zero
+position in a stable sort of the positions by part, not 1/(1+z) of it to
+each of its 1 + z zero positions as the paper's formula does. That is exact
+for any fixed order, because a composition's pivot term is the same at each
+of its zero positions (the argument is in build_explicit). In that order the
+copies of a part are adjacent, and their folds sum to one (the run sum in
+_shift_fold), so build_explicit folds once per distinct part, that part the
+pivot, into one piece of its period.
 
 Two kernels are shared by the folds. _shift_weights tabulates one position's
 Bernoulli shift weights by residue; _shift_fold multiplies them over positions
 as a DP with state total exponent -> residue table plus one flat integer,
-added at every cell of the table's parity class. Its one option is the
-number of leading positions that skip the e = 0 step: build_explicit passes
-the pivot's index, closure_fn 0. A position's shift sum runs over p < t/d_k,
-and read mod 2P it is the same for every t that is a multiple of
-L = lcm(d_k, P): class r < q = L/d_k holds n = t/L values of p, whose
-arguments are spaced 1/n apart, and Raabe's multiplication theorem
-(DLMF 24.4.17) sums them to
+added at every cell of the table's parity class. Its options are the number
+of leading positions that skip the e = 0 step and the number of copies of
+the pivot's part whose folds it sums: build_explicit passes the index of the
+part's first copy in sorted order and its multiplicity, closure_fn 0 and 1.
+A position's shift sum runs over p < t/d_k, and read mod 2P it is the same
+for every t that is a multiple of L = lcm(d_k, P): class r < q = L/d_k holds
+n = t/L values of p, whose arguments are spaced 1/n apart, and Raabe's
+multiplication theorem (DLMF 24.4.17) sums them to
 
     sum_{p = r mod q} t^(e-1) B_e(1 - (2p+1)d_k/2t) / e!
         = L^(e-1) B_e(1 - (2r+1)/2q) / e!.
@@ -98,6 +101,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -239,33 +243,38 @@ class QuasiPoly:
         with denominator 1 or 2, never a bool. Evaluated at t = 2s by
         _at_twice."""
         if isinstance(s, int) and not isinstance(s, bool):
-            return self._at_twice(2 * s)
+            return Fraction(*self._at_twice(2 * s))
         if isinstance(s, Fraction) and s.denominator <= 2:
-            return self._at_twice(s.numerator * (2 // s.denominator))
+            return Fraction(*self._at_twice(s.numerator * (2 // s.denominator)))
         raise InputError(f"{s!r} is not a half-integer lattice point")
 
-    def _at_twice(self, t: int) -> Fraction:
-        """V(t/2): 2^(m-1) den V(t/2), with N_j R_j's numerator at t over den,
-        the lcm of the denominators, is the integer sum_j N_j 2^(j-1) t^(m-j),
-        summed by Horner in t as in verify._scaled_blocks and divided once at
-        the end."""
+    def _at_twice(self, t: int) -> tuple[int, int]:
+        """V(t/2) as an unreduced (numerator, denominator) pair of ints:
+        2^(m-1) den V(t/2), with N_j R_j's numerator at t over den, the lcm
+        of the denominators, is the integer sum_j N_j 2^(j-1) t^(m-j), summed
+        by Horner in t as in verify._scaled_blocks; the denominator is
+        2^(m-1) den."""
         den = math.lcm(*(fn.den for fn in self.coeffs))
         acc = 0
         for j, fn in enumerate(self.coeffs):
             acc = acc * t + (fn.nums[t % (2 * fn.period)] * (den // fn.den) << j)
-        return Fraction(acc, den << (len(self.coeffs) - 1))
+        return acc, den << (len(self.coeffs) - 1)
 
     def count(self, n: int):
         """The count at integer n, i.e. V(n + xi), returned as an exact int.
 
         A fractional value for n >= 0 means the certificate is wrong and raises;
         for n < 0 the (possibly fractional) continuation value is returned as is.
+        An integral value is the quotient of one divmod of the Horner sum by
+        its denominator; a Fraction is built only for a value that is not.
         """
         if not isinstance(n, int) or isinstance(n, bool):
             raise InputError(f"n must be an integer, got {n!r}")
-        v = self._at_twice(2 * n + sum(self.parts))
-        if v.denominator == 1:
-            return int(v)
+        num, den = self._at_twice(2 * n + sum(self.parts))
+        q, r = divmod(num, den)
+        if not r:
+            return q
+        v = Fraction(num, den)
         if n >= 0:
             raise IntegralityError(f"count at n={n} evaluated to {v}, not an integer")
         return v
@@ -461,7 +470,7 @@ def _row_totals(dk: int, m: int, size: int) -> tuple[int, ...]:
 
 
 def _shift_fold(
-    d: Sequence[int], m: int, pivot: int, skip: int
+    d: Sequence[int], m: int, pivot: int, skip: int, copies: int = 1
 ) -> tuple[int, list[dict[int, int]], list[int]]:
     """Products of per-position shift sums around a pivot part, folded in the
     residue ring mod size = 2*pivot.
@@ -472,9 +481,26 @@ def _shift_fold(
     total exponent l < m: the sum over exponent vectors r of the folded
     product, which carries 1/prod r_k!. Times l! that is the multinomial
     weighting; no composition is enumerated. The first ``skip`` positions
-    take exponents e >= 1 only and skip the e = 0 step: build_explicit
-    passes the pivot's index, so each composition reaches the fold of its
-    first zero position only, and closure_fn passes 0.
+    take exponents e >= 1 only and skip the e = 0 step, so each composition
+    reaches the fold of its first zero position only; closure_fn passes 0.
+
+    With copies = c > 1 the call returns the sum of c folds, those with
+    skip, skip + 1, ..., skip + c - 1, for a pivot part v whose c - 1 other
+    copies are positions skip .. skip + c - 2 (build_explicit passes the
+    sorted list less one copy of v and skip = the index of v's first copy).
+    Fold j takes B, the e >= 1 step at v, at the first j of those copies and
+    A = B + Z at the rest, with Z the e = 0 step at v: mod 2v that is the
+    q = 1 rotation by v with weight w0. Every step multiplies by an element of one commutative ring, so the
+    operators commute, and by the hockey-stick identity
+    sum_(j<c) C(c-1-j, i) = C(c, i+1),
+
+        sum_(j<c) A^(c-1-j) B^j = sum_(i<c) C(c, i+1) Z^i B^(c-1-i).
+
+    So the fold runs once: the copies take B only, the states u_k = B^k x
+    are kept as it passes them, and before the first later position (or at
+    the end) the state becomes sum_i C(c, i+1) Z^i u_(c-1-i) (_run_sum);
+    the later positions take every exponent. At c = 1 that is the state
+    itself.
 
     Every shift (2r+1) d_k has the parity of d_k, so after k positions every
     cell of every table lies in one parity class, pivot + d_0 + ... + d_(k-1)
@@ -505,12 +531,18 @@ def _shift_fold(
     den = 1
     fold: list[dict[int, int]] = [{pivot: 1}] + [{} for _ in range(m - 1)]
     flat: list[int] | None = None
+    run_end = skip + copies - 1  # the first position that takes e = 0
+    states: list[list[dict[int, int]]] = []  # u_0 .. u_(copies-2)
     for k, dk in enumerate(d):
+        if k == run_end and states:
+            fold = _run_sum(states + [fold], m, pivot)
+        elif skip <= k < run_end:
+            states.append(fold)
         dk_den, per_e = _shift_weights(dk, m, size)
         den *= dk_den
         g = math.gcd(2 * dk, size)
         shift, w0 = per_e[0][0]
-        zero_step = k >= skip
+        zero_step = k >= run_end
         if flat:
             totals = _row_totals(dk, m, size)
             carried = [0] * m
@@ -551,7 +583,32 @@ def _shift_fold(
                         key = (res + sh) % size
                         out[key] = out.get(key, 0) + a * w
         fold = nxt
+    if states and len(d) == run_end:
+        fold = _run_sum(states + [fold], m, pivot)
     return den, fold, flat or [0] * m
+
+
+def _run_sum(states: list[list[dict[int, int]]], m: int, pivot: int) -> list[dict[int, int]]:
+    """The sum of a run's c = len(states) folds at the point the run ends:
+    sum_(i < c) C(c, i+1) Z^i u_(c-1-i), with u_k = states[k] the fold after
+    k copies of the pivot's part took e >= 1 only, and Z that part's e = 0
+    step mod 2*pivot: the q = 1 rotation by pivot with weight w0 (see
+    _shift_weights). No e = 0 step has run before the run ends, so the
+    states carry no flat value. The tables share the fold's denominator,
+    since each Z step is over the same denominator as the copy it stands
+    for."""
+    size = 2 * pivot
+    shift, w0 = _shift_weights(pivot, m, size)[1][0][0]
+    c = len(states)
+    out: list[dict[int, int]] = [{} for _ in range(m)]
+    for i, tables in enumerate(reversed(states)):
+        coef = math.comb(c, i + 1) * w0**i
+        rot = i * shift % size
+        for acc, table in zip(out, tables):
+            for res, a in table.items():
+                key = (res + rot) % size
+                acc[key] = acc.get(key, 0) + coef * a
+    return out
 
 
 def closure_fn(parts: Sequence[int]) -> tuple[int, list[int]]:
@@ -769,11 +826,16 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     other positions' shift sums, one exponent r_k each, around the pivot's
     divisibility indicator, and splits a composition with 1 + z zero
     positions (the pivot among them) evenly over them, 1/(1+z) each. Here
-    each composition goes wholly to its first zero position in list order:
-    position i runs _shift_fold once over d[:i] + d[i+1:] in the residue
-    ring mod 2*d_i, started at the pivot's own half-shift d_i, and its i
-    leading positions skip the e = 0 step. Power bucket l weights table l by
-    binomial(m-1, l)/(m-1)! times the multinomial l!, that is 1/(m-1-l)!.
+    each composition goes wholly to its first zero position in a stable sort
+    of the positions by part, which on a nondecreasing list is list order:
+    with s the sorted list, position i's fold runs over s[:i] + s[i+1:] in
+    the residue ring mod 2*s_i, started at the pivot's own half-shift s_i,
+    and its i leading positions skip the e = 0 step. The c copies of a part
+    v are the adjacent positions i .. i+c-1, and _shift_fold sums their c
+    folds in one (copies=c; the run sum and its proof are in its
+    docstring), so there is one fold per distinct part. Power bucket l
+    weights table l by binomial(m-1, l)/(m-1)! times the multinomial l!,
+    that is 1/(m-1-l)!.
 
     Why this is exact: read at a common multiple t of the parts, a position
     k's e = 0 weight is 1/t at each shift (2p+1) d_k, p < t/d_k, and the
@@ -782,24 +844,29 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     which is symmetric in i and k, and the nonzero positions' factors do not
     depend on the pivot. So a composition's pivot term is the same at each
     of its 1 + z zero positions, and summing it with weight 1/(1+z) over
-    them equals giving all of it to the first.
+    them equals giving all of it to the first, in any fixed order of the
+    positions.
 
     All of it runs on integer numerators: bucket l's weight is taken over
-    top = (m-1)! as (m-1)!/(m-1-l)!. Copies of one part fold over the same
-    multiset of other parts, so their folds share one denominator and add
-    into one piece of period d_i over that denominator times top, a fold's
-    flat value as one slice update of its table's parity class, sum(d) mod 2;
-    _materialise sums the pieces and cuts each sum to its least period.
+    top = (m-1)! as (m-1)!/(m-1-l)!. Each part's one fold makes one piece of
+    period v over its denominator times top, its flat value added as one
+    slice update of its table's parity class, sum(d) mod 2; _materialise
+    sums the pieces and cuts each sum to its least period.
     """
     d = as_parts(parts)
     m = len(d)
     _guard_cells(m, lcm_of(d))
     top = math.factorial(m - 1)
     parity = sum(d) % 2  # the class every fold's cells lie in
+    ordered = sorted(d)
     pieces: dict[int, Piece] = {}
-    for i, di in enumerate(d):
-        den, fold, flat = _shift_fold(d[:i] + d[i + 1 :], m, di, i)
-        _, folded = pieces.setdefault(di, (den * top, [[0] * (2 * di) for _ in range(m)]))
+    i = 0
+    for v, run in itertools.groupby(ordered):
+        copies = len(list(run))
+        den, fold, flat = _shift_fold(ordered[:i] + ordered[i + 1 :], m, v, i, copies)
+        i += copies
+        folded = [[0] * (2 * v) for _ in range(m)]
+        pieces[v] = (den * top, folded)
         for l, res_table in enumerate(fold):
             w = top // math.factorial(m - 1 - l)
             row = folded[l]

@@ -1,5 +1,6 @@
 """Certificates: construction by both routes, evaluation, structure, serialization."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -745,6 +746,35 @@ class TestShiftFold:
         assert cosets > 1000  # the coset step is what most of these folds run
         assert carries > 1000  # and an e = 0 step at a part coprime to the pivot
 
+    def test_run_fold_is_sum_of_copy_folds(self):
+        # a part v with c copies, i parts before them: the one fold with
+        # copies=c equals the c reference folds that skip e = 0 at the first
+        # i + j positions, j < c, summed cell for cell with the flat value.
+        # Runs are taken in each list's own order too: the parts before and
+        # after the copies need not be smaller or larger than v
+        rng = random.Random(31)
+        lists = self.LISTS + BENCH_LISTS + list(PINNED) + [(1,) * 7, (2, 1, 2, 1, 2, 1)]
+        lists += [tuple(rng.sample(d, len(d))) for d in lists]
+        runs = set()
+        for d in lists:
+            for v, c in collections.Counter(d).items():
+                rest = tuple(x for x in d if x != v)
+                i = sum(x < v for x in d)
+                runs.add((rest[:i] + (v,) * (c - 1) + rest[i:], v, i, c))
+        for seq, v, i, c in sorted(runs):
+            m = len(seq) + 1
+            den, fold = _fold_cells(v, seq, _shift_fold(seq, m, v, i, c))
+            ref_den, ref = None, [{} for _ in range(m)]
+            for j in range(c):
+                ref_den, copy = _shift_fold_reference(seq, m, v, i + j)
+                for total, table in zip(ref, _by_total(copy, m)):
+                    for res, a in table.items():
+                        total[res] = total.get(res, 0) + a
+            assert (den, _nonzero(fold)) == (ref_den, _nonzero(ref)), (seq, v, i, c)
+        # every multiplicity up to 7 is folded as one run
+        assert sum(c >= 3 for *_, c in runs) > 40
+        assert max(c for *_, c in runs) == 7
+
     def test_closure_fn_matches_fraction_fold(self):
         # its 2 d_m numerators over its denominator are the reference table,
         # cell for cell, the flat value included
@@ -949,17 +979,43 @@ class TestExplicitPieces:
 
     @pytest.mark.parametrize("parts", [(1, 1, 1, 2, 2, 3), (2, 3, 5, 7), (2, 2, 2, 2), (6, 1, 4, 1)])
     def test_one_fold_per_position(self, monkeypatch, parts):
-        # one fold per position i, started at its part, the pivot, over the
-        # other positions, with the i before it taking e >= 1 only
+        # one fold per distinct part v, its pivot, over the sorted list less
+        # one copy of v, with the i smaller parts and the other copies taking
+        # e >= 1 only: one call per run of equal parts, not per position
         seen = []
 
-        def counted(d, m, pivot, skip):
-            seen.append((pivot, skip, tuple(d)))
-            return _shift_fold(d, m, pivot, skip)
+        def counted(d, m, pivot, skip, copies=1):
+            seen.append((pivot, skip, copies, tuple(d)))
+            return _shift_fold(d, m, pivot, skip, copies)
 
         monkeypatch.setattr(quasipoly, "_shift_fold", counted)
         build_explicit(parts)
-        assert seen == [(di, i, parts[:i] + parts[i + 1 :]) for i, di in enumerate(parts)]
+        ordered = tuple(sorted(parts))
+        expected = []
+        for v in sorted(set(parts)):
+            i = ordered.index(v)
+            expected.append((v, i, parts.count(v), ordered[:i] + ordered[i + 1 :]))
+        assert seen == expected
+
+    def test_no_empty_fold(self, monkeypatch):
+        # every multiset with m <= 5 and parts <= 7, sorted and in one seeded
+        # shuffled order: no fold comes out with no nonzero cell and an
+        # all-zero flat value, as a later copy's own fold did when each
+        # position was folded on its own
+        empty = []
+
+        def checked(d, m, pivot, skip, copies=1):
+            den, fold, flat = _shift_fold(d, m, pivot, skip, copies)
+            if not any(flat) and not any(a for table in fold for a in table.values()):
+                empty.append((tuple(d), pivot, skip, copies))
+            return den, fold, flat
+
+        monkeypatch.setattr(quasipoly, "_shift_fold", checked)
+        rng = random.Random(31)
+        lists = list(iter_multisets(5, 7))
+        for parts in lists + [tuple(rng.sample(p, len(p))) for p in lists]:
+            build_explicit(parts)
+        assert empty == []
 
 
 class TestCapacityGuard:
