@@ -16,19 +16,8 @@ from .exactnum import (
     multinomial,
     parse_rational,
 )
-from .bernoulli import (
-    bernoulli_higher,
-    bernoulli_number,
-    bernoulli_poly,
-    d_higher_recursive,
-    d_higher_symmetric,
-    d_scalar,
-)
-from .polypart import (
-    r_coeffs_recursive,
-    split_weight,
-    v1_explicit,
-)
+from .bernoulli import bernoulli_number, bernoulli_poly, d_scalar
+from .polypart import split_weight, v1_explicit
 from .quasipoly import (
     PeriodicFn,
     QuasiPoly,
@@ -37,7 +26,7 @@ from .quasipoly import (
     closure_fn,
     extend_recursive,
 )
-from .oracle import CountTable, count_dp, count_enum
+from .oracle import CountTable, count_dp
 from .verify import PROPERTIES, PropertyResult, VerifyReport, iter_multisets, run_properties
 
 __version__ = "0.1.0"
@@ -52,13 +41,9 @@ __all__ = [
     "lcm_of",
     "multinomial",
     "parse_rational",
-    "bernoulli_higher",
     "bernoulli_number",
     "bernoulli_poly",
-    "d_higher_recursive",
-    "d_higher_symmetric",
     "d_scalar",
-    "r_coeffs_recursive",
     "split_weight",
     "v1_explicit",
     "PeriodicFn",
@@ -69,7 +54,6 @@ __all__ = [
     "extend_recursive",
     "CountTable",
     "count_dp",
-    "count_enum",
     "PROPERTIES",
     "PropertyResult",
     "VerifyReport",

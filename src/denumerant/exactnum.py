@@ -9,6 +9,7 @@ Floating point is deliberately absent.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -24,6 +25,9 @@ __all__ = [
 ]
 
 Rational = Fraction
+
+# the text QuasiPoly.to_json writes for a rational: "p" or "p/q", ASCII digits
+_RATIONAL_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_parts(parts: Iterable[int]) -> tuple[int, ...]:
@@ -87,14 +91,22 @@ def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
 
 
 def parse_rational(text: str) -> Rational:
-    """Read an exact rational string such as "p/q"; anything else is an InputError.
+    """Read an exact rational string "p" or "p/q"; anything else is an InputError.
 
-    A non-string (a JSON number would arrive as a binary float) and a zero
-    denominator are both rejected.
+    The text must match -?[0-9]+(/[0-9]+)? in ASCII, the grammar QuasiPoly.to_json
+    writes, before any number is built: so no decimal point, exponent,
+    underscore, sign on q, surrounding space or non-ASCII digit is read, and
+    no exponent is expanded. A non-string (a JSON number would arrive as a
+    binary float), a zero denominator and an integer longer than int() reads
+    are all rejected.
     """
     if not isinstance(text, str):
         raise InputError(f"a rational must be an exact string such as '1/3', got {text!r}")
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is None:
+        raise InputError(f"not an exact rational: {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not an exact rational: {text!r}") from exc

@@ -1,12 +1,12 @@
-"""Ground-truth counting: generating-function DP plus a brute-force cross-check.
+"""Ground-truth counting by the generating-function DP, and the guard limit.
 
 Everything here is plain integer arithmetic and knows nothing about
-certificates; the rest of the package is validated against this module.
+certificates; the rest of the package is validated against this module, and
+the test suite checks the DP against a brute-force enumeration.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from itertools import accumulate
@@ -15,7 +15,7 @@ from .errors import CapacityError, InputError
 from .exactnum import as_parts
 
 __all__ = [
-    "CountTable", "count_dp", "count_enum", "guard", "DEFAULT_GUARD_LIMIT", "GUARD_ENV",
+    "CountTable", "count_dp", "guard", "DEFAULT_GUARD_LIMIT", "GUARD_ENV",
 ]
 
 DEFAULT_GUARD_LIMIT = 10_000_000
@@ -84,27 +84,3 @@ def guard(work: int, what: str) -> None:
     limit = _guard_limit()
     if work > limit:
         raise CapacityError(f"{what}, over the limit {limit}")
-
-
-def count_enum(parts, n: int) -> int:
-    """Count solution vectors by direct nested iteration.
-
-    Deliberately naive and independent of count_dp. The work estimate
-    prod(n // d_i + 1) is checked against the guard limit first: RPF_GUARD_LIMIT
-    when it is set, the default otherwise (see guard).
-    """
-    d = as_parts(parts)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        return 0
-    box = math.prod(n // di + 1 for di in d)
-    guard(box, f"enumeration would visit up to {box} vectors")
-
-    def rec(idx: int, rem: int) -> int:
-        if idx == len(d):
-            return 1 if rem == 0 else 0
-        di = d[idx]
-        return sum(rec(idx + 1, rem - x * di) for x in range(rem // di + 1))
-
-    return rec(0, n)

@@ -1,12 +1,16 @@
-"""The polynomial part of the counting function, by two independent routes.
+"""The polynomial part of the counting function.
 
 V_1 is the quasi-polynomial with every periodic coefficient replaced by its
 mean; its coefficients are plain rationals. `v1_explicit` expands the closed
-symmetric form as a product over parts of each part's integer row, on ints
-over beta^m, and builds one Fraction per coefficient; `r_coeffs_recursive`
-grows the coefficients one part at a time. Both are expressed through
-central Bernoulli values B_l(1/2), and both return the m coefficients as a
-tuple of Fractions, highest power first.
+symmetric form through the central Bernoulli values B_l(1/2), as a product
+over parts of each part's integer row, on ints over beta^m, builds one
+Fraction per coefficient and returns the m coefficients as a tuple, highest
+power first. The verify property mean-value compares every certificate
+coefficient's mean with it; the test suite grows the same coefficients one
+part at a time as an independent reference. `split_weight` is the paper's
+weight of one pivot/composition bucket, its multinomial over 1 + z for z zero
+exponents; build_explicit gives each composition wholly to its first zero
+position instead (see its docstring) and does not call it.
 """
 
 from __future__ import annotations
@@ -15,14 +19,12 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .bernoulli import _central_rows, central_value, d_higher_symmetric
+from .bernoulli import _central_rows
 from .errors import InputError
 from .exactnum import Rational, as_parts, multinomial
 
 __all__ = [
     "v1_explicit",
-    "r_mm_constant",
-    "r_coeffs_recursive",
     "split_weight",
 ]
 
@@ -41,9 +43,9 @@ def v1_explicit(parts: Sequence[int]) -> tuple[Rational, ...]:
     entries are nonzero (B_e(1/2) = 0 for odd e). So beta^m D_(2h)^(m) for
     every 2h < m is a product over parts of the integer rows of
     _central_rows, one short list carried from part to part, with no
-    composition enumerated (bernoulli._even_sum is the composition sum it
-    equals). Each D_l^(m) is an int over beta^m, which joins the prefactor's
-    denominator, so each coefficient is one Fraction.
+    composition enumerated (the test suite keeps the composition sum it
+    equals as a reference). Each D_l^(m) is an int over beta^m, which joins
+    the prefactor's denominator, so each coefficient is one Fraction.
     """
     d = as_parts(parts)
     m = len(d)
@@ -59,41 +61,6 @@ def v1_explicit(parts: Sequence[int]) -> tuple[Rational, ...]:
         Fraction(math.comb(m - 1, l) * even[l // 2], den * 2**l) if l % 2 == 0 else Fraction(0)
         for l in range(m)
     )
-
-
-def r_mm_constant(parts: Sequence[int]) -> Rational:
-    """Constant remainder of the free coefficient.
-
-    The one-part-at-a-time recursion reaches every coefficient except this
-    piece, which involves the first m-1 parts only.
-    """
-    d = as_parts(parts)
-    m = len(d)
-    return d_higher_symmetric(m - 1, d[:-1]) / (2 ** (m - 1) * math.factorial(m - 1) * math.prod(d))
-
-
-def r_coeffs_recursive(parts: Sequence[int]) -> tuple[Rational, ...]:
-    """Polynomial part grown one part at a time; independent of v1_explicit.
-
-    Coefficient j of level m sums the previous level's coefficient j-l, l < j,
-    times (m-j+l-1)!/(l! (m-j)!) d_m^(l-1) B_l(1/2), one weight for every j.
-    The l = 0 term of the free coefficient (j = m) is r_mm_constant.
-    """
-    d = as_parts(parts)
-    coeffs = [Fraction(1, d[0])]
-    for mm in range(2, len(d) + 1):
-        dm = Fraction(d[mm - 1])
-        new = [Fraction(0)] * (mm - 1) + [r_mm_constant(d[:mm])]
-        for j in range(1, mm + 1):
-            k = mm - j
-            for i, prev in enumerate(coeffs[:j]):
-                l = j - 1 - i
-                b = central_value(l)
-                if b:
-                    c = Fraction(math.factorial(k + l - 1), math.factorial(l) * math.factorial(k))
-                    new[j - 1] += c * dm ** (l - 1) * b * prev
-        coeffs = new
-    return tuple(coeffs)
 
 
 def split_weight(l: int, m: int, i: int, r: Sequence[int]) -> Rational:

@@ -360,7 +360,7 @@ class QuasiPoly:
     def from_json(cls, text: str) -> "QuasiPoly":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer over int()'s digit limit
             raise InputError(f"not valid JSON: {exc}") from exc
         try:
             parts = tuple(raw["parts"])

@@ -304,27 +304,6 @@ def higher_bernoulli_series(order: int, s, parts) -> Fraction:
     return num[order] * math.factorial(order)
 
 
-def genfunc_mismatches(max_m: int, max_part: int, max_n: int, s_values) -> list[tuple]:
-    """Compare the library's higher-order values against the series oracle.
-
-    Returns a list of (parts, n, s, got, want) mismatches; empty means pass.
-    """
-    from itertools import combinations_with_replacement
-
-    from denumerant import bernoulli_higher
-
-    bad = []
-    for m in range(1, max_m + 1):
-        for parts in combinations_with_replacement(range(1, max_part + 1), m):
-            for n in range(max_n + 1):
-                for s in s_values:
-                    got = bernoulli_higher(n, s, parts)
-                    want = higher_bernoulli_series(n, s, parts)
-                    if got != want:
-                        bad.append((parts, n, s, got, want))
-    return bad
-
-
 def count_dp_reference(parts, max_n: int) -> list[int]:
     """Coefficients of prod_i 1/(1 - t^(d_i)) up to t^max_n, one cell at a
     time in increasing n: counts[n] += counts[n - d]. The loop count_dp ran

@@ -13,16 +13,15 @@ from itertools import combinations_with_replacement
 import pytest
 
 from denumerant import (
-    bernoulli_higher,
     bernoulli_poly,
     build_explicit,
     build_recursive,
     count_dp,
     lcm_of,
-    r_coeffs_recursive,
     v1_explicit,
 )
 from helpers import higher_bernoulli_series, natural_average
+from reference import bernoulli_higher, r_coeffs_recursive
 
 CORPUS = tuple(
     parts

@@ -6,6 +6,7 @@ fails here rather than in a benchmark run. Its --corrupt self-test path is
 checked here too, and so is the shape of every committed BENCH_*.json.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -27,6 +28,39 @@ MODULES = ["denumerant"] + [f"denumerant.{m.name}" for m in pkgutil.iter_modules
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def _loads_outside_own_definition() -> set[str]:
+    """Every name loaded (a Name or Attribute load) in the package's sources,
+    leaving out loads inside a top-level def or class of the same name."""
+    loaded = set()
+    for path in Path(denumerant.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    loaded.add(name)
+    return loaded
+
+
+def test_every_public_name_is_read():
+    # each exported name is read by the package itself or by the benchmark;
+    # a name only the tests read belongs in tests/reference.py
+    loaded = _loads_outside_own_definition()
+    bench = "\n".join((PERFBENCH / f).read_text() for f in ("run.py", "tracing.py"))
+    unread = [
+        f"{module}.{name}"
+        for module in MODULES
+        for name in getattr(importlib.import_module(module), "__all__", ())
+        if name not in loaded and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert unread == []
 
 
 def test_run_names_exist():

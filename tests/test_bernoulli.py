@@ -8,16 +8,15 @@ import pytest
 from denumerant import (
     InputError,
     compositions,
-    bernoulli_higher,
     bernoulli_number,
     bernoulli_poly,
-    d_higher_recursive,
-    d_higher_symmetric,
     d_scalar,
     iter_multisets,
     multinomial,
 )
+from denumerant.bernoulli import central_value
 from helpers import akiyama_tanigawa, higher_bernoulli_series
+from reference import bernoulli_higher, d_higher_recursive, d_higher_symmetric
 from test_cert_bytes import PINNED
 from test_quasipoly import BENCH_LISTS
 
@@ -131,6 +130,11 @@ class TestCentral:
     def test_scalar_odd_vanish(self):
         for n in range(1, 16, 2):
             assert d_scalar(n) == 0
+
+    def test_central_value_is_the_polynomial_at_one_half(self):
+        # central_value reads (2^(1-n) - 1) B_n (DLMF 24.4.27)
+        for n in range(200):
+            assert central_value(n) == bernoulli_poly(n, HALF), n
 
 
 class TestHigherCoefficients:

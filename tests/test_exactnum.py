@@ -1,6 +1,7 @@
 """Exact arithmetic and combinatorial primitives."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,3 +121,21 @@ def test_rational_arithmetic_is_exact(a, b, c, d):
 def test_rational_serialization():
     assert parse_rational("22/7") == Fraction(22, 7)
     assert parse_rational("-3") == Fraction(-3)
+    assert parse_rational("0") == 0
+    assert parse_rational("2/4") == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.5", "1e3", "1_000", " 3/4 ", "3/4\n", "\u0661\u0662", "+3", "3/-4", "1e10000000",
+     "1" * 5000],
+    ids=["decimal", "exponent", "underscore", "spaces", "newline", "arabic-indic-digits",
+         "plus", "signed-denominator", "long-exponent", "over-digit-limit"],
+)
+def test_rational_outside_the_written_grammar_refused(text):
+    # Fraction() reads each of these, and expands an exponent before it
+    # returns: "1e10000000" took seconds. Only -?[0-9]+(/[0-9]+)? is read.
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="not an exact rational"):
+        parse_rational(text)
+    assert time.perf_counter() - start < 1.0

@@ -9,10 +9,10 @@ from denumerant import (
     CountTable,
     InputError,
     count_dp,
-    count_enum,
     iter_multisets,
 )
 from helpers import count_dp_reference
+from reference import count_enum
 
 
 class TestCountDp:

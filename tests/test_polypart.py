@@ -10,13 +10,12 @@ from denumerant import (
     InputError,
     bernoulli_poly,
     iter_multisets,
-    r_coeffs_recursive,
     split_weight,
     v1_explicit,
 )
-from denumerant.bernoulli import _central_rows, _even_sum
-from denumerant.polypart import r_mm_constant
+from denumerant.bernoulli import _central_rows
 from helpers import horner, poly_sub, taylor_shift
+from reference import _even_sum, r_coeffs_recursive, r_mm_constant
 from test_bernoulli import _d_symmetric_all
 from test_cert_bytes import PINNED
 from test_quasipoly import BENCH_LISTS

@@ -28,7 +28,6 @@ from denumerant import (
     extend_recursive,
     iter_multisets,
     lcm_of,
-    r_coeffs_recursive,
     run_properties,
     v1_explicit,
 )
@@ -48,6 +47,7 @@ from helpers import (
     to_json_reference,
     value_reference,
 )
+from reference import r_coeffs_recursive
 from test_cert_bytes import PINNED, PINNED_TILED
 
 HALF = Fraction(1, 2)
@@ -1194,6 +1194,11 @@ class TestSerialization:
             raw["coefficients"][1]["values"][key] = cell
             with pytest.raises(InputError, match="outside 0..3"):
                 QuasiPoly.from_json(json.dumps(raw))
+
+    def test_integer_over_digit_limit_rejected(self):
+        # json.loads raises a plain ValueError for an integer longer than int() reads
+        with pytest.raises(InputError, match="not valid JSON"):
+            QuasiPoly.from_json('{"parts": [1' + "0" * 5000 + "]}")
 
     def test_zero_denominator_rejected(self):
         raw = json.loads(build_explicit((1, 2)).to_json())
