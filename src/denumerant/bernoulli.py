@@ -43,7 +43,7 @@ def bernoulli_number(n: int) -> Rational:
                 m = len(_B)
                 # defining recurrence: sum_{k=0}^{m} C(m+1,k) B_k = 0
                 acc = sum(math.comb(m + 1, k) * _B[k] for k in range(m))
-                _B.append(-acc / (m + 1))
+                _B.append(Fraction(-acc, m + 1))
     return _B[n]
 
 

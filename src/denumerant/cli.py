@@ -8,7 +8,6 @@ finds over the guard limit, and on counts with more digits than int() prints.
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 
@@ -23,8 +22,10 @@ def _parse_int(text: str) -> int:
     """Plain integer, or base^exponent shorthand like 10^6.
 
     A sign binds looser than the power, as in arithmetic: -10^2 is -(10^2).
-    A power gets the digit limit int() puts on plain integers, checked on an
-    estimate before the power is computed.
+    A power gets the digit limit int() puts on plain integers, checked in
+    integers: b^e >= 16^limit when (bit_length(b) - 1) e >= 4 limit, so such
+    a power is refused before it is computed; any other is under 8 limit
+    bits, and is computed and compared with 10^limit.
     """
     text = text.strip()
     if "^" in text:
@@ -33,9 +34,13 @@ def _parse_int(text: str) -> int:
         if e < 0:
             raise ValueError("negative exponent")
         limit = sys.get_int_max_str_digits()
-        if limit and b > 1 and e >= limit / math.log10(b):
-            raise ValueError(f"{text} has more than the {limit} digits allowed")
-        return -(b**e) if base.startswith("-") else b**e
+        too_long = ValueError(f"{text} has more than the {limit} digits allowed")
+        if limit and (b.bit_length() - 1) * e >= 4 * limit:  # then b^e >= 16^limit
+            raise too_long
+        power = b**e
+        if limit and power >= 10**limit:
+            raise too_long
+        return -power if base.startswith("-") else power
     return int(text)
 
 

@@ -30,15 +30,18 @@ for any fixed order, because a composition's pivot term is the same at each
 of its zero positions (the argument is in build_explicit). In that order the
 copies of a part are adjacent, and their folds sum to one (the run sum in
 _shift_fold), so build_explicit folds once per distinct part, that part the
-pivot, into one piece of its period.
+pivot, and each fold's result is that part's piece.
 
 Two kernels are shared by the folds. _shift_weights tabulates one position's
-Bernoulli shift weights by residue; _shift_fold multiplies them over positions
-as a DP with state total exponent -> residue table plus one flat integer,
-added at every cell of the table's parity class. Its options are the number
-of leading positions that skip the e = 0 step and the number of copies of
-the pivot's part whose folds it sums: build_explicit passes the index of the
-part's first copy in sorted order and its multiplicity, closure_fn 0 and 1.
+Bernoulli shift weights by residue, with each row's total; _shift_fold
+multiplies them over positions as a DP with state total exponent -> residue
+table plus one flat integer, added at every cell of the table's parity class,
+and returns the pivot's piece: m dense tables, table l the state l weighted
+by (m-1)!/(m-1-l)! with its flat value written into its class. Its options
+are the number of leading positions that skip the e = 0 step and the number
+of copies of the pivot's part whose folds it sums: build_explicit passes the
+index of the part's first copy in sorted order and its multiplicity, and
+keeps the piece as it is; closure_fn passes 0 and 1 and keeps the last table.
 A position's shift sum runs over p < t/d_k, and read mod 2P it is the same
 for every t that is a multiple of L = lcm(d_k, P): class r < q = L/d_k holds
 n = t/L values of p, whose arguments are spaced 1/n apart, and Raabe's
@@ -65,9 +68,10 @@ _shift_weights is computed once per process per key (d_k, m, 2P); its
 docstring gives the cache's bound and why sharing it costs no independence.
 
 closure_fn runs the fold for the one remainder of the free coefficient that
-build_recursive cannot reach by extension and returns its integer table at
-2 d_m cells, which the recursive step adds into its piece as it is; the step
-reads the new part's weights from _shift_weights. While the context variable
+build_recursive cannot reach by extension and returns the piece's last
+table, 2 d_m integer cells over the piece's denominator, which the recursive
+step adds into its piece as it is; the step reads the new part's weights
+from _shift_weights. While the context variable
 _LEVELS is set, for one verify.run_properties call that builds its own
 certificates, build_recursive records each level's pieces in it and reads a
 level it has already recorded, so verify's prefix certificate costs no
@@ -400,17 +404,23 @@ class QuasiPoly:
         return q
 
 
-# one position's shift weights: (den, per_e), per_e[e] the (residue, numerator)
-# pairs of exponent e
-Weights = tuple[int, tuple[tuple[tuple[int, int], ...], ...]]
+# one position's shift weights: (den, per_e, totals), per_e[e] the (residue,
+# numerator) pairs of exponent e and totals[e] their sum
+Weights = tuple[int, tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]
+
+# a piece of a certificate held as a sum of pieces: (den, tables), each table
+# 2P integer numerators over den for a piece of period P
+Piece = tuple[int, list[list[int]]]
 
 
 @functools.lru_cache(maxsize=1024)
 def _shift_weights(dk: int, m: int, size: int) -> Weights:
     """One position's shift weights mod size = 2P, as integer numerators over
-    one denominator: (den, per_e), where per_e[e] lists the nonzero
+    one denominator: (den, per_e, totals), where per_e[e] lists the nonzero
     t^(e-1) B_e(1 - (2p+1) d_k/2t) / e!, p < t/d_k, summed by their residue
-    (2p+1) d_k mod size, as (residue, numerator) pairs.
+    (2p+1) d_k mod size, as (residue, numerator) pairs, and totals[e] is the
+    sum of row e's numerators: the factor a table constant on its parity
+    class takes from that row.
 
     The sums are the same for every period t that is a multiple of
     L = lcm(d_k, P): by Raabe's multiplication theorem (DLMF 24.4.17) each
@@ -426,11 +436,11 @@ def _shift_weights(dk: int, m: int, size: int) -> Weights:
     The table depends only on the key (dk, m, size), so it is cached per
     process on that key, least recently used first out past 1024 entries, and
     returned as nested tuples that no caller can change. It holds at most q
-    (residue, numerator) pairs per e, about 90 bytes each: about 40 kB for
-    the key (103, 4, 214), under 4 kB for any key with d_k, P <= 6 and m <= 4
-    (the corpus). Both builders, closure_fn and verify's prefix build
-    called this one kernel before it was cached, so sharing a cached table
-    makes the routes no less independent.
+    (residue, numerator) pairs per e, about 90 bytes each, and m totals: about
+    40 kB for the key (103, 4, 214), under 4 kB for any key with d_k, P <= 6
+    and m <= 4 (the corpus). Both builders, closure_fn and verify's prefix
+    build called this one kernel before it was cached, so sharing a cached
+    table makes the routes no less independent.
 
     B_0 = 1, so the q e = 0 weights are all L^(-1) over den, one value on
     the coset of keys; this is asserted as the table is built, and
@@ -458,22 +468,14 @@ def _shift_weights(dk: int, m: int, size: int) -> Weights:
     assert len(per_e[0]) == q and len({w for _, w in per_e[0]}) == 1, (dk, m, size)
     den = t * top * beta * b ** (m - 1)
     g = math.gcd(den, *(w for row in per_e for _, w in row))
-    return den // g, tuple(tuple((key, w // g) for key, w in row) for row in per_e)
+    rows = tuple(tuple((key, w // g) for key, w in row) for row in per_e)
+    return den // g, rows, tuple(sum(w for _, w in row) for row in rows)
 
 
-@functools.lru_cache(maxsize=1024)
-def _row_totals(dk: int, m: int, size: int) -> tuple[int, ...]:
-    """The total of each row e of _shift_weights(dk, m, size): the factor a
-    table constant on its parity class takes from that row. Cached per
-    process on the same key and bound as _shift_weights, m ints per key."""
-    return tuple(sum(w for _, w in row) for row in _shift_weights(dk, m, size)[1])
-
-
-def _shift_fold(
-    d: Sequence[int], m: int, pivot: int, skip: int, copies: int = 1
-) -> tuple[int, list[dict[int, int]], list[int]]:
-    """Products of per-position shift sums around a pivot part, folded in the
-    residue ring mod size = 2*pivot.
+def _shift_fold(d: Sequence[int], m: int, pivot: int, skip: int, copies: int = 1) -> Piece:
+    """The pivot's piece: products of per-position shift sums around a pivot
+    part, folded in the residue ring mod size = 2*pivot and weighted by power
+    bucket.
 
     Position k, with part d[k], offers the weights _shift_weights(d[k], m,
     size). A DP over positions, from a unit weight at the pivot's own
@@ -490,17 +492,16 @@ def _shift_fold(
     sorted list less one copy of v and skip = the index of v's first copy).
     Fold j takes B, the e >= 1 step at v, at the first j of those copies and
     A = B + Z at the rest, with Z the e = 0 step at v: mod 2v that is the
-    q = 1 rotation by v with weight w0. Every step multiplies by an element of one commutative ring, so the
-    operators commute, and by the hockey-stick identity
-    sum_(j<c) C(c-1-j, i) = C(c, i+1),
+    q = 1 rotation by v with weight w0. Every step multiplies by an element
+    of one commutative ring, so the operators commute, and by the
+    hockey-stick identity sum_(j<c) C(c-1-j, i) = C(c, i+1),
 
         sum_(j<c) A^(c-1-j) B^j = sum_(i<c) C(c, i+1) Z^i B^(c-1-i).
 
     So the fold runs once: the copies take B only, the states u_k = B^k x
-    are kept as it passes them, and before the first later position (or at
-    the end) the state becomes sum_i C(c, i+1) Z^i u_(c-1-i) (_run_sum);
-    the later positions take every exponent. At c = 1 that is the state
-    itself.
+    are kept as it passes them, and right after the last copy's step the
+    state becomes sum_i C(c, i+1) Z^i u_(c-1-i) (_run_sum); the later
+    positions take every exponent. At c = 1 that is the state itself.
 
     Every shift (2r+1) d_k has the parity of d_k, so after k positions every
     cell of every table lies in one parity class, pivot + d_0 + ... + d_(k-1)
@@ -515,36 +516,33 @@ def _shift_fold(
     rotations; a zero sum writes nothing. At q = 1 it is one rotation. At
     g = 2 (d_k coprime to the pivot, pivot > 1) the coset is the whole class,
     so the step writes no cells: it adds w0 times the table's sum to flat[l].
-    A flat value u correlated with row e is u times the row's total, the sum
-    of its weights (_row_totals; for e = 0 that is q w0), so flat moves
-    through each later position as m integers, not as P cells. flat is None
-    until the first g = 2 step, so a fold with none pays one test per
-    position for it.
+    A flat value u correlated with row e is u times the row's total (for
+    e = 0 that is q w0), so flat moves through each later position as m
+    integers, not as P cells. flat is None until the first g = 2 step, so a
+    fold with none pays one test per position for it.
 
-    The tables hold integer numerators: each position has one denominator, so
-    after k positions every table shares their product. Returns (den, fold,
-    flat): state l is fold[l] plus flat[l] at every key of the parity class
-    pivot + sum(d) mod 2 (all zeros when no g = 2 step ran); cell values are
-    numerator/den.
+    Each position has one denominator, so after k positions every state
+    shares their product. Returns the piece (den, tables): m lists of 2*pivot
+    integer numerators over den, that product times (m-1)!. Table l is state
+    l weighted by (m-1)!/(m-1-l)!, binomial(m-1, l) times the multinomial l!,
+    over (m-1)!, with its flat value written at every key of the parity
+    class pivot + sum(d) mod 2.
     """
     size = 2 * pivot
     den = 1
     fold: list[dict[int, int]] = [{pivot: 1}] + [{} for _ in range(m - 1)]
     flat: list[int] | None = None
-    run_end = skip + copies - 1  # the first position that takes e = 0
+    last = skip + copies - 2  # the run's last other copy; e = 0 from the next position on
     states: list[list[dict[int, int]]] = []  # u_0 .. u_(copies-2)
     for k, dk in enumerate(d):
-        if k == run_end and states:
-            fold = _run_sum(states + [fold], m, pivot)
-        elif skip <= k < run_end:
+        if skip <= k <= last:
             states.append(fold)
-        dk_den, per_e = _shift_weights(dk, m, size)
+        dk_den, per_e, totals = _shift_weights(dk, m, size)
         den *= dk_den
         g = math.gcd(2 * dk, size)
         shift, w0 = per_e[0][0]
-        zero_step = k >= run_end
+        zero_step = k > last
         if flat:
-            totals = _row_totals(dk, m, size)
             carried = [0] * m
             for l, u in enumerate(flat):
                 if u:
@@ -583,9 +581,20 @@ def _shift_fold(
                         key = (res + sh) % size
                         out[key] = out.get(key, 0) + a * w
         fold = nxt
-    if states and len(d) == run_end:
-        fold = _run_sum(states + [fold], m, pivot)
-    return den, fold, flat or [0] * m
+        if states and k == last:
+            fold = _run_sum(states + [fold], m, pivot)
+    top = math.factorial(m - 1)
+    parity = (pivot + sum(d)) % 2
+    tables = []
+    for l, table in enumerate(fold):
+        w = top // math.factorial(m - 1 - l)
+        row = [0] * size
+        if flat and flat[l]:
+            row[parity::2] = [w * flat[l]] * pivot
+        for res, a in table.items():
+            row[res] += w * a
+        tables.append(row)
+    return den * top, tables
 
 
 def _run_sum(states: list[list[dict[int, int]]], m: int, pivot: int) -> list[dict[int, int]]:
@@ -619,23 +628,16 @@ def closure_fn(parts: Sequence[int]) -> tuple[int, list[int]]:
     divisibility indicator and each central Bernoulli symbol replaced by its
     finite shift sum. Every shift sum is reduced mod 2*d_m, so by Raabe's
     theorem (see _shift_weights) it is taken at its own period lcm(d_i, d_m).
-    It is the total-exponent m-1 state of _shift_fold over the prefix, mod
-    2*d_m, with every position taking every exponent (skip 0): the
-    multinomial over (m-1)! is exactly 1/prod r_k!. Returns (den, table):
-    the state's 2*d_m integer numerators over the fold's denominator, its
-    flat value written at every key of the parity class sum(parts) mod 2 and
-    its cells added, unreduced, as the recursive step adds them into its
-    period-d_m piece.
+    It is the last table of _shift_fold's piece over the prefix, mod 2*d_m,
+    with every position taking every exponent (skip 0): total exponent m-1,
+    whose bucket weight (m-1)!/0! over (m-1)! is 1, so the multinomial over
+    (m-1)! is exactly 1/prod r_k!. Returns (den, table): the piece's
+    denominator and that table's 2*d_m integer numerators, unreduced, as the
+    recursive step adds them into its period-d_m piece.
     """
     d = as_parts(parts)
-    m = len(d)
-    den, fold, flat = _shift_fold(d[:-1], m, d[-1], 0)
-    table = [0] * (2 * d[-1])
-    if flat[m - 1]:
-        table[sum(d) % 2 :: 2] = [flat[m - 1]] * d[-1]
-    for res, a in fold[m - 1].items():
-        table[res] += a
-    return den, table
+    den, tables = _shift_fold(d[:-1], len(d), d[-1], 0)
+    return den, tables[-1]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -674,11 +676,6 @@ def _guard_cells(m: int, period: int) -> None:
     guard(m * 2 * period, f"the certificate would take {m} x {2 * period} cells")
 
 
-# a piece of a certificate held as a sum of pieces: (den, tables), each table
-# 2P integer numerators over den for a piece of period P
-Piece = tuple[int, list[list[int]]]
-
-
 def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int, Piece]:
     """One recursive step on a certificate held as a sum of pieces.
 
@@ -711,7 +708,7 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
     out: dict[int, Piece] = {}
     for period, (prev_den, prev) in pieces.items():
         size = 2 * period
-        den, weights = _shift_weights(d_new, m, size)
+        den, weights, _ = _shift_weights(d_new, m, size)
         tables = [[0] * size for _ in range(m)]
         for i, prev_vals in enumerate(prev):
             # rho - size + shift indexes (rho + shift) mod size, as shift < size
@@ -833,8 +830,8 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     and its i leading positions skip the e = 0 step. The c copies of a part
     v are the adjacent positions i .. i+c-1, and _shift_fold sums their c
     folds in one (copies=c; the run sum and its proof are in its
-    docstring), so there is one fold per distinct part. Power bucket l
-    weights table l by binomial(m-1, l)/(m-1)! times the multinomial l!,
+    docstring), so there is one fold per distinct part. The fold weights
+    power bucket l by binomial(m-1, l)/(m-1)! times the multinomial l!,
     that is 1/(m-1-l)!.
 
     Why this is exact: read at a common multiple t of the parts, a position
@@ -847,32 +844,18 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     them equals giving all of it to the first, in any fixed order of the
     positions.
 
-    All of it runs on integer numerators: bucket l's weight is taken over
-    top = (m-1)! as (m-1)!/(m-1-l)!. Each part's one fold makes one piece of
-    period v over its denominator times top, its flat value added as one
-    slice update of its table's parity class, sum(d) mod 2; _materialise
-    sums the pieces and cuts each sum to its least period.
+    All of it runs on integer numerators: each part's one fold returns its
+    piece of period v, the buckets weighted over (m-1)! (see _shift_fold),
+    and _materialise sums the pieces and cuts each sum to its least period.
     """
     d = as_parts(parts)
     m = len(d)
     _guard_cells(m, lcm_of(d))
-    top = math.factorial(m - 1)
-    parity = sum(d) % 2  # the class every fold's cells lie in
     ordered = sorted(d)
     pieces: dict[int, Piece] = {}
     i = 0
     for v, run in itertools.groupby(ordered):
         copies = len(list(run))
-        den, fold, flat = _shift_fold(ordered[:i] + ordered[i + 1 :], m, v, i, copies)
+        pieces[v] = _shift_fold(ordered[:i] + ordered[i + 1 :], m, v, i, copies)
         i += copies
-        folded = [[0] * (2 * v) for _ in range(m)]
-        pieces[v] = (den * top, folded)
-        for l, res_table in enumerate(fold):
-            w = top // math.factorial(m - 1 - l)
-            row = folded[l]
-            for res, a in res_table.items():
-                row[res] += w * a
-            if flat[l]:
-                u = w * flat[l]
-                row[parity::2] = [a + u for a in row[parity::2]]
     return _materialise(d, pieces)

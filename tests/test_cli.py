@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -292,7 +293,7 @@ def test_nonnegative_integer_options_exit_2(runner, args, message):
 
 
 def test_power_over_digit_limit_exit_2(runner):
-    # rejected from its digit estimate, like a plain integer of that length
+    # rejected from its bit length, like a plain integer of that length
     res = runner.invoke(main, ["eval", "--parts", "1,2", "--n", "10^5000"])
     assert res.exit_code == 2, res.output
     assert "digits allowed" in res.output
@@ -322,6 +323,38 @@ def test_count_at_digit_limit_prints(runner):
     res = runner.invoke(main, ["eval", "--parts", "1,1", "--n", "10^4299"])
     assert res.exit_code == 0, res.output
     assert res.output.strip() == str(10**4299 + 1)
+
+
+@pytest.mark.parametrize(
+    "n, code",
+    [
+        # (10^20 - 1)^215 has 4300 digits, the most int() reads, as a power
+        # and written out; log10(10^20 - 1) rounds to 20.0 as a float, so a
+        # float estimate of its digits refused the power
+        ("99999999999999999999^215", 0),
+        (str((10**20 - 1) ** 215), 0),
+        ("10^4299", 0),
+        ("10^4300", 2),
+    ],
+    ids=["power-4300-digits", "written-4300-digits", "10^4299", "10^4300"],
+)
+def test_power_digit_limit_is_exact(runner, n, code):
+    # one part: every count is 1
+    res = runner.invoke(main, ["eval", "--parts", "1", "--n", n])
+    assert res.exit_code == code, res.output
+    if code == 0:
+        assert res.output.strip() == "1"
+    else:
+        assert "digits allowed" in res.output
+
+
+def test_huge_power_refused_before_it_is_computed(runner):
+    # 3^(10^18) has about 4.8 * 10^17 digits: refused from its bit length
+    start = time.perf_counter()
+    res = runner.invoke(main, ["eval", "--parts", "1", "--n", "3^1000000000000000000"])
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 2, res.output
+    assert "digits allowed" in res.output
 
 
 @pytest.mark.parametrize(

@@ -580,18 +580,18 @@ class TestShiftWeights:
                     # the table for m is the first m rows of the table for 5
                     direct = _shift_weights_direct(dk, lcm * k, 5, 2 * period)
                     for m in range(1, 6):
-                        den, per_e = _shift_weights(dk, m, 2 * period)
+                        den, per_e, _ = _shift_weights(dk, m, 2 * period)
                         assert _over_den(den, per_e) == direct[:m], (dk, period, k, m)
 
     def test_matches_direct_sum_at_full_period(self):
         # d_k = 31 read mod 2*37 inside (31, 37, 41), whose lcm is 47027
-        den, per_e = _shift_weights(31, 3, 74)
+        den, per_e, _ = _shift_weights(31, 3, 74)
         assert _over_den(den, per_e) == _shift_weights_direct(31, 47027, 3, 74)
 
     def test_integer_numerators_in_lowest_terms(self):
         for dk in range(1, 13):
             for period in range(1, 13):
-                den, per_e = _shift_weights(dk, 5, 2 * period)
+                den, per_e, _ = _shift_weights(dk, 5, 2 * period)
                 nums = [w for row in per_e for _, w in row]
                 assert all(type(w) is int and w for w in nums)
                 assert type(den) is int and den > 0
@@ -613,8 +613,10 @@ def _all_tuples(x):
 
 class TestShiftWeightsCache:
     def test_one_verify_call_computes_each_table_once(self):
-        # 40 lookups: the recurrence's prefix reads the recursive pass's
-        # levels, so it looks up no weights of its own
+        # 40 lookups, one per fold position and per recursive-step piece: 20
+        # in the explicit pass's 5 folds over 4 positions, 2(k-1) at each
+        # recursive level k. The recurrence's prefix reads the recursive
+        # pass's levels, so it looks up no weights of its own
         _shift_weights.cache_clear()
         run_properties((1, 2, 3, 4, 5))
         info = _shift_weights.cache_info()
@@ -633,10 +635,12 @@ class TestShiftWeightsCache:
             assert _all_tuples(weights), key
 
     def test_cached_tables_match_uncached_and_direct(self):
+        # each row's total is the sum of its numerators
         for dk, m, size in CACHE_KEYS:
-            den, per_e = _shift_weights(dk, m, size)
-            assert (den, per_e) == _shift_weights.__wrapped__(dk, m, size), (dk, m, size)
+            den, per_e, totals = _shift_weights(dk, m, size)
+            assert (den, per_e, totals) == _shift_weights.__wrapped__(dk, m, size), (dk, m, size)
             assert _over_den(den, per_e) == _direct_at_lcm(dk, m, size), (dk, m, size)
+            assert totals == tuple(sum(w for _, w in row) for row in per_e), (dk, m, size)
 
 
 @functools.lru_cache(maxsize=None)
@@ -655,7 +659,7 @@ def _shift_fold_reference(d, m, pivot, skip=0):
     den = 1
     fold = {(0, 0): {pivot: 1}}
     for k, dk in enumerate(d):
-        dk_den, per_e = _shift_weights(dk, m, size)
+        dk_den, per_e, _ = _shift_weights(dk, m, size)
         den *= dk_den
         nxt = {}
         for (l, z), table in fold.items():
@@ -679,28 +683,26 @@ def _by_total(fold, m):
     return merged
 
 
-def _fold_cells(pivot, d, folded):
-    """_shift_fold's (den, fold, flat) as (den, tables): each flat value
-    folded back into its table, added at every key of the parity class
-    pivot + sum(d) mod 2. The plain residue tables the references keep."""
-    den, fold, flat = folded
-    tables = [dict(table) for table in fold]
-    for table, u in zip(tables, flat):
-        for key in range((pivot + sum(d)) % 2, 2 * pivot, 2):
-            table[key] = table.get(key, 0) + u
-    return den, tables
+def _weighted(states, m, pivot):
+    """A reference fold's m total-exponent states as the dense tables of a
+    piece: state l's cells weighted by (m-1)!/(m-1-l)!, to be read over the
+    reference's denominator times (m-1)!. The bucket weights _shift_fold
+    writes, kept here as their reference."""
+    top = math.factorial(m - 1)
+    tables = []
+    for l, table in enumerate(states):
+        w = top // math.factorial(m - 1 - l)
+        row = [0] * (2 * pivot)
+        for res, a in table.items():
+            row[res] += w * a
+        tables.append(row)
+    return tables
 
 
 def _carries(pivot, d, skip):
     """Whether a fold takes an e = 0 step at a part coprime to a pivot above
     1, the step whose table _shift_fold carries as one integer."""
     return pivot > 1 and any(math.gcd(dk, pivot) == 1 for dk in d[skip:])
-
-
-def _nonzero(fold):
-    """The fold as a function: each table with its zero cells dropped. The
-    coset step writes no cell whose sum is zero; a rotation may."""
-    return [{res: a for res, a in table.items() if a} for table in fold]
 
 
 class TestShiftFold:
@@ -711,45 +713,45 @@ class TestShiftFold:
 
     def test_integer_fold_matches_fraction_fold(self):
         # every pivot of every list, at every number 0..m-1 of leading
-        # positions that skip e = 0; the fold depends only on (others, d_i)
+        # positions that skip e = 0; the fold depends only on (others, d_i).
+        # Every cell of the piece, over its denominator, is the Fraction
+        # reference weighted by (m-1)!/(m-1-l)! over (m-1)!
         pivots = {(d[:i] + d[i + 1 :], di) for d in self.LISTS for i, di in enumerate(d)}
         for others, di in sorted(pivots):
             m = len(others) + 1
+            top = math.factorial(m - 1)
             for skip in range(m):
-                den, fold = _fold_cells(di, others, _shift_fold(others, m, di, skip))
-                got = [{res: Fraction(a, den) for res, a in table.items()} for table in _nonzero(fold)]
-                ref = _by_total(_pivot_fold_direct(others, di, skip), m)
-                assert got == _nonzero(ref), (others, di, skip)
+                den, tables = _shift_fold(others, m, di, skip)
+                got = [[Fraction(a, den) for a in table] for table in tables]
+                ref = _weighted(_by_total(_pivot_fold_direct(others, di, skip), m), m, di)
+                assert got == [[Fraction(a) / top for a in table] for table in ref], (others, di, skip)
 
     @pytest.mark.parametrize("leading", [False, True])
     def test_fold_matches_reference(self, leading):
         # every pivot of every list here, of the benchmark's and of PINNED, at
         # every number of leading positions that take e >= 1 only: none, as
-        # closure_fn folds, or each count 1..m-1 that build_explicit passes
+        # closure_fn folds, or each count 1..m-1 that build_explicit passes.
+        # The piece is the integer reference weighted by (m-1)!/(m-1-l)! over
+        # its denominator times (m-1)!, every cell of every table
         lists = self.LISTS + BENCH_LISTS + list(PINNED)
         pivots = {(d[:i] + d[i + 1 :], di) for d in lists for i, di in enumerate(d)}
         cosets = carries = 0
         for others, di in sorted(pivots):
             m = len(others) + 1
             for skip in range(1, m) if leading else [0]:
-                folded = _shift_fold(others, m, di, skip)
-                den, fold = _fold_cells(di, others, folded)
                 ref_den, ref = _shift_fold_reference(others, m, di, skip)
-                expected = (ref_den, _nonzero(_by_total(ref, m)))
-                assert (den, _nonzero(fold)) == expected, (others, di, skip)
+                expected = (ref_den * math.factorial(m - 1), _weighted(_by_total(ref, m), m, di))
+                assert _shift_fold(others, m, di, skip) == expected, (others, di, skip)
                 cosets += any(math.gcd(2 * dk, 2 * di) < 2 * di for dk in others[skip:])
-                # only such a step makes a flat value (a fold whose tables
-                # all vanish before it makes none)
-                carried = _carries(di, others, skip)
-                assert carried or not any(folded[2]), (others, di, skip)
-                carries += carried
+                carries += _carries(di, others, skip)
         assert cosets > 1000  # the coset step is what most of these folds run
         assert carries > 1000  # and an e = 0 step at a part coprime to the pivot
 
     def test_run_fold_is_sum_of_copy_folds(self):
         # a part v with c copies, i parts before them: the one fold with
         # copies=c equals the c reference folds that skip e = 0 at the first
-        # i + j positions, j < c, summed cell for cell with the flat value.
+        # i + j positions, j < c, summed cell for cell and weighted by
+        # (m-1)!/(m-1-l)! over their denominator times (m-1)!.
         # Runs are taken in each list's own order too: the parts before and
         # after the copies need not be smaller or larger than v
         rng = random.Random(31)
@@ -763,14 +765,14 @@ class TestShiftFold:
                 runs.add((rest[:i] + (v,) * (c - 1) + rest[i:], v, i, c))
         for seq, v, i, c in sorted(runs):
             m = len(seq) + 1
-            den, fold = _fold_cells(v, seq, _shift_fold(seq, m, v, i, c))
             ref_den, ref = None, [{} for _ in range(m)]
             for j in range(c):
                 ref_den, copy = _shift_fold_reference(seq, m, v, i + j)
                 for total, table in zip(ref, _by_total(copy, m)):
                     for res, a in table.items():
                         total[res] = total.get(res, 0) + a
-            assert (den, _nonzero(fold)) == (ref_den, _nonzero(ref)), (seq, v, i, c)
+            expected = (ref_den * math.factorial(m - 1), _weighted(ref, m, v))
+            assert _shift_fold(seq, m, v, i, c) == expected, (seq, v, i, c)
         # every multiplicity up to 7 is folded as one run
         assert sum(c >= 3 for *_, c in runs) > 40
         assert max(c for *_, c in runs) == 7
@@ -999,16 +1001,15 @@ class TestExplicitPieces:
 
     def test_no_empty_fold(self, monkeypatch):
         # every multiset with m <= 5 and parts <= 7, sorted and in one seeded
-        # shuffled order: no fold comes out with no nonzero cell and an
-        # all-zero flat value, as a later copy's own fold did when each
-        # position was folded on its own
+        # shuffled order: no fold returns a piece whose every cell is 0, as a
+        # later copy's own fold did when each position was folded on its own
         empty = []
 
         def checked(d, m, pivot, skip, copies=1):
-            den, fold, flat = _shift_fold(d, m, pivot, skip, copies)
-            if not any(flat) and not any(a for table in fold for a in table.values()):
+            piece = _shift_fold(d, m, pivot, skip, copies)
+            if not any(map(any, piece[1])):
                 empty.append((tuple(d), pivot, skip, copies))
-            return den, fold, flat
+            return piece
 
         monkeypatch.setattr(quasipoly, "_shift_fold", checked)
         rng = random.Random(31)
