@@ -45,8 +45,9 @@ def as_parts(parts: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def lcm_of(values: Sequence[int]) -> int:
-    """Least common multiple of a non-empty sequence of positive integers."""
+def lcm_of(values: Iterable[int]) -> int:
+    """Least common multiple of a non-empty iterable of positive integers, read once."""
+    values = tuple(values)
     if not values:
         raise InputError("lcm_of needs at least one value")
     for v in values:

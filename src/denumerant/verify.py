@@ -1,35 +1,41 @@
 """Property harness: structural checks on certificates, with minimal counterexamples.
 
-Each check scans its argument space in increasing absolute value, so the
-first failure reported is a smallest one. Certificates are read only through
+Each check scans its argument space in increasing absolute value and returns
+its failures as (key, counterexample) pairs in scan order, with the note its
+pass carries. One rule (_result) makes every PropertyResult: no failure is a
+pass with the note; otherwise the failure of least key is reported, the
+first found on a tie, so a failure reported is a smallest one, under the
+first certificate label on a tie. The checks read certificates through
 QuasiPoly.numerator_tables: integer numerators over one common denominator,
-each coefficient at its least period, the one period it is stored at.
-run_properties reads each certificate once and keeps the views of the
-distinct certificates (QuasiPoly equality), each under the first label that
-holds it; every check scans that list, so equal certificates are checked
-once, a parsed file and the built certificate it equals included. The
-recurrence and parity laws are identities between coefficient tables on every
-class, reporting the smallest failing class of 2s; parity also requires every
-off-grid cell (2s != sum(parts) mod 2) to be zero, and checks each column on
-the classes of its own period, where a failing class repeats. The recurrence
-checks every view against one prefix certificate, the recursive route's, read
-and shifted once; when run_properties builds the certificates itself,
-build_recursive reads that prefix from the levels its pass for the full list
-recorded in the same call (quasipoly._LEVELS), so no level is built twice. It
-forms each Taylor row, and compares the two sides, at the lcm of the column
-lengths involved, so a coefficient of period 1 is shifted as 2 cells, not 2
-tau. The oracle compares count_dp with integer Horner run by columns
-(_scaled_blocks), one block of n at a time: the blocks are as long as the lcm
-of every column's period, each a list pass per coefficient, and the first
-block that holds a mismatch ends the scan; by default every class gets m
-points. Zeros runs the same evaluator on the forced zeros 2s = m mod 2, ...,
-m - 2 alone, which lie in the first m classes; the mean value one integer sum
-per coefficient, against a polynomial part whose product over parts also runs
-on ints (over beta^m, one Fraction per coefficient, see polypart.v1_explicit).
-Path-agreement passes a single distinct view at once and otherwise compares
-each pair of columns at the lcm of their lengths.
-Fractions are built only to word a failure. Results never stop early across
-properties; a report carries one result per requested property."""
+each coefficient at its least period, the one period it is stored at; the
+oracle alone also words a failure through the failing certificate's count.
+run_properties keeps the distinct certificates (QuasiPoly equality), each
+under the first label that holds it, and reads each of those once; every
+check scans their views, so equal certificates are checked once, a parsed
+file and the built certificate it equals included. The recurrence and parity
+laws are identities between coefficient tables on every class, reporting the
+smallest failing class of 2s; parity also requires every off-grid cell
+(2s != sum(parts) mod 2) to be zero, and checks each column on the classes of
+its own period, where a failing class repeats. The recurrence checks every
+view against one prefix certificate, the recursive route's, read and shifted
+once; when run_properties builds the certificates itself, build_recursive
+reads that prefix from the levels its pass for the full list recorded in the
+same call (quasipoly._LEVELS), so no level is built twice. It forms each
+Taylor row, and compares the two sides, at the lcm of the column lengths
+involved, so a coefficient of period 1 is shifted as 2 cells, not 2 tau. The
+oracle compares count_dp with integer Horner run by columns (_scaled_blocks),
+one block of n at a time: the blocks are as long as the lcm of every column's
+period, each a list pass per coefficient, and the first block that holds a
+mismatch ends the scan with that block's failures; by default every class
+gets m points. Zeros runs the same evaluator on the forced zeros
+2s = m mod 2, ..., m - 2 alone, which lie in the first m classes; the mean
+value one integer sum per coefficient, against a polynomial part whose
+product over parts also runs on ints (over beta^m, one Fraction per
+coefficient, see polypart.v1_explicit). Path-agreement passes a single
+distinct view at once and otherwise compares each pair of columns at the lcm
+of their lengths. Fractions are built only to word a failure. Results never
+stop early across properties; a report carries one result per requested
+property."""
 
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import oracle, polypart, quasipoly
 from .errors import InputError, IntegralityError
@@ -107,6 +113,9 @@ Certs = Mapping[str, quasipoly.QuasiPoly]
 # a certificate as integer numerator tables over one denominator, each
 # coefficient on the 2P classes of its least period P (QuasiPoly.numerator_tables)
 View = tuple[int, list[list[int]]]
+# what a check returns: its failures as (key, counterexample) in scan order,
+# and the note its pass carries
+Checked = tuple[list[tuple[int, dict]], Optional[str]]
 
 
 def _scaled_blocks(tables: list[list[int]], t: int, stop: int, block: int) -> Iterator[list[int]]:
@@ -136,14 +145,26 @@ def _scaled_blocks(tables: list[list[int]], t: int, stop: int, block: int) -> It
         yield acc
 
 
-def _first_mismatch(got: list[int], want: list[int]) -> int | None:
-    """The first index where the equal-length lists differ, or None."""
-    if got == want:
+def _first_difference(a: list[int], b: list[int]) -> int | None:
+    """The first class where two periodic columns differ, each tiled to the
+    lcm of their lengths, or None."""
+    if len(a) != len(b):
+        size = math.lcm(len(a), len(b))
+        a, b = _tiled(a, size), _tiled(b, size)
+    if a == b:
         return None
-    return next(k for k, (x, y) in enumerate(zip(got, want)) if x != y)
+    return next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
-def _check_oracle(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
+def _counted(cert: quasipoly.QuasiPoly, n: int) -> str:
+    """The certificate's count at n as text, or why it is not an integer."""
+    try:
+        return str(cert.count(n))
+    except IntegralityError as exc:
+        return str(exc)
+
+
+def _check_oracle(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> Checked:
     counts = oracle.count_dp(parts, n_max).counts
     shift = len(parts) - 1
     # every view is evaluated over the same blocks of n, one lcm of every
@@ -155,23 +176,17 @@ def _check_oracle(parts, certs: Certs, views: list[tuple[str, View]], n_max: int
     ]
     for start in range(0, n_max + 1, block):
         want = counts[start : start + block]
-        first = None
+        failures = []
         for label, scale, blocks in scans:
-            k = _first_mismatch(next(blocks), [c * scale for c in want])
-            if k is not None and (first is None or k < first[0]):
-                first = (k, label)
-        if first is not None:
-            k, label = first
-            n = start + k
-            try:
-                actual = str(certs[label].count(n))
-            except IntegralityError as exc:
-                actual = str(exc)
-            return PropertyResult(
-                "oracle", False,
-                {"path": label, "n": n, "expected": str(counts[n]), "actual": actual},
-            )
-    return PropertyResult("oracle", True, note=f"n up to {n_max}")
+            k = _first_difference(next(blocks), [c * scale for c in want])
+            if k is not None:
+                n = start + k
+                failures.append(
+                    (k, {"path": label, "n": n, "expected": str(counts[n]), "actual": _counted(certs[label], n)})
+                )
+        if failures:
+            return failures, None
+    return [], f"n up to {n_max}"
 
 
 def _rotated(col: list[int], shift: int) -> list[int]:
@@ -204,10 +219,10 @@ def _shifted(cols: list[list[int]], a: int, b: int) -> list[list[int]]:
     return out
 
 
-def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
+def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> Checked:
     m = len(parts)
     if m == 1:
-        return PropertyResult("recurrence", True, note="vacuous for a single part")
+        return [], "vacuous for a single part"
     dm = parts[-1]
     # One polynomial identity per class 2s = rho, on integer numerators:
     # V(s) - V(s - d_m) = V_{m-1}(s - d_m/2), the right side scaled by 2^(m-2).
@@ -223,7 +238,7 @@ def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max:
     den_prev, prev = quasipoly.build_recursive(parts[:-1]).numerator_tables()
     half = _shifted([_rotated(col, dm) for col in prev], -dm, 2)
     rhs_den = den_prev << (m - 2)
-    first = None
+    failures = []
     for label, (den, tables) in views:
         back = _shifted([_rotated(col, 2 * dm) for col in tables], -dm, 1)
         scale = den * rhs_den
@@ -231,27 +246,23 @@ def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max:
             # both sides of row k over den * rhs_den
             a = [(x - y) * rhs_den for x, y in zip(_tiled(col, len(sh)), sh)]
             b = [y * den for y in rhs]
-            size = math.lcm(len(a), len(b))
-            rho = _first_mismatch(_tiled(a, size), _tiled(b, size))
-            if rho is not None and (first is None or rho < first[0]):
-                first = (rho, k, label, Fraction(a[rho % len(a)], scale), Fraction(b[rho % len(b)], scale))
-    if first is None:
-        return PropertyResult("recurrence", True)
-    rho, k, label, a, b = first
-    return PropertyResult(
-        "recurrence", False,
-        {"path": label, "s": str(Fraction(rho, 2)), "power": m - 1 - k, "lhs": str(a), "rhs": str(b)},
-    )
+            rho = _first_difference(a, b)
+            if rho is not None:
+                failures.append((rho, {
+                    "path": label, "s": str(Fraction(rho, 2)), "power": m - 1 - k,
+                    "lhs": str(Fraction(a[rho % len(a)], scale)), "rhs": str(Fraction(b[rho % len(b)], scale)),
+                }))
+    return failures, None
 
 
-def _check_parity(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
+def _check_parity(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> Checked:
     natural = sum(parts) % 2
     # V(-s) = -(-1)^m V(s) on the class of s holds iff R_j(-s) = (-1)^(j-1) R_j(s)
     # for every j; rho and -rho give the same condition, so rho <= P_j covers
     # every class of R_j's stored period P_j, smallest |s| first, and a failing
     # class repeats with P_j. Off the natural grid (2s != sum(parts) mod 2) both
     # cells must be zero, which also makes them symmetric.
-    first = None
+    failures = []
     for label, (den, tables) in views:
         for j, col in enumerate(tables, 1):
             half = len(col) // 2
@@ -262,87 +273,83 @@ def _check_parity(parts, certs: Certs, views: list[tuple[str, View]], n_max: int
                     rho for rho, (x, y, w) in enumerate(zip(minus, plus, want))
                     if x != w or (y and rho % 2 != natural)
                 )
-                if first is None or rho < first[0]:
-                    first = (rho, label, j, minus[rho], plus[rho], den)
-    if first is None:
-        return PropertyResult("parity", True, note="off-grid values identically zero")
-    rho, label, j, minus, plus, den = first
-    return PropertyResult(
-        "parity", False,
-        {"path": label, "s": str(Fraction(rho, 2)), "coefficient": j,
-         "R_j(-s)": str(Fraction(minus, den)), "R_j(s)": str(Fraction(plus, den))},
-    )
+                failures.append((rho, {
+                    "path": label, "s": str(Fraction(rho, 2)), "coefficient": j,
+                    "R_j(-s)": str(Fraction(minus[rho], den)), "R_j(s)": str(Fraction(plus[rho], den)),
+                }))
+    return failures, "off-grid values identically zero"
 
 
-def _check_zeros(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
+def _check_zeros(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> Checked:
     m = len(parts)
     if m == 1:
-        return PropertyResult("zeros", True, note="no forced zeros at this order")
+        return [], "no forced zeros at this order"
     # the forced zeros V(t/2) = 0 sit at the m // 2 points t = m mod 2, ..., m - 2,
     # evaluated as one block per view
     points = m // 2
-    first = None
+    failures = []
     for label, (den, tables) in views:
         values = next(_scaled_blocks(tables, m % 2, points, points))
-        k = _first_mismatch(values, [0] * points)
-        if k is not None and (first is None or k < first[0]):
-            first = (k, label, Fraction(values[k], den << (m - 1)))
-    if first is None:
-        return PropertyResult("zeros", True)
-    k, label, value = first
-    return PropertyResult(
-        "zeros", False, {"path": label, "s": str(Fraction(m % 2 + 2 * k, 2)), "value": str(value)}
-    )
+        k = _first_difference(values, [0] * points)
+        if k is not None:
+            failures.append((k, {
+                "path": label, "s": str(Fraction(m % 2 + 2 * k, 2)),
+                "value": str(Fraction(values[k], den << (m - 1))),
+            }))
+    return failures, None
 
 
-def _check_path_agreement(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
+def _check_path_agreement(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> Checked:
     if len(views) == 1:
-        return PropertyResult("path-agreement", True)
-    # Otherwise each pair of columns is tiled to the lcm of its two lengths
-    # and cross-multiplied by the other's denominator; the smallest differing
-    # class 2s is reported, and its smallest coefficient.
+        return [], None
+    # Otherwise each pair of columns is cross-multiplied by the other's
+    # denominator and compared at the lcm of their lengths; a failure is
+    # keyed by its class 2s, so the smallest one is reported, at its
+    # smallest coefficient.
     by_label = dict(views)
     (den_a, ta), (den_b, tb) = by_label["explicit"], by_label["recursive"]
-    first = None
+    failures = []
     for j, (ca, cb) in enumerate(zip(ta, tb), 1):
-        size = math.lcm(len(ca), len(cb))
-        xa = _tiled([x * den_b for x in ca], size)
-        xb = _tiled([y * den_a for y in cb], size)
-        rho = _first_mismatch(xa, xb)
-        if rho is not None and (first is None or rho < first[0]):
-            first = (rho, j)
-    if first is None:
-        return PropertyResult("path-agreement", True)
-    rho, j = first
-    ca, cb = ta[j - 1], tb[j - 1]
-    return PropertyResult(
-        "path-agreement", False,
-        {"s": str(Fraction(rho, 2)), "coefficient": j,
-         "explicit": str(Fraction(ca[rho % len(ca)], den_a)),
-         "recursive": str(Fraction(cb[rho % len(cb)], den_b))},
-    )
+        rho = _first_difference([x * den_b for x in ca], [y * den_a for y in cb])
+        if rho is not None:
+            failures.append((rho, {
+                "s": str(Fraction(rho, 2)), "coefficient": j,
+                "explicit": str(Fraction(ca[rho % len(ca)], den_a)),
+                "recursive": str(Fraction(cb[rho % len(cb)], den_b)),
+            }))
+    return failures, None
 
 
-def _check_mean_value(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> PropertyResult:
-    consts = polypart.v1_explicit(parts)
+def _check_mean_value(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> Checked:
     parity = sum(parts) % 2
-    for j in range(1, len(parts) + 1):
-        want = consts[j - 1]
+    # keyed by the coefficient, so the first failing coefficient is reported
+    failures = []
+    for j, want in enumerate(polypart.v1_explicit(parts), 1):
         for label, (den, tables) in views:
             col = tables[j - 1]
             total, count = sum(col[parity::2]), den * (len(col) // 2)
             if total * want.denominator != want.numerator * count:
-                return PropertyResult(
-                    "mean-value", False,
-                    {"path": label, "coefficient": j,
-                     "expected": str(want), "actual": str(Fraction(total, count))},
-                )
-    return PropertyResult("mean-value", True)
+                failures.append((j, {
+                    "path": label, "coefficient": j,
+                    "expected": str(want), "actual": str(Fraction(total, count)),
+                }))
+    return failures, None
 
 
-# name -> check(parts, certs, views, n_max), in report order. views lists the
-# views of the distinct certificates as (label, view), each under the first
-# label that holds it; only the oracle uses n_max
+def _result(name: str, failures: list[tuple[int, dict]], note: Optional[str]) -> PropertyResult:
+    """A check's failures as its PropertyResult: a pass with the note when
+    there are none, otherwise the counterexample of least key, the first
+    found on a tie (min keeps the first of equal keys)."""
+    counterexample = min(failures, key=lambda failure: failure[0])[1] if failures else None
+    return PropertyResult(name, not failures, counterexample, None if failures else note)
+
+
+# name -> check(parts, certs, views, n_max) -> (failures, note), in report
+# order. views lists the views of the distinct certificates as (label, view),
+# each under the first label that holds it; only the oracle uses n_max, and
+# only the oracle reads certs, to word a failure. failures lists
+# (key, counterexample) pairs in scan order and note is what a pass carries;
+# _result makes the PropertyResult of both
 _CHECKS = {
     "oracle": _check_oracle,
     "recurrence": _check_recurrence,
@@ -363,16 +370,16 @@ BUILDERS = {
 
 def run_properties(
     parts: Sequence[int],
-    props: Sequence[str] | None = None,
+    props: Iterable[str] | None = None,
     n_max: int | None = None,
     certs: Mapping[str, quasipoly.QuasiPoly] | None = None,
 ) -> VerifyReport:
     """Run the requested properties (all of them by default) on one part list.
 
-    `props` is a sequence of PROPERTIES names, never a bare string. `certs`
-    may inject prebuilt or deliberately broken certificates, one QuasiPoly per
-    BUILDERS label ("explicit", "recursive"), each for exactly these parts; by
-    default both are built here. On that default path the recurrence's prefix
+    `props` is an iterable of PROPERTIES names, read once, never a bare
+    string. `certs` may inject prebuilt or deliberately broken certificates,
+    one QuasiPoly per BUILDERS label ("explicit", "recursive"), each for
+    exactly these parts; by default both are built here. On that default path the recurrence's prefix
     certificate, build_recursive(parts[:-1]), is read from the levels the
     recursive certificate's own pass recorded (quasipoly._LEVELS) for this
     call only; injected certificates record none, so the prefix is built
@@ -385,12 +392,13 @@ def run_properties(
     elif isinstance(props, str):
         raise InputError(f"props must be a sequence of property names, not the string {props!r}")
     else:
+        props = tuple(props)
         if not props:
             raise InputError(f"no properties requested; valid: {', '.join(PROPERTIES)}")
         unknown = [p for p in props if p not in PROPERTIES]
         if unknown:
             raise InputError(f"unknown properties {unknown}; valid: {', '.join(PROPERTIES)}")
-        selected = tuple(p for p in PROPERTIES if p in set(props))
+        selected = tuple(p for p in PROPERTIES if p in props)
     if n_max is None:
         n_max = default_n_max(d)
     elif not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
@@ -412,18 +420,16 @@ def run_properties(
 
 
 def _run_checks(d: tuple[int, ...], selected: Sequence[str], n_max: int, certs: Certs) -> VerifyReport:
-    """The selected checks on the certificates, in PROPERTIES order. Each
-    certificate is read once; equal certificates give equal verdicts, so
-    every check scans the view of each distinct one once, under its first
-    label."""
+    """The selected checks on the certificates, in PROPERTIES order. Equal
+    certificates give equal verdicts, so only the distinct ones are read,
+    each once, under its first label, and every check scans those views."""
     views: list[tuple[str, View]] = []
     for label, cert in certs.items():
-        view = cert.numerator_tables()
         if all(cert != certs[seen] for seen, _ in views):
-            views.append((label, view))
+            views.append((label, cert.numerator_tables()))
     report = VerifyReport(parts=d)
     for name in selected:
-        report.results.append(_CHECKS[name](d, certs, views, n_max))
+        report.results.append(_result(name, *_CHECKS[name](d, certs, views, n_max)))
     return report
 
 

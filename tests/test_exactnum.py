@@ -64,6 +64,12 @@ class TestLcm:
         with pytest.raises(InputError):
             lcm_of(())
 
+    def test_iterator_read_once(self):
+        # the validation pass must not exhaust a one-shot iterable
+        assert lcm_of(iter([4, 6])) == 12
+        with pytest.raises(InputError):
+            lcm_of(iter([]))
+
     @given(st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=6))
     def test_order_and_duplication_invariance(self, xs):
         assert lcm_of(tuple(xs)) == lcm_of(tuple(sorted(xs)))

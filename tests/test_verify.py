@@ -63,6 +63,14 @@ class TestCleanRuns:
         with pytest.raises(InputError):
             run_properties((1, 2), props=[])
 
+    def test_iterator_props_read_once(self):
+        # the validation pass must not exhaust a one-shot iterable
+        report = run_properties((1, 2), props=iter(["oracle"]))
+        assert [r.name for r in report.results] == ["oracle"]
+        assert report.passed
+        with pytest.raises(InputError, match="no properties requested"):
+            run_properties((1, 2), props=iter([]))
+
     @pytest.mark.parametrize("props", ["oracle", "zeros", ""])
     def test_bare_string_props_rejected(self, props):
         # a string is a sequence of letters, not of property names
@@ -208,6 +216,42 @@ class TestDetection:
         data = report.to_json_dict()
         assert data["passed"] is True
         assert {r["name"] for r in data["results"]} == set(PROPERTIES)
+
+
+class TestTieAcrossViews:
+    """Two unequal certificates that fail a property at the same least key:
+    each is nudged at the same cell by its own delta, so the views stay
+    distinct, and the counterexample names the first label in certs order."""
+
+    PROPS = ["oracle", "recurrence", "parity", "zeros", "mean-value"]
+    # where a counterexample is, apart from its path and the values there
+    WHERE = ("n", "s", "power", "coefficient")
+
+    @pytest.mark.parametrize("parts", [(3, 1), (1, 2, 3, 2)])
+    def test_first_label_wins_a_tie(self, parts):
+        # R_m at 2s = 0: on the natural grid (sum(parts) even), a forced
+        # zero (m even), and R_m(0) = -R_m(0) for even m; d_m < tau, so the
+        # nudge is not d_m-periodic and the recurrence sees it. All five
+        # properties fail there on both certificates
+        good = {label: build(parts) for label, build in BUILDERS.items()}
+        deltas = {"explicit": Fraction(1), "recursive": Fraction(-1, 3)}
+        bad = {label: _tampered(cert, len(parts) - 1, 0, deltas[label]) for label, cert in good.items()}
+        assert bad["explicit"] != bad["recursive"]
+        where = {}
+        for label, cert in bad.items():
+            alone = run_properties(parts, props=self.PROPS, certs=dict.fromkeys(BUILDERS, cert))
+            assert not any(r.passed for r in alone.results)
+            where[label] = [
+                {k: r.counterexample[k] for k in self.WHERE if k in r.counterexample}
+                for r in alone.results
+            ]
+        assert where["explicit"] == where["recursive"]
+        for order in (list(BUILDERS), list(BUILDERS)[::-1]):
+            report = run_properties(parts, props=self.PROPS, certs={label: bad[label] for label in order})
+            assert [r.name for r in report.results] == self.PROPS
+            for r, at in zip(report.results, where["explicit"]):
+                assert r.counterexample["path"] == order[0], r.name
+                assert {k: r.counterexample[k] for k in at} == at
 
 
 class TestMultisets:
@@ -655,9 +699,14 @@ class TestIntegerZeros:
     @pytest.mark.parametrize("props", [["zeros"], None])
     @pytest.mark.parametrize("parts", [(1, 2), (1, 2, 3), (2, 3, 5, 7), (1, 1, 2, 2, 3), (4,)])
     def test_reads_each_certificate_once(self, monkeypatch, parts, props):
-        # run_properties reads each certificate once, before any check, and
-        # every check shares that view (the recurrence's one prefix aside)
-        certs = {label: build(parts) for label, build in BUILDERS.items()}
+        # run_properties reads each distinct certificate once, before any
+        # check, and every check shares that view (the recurrence's one
+        # prefix aside). The two built certificates are equal, so the
+        # second is never read; the explicit one aligned to twice its
+        # master period is not equal to the recursive one, so both are read
+        built = {label: build(parts) for label, build in BUILDERS.items()}
+        aligned = {**built, "explicit": built["explicit"].aligned(2 * lcm_of(parts))}
+        assert built["explicit"] == built["recursive"] != aligned["explicit"]
         reads = []
         numerator_tables = QuasiPoly.numerator_tables
 
@@ -667,12 +716,14 @@ class TestIntegerZeros:
             return numerator_tables(self)
 
         monkeypatch.setattr(QuasiPoly, "numerator_tables", recording)
-        assert run_properties(parts, props=props, certs=certs).passed
-        assert sorted(reads) == sorted(id(cert) for cert in certs.values())
+        for certs, read in ((built, ["explicit"]), (aligned, ["explicit", "recursive"])):
+            reads.clear()
+            assert run_properties(parts, props=props, certs=certs).passed
+            assert reads == [id(certs[label]) for label in read]
 
     def test_verify_reads_no_values(self, monkeypatch):
-        # a passing run reads integer tables only; QuasiPoly.value is left to
-        # the wording of an oracle failure
+        # a passing run reads integer tables only; the wording of an oracle
+        # failure calls QuasiPoly.count, and nothing calls QuasiPoly.value
         certs = {
             parts: {label: build(parts) for label, build in BUILDERS.items()}
             for parts in [(1, 2, 3), (2, 3, 5, 7), (1, 1, 2, 2, 3)]
@@ -953,7 +1004,9 @@ class TestMixedStoredPeriods:
     def test_tiled_file_read_at_least_periods(self, monkeypatch):
         # (31, 37, 41) tiled to tau = 47027 writes 3 x 94054 cells; read back
         # and injected, its explicit certificate is read by the recurrence at
-        # the built one's 2 + 2 + 94054 cells
+        # the built one's 2 + 2 + 94054 cells. It equals the built recursive
+        # certificate, which is therefore not read; next to a recursive
+        # certificate with one cell of R_3 nudged, both are read at those cells
         parts = (31, 37, 41)
         built = {label: build(parts) for label, build in BUILDERS.items()}
         text = tiled_json(built["explicit"].to_json())
@@ -972,4 +1025,8 @@ class TestMixedStoredPeriods:
 
         monkeypatch.setattr(QuasiPoly, "numerator_tables", counting)
         assert run_properties(parts, props=["recurrence"], certs=certs).passed
+        assert cells == {"explicit": 94058}
+        certs["recursive"] = _tampered(built["recursive"], 2, 1)
+        cells.clear()
+        assert not run_properties(parts, props=["recurrence"], certs=certs).passed
         assert cells == {"explicit": 94058, "recursive": 94058}
