@@ -15,10 +15,13 @@ xi = sum(d)/2. Two constructions are provided:
 Both builders hold the certificate as pieces, m tables of 2P integer
 numerators over the piece's own denominator for a period P (grouped by period
 like Sylvester's waves, but not reduced to the canonical waves), and end in
-_materialise, which sums each coefficient's piece tables as integers at the
-lcm of their lengths (2 cells for a table constant on each lattice, 2P for
-any other) and hands each sum to PeriodicFn.from_numerators. A built
-certificate has master period tau. build_recursive keeps one piece per
+_materialise, which hands the pieces over as they are: the certificate it
+returns, at master period tau, holds them until its coefficients are first
+read. _summed sums each coefficient's piece tables as integers at the lcm of
+their lengths (2 cells for a table constant on each lattice, 2P for any
+other) and cuts each sum to its least period; the first read of coeffs hands
+those sums to PeriodicFn.from_numerators and keeps the result, and to_json
+before any read writes them as they are. build_recursive keeps one piece per
 distinct part period: each step, _extend_pieces, correlates every piece at
 its own period (a period-P piece stays period P), over each table's nonzero
 cells, and adds closure_fn's table at the new part's period;
@@ -77,13 +80,14 @@ certificates, build_recursive records each level's pieces in it and reads a
 level it has already recorded, so verify's prefix certificate costs no
 second pass; it is None otherwise, and nothing is kept across calls. Both
 builders check the m tables of 2*tau cells against the guard limit
-(oracle.guard) before any of this, and every QuasiPoly, built, parsed or
-hand-built, checks its m tables of 2*P cells at its master period P when it
-is constructed, aligned's larger P included. Everything else stays
-independent: the recursive step's cyclic correlation, build_explicit's
-product over the pivot, and the counting oracle (oracle.count_dp), so
-table-level agreement remains a meaningful check; the oracle, recurrence,
-parity and mean-value properties check the shared _materialise.
+(oracle.guard) before any of this; every QuasiPoly parsed or hand-built
+checks its m tables of 2*P cells at its master period P when it is
+constructed, aligned's larger P included, and a built one checks them again
+when its coefficients are first built. Everything else stays independent:
+the recursive step's cyclic correlation, build_explicit's product over the
+pivot, and the counting oracle (oracle.count_dp), so table-level agreement
+remains a meaningful check; the oracle, recurrence, parity and mean-value
+properties check the shared _summed.
 
 Periodic coefficients live on the half-integer lattice: a function of period T
 stores 2T values indexed by the scaled residue 2s mod 2T, so integer and
@@ -92,13 +96,13 @@ point is the int t = 2s inside; value takes s as an int or a Fraction with
 denominator 1 or 2, count passes t = 2n + sum(d) straight to the integer
 Horner, and xi is a Fraction. The values are held only as integer numerators
 over one positive denominator, reduced so that gcd(den, *nums) = 1; value,
-count, to_json and numerator_tables read them, and PeriodicFn.values builds
-Fractions from them per read. Every table, built, parsed or hand-built, is
-cut to its function's least period by PeriodicFn.from_numerators, the one
-constructor body (_least_length), so one function has one stored form: a
-file written with its coefficients tiled to tau reads as the built
-certificate and writes the built bytes, and PeriodicFn compares and hashes
-as plain (den, nums) data.
+count, numerator_tables and to_json (once coeffs has been read) read them,
+and PeriodicFn.values builds Fractions from them per read. Every table,
+built, parsed or hand-built, is cut to its function's least period by
+PeriodicFn.from_numerators, the one constructor body (_least_length), so one
+function has one stored form: a file written with its coefficients tiled to
+tau reads as the built certificate and writes the built bytes, and
+PeriodicFn compares and hashes as plain (den, nums) data.
 """
 
 from __future__ import annotations
@@ -198,14 +202,31 @@ class PeriodicFn:
 class QuasiPoly:
     """A certificate V(s) = sum_j R_j(s) s^(m-j) for one ordered part list.
 
-    Immutable once built. ``coeffs[j-1]`` is R_j, held at its least period
-    (PeriodicFn), which must divide the master period. Equality compares
-    parts, master period and coefficients. Its m tables of 2 * master_period
-    cells are checked against the guard limit on construction, so a parsed
-    certificate is refused before any table is read.
+    ``coeffs[j-1]`` is R_j, held at its least period (PeriodicFn), which
+    must divide the master period. A certificate made by the constructor
+    (parsed, hand-built or aligned) holds its coefficients from the start;
+    its m tables of 2 * master_period cells are checked against the guard
+    limit there, so a parsed certificate is refused before any table is
+    read. A certificate made by a builder holds the builder's pieces
+    instead, and the first read of ``coeffs`` builds the coefficients from
+    them (_summed, then PeriodicFn.from_numerators), runs the constructor's
+    guard and period checks on them, keeps them and drops the pieces; later
+    reads return the kept tuple. ``to_json`` writes from the summed pieces
+    while nothing has read ``coeffs``, so the cert path builds no
+    PeriodicFn. Equality (parts, master period and coefficients), hash,
+    value, count, numerator_tables and aligned read ``coeffs``. Parts and
+    master period never change, nor do the coefficients once built.
+
+    The stored form is one slot, _stored = (den, coeffs), with den the lcm
+    of the coefficients' denominators, which value, count and
+    numerator_tables scale every coefficient to; None while the certificate
+    holds pieces. The first read may run in several threads at once: each
+    reads the pieces slot once and sums what it read, every thread builds
+    an equal stored form, and it is stored before the pieces are dropped,
+    so a thread that finds the pieces gone finds the stored form.
     """
 
-    __slots__ = ("parts", "coeffs", "master_period")
+    __slots__ = ("parts", "master_period", "_stored", "_pieces")
 
     def __init__(
         self,
@@ -222,6 +243,15 @@ class QuasiPoly:
         period = lcm_of(self.parts) if master_period is None else master_period
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise InputError(f"master period must be a positive integer, got {period!r}")
+        self.master_period = period
+        self._stored = self._checked(cs)
+        self._pieces = None
+
+    def _checked(self, cs: tuple[PeriodicFn, ...]) -> tuple[int, tuple[PeriodicFn, ...]]:
+        """The stored form (den, cs), once the m tables of 2 * master_period
+        cells pass the guard limit and every entry is a PeriodicFn whose
+        period divides the master period."""
+        period = self.master_period
         _guard_cells(len(self.parts), period)
         for fn in cs:
             if not isinstance(fn, PeriodicFn):
@@ -230,8 +260,27 @@ class QuasiPoly:
                 raise InputError(
                     f"coefficient period {fn.period} does not divide master period {period}"
                 )
-        self.coeffs = cs
-        self.master_period = period
+        return math.lcm(*(fn.den for fn in cs)), cs
+
+    @property
+    def coeffs(self) -> tuple[PeriodicFn, ...]:
+        """R_1 .. R_m, built from the pieces on the first read (see the class
+        docstring)."""
+        return (self._stored or self._store())[1]
+
+    def _store(self) -> tuple[int, tuple[PeriodicFn, ...]]:
+        """Build the stored form from the pieces, keep it and drop the
+        pieces; the stored form another thread kept if the pieces are gone."""
+        pieces = self._pieces  # read once: another thread may drop it
+        if pieces is None:
+            return self._stored
+        stored = self._checked(
+            tuple(PeriodicFn.from_numerators(len(nums) // 2, den, nums)
+                  for den, nums in _summed(pieces, self.m))
+        )
+        self._stored = stored
+        self._pieces = None
+        return stored
 
     @property
     def m(self) -> int:
@@ -258,11 +307,11 @@ class QuasiPoly:
         of the denominators, is the integer sum_j N_j 2^(j-1) t^(m-j), summed
         by Horner in t as in verify._scaled_blocks; the denominator is
         2^(m-1) den."""
-        den = math.lcm(*(fn.den for fn in self.coeffs))
+        den, coeffs = self._stored or self._store()
         acc = 0
-        for j, fn in enumerate(self.coeffs):
+        for j, fn in enumerate(coeffs):
             acc = acc * t + (fn.nums[t % (2 * fn.period)] * (den // fn.den) << j)
-        return acc, den << (len(self.coeffs) - 1)
+        return acc, den << (len(coeffs) - 1)
 
     def count(self, n: int):
         """The count at integer n, i.e. V(n + xi), returned as an exact int.
@@ -289,9 +338,9 @@ class QuasiPoly:
         R_j's numerator over den at 2s = rho is tables[j-1][rho mod its
         length]. Nothing is tiled: the tables hold no more cells than the
         coefficients store."""
-        den = math.lcm(*(fn.den for fn in self.coeffs))
+        den, coeffs = self._stored or self._store()
         tables = []
-        for fn in self.coeffs:
+        for fn in coeffs:
             scale = den // fn.den
             tables.append(list(fn.nums) if scale == 1 else [a * scale for a in fn.nums])
         return den, tables
@@ -324,32 +373,41 @@ class QuasiPoly:
     def to_json(self) -> str:
         """Deterministic JSON: fixed key order, numeric residue order, exact strings.
 
-        Written straight from the integer tables, laid out exactly as
-        json.dumps(..., indent=2) prints the same document. Each distinct
-        numerator a of a coefficient is reduced and formatted once: with
+        Written straight from integer tables, laid out exactly as
+        json.dumps(..., indent=2) prints the same document: one (den, nums)
+        row per coefficient, its numerators at its least period over den.
+        While nothing has read ``coeffs`` the rows are the summed pieces
+        (_summed), unreduced; after, they are the stored coefficients. Each
+        distinct numerator a of a row is reduced and formatted once: with
         g = gcd(a, den), p = a/g and q = den/g it reads "p" when q == 1 and
-        "p/q" otherwise, the text str(Fraction(a, den)) gives. The residue
-        lines of one period are one %s template, built once per call and
-        shared by every coefficient at that period, filled with the texts in
-        residue order. Every string written is digits, "-" and "/", so
-        nothing needs escaping.
+        "p/q" otherwise, the text str(Fraction(a, den)) gives, whatever
+        common factor a and den share. The residue lines of one period are
+        one %s template, built once per call and shared by every
+        coefficient at that period, filled with the texts in residue order.
+        Every string written is digits, "-" and "/", so nothing needs
+        escaping.
         """
+        pieces = self._pieces  # read once: another thread may drop it
+        if pieces is None:
+            rows = [(fn.den, fn.nums) for fn in self.coeffs]
+        else:
+            rows = _summed(pieces, self.m)
         blocks = []
         templates: dict[int, str] = {}
-        for power, fn in zip(range(self.m - 1, -1, -1), self.coeffs):
-            den = fn.den
+        for power, (den, nums) in zip(range(self.m - 1, -1, -1), rows):
             text = {}
-            for a in set(fn.nums):
+            for a in set(nums):
                 g = math.gcd(a, den)
                 text[a] = f'"{a // g}"' if g == den else f'"{a // g}/{den // g}"'
-            template = templates.get(fn.period)
+            period = len(nums) // 2
+            template = templates.get(period)
             if template is None:
-                template = templates[fn.period] = ",\n".join(
-                    [f'        "{rho}": %s' for rho in range(2 * fn.period)]
+                template = templates[period] = (
+                    '        "' + '": %s,\n        "'.join(map(str, range(2 * period))) + '": %s'
                 )
-            cells = template % tuple(map(text.__getitem__, fn.nums))
+            cells = template % tuple(map(text.__getitem__, nums))
             blocks.append(
-                f'    {{\n      "power": {power},\n      "period": {fn.period},\n'
+                f'    {{\n      "power": {power},\n      "period": {period},\n'
                 f'      "values": {{\n{cells}\n      }}\n    }}'
             )
         parts = ",\n".join(f"    {d}" for d in self.parts)
@@ -699,8 +757,8 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
     The l = 0 term of the free coefficient R_m has no previous coefficient to
     read; it is the closure remainder, closure_fn's 2 d_new integer
     numerators over its denominator, added as they are to the period-d_new
-    piece. Pieces are not reduced; _materialise's PeriodicFn.from_numerators
-    reduces the final tables once.
+    piece. Pieces are not reduced; the final tables are reduced once, by
+    to_json per cell or by PeriodicFn.from_numerators when coeffs is read.
     """
     m = len(parts)
     d_new = parts[-1]
@@ -734,35 +792,57 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
     return out
 
 
-def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
-    """The certificate at master period tau = lcm(parts), every coefficient
-    stored at its least period.
+def _summed(pieces: dict[int, Piece], m: int) -> list[tuple[int, list[int]]]:
+    """The m coefficients the pieces sum to, as (den, nums) rows: den the
+    pieces' common denominator, nums the coefficient's numerators over den,
+    unreduced, cut to the function's least period (2P cells for least
+    period P, as PeriodicFn.from_numerators cuts them).
 
-    Each piece's numerators are brought to the pieces' common denominator. A
-    piece table that is constant on each lattice (t[2:] == t[:-2]) joins the
-    sum as its 2 cells, every other one at its piece's 2P. Coefficient j is
-    summed at the lcm L_j of those lengths, which divides 2 tau, and handed
-    over at L_j cells to PeriodicFn.from_numerators, which cuts it to its
-    least period and reduces it there: the sums at 2 tau are the same cells
-    repeated, so the function is the one the sums at 2 tau would give."""
-    tau = lcm_of(parts)
+    A piece table that is constant on each lattice (t[2:] == t[:-2]) joins
+    the sum as its 2 cells, every other one at its piece's 2P; a piece not
+    over den already is scaled onto it. The tiles are added shortest first,
+    each partial sum at the lcm of the lengths so far, which divides 2 tau:
+    the sums at 2 tau are the same cells repeated, so the function is the
+    one the sums at 2 tau would give. For (2,3,5,7)'s free coefficient that
+    is 12 + 60 + 420 cells, not 3 x 420. The pieces are read, never
+    changed: _LEVELS shares them between certificates."""
     den = math.lcm(*(piece_den for piece_den, _ in pieces.values()))
-    coeffs = []
-    for j in range(len(parts)):
+    rows = []
+    for j in range(m):
         tiles = []
         for piece_den, tables in pieces.values():
             table = tables[j]
             if any(table):
                 if table[2:] == table[:-2]:
                     table = table[:2]
-                scale = den // piece_den
-                tiles.append([a * scale for a in table])
-        size = math.lcm(2, *map(len, tiles))
-        values = tiles[0] * (size // len(tiles[0])) if tiles else [0] * size
+                if piece_den != den:
+                    scale = den // piece_den
+                    table = [a * scale for a in table]
+                tiles.append(table)
+        tiles.sort(key=len)
+        values = tiles[0] if tiles else [0, 0]
         for tile in tiles[1:]:
-            values = [a + b for a, b in zip(values, tile * (size // len(tile)), strict=True)]
-        coeffs.append(PeriodicFn.from_numerators(size // 2, den, values))
-    return QuasiPoly(parts, coeffs, tau)
+            size = math.lcm(len(values), len(tile))
+            values = [
+                a + b
+                for a, b in zip(values * (size // len(values)), tile * (size // len(tile)), strict=True)
+            ]
+        if len(values) > 2:  # 2 cells are at their least period already
+            values = values[: math.lcm(2, _least_length(values))]
+        rows.append((den, values))
+    return rows
+
+
+def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
+    """The certificate at master period tau = lcm(parts) over a builder's
+    pieces. Nothing is summed here: the first read of its coeffs sums the
+    pieces (_summed), stores every coefficient at its least period and drops
+    the pieces, and to_json before that writes from the summed pieces. The
+    builder has checked the m tables of 2 tau cells against the guard limit
+    before its first fold, and the first read checks them again."""
+    cert = QuasiPoly.__new__(QuasiPoly)
+    cert.parts, cert.master_period, cert._stored, cert._pieces = parts, lcm_of(parts), None, pieces
+    return cert
 
 
 def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
@@ -773,7 +853,8 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     coefficient is stored at, are read at rho mod their length for rho < 2L,
     which is R_j's numerator at 2s = rho, so the stored period does not
     matter. The step is _extend_pieces, and the result has the new lcm as
-    its master period, each coefficient at its least period (_materialise).
+    its master period and holds its pieces until its coefficients are read,
+    each then stored at its least period (_materialise).
     """
     (d_new,) = as_parts([d_new])
     parts = prev.parts + (d_new,)
@@ -797,9 +878,10 @@ def build_recursive(parts: Sequence[int]) -> QuasiPoly:
     The certificate is kept as a sum of pieces, one per distinct part period:
     starting from none, each step correlates every piece at its own period and
     adds closure_fn's piece at the new part's period (_extend_pieces); the
-    first step's is the one-part indicator of d_1 | (s - d_1/2). Only the final
-    certificate is materialised, at master period tau with each coefficient
-    at its least period. While _LEVELS is set, each level's pieces
+    first step's is the one-part indicator of d_1 | (s - d_1/2). The final
+    certificate holds the last level's pieces, at master period tau, until
+    its coefficients are read, each then stored at its least period
+    (_materialise). While _LEVELS is set, each level's pieces
     are recorded in it, and a level already recorded is read, not rebuilt.
     """
     d = as_parts(parts)
@@ -846,7 +928,8 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
 
     All of it runs on integer numerators: each part's one fold returns its
     piece of period v, the buckets weighted over (m-1)! (see _shift_fold),
-    and _materialise sums the pieces and cuts each sum to its least period.
+    and the certificate holds the pieces until its coefficients are read
+    (_materialise), when their sums are cut to their least periods.
     """
     d = as_parts(parts)
     m = len(d)

@@ -1,12 +1,15 @@
 """Certificates: construction by both routes, evaluation, structure, serialization."""
 
 import collections
+import copy
 import functools
 import hashlib
 import itertools
 import json
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
 
@@ -849,21 +852,28 @@ class TestIntegerTables:
                     assert len({id(a) for a in fn.nums}) == len(set(fn.nums)), parts
 
 
+def _handed(monkeypatch, builder):
+    """Every (parts, pieces) the builder hands _materialise on the test lists,
+    recorded through a patch, and the unpatched _materialise."""
+    seen = []
+    original = quasipoly._materialise
+
+    def recording(parts, pieces):
+        seen.append((parts, pieces))
+        return original(parts, pieces)
+
+    monkeypatch.setattr(quasipoly, "_materialise", recording)
+    for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
+        builder(parts)
+    return seen, original
+
+
 class TestMaterialise:
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_matches_reference(self, monkeypatch, builder):
         # every pieces dict either builder hands _materialise, against the form
         # that tiled each piece to 2 tau and reduced the 2 tau sums
-        seen = []
-        original = quasipoly._materialise
-
-        def recording(parts, pieces):
-            seen.append((parts, pieces))
-            return original(parts, pieces)
-
-        monkeypatch.setattr(quasipoly, "_materialise", recording)
-        for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
-            builder(parts)
+        seen, original = _handed(monkeypatch, builder)
         partial = 0
         for parts, pieces in seen:
             assert original(parts, pieces) == materialise_reference(parts, pieces), parts
@@ -874,6 +884,99 @@ class TestMaterialise:
                     partial += 1 < least < period
         # some tables have a least period strictly between 1 and P and join at 2P
         assert partial > 0
+
+
+class TestLazyCoefficients:
+    """A builder's certificate holds its pieces until coeffs is first read;
+    to_json before that writes from the summed pieces."""
+
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_fresh_writer_matches_reference(self, monkeypatch, builder):
+        # no coefficient read: the bytes written from the summed pieces are
+        # those of the certificate the tiled reference materialises
+        seen, original = _handed(monkeypatch, builder)
+        for parts, pieces in seen:
+            fresh = original(parts, pieces)
+            assert fresh.to_json() == materialise_reference(parts, pieces).to_json(), parts
+
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_reads_leave_certificate_unchanged(self, monkeypatch, builder):
+        # writing and reading coeffs change neither the bytes nor the pieces,
+        # which _LEVELS shares between certificates
+        seen, original = _handed(monkeypatch, builder)
+        for parts, pieces in seen:
+            kept = copy.deepcopy(pieces)
+            fresh = original(parts, pieces)
+            text = fresh.to_json()
+            assert pieces == kept, parts
+            fresh.coeffs
+            assert fresh.to_json() == text, parts
+            assert pieces == kept, parts
+
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_fresh_and_read_compare_equal(self, monkeypatch, builder):
+        seen, original = _handed(monkeypatch, builder)
+        for parts, pieces in seen:
+            read = original(parts, pieces)
+            read.coeffs
+            assert original(parts, pieces) == read, parts
+            assert read == original(parts, pieces), parts
+            assert hash(original(parts, pieces)) == hash(read), parts
+            assert original(parts, pieces) == original(parts, pieces), parts
+
+    def test_cert_path_makes_no_coefficient(self, monkeypatch):
+        # build + to_json, the cert command's path, calls from_numerators
+        # zero times, and so do both builds of (97, 101, 103); a read of
+        # coeffs makes one call per coefficient
+        calls = []
+        made = PeriodicFn.from_numerators
+
+        def counting(cls, *args):
+            calls.append(args[0])
+            return made(*args)
+
+        monkeypatch.setattr(PeriodicFn, "from_numerators", classmethod(counting))
+        for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
+            for builder in (build_explicit, build_recursive):
+                builder(parts).to_json()
+        for builder in (build_explicit, build_recursive):
+            assert builder((97, 101, 103)).master_period == 97 * 101 * 103
+        assert calls == []
+        build_explicit((2, 3, 5, 7)).coeffs
+        assert calls == [1, 1, 1, 210]
+
+    def test_concurrent_first_read(self):
+        # 8 threads on one fresh certificate, each starting on a different
+        # read (coeffs, count or to_json) at a short switch interval: every
+        # thread sees the certificate build_recursive gives
+        parts, n = (2, 3, 5, 7, 11), 10**6
+        want = build_recursive(parts)
+        expected = (want.coeffs, want.count(n), want.to_json())
+
+        def read(k, cert, barrier, results):
+            reads = (lambda: cert.coeffs, lambda: cert.count(n), cert.to_json)
+            barrier.wait(timeout=60)
+            got = [None] * 3
+            for i in range(3):
+                j = (k + i) % 3
+                got[j] = reads[j]()
+            results[k] = tuple(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                cert, barrier, results = build_explicit(parts), threading.Barrier(8), [None] * 8
+                threads = [threading.Thread(target=read, args=(k, cert, barrier, results))
+                           for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestIntegerEvaluation:
