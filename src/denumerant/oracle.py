@@ -67,19 +67,22 @@ def count_dp(parts, max_n: int) -> CountTable:
 
 def _guard_limit() -> int:
     env = os.environ.get(GUARD_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"{GUARD_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_GUARD_LIMIT
+    if env is None:
+        return DEFAULT_GUARD_LIMIT
+    try:
+        limit = int(env)
+    except ValueError as exc:
+        raise InputError(f"{GUARD_ENV} must be an integer, got {env!r}") from exc
+    if limit < 0:
+        raise InputError(f"{GUARD_ENV} must not be negative, got {env!r}")
+    return limit
 
 
 def guard(work: int, what: str) -> None:
     """Raise CapacityError, saying `what`, when `work` exceeds the guard limit.
 
-    The limit is the RPF_GUARD_LIMIT environment variable when it is set, the
-    default otherwise.
+    The limit is the RPF_GUARD_LIMIT environment variable when it is set, a
+    nonnegative int, the default otherwise.
     """
     limit = _guard_limit()
     if work > limit:

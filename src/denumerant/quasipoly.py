@@ -16,12 +16,12 @@ Both builders hold the certificate as pieces, m tables of 2P integer
 numerators over the piece's own denominator for a period P (grouped by period
 like Sylvester's waves, but not reduced to the canonical waves), and end in
 _materialise, which hands the pieces over as they are: the certificate it
-returns, at master period tau, holds them until its coefficients are first
+returns, at master period tau, holds them until its stored form is first
 read. _summed sums each coefficient's piece tables as integers at the lcm of
 their lengths (2 cells for a table constant on each lattice, 2P for any
-other) and cuts each sum to its least period; the first read of coeffs hands
-those sums to PeriodicFn.from_numerators and keeps the result, and to_json
-before any read writes them as they are. build_recursive keeps one piece per
+other) and cuts each sum to its least period; the first read reduces those
+sums jointly and keeps them as the stored form, and to_json before any read
+writes them as they are. build_recursive keeps one piece per
 distinct part period: each step, _extend_pieces, correlates every piece at
 its own period (a period-P piece stays period P), over each table's nonzero
 cells, and adds closure_fn's table at the new part's period;
@@ -83,7 +83,7 @@ builders check the m tables of 2*tau cells against the guard limit
 (oracle.guard) before any of this; every QuasiPoly parsed or hand-built
 checks its m tables of 2*P cells at its master period P when it is
 constructed, aligned's larger P included, and a built one checks them again
-when its coefficients are first built. Everything else stays independent:
+when its stored form is first built. Everything else stays independent:
 the recursive step's cyclic correlation, build_explicit's product over the
 pivot, and the counting oracle (oracle.count_dp), so table-level agreement
 remains a meaningful check; the oracle, recurrence, parity and mean-value
@@ -94,15 +94,16 @@ stores 2T values indexed by the scaled residue 2s mod 2T, so integer and
 half-odd points coexist in one table and every shift is index arithmetic. A
 point is the int t = 2s inside; value takes s as an int or a Fraction with
 denominator 1 or 2, count passes t = 2n + sum(d) straight to the integer
-Horner, and xi is a Fraction. The values are held only as integer numerators
-over one positive denominator, reduced so that gcd(den, *nums) = 1; value,
-count, numerator_tables and to_json (once coeffs has been read) read them,
-and PeriodicFn.values builds Fractions from them per read. Every table,
-built, parsed or hand-built, is cut to its function's least period by
-PeriodicFn.from_numerators, the one constructor body (_least_length), so one
-function has one stored form: a file written with its coefficients tiled to
-tau reads as the built certificate and writes the built bytes, and
-PeriodicFn compares and hashes as plain (den, nums) data.
+Horner, and xi is a Fraction. A certificate's values are held only as
+integer rows over one positive denominator, each row at its coefficient's
+least period, reduced jointly so that gcd(den, every cell) = 1: value, count,
+numerator_tables and to_json read the rows, and coeffs builds a PeriodicFn
+per row, over its own reduced denominator, on each read. Every table is cut
+to its least period by _least_length: a built one in _summed, a parsed or
+hand-built one in PeriodicFn.from_numerators, so one certificate has one
+stored form: a file written with its coefficients tiled to tau reads as the
+built certificate and writes the built bytes, and both classes compare and
+hash as plain data.
 """
 
 from __future__ import annotations
@@ -202,28 +203,26 @@ class PeriodicFn:
 class QuasiPoly:
     """A certificate V(s) = sum_j R_j(s) s^(m-j) for one ordered part list.
 
-    ``coeffs[j-1]`` is R_j, held at its least period (PeriodicFn), which
-    must divide the master period. A certificate made by the constructor
-    (parsed, hand-built or aligned) holds its coefficients from the start;
-    its m tables of 2 * master_period cells are checked against the guard
-    limit there, so a parsed certificate is refused before any table is
-    read. A certificate made by a builder holds the builder's pieces
-    instead, and the first read of ``coeffs`` builds the coefficients from
-    them (_summed, then PeriodicFn.from_numerators), runs the constructor's
-    guard and period checks on them, keeps them and drops the pieces; later
-    reads return the kept tuple. ``to_json`` writes from the summed pieces
-    while nothing has read ``coeffs``, so the cert path builds no
-    PeriodicFn. Equality (parts, master period and coefficients), hash,
-    value, count, numerator_tables and aligned read ``coeffs``. Parts and
-    master period never change, nor do the coefficients once built.
+    Stored as one slot, _stored = (den, rows): rows[j-1] holds R_j's integer
+    numerators over den, 2 * period cells at R_j's least period, which must
+    divide the master period, and the whole form is reduced jointly, so
+    gcd(den, every cell) = 1. That form is canonical (den is the lcm of the
+    coefficients' own reduced denominators): equality (parts, master period
+    and stored form) and hash compare it, value, count, numerator_tables,
+    aligned and to_json read it, and ``coeffs`` builds PeriodicFns from it
+    on each read.
 
-    The stored form is one slot, _stored = (den, coeffs), with den the lcm
-    of the coefficients' denominators, which value, count and
-    numerator_tables scale every coefficient to; None while the certificate
-    holds pieces. The first read may run in several threads at once: each
-    reads the pieces slot once and sums what it read, every thread builds
-    an equal stored form, and it is stored before the pieces are dropped,
-    so a thread that finds the pieces gone finds the stored form.
+    A certificate made by the constructor (parsed or hand-built) is stored
+    from the start, its m tables of 2 * master_period cells checked against
+    the guard limit there, so a parsed certificate is refused before any
+    table is read. One made by a builder holds the builder's pieces, with
+    _stored None: the first read of the stored form sums them (_summed),
+    runs the constructor's guard and period checks on the sums, keeps the
+    result and drops the pieces, and ``to_json`` before that writes the
+    summed pieces. Nothing changes once made. The first read may run in
+    several threads at once: each reads the pieces slot once, every thread
+    builds an equal stored form, and it is stored before the pieces are
+    dropped, so a thread that finds the pieces gone finds the stored form.
     """
 
     __slots__ = ("parts", "master_period", "_stored", "_pieces")
@@ -244,40 +243,43 @@ class QuasiPoly:
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise InputError(f"master period must be a positive integer, got {period!r}")
         self.master_period = period
-        self._stored = self._checked(cs)
-        self._pieces = None
-
-    def _checked(self, cs: tuple[PeriodicFn, ...]) -> tuple[int, tuple[PeriodicFn, ...]]:
-        """The stored form (den, cs), once the m tables of 2 * master_period
-        cells pass the guard limit and every entry is a PeriodicFn whose
-        period divides the master period."""
-        period = self.master_period
-        _guard_cells(len(self.parts), period)
         for fn in cs:
             if not isinstance(fn, PeriodicFn):
                 raise InputError(f"coefficients must be PeriodicFn, got {fn!r}")
-            if period % fn.period:
+        den = math.lcm(*(fn.den for fn in cs))
+        self._stored = self._checked(den, [[a * (den // fn.den) for a in fn.nums] for fn in cs])
+        self._pieces = None
+
+    def _checked(self, den: int, rows: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The stored form of rows over den, each at its least period, once
+        the m tables of 2 * master_period cells pass the guard limit and each
+        row's period divides the master period: reduced by the joint gcd,
+        with one int kept per distinct numerator."""
+        period = self.master_period
+        _guard_cells(len(self.parts), period)
+        for row in rows:
+            if period % (len(row) // 2):
                 raise InputError(
-                    f"coefficient period {fn.period} does not divide master period {period}"
+                    f"coefficient period {len(row) // 2} does not divide master period {period}"
                 )
-        return math.lcm(*(fn.den for fn in cs)), cs
+        distinct = set().union(*rows)
+        g = math.gcd(den, *distinct)
+        reduced = {a: a // g for a in distinct}
+        return den // g, tuple(tuple(map(reduced.__getitem__, row)) for row in rows)
 
     @property
     def coeffs(self) -> tuple[PeriodicFn, ...]:
-        """R_1 .. R_m, built from the pieces on the first read (see the class
-        docstring)."""
-        return (self._stored or self._store())[1]
+        """R_1 .. R_m as PeriodicFns, built from the stored form on each read."""
+        den, rows = self._stored or self._store()
+        return tuple(PeriodicFn.from_numerators(len(row) // 2, den, row) for row in rows)
 
-    def _store(self) -> tuple[int, tuple[PeriodicFn, ...]]:
+    def _store(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """Build the stored form from the pieces, keep it and drop the
         pieces; the stored form another thread kept if the pieces are gone."""
         pieces = self._pieces  # read once: another thread may drop it
         if pieces is None:
             return self._stored
-        stored = self._checked(
-            tuple(PeriodicFn.from_numerators(len(nums) // 2, den, nums)
-                  for den, nums in _summed(pieces, self.m))
-        )
+        stored = self._checked(*_summed(pieces, self.m))
         self._stored = stored
         self._pieces = None
         return stored
@@ -303,15 +305,15 @@ class QuasiPoly:
 
     def _at_twice(self, t: int) -> tuple[int, int]:
         """V(t/2) as an unreduced (numerator, denominator) pair of ints:
-        2^(m-1) den V(t/2), with N_j R_j's numerator at t over den, the lcm
-        of the denominators, is the integer sum_j N_j 2^(j-1) t^(m-j), summed
-        by Horner in t as in verify._scaled_blocks; the denominator is
-        2^(m-1) den."""
-        den, coeffs = self._stored or self._store()
+        2^(m-1) den V(t/2), with N_j = rows[j-1][t mod its length] R_j's
+        numerator at t over the stored den, is the integer
+        sum_j N_j 2^(j-1) t^(m-j), summed by Horner in t as in
+        verify._scaled_blocks; the denominator is 2^(m-1) den."""
+        den, rows = self._stored or self._store()
         acc = 0
-        for j, fn in enumerate(coeffs):
-            acc = acc * t + (fn.nums[t % (2 * fn.period)] * (den // fn.den) << j)
-        return acc, den << (len(coeffs) - 1)
+        for j, row in enumerate(rows):
+            acc = acc * t + (row[t % len(row)] << j)
+        return acc, den << (len(rows) - 1)
 
     def count(self, n: int):
         """The count at integer n, i.e. V(n + xi), returned as an exact int.
@@ -333,27 +335,27 @@ class QuasiPoly:
         return v
 
     def numerator_tables(self) -> tuple[int, list[list[int]]]:
-        """(den, tables): tables[j-1] is R_j's stored table of 2*period
-        cells scaled to den, the lcm of the coefficients' denominators, so
-        R_j's numerator over den at 2s = rho is tables[j-1][rho mod its
-        length]. Nothing is tiled: the tables hold no more cells than the
-        coefficients store."""
-        den, coeffs = self._stored or self._store()
-        tables = []
-        for fn in coeffs:
-            scale = den // fn.den
-            tables.append(list(fn.nums) if scale == 1 else [a * scale for a in fn.nums])
-        return den, tables
+        """(den, tables): the stored form, its rows copied into fresh lists,
+        so R_j's numerator over den at 2s = rho is tables[j-1][rho mod its
+        length]. Nothing is tiled or scaled: each table holds R_j's 2*period
+        cells at its least period."""
+        den, rows = self._stored or self._store()
+        return den, [list(row) for row in rows]
 
     def aligned(self, target: int) -> "QuasiPoly":
         """The same coefficients under the master period target, a positive
-        int multiple of the master period, never a bool. The constructor
-        checks its m tables of 2*target cells against the guard limit."""
+        int multiple of the master period, never a bool: the m tables of
+        2*target cells are checked against the guard limit, then the stored
+        form is shared as it is."""
         if type(target) is not int or target < 1 or target % self.master_period:
             raise InputError(
                 f"{target!r} is not a positive multiple of the master period {self.master_period}"
             )
-        return QuasiPoly(self.parts, self.coeffs, target)
+        _guard_cells(self.m, target)
+        cert = QuasiPoly.__new__(QuasiPoly)
+        cert.parts, cert.master_period, cert._pieces = self.parts, target, None
+        cert._stored = self._stored or self._store()
+        return cert
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuasiPoly):
@@ -361,11 +363,11 @@ class QuasiPoly:
         return (
             self.parts == other.parts
             and self.master_period == other.master_period
-            and self.coeffs == other.coeffs
+            and (self._stored or self._store()) == (other._stored or other._store())
         )
 
     def __hash__(self) -> int:
-        return hash((self.parts, self.master_period, self.coeffs))
+        return hash((self.parts, self.master_period, self._stored or self._store()))
 
     def __repr__(self) -> str:
         return f"QuasiPoly(parts={self.parts}, master_period={self.master_period})"
@@ -374,31 +376,27 @@ class QuasiPoly:
         """Deterministic JSON: fixed key order, numeric residue order, exact strings.
 
         Written straight from integer tables, laid out exactly as
-        json.dumps(..., indent=2) prints the same document: one (den, nums)
+        json.dumps(..., indent=2) prints the same document: one den and one
         row per coefficient, its numerators at its least period over den.
-        While nothing has read ``coeffs`` the rows are the summed pieces
-        (_summed), unreduced; after, they are the stored coefficients. Each
-        distinct numerator a of a row is reduced and formatted once: with
-        g = gcd(a, den), p = a/g and q = den/g it reads "p" when q == 1 and
-        "p/q" otherwise, the text str(Fraction(a, den)) gives, whatever
-        common factor a and den share. The residue lines of one period are
-        one %s template, built once per call and shared by every
-        coefficient at that period, filled with the texts in residue order.
-        Every string written is digits, "-" and "/", so nothing needs
-        escaping.
+        While nothing has read the stored form they are the summed pieces
+        (_summed), unreduced; after, they are the stored form. Each distinct
+        numerator a is reduced and formatted once: with g = gcd(a, den),
+        p = a/g and q = den/g it reads "p" when q == 1 and "p/q" otherwise,
+        the text str(Fraction(a, den)) gives, whatever common factor a and
+        den share. The residue lines of one period are one %s template,
+        built once per call and shared by every coefficient at that period,
+        filled with the texts in residue order. Every string written is
+        digits, "-" and "/", so nothing needs escaping.
         """
         pieces = self._pieces  # read once: another thread may drop it
-        if pieces is None:
-            rows = [(fn.den, fn.nums) for fn in self.coeffs]
-        else:
-            rows = _summed(pieces, self.m)
+        den, rows = self._stored if pieces is None else _summed(pieces, self.m)
+        text = {}
+        for a in set().union(*rows):
+            g = math.gcd(a, den)
+            text[a] = f'"{a // g}"' if g == den else f'"{a // g}/{den // g}"'
         blocks = []
         templates: dict[int, str] = {}
-        for power, (den, nums) in zip(range(self.m - 1, -1, -1), rows):
-            text = {}
-            for a in set(nums):
-                g = math.gcd(a, den)
-                text[a] = f'"{a // g}"' if g == den else f'"{a // g}/{den // g}"'
+        for power, nums in zip(range(self.m - 1, -1, -1), rows):
             period = len(nums) // 2
             template = templates.get(period)
             if template is None:
@@ -718,7 +716,7 @@ def _least_length(col: Sequence[int]) -> int:
     so the least divides it; it is found by descending from that length over
     the length's prime factors q, dividing by q while the column still
     repeats with the quotient, checked by an exact list comparison. The one
-    least-period cut, made by PeriodicFn.from_numerators. On a table of 2P
+    least-period cut, made by _summed and PeriodicFn.from_numerators. On 2P
     cells it may be odd; the least period of the function, in s, is then
     lcm(2, p)/2."""
     p = len(col)
@@ -758,7 +756,7 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
     read; it is the closure remainder, closure_fn's 2 d_new integer
     numerators over its denominator, added as they are to the period-d_new
     piece. Pieces are not reduced; the final tables are reduced once, by
-    to_json per cell or by PeriodicFn.from_numerators when coeffs is read.
+    to_json per cell or jointly when the stored form is first read.
     """
     m = len(parts)
     d_new = parts[-1]
@@ -792,11 +790,10 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
     return out
 
 
-def _summed(pieces: dict[int, Piece], m: int) -> list[tuple[int, list[int]]]:
-    """The m coefficients the pieces sum to, as (den, nums) rows: den the
-    pieces' common denominator, nums the coefficient's numerators over den,
-    unreduced, cut to the function's least period (2P cells for least
-    period P, as PeriodicFn.from_numerators cuts them).
+def _summed(pieces: dict[int, Piece], m: int) -> tuple[int, list[list[int]]]:
+    """The m coefficients the pieces sum to, as (den, rows): den the pieces'
+    common denominator, rows[j-1] R_j's numerators over den, unreduced, cut
+    to the function's least period (2P cells for least period P).
 
     A piece table that is constant on each lattice (t[2:] == t[:-2]) joins
     the sum as its 2 cells, every other one at its piece's 2P; a piece not
@@ -829,14 +826,14 @@ def _summed(pieces: dict[int, Piece], m: int) -> list[tuple[int, list[int]]]:
             ]
         if len(values) > 2:  # 2 cells are at their least period already
             values = values[: math.lcm(2, _least_length(values))]
-        rows.append((den, values))
-    return rows
+        rows.append(values)
+    return den, rows
 
 
 def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
     """The certificate at master period tau = lcm(parts) over a builder's
-    pieces. Nothing is summed here: the first read of its coeffs sums the
-    pieces (_summed), stores every coefficient at its least period and drops
+    pieces. Nothing is summed here: the first read of its stored form sums
+    the pieces (_summed), stores every row at its least period and drops
     the pieces, and to_json before that writes from the summed pieces. The
     builder has checked the m tables of 2 tau cells against the guard limit
     before its first fold, and the first read checks them again."""

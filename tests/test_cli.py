@@ -391,6 +391,22 @@ def test_malformed_guard_limit_exit_2(runner, monkeypatch, args):
     assert "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["eval", "--parts", "1", "--n", "0"],
+    ["cert", "--parts", "1,2"],
+])
+def test_negative_guard_limit_exit_2(runner, monkeypatch, args):
+    # a negative limit is a usage error naming the variable, not a limit
+    # that every range or table is over
+    monkeypatch.setenv("RPF_GUARD_LIMIT", "-5")
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "RPF_GUARD_LIMIT must not be negative, got '-5'" in res.output
+    assert "over the limit" not in res.output
+    assert "Traceback" not in res.output
+
+
 def test_certificate_over_guard_limit_exit_2(runner):
     # 4 tables of 2 * lcm = 2 * 97*101*103*107 cells, about 8.6e8: refused
     # before any table is allocated

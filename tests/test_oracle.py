@@ -108,6 +108,21 @@ class TestCountEnum:
         with pytest.raises(InputError):
             count_enum((1, 1), 5)
 
+    @pytest.mark.parametrize("env", ["-5", "-1", " -0000000001 "])
+    def test_guard_env_negative(self, monkeypatch, env):
+        # a negative limit is refused as a setting, naming the variable, not
+        # read as a limit every count is over
+        monkeypatch.setenv("RPF_GUARD_LIMIT", env)
+        for call in (lambda: count_dp((1,), 0), lambda: count_enum((1, 1), 5)):
+            with pytest.raises(InputError, match=rf"^RPF_GUARD_LIMIT must not be negative, got {env!r}$"):
+                call()
+
+    def test_guard_env_zero(self, monkeypatch):
+        # zero is a limit: no cell fits
+        monkeypatch.setenv("RPF_GUARD_LIMIT", "0")
+        with pytest.raises(CapacityError, match="over the limit 0$"):
+            count_dp((1,), 0)
+
 
 def test_count_table_len_and_maxn():
     t = CountTable((1,), (1, 1, 1))

@@ -10,6 +10,7 @@ import math
 import random
 import sys
 import threading
+import types
 from fractions import Fraction
 from itertools import permutations
 
@@ -842,14 +843,82 @@ class TestIntegerTables:
 
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_one_int_per_distinct_numerator(self, builder):
-        # from_numerators reduces each distinct numerator once, for a built
+        # the stored form keeps one int per distinct numerator, for a filled
         # certificate and for one read from a file tiled to the master
-        # period: every cell holding a numerator holds the same int
+        # period: every cell holding a numerator, in any row of
+        # numerator_tables, holds the same int, and so does every cell of a
+        # coefficient built from it
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             cert = builder(parts)
             for view in (cert, QuasiPoly.from_json(tiled_json(cert.to_json()))):
+                cells = [a for row in view.numerator_tables()[1] for a in row]
+                assert len({id(a) for a in cells}) == len(set(cells)), parts
                 for fn in view.coeffs:
                     assert len({id(a) for a in fn.nums}) == len(set(fn.nums)), parts
+
+    def test_tables_are_fresh_lists(self):
+        # numerator_tables hands out lists of its own: changing them changes
+        # neither the certificate's counts, bytes and equality nor a later read
+        for cert in (build_explicit((2, 3, 5, 7)), build_recursive((1, 2, 2, 3)),
+                     QuasiPoly.from_json(build_explicit((5, 7, 9)).to_json())):
+            ns = [0, 1, 2, 17, 10**12]
+            text, counts, again = cert.to_json(), [cert.count(n) for n in ns], QuasiPoly.from_json(cert.to_json())
+            den, tables = cert.numerator_tables()
+            kept = copy.deepcopy(tables)
+            assert all(type(row) is list for row in tables)
+            for row in tables:
+                row[:] = [a + 1 for a in row]
+                row.append(5)
+            tables.append([1, 1])
+            assert cert.numerator_tables() == (den, kept)
+            assert cert.to_json() == text and [cert.count(n) for n in ns] == counts
+            assert cert == again and hash(cert) == hash(again)
+
+    def test_hand_built_mixed_denominators(self):
+        # coefficients over the reduced denominators 3, 4 and 1 are stored
+        # over their lcm 12, and every read gives the Fraction reference
+        # read from the coefficients' own values; on the natural grid V is
+        # 2t^2/3 plus an int at t = 2n + 9, an int when 3 divides n
+        fns = (
+            PeriodicFn(1, [Fraction(1, 3), Fraction(8, 3)]),
+            PeriodicFn(2, [Fraction(1, 4), 0, Fraction(-1, 2), 0]),
+            PeriodicFn(3, [1, -2, 0, 5, 7, 3]),
+        )
+        assert [fn.den for fn in fns] == [3, 4, 1]
+        parts = (2, 3, 4)
+        cert = QuasiPoly(parts, fns)
+        assert cert.master_period == 12 and cert.coeffs == fns
+        want = [[int(v * 12) for v in fn.values] for fn in fns]
+        assert cert.numerator_tables() == (12, want) == (12, [[4, 32], [3, 0, -6, 0], [12, -24, 0, 60, 84, 36]])
+        # the references read the given coefficients, not the stored form
+        given = types.SimpleNamespace(parts=parts, coeffs=fns, m=3, master_period=12, xi=cert.xi)
+        for n in range(-20, 20):
+            ref = count_reference(given, n)
+            assert (type(ref) is int) == (n % 3 == 0), n
+            if n >= 0 and type(ref) is Fraction:
+                with pytest.raises(IntegralityError):
+                    cert.count(n)
+            else:
+                assert cert.count(n) == ref and type(cert.count(n)) is type(ref), n
+        for t in range(-30, 30):
+            assert cert.value(Fraction(t, 2)) == value_reference(given, Fraction(t, 2)), t
+        text = cert.to_json()
+        assert text == to_json_reference(given)
+        # the same functions given unreduced, or tiled past their least period
+        same = QuasiPoly(parts, (
+            PeriodicFn.from_numerators(2, 9, [3, 24, 3, 24]),
+            PeriodicFn.from_numerators(2, 8, [2, 0, -4, 0]),
+            PeriodicFn(6, list(fns[2].values) * 2),
+        ))
+        for other in (same, QuasiPoly.from_json(text), QuasiPoly.from_json(tiled_json(text))):
+            assert other == cert and cert == other and hash(other) == hash(cert)
+            assert other.numerator_tables() == cert.numerator_tables()
+            assert other.to_json() == text
+        aligned = cert.aligned(24)
+        assert aligned == QuasiPoly(parts, fns, 24) and aligned != cert
+        assert aligned.numerator_tables() == cert.numerator_tables()
+        changed = QuasiPoly(parts, (PeriodicFn(1, [Fraction(1, 3), Fraction(2, 3)]),) + fns[1:])
+        assert changed != cert and changed.numerator_tables()[0] == 12
 
 
 def _handed(monkeypatch, builder):
@@ -926,8 +995,10 @@ class TestLazyCoefficients:
 
     def test_cert_path_makes_no_coefficient(self, monkeypatch):
         # build + to_json, the cert command's path, calls from_numerators
-        # zero times, and so do both builds of (97, 101, 103); a read of
-        # coeffs makes one call per coefficient
+        # zero times, and so do both builds of (97, 101, 103), a default
+        # verify call, one on fresh builder certificates, and count,
+        # numerator_tables, ==, hash and aligned on fresh certificates; a read
+        # of coeffs makes one call per coefficient
         calls = []
         made = PeriodicFn.from_numerators
 
@@ -941,9 +1012,48 @@ class TestLazyCoefficients:
                 builder(parts).to_json()
         for builder in (build_explicit, build_recursive):
             assert builder((97, 101, 103)).master_period == 97 * 101 * 103
+        for parts in [(2, 3, 5, 7), (1, 1, 2, 3), (3, 1, 2), (6, 1, 4, 1), (5,)]:
+            assert run_properties(parts).passed
+            fresh = {"explicit": build_explicit(parts), "recursive": build_recursive(parts)}
+            assert run_properties(parts, certs=fresh).passed
+            for builder in (build_explicit, build_recursive):
+                assert builder(parts).count(10**12) == fresh["explicit"].count(10**12)
+                assert builder(parts).numerator_tables()[0] > 0
+                assert builder(parts) == builder(parts)
+                assert hash(builder(parts)) == hash(fresh["recursive"])
+                assert builder(parts).aligned(2 * lcm_of(parts)).master_period == 2 * lcm_of(parts)
         assert calls == []
         build_explicit((2, 3, 5, 7)).coeffs
         assert calls == [1, 1, 1, 210]
+
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_first_read_cuts_each_row_once(self, monkeypatch, builder):
+        # the first read cuts each summed row of more than 2 cells to its
+        # least period once (_summed), and nothing cuts it again; the row's
+        # length before the cut is the lcm of its piece tables' lengths, a
+        # table constant on each lattice counted as 2 cells
+        seen, original = _handed(monkeypatch, builder)
+        cut = []
+        least = quasipoly._least_length
+
+        def counting(col):
+            cut.append(len(col))
+            return least(col)
+
+        monkeypatch.setattr(quasipoly, "_least_length", counting)
+        rows = 0
+        for parts, pieces in seen:
+            want = []
+            for j in range(len(parts)):
+                lengths = [2 if t[2:] == t[:-2] else len(t)
+                           for t in (tables[j] for _, tables in pieces.values()) if any(t)]
+                if math.lcm(2, *lengths) > 2:
+                    want.append(math.lcm(*lengths))
+            cut.clear()
+            original(parts, pieces).count(0)
+            assert cut == want, parts
+            rows += len(want)
+        assert rows > 0
 
     def test_concurrent_first_read(self):
         # 8 threads on one fresh certificate, each starting on a different
@@ -997,10 +1107,12 @@ class TestIntegerEvaluation:
             ns = [-sigma - 2, -sigma - 1, -sigma, -(sigma // 2), -1, *range(12), 10**6, 10**12 + 7]
             off_grid = [t for t in range(-9, 10) if (t - sigma) % 2] + [2 * 10**12 + sigma + 1]
             for view in (cert, cert.aligned(2 * cert.master_period), parsed):
-                assert [view.count(n) for n in ns] == [count_reference(view, n) for n in ns], parts
+                # coeffs builds its PeriodicFns on each read: the references read them once
+                ref = types.SimpleNamespace(parts=view.parts, coeffs=view.coeffs)
+                assert [view.count(n) for n in ns] == [count_reference(ref, n) for n in ns], parts
                 for t in off_grid:
                     s = Fraction(t, 2)
-                    assert view.value(s) == value_reference(view, s), (parts, t)
+                    assert view.value(s) == value_reference(ref, s), (parts, t)
         assert below > 0
 
     def test_integrality_and_continuation(self):

@@ -359,14 +359,16 @@ def _recurrence_direct(parts, certs) -> PropertyResult:
     if m == 1:
         return PropertyResult("recurrence", True, note="vacuous for a single part")
     dm = parts[-1]
-    prevs = {label: BUILDERS[label](parts[:-1]) for label in certs}
+    # coeffs builds its PeriodicFns on each read, so each certificate's are read once
+    fns = {label: cert.coeffs for label, cert in certs.items()}
+    prevs = {label: BUILDERS[label](parts[:-1]).coeffs for label in certs}
 
-    def column(cert, rho):
-        return [at_twice(fn, rho) for fn in cert.coeffs]
+    def column(coeffs, rho):
+        return [at_twice(fn, rho) for fn in coeffs]
 
     for rho in range(2 * _period(parts, certs)):
-        for label, cert in certs.items():
-            lhs = poly_sub(column(cert, rho), taylor_shift(column(cert, rho - 2 * dm), -dm))
+        for label, coeffs in fns.items():
+            lhs = poly_sub(column(coeffs, rho), taylor_shift(column(coeffs, rho - 2 * dm), -dm))
             rhs = taylor_shift(column(prevs[label], rho - dm), Fraction(-dm, 2))
             for power, a, b in zip(range(m - 1, -1, -1), lhs, [0] + rhs):
                 if a != b:
@@ -385,10 +387,11 @@ def _parity_direct(parts, certs) -> PropertyResult:
     m = len(parts)
     sign = -1 if m % 2 == 0 else 1
     natural = sum(parts) % 2
+    fns = {label: cert.coeffs for label, cert in certs.items()}
     for rho in range(_period(parts, certs) + 1):
         on_grid = rho % 2 == natural
-        for label, cert in certs.items():
-            for j, fn in enumerate(cert.coeffs, 1):
+        for label, coeffs in fns.items():
+            for j, fn in enumerate(coeffs, 1):
                 plus, minus = at_twice(fn, rho), at_twice(fn, -rho)
                 broken = minus * (-1) ** (m - j) != sign * plus if on_grid else plus or minus
                 if broken:
@@ -741,8 +744,9 @@ def _path_agreement_direct(parts, certs) -> PropertyResult:
     """The path-agreement check column by column on Fractions, at the lcm of
     the two master periods: the reference for the integer views."""
     a, b = certs["explicit"], certs["recursive"]
+    pairs = list(enumerate(zip(a.coeffs, b.coeffs), 1))
     for rho in range(2 * math.lcm(a.master_period, b.master_period)):
-        for j, (fa, fb) in enumerate(zip(a.coeffs, b.coeffs), 1):
+        for j, (fa, fb) in pairs:
             if at_twice(fa, rho) != at_twice(fb, rho):
                 return PropertyResult(
                     "path-agreement", False,
