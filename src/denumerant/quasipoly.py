@@ -74,20 +74,19 @@ closure_fn runs the fold for the one remainder of the free coefficient that
 build_recursive cannot reach by extension and returns the piece's last
 table, 2 d_m integer cells over the piece's denominator, which the recursive
 step adds into its piece as it is; the step reads the new part's weights
-from _shift_weights. While the context variable
-_LEVELS is set, for one verify.run_properties call that builds its own
-certificates, build_recursive records each level's pieces in it and reads a
-level it has already recorded, so verify's prefix certificate costs no
-second pass; it is None otherwise, and nothing is kept across calls. Both
-builders check the m tables of 2*tau cells against the guard limit
-(oracle.guard) before any of this; every QuasiPoly parsed or hand-built
-checks its m tables of 2*P cells at its master period P when it is
-constructed, aligned's larger P included, and a built one checks them again
-when its stored form is first built. Everything else stays independent:
-the recursive step's cyclic correlation, build_explicit's product over the
-pivot, and the counting oracle (oracle.count_dp), so table-level agreement
-remains a meaningful check; the oracle, recurrence, parity and mean-value
-properties check the shared _summed.
+from _shift_weights. _recursive_pass returns the recursive certificate and,
+from the same pass, the one for all but the last part, which
+verify.run_properties takes as the recurrence's prefix, so that prefix costs
+no second pass; nothing is kept across calls. Both builders check the m
+tables of 2*tau cells against the guard limit (oracle.guard) before any of
+this; every QuasiPoly parsed or hand-built checks its m tables of 2*P cells
+at its master period P when it is constructed, aligned's larger P included,
+and a built one checks them again when its stored form is first built.
+Everything else stays independent: the recursive step's cyclic
+correlation, build_explicit's product over the pivot, and the counting
+oracle (oracle.count_dp), so table-level agreement remains a meaningful
+check; the oracle, recurrence, parity and mean-value properties check the
+shared _summed.
 
 Periodic coefficients live on the half-integer lattice: a function of period T
 stores 2T values indexed by the scaled residue 2s mod 2T, so integer and
@@ -108,7 +107,6 @@ hash as plain data.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import itertools
 import json
@@ -433,6 +431,8 @@ class QuasiPoly:
             fns = []
             for entry in entries:
                 period, values = entry["period"], entry["values"]
+                if not isinstance(period, int) or isinstance(period, bool) or period < 1:
+                    raise InputError(f"period must be a positive integer, got {period!r}")
                 # each distinct string parsed once, in residue order, so the first
                 # bad cell is reported; parse_rational rejects every non-string
                 parsed, cells = {}, []
@@ -802,7 +802,7 @@ def _summed(pieces: dict[int, Piece], m: int) -> tuple[int, list[list[int]]]:
     the sums at 2 tau are the same cells repeated, so the function is the
     one the sums at 2 tau would give. For (2,3,5,7)'s free coefficient that
     is 12 + 60 + 420 cells, not 3 x 420. The pieces are read, never
-    changed: _LEVELS shares them between certificates."""
+    changed."""
     den = math.lcm(*(piece_den for piece_den, _ in pieces.values()))
     rows = []
     for j in range(m):
@@ -862,37 +862,28 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     return _materialise(parts, _extend_pieces({period: piece}, parts))
 
 
-# prefix tuple -> the pieces _extend_pieces returned for that level, while one
-# verify.run_properties call builds its own certificates; None otherwise
-_LEVELS: contextvars.ContextVar[dict[tuple[int, ...], dict[int, Piece]] | None] = (
-    contextvars.ContextVar("denumerant_levels", default=None)
-)
-
-
-def build_recursive(parts: Sequence[int]) -> QuasiPoly:
-    """Certificate by the one-part-at-a-time route.
+def _recursive_pass(parts: Sequence[int]) -> tuple[QuasiPoly | None, QuasiPoly]:
+    """(prefix, cert): the one-part-at-a-time route's certificates for
+    parts[:-1] (None for one part) and for parts, from one pass.
 
     The certificate is kept as a sum of pieces, one per distinct part period:
     starting from none, each step correlates every piece at its own period and
     adds closure_fn's piece at the new part's period (_extend_pieces); the
-    first step's is the one-part indicator of d_1 | (s - d_1/2). The final
-    certificate holds the last level's pieces, at master period tau, until
-    its coefficients are read, each then stored at its least period
-    (_materialise). While _LEVELS is set, each level's pieces
-    are recorded in it, and a level already recorded is read, not rebuilt.
+    first step's is the one-part indicator of d_1 | (s - d_1/2). Each
+    certificate holds its level's pieces, which share no table, until its
+    coefficients are read, each then stored at its least period (_materialise).
     """
     d = as_parts(parts)
     _guard_cells(len(d), lcm_of(d))
-    levels = _LEVELS.get()
     pieces: dict[int, Piece] = {}
-    for k in range(1, len(d) + 1):
-        if levels is None:
-            pieces = _extend_pieces(pieces, d[:k])
-        elif d[:k] in levels:
-            pieces = levels[d[:k]]
-        else:
-            pieces = levels[d[:k]] = _extend_pieces(pieces, d[:k])
-    return _materialise(d, pieces)
+    for k in range(1, len(d) + 1):  # d is not empty, so prev is always bound
+        prev, pieces = pieces, _extend_pieces(pieces, d[:k])
+    return (_materialise(d[:-1], prev) if len(d) > 1 else None), _materialise(d, pieces)
+
+
+def build_recursive(parts: Sequence[int]) -> QuasiPoly:
+    """Certificate by the one-part-at-a-time route (see _recursive_pass)."""
+    return _recursive_pass(parts)[1]
 
 
 def build_explicit(parts: Sequence[int]) -> QuasiPoly:

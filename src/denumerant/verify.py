@@ -18,9 +18,9 @@ smallest failing class of 2s; parity also requires every off-grid cell
 (2s != sum(parts) mod 2) to be zero, and checks each column on the classes of
 its own period, where a failing class repeats. The recurrence checks every
 view against one prefix certificate, the recursive route's, read and shifted
-once; when run_properties builds the certificates itself, build_recursive
-reads that prefix from the levels its pass for the full list recorded in the
-same call (quasipoly._LEVELS), so no level is built twice. It forms each
+once; when run_properties builds the certificates itself, that prefix comes
+from the same pass as the recursive certificate (quasipoly._recursive_pass),
+so no level is built twice. It forms each
 Taylor row, and compares the two sides, at the lcm of the column lengths
 involved, so a coefficient of period 1 is shifted as 2 cells, not 2 tau. The
 oracle compares count_dp with integer Horner run by columns (_scaled_blocks),
@@ -219,7 +219,7 @@ def _shifted(cols: list[list[int]], a: int, b: int) -> list[list[int]]:
     return out
 
 
-def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> Checked:
+def _check_recurrence(parts, views: list[tuple[str, View]], prefix: quasipoly.QuasiPoly | None) -> Checked:
     m = len(parts)
     if m == 1:
         return [], "vacuous for a single part"
@@ -229,13 +229,15 @@ def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max:
     # Every class of both master periods is checked. The full-period iterate
     # V(s + tau) - V(s) = sum_p V_{m-1}(s + tau - (2p+1) d_m/2) telescopes from it.
     # Every view is checked against one V_{m-1}, the recursive route's, read
-    # and shifted once; on the default path it is the recursive pass's level
-    # m-1, recorded in quasipoly._LEVELS, not a second pass.
+    # and shifted once: the prefix run_properties' recursive pass gave, or
+    # with injected certificates (prefix None) one built here.
     # Every column is read at its stored period, and each side of a row is
     # periodic with the lcm of the lengths it was formed from, so comparing
     # the sides at the lcm of their lengths finds the same smallest failing
     # class as a comparison at the lcm of the master periods.
-    den_prev, prev = quasipoly.build_recursive(parts[:-1]).numerator_tables()
+    if prefix is None:
+        prefix = quasipoly.build_recursive(parts[:-1])
+    den_prev, prev = prefix.numerator_tables()
     half = _shifted([_rotated(col, dm) for col in prev], -dm, 2)
     rhs_den = den_prev << (m - 2)
     failures = []
@@ -255,7 +257,7 @@ def _check_recurrence(parts, certs: Certs, views: list[tuple[str, View]], n_max:
     return failures, None
 
 
-def _check_parity(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> Checked:
+def _check_parity(parts, views: list[tuple[str, View]]) -> Checked:
     natural = sum(parts) % 2
     # V(-s) = -(-1)^m V(s) on the class of s holds iff R_j(-s) = (-1)^(j-1) R_j(s)
     # for every j; rho and -rho give the same condition, so rho <= P_j covers
@@ -280,7 +282,7 @@ def _check_parity(parts, certs: Certs, views: list[tuple[str, View]], n_max: int
     return failures, "off-grid values identically zero"
 
 
-def _check_zeros(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> Checked:
+def _check_zeros(parts, views: list[tuple[str, View]]) -> Checked:
     m = len(parts)
     if m == 1:
         return [], "no forced zeros at this order"
@@ -299,7 +301,7 @@ def _check_zeros(parts, certs: Certs, views: list[tuple[str, View]], n_max: int)
     return failures, None
 
 
-def _check_path_agreement(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> Checked:
+def _check_path_agreement(views: list[tuple[str, View]]) -> Checked:
     if len(views) == 1:
         return [], None
     # Otherwise each pair of columns is cross-multiplied by the other's
@@ -320,7 +322,7 @@ def _check_path_agreement(parts, certs: Certs, views: list[tuple[str, View]], n_
     return failures, None
 
 
-def _check_mean_value(parts, certs: Certs, views: list[tuple[str, View]], n_max: int) -> Checked:
+def _check_mean_value(parts, views: list[tuple[str, View]]) -> Checked:
     parity = sum(parts) % 2
     # keyed by the coefficient, so the first failing coefficient is reported
     failures = []
@@ -344,12 +346,11 @@ def _result(name: str, failures: list[tuple[int, dict]], note: Optional[str]) ->
     return PropertyResult(name, not failures, counterexample, None if failures else note)
 
 
-# name -> check(parts, certs, views, n_max) -> (failures, note), in report
-# order. views lists the views of the distinct certificates as (label, view),
-# each under the first label that holds it; only the oracle uses n_max, and
-# only the oracle reads certs, to word a failure. failures lists
-# (key, counterexample) pairs in scan order and note is what a pass carries;
-# _result makes the PropertyResult of both
+# name -> check -> (failures, note), in report order; _run_checks passes each
+# check, by keyword, the arguments its signature names. views lists the views
+# of the distinct certificates as (label, view), each under the first label
+# that holds it. failures lists (key, counterexample) pairs in scan order and
+# note is what a pass carries; _result makes the PropertyResult of both
 _CHECKS = {
     "oracle": _check_oracle,
     "recurrence": _check_recurrence,
@@ -359,9 +360,10 @@ _CHECKS = {
     "mean-value": _check_mean_value,
 }
 PROPERTIES = tuple(_CHECKS)
-# certificate label -> builder; run_properties checks one certificate of each.
-# The builders are looked up in quasipoly at call time, so patching them there
-# reaches every caller.
+# certificate label -> builder, looked up in quasipoly at call time. A patched
+# build_explicit reaches every caller; a patched build_recursive reaches the
+# CLI's eval and cert and the recurrence's prefix for injected certificates,
+# not run_properties' default path, which runs quasipoly._recursive_pass.
 BUILDERS = {
     "explicit": lambda parts: quasipoly.build_explicit(parts),
     "recursive": lambda parts: quasipoly.build_recursive(parts),
@@ -379,12 +381,13 @@ def run_properties(
     `props` is an iterable of PROPERTIES names, read once, never a bare
     string. `certs` may inject prebuilt or deliberately broken certificates,
     one QuasiPoly per BUILDERS label ("explicit", "recursive"), each for
-    exactly these parts; by default both are built here. On that default path the recurrence's prefix
-    certificate, build_recursive(parts[:-1]), is read from the levels the
-    recursive certificate's own pass recorded (quasipoly._LEVELS) for this
-    call only; injected certificates record none, so the prefix is built
-    fresh. `n_max`, the oracle's bound, is a nonnegative int, never a bool;
-    it defaults to default_n_max(parts).
+    exactly these parts; by default both are built here, and the
+    recurrence's prefix certificate, the recursive route's for parts[:-1],
+    comes from the recursive certificate's own pass
+    (quasipoly._recursive_pass). With injected certificates the recurrence
+    builds that prefix itself, build_recursive(parts[:-1]). `n_max`, the
+    oracle's bound, is a nonnegative int, never a bool; it defaults to
+    default_n_max(parts).
     """
     d = as_parts(parts)
     if props is None:
@@ -412,24 +415,27 @@ def run_properties(
             if cert.parts != d:
                 raise InputError(f"certificate {label!r} is for parts {cert.parts}, not {d}")
         return _run_checks(d, selected, n_max, certs)
-    token = quasipoly._LEVELS.set({})
-    try:
-        return _run_checks(d, selected, n_max, {label: build(d) for label, build in BUILDERS.items()})
-    finally:
-        quasipoly._LEVELS.reset(token)
+    explicit = quasipoly.build_explicit(d)
+    prefix, recursive = quasipoly._recursive_pass(d)
+    return _run_checks(d, selected, n_max, {"explicit": explicit, "recursive": recursive}, prefix)
 
 
-def _run_checks(d: tuple[int, ...], selected: Sequence[str], n_max: int, certs: Certs) -> VerifyReport:
+def _run_checks(d: tuple[int, ...], selected: Sequence[str], n_max: int, certs: Certs, prefix=None) -> VerifyReport:
     """The selected checks on the certificates, in PROPERTIES order. Equal
     certificates give equal verdicts, so only the distinct ones are read,
-    each once, under its first label, and every check scans those views."""
+    each once, under its first label, and every check scans those views.
+    prefix is the recurrence's prefix certificate, or None for it to build."""
     views: list[tuple[str, View]] = []
     for label, cert in certs.items():
         if all(cert != certs[seen] for seen, _ in views):
             views.append((label, cert.numerator_tables()))
+    given = {"parts": d, "certs": certs, "views": views, "n_max": n_max, "prefix": prefix}
     report = VerifyReport(parts=d)
     for name in selected:
-        report.results.append(_result(name, *_CHECKS[name](d, certs, views, n_max)))
+        check = _CHECKS[name]
+        code = check.__code__
+        named = {arg: given[arg] for arg in code.co_varnames[: code.co_argcount]}
+        report.results.append(_result(name, *check(**named)))
     return report
 
 

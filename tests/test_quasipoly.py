@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import threading
 import types
@@ -233,6 +234,18 @@ class TestExtend:
             for fn in prev.coeffs:
                 assert any(fn.nums[0::2]) and any(fn.nums[1::2])
             assert extend_recursive(prev, d_new) == extend_reference(prev, d_new), prev_parts
+
+    def test_recursive_pass_matches_builds(self):
+        # one pass gives the bytes of build_recursive on the list and on all
+        # but its last part; a single part has no prefix
+        lists = list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED)
+        for parts in lists:
+            prefix, cert = quasipoly._recursive_pass(parts)
+            assert cert.to_json() == build_recursive(parts).to_json(), parts
+            if len(parts) == 1:
+                assert prefix is None
+            else:
+                assert prefix.to_json() == build_recursive(parts[:-1]).to_json(), parts
 
 
 def _closure(parts):
@@ -970,8 +983,7 @@ class TestLazyCoefficients:
 
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_reads_leave_certificate_unchanged(self, monkeypatch, builder):
-        # writing and reading coeffs change neither the bytes nor the pieces,
-        # which _LEVELS shares between certificates
+        # writing and reading coeffs change neither the bytes nor the pieces
         seen, original = _handed(monkeypatch, builder)
         for parts, pieces in seen:
             kept = copy.deepcopy(pieces)
@@ -1444,6 +1456,16 @@ class TestSerialization:
         raw = json.loads(build_explicit((1, 2)).to_json())
         del raw["coefficients"][1]["values"]["3"]
         with pytest.raises(InputError, match="malformed"):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("period", [-1, 0, True, 2.0, "2"])
+    def test_bad_period_named(self, period):
+        # the period is checked before its residue keys are read
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        raw["coefficients"][1]["period"] = period
+        raw["coefficients"][1]["values"] = {}
+        message = f"^period must be a positive integer, got {re.escape(repr(period))}$"
+        with pytest.raises(InputError, match=message):
             QuasiPoly.from_json(json.dumps(raw))
 
     def test_missing_residue_named(self):

@@ -109,7 +109,7 @@ class TestCleanRuns:
         def unbuilt(parts):
             raise AssertionError("a certificate was built")
 
-        for name in ("build_explicit", "build_recursive"):
+        for name in ("build_explicit", "build_recursive", "_recursive_pass"):
             monkeypatch.setattr(quasipoly, name, unbuilt)
         with pytest.raises(InputError, match=r"^n_max must be a nonnegative integer, got "):
             run_properties((1, 2), props=props, n_max=n_max)
@@ -289,27 +289,25 @@ class TestCertificateChecks:
     @pytest.mark.parametrize("parts", [(1, 2), (3, 1, 2), (2, 3, 5, 7), (1, 1, 2, 2, 3)])
     def test_default_run_builds_one_prefix(self, monkeypatch, parts):
         # both certificates, and one prefix for the recurrence: the recursive
-        # route's, against which the explicit certificate is checked too
+        # route's, against which the explicit certificate is checked too. The
+        # recursive certificate and its prefix come from one pass, so no
+        # build_recursive call is made
         built = {}
-        for name in ("build_explicit", "build_recursive"):
+        for name in ("build_explicit", "build_recursive", "_recursive_pass"):
             def counting(p, name=name, real=getattr(quasipoly, name)):
                 built[name, tuple(p)] = built.get((name, tuple(p)), 0) + 1
                 return real(p)
 
             monkeypatch.setattr(quasipoly, name, counting)
         assert run_properties(parts).passed
-        assert built == {
-            ("build_explicit", parts): 1,
-            ("build_recursive", parts): 1,
-            ("build_recursive", parts[:-1]): 1,
-        }
+        assert built == {("build_explicit", parts): 1, ("_recursive_pass", parts): 1}
 
     @pytest.mark.parametrize("parts", [(1, 2), (3, 1, 2), (2, 3, 5, 7), (1, 1, 2, 2, 3)])
     def test_one_recursive_pass_per_call(self, monkeypatch, parts):
-        # the default path's prefix reads level m-1 of the recursive
-        # certificate's own pass: m steps per call, not m + (m-1). Injected
-        # certificates record no levels, so their prefix takes m-1 steps.
-        # Nothing is kept from one call to the next.
+        # the default path's prefix is level m-1 of the recursive
+        # certificate's own pass: m steps per call, not m + (m-1). With
+        # injected certificates the prefix is built, in m-1 steps. Nothing is
+        # kept from one call to the next.
         steps = []
 
         def counting(pieces, p, real=quasipoly._extend_pieces):
@@ -326,16 +324,27 @@ class TestCertificateChecks:
         steps.clear()
         assert run_properties(parts, certs=certs).passed
         assert steps == [parts[:k] for k in range(1, m)]
-        assert quasipoly._LEVELS.get() is None
 
     def test_levels_cleared_when_a_build_raises(self, monkeypatch):
-        def failing(parts):
-            raise RuntimeError("build failed")
+        # a call whose pass raises after its first level leaves nothing
+        # behind: the next call still takes its m steps
+        steps = []
 
-        monkeypatch.setattr(quasipoly, "build_explicit", failing)
+        def counting(pieces, p, real=quasipoly._extend_pieces):
+            steps.append(p)
+            return real(pieces, p)
+
+        def failing(pieces, p, real=quasipoly._extend_pieces):
+            if len(p) == 2:
+                raise RuntimeError("build failed")
+            return real(pieces, p)
+
+        monkeypatch.setattr(quasipoly, "_extend_pieces", failing)
         with pytest.raises(RuntimeError, match="build failed"):
             run_properties((1, 2, 3))
-        assert quasipoly._LEVELS.get() is None
+        monkeypatch.setattr(quasipoly, "_extend_pieces", counting)
+        assert run_properties((1, 2, 3)).passed
+        assert steps == [(1,), (1, 2), (1, 2, 3)]
 
     @pytest.mark.parametrize(
         "cert_parts, props", [((1, 2, 3), ["oracle"]), ((1, 2, 3), None), ((2, 1), None)]
