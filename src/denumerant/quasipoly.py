@@ -36,15 +36,21 @@ _shift_fold), so build_explicit folds once per distinct part, that part the
 pivot, and each fold's result is that part's piece.
 
 Two kernels are shared by the folds. _shift_weights tabulates one position's
-Bernoulli shift weights by residue, with each row's total; _shift_fold
-multiplies them over positions as a DP with state total exponent -> residue
-table plus one flat integer, added at every cell of the table's parity class,
-and returns the pivot's piece: m dense tables, table l the state l weighted
-by (m-1)!/(m-1-l)! with its flat value written into its class. Its options
-are the number of leading positions that skip the e = 0 step and the number
-of copies of the pivot's part whose folds it sums: build_explicit passes the
+Bernoulli shift weights by residue, with each row's total; _fold_step
+multiplies a fold state by one position's weights, the state being a DP from
+total exponent to a residue table plus one flat integer, added at every cell
+of the table's parity class. Every fold is a run of those steps.
+_shift_fold runs them over build_explicit's positions and returns the
+pivot's piece: m dense tables, table l the state l weighted by
+(m-1)!/(m-1-l)! with its flat value written into its class. Its options are
+the number of leading positions that skip the e = 0 step and the number of
+copies of the pivot's part whose folds it sums: build_explicit passes the
 index of the part's first copy in sorted order and its multiplicity, and
-keeps the piece as it is; closure_fn passes 0 and 1 and keeps the last table.
+keeps the piece as it is. Every leading position adds at least 1 to the
+total exponent, so at each of them _shift_fold steps only the buckets and
+exponents that the leading positions still to come leave at most m-1: the
+others never reach the piece. closure_fn reads bucket m-1 of a state folded
+over the prefix, all exponents at every position.
 A position's shift sum runs over p < t/d_k, and read mod 2P it is the same
 for every t that is a multiple of L = lcm(d_k, P): class r < q = L/d_k holds
 n = t/L values of p, whose arguments are spaced 1/n apart, and Raabe's
@@ -70,18 +76,24 @@ denominators, and so does the recursive step's correlation.
 _shift_weights is computed once per process per key (d_k, m, 2P); its
 docstring gives the cache's bound and why sharing it costs no independence.
 
-closure_fn runs the fold for the one remainder of the free coefficient that
-build_recursive cannot reach by extension and returns the piece's last
-table, 2 d_m integer cells over the piece's denominator, which the recursive
-step adds into its piece as it is; the step reads the new part's weights
-from _shift_weights. _recursive_pass returns the recursive certificate and,
-from the same pass, the one for all but the last part, which
-verify.run_properties takes as the recurrence's prefix, so that prefix costs
-no second pass; nothing is kept across calls. Both builders check the m
-tables of 2*tau cells against the guard limit (oracle.guard) before any of
-this; every QuasiPoly parsed or hand-built checks its m tables of 2*P cells
-at its master period P when it is constructed, aligned's larger P included,
-and a built one checks them again when its stored form is first built.
+closure_fn gives the one remainder of the free coefficient that
+build_recursive cannot reach by extension: that bucket, 2 d_m integer cells
+over the fold's denominator, which the recursive step adds into its piece as
+it is; the step reads the new part's weights from _shift_weights. Called on
+a list alone, closure_fn folds the prefix itself. _recursive_pass instead
+keeps one fold state per distinct part value v, with as many buckets as v's
+last level: every level whose part is v reads its bucket from that state,
+and each level's part is stepped into every state still to be read, so each
+part value's closure is folded once per pass. The states are the recursive
+route's own and live for one call. _recursive_pass returns the recursive
+certificate and, from the same pass, the one for all but the last part,
+which verify.run_properties takes as the recurrence's prefix, so that
+prefix costs no second pass; nothing is kept across calls. Both builders
+check the m tables of 2*tau cells against the guard limit (oracle.guard)
+before any of this; every QuasiPoly parsed or hand-built checks its m
+tables of 2*P cells at its master period P when it is constructed,
+aligned's larger P included, and a built one checks them again when its
+stored form is first built.
 Everything else stays independent: the recursive step's cyclic
 correlation, build_explicit's product over the pivot, and the counting
 oracle (oracle.count_dp), so table-level agreement remains a meaningful
@@ -421,12 +433,23 @@ class QuasiPoly:
         except ValueError as exc:  # a JSONDecodeError, or an integer over int()'s digit limit
             raise InputError(f"not valid JSON: {exc}") from exc
         try:
-            parts = tuple(raw["parts"])
-            entries = sorted(raw["coefficients"], key=lambda e: -e["power"])
+            parts, entries = raw["parts"], raw["coefficients"]
+            # the shapes are checked before any entry is read, so each refusal
+            # names its fault rather than the Python error of the read
+            bad = "malformed certificate JSON:"
+            for name, value in (("parts", parts), ("coefficients", entries)):
+                if not isinstance(value, list):
+                    raise InputError(f"{bad} {name} must be a list, got {value!r}")
+            for entry in entries:
+                if not isinstance(entry, dict):
+                    raise InputError(f"{bad} each coefficient must be an object, got {entry!r}")
+                power = entry["power"]
+                if type(power) is not int:
+                    raise InputError(f"{bad} coefficient powers must be integers, got {power!r}")
+            parts = tuple(parts)
+            entries = sorted(entries, key=lambda e: -e["power"])
             powers = [e["power"] for e in entries]
-            if powers != list(range(len(parts) - 1, -1, -1)) or any(
-                not isinstance(k, int) or isinstance(k, bool) for k in powers
-            ):
+            if powers != list(range(len(parts) - 1, -1, -1)):
                 raise InputError(f"coefficient powers must cover {len(parts)-1}..0, got {powers}")
             fns = []
             for entry in entries:
@@ -467,6 +490,13 @@ Weights = tuple[int, tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]
 # a piece of a certificate held as a sum of pieces: (den, tables), each table
 # 2P integer numerators over den for a piece of period P
 Piece = tuple[int, list[list[int]]]
+
+# a fold's state after k positions: (den, tables, flat), tables[l] the residue
+# table of total exponent l and flat[l] the integer added at every cell of its
+# parity class (None until the first e = 0 step at a part coprime to the
+# pivot), every numerator over den, the product of the k positions'
+# denominators; len(tables) is the fold's m
+FoldState = tuple[int, list[dict[int, int]], list[int] | None]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -528,19 +558,88 @@ def _shift_weights(dk: int, m: int, size: int) -> Weights:
     return den // g, rows, tuple(sum(w for _, w in row) for row in rows)
 
 
+def _fold_start(pivot: int, m: int) -> FoldState:
+    """The fold's state before any position: a unit at the pivot's own
+    half-shift, its divisibility indicator, in bucket 0 of m."""
+    return 1, [{pivot: 1}] + [{} for _ in range(m - 1)], None
+
+
+def _fold_step(state: FoldState, dk: int, size: int, zero_step: bool, cap: int) -> FoldState:
+    """One position of the fold: the state times the shift sums of part dk
+    mod size, _shift_weights(dk, m, size), each bucket l moving to l + e.
+    Exponents run from 1, or from 0 when zero_step, and no bucket above cap
+    is written: bucket l moves only by e <= cap - l. _shift_fold lowers cap
+    at its leading positions, and every other step passes m - 1. The one
+    step every fold takes, in both builders (see _shift_fold for the state's
+    form, the coset step and the flat carry)."""
+    den, fold, flat = state
+    m = len(fold)
+    dk_den, per_e, totals = _shift_weights(dk, m, size)
+    g = math.gcd(2 * dk, size)
+    shift, w0 = per_e[0][0]
+    first = 0 if zero_step else 1
+    if flat:
+        carried = [0] * m
+        for l, u in enumerate(flat):
+            if u:
+                for e in range(first, cap + 1 - l):
+                    carried[l + e] += u * totals[e]
+        flat = carried
+    nxt: list[dict[int, int]] = [{} for _ in range(m)]
+    for l, table in enumerate(fold):
+        if not table:
+            continue
+        out = nxt[l]
+        if zero_step and g < size:
+            if g == 2:
+                if flat is None:
+                    flat = [0] * m
+                flat[l] += w0 * sum(table.values())
+            else:
+                sums: dict[int, int] = {}
+                for res, a in table.items():
+                    c = res % g
+                    sums[c] = sums.get(c, 0) + a
+                for c, total in sums.items():
+                    if total:
+                        w = w0 * total
+                        for key in range((c + dk) % g, size, g):
+                            out[key] = out.get(key, 0) + w
+        elif zero_step:
+            # q = 1: the coset step gives the same nonzero cells 3-9% slower on corpus and deep
+            for res, a in table.items():
+                key = (res + shift) % size
+                out[key] = out.get(key, 0) + a * w0
+        for e in range(1, cap + 1 - l):
+            out = nxt[l + e]
+            for sh, w in per_e[e]:
+                for res, a in table.items():
+                    key = (res + sh) % size
+                    out[key] = out.get(key, 0) + a * w
+    return den * dk_den, nxt, flat
+
+
 def _shift_fold(d: Sequence[int], m: int, pivot: int, skip: int, copies: int = 1) -> Piece:
     """The pivot's piece: products of per-position shift sums around a pivot
     part, folded in the residue ring mod size = 2*pivot and weighted by power
     bucket.
 
     Position k, with part d[k], offers the weights _shift_weights(d[k], m,
-    size). A DP over positions, from a unit weight at the pivot's own
-    half-shift (its divisibility indicator), keeps one residue table per
-    total exponent l < m: the sum over exponent vectors r of the folded
-    product, which carries 1/prod r_k!. Times l! that is the multinomial
-    weighting; no composition is enumerated. The first ``skip`` positions
-    take exponents e >= 1 only and skip the e = 0 step, so each composition
-    reaches the fold of its first zero position only; closure_fn passes 0.
+    size). A DP over positions, one _fold_step each, from a unit weight at
+    the pivot's own half-shift (its divisibility indicator), keeps one
+    residue table per total exponent l < m: the sum over exponent vectors r
+    of the folded product, which carries 1/prod r_k!. Times l! that is the
+    multinomial weighting; no composition is enumerated. The first ``skip``
+    positions take exponents e >= 1 only and skip the e = 0 step, so each
+    composition reaches the fold of its first zero position only.
+
+    Each of those leading positions adds at least 1 to the total exponent,
+    and only totals up to m-1 reach the piece. So at a position k < skip,
+    with r = skip-1-k leading positions still to come, the step moves only
+    buckets l <= m-2-r, and only by exponents e <= m-1-r-l (its cap is
+    m-1-r): any other total would pass m-1 by the last leading position.
+    No integer of the piece changes, den included. The run's copies and
+    the later positions step every bucket.
 
     With copies = c > 1 the call returns the sum of c folds, those with
     skip, skip + 1, ..., skip + c - 1, for a pivot part v whose c - 1 other
@@ -585,62 +684,20 @@ def _shift_fold(d: Sequence[int], m: int, pivot: int, skip: int, copies: int = 1
     class pivot + sum(d) mod 2.
     """
     size = 2 * pivot
-    den = 1
-    fold: list[dict[int, int]] = [{pivot: 1}] + [{} for _ in range(m - 1)]
-    flat: list[int] | None = None
+    state = _fold_start(pivot, m)
     last = skip + copies - 2  # the run's last other copy; e = 0 from the next position on
     states: list[list[dict[int, int]]] = []  # u_0 .. u_(copies-2)
     for k, dk in enumerate(d):
         if skip <= k <= last:
-            states.append(fold)
-        dk_den, per_e, totals = _shift_weights(dk, m, size)
-        den *= dk_den
-        g = math.gcd(2 * dk, size)
-        shift, w0 = per_e[0][0]
-        zero_step = k > last
-        if flat:
-            carried = [0] * m
-            for l, u in enumerate(flat):
-                if u:
-                    for e in range(0 if zero_step else 1, m - l):
-                        carried[l + e] += u * totals[e]
-            flat = carried
-        nxt: list[dict[int, int]] = [{} for _ in range(m)]
-        for l, table in enumerate(fold):
-            if not table:
-                continue
-            out = nxt[l]
-            if zero_step and g < size:
-                if g == 2:
-                    if flat is None:
-                        flat = [0] * m
-                    flat[l] += w0 * sum(table.values())
-                else:
-                    sums: dict[int, int] = {}
-                    for res, a in table.items():
-                        c = res % g
-                        sums[c] = sums.get(c, 0) + a
-                    for c, total in sums.items():
-                        if total:
-                            w = w0 * total
-                            for key in range((c + dk) % g, size, g):
-                                out[key] = out.get(key, 0) + w
-            elif zero_step:
-                # q = 1: the coset step gives the same nonzero cells 3-9% slower on corpus and deep
-                for res, a in table.items():
-                    key = (res + shift) % size
-                    out[key] = out.get(key, 0) + a * w0
-            for e in range(1, m - l):
-                out = nxt[l + e]
-                for sh, w in per_e[e]:
-                    for res, a in table.items():
-                        key = (res + sh) % size
-                        out[key] = out.get(key, 0) + a * w
-        fold = nxt
+            states.append(state[1])
+        # skip - 1 - k forced positions follow k < skip, each adding at least 1
+        state = _fold_step(state, dk, size, k > last, min(m - 1, m - skip + k))
         if states and k == last:
-            fold = _run_sum(states + [fold], m, pivot)
+            den, fold, flat = state
+            state = den, _run_sum(states + [fold], m, pivot), flat
     top = math.factorial(m - 1)
     parity = (pivot + sum(d)) % 2
+    den, fold, flat = state
     tables = []
     for l, table in enumerate(fold):
         w = top // math.factorial(m - 1 - l)
@@ -676,7 +733,9 @@ def _run_sum(states: list[list[dict[int, int]]], m: int, pivot: int) -> list[dic
     return out
 
 
-def closure_fn(parts: Sequence[int]) -> tuple[int, list[int]]:
+def closure_fn(
+    parts: Sequence[int], states: dict[int, FoldState] | None = None
+) -> tuple[int, list[int]]:
     """The last-part-periodic remainder of the free coefficient.
 
     This is the piece of R_m the one-part extension cannot reach from the
@@ -684,16 +743,41 @@ def closure_fn(parts: Sequence[int]) -> tuple[int, list[int]]:
     divisibility indicator and each central Bernoulli symbol replaced by its
     finite shift sum. Every shift sum is reduced mod 2*d_m, so by Raabe's
     theorem (see _shift_weights) it is taken at its own period lcm(d_i, d_m).
-    It is the last table of _shift_fold's piece over the prefix, mod 2*d_m,
-    with every position taking every exponent (skip 0): total exponent m-1,
-    whose bucket weight (m-1)!/0! over (m-1)! is 1, so the multinomial over
-    (m-1)! is exactly 1/prod r_k!. Returns (den, table): the piece's
-    denominator and that table's 2*d_m integer numerators, unreduced, as the
+    It is bucket m-1 of the fold over the prefix around the pivot d_m
+    (_fold_step), with every position taking every exponent, so its weight
+    is exactly 1/prod r_k!. Returns (den, table): the fold's denominator and
+    bucket m-1's 2*d_m integer numerators, its flat value written in, as the
     recursive step adds them into its period-d_m piece.
+
+    With ``states`` None the fold runs here, one position per prefix part at
+    m buckets. _recursive_pass passes its states instead, one per distinct
+    part value v, each folded over the parts before the current level with
+    m = K_v buckets, K_v v's last level. A state's rational values do not
+    depend on its m, only its integer scale does (see _shift_weights), so
+    bucket m-1 of d_m's state is this level's table. The call then drops
+    that state at d_m's last level and steps d_m into every state still
+    held, d_m's own included when d_m comes again, so each part value's
+    closure is folded once per pass, not once per level.
     """
     d = as_parts(parts)
-    den, tables = _shift_fold(d[:-1], len(d), d[-1], 0)
-    return den, tables[-1]
+    m, pivot = len(d), d[-1]
+    size = 2 * pivot
+    if states is None:
+        state = _fold_start(pivot, m)
+        for dk in d[:-1]:
+            state = _fold_step(state, dk, size, True, m - 1)
+        states = {pivot: state}
+    den, fold, flat = states[pivot]
+    row = [0] * size
+    if flat and flat[m - 1]:  # on the class pivot + the prefix, mod 2
+        row[(pivot + sum(d[:-1])) % 2 :: 2] = [flat[m - 1]] * pivot
+    for res, a in fold[m - 1].items():
+        row[res] += a
+    if len(fold) == m:
+        del states[pivot]
+    for v, later in states.items():
+        states[v] = _fold_step(later, pivot, 2 * v, True, len(later[1]) - 1)
+    return den, row
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -732,7 +816,9 @@ def _guard_cells(m: int, period: int) -> None:
     guard(m * 2 * period, f"the certificate would take {m} x {2 * period} cells")
 
 
-def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int, Piece]:
+def _extend_pieces(
+    pieces: dict[int, Piece], parts: tuple[int, ...], states: dict[int, FoldState] | None = None
+) -> dict[int, Piece]:
     """One recursive step on a certificate held as a sum of pieces.
 
     ``pieces`` maps a period P to the previous level's m-1 coefficient tables
@@ -755,8 +841,10 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
     The l = 0 term of the free coefficient R_m has no previous coefficient to
     read; it is the closure remainder, closure_fn's 2 d_new integer
     numerators over its denominator, added as they are to the period-d_new
-    piece. Pieces are not reduced; the final tables are reduced once, by
-    to_json per cell or jointly when the stored form is first read.
+    piece. ``states`` is handed to closure_fn as it is: the recursive pass's
+    closure states, or None for a fold of its own. Pieces are not reduced;
+    the final tables are reduced once, by to_json per cell or jointly when
+    the stored form is first read.
     """
     m = len(parts)
     d_new = parts[-1]
@@ -781,7 +869,7 @@ def _extend_pieces(pieces: dict[int, Piece], parts: tuple[int, ...]) -> dict[int
                         table[at + shift] += w * v
         out[period] = (prev_den * den * top, tables)
     den, tables = out.get(d_new, (1, [[0] * (2 * d_new) for _ in range(m)]))
-    closure_den, closure = closure_fn(parts)
+    closure_den, closure = closure_fn(parts, states)
     common = math.lcm(den, closure_den)
     k, kc = common // den, common // closure_den
     tables = [[a * k for a in table] for table in tables]
@@ -872,12 +960,19 @@ def _recursive_pass(parts: Sequence[int]) -> tuple[QuasiPoly | None, QuasiPoly]:
     first step's is the one-part indicator of d_1 | (s - d_1/2). Each
     certificate holds its level's pieces, which share no table, until its
     coefficients are read, each then stored at its least period (_materialise).
+
+    The closures come from one fold state per distinct part value v, with
+    K_v buckets for K_v v's last level, which closure_fn reads and steps
+    (see there): about sum_v K_v^3 bucket steps in all, against sum_k k^3
+    for a fold per level, the same when the parts are distinct.
     """
     d = as_parts(parts)
     _guard_cells(len(d), lcm_of(d))
+    last = {v: k for k, v in enumerate(d, 1)}  # each part value's last level
+    states = {v: _fold_start(v, k) for v, k in last.items()}
     pieces: dict[int, Piece] = {}
     for k in range(1, len(d) + 1):  # d is not empty, so prev is always bound
-        prev, pieces = pieces, _extend_pieces(pieces, d[:k])
+        prev, pieces = pieces, _extend_pieces(pieces, d[:k], states)
     return (_materialise(d[:-1], prev) if len(d) > 1 else None), _materialise(d, pieces)
 
 

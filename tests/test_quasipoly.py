@@ -247,6 +247,32 @@ class TestExtend:
             else:
                 assert prefix.to_json() == build_recursive(parts[:-1]).to_json(), parts
 
+    def test_shared_closures_match_one_level_folds(self, monkeypatch):
+        # the pass reads each level's closure from one fold state per part
+        # value, folded with as many buckets as that value's last level; every
+        # level's table is closure_fn's own fold over that prefix as a
+        # function: cell for cell once each side is put over the other's
+        # denominator. Shuffles put equal parts apart
+        rng = random.Random(18)
+        lists = list(iter_multisets(5, 6)) + BENCH_LISTS + list(PINNED)
+        lists += [tuple(rng.sample(d, len(d))) for d in lists if len(set(d)) < len(d)]
+        read = []
+
+        def recording(parts, states=None, real=quasipoly.closure_fn):
+            got = real(parts, states)
+            read.append((parts, states is not None, got))
+            return got
+
+        monkeypatch.setattr(quasipoly, "closure_fn", recording)
+        for d in lists:
+            read.clear()
+            quasipoly._recursive_pass(d)
+            assert [(p, shared) for p, shared, _ in read] == [(d[:k], True) for k in range(1, len(d) + 1)]
+            for p, _, (den, table) in read:
+                ref_den, ref = closure_fn(p)
+                assert len(table) == len(ref) == 2 * p[-1], p
+                assert [a * ref_den for a in table] == [b * den for b in ref], p
+
 
 def _closure(parts):
     """closure_fn's (den, table) of 2 d_m numerators as the function it is."""
@@ -727,6 +753,9 @@ class TestShiftFold:
     LISTS = [
         p for m in range(1, 5) for p in itertools.product(range(1, 7), repeat=m)
     ] + [(1, 2, 3, 4, 5, 6, 7)]
+    # longer lists, where _shift_fold's forced positions (the leading ones,
+    # which take e >= 1) drop most buckets: 1..10's last pivot has 9 of them
+    LONG = [tuple(range(1, 11)), (1, 2) * 5, (1, 1, 1, 2, 2, 3, 3, 4)]
 
     def test_integer_fold_matches_fraction_fold(self):
         # every pivot of every list, at every number 0..m-1 of leading
@@ -747,10 +776,11 @@ class TestShiftFold:
     def test_fold_matches_reference(self, leading):
         # every pivot of every list here, of the benchmark's and of PINNED, at
         # every number of leading positions that take e >= 1 only: none, as
-        # closure_fn folds, or each count 1..m-1 that build_explicit passes.
-        # The piece is the integer reference weighted by (m-1)!/(m-1-l)! over
-        # its denominator times (m-1)!, every cell of every table
-        lists = self.LISTS + BENCH_LISTS + list(PINNED)
+        # closure_fn folds, or each count 1..m-1 that build_explicit passes,
+        # and then on the LONG lists too. The piece is the integer reference
+        # weighted by (m-1)!/(m-1-l)! over its denominator times (m-1)!,
+        # every cell of every table
+        lists = self.LISTS + BENCH_LISTS + list(PINNED) + (self.LONG if leading else [])
         pivots = {(d[:i] + d[i + 1 :], di) for d in lists for i, di in enumerate(d)}
         cosets = carries = 0
         for others, di in sorted(pivots):
@@ -770,10 +800,11 @@ class TestShiftFold:
         # i + j positions, j < c, summed cell for cell and weighted by
         # (m-1)!/(m-1-l)! over their denominator times (m-1)!.
         # Runs are taken in each list's own order too: the parts before and
-        # after the copies need not be smaller or larger than v
+        # after the copies need not be smaller or larger than v. The LONG
+        # lists are taken sorted, as build_explicit folds them
         rng = random.Random(31)
         lists = self.LISTS + BENCH_LISTS + list(PINNED) + [(1,) * 7, (2, 1, 2, 1, 2, 1)]
-        lists += [tuple(rng.sample(d, len(d))) for d in lists]
+        lists += [tuple(rng.sample(d, len(d))) for d in lists] + self.LONG
         runs = set()
         for d in lists:
             for v, c in collections.Counter(d).items():
@@ -1465,6 +1496,32 @@ class TestSerialization:
         raw["coefficients"][1]["period"] = period
         raw["coefficients"][1]["values"] = {}
         message = f"^period must be a positive integer, got {re.escape(repr(period))}$"
+        with pytest.raises(InputError, match=message):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("power", ["1", None, [1], 1.0])
+    def test_bad_power_named(self, power):
+        # the powers' types are checked before the entries are sorted by power
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        raw["coefficients"][0]["power"] = power
+        message = f"^malformed certificate JSON: coefficient powers must be integers, got {re.escape(repr(power))}$"
+        with pytest.raises(InputError, match=message):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("entry", [3, "power", [1, 2, {}], None])
+    def test_non_object_coefficient_named(self, entry):
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        raw["coefficients"][1] = entry
+        message = f"^malformed certificate JSON: each coefficient must be an object, got {re.escape(repr(entry))}$"
+        with pytest.raises(InputError, match=message):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("key", ["parts", "coefficients"])
+    @pytest.mark.parametrize("value", [12, "12", {"0": 1}, None])
+    def test_non_list_named(self, key, value):
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        raw[key] = value
+        message = f"^malformed certificate JSON: {key} must be a list, got {re.escape(repr(value))}$"
         with pytest.raises(InputError, match=message):
             QuasiPoly.from_json(json.dumps(raw))
 

@@ -310,9 +310,9 @@ class TestCertificateChecks:
         # kept from one call to the next.
         steps = []
 
-        def counting(pieces, p, real=quasipoly._extend_pieces):
+        def counting(pieces, p, *rest, real=quasipoly._extend_pieces):
             steps.append(p)
-            return real(pieces, p)
+            return real(pieces, p, *rest)
 
         monkeypatch.setattr(quasipoly, "_extend_pieces", counting)
         m = len(parts)
@@ -330,14 +330,14 @@ class TestCertificateChecks:
         # behind: the next call still takes its m steps
         steps = []
 
-        def counting(pieces, p, real=quasipoly._extend_pieces):
+        def counting(pieces, p, *rest, real=quasipoly._extend_pieces):
             steps.append(p)
-            return real(pieces, p)
+            return real(pieces, p, *rest)
 
-        def failing(pieces, p, real=quasipoly._extend_pieces):
+        def failing(pieces, p, *rest, real=quasipoly._extend_pieces):
             if len(p) == 2:
                 raise RuntimeError("build failed")
-            return real(pieces, p)
+            return real(pieces, p, *rest)
 
         monkeypatch.setattr(quasipoly, "_extend_pieces", failing)
         with pytest.raises(RuntimeError, match="build failed"):
