@@ -12,20 +12,26 @@ xi = sum(d)/2. Two constructions are provided:
     (_extend_pieces, whose first step gives the one-part indicator);
   * build_explicit: a single pass over pivot parts and shift sums.
 
-Both builders hold the certificate as pieces, m tables of 2P integer
+Both builders hold the certificate as pieces, m tables of P integer
 numerators over the piece's own denominator for a period P (grouped by period
 like Sylvester's waves, but not reduced to the canonical waves), and end in
 _materialise, which hands the pieces over as they are: the certificate it
 returns, at master period tau, holds them until its stored form is first
-read. _summed sums each coefficient's piece tables as integers at the lcm of
-their lengths (2 cells for a table constant on each lattice, 2P for any
-other) and cuts each sum to its least period; the first read reduces those
-sums jointly and keeps them as the stored form, and to_json before any read
-writes them as they are. build_recursive keeps one piece per
-distinct part period: each step, _extend_pieces, correlates every piece at
-its own period (a period-P piece stays period P), over each table's nonzero
-cells, and adds closure_fn's table at the new part's period;
-extend_recursive runs that step on one certificate read as a single piece.
+read. A fold starts at the pivot's own half-shift and every shift
+(2p+1) d_k has d_k's parity, so every table a builder makes lies on one
+parity class, 2s = sum(d) mod 2, and is zero on the other: a piece keyed
+(P, sigma) holds only its P natural cells, cell i the numerator at
+2s = 2i + sigma mod 2P. _summed sums each coefficient's piece tables as
+integers at the lcm of their lengths (1 cell for a constant table, P for
+any other) and cuts each sum to its least length; the first read reduces
+those natural cells jointly, lays each row out on 2p cells by one slice
+assignment and keeps them as the stored form, and to_json before any read
+writes the natural cells as they are, "0" at every key off the class.
+build_recursive keeps one piece per distinct part period: each step,
+_extend_pieces, correlates every piece at its own period (a period-P piece
+stays period P), over each table's nonzero cells, and adds the natural half
+of closure_fn's table at the new part's period; extend_recursive runs that
+step on one certificate read as one piece per class its cells lie on.
 build_explicit gives each composition of exponents wholly to its first zero
 position in a stable sort of the positions by part, not 1/(1+z) of it to
 each of its 1 + z zero positions as the paper's formula does. That is exact
@@ -78,22 +84,23 @@ docstring gives the cache's bound and why sharing it costs no independence.
 
 closure_fn gives the one remainder of the free coefficient that
 build_recursive cannot reach by extension: that bucket, 2 d_m integer cells
-over the fold's denominator, which the recursive step adds into its piece as
-it is; the step reads the new part's weights from _shift_weights. Called on
-a list alone, closure_fn folds the prefix itself. _recursive_pass instead
-keeps one fold state per distinct part value v, with as many buckets as v's
-last level: every level whose part is v reads its bucket from that state,
-and each level's part is stepped into every state still to be read, so each
-part value's closure is folded once per pass. The states are the recursive
-route's own and live for one call. _recursive_pass returns the recursive
-certificate and, from the same pass, the one for all but the last part,
-which verify.run_properties takes as the recurrence's prefix, so that
+over the fold's denominator, whose natural half the recursive step adds into
+its piece, with the piece's correlation weights scaled onto the common
+denominator; the step reads the new part's weights from _shift_weights.
+Called on a list alone, closure_fn folds the prefix itself. _recursive_pass
+instead keeps one fold state per distinct part value v, with as many buckets
+as v's last level: every level whose part is v reads its bucket from that
+state, and each level's part is stepped into every state still to be read, so
+each part value's closure is folded once per pass. The states are the
+recursive route's own and live for one call. _recursive_pass returns the
+recursive certificate and, from the same pass, the one for all but the last
+part, which verify.run_properties takes as the recurrence's prefix, so that
 prefix costs no second pass; nothing is kept across calls. Both builders
 check the m tables of 2*tau cells against the guard limit (oracle.guard)
-before any of this; every QuasiPoly parsed or hand-built checks its m
-tables of 2*P cells at its master period P when it is constructed,
-aligned's larger P included, and a built one checks them again when its
-stored form is first built.
+before any of this, though a piece holds half of them; every QuasiPoly parsed
+or hand-built checks its m tables of 2*P cells at its master period P when it
+is constructed, aligned's larger P included, and a built one checks them
+again when its stored form is first built.
 Everything else stays independent: the recursive step's cyclic
 correlation, build_explicit's product over the pivot, and the counting
 oracle (oracle.count_dp), so table-level agreement remains a meaningful
@@ -107,11 +114,12 @@ point is the int t = 2s inside; value takes s as an int or a Fraction with
 denominator 1 or 2, count passes t = 2n + sum(d) straight to the integer
 Horner, and xi is a Fraction. A certificate's values are held only as
 integer rows over one positive denominator, each row at its coefficient's
-least period, reduced jointly so that gcd(den, every cell) = 1: value, count,
-numerator_tables and to_json read the rows, and coeffs builds a PeriodicFn
-per row, over its own reduced denominator, on each read. Every table is cut
-to its least period by _least_length: a built one in _summed, a parsed or
-hand-built one in PeriodicFn.from_numerators, so one certificate has one
+least period, both classes, reduced jointly so that gcd(den, every cell) =
+1: value, count, numerator_tables and to_json read the rows, and coeffs
+builds a PeriodicFn per row, over its own reduced denominator, on each
+read. Every table is cut to its least period by _least_length: a built
+one's natural cells in _summed, a parsed or hand-built one in
+PeriodicFn.from_numerators, so one certificate has one
 stored form: a file written with its coefficients tiled to tau reads as the
 built certificate and writes the built bytes, and both classes compare and
 hash as plain data.
@@ -224,14 +232,15 @@ class QuasiPoly:
 
     A certificate made by the constructor (parsed or hand-built) is stored
     from the start, its m tables of 2 * master_period cells checked against
-    the guard limit there, so a parsed certificate is refused before any
-    table is read. One made by a builder holds the builder's pieces, with
-    _stored None: the first read of the stored form sums them (_summed),
-    runs the constructor's guard and period checks on the sums, keeps the
-    result and drops the pieces, and ``to_json`` before that writes the
-    summed pieces. Nothing changes once made. The first read may run in
-    several threads at once: each reads the pieces slot once, every thread
-    builds an equal stored form, and it is stored before the pieces are
+    the guard limit there, so a parsed certificate is refused before any table
+    is read. One made by a builder holds the builder's pieces, with _stored
+    None: the first read of the stored form sums their natural cells
+    (_summed), runs the constructor's guard and period checks on the sums,
+    reduces them and lays them out on 2 * period cells, keeps the result and
+    drops the pieces, and ``to_json`` before that writes the summed natural
+    cells, "0" off their class. Nothing changes once made. The first read may
+    run in several threads at once: each reads the pieces slot once, every
+    thread builds an equal stored form, and it is stored before the pieces are
     dropped, so a thread that finds the pieces gone finds the stored form.
     """
 
@@ -257,25 +266,38 @@ class QuasiPoly:
             if not isinstance(fn, PeriodicFn):
                 raise InputError(f"coefficients must be PeriodicFn, got {fn!r}")
         den = math.lcm(*(fn.den for fn in cs))
-        self._stored = self._checked(den, [[a * (den // fn.den) for a in fn.nums] for fn in cs])
+        self._stored = self._checked(den, None, [[a * (den // fn.den) for a in fn.nums] for fn in cs])
         self._pieces = None
 
-    def _checked(self, den: int, rows: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    def _checked(
+        self, den: int, sigma: int | None, rows: list[list[int]]
+    ) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """The stored form of rows over den, each at its least period, once
-        the m tables of 2 * master_period cells pass the guard limit and each
-        row's period divides the master period: reduced by the joint gcd,
-        with one int kept per distinct numerator."""
+        the m tables of 2 * master_period cells pass the guard limit: reduced
+        by the joint gcd, with one int kept per distinct numerator, and each
+        row's period checked to divide the master period. With sigma None the
+        rows are 2p cells each, else natural cells (_summed): row j's cell i
+        is R_j's at 2s = 2i + sigma, the other class 0, and each is laid out
+        on 2p cells once it is reduced, by one slice assignment."""
         period = self.master_period
         _guard_cells(len(self.parts), period)
+        distinct = set().union(*rows)
+        g = math.gcd(den, *distinct)
+        cell = {a: a // g for a in distinct}.__getitem__
+        stored = []
         for row in rows:
+            if sigma is None:
+                stored.append(tuple(map(cell, row)))
+                continue
+            cells = [0] * (2 * len(row))
+            cells[sigma::2] = map(cell, row)
+            stored.append(tuple(cells))
+        for row in stored:
             if period % (len(row) // 2):
                 raise InputError(
                     f"coefficient period {len(row) // 2} does not divide master period {period}"
                 )
-        distinct = set().union(*rows)
-        g = math.gcd(den, *distinct)
-        reduced = {a: a // g for a in distinct}
-        return den // g, tuple(tuple(map(reduced.__getitem__, row)) for row in rows)
+        return den // g, tuple(stored)
 
     @property
     def coeffs(self) -> tuple[PeriodicFn, ...]:
@@ -285,7 +307,9 @@ class QuasiPoly:
 
     def _store(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """Build the stored form from the pieces, keep it and drop the
-        pieces; the stored form another thread kept if the pieces are gone."""
+        pieces; the stored form another thread kept if the pieces are gone.
+        The pieces' natural cells are summed (_summed), then reduced jointly
+        and laid out on 2p cells (_checked): no step reads the zero class."""
         pieces = self._pieces  # read once: another thread may drop it
         if pieces is None:
             return self._stored
@@ -389,34 +413,42 @@ class QuasiPoly:
         json.dumps(..., indent=2) prints the same document: one den and one
         row per coefficient, its numerators at its least period over den.
         While nothing has read the stored form they are the summed pieces
-        (_summed), unreduced; after, they are the stored form. Each distinct
-        numerator a is reduced and formatted once: with g = gcd(a, den),
-        p = a/g and q = den/g it reads "p" when q == 1 and "p/q" otherwise,
-        the text str(Fraction(a, den)) gives, whatever common factor a and
-        den share. The residue lines of one period are one %s template,
-        built once per call and shared by every coefficient at that period,
-        filled with the texts in residue order. Every string written is
-        digits, "-" and "/", so nothing needs escaping.
+        (_summed), unreduced, and when those lie on one class sigma only
+        their natural cells are formatted: the template writes "0" at every
+        key off the class. After the first read they are the stored form,
+        2p cells a row. Each distinct numerator a is reduced and formatted
+        once: with g = gcd(a, den), p = a/g and q = den/g it reads "p" when
+        q == 1 and "p/q" otherwise, the text str(Fraction(a, den)) gives,
+        whatever common factor a and den share. The residue lines of one
+        period are one %s template, its keys written by one %-format of the
+        residues, built once per call and shared by every coefficient at
+        that period, filled with the texts in residue order. Every string
+        written is digits, "-" and "/", so nothing needs escaping.
         """
         pieces = self._pieces  # read once: another thread may drop it
-        den, rows = self._stored if pieces is None else _summed(pieces, self.m)
+        if pieces is None:
+            sigma, (den, rows) = None, self._stored
+        else:
+            den, sigma, rows = _summed(pieces, self.m)
         text = {}
         for a in set().union(*rows):
             g = math.gcd(a, den)
             text[a] = f'"{a // g}"' if g == den else f'"{a // g}/{den // g}"'
+        # one residue line per cell: a %s for a cell of nums, "0" off the class
+        cell, zero = '"%d": %%s', '"%d": "0"'
+        pattern = [cell] if sigma is None else [cell, zero] if sigma == 0 else [zero, cell]
         blocks = []
         templates: dict[int, str] = {}
         for power, nums in zip(range(self.m - 1, -1, -1), rows):
-            period = len(nums) // 2
+            period = len(nums) // 2 if sigma is None else len(nums)
             template = templates.get(period)
             if template is None:
-                template = templates[period] = (
-                    '        "' + '": %s,\n        "'.join(map(str, range(2 * period))) + '": %s'
-                )
+                lines = ",\n        ".join(pattern * (2 * period // len(pattern)))
+                template = templates[period] = lines % tuple(range(2 * period))
             cells = template % tuple(map(text.__getitem__, nums))
             blocks.append(
                 f'    {{\n      "power": {power},\n      "period": {period},\n'
-                f'      "values": {{\n{cells}\n      }}\n    }}'
+                f'      "values": {{\n        {cells}\n      }}\n    }}'
             )
         parts = ",\n".join(f"    {d}" for d in self.parts)
         return (
@@ -432,11 +464,13 @@ class QuasiPoly:
             raw = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an integer over int()'s digit limit
             raise InputError(f"not valid JSON: {exc}") from exc
+        # the shapes are checked before anything is read from them, so each
+        # refusal names its fault rather than the Python error of the read
+        bad = "malformed certificate JSON:"
+        if not isinstance(raw, dict):
+            raise InputError(f"{bad} the document must be an object, got {type(raw).__name__}")
         try:
             parts, entries = raw["parts"], raw["coefficients"]
-            # the shapes are checked before any entry is read, so each refusal
-            # names its fault rather than the Python error of the read
-            bad = "malformed certificate JSON:"
             for name, value in (("parts", parts), ("coefficients", entries)):
                 if not isinstance(value, list):
                     raise InputError(f"{bad} {name} must be a list, got {value!r}")
@@ -456,13 +490,18 @@ class QuasiPoly:
                 period, values = entry["period"], entry["values"]
                 if not isinstance(period, int) or isinstance(period, bool) or period < 1:
                     raise InputError(f"period must be a positive integer, got {period!r}")
+                if not isinstance(values, dict):
+                    raise InputError(
+                        f"{bad} the power {entry['power']} coefficient's values must be an "
+                        f"object, got {type(values).__name__}"
+                    )
                 # each distinct string parsed once, in residue order, so the first
                 # bad cell is reported; parse_rational rejects every non-string
                 parsed, cells = {}, []
                 for rho in range(2 * period):
                     if str(rho) not in values:
                         raise InputError(
-                            f"malformed certificate JSON: the power {entry['power']} coefficient "
+                            f"{bad} the power {entry['power']} coefficient "
                             f"(period {period}) has no residue key {str(rho)!r}"
                         )
                     cell = values[str(rho)]
@@ -487,8 +526,10 @@ class QuasiPoly:
 # numerator) pairs of exponent e and totals[e] their sum
 Weights = tuple[int, tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]
 
-# a piece of a certificate held as a sum of pieces: (den, tables), each table
-# 2P integer numerators over den for a piece of period P
+# a piece of a certificate held as a sum of pieces, keyed (P, sigma) by its
+# period and class: (den, tables), each table the P integer numerators over
+# den of its natural cells, cell i at 2s = 2i + sigma mod 2P; the other class
+# is zero
 Piece = tuple[int, list[list[int]]]
 
 # a fold's state after k positions: (den, tables, flat), tables[l] the residue
@@ -677,11 +718,12 @@ def _shift_fold(d: Sequence[int], m: int, pivot: int, skip: int, copies: int = 1
     fold with none pays one test per position for it.
 
     Each position has one denominator, so after k positions every state
-    shares their product. Returns the piece (den, tables): m lists of 2*pivot
-    integer numerators over den, that product times (m-1)!. Table l is state
-    l weighted by (m-1)!/(m-1-l)!, binomial(m-1, l) times the multinomial l!,
-    over (m-1)!, with its flat value written at every key of the parity
-    class pivot + sum(d) mod 2.
+    shares their product. Returns the piece (den, tables) on the class
+    sigma = pivot + sum(d) mod 2: m lists of the pivot's P natural integer
+    numerators over den, that product times (m-1)!, cell i the numerator at
+    2s = 2i + sigma mod 2P, so a residue res writes cell res >> 1. Table l
+    is state l weighted by (m-1)!/(m-1-l)!, binomial(m-1, l) times the
+    multinomial l!, over (m-1)!, with its flat value written at every cell.
     """
     size = 2 * pivot
     state = _fold_start(pivot, m)
@@ -696,16 +738,13 @@ def _shift_fold(d: Sequence[int], m: int, pivot: int, skip: int, copies: int = 1
             den, fold, flat = state
             state = den, _run_sum(states + [fold], m, pivot), flat
     top = math.factorial(m - 1)
-    parity = (pivot + sum(d)) % 2
     den, fold, flat = state
     tables = []
     for l, table in enumerate(fold):
         w = top // math.factorial(m - 1 - l)
-        row = [0] * size
-        if flat and flat[l]:
-            row[parity::2] = [w * flat[l]] * pivot
-        for res, a in table.items():
-            row[res] += w * a
+        row = [w * flat[l]] * pivot if flat and flat[l] else [0] * pivot
+        for res, a in table.items():  # res = 2i + the class, so cell i is res >> 1
+            row[res >> 1] += w * a
         tables.append(row)
     return den * top, tables
 
@@ -746,8 +785,9 @@ def closure_fn(
     It is bucket m-1 of the fold over the prefix around the pivot d_m
     (_fold_step), with every position taking every exponent, so its weight
     is exactly 1/prod r_k!. Returns (den, table): the fold's denominator and
-    bucket m-1's 2*d_m integer numerators, its flat value written in, as the
-    recursive step adds them into its period-d_m piece.
+    bucket m-1's 2*d_m integer numerators, its flat value written in on the
+    class sum(parts) mod 2, the other class zero; the recursive step adds
+    that class's d_m cells into its period-d_m piece.
 
     With ``states`` None the fold runs here, one position per prefix part at
     m buckets. _recursive_pass passes its states instead, one per distinct
@@ -800,8 +840,9 @@ def _least_length(col: Sequence[int]) -> int:
     so the least divides it; it is found by descending from that length over
     the length's prime factors q, dividing by q while the column still
     repeats with the quotient, checked by an exact list comparison. The one
-    least-period cut, made by _summed and PeriodicFn.from_numerators. On 2P
-    cells it may be odd; the least period of the function, in s, is then
+    least-period cut, made by _summed on a class's natural cells, where p
+    cells are period p, and by PeriodicFn.from_numerators on 2P cells,
+    where p may be odd and the least period of the function, in s, is then
     lcm(2, p)/2."""
     p = len(col)
     for q in _prime_factors(p):
@@ -817,13 +858,16 @@ def _guard_cells(m: int, period: int) -> None:
 
 
 def _extend_pieces(
-    pieces: dict[int, Piece], parts: tuple[int, ...], states: dict[int, FoldState] | None = None
-) -> dict[int, Piece]:
+    pieces: dict[tuple[int, int], Piece],
+    parts: tuple[int, ...],
+    states: dict[int, FoldState] | None = None,
+) -> dict[tuple[int, int], Piece]:
     """One recursive step on a certificate held as a sum of pieces.
 
-    ``pieces`` maps a period P to the previous level's m-1 coefficient tables
-    of that piece, as integer numerators over the piece's denominator; the
-    result maps P to the m tables of the new level. R_j of the new level is a
+    ``pieces`` maps (P, sigma), a period and a class, to the previous level's
+    m-1 coefficient tables of that piece, as the P natural integer numerators
+    over the piece's denominator (see Piece); the result maps (P, sigma +
+    d_new mod 2) to the m tables of the new level. R_j of the new level is a
     cyclic correlation of the previous R_{j-l}, l < j, with the new part's
     shift weights (tau^(l-1) B_l(1 - (2p+1) d_new/2tau) / l! at the shift
     (2p+1) d_new), each times (m-j+l-1)!/(m-j)!: in all
@@ -835,13 +879,19 @@ def _extend_pieces(
     times (m-1)! every weight is an integer and the correlation runs on
     Python ints, over the previous denominator times the weights' times
     (m-1)!. Each previous table is read once for its nonzero cells, and each
-    (cell, shift) pair adds into the cell rho + shift mod 2P, found by index
-    arithmetic: rho - 2P + shift is a negative index to that cell, as
-    shift < 2P. No cell's parity is assumed, and a zero cell costs nothing.
+    (cell, shift) pair adds into a natural cell of the new class: shift has
+    d_new's parity, so the cell at 2s = 2x + sigma moves to 2s = 2x' +
+    sigma', x' = x + (shift >> 1) + 1 when sigma and d_new are odd and
+    x + (shift >> 1) otherwise, found by index arithmetic as a negative index
+    from x - P. A zero cell costs nothing, and a certificate with cells on
+    both classes is two pieces, one per class (extend_recursive).
     The l = 0 term of the free coefficient R_m has no previous coefficient to
-    read; it is the closure remainder, closure_fn's 2 d_new integer
-    numerators over its denominator, added as they are to the period-d_new
-    piece. ``states`` is handed to closure_fn as it is: the recursive pass's
+    read; it is the closure remainder, the natural half of closure_fn's
+    2 d_new integer numerators over its denominator, added to the piece
+    (d_new, sum(parts) mod 2). closure_fn runs first, and that piece's
+    correlation weights take the scale that puts it over the lcm of the two
+    denominators, so no table is rescaled after the correlation.
+    ``states`` is handed to closure_fn as it is: the recursive pass's
     closure states, or None for a fold of its own. Pieces are not reduced;
     the final tables are reduced once, by to_json per cell or jointly when
     the stored form is first read.
@@ -849,76 +899,103 @@ def _extend_pieces(
     m = len(parts)
     d_new = parts[-1]
     top = math.factorial(m - 1)
-    out: dict[int, Piece] = {}
-    for period, (prev_den, prev) in pieces.items():
-        size = 2 * period
-        den, weights, _ = _shift_weights(d_new, m, size)
-        tables = [[0] * size for _ in range(m)]
+    sigma = sum(parts) % 2
+    home = (d_new, sigma)  # the closure's piece
+    closure_den, closure = closure_fn(parts, states)
+    out: dict[tuple[int, int], Piece] = {}
+    for (period, prev_sigma), (prev_den, prev) in pieces.items():
+        den, weights, _ = _shift_weights(d_new, m, 2 * period)
+        key = (period, (prev_sigma + d_new) % 2)
+        den *= prev_den * top
+        k = 1
+        if key == home:  # the closure's scale onto the common den rides on the weights
+            k = math.lcm(den, closure_den) // den
+            den *= k
+        # shift moves the cell at 2s = 2x + prev_sigma to 2s = 2x' + key[1]:
+        # x' = x + (shift >> 1) + off, off = 1 when prev_sigma and d_new are odd
+        off = prev_sigma & d_new & 1
+        tables = [[0] * period for _ in range(m)]
         for i, prev_vals in enumerate(prev):
-            # rho - size + shift indexes (rho + shift) mod size, as shift < size
-            cells = [(rho - size, v) for rho, v in enumerate(prev_vals) if v]
+            # x - period + off + (shift >> 1) indexes x' mod period, as
+            # x + off + (shift >> 1) < 2 * period
+            cells = [(x - period + off, v) for x, v in enumerate(prev_vals) if v]
             if not cells:
                 continue
             for j in range(i + 1, m + 1):
                 l = j - 1 - i
-                c = math.factorial(m - j + l - 1) * (top // math.factorial(m - j))
+                c = math.factorial(m - j + l - 1) * (top // math.factorial(m - j)) * k
                 table = tables[j - 1]
                 for shift, b in weights[l]:
                     w = c * b
+                    shift >>= 1
                     for at, v in cells:
                         table[at + shift] += w * v
-        out[period] = (prev_den * den * top, tables)
-    den, tables = out.get(d_new, (1, [[0] * (2 * d_new) for _ in range(m)]))
-    closure_den, closure = closure_fn(parts, states)
-    common = math.lcm(den, closure_den)
-    k, kc = common // den, common // closure_den
-    tables = [[a * k for a in table] for table in tables]
-    tables[-1] = [a + kc * c for a, c in zip(tables[-1], closure, strict=True)]
-    out[d_new] = (common, tables)
+        out[key] = (den, tables)
+    den, tables = out.get(home, (closure_den, [[0] * d_new for _ in range(m)]))
+    kc = den // closure_den
+    tables[-1] = [a + kc * c for a, c in zip(tables[-1], closure[sigma::2], strict=True)]
+    out[home] = (den, tables)
     return out
 
 
-def _summed(pieces: dict[int, Piece], m: int) -> tuple[int, list[list[int]]]:
-    """The m coefficients the pieces sum to, as (den, rows): den the pieces'
-    common denominator, rows[j-1] R_j's numerators over den, unreduced, cut
-    to the function's least period (2P cells for least period P).
+def _summed(
+    pieces: dict[tuple[int, int], Piece], m: int
+) -> tuple[int, int | None, list[list[int]]]:
+    """The m coefficients the pieces sum to, as (den, sigma, rows): den the
+    pieces' common denominator and rows[j-1] R_j's numerators over den,
+    unreduced, cut to the function's least period p. When every piece lies
+    on one class sigma, as every builder's does, a row is its p natural
+    cells, cell i at 2s = 2i + sigma, the other class 0; when pieces lie on
+    both (extend_recursive on a certificate with cells on both), sigma is
+    None and a row is its 2p cells, each class's sum tiled into its half.
 
-    A piece table that is constant on each lattice (t[2:] == t[:-2]) joins
-    the sum as its 2 cells, every other one at its piece's 2P; a piece not
-    over den already is scaled onto it. The tiles are added shortest first,
-    each partial sum at the lcm of the lengths so far, which divides 2 tau:
-    the sums at 2 tau are the same cells repeated, so the function is the
-    one the sums at 2 tau would give. For (2,3,5,7)'s free coefficient that
-    is 12 + 60 + 420 cells, not 3 x 420. The pieces are read, never
-    changed."""
+    A piece table that is constant (t[1:] == t[:-1]) joins its class's sum
+    as its one cell, every other one at its piece's P; a piece not over den
+    already is scaled onto it. The tiles are added shortest first, each
+    partial sum at the lcm of the lengths so far, which divides tau: the sums
+    at tau are the same cells repeated, so the function is the one the sums
+    at tau would give. For (2,3,5,7)'s free coefficient that is 6 + 30 + 210
+    cells, not 3 x 210. The pieces are read, never changed."""
     den = math.lcm(*(piece_den for piece_den, _ in pieces.values()))
+    natural: dict[int, list[list[int]]] = {}
+    for sigma in sorted({sigma for _, sigma in pieces}):
+        rows = natural[sigma] = []
+        for j in range(m):
+            tiles = []
+            for (_, cls), (piece_den, tables) in pieces.items():
+                table = tables[j]
+                if cls == sigma and any(table):
+                    if table[1:] == table[:-1]:
+                        table = table[:1]
+                    if piece_den != den:
+                        scale = den // piece_den
+                        table = [a * scale for a in table]
+                    tiles.append(table)
+            tiles.sort(key=len)
+            values = tiles[0] if tiles else [0]
+            for tile in tiles[1:]:
+                size = math.lcm(len(values), len(tile))
+                values = [
+                    a + b
+                    for a, b in zip(values * (size // len(values)), tile * (size // len(tile)), strict=True)
+                ]
+            if len(values) > 1:  # 1 cell is at its least length already
+                values = values[: _least_length(values)]
+            rows.append(values)
+    if len(natural) == 1:
+        ((sigma, rows),) = natural.items()
+        return den, sigma, rows
     rows = []
-    for j in range(m):
-        tiles = []
-        for piece_den, tables in pieces.values():
-            table = tables[j]
-            if any(table):
-                if table[2:] == table[:-2]:
-                    table = table[:2]
-                if piece_den != den:
-                    scale = den // piece_den
-                    table = [a * scale for a in table]
-                tiles.append(table)
-        tiles.sort(key=len)
-        values = tiles[0] if tiles else [0, 0]
-        for tile in tiles[1:]:
-            size = math.lcm(len(values), len(tile))
-            values = [
-                a + b
-                for a, b in zip(values * (size // len(values)), tile * (size // len(tile)), strict=True)
-            ]
-        if len(values) > 2:  # 2 cells are at their least period already
-            values = values[: math.lcm(2, _least_length(values))]
-        rows.append(values)
-    return den, rows
+    for halves in zip(natural[0], natural[1]):  # the least period is the lcm of the halves'
+        size = math.lcm(*map(len, halves))
+        cells = [0] * (2 * size)
+        for sigma, half in enumerate(halves):
+            cells[sigma::2] = half * (size // len(half))
+        rows.append(cells)
+    return den, None, rows
 
 
-def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
+def _materialise(parts: tuple[int, ...], pieces: dict[tuple[int, int], Piece]) -> QuasiPoly:
     """The certificate at master period tau = lcm(parts) over a builder's
     pieces. Nothing is summed here: the first read of its stored form sums
     the pieces (_summed), stores every row at its least period and drops
@@ -933,11 +1010,14 @@ def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
 def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     """Grow a certificate by one more part.
 
-    The previous certificate is read as one piece at its true period
-    L = lcm(prev.parts): its numerator_tables(), each at the period its
-    coefficient is stored at, are read at rho mod their length for rho < 2L,
-    which is R_j's numerator at 2s = rho, so the stored period does not
-    matter. The step is _extend_pieces, and the result has the new lcm as
+    The previous certificate is read at its true period L = lcm(prev.parts)
+    as one piece per class its cells lie on, one for a certificate a builder
+    made, two for a hand-built one with cells on both: its
+    numerator_tables(), each at the period its coefficient is stored at, are
+    read at rho = 2i + sigma mod their length for i < L, which is R_j's
+    numerator at 2s = rho, so the stored period does not matter. A class
+    whose every cell is 0 makes no piece. The step is _extend_pieces, and
+    the result has the new lcm as
     its master period and holds its pieces until its coefficients are read,
     each then stored at its least period (_materialise).
     """
@@ -946,8 +1026,12 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     _guard_cells(len(parts), lcm_of(parts))
     period = lcm_of(prev.parts)
     den, tables = prev.numerator_tables()
-    piece = (den, [[t[r % len(t)] for r in range(2 * period)] for t in tables])
-    return _materialise(parts, _extend_pieces({period: piece}, parts))
+    pieces = {}
+    for sigma in (0, 1):
+        half = [[t[(2 * i + sigma) % len(t)] for i in range(period)] for t in tables]
+        if any(map(any, half)):
+            pieces[period, sigma] = (den, half)
+    return _materialise(parts, _extend_pieces(pieces, parts))
 
 
 def _recursive_pass(parts: Sequence[int]) -> tuple[QuasiPoly | None, QuasiPoly]:
@@ -970,7 +1054,7 @@ def _recursive_pass(parts: Sequence[int]) -> tuple[QuasiPoly | None, QuasiPoly]:
     _guard_cells(len(d), lcm_of(d))
     last = {v: k for k, v in enumerate(d, 1)}  # each part value's last level
     states = {v: _fold_start(v, k) for v, k in last.items()}
-    pieces: dict[int, Piece] = {}
+    pieces: dict[tuple[int, int], Piece] = {}
     for k in range(1, len(d) + 1):  # d is not empty, so prev is always bound
         prev, pieces = pieces, _extend_pieces(pieces, d[:k], states)
     return (_materialise(d[:-1], prev) if len(d) > 1 else None), _materialise(d, pieces)
@@ -1018,10 +1102,11 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     m = len(d)
     _guard_cells(m, lcm_of(d))
     ordered = sorted(d)
-    pieces: dict[int, Piece] = {}
+    sigma = sum(d) % 2
+    pieces: dict[tuple[int, int], Piece] = {}
     i = 0
     for v, run in itertools.groupby(ordered):
         copies = len(list(run))
-        pieces[v] = _shift_fold(ordered[:i] + ordered[i + 1 :], m, v, i, copies)
+        pieces[v, sigma] = _shift_fold(ordered[:i] + ordered[i + 1 :], m, v, i, copies)
         i += copies
     return _materialise(d, pieces)

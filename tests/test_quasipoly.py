@@ -235,6 +235,31 @@ class TestExtend:
                 assert any(fn.nums[0::2]) and any(fn.nums[1::2])
             assert extend_recursive(prev, d_new) == extend_reference(prev, d_new), prev_parts
 
+    def test_both_classes_written_as_read(self):
+        # a previous level with cells on both classes gives pieces on both:
+        # the bytes written before the first read are those written after it
+        # and those of the dense-rotation reference, and reading them back
+        # gives the certificate
+        rng = random.Random(39)
+        for prev_parts, d_new in [((2, 3), 5), ((2, 3), 4), ((1, 2), 2), ((4,), 6), ((1, 3, 2), 3)]:
+            tau = lcm_of(prev_parts)
+            periods = [p for p in range(1, tau + 1) if tau % p == 0]
+            coeffs = []
+            for _ in prev_parts:
+                period = rng.choice(periods)
+                coeffs.append(PeriodicFn(period, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                                  for _ in range(2 * period)]))
+            prev = QuasiPoly(prev_parts, coeffs, tau)
+            classes = {sigma for fn in prev.coeffs for sigma in (0, 1) if any(fn.nums[sigma::2])}
+            assert classes == {0, 1}, prev_parts
+            cert = extend_recursive(prev, d_new)
+            assert {sigma for _, sigma in cert._pieces} == {0, 1}, prev_parts
+            fresh = cert.to_json()
+            read = extend_recursive(prev, d_new)
+            read.coeffs
+            assert fresh == read.to_json() == extend_reference(prev, d_new).to_json(), prev_parts
+            assert QuasiPoly.from_json(fresh) == read, prev_parts
+
     def test_recursive_pass_matches_builds(self):
         # one pass gives the bytes of build_recursive on the list and on all
         # but its last part; a single part has no prefix
@@ -742,6 +767,14 @@ def _weighted(states, m, pivot):
     return tables
 
 
+def _natural_half(tables, sigma):
+    """Dense 2P reference tables as a piece holds them: the cells 2i + sigma
+    of each, once the other half is asserted to be zero."""
+    for table in tables:
+        assert not any(table[1 - sigma :: 2]), sigma
+    return [table[sigma::2] for table in tables]
+
+
 def _carries(pivot, d, skip):
     """Whether a fold takes an e = 0 step at a part coprime to a pivot above
     1, the step whose table _shift_fold carries as one integer."""
@@ -760,25 +793,29 @@ class TestShiftFold:
     def test_integer_fold_matches_fraction_fold(self):
         # every pivot of every list, at every number 0..m-1 of leading
         # positions that skip e = 0; the fold depends only on (others, d_i).
-        # Every cell of the piece, over its denominator, is the Fraction
-        # reference weighted by (m-1)!/(m-1-l)! over (m-1)!
+        # The Fraction reference weighted by (m-1)!/(m-1-l)! over (m-1)! is
+        # zero off the class d_i + sum(others) mod 2, and on it every cell
+        # of the piece, over its denominator, is the reference's
         pivots = {(d[:i] + d[i + 1 :], di) for d in self.LISTS for i, di in enumerate(d)}
         for others, di in sorted(pivots):
             m = len(others) + 1
             top = math.factorial(m - 1)
+            sigma = (di + sum(others)) % 2
             for skip in range(m):
                 den, tables = _shift_fold(others, m, di, skip)
                 got = [[Fraction(a, den) for a in table] for table in tables]
                 ref = _weighted(_by_total(_pivot_fold_direct(others, di, skip), m), m, di)
-                assert got == [[Fraction(a) / top for a in table] for table in ref], (others, di, skip)
+                ref = [[Fraction(a) / top for a in table] for table in ref]
+                assert got == _natural_half(ref, sigma), (others, di, skip)
 
     @pytest.mark.parametrize("leading", [False, True])
     def test_fold_matches_reference(self, leading):
         # every pivot of every list here, of the benchmark's and of PINNED, at
         # every number of leading positions that take e >= 1 only: none, as
         # closure_fn folds, or each count 1..m-1 that build_explicit passes,
-        # and then on the LONG lists too. The piece is the integer reference
-        # weighted by (m-1)!/(m-1-l)! over its denominator times (m-1)!,
+        # and then on the LONG lists too. The integer reference weighted by
+        # (m-1)!/(m-1-l)! is zero off the class d_i + sum(others) mod 2, and
+        # the piece is its other half over its denominator times (m-1)!,
         # every cell of every table
         lists = self.LISTS + BENCH_LISTS + list(PINNED) + (self.LONG if leading else [])
         pivots = {(d[:i] + d[i + 1 :], di) for d in lists for i, di in enumerate(d)}
@@ -787,7 +824,8 @@ class TestShiftFold:
             m = len(others) + 1
             for skip in range(1, m) if leading else [0]:
                 ref_den, ref = _shift_fold_reference(others, m, di, skip)
-                expected = (ref_den * math.factorial(m - 1), _weighted(_by_total(ref, m), m, di))
+                tables = _natural_half(_weighted(_by_total(ref, m), m, di), (di + sum(others)) % 2)
+                expected = (ref_den * math.factorial(m - 1), tables)
                 assert _shift_fold(others, m, di, skip) == expected, (others, di, skip)
                 cosets += any(math.gcd(2 * dk, 2 * di) < 2 * di for dk in others[skip:])
                 carries += _carries(di, others, skip)
@@ -798,7 +836,8 @@ class TestShiftFold:
         # a part v with c copies, i parts before them: the one fold with
         # copies=c equals the c reference folds that skip e = 0 at the first
         # i + j positions, j < c, summed cell for cell and weighted by
-        # (m-1)!/(m-1-l)! over their denominator times (m-1)!.
+        # (m-1)!/(m-1-l)! over their denominator times (m-1)!: zero off the
+        # class v + sum(seq) mod 2, and on it the piece.
         # Runs are taken in each list's own order too: the parts before and
         # after the copies need not be smaller or larger than v. The LONG
         # lists are taken sorted, as build_explicit folds them
@@ -819,7 +858,8 @@ class TestShiftFold:
                 for total, table in zip(ref, _by_total(copy, m)):
                     for res, a in table.items():
                         total[res] = total.get(res, 0) + a
-            expected = (ref_den * math.factorial(m - 1), _weighted(ref, m, v))
+            tables = _natural_half(_weighted(ref, m, v), (v + sum(seq)) % 2)
+            expected = (ref_den * math.factorial(m - 1), tables)
             assert _shift_fold(seq, m, v, i, c) == expected, (seq, v, i, c)
         # every multiplicity up to 7 is folded as one run
         assert sum(c >= 3 for *_, c in runs) > 40
@@ -841,10 +881,15 @@ class TestShiftFold:
 
 
 # the benchmark's deep and wide lists
+WIDE_LISTS = [(2, 3, 5, 7), (5, 6, 7), (3, 7, 10), (3, 7, 11), (4, 5, 11), (5, 7, 9)]
 BENCH_LISTS = [
     (1, 2, 3, 4, 5), (1, 1, 2, 3, 4), (1, 1, 1, 2, 2, 3), (1, 1, 2, 2, 3, 3),
     (1, 2, 2, 3, 3, 4), (2, 2, 3, 3, 4, 4),
-    (2, 3, 5, 7), (5, 6, 7), (3, 7, 10), (3, 7, 11), (4, 5, 11), (5, 7, 9),
+] + WIDE_LISTS
+# the ladder of larger lists the performance notes time
+LADDER = [
+    (1, 2, 3, 4), tuple(range(1, 7)), (2, 3, 5, 7), tuple(range(1, 10)), tuple(range(1, 11)),
+    (2, 3, 5, 7, 11), (1, 1, 2, 2, 3, 3, 4, 4), (31, 37, 41),
 ]
 
 
@@ -965,9 +1010,10 @@ class TestIntegerTables:
         assert changed != cert and changed.numerator_tables()[0] == 12
 
 
-def _handed(monkeypatch, builder):
-    """Every (parts, pieces) the builder hands _materialise on the test lists,
-    recorded through a patch, and the unpatched _materialise."""
+def _handed(monkeypatch, builder, lists=None):
+    """Every (parts, pieces) the builder hands _materialise on the lists (by
+    default iter_multisets(4, 6), BENCH_LISTS and PINNED's), recorded
+    through a patch, and the unpatched _materialise."""
     seen = []
     original = quasipoly._materialise
 
@@ -976,27 +1022,65 @@ def _handed(monkeypatch, builder):
         return original(parts, pieces)
 
     monkeypatch.setattr(quasipoly, "_materialise", recording)
-    for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
+    if lists is None:
+        lists = list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED)
+    for parts in lists:
         builder(parts)
     return seen, original
+
+
+def _dense(parts, pieces):
+    """A builder's pieces as the 2P-cell tables materialise_reference reads,
+    {P: (den, tables)}: each piece must lie on the class sum(parts) mod 2
+    and hold P cells per table, and its cells go to 2i + that class, the
+    other half zero."""
+    sigma = sum(parts) % 2
+    dense = {}
+    for (period, cls), (den, tables) in pieces.items():
+        assert cls == sigma and all(len(t) == period for t in tables), (parts, period)
+        rows = []
+        for table in tables:
+            row = [0] * (2 * period)
+            row[sigma::2] = table
+            rows.append(row)
+        dense[period] = (den, rows)
+    return dense
 
 
 class TestMaterialise:
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_matches_reference(self, monkeypatch, builder):
-        # every pieces dict either builder hands _materialise, against the form
+        # every pieces dict either builder hands _materialise, laid out on
+        # 2P cells with the off-class half zero (_dense), against the form
         # that tiled each piece to 2 tau and reduced the 2 tau sums
         seen, original = _handed(monkeypatch, builder)
         partial = 0
         for parts, pieces in seen:
-            assert original(parts, pieces) == materialise_reference(parts, pieces), parts
-            for period, (_, tables) in pieces.items():
+            reference = materialise_reference(parts, _dense(parts, pieces))
+            assert original(parts, pieces) == reference, parts
+            for (period, _), (_, tables) in pieces.items():
                 for table in tables:
                     least = next(p for p in range(1, period + 1)
-                                 if table == table[: 2 * p] * (period // p))
+                                 if table == table[:p] * (period // p))
                     partial += 1 < least < period
-        # some tables have a least period strictly between 1 and P and join at 2P
+        # some tables have a least period strictly between 1 and P and join at P
         assert partial > 0
+
+
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_pieces_hold_natural_cells(self, monkeypatch, builder):
+        # every piece either builder hands _materialise lies on the class
+        # sum(parts) mod 2 and holds P cells per table for its period P, on
+        # lists with sum(parts) even and odd: the other half of a 2P table
+        # would be zero
+        seen, _ = _handed(monkeypatch, builder, list(iter_multisets(4, 6)) + WIDE_LISTS + LADDER)
+        classes = set()
+        for parts, pieces in seen:
+            for (period, sigma), (_, tables) in pieces.items():
+                assert sigma == sum(parts) % 2, parts
+                assert len(tables) == len(parts) and all(len(t) == period for t in tables), parts
+            classes.add(sum(parts) % 2)
+        assert classes == {0, 1}
 
 
 class TestLazyCoefficients:
@@ -1006,11 +1090,13 @@ class TestLazyCoefficients:
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_fresh_writer_matches_reference(self, monkeypatch, builder):
         # no coefficient read: the bytes written from the summed pieces are
-        # those of the certificate the tiled reference materialises
+        # those of the certificate the tiled reference materialises from the
+        # pieces laid out on 2P cells, the off-class half zero (_dense)
         seen, original = _handed(monkeypatch, builder)
         for parts, pieces in seen:
             fresh = original(parts, pieces)
-            assert fresh.to_json() == materialise_reference(parts, pieces).to_json(), parts
+            reference = materialise_reference(parts, _dense(parts, pieces))
+            assert fresh.to_json() == reference.to_json(), parts
 
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_reads_leave_certificate_unchanged(self, monkeypatch, builder):
@@ -1072,9 +1158,10 @@ class TestLazyCoefficients:
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_first_read_cuts_each_row_once(self, monkeypatch, builder):
         # the first read cuts each summed row of more than 2 cells to its
-        # least period once (_summed), and nothing cuts it again; the row's
-        # length before the cut is the lcm of its piece tables' lengths, a
-        # table constant on each lattice counted as 2 cells
+        # least period once (_summed), and nothing cuts it again. It cuts the
+        # row's natural cells: half the lcm of its piece tables' lengths laid
+        # out on 2P cells (_dense), a table constant on each lattice counted
+        # as 2 cells
         seen, original = _handed(monkeypatch, builder)
         cut = []
         least = quasipoly._least_length
@@ -1087,11 +1174,12 @@ class TestLazyCoefficients:
         rows = 0
         for parts, pieces in seen:
             want = []
+            dense = _dense(parts, pieces)
             for j in range(len(parts)):
                 lengths = [2 if t[2:] == t[:-2] else len(t)
-                           for t in (tables[j] for _, tables in pieces.values()) if any(t)]
+                           for t in (tables[j] for _, tables in dense.values()) if any(t)]
                 if math.lcm(2, *lengths) > 2:
-                    want.append(math.lcm(*lengths))
+                    want.append(math.lcm(*lengths) // 2)
             cut.clear()
             original(parts, pieces).count(0)
             assert cut == want, parts
@@ -1424,13 +1512,31 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "text, message",
-        [('{"parts": [1]}', "'coefficients'"), ("[]", "list indices must be integers")],
+        [
+            ('{"parts": [1]}', "'coefficients'"),
+            ("[]", "the document must be an object, got list"),
+            ("3", "the document must be an object, got int"),
+            ('"parts"', "the document must be an object, got str"),
+            ("null", "the document must be an object, got NoneType"),
+        ],
     )
     def test_wrong_shape_rejected(self, text, message):
-        # a missing key or a document that is no object: the KeyError or
-        # TypeError of the read is reported as malformed
-        with pytest.raises(InputError, match=f"^malformed certificate JSON: {message}"):
+        # a missing key, reported as malformed from the KeyError of the read,
+        # or a document that is no object, named before anything is read
+        with pytest.raises(InputError, match=f"^malformed certificate JSON: {re.escape(message)}$"):
             QuasiPoly.from_json(text)
+
+    @pytest.mark.parametrize(
+        "values, kind", [("0123", "str"), (None, "NoneType"), (["1", "0", "0", "0"], "list"), (7, "int")]
+    )
+    def test_non_object_values_named(self, values, kind):
+        # R_1 of (1, 2) is the power 1 coefficient; a string, null or a list
+        # of cells where its residue object belongs is named as such
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        raw["coefficients"][0]["values"] = values
+        message = "^malformed certificate JSON: the power 1 coefficient's values must be an object, got "
+        with pytest.raises(InputError, match=message + kind + "$"):
+            QuasiPoly.from_json(json.dumps(raw))
 
     @pytest.mark.parametrize("path", [("master_period",), ("coefficients", 1, "period"),
                                       ("coefficients", 0, "power"), ("coefficients", 1, "power")])
