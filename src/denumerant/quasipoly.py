@@ -19,19 +19,21 @@ _materialise, which hands the pieces over as they are: the certificate it
 returns, at master period tau, holds them until its stored form is first
 read. A fold starts at the pivot's own half-shift and every shift
 (2p+1) d_k has d_k's parity, so every table a builder makes lies on one
-parity class, 2s = sum(d) mod 2, and is zero on the other: a piece keyed
-(P, sigma) holds only its P natural cells, cell i the numerator at
-2s = 2i + sigma mod 2P. _summed sums each coefficient's piece tables as
-integers at the lcm of their lengths (1 cell for a constant table, P for
-any other) and cuts each sum to its least length; the first read reduces
-those natural cells jointly, lays each row out on 2p cells by one slice
-assignment and keeps them as the stored form, and to_json before any read
-writes the natural cells as they are, "0" at every key off the class.
+parity class, sigma = sum(d) mod 2, and is zero on the other: a piece,
+keyed by its period P alone, holds only its P natural cells, cell i the
+numerator at 2s = 2i + sigma mod 2P, and every reader takes sigma from the
+parts. _summed sums each coefficient's piece tables as integers at the lcm
+of their lengths (1 cell for a constant table, P for any other) and cuts
+each sum to its least length; the first read reduces those natural cells
+jointly, lays each row out on 2p cells by one slice assignment and keeps
+them as the stored form, and to_json before any read writes the natural
+cells as they are, "0" at every key off the class.
 build_recursive keeps one piece per distinct part period: each step,
 _extend_pieces, correlates every piece at its own period (a period-P piece
 stays period P), over each table's nonzero cells, and adds the natural half
 of closure_fn's table at the new part's period; extend_recursive runs that
-step on one certificate read as one piece per class its cells lie on.
+step on one certificate read as one piece at its true period, and refuses
+one with a nonzero cell off its class.
 build_explicit gives each composition of exponents wholly to its first zero
 position in a stable sort of the positions by part, not 1/(1+z) of it to
 each of its 1 + z zero positions as the paper's formula does. That is exact
@@ -172,20 +174,22 @@ class PeriodicFn:
             if type(v) is bool or not isinstance(v, (int, Fraction)):
                 raise InputError(f"periodic values must be ints or Fractions, got {v!r}")
         den = math.lcm(*{v.denominator for v in vals})
-        fn = self.from_numerators(period, den, [v.numerator * (den // v.denominator) for v in vals])
+        fn = self.from_numerators(period, den, (v.numerator * (den // v.denominator) for v in vals))
         self.period, self.den, self.nums = fn.period, fn.den, fn.nums
 
     @classmethod
-    def from_numerators(cls, period: int, den: int, nums: Sequence[int]) -> "PeriodicFn":
+    def from_numerators(cls, period: int, den: int, nums: Iterable[int]) -> "PeriodicFn":
         """The function with values nums[rho mod 2*period]/den, for int
         numerators over a positive int den, never bools: the table is cut to
         its least period (_least_length) and reduced there by gcd(den, *nums).
-        One int is kept per distinct numerator, shared by every cell that
-        holds it."""
+        nums may be any iterable, read once as a tuple (a tuple is not
+        copied). One int is kept per distinct numerator, shared by every cell
+        that holds it."""
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise InputError(f"period must be a positive integer, got {period!r}")
         if not isinstance(den, int) or isinstance(den, bool) or den < 1:
             raise InputError(f"denominator must be a positive integer, got {den!r}")
+        nums = tuple(nums)
         if len(nums) != 2 * period:
             raise InputError(f"period {period} needs {2 * period} residue values, got {len(nums)}")
         if any(t is bool or not issubclass(t, int) for t in set(map(type, nums))):
@@ -309,11 +313,13 @@ class QuasiPoly:
         """Build the stored form from the pieces, keep it and drop the
         pieces; the stored form another thread kept if the pieces are gone.
         The pieces' natural cells are summed (_summed), then reduced jointly
-        and laid out on 2p cells (_checked): no step reads the zero class."""
+        and laid out on 2p cells on the class sum(parts) mod 2 (_checked): no
+        step reads the zero class."""
         pieces = self._pieces  # read once: another thread may drop it
         if pieces is None:
             return self._stored
-        stored = self._checked(*_summed(pieces, self.m))
+        den, rows = _summed(pieces, self.m)
+        stored = self._checked(den, sum(self.parts) % 2, rows)
         self._stored = stored
         self._pieces = None
         return stored
@@ -413,7 +419,7 @@ class QuasiPoly:
         json.dumps(..., indent=2) prints the same document: one den and one
         row per coefficient, its numerators at its least period over den.
         While nothing has read the stored form they are the summed pieces
-        (_summed), unreduced, and when those lie on one class sigma only
+        (_summed), unreduced, on the class sigma = sum(parts) mod 2, and only
         their natural cells are formatted: the template writes "0" at every
         key off the class. After the first read they are the stored form,
         2p cells a row. Each distinct numerator a is reduced and formatted
@@ -429,7 +435,7 @@ class QuasiPoly:
         if pieces is None:
             sigma, (den, rows) = None, self._stored
         else:
-            den, sigma, rows = _summed(pieces, self.m)
+            sigma, (den, rows) = sum(self.parts) % 2, _summed(pieces, self.m)
         text = {}
         for a in set().union(*rows):
             g = math.gcd(a, den)
@@ -469,6 +475,9 @@ class QuasiPoly:
         bad = "malformed certificate JSON:"
         if not isinstance(raw, dict):
             raise InputError(f"{bad} the document must be an object, got {type(raw).__name__}")
+        stray = sorted(set(raw) - {"parts", "master_period", "xi", "coefficients"})
+        if stray:
+            raise InputError(f"{bad} unknown keys {stray} in the document")
         try:
             parts, entries = raw["parts"], raw["coefficients"]
             for name, value in (("parts", parts), ("coefficients", entries)):
@@ -477,6 +486,9 @@ class QuasiPoly:
             for entry in entries:
                 if not isinstance(entry, dict):
                     raise InputError(f"{bad} each coefficient must be an object, got {entry!r}")
+                stray = sorted(set(entry) - {"power", "period", "values"})
+                if stray:
+                    raise InputError(f"{bad} unknown keys {stray} in a coefficient")
                 power = entry["power"]
                 if type(power) is not int:
                     raise InputError(f"{bad} coefficient powers must be integers, got {power!r}")
@@ -526,10 +538,10 @@ class QuasiPoly:
 # numerator) pairs of exponent e and totals[e] their sum
 Weights = tuple[int, tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]
 
-# a piece of a certificate held as a sum of pieces, keyed (P, sigma) by its
-# period and class: (den, tables), each table the P integer numerators over
-# den of its natural cells, cell i at 2s = 2i + sigma mod 2P; the other class
-# is zero
+# a piece of a certificate held as a sum of pieces, keyed by its period P:
+# (den, tables), each table the P integer numerators over den of its natural
+# cells, cell i at 2s = 2i + sigma mod 2P with sigma = sum(parts) mod 2; the
+# other class is zero
 Piece = tuple[int, list[list[int]]]
 
 # a fold's state after k positions: (den, tables, flat), tables[l] the residue
@@ -858,17 +870,18 @@ def _guard_cells(m: int, period: int) -> None:
 
 
 def _extend_pieces(
-    pieces: dict[tuple[int, int], Piece],
+    pieces: dict[int, Piece],
     parts: tuple[int, ...],
     states: dict[int, FoldState] | None = None,
-) -> dict[tuple[int, int], Piece]:
+) -> dict[int, Piece]:
     """One recursive step on a certificate held as a sum of pieces.
 
-    ``pieces`` maps (P, sigma), a period and a class, to the previous level's
-    m-1 coefficient tables of that piece, as the P natural integer numerators
-    over the piece's denominator (see Piece); the result maps (P, sigma +
-    d_new mod 2) to the m tables of the new level. R_j of the new level is a
-    cyclic correlation of the previous R_{j-l}, l < j, with the new part's
+    ``pieces`` maps a period P to the previous level's m-1 coefficient
+    tables of that piece, as the P natural integer numerators over the
+    piece's denominator on the class sum(parts[:-1]) mod 2 (see Piece); the
+    result maps P to the m tables of the new level, on the class sum(parts)
+    mod 2. R_j of the new level is a cyclic correlation of the previous
+    R_{j-l}, l < j, with the new part's
     shift weights (tau^(l-1) B_l(1 - (2p+1) d_new/2tau) / l! at the shift
     (2p+1) d_new), each times (m-j+l-1)!/(m-j)!: in all
     (m-j+l-1)!/(l! (m-j)!) tau^(l-1), one weight for every j. The correlation
@@ -881,15 +894,16 @@ def _extend_pieces(
     (m-1)!. Each previous table is read once for its nonzero cells, and each
     (cell, shift) pair adds into a natural cell of the new class: shift has
     d_new's parity, so the cell at 2s = 2x + sigma moves to 2s = 2x' +
-    sigma', x' = x + (shift >> 1) + 1 when sigma and d_new are odd and
-    x + (shift >> 1) otherwise, found by index arithmetic as a negative index
-    from x - P. A zero cell costs nothing, and a certificate with cells on
-    both classes is two pieces, one per class (extend_recursive).
+    sigma', sigma and sigma' the previous and new classes, x' = x +
+    (shift >> 1) + 1 when sigma and d_new are odd and x + (shift >> 1)
+    otherwise, found by index arithmetic as a negative index from x - P.
+    Both classes and that offset come from the parts, once per call. A zero
+    cell costs nothing.
     The l = 0 term of the free coefficient R_m has no previous coefficient to
     read; it is the closure remainder, the natural half of closure_fn's
-    2 d_new integer numerators over its denominator, added to the piece
-    (d_new, sum(parts) mod 2). closure_fn runs first, and that piece's
-    correlation weights take the scale that puts it over the lcm of the two
+    2 d_new integer numerators over its denominator, added to the piece of
+    period d_new. closure_fn runs first, and that piece's correlation
+    weights take the scale that puts it over the lcm of the two
     denominators, so no table is rescaled after the correlation.
     ``states`` is handed to closure_fn as it is: the recursive pass's
     closure states, or None for a fold of its own. Pieces are not reduced;
@@ -900,20 +914,18 @@ def _extend_pieces(
     d_new = parts[-1]
     top = math.factorial(m - 1)
     sigma = sum(parts) % 2
-    home = (d_new, sigma)  # the closure's piece
+    # shift moves the cell at 2s = 2x + sum(parts[:-1]) mod 2 to 2s = 2x' + sigma:
+    # x' = x + (shift >> 1) + off, off = 1 when that class and d_new are odd
+    off = sum(parts[:-1]) & d_new & 1
     closure_den, closure = closure_fn(parts, states)
-    out: dict[tuple[int, int], Piece] = {}
-    for (period, prev_sigma), (prev_den, prev) in pieces.items():
+    out: dict[int, Piece] = {}
+    for period, (prev_den, prev) in pieces.items():
         den, weights, _ = _shift_weights(d_new, m, 2 * period)
-        key = (period, (prev_sigma + d_new) % 2)
         den *= prev_den * top
         k = 1
-        if key == home:  # the closure's scale onto the common den rides on the weights
+        if period == d_new:  # the closure's scale onto the common den rides on the weights
             k = math.lcm(den, closure_den) // den
             den *= k
-        # shift moves the cell at 2s = 2x + prev_sigma to 2s = 2x' + key[1]:
-        # x' = x + (shift >> 1) + off, off = 1 when prev_sigma and d_new are odd
-        off = prev_sigma & d_new & 1
         tables = [[0] * period for _ in range(m)]
         for i, prev_vals in enumerate(prev):
             # x - period + off + (shift >> 1) indexes x' mod period, as
@@ -930,72 +942,55 @@ def _extend_pieces(
                     shift >>= 1
                     for at, v in cells:
                         table[at + shift] += w * v
-        out[key] = (den, tables)
-    den, tables = out.get(home, (closure_den, [[0] * d_new for _ in range(m)]))
+        out[period] = (den, tables)
+    den, tables = out.get(d_new, (closure_den, [[0] * d_new for _ in range(m)]))
     kc = den // closure_den
     tables[-1] = [a + kc * c for a, c in zip(tables[-1], closure[sigma::2], strict=True)]
-    out[home] = (den, tables)
+    out[d_new] = (den, tables)
     return out
 
 
-def _summed(
-    pieces: dict[tuple[int, int], Piece], m: int
-) -> tuple[int, int | None, list[list[int]]]:
-    """The m coefficients the pieces sum to, as (den, sigma, rows): den the
+def _summed(pieces: dict[int, Piece], m: int) -> tuple[int, list[list[int]]]:
+    """The m coefficients the pieces sum to, as (den, rows): den the
     pieces' common denominator and rows[j-1] R_j's numerators over den,
-    unreduced, cut to the function's least period p. When every piece lies
-    on one class sigma, as every builder's does, a row is its p natural
-    cells, cell i at 2s = 2i + sigma, the other class 0; when pieces lie on
-    both (extend_recursive on a certificate with cells on both), sigma is
-    None and a row is its 2p cells, each class's sum tiled into its half.
+    unreduced, cut to the function's least period p, as its p natural cells
+    on the pieces' one class (see Piece).
 
-    A piece table that is constant (t[1:] == t[:-1]) joins its class's sum
-    as its one cell, every other one at its piece's P; a piece not over den
+    A piece table that is constant (t[1:] == t[:-1]) joins the sum as its
+    one cell, every other one at its piece's P; a piece not over den
     already is scaled onto it. The tiles are added shortest first, each
     partial sum at the lcm of the lengths so far, which divides tau: the sums
     at tau are the same cells repeated, so the function is the one the sums
     at tau would give. For (2,3,5,7)'s free coefficient that is 6 + 30 + 210
     cells, not 3 x 210. The pieces are read, never changed."""
     den = math.lcm(*(piece_den for piece_den, _ in pieces.values()))
-    natural: dict[int, list[list[int]]] = {}
-    for sigma in sorted({sigma for _, sigma in pieces}):
-        rows = natural[sigma] = []
-        for j in range(m):
-            tiles = []
-            for (_, cls), (piece_den, tables) in pieces.items():
-                table = tables[j]
-                if cls == sigma and any(table):
-                    if table[1:] == table[:-1]:
-                        table = table[:1]
-                    if piece_den != den:
-                        scale = den // piece_den
-                        table = [a * scale for a in table]
-                    tiles.append(table)
-            tiles.sort(key=len)
-            values = tiles[0] if tiles else [0]
-            for tile in tiles[1:]:
-                size = math.lcm(len(values), len(tile))
-                values = [
-                    a + b
-                    for a, b in zip(values * (size // len(values)), tile * (size // len(tile)), strict=True)
-                ]
-            if len(values) > 1:  # 1 cell is at its least length already
-                values = values[: _least_length(values)]
-            rows.append(values)
-    if len(natural) == 1:
-        ((sigma, rows),) = natural.items()
-        return den, sigma, rows
     rows = []
-    for halves in zip(natural[0], natural[1]):  # the least period is the lcm of the halves'
-        size = math.lcm(*map(len, halves))
-        cells = [0] * (2 * size)
-        for sigma, half in enumerate(halves):
-            cells[sigma::2] = half * (size // len(half))
-        rows.append(cells)
-    return den, None, rows
+    for j in range(m):
+        tiles = []
+        for piece_den, tables in pieces.values():
+            table = tables[j]
+            if any(table):
+                if table[1:] == table[:-1]:
+                    table = table[:1]
+                if piece_den != den:
+                    scale = den // piece_den
+                    table = [a * scale for a in table]
+                tiles.append(table)
+        tiles.sort(key=len)
+        values = tiles[0] if tiles else [0]
+        for tile in tiles[1:]:
+            size = math.lcm(len(values), len(tile))
+            values = [
+                a + b
+                for a, b in zip(values * (size // len(values)), tile * (size // len(tile)), strict=True)
+            ]
+        if len(values) > 1:  # 1 cell is at its least length already
+            values = values[: _least_length(values)]
+        rows.append(values)
+    return den, rows
 
 
-def _materialise(parts: tuple[int, ...], pieces: dict[tuple[int, int], Piece]) -> QuasiPoly:
+def _materialise(parts: tuple[int, ...], pieces: dict[int, Piece]) -> QuasiPoly:
     """The certificate at master period tau = lcm(parts) over a builder's
     pieces. Nothing is summed here: the first read of its stored form sums
     the pieces (_summed), stores every row at its least period and drops
@@ -1010,28 +1005,27 @@ def _materialise(parts: tuple[int, ...], pieces: dict[tuple[int, int], Piece]) -
 def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     """Grow a certificate by one more part.
 
-    The previous certificate is read at its true period L = lcm(prev.parts)
-    as one piece per class its cells lie on, one for a certificate a builder
-    made, two for a hand-built one with cells on both: its
+    The previous certificate is read as one piece at its true period L =
+    lcm(prev.parts), on its class sigma = sum(prev.parts) mod 2: its
     numerator_tables(), each at the period its coefficient is stored at, are
     read at rho = 2i + sigma mod their length for i < L, which is R_j's
-    numerator at 2s = rho, so the stored period does not matter. A class
-    whose every cell is 0 makes no piece. The step is _extend_pieces, and
-    the result has the new lcm as
-    its master period and holds its pieces until its coefficients are read,
-    each then stored at its least period (_materialise).
+    numerator at 2s = rho, so the stored period does not matter. A table
+    with a nonzero cell off that class is no certificate of its parts (every
+    builder's is zero there, as the parity property checks) and raises
+    InputError. The step is _extend_pieces, and the result has the new lcm
+    as its master period and holds its pieces until its coefficients are
+    read, each then stored at its least period (_materialise).
     """
     (d_new,) = as_parts([d_new])
     parts = prev.parts + (d_new,)
     _guard_cells(len(parts), lcm_of(parts))
     period = lcm_of(prev.parts)
+    sigma = sum(prev.parts) % 2
     den, tables = prev.numerator_tables()
-    pieces = {}
-    for sigma in (0, 1):
-        half = [[t[(2 * i + sigma) % len(t)] for i in range(period)] for t in tables]
-        if any(map(any, half)):
-            pieces[period, sigma] = (den, half)
-    return _materialise(parts, _extend_pieces(pieces, parts))
+    if any(any(t[1 - sigma :: 2]) for t in tables):
+        raise InputError(f"{prev.parts} has a nonzero cell off its class 2s = {sigma} mod 2")
+    half = [[t[(2 * i + sigma) % len(t)] for i in range(period)] for t in tables]
+    return _materialise(parts, _extend_pieces({period: (den, half)}, parts))
 
 
 def _recursive_pass(parts: Sequence[int]) -> tuple[QuasiPoly | None, QuasiPoly]:
@@ -1054,7 +1048,7 @@ def _recursive_pass(parts: Sequence[int]) -> tuple[QuasiPoly | None, QuasiPoly]:
     _guard_cells(len(d), lcm_of(d))
     last = {v: k for k, v in enumerate(d, 1)}  # each part value's last level
     states = {v: _fold_start(v, k) for v, k in last.items()}
-    pieces: dict[tuple[int, int], Piece] = {}
+    pieces: dict[int, Piece] = {}
     for k in range(1, len(d) + 1):  # d is not empty, so prev is always bound
         prev, pieces = pieces, _extend_pieces(pieces, d[:k], states)
     return (_materialise(d[:-1], prev) if len(d) > 1 else None), _materialise(d, pieces)
@@ -1102,11 +1096,10 @@ def build_explicit(parts: Sequence[int]) -> QuasiPoly:
     m = len(d)
     _guard_cells(m, lcm_of(d))
     ordered = sorted(d)
-    sigma = sum(d) % 2
-    pieces: dict[tuple[int, int], Piece] = {}
+    pieces: dict[int, Piece] = {}
     i = 0
     for v, run in itertools.groupby(ordered):
         copies = len(list(run))
-        pieces[v, sigma] = _shift_fold(ordered[:i] + ordered[i + 1 :], m, v, i, copies)
+        pieces[v] = _shift_fold(ordered[:i] + ordered[i + 1 :], m, v, i, copies)
         i += copies
     return _materialise(d, pieces)

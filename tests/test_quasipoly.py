@@ -87,6 +87,18 @@ class TestPeriodicFn:
         with pytest.raises(InputError):
             PeriodicFn(2, [1, 2, 3])
 
+    def test_numerators_from_any_iterable(self):
+        # nums is read once, as a tuple: a generator and an iterator give
+        # the stored form the list gives, and a wrong length is still named
+        nums = [4, 0, -6, 72, 4, 0, -6, 72]
+        want = PeriodicFn.from_numerators(4, 24, nums)
+        for given in ((a for a in nums), iter(nums), tuple(nums)):
+            got = PeriodicFn.from_numerators(4, 24, given)
+            assert (got.period, got.den, got.nums) == (want.period, want.den, want.nums)
+        assert PeriodicFn.from_numerators(1, 1, iter([1, 2])) == PeriodicFn(1, [1, 2])
+        with pytest.raises(InputError, match="period 2 needs 4 residue values, got 3"):
+            PeriodicFn.from_numerators(2, 1, iter([1, 2, 3]))
+
     def test_integer_table(self):
         f = PeriodicFn(2, [Fraction(1, 6), 0, Fraction(-1, 4), 3])
         assert (f.den, f.nums) == (12, (2, 0, -3, 36))
@@ -174,6 +186,29 @@ class TestBaseCase:
         assert [c.count(n) for n in range(10)] == [1 if n % 3 == 0 else 0 for n in range(10)]
 
 
+# previous part lists and new parts for the hand-built extension tests:
+# sum(prev_parts) and sum(prev_parts) + d_new each take both parities
+EXTEND_CASES = [((2, 3), 5), ((2, 3), 4), ((1, 2), 2), ((4,), 6), ((1, 3, 2), 3)]
+
+
+def _natural_table(parts, rng, zero):
+    """A hand-built certificate-shaped table for parts at master period tau
+    = lcm(parts), each coefficient at a random period dividing tau with
+    random Fractions on the class sum(parts) mod 2 (zeros among them when
+    zero) and 0 on the other class."""
+    tau, sigma = lcm_of(parts), sum(parts) % 2
+    periods = [p for p in range(1, tau + 1) if tau % p == 0]
+    coeffs = []
+    for _ in parts:
+        period = rng.choice(periods)
+        cells = [Fraction(0)] * (2 * period)
+        for rho in range(sigma, 2 * period, 2):
+            num = rng.randint(-9, 9) if zero else rng.randint(1, 9) * rng.choice((-1, 1))
+            cells[rho] = Fraction(num, rng.randint(1, 6))
+        coeffs.append(PeriodicFn(period, cells))
+    return QuasiPoly(parts, coeffs, tau)
+
+
 class TestExtend:
     def test_two_unit_parts(self):
         c = extend_recursive(base_case(1), 1)
@@ -217,48 +252,63 @@ class TestExtend:
         assert extend_recursive(prev, 5) == build_recursive((2, 3, 4, 5))
 
     def test_matches_dense_rotation_on_both_parities(self):
-        # hand-built previous levels, not certificates, with nonzero cells
-        # on both parities of every coefficient: the correlation over
-        # nonzero cells assumes no parity class and equals dense rotation
+        # hand-built previous levels, not certificates: every coefficient
+        # random and nonzero on the natural class sum(prev_parts) mod 2, with
+        # both parities of that sum. The correlation over nonzero cells
+        # equals dense rotation over every cell
         rng = random.Random(30)
-        for prev_parts, d_new in [((2, 3), 5), ((2, 3), 4), ((1, 2), 2), ((4,), 6), ((1, 3, 2), 3)]:
-            tau = lcm_of(prev_parts)
-            periods = [p for p in range(1, tau + 1) if tau % p == 0]
-            coeffs = []
-            for _ in prev_parts:
-                period = rng.choice(periods)
-                cells = [Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 6))
-                         for _ in range(2 * period)]
-                coeffs.append(PeriodicFn(period, cells))
-            prev = QuasiPoly(prev_parts, coeffs, tau)
+        sums = set()
+        for prev_parts, d_new in EXTEND_CASES:
+            sigma = sum(prev_parts) % 2
+            prev = _natural_table(prev_parts, rng, zero=False)
             for fn in prev.coeffs:
-                assert any(fn.nums[0::2]) and any(fn.nums[1::2])
+                assert all(fn.nums[sigma::2]) and not any(fn.nums[1 - sigma :: 2])
             assert extend_recursive(prev, d_new) == extend_reference(prev, d_new), prev_parts
+            sums.add(sigma)
+        assert sums == {0, 1}
 
     def test_both_classes_written_as_read(self):
-        # a previous level with cells on both classes gives pieces on both:
-        # the bytes written before the first read are those written after it
-        # and those of the dense-rotation reference, and reading them back
-        # gives the certificate
+        # a hand-built previous level, random on its natural class, on lists
+        # whose new sums have both parities: it is read as one piece at its
+        # true period, beside the closure's piece at d_new; the bytes written
+        # before the first read are those written after it and those of the
+        # dense-rotation reference, and reading them back gives the
+        # certificate
         rng = random.Random(39)
-        for prev_parts, d_new in [((2, 3), 5), ((2, 3), 4), ((1, 2), 2), ((4,), 6), ((1, 3, 2), 3)]:
-            tau = lcm_of(prev_parts)
-            periods = [p for p in range(1, tau + 1) if tau % p == 0]
-            coeffs = []
-            for _ in prev_parts:
-                period = rng.choice(periods)
-                coeffs.append(PeriodicFn(period, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                                                  for _ in range(2 * period)]))
-            prev = QuasiPoly(prev_parts, coeffs, tau)
-            classes = {sigma for fn in prev.coeffs for sigma in (0, 1) if any(fn.nums[sigma::2])}
-            assert classes == {0, 1}, prev_parts
+        classes = set()
+        for prev_parts, d_new in EXTEND_CASES:
+            prev = _natural_table(prev_parts, rng, zero=True)
             cert = extend_recursive(prev, d_new)
-            assert {sigma for _, sigma in cert._pieces} == {0, 1}, prev_parts
+            assert set(cert._pieces) == {lcm_of(prev_parts), d_new}, prev_parts
             fresh = cert.to_json()
             read = extend_recursive(prev, d_new)
             read.coeffs
             assert fresh == read.to_json() == extend_reference(prev, d_new).to_json(), prev_parts
             assert QuasiPoly.from_json(fresh) == read, prev_parts
+            classes.add((sum(prev_parts) + d_new) % 2)
+        assert classes == {0, 1}
+
+    def test_off_grid_table_refused(self):
+        # a table with a nonzero cell off the class sum(parts) mod 2 is no
+        # certificate of its parts, and extend_recursive refuses it, naming
+        # the parts and the class: each builder's certificate with one
+        # off-class cell set in any one coefficient, and a hand-built table
+        # on the other class only
+        for prev_parts, d_new in EXTEND_CASES + [((1,), 1), ((3,), 2)]:
+            sigma = sum(prev_parts) % 2
+            message = re.escape(f"{prev_parts} has a nonzero cell off its class 2s = {sigma} mod 2")
+            for builder in (build_explicit, build_recursive):
+                for j in range(len(prev_parts)):
+                    den, tables = builder(prev_parts).numerator_tables()
+                    tables[j][1 - sigma] += 1
+                    coeffs = [PeriodicFn.from_numerators(len(t) // 2, den, t) for t in tables]
+                    with pytest.raises(InputError, match=message):
+                        extend_recursive(QuasiPoly(prev_parts, coeffs), d_new)
+            cells = [0, 0]
+            cells[1 - sigma] = 1
+            other = QuasiPoly(prev_parts, [PeriodicFn(1, cells)] * len(prev_parts))
+            with pytest.raises(InputError, match=message):
+                extend_recursive(other, d_new)
 
     def test_recursive_pass_matches_builds(self):
         # one pass gives the bytes of build_recursive on the list and on all
@@ -1031,13 +1081,13 @@ def _handed(monkeypatch, builder, lists=None):
 
 def _dense(parts, pieces):
     """A builder's pieces as the 2P-cell tables materialise_reference reads,
-    {P: (den, tables)}: each piece must lie on the class sum(parts) mod 2
-    and hold P cells per table, and its cells go to 2i + that class, the
-    other half zero."""
+    {P: (den, tables)}: each piece is keyed by its period P and must hold P
+    cells per table, and its cells go to 2i + sum(parts) mod 2, the class
+    taken from the parts, the other half zero."""
     sigma = sum(parts) % 2
     dense = {}
-    for (period, cls), (den, tables) in pieces.items():
-        assert cls == sigma and all(len(t) == period for t in tables), (parts, period)
+    for period, (den, tables) in pieces.items():
+        assert all(len(t) == period for t in tables), (parts, period)
         rows = []
         for table in tables:
             row = [0] * (2 * period)
@@ -1058,7 +1108,7 @@ class TestMaterialise:
         for parts, pieces in seen:
             reference = materialise_reference(parts, _dense(parts, pieces))
             assert original(parts, pieces) == reference, parts
-            for (period, _), (_, tables) in pieces.items():
+            for period, (_, tables) in pieces.items():
                 for table in tables:
                     least = next(p for p in range(1, period + 1)
                                  if table == table[:p] * (period // p))
@@ -1069,15 +1119,15 @@ class TestMaterialise:
 
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_pieces_hold_natural_cells(self, monkeypatch, builder):
-        # every piece either builder hands _materialise lies on the class
-        # sum(parts) mod 2 and holds P cells per table for its period P, on
-        # lists with sum(parts) even and odd: the other half of a 2P table
-        # would be zero
+        # every piece either builder hands _materialise is keyed by its
+        # period P alone, an int dividing lcm(parts), and holds P cells per
+        # table, on lists with sum(parts) even and odd: the class comes from
+        # the parts, and the other half of a 2P table would be zero
         seen, _ = _handed(monkeypatch, builder, list(iter_multisets(4, 6)) + WIDE_LISTS + LADDER)
         classes = set()
         for parts, pieces in seen:
-            for (period, sigma), (_, tables) in pieces.items():
-                assert sigma == sum(parts) % 2, parts
+            for period, (_, tables) in pieces.items():
+                assert type(period) is int and lcm_of(parts) % period == 0, parts
                 assert len(tables) == len(parts) and all(len(t) == period for t in tables), parts
             classes.add(sum(parts) % 2)
         assert classes == {0, 1}
@@ -1559,6 +1609,22 @@ class TestSerialization:
             raw["coefficients"][1]["values"][key] = cell
             with pytest.raises(InputError, match="outside 0..3"):
                 QuasiPoly.from_json(json.dumps(raw))
+
+    def test_unknown_document_key_rejected(self):
+        # the four top-level keys to_json writes, and no other
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        raw["extra"] = 1
+        message = r"^malformed certificate JSON: unknown keys \['extra'\] in the document$"
+        with pytest.raises(InputError, match=message):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    def test_unknown_coefficient_key_rejected(self):
+        # a coefficient holds power, period and values, and no other key
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        raw["coefficients"][1]["note"] = "x"
+        message = r"^malformed certificate JSON: unknown keys \['note'\] in a coefficient$"
+        with pytest.raises(InputError, match=message):
+            QuasiPoly.from_json(json.dumps(raw))
 
     def test_integer_over_digit_limit_rejected(self):
         # json.loads raises a plain ValueError for an integer longer than int() reads
