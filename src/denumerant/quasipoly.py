@@ -25,15 +25,17 @@ numerator at 2s = 2i + sigma mod 2P, and every reader takes sigma from the
 parts. _summed sums each coefficient's piece tables as integers at the lcm
 of their lengths (1 cell for a constant table, P for any other) and cuts
 each sum to its least length; the first read reduces those natural cells
-jointly, lays each row out on 2p cells by one slice assignment and keeps
-them as the stored form, and to_json before any read writes the natural
-cells as they are, "0" at every key off the class.
+jointly and keeps them as the stored form, numerator_tables (verify's read)
+reduces them by the same joint gcd and keeps nothing, and to_json writes
+the natural cells, before the first read or after it, "0" at every key off
+the class.
 build_recursive keeps one piece per distinct part period: each step,
 _extend_pieces, correlates every piece at its own period (a period-P piece
 stays period P), over each table's nonzero cells, and adds the natural half
 of closure_fn's table at the new part's period; extend_recursive runs that
-step on one certificate read as one piece at its true period, and refuses
-one with a nonzero cell off its class.
+step on one certificate read as one piece at its true period, its natural
+rows tiled to it, and refuses one whose coefficient period does not divide
+it.
 build_explicit gives each composition of exponents wholly to its first zero
 position in a stable sort of the positions by part, not 1/(1+z) of it to
 each of its 1 + z zero positions as the paper's formula does. That is exact
@@ -109,22 +111,26 @@ oracle (oracle.count_dp), so table-level agreement remains a meaningful
 check; the oracle, recurrence, parity and mean-value properties check the
 shared _summed.
 
-Periodic coefficients live on the half-integer lattice: a function of period T
-stores 2T values indexed by the scaled residue 2s mod 2T, so integer and
-half-odd points coexist in one table and every shift is index arithmetic. A
-point is the int t = 2s inside; value takes s as an int or a Fraction with
-denominator 1 or 2, count passes t = 2n + sum(d) straight to the integer
-Horner, and xi is a Fraction. A certificate's values are held only as
-integer rows over one positive denominator, each row at its coefficient's
-least period, both classes, reduced jointly so that gcd(den, every cell) =
-1: value, count, numerator_tables and to_json read the rows, and coeffs
-builds a PeriodicFn per row, over its own reduced denominator, on each
-read. Every table is cut to its least period by _least_length: a built
-one's natural cells in _summed, a parsed or hand-built one in
-PeriodicFn.from_numerators, so one certificate has one
-stored form: a file written with its coefficients tiled to tau reads as the
-built certificate and writes the built bytes, and both classes compare and
-hash as plain data.
+Periodic coefficients live on the half-integer lattice: a PeriodicFn of
+period T stores 2T values indexed by the scaled residue 2s mod 2T, so integer
+and half-odd points coexist in one table and every shift is index
+arithmetic. A certificate's coefficients are zero off the class
+2s = sum(d) mod 2: every table a builder makes lies on it, and the
+constructor refuses a coefficient with a nonzero cell off it. So a
+certificate's values are held only as its natural cells: integer rows over
+one positive denominator, row j R_j's p cells at its least period p, cell i
+the numerator at 2s = 2i + sigma, reduced jointly so that gcd(den, every
+cell) = 1. A point is the int t = 2s inside; value takes s as an int or a
+Fraction with denominator 1 or 2 and is 0 off the class, count passes
+t = 2n + sum(d), always on it, straight to the integer Horner, which reads
+cell t >> 1, and xi is a Fraction. value, count, numerator_tables and
+to_json read the rows, and coeffs lays each row out on its 2p cells and
+builds a PeriodicFn, over its own reduced denominator, on each read. Every
+table is cut to its least period by _least_length: a built one's natural
+cells in _summed, a parsed or hand-built one in PeriodicFn.from_numerators,
+so one certificate has one stored form: a file written with its
+coefficients tiled to tau reads as the built certificate and writes the
+built bytes, and both compare and hash as plain data.
 """
 
 from __future__ import annotations
@@ -226,26 +232,30 @@ class QuasiPoly:
     """A certificate V(s) = sum_j R_j(s) s^(m-j) for one ordered part list.
 
     Stored as one slot, _stored = (den, rows): rows[j-1] holds R_j's integer
-    numerators over den, 2 * period cells at R_j's least period, which must
-    divide the master period, and the whole form is reduced jointly, so
-    gcd(den, every cell) = 1. That form is canonical (den is the lcm of the
-    coefficients' own reduced denominators): equality (parts, master period
-    and stored form) and hash compare it, value, count, numerator_tables,
-    aligned and to_json read it, and ``coeffs`` builds PeriodicFns from it
-    on each read.
+    numerators over den at its natural cells, the p cells of R_j's least
+    period p, which must divide the master period, cell i the numerator at
+    2s = 2i + sigma with sigma = sum(parts) mod 2; R_j is 0 on the other
+    class. The whole form is reduced jointly, so gcd(den, every cell) = 1.
+    That form is canonical (den is the lcm of the coefficients' own reduced
+    denominators): equality (parts, master period and stored form) and hash
+    compare it, value, count, numerator_tables, aligned and to_json read it,
+    and ``coeffs`` builds PeriodicFns from it on each read.
 
     A certificate made by the constructor (parsed or hand-built) is stored
     from the start, its m tables of 2 * master_period cells checked against
     the guard limit there, so a parsed certificate is refused before any table
-    is read. One made by a builder holds the builder's pieces, with _stored
-    None: the first read of the stored form sums their natural cells
-    (_summed), runs the constructor's guard and period checks on the sums,
-    reduces them and lays them out on 2 * period cells, keeps the result and
-    drops the pieces, and ``to_json`` before that writes the summed natural
-    cells, "0" off their class. Nothing changes once made. The first read may
-    run in several threads at once: each reads the pieces slot once, every
-    thread builds an equal stored form, and it is stored before the pieces are
-    dropped, so a thread that finds the pieces gone finds the stored form.
+    is read. The constructor refuses a coefficient with a nonzero cell off
+    the class sum(parts) mod 2, naming its power and residue, and keeps the
+    natural half of the others. One made by a builder holds the builder's
+    pieces, with _stored None: the first read of the stored form (count,
+    value, coeffs, aligned, ==, hash) sums their natural cells (_summed),
+    runs the constructor's guard and period checks on the sums, reduces
+    them, keeps the result and drops the pieces; numerator_tables and
+    ``to_json`` read the pieces without filling. Nothing changes once made.
+    The first read may run in several threads at once: each reads the pieces
+    slot once, every thread builds an equal stored form, and it is stored
+    before the pieces are dropped, so a thread that finds the pieces gone
+    finds the stored form.
     """
 
     __slots__ = ("parts", "master_period", "_stored", "_pieces")
@@ -270,56 +280,58 @@ class QuasiPoly:
             if not isinstance(fn, PeriodicFn):
                 raise InputError(f"coefficients must be PeriodicFn, got {fn!r}")
         den = math.lcm(*(fn.den for fn in cs))
-        self._stored = self._checked(den, None, [[a * (den // fn.den) for a in fn.nums] for fn in cs])
+        sigma = sum(self.parts) % 2
+        for power, fn in zip(range(len(cs) - 1, -1, -1), cs):
+            if any(fn.nums[1 - sigma :: 2]):
+                rho = next(rho for rho in range(1 - sigma, len(fn.nums), 2) if fn.nums[rho])
+                raise InputError(
+                    f"the power {power} coefficient of {self.parts} has a nonzero cell at "
+                    f"residue 2s = {rho} (mod {2 * fn.period}), off its class 2s = {sigma} mod 2"
+                )
+        self._stored = self._checked(den, [[a * (den // fn.den) for a in fn.nums[sigma::2]] for fn in cs])
         self._pieces = None
 
-    def _checked(
-        self, den: int, sigma: int | None, rows: list[list[int]]
-    ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The stored form of rows over den, each at its least period, once
-        the m tables of 2 * master_period cells pass the guard limit: reduced
-        by the joint gcd, with one int kept per distinct numerator, and each
-        row's period checked to divide the master period. With sigma None the
-        rows are 2p cells each, else natural cells (_summed): row j's cell i
-        is R_j's at 2s = 2i + sigma, the other class 0, and each is laid out
-        on 2p cells once it is reduced, by one slice assignment."""
+    def _checked(self, den: int, rows: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The stored form of natural rows over den, each at its least
+        period, once the m tables of 2 * master_period cells pass the guard
+        limit: reduced by the joint gcd, with one int kept per distinct
+        numerator, and each row's period, its length, checked to divide the
+        master period."""
         period = self.master_period
         _guard_cells(len(self.parts), period)
         distinct = set().union(*rows)
         g = math.gcd(den, *distinct)
         cell = {a: a // g for a in distinct}.__getitem__
-        stored = []
-        for row in rows:
-            if sigma is None:
-                stored.append(tuple(map(cell, row)))
-                continue
-            cells = [0] * (2 * len(row))
-            cells[sigma::2] = map(cell, row)
-            stored.append(tuple(cells))
+        stored = tuple(tuple(map(cell, row)) for row in rows)
         for row in stored:
-            if period % (len(row) // 2):
-                raise InputError(
-                    f"coefficient period {len(row) // 2} does not divide master period {period}"
-                )
-        return den // g, tuple(stored)
+            if period % len(row):
+                raise InputError(f"coefficient period {len(row)} does not divide master period {period}")
+        return den // g, stored
 
     @property
     def coeffs(self) -> tuple[PeriodicFn, ...]:
-        """R_1 .. R_m as PeriodicFns, built from the stored form on each read."""
+        """R_1 .. R_m as PeriodicFns, built from the stored form on each
+        read: each row's natural cells laid out on its 2p cells, 0 off the
+        class sum(parts) mod 2."""
         den, rows = self._stored or self._store()
-        return tuple(PeriodicFn.from_numerators(len(row) // 2, den, row) for row in rows)
+        sigma = sum(self.parts) % 2
+        fns = []
+        for row in rows:
+            cells = [0] * (2 * len(row))
+            cells[sigma::2] = row
+            fns.append(PeriodicFn.from_numerators(len(row), den, cells))
+        return tuple(fns)
 
     def _store(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """Build the stored form from the pieces, keep it and drop the
         pieces; the stored form another thread kept if the pieces are gone.
         The pieces' natural cells are summed (_summed), then reduced jointly
-        and laid out on 2p cells on the class sum(parts) mod 2 (_checked): no
-        step reads the zero class."""
+        (_checked): no step reads the zero class."""
         pieces = self._pieces  # read once: another thread may drop it
         if pieces is None:
             return self._stored
         den, rows = _summed(pieces, self.m)
-        stored = self._checked(den, sum(self.parts) % 2, rows)
+        stored = self._checked(den, rows)
         self._stored = stored
         self._pieces = None
         return stored
@@ -336,23 +348,31 @@ class QuasiPoly:
     def value(self, s: int | Fraction) -> Rational:
         """V(s) at any half-integer lattice point s: an int, or a Fraction
         with denominator 1 or 2, never a bool. Evaluated at t = 2s by
-        _at_twice."""
+        _at_twice; 0 at any t off the class sum(parts) mod 2, where every
+        coefficient is 0."""
         if isinstance(s, int) and not isinstance(s, bool):
-            return Fraction(*self._at_twice(2 * s))
-        if isinstance(s, Fraction) and s.denominator <= 2:
-            return Fraction(*self._at_twice(s.numerator * (2 // s.denominator)))
-        raise InputError(f"{s!r} is not a half-integer lattice point")
+            t = 2 * s
+        elif isinstance(s, Fraction) and s.denominator <= 2:
+            t = s.numerator * (2 // s.denominator)
+        else:
+            raise InputError(f"{s!r} is not a half-integer lattice point")
+        if (t - sum(self.parts)) % 2:
+            return Fraction(0)
+        return Fraction(*self._at_twice(t))
 
     def _at_twice(self, t: int) -> tuple[int, int]:
-        """V(t/2) as an unreduced (numerator, denominator) pair of ints:
-        2^(m-1) den V(t/2), with N_j = rows[j-1][t mod its length] R_j's
-        numerator at t over the stored den, is the integer
+        """V(t/2), for t on the class sum(parts) mod 2, as an unreduced
+        (numerator, denominator) pair of ints: t = 2i + sigma reads natural
+        cell i, so with N_j = rows[j-1][(t >> 1) mod its length] R_j's
+        numerator at t over the stored den, 2^(m-1) den V(t/2) is the integer
         sum_j N_j 2^(j-1) t^(m-j), summed by Horner in t as in
         verify._scaled_blocks; the denominator is 2^(m-1) den."""
         den, rows = self._stored or self._store()
-        acc = 0
-        for j, row in enumerate(rows):
-            acc = acc * t + (row[t % len(row)] << j)
+        i = t >> 1
+        acc = j = 0
+        for row in rows:  # a counted j: enumerate's tuples cost about 8% of a count on CPython 3.11
+            acc = acc * t + (row[i % len(row)] << j)
+            j += 1
         return acc, den << (len(rows) - 1)
 
     def count(self, n: int):
@@ -375,12 +395,20 @@ class QuasiPoly:
         return v
 
     def numerator_tables(self) -> tuple[int, list[list[int]]]:
-        """(den, tables): the stored form, its rows copied into fresh lists,
-        so R_j's numerator over den at 2s = rho is tables[j-1][rho mod its
-        length]. Nothing is tiled or scaled: each table holds R_j's 2*period
-        cells at its least period."""
-        den, rows = self._stored or self._store()
-        return den, [list(row) for row in rows]
+        """(den, tables): R_j's natural cells over den at its least period p,
+        in fresh lists, reduced so that gcd(den, every cell) = 1: R_j's
+        numerator at 2s = 2i + sum(parts) mod 2 is tables[j-1][i mod p], and
+        R_j is 0 on the other class. The same values before and after the
+        first read, which this never makes: a filled certificate's stored
+        rows are copied, and one that still holds its pieces gives their
+        sums (_summed) divided by one joint gcd, nothing kept."""
+        pieces = self._pieces  # read once: another thread may drop it
+        if pieces is None:
+            den, rows = self._stored
+            return den, [list(row) for row in rows]
+        den, rows = _summed(pieces, self.m)
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        return den // g, [[a // g for a in row] for row in rows]
 
     def aligned(self, target: int) -> "QuasiPoly":
         """The same coefficients under the master period target, a positive
@@ -417,13 +445,12 @@ class QuasiPoly:
 
         Written straight from integer tables, laid out exactly as
         json.dumps(..., indent=2) prints the same document: one den and one
-        row per coefficient, its numerators at its least period over den.
-        While nothing has read the stored form they are the summed pieces
-        (_summed), unreduced, on the class sigma = sum(parts) mod 2, and only
-        their natural cells are formatted: the template writes "0" at every
-        key off the class. After the first read they are the stored form,
-        2p cells a row. Each distinct numerator a is reduced and formatted
-        once: with g = gcd(a, den), p = a/g and q = den/g it reads "p" when
+        row per coefficient, its natural cells at its least period over den:
+        the summed pieces (_summed), unreduced, while nothing has read the
+        stored form, and the stored form after. One writer formats only the
+        natural cells: the template writes "0" at every key off the class
+        sigma = sum(parts) mod 2. Each distinct numerator a is reduced and
+        formatted once: with g = gcd(a, den), p = a/g and q = den/g it reads "p" when
         q == 1 and "p/q" otherwise, the text str(Fraction(a, den)) gives,
         whatever common factor a and den share. The residue lines of one
         period are one %s template, its keys written by one %-format of the
@@ -432,24 +459,21 @@ class QuasiPoly:
         written is digits, "-" and "/", so nothing needs escaping.
         """
         pieces = self._pieces  # read once: another thread may drop it
-        if pieces is None:
-            sigma, (den, rows) = None, self._stored
-        else:
-            sigma, (den, rows) = sum(self.parts) % 2, _summed(pieces, self.m)
+        den, rows = self._stored if pieces is None else _summed(pieces, self.m)
         text = {}
         for a in set().union(*rows):
             g = math.gcd(a, den)
             text[a] = f'"{a // g}"' if g == den else f'"{a // g}/{den // g}"'
-        # one residue line per cell: a %s for a cell of nums, "0" off the class
+        # one residue line per cell: a %s for a natural cell, "0" off the class
         cell, zero = '"%d": %%s', '"%d": "0"'
-        pattern = [cell] if sigma is None else [cell, zero] if sigma == 0 else [zero, cell]
+        pattern = [zero, cell] if sum(self.parts) % 2 else [cell, zero]
         blocks = []
         templates: dict[int, str] = {}
         for power, nums in zip(range(self.m - 1, -1, -1), rows):
-            period = len(nums) // 2 if sigma is None else len(nums)
+            period = len(nums)
             template = templates.get(period)
             if template is None:
-                lines = ",\n        ".join(pattern * (2 * period // len(pattern)))
+                lines = ",\n        ".join(pattern * period)
                 template = templates[period] = lines % tuple(range(2 * period))
             cells = template % tuple(map(text.__getitem__, nums))
             blocks.append(
@@ -1006,26 +1030,26 @@ def extend_recursive(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     """Grow a certificate by one more part.
 
     The previous certificate is read as one piece at its true period L =
-    lcm(prev.parts), on its class sigma = sum(prev.parts) mod 2: its
-    numerator_tables(), each at the period its coefficient is stored at, are
-    read at rho = 2i + sigma mod their length for i < L, which is R_j's
-    numerator at 2s = rho, so the stored period does not matter. A table
-    with a nonzero cell off that class is no certificate of its parts (every
-    builder's is zero there, as the parity property checks) and raises
-    InputError. The step is _extend_pieces, and the result has the new lcm
-    as its master period and holds its pieces until its coefficients are
-    read, each then stored at its least period (_materialise).
+    lcm(prev.parts): its numerator_tables(), the natural cells of each
+    coefficient at its least period (read without filling prev), are tiled
+    to L cells. A coefficient whose period does not divide L, which a
+    hand-built certificate at a larger master period may hold, is no
+    certificate of its parts and raises InputError, naming the period and L.
+    The step is _extend_pieces, and the result has the new lcm as its master
+    period and holds its pieces until its coefficients are read, each then
+    stored at its least period (_materialise).
     """
     (d_new,) = as_parts([d_new])
     parts = prev.parts + (d_new,)
     _guard_cells(len(parts), lcm_of(parts))
     period = lcm_of(prev.parts)
-    sigma = sum(prev.parts) % 2
     den, tables = prev.numerator_tables()
-    if any(any(t[1 - sigma :: 2]) for t in tables):
-        raise InputError(f"{prev.parts} has a nonzero cell off its class 2s = {sigma} mod 2")
-    half = [[t[(2 * i + sigma) % len(t)] for i in range(period)] for t in tables]
-    return _materialise(parts, _extend_pieces({period: (den, half)}, parts))
+    for t in tables:
+        if period % len(t):
+            raise InputError(
+                f"coefficient period {len(t)} of {prev.parts} does not divide lcm(parts) = {period}"
+            )
+    return _materialise(parts, _extend_pieces({period: (den, [t * (period // len(t)) for t in tables])}, parts))
 
 
 def _recursive_pass(parts: Sequence[int]) -> tuple[QuasiPoly | None, QuasiPoly]:

@@ -7,16 +7,21 @@ pass with the note; otherwise the failure of least key is reported, the
 first found on a tie, so a failure reported is a smallest one, under the
 first certificate label on a tie. The checks read certificates through
 QuasiPoly.numerator_tables: integer numerators over one common denominator,
-each coefficient at its least period, the one period it is stored at; the
-oracle alone also words a failure through the failing certificate's count.
-run_properties keeps the distinct certificates (QuasiPoly equality), each
-under the first label that holds it, and reads each of those once; every
-check scans their views, so equal certificates are checked once, a parsed
-file and the built certificate it equals included. The recurrence and parity
-laws are identities between coefficient tables on every class, reporting the
-smallest failing class of 2s; parity also requires every off-grid cell
-(2s != sum(parts) mod 2) to be zero, and checks each column on the classes of
-its own period, where a failing class repeats. The recurrence checks every
+reduced jointly, each coefficient as the P natural cells of its least period
+P, cell i the value at 2s = 2i + sigma, sigma = sum(parts) mod 2. Off that
+class every coefficient is 0 by representation (the QuasiPoly constructor
+refuses any other), so no check reads it, and a failure at cell i is keyed
+and reported at 2s = 2i + sigma. No read fills a certificate; the oracle
+alone also words a failure through the failing certificate's count.
+run_properties reads each certificate once and keeps the distinct views,
+each under the first label that holds it; a view is reduced and at its least
+periods, so equal views are the same function, and every check scans the
+distinct ones: equal certificates are checked once, a parsed file and the
+built certificate it equals included. The recurrence and parity laws are
+identities between coefficient tables on every natural class, reporting the
+smallest failing class of 2s; parity mirrors cell i to cell -i - sigma, and
+checks each column on the classes of its own period, where a failing class
+repeats. The recurrence checks every
 view against one prefix certificate, the recursive route's, read and shifted
 once; when run_properties builds the certificates itself, that prefix comes
 from the same pass as the recursive certificate (quasipoly._recursive_pass),
@@ -28,8 +33,10 @@ one block of n at a time: the blocks are as long as the lcm of every column's
 period, each a list pass per coefficient, and the first block that holds a
 mismatch ends the scan with that block's failures; by default every class
 gets m points. Zeros runs the same evaluator on the forced zeros
-2s = m mod 2, ..., m - 2 alone, which lie in the first m classes; the mean
-value one integer sum per coefficient, against a polynomial part whose
+2s = m mod 2, ..., m - 2 alone, which lie in the first m classes, and only
+when m = sigma mod 2: otherwise every one is off the class, 0 by
+representation. The mean value is one integer sum per coefficient over its
+natural cells, against a polynomial part whose
 product over parts also runs on ints (over beta^m, one Fraction per
 coefficient, see polypart.v1_explicit). Path-agreement passes a single
 distinct view at once and otherwise compares each pair of columns at the lcm
@@ -110,8 +117,10 @@ def default_n_max(parts: Sequence[int]) -> int:
 
 
 Certs = Mapping[str, quasipoly.QuasiPoly]
-# a certificate as integer numerator tables over one denominator, each
-# coefficient on the 2P classes of its least period P (QuasiPoly.numerator_tables)
+# a certificate as integer numerator tables over one denominator, reduced
+# jointly, each coefficient as the P natural cells of its least period P: cell
+# i holds R_j at 2s = 2i + sum(parts) mod 2, and R_j is 0 on the other class
+# (QuasiPoly.numerator_tables). A failure at cell i is keyed by 2i + sigma
 View = tuple[int, list[list[int]]]
 # what a check returns: its failures as (key, counterexample) in scan order,
 # and the note its pass carries
@@ -119,21 +128,20 @@ Checked = tuple[list[tuple[int, dict]], Optional[str]]
 
 
 def _scaled_blocks(tables: list[list[int]], t: int, stop: int, block: int) -> Iterator[list[int]]:
-    """2^(m-1) den V(t/2) at t, t + 2, ..., t + 2(stop - 1), yielded block
-    values at a time, the last block possibly shorter: integers, since the
-    value at t is sum_j N_j[t mod 2P_j] 2^(j-1) t^(m-j), for N_j stored at
-    its own period P_j. stop is positive, and block a multiple of every P_j
-    or at least stop. Each N_j is sliced once into the classes a block visits
-    in turn (t, t + 2, ... mod 2P_j): the cells from t on, and when those run
-    out before a block is full, the classes below t as well, so either a
-    whole block or all P_j classes; that is tiled or cut to the block and
+    """2^(m-1) den V(t/2) at t, t + 2, ..., t + 2(stop - 1), for t on the
+    natural class, yielded block values at a time, the last block possibly
+    shorter: integers, since the value at t = 2i + sigma is
+    sum_j N_j[i mod P_j] 2^(j-1) t^(m-j), for N_j's P_j natural cells. stop
+    is positive, and block a multiple of every P_j or at least stop. Each
+    N_j is read once from cell t >> 1 on, rotated so the cells a block
+    visits in turn are contiguous, tiled or cut to the block and
     pre-shifted by j-1. Every block is then one integer Horner pass
     [a * t + c for ...] per coefficient."""
     width = min(block, stop)
     cols = []
     for j, col in enumerate(tables):
-        r = t % len(col)
-        stepped = col[r : r + 2 * width : 2] + col[r % 2 : r : 2]
+        r = (t >> 1) % len(col)
+        stepped = col[r : r + width] + col[:r]
         stepped = (stepped * -(-width // len(stepped)))[:width]
         cols.append([c << j for c in stepped] if j else stepped)
     head, rest = cols[0], cols[1:]
@@ -169,7 +177,7 @@ def _check_oracle(parts, certs: Certs, views: list[tuple[str, View]], n_max: int
     shift = len(parts) - 1
     # every view is evaluated over the same blocks of n, one lcm of every
     # column's period long, so a block's failures are compared at equal n
-    block = math.lcm(*(len(col) // 2 for _, (_, tables) in views for col in tables))
+    block = math.lcm(*(len(col) for _, (_, tables) in views for col in tables))
     scans = [
         (label, den << shift, _scaled_blocks(tables, sum(parts), n_max + 1, block))
         for label, (den, tables) in views
@@ -224,6 +232,7 @@ def _check_recurrence(parts, views: list[tuple[str, View]], prefix: quasipoly.Qu
     if m == 1:
         return [], "vacuous for a single part"
     dm = parts[-1]
+    sigma = sum(parts) % 2
     # One polynomial identity per class 2s = rho, on integer numerators:
     # V(s) - V(s - d_m) = V_{m-1}(s - d_m/2), the right side scaled by 2^(m-2).
     # Every class of both master periods is checked. The full-period iterate
@@ -234,50 +243,54 @@ def _check_recurrence(parts, views: list[tuple[str, View]], prefix: quasipoly.Qu
     # Every column is read at its stored period, and each side of a row is
     # periodic with the lcm of the lengths it was formed from, so comparing
     # the sides at the lcm of their lengths finds the same smallest failing
-    # class as a comparison at the lcm of the master periods.
+    # class as a comparison at the lcm of the master periods. Off the class
+    # both sides are 0, so only natural cells are compared: V(s - d_m) is
+    # cell i - d_m, and V_{m-1}(s - d_m/2), on the prefix's class sigma',
+    # is its cell i - h, h = (d_m + sigma' - sigma)/2.
     if prefix is None:
         prefix = quasipoly.build_recursive(parts[:-1])
     den_prev, prev = prefix.numerator_tables()
-    half = _shifted([_rotated(col, dm) for col in prev], -dm, 2)
+    h = (dm + sum(parts[:-1]) % 2 - sigma) // 2
+    half = _shifted([_rotated(col, h) for col in prev], -dm, 2)
     rhs_den = den_prev << (m - 2)
     failures = []
     for label, (den, tables) in views:
-        back = _shifted([_rotated(col, 2 * dm) for col in tables], -dm, 1)
+        back = _shifted([_rotated(col, dm) for col in tables], -dm, 1)
         scale = den * rhs_den
         for k, (col, sh, rhs) in enumerate(zip(tables, back, [[0]] + half)):
             # both sides of row k over den * rhs_den
             a = [(x - y) * rhs_den for x, y in zip(_tiled(col, len(sh)), sh)]
             b = [y * den for y in rhs]
-            rho = _first_difference(a, b)
-            if rho is not None:
-                failures.append((rho, {
-                    "path": label, "s": str(Fraction(rho, 2)), "power": m - 1 - k,
-                    "lhs": str(Fraction(a[rho % len(a)], scale)), "rhs": str(Fraction(b[rho % len(b)], scale)),
+            i = _first_difference(a, b)
+            if i is not None:
+                failures.append((2 * i + sigma, {
+                    "path": label, "s": str(Fraction(2 * i + sigma, 2)), "power": m - 1 - k,
+                    "lhs": str(Fraction(a[i % len(a)], scale)), "rhs": str(Fraction(b[i % len(b)], scale)),
                 }))
     return failures, None
 
 
 def _check_parity(parts, views: list[tuple[str, View]]) -> Checked:
-    natural = sum(parts) % 2
+    sigma = sum(parts) % 2
     # V(-s) = -(-1)^m V(s) on the class of s holds iff R_j(-s) = (-1)^(j-1) R_j(s)
     # for every j; rho and -rho give the same condition, so rho <= P_j covers
     # every class of R_j's stored period P_j, smallest |s| first, and a failing
     # class repeats with P_j. Off the natural grid (2s != sum(parts) mod 2) both
-    # cells must be zero, which also makes them symmetric.
+    # cells are zero by representation (the QuasiPoly constructor refuses any
+    # other), so only natural cells are read: rho = 2i + sigma mirrors to
+    # -rho = 2(-i - sigma) + sigma, cell -i - sigma, for 2i + sigma <= P_j.
     failures = []
     for label, (den, tables) in views:
         for j, col in enumerate(tables, 1):
-            half = len(col) // 2
-            plus, minus = col[: half + 1], col[:1] + col[: half - 1 : -1]
+            count = (len(col) - sigma) // 2 + 1
+            mirror = col[::-1] if sigma else col[:1] + col[:0:-1]
+            plus, minus = col[:count], mirror[:count]
             want = plus if j % 2 else [-x for x in plus]
-            if minus != want or any(plus[1 - natural :: 2]):
-                rho = next(
-                    rho for rho, (x, y, w) in enumerate(zip(minus, plus, want))
-                    if x != w or (y and rho % 2 != natural)
-                )
-                failures.append((rho, {
-                    "path": label, "s": str(Fraction(rho, 2)), "coefficient": j,
-                    "R_j(-s)": str(Fraction(minus[rho], den)), "R_j(s)": str(Fraction(plus[rho], den)),
+            if minus != want:
+                i = next(i for i, (x, w) in enumerate(zip(minus, want)) if x != w)
+                failures.append((2 * i + sigma, {
+                    "path": label, "s": str(Fraction(2 * i + sigma, 2)), "coefficient": j,
+                    "R_j(-s)": str(Fraction(minus[i], den)), "R_j(s)": str(Fraction(plus[i], den)),
                 }))
     return failures, "off-grid values identically zero"
 
@@ -287,7 +300,10 @@ def _check_zeros(parts, views: list[tuple[str, View]]) -> Checked:
     if m == 1:
         return [], "no forced zeros at this order"
     # the forced zeros V(t/2) = 0 sit at the m // 2 points t = m mod 2, ..., m - 2,
-    # evaluated as one block per view
+    # evaluated as one block per view; off the class sum(parts) mod 2 every
+    # point is 0 by representation
+    if (m - sum(parts)) % 2:
+        return [], None
     points = m // 2
     failures = []
     for label, (den, tables) in views:
@@ -301,35 +317,35 @@ def _check_zeros(parts, views: list[tuple[str, View]]) -> Checked:
     return failures, None
 
 
-def _check_path_agreement(views: list[tuple[str, View]]) -> Checked:
+def _check_path_agreement(parts, views: list[tuple[str, View]]) -> Checked:
     if len(views) == 1:
         return [], None
     # Otherwise each pair of columns is cross-multiplied by the other's
     # denominator and compared at the lcm of their lengths; a failure is
-    # keyed by its class 2s, so the smallest one is reported, at its
-    # smallest coefficient.
+    # keyed by its class 2s = 2i + sigma, so the smallest one is reported,
+    # at its smallest coefficient.
+    sigma = sum(parts) % 2
     by_label = dict(views)
     (den_a, ta), (den_b, tb) = by_label["explicit"], by_label["recursive"]
     failures = []
     for j, (ca, cb) in enumerate(zip(ta, tb), 1):
-        rho = _first_difference([x * den_b for x in ca], [y * den_a for y in cb])
-        if rho is not None:
-            failures.append((rho, {
-                "s": str(Fraction(rho, 2)), "coefficient": j,
-                "explicit": str(Fraction(ca[rho % len(ca)], den_a)),
-                "recursive": str(Fraction(cb[rho % len(cb)], den_b)),
+        i = _first_difference([x * den_b for x in ca], [y * den_a for y in cb])
+        if i is not None:
+            failures.append((2 * i + sigma, {
+                "s": str(Fraction(2 * i + sigma, 2)), "coefficient": j,
+                "explicit": str(Fraction(ca[i % len(ca)], den_a)),
+                "recursive": str(Fraction(cb[i % len(cb)], den_b)),
             }))
     return failures, None
 
 
 def _check_mean_value(parts, views: list[tuple[str, View]]) -> Checked:
-    parity = sum(parts) % 2
     # keyed by the coefficient, so the first failing coefficient is reported
     failures = []
     for j, want in enumerate(polypart.v1_explicit(parts), 1):
         for label, (den, tables) in views:
             col = tables[j - 1]
-            total, count = sum(col[parity::2]), den * (len(col) // 2)
+            total, count = sum(col), den * len(col)
             if total * want.denominator != want.numerator * count:
                 failures.append((j, {
                     "path": label, "coefficient": j,
@@ -347,9 +363,9 @@ def _result(name: str, failures: list[tuple[int, dict]], note: Optional[str]) ->
 
 
 # name -> check -> (failures, note), in report order; _run_checks passes each
-# check, by keyword, the arguments its signature names. views lists the views
-# of the distinct certificates as (label, view), each under the first label
-# that holds it. failures lists (key, counterexample) pairs in scan order and
+# check, by keyword, the arguments its signature names. views lists the
+# distinct views of the certificates as (label, view), each under the first
+# label that gives it. failures lists (key, counterexample) pairs in scan order and
 # note is what a pass carries; _result makes the PropertyResult of both
 _CHECKS = {
     "oracle": _check_oracle,
@@ -421,14 +437,18 @@ def run_properties(
 
 
 def _run_checks(d: tuple[int, ...], selected: Sequence[str], n_max: int, certs: Certs, prefix=None) -> VerifyReport:
-    """The selected checks on the certificates, in PROPERTIES order. Equal
-    certificates give equal verdicts, so only the distinct ones are read,
-    each once, under its first label, and every check scans those views.
-    prefix is the recurrence's prefix certificate, or None for it to build."""
+    """The selected checks on the certificates, in PROPERTIES order. Each
+    certificate is read once; equal views give equal verdicts, so only the
+    distinct ones are kept, each under its first label, and every check scans
+    those. A view is reduced and at its least periods, so two are equal as
+    data exactly when they are the same function. No read fills a
+    certificate. prefix is the recurrence's prefix certificate, or None for
+    it to build."""
     views: list[tuple[str, View]] = []
     for label, cert in certs.items():
-        if all(cert != certs[seen] for seen, _ in views):
-            views.append((label, cert.numerator_tables()))
+        view = cert.numerator_tables()
+        if all(view != seen for _, seen in views):
+            views.append((label, view))
     given = {"parts": d, "certs": certs, "views": views, "n_max": n_max, "prefix": prefix}
     report = VerifyReport(parts=d)
     for name in selected:

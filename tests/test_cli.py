@@ -25,14 +25,15 @@ def runner():
 
 def _nudge_builder(monkeypatch, delta):
     """Patch quasipoly.build_explicit to add delta to the free coefficient
-    everywhere, its table tiled here to the master period, so every count it
-    gives is off by delta."""
+    on its whole class 2s = sum(parts) mod 2, its table tiled here to the
+    master period, so every count it gives is off by delta."""
     real = quasipoly.build_explicit
 
     def nudged(parts):
         cert = real(parts)
         *fns, last = cert.coeffs
-        vals = [v + delta for v in tiled_values(last, cert.master_period)]
+        sigma = sum(parts) % 2
+        vals = [v + delta * (rho % 2 == sigma) for rho, v in enumerate(tiled_values(last, cert.master_period))]
         last = quasipoly.PeriodicFn(cert.master_period, vals)
         return QuasiPoly(cert.parts, (*fns, last), cert.master_period)
 
@@ -217,6 +218,20 @@ class TestBench:
         assert res.exit_code == 0, res.output
         row = dict(line.split(maxsplit=1) for line in res.output.splitlines())
         assert float(row["build_seconds"]) >= 0.05, res.output
+
+    def test_timed_loop_starts_filled(self, runner, monkeypatch):
+        # bench fills the stored form with one untimed count before its timed
+        # loop: every timed evaluation finds the pieces gone
+        holds_pieces = []
+
+        def recording(self, n, real=QuasiPoly.count):
+            holds_pieces.append(self._pieces is not None)
+            return real(self, n)
+
+        monkeypatch.setattr(QuasiPoly, "count", recording)
+        res = runner.invoke(main, ["bench", "--parts", "2,3,5", "--n", "50", "--repeat", "3"])
+        assert res.exit_code == 0, res.output
+        assert holds_pieces == [True, False, False, False]
 
     def test_disagreement_exit_1(self, runner, monkeypatch):
         _nudge_builder(monkeypatch, 1)

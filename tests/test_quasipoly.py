@@ -290,25 +290,54 @@ class TestExtend:
 
     def test_off_grid_table_refused(self):
         # a table with a nonzero cell off the class sum(parts) mod 2 is no
-        # certificate of its parts, and extend_recursive refuses it, naming
-        # the parts and the class: each builder's certificate with one
-        # off-class cell set in any one coefficient, and a hand-built table
-        # on the other class only
+        # certificate of its parts, so none reaches extend_recursive: the
+        # constructor refuses it, naming the parts, the coefficient's power,
+        # the residue and the class. Each builder's certificate with one
+        # off-class cell set in any one coefficient, by the constructor and
+        # by from_json, and a hand-built table on the other class only
         for prev_parts, d_new in EXTEND_CASES + [((1,), 1), ((3,), 2)]:
-            sigma = sum(prev_parts) % 2
-            message = re.escape(f"{prev_parts} has a nonzero cell off its class 2s = {sigma} mod 2")
+            m, sigma = len(prev_parts), sum(prev_parts) % 2
             for builder in (build_explicit, build_recursive):
-                for j in range(len(prev_parts)):
-                    den, tables = builder(prev_parts).numerator_tables()
-                    tables[j][1 - sigma] += 1
-                    coeffs = [PeriodicFn.from_numerators(len(t) // 2, den, t) for t in tables]
+                for j in range(m):
+                    cert = builder(prev_parts)
+                    coeffs = list(cert.coeffs)
+                    fn = coeffs[j]
+                    nums = list(fn.nums)
+                    nums[1 - sigma] += 1
+                    coeffs[j] = PeriodicFn.from_numerators(fn.period, fn.den, nums)
+                    message = re.escape(
+                        f"the power {m - 1 - j} coefficient of {prev_parts} has a nonzero cell at "
+                        f"residue 2s = {1 - sigma} (mod {2 * fn.period}), off its class 2s = {sigma} mod 2"
+                    )
                     with pytest.raises(InputError, match=message):
-                        extend_recursive(QuasiPoly(prev_parts, coeffs), d_new)
+                        QuasiPoly(prev_parts, coeffs)
+                    raw = json.loads(cert.to_json())
+                    raw["coefficients"][j]["values"][str(1 - sigma)] = "1"
+                    with pytest.raises(InputError, match=message):
+                        QuasiPoly.from_json(json.dumps(raw))
             cells = [0, 0]
             cells[1 - sigma] = 1
-            other = QuasiPoly(prev_parts, [PeriodicFn(1, cells)] * len(prev_parts))
-            with pytest.raises(InputError, match=message):
-                extend_recursive(other, d_new)
+            with pytest.raises(InputError, match=re.escape(f"the power {m - 1} coefficient of {prev_parts}")):
+                QuasiPoly(prev_parts, [PeriodicFn(1, cells)] * m)
+            assert extend_recursive(builder(prev_parts), d_new) == build_recursive(prev_parts + (d_new,))
+
+    def test_period_beyond_the_parts_lcm_refused(self):
+        # a hand-built certificate at a master period above lcm(parts) may
+        # hold a coefficient whose period does not divide lcm(parts): it is
+        # no certificate of its parts, and extend_recursive refuses it rather
+        # than read its table cut short
+        parts = (2, 3, 4)
+        cert = build_explicit(parts)
+        fns = list(cert.coeffs)
+        cells = [0] * 16
+        cells[1] = 1  # on the class 2s = 1 mod 2, period 8
+        fns[0] = PeriodicFn(8, cells)
+        wide = QuasiPoly(parts, fns, 24)
+        assert wide.coeffs[0].period == 8
+        with pytest.raises(InputError, match=re.escape("coefficient period 8 of (2, 3, 4) does not divide lcm(parts) = 12")):
+            extend_recursive(wide, 5)
+        # a period that divides lcm(parts) under the same master period is read
+        assert extend_recursive(cert.aligned(24), 5) == build_recursive(parts + (5,))
 
     def test_recursive_pass_matches_builds(self):
         # one pass gives the bytes of build_recursive on the list and on all
@@ -580,7 +609,7 @@ class TestEvaluation:
 
     def test_integrality_violation_raises(self):
         broken = QuasiPoly(
-            (1,), (PeriodicFn(1, [HALF, HALF]),), 1
+            (1,), (PeriodicFn(1, [0, HALF]),), 1
         )
         with pytest.raises(IntegralityError):
             broken.count(2)
@@ -627,11 +656,11 @@ class TestAlign:
     def test_keeps_stored_tables(self):
         # a period-1 coefficient under master period 3: the stored table is
         # not tiled, and every value is unchanged
-        c = QuasiPoly((1,), (PeriodicFn(1, [5, 7]),), 1)
+        c = QuasiPoly((1,), (PeriodicFn(1, [0, 7]),), 1)
         d = c.aligned(3)
         (f,), (g,) = c.coeffs, d.coeffs
         assert (d.master_period, g.period) == (3, 1)
-        assert g.values == (5, 7)
+        assert g.values == (0, 7)
         for t in range(-6, 7):
             assert at_twice(f, t) == at_twice(g, t)
             assert c.value(Fraction(t, 2)) == d.value(Fraction(t, 2))
@@ -640,7 +669,7 @@ class TestAlign:
     def test_rejects_non_periods(self, target):
         # True == 1 is a multiple of master period 1, but a bool is never a period
         with pytest.raises(InputError, match="is not a positive multiple"):
-            QuasiPoly((1,), (PeriodicFn(1, [5, 7]),), 1).aligned(target)
+            QuasiPoly((1,), (PeriodicFn(1, [0, 7]),), 1).aligned(target)
 
 
 def _shift_weights_direct(dk, t, m, size):
@@ -946,15 +975,19 @@ LADDER = [
 class TestIntegerTables:
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_builders_store_reduced_tables(self, builder):
-        # numerator_tables reads each coefficient at its stored 2 * period
-        # cells, untiled; tiled to the master period it is the reference read
+        # numerator_tables reads each coefficient at its period's natural
+        # cells, untiled; tiled to the master period it is the natural half
+        # of the reference read, whose other half is zero
         below = 0
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             cert = builder(parts)
+            sigma = sum(parts) % 2
             den, tables = cert.numerator_tables()
-            assert [len(col) for col in tables] == [2 * fn.period for fn in cert.coeffs], parts
+            assert [len(col) for col in tables] == [fn.period for fn in cert.coeffs], parts
             tiled = [col * (cert.master_period // fn.period) for col, fn in zip(tables, cert.coeffs)]
-            assert (den, tiled) == numerators_reference(cert), parts
+            ref_den, ref = numerators_reference(cert)
+            assert (den, tiled) == (ref_den, [col[sigma::2] for col in ref]), parts
+            assert not any(a for col in ref for a in col[1 - sigma :: 2]), parts
             below += any(fn.period < cert.master_period for fn in cert.coeffs)
             for fn in cert.coeffs:
                 assert fn.den > 0 and math.gcd(fn.den, *fn.nums) == 1, parts
@@ -986,14 +1019,34 @@ class TestIntegerTables:
         # certificate and for one read from a file tiled to the master
         # period: every cell holding a numerator, in any row of
         # numerator_tables, holds the same int, and so does every cell of a
-        # coefficient built from it
+        # coefficient built from it. A certificate that still holds its
+        # pieces is filled first: numerator_tables does not fill it
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             cert = builder(parts)
+            cert.count(0)
             for view in (cert, QuasiPoly.from_json(tiled_json(cert.to_json()))):
                 cells = [a for row in view.numerator_tables()[1] for a in row]
                 assert len({id(a) for a in cells}) == len(set(cells)), parts
                 for fn in view.coeffs:
                     assert len({id(a) for a in fn.nums}) == len(set(fn.nums)), parts
+
+    @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
+    def test_tables_before_and_after_the_first_read(self, builder):
+        # numerator_tables never fills: on a certificate that still holds its
+        # pieces it gives their sums reduced by one joint gcd, and once the
+        # first read has filled the stored form, the same (den, rows). Every
+        # stored row holds its coefficient's period of natural cells, for a
+        # built certificate and for one read from a file tiled to tau
+        for parts in list(iter_multisets(4, 6)) + WIDE_LISTS + LADDER:
+            cert = builder(parts)
+            den, rows = before = cert.numerator_tables()
+            assert cert._pieces is not None and cert._stored is None, parts
+            assert math.gcd(den, *(a for row in rows for a in row)) == 1, parts
+            cert.count(0)
+            assert cert._pieces is None, parts
+            assert cert.numerator_tables() == before, parts
+            for view in (cert, QuasiPoly.from_json(tiled_json(cert.to_json()))):
+                assert [len(row) for row in view._stored[1]] == [fn.period for fn in view.coeffs], parts
 
     def test_tables_are_fresh_lists(self):
         # numerator_tables hands out lists of its own: changing them changes
@@ -1014,26 +1067,28 @@ class TestIntegerTables:
             assert cert == again and hash(cert) == hash(again)
 
     def test_hand_built_mixed_denominators(self):
-        # coefficients over the reduced denominators 3, 4 and 1 are stored
-        # over their lcm 12, and every read gives the Fraction reference
-        # read from the coefficients' own values; on the natural grid V is
-        # 2t^2/3 plus an int at t = 2n + 9, an int when 3 divides n
+        # coefficients over the reduced denominators 3, 4 and 1, each zero
+        # off the even class of (1, 2, 3), are stored over their lcm 12, and
+        # every read gives the Fraction reference read from the
+        # coefficients' own values. At u = n + 3 = t/2, V is 8u^2/3, an int
+        # when 3 divides u, plus u/4 (u even) or -u/2 (u odd), plus an int:
+        # an int when 12 divides u
         fns = (
-            PeriodicFn(1, [Fraction(1, 3), Fraction(8, 3)]),
+            PeriodicFn(1, [Fraction(8, 3), 0]),
             PeriodicFn(2, [Fraction(1, 4), 0, Fraction(-1, 2), 0]),
-            PeriodicFn(3, [1, -2, 0, 5, 7, 3]),
+            PeriodicFn(3, [1, 0, 0, 0, 7, 0]),
         )
         assert [fn.den for fn in fns] == [3, 4, 1]
-        parts = (2, 3, 4)
+        parts = (1, 2, 3)
         cert = QuasiPoly(parts, fns)
-        assert cert.master_period == 12 and cert.coeffs == fns
-        want = [[int(v * 12) for v in fn.values] for fn in fns]
-        assert cert.numerator_tables() == (12, want) == (12, [[4, 32], [3, 0, -6, 0], [12, -24, 0, 60, 84, 36]])
+        assert cert.master_period == 6 and cert.coeffs == fns
+        want = [[int(v * 12) for v in fn.values[::2]] for fn in fns]
+        assert cert.numerator_tables() == (12, want) == (12, [[32], [3, -6], [12, 0, 84]])
         # the references read the given coefficients, not the stored form
-        given = types.SimpleNamespace(parts=parts, coeffs=fns, m=3, master_period=12, xi=cert.xi)
+        given = types.SimpleNamespace(parts=parts, coeffs=fns, m=3, master_period=6, xi=cert.xi)
         for n in range(-20, 20):
             ref = count_reference(given, n)
-            assert (type(ref) is int) == (n % 3 == 0), n
+            assert (type(ref) is int) == (n % 12 == 9), n
             if n >= 0 and type(ref) is Fraction:
                 with pytest.raises(IntegralityError):
                     cert.count(n)
@@ -1045,7 +1100,7 @@ class TestIntegerTables:
         assert text == to_json_reference(given)
         # the same functions given unreduced, or tiled past their least period
         same = QuasiPoly(parts, (
-            PeriodicFn.from_numerators(2, 9, [3, 24, 3, 24]),
+            PeriodicFn.from_numerators(2, 9, [24, 0, 24, 0]),
             PeriodicFn.from_numerators(2, 8, [2, 0, -4, 0]),
             PeriodicFn(6, list(fns[2].values) * 2),
         ))
@@ -1053,10 +1108,10 @@ class TestIntegerTables:
             assert other == cert and cert == other and hash(other) == hash(cert)
             assert other.numerator_tables() == cert.numerator_tables()
             assert other.to_json() == text
-        aligned = cert.aligned(24)
-        assert aligned == QuasiPoly(parts, fns, 24) and aligned != cert
+        aligned = cert.aligned(12)
+        assert aligned == QuasiPoly(parts, fns, 12) and aligned != cert
         assert aligned.numerator_tables() == cert.numerator_tables()
-        changed = QuasiPoly(parts, (PeriodicFn(1, [Fraction(1, 3), Fraction(2, 3)]),) + fns[1:])
+        changed = QuasiPoly(parts, (PeriodicFn(1, [Fraction(2, 3), 0]),) + fns[1:])
         assert changed != cert and changed.numerator_tables()[0] == 12
 
 
@@ -1297,7 +1352,7 @@ class TestIntegerEvaluation:
         assert below > 0
 
     def test_integrality_and_continuation(self):
-        broken = QuasiPoly((1,), (PeriodicFn(1, [HALF, HALF]),), 1)
+        broken = QuasiPoly((1,), (PeriodicFn(1, [0, HALF]),), 1)
         with pytest.raises(IntegralityError, match=r"^count at n=2 evaluated to 1/2, not an integer$"):
             broken.count(2)
         assert broken.count(-3) == count_reference(broken, -3) == HALF
@@ -1510,18 +1565,19 @@ class TestSerialization:
 
     def test_writer_hand_built(self):
         # negative Fractions, plain ints, numerators sharing a factor with the
-        # denominator, zero, and period-1 coefficients
+        # denominator, zero, and period-1 coefficients, each zero off the
+        # class sum(parts) mod 2, on both classes
         certs = [
-            QuasiPoly((1,), (PeriodicFn(1, [Fraction(-3, 4), 2]),)),
+            QuasiPoly((1,), (PeriodicFn(1, [0, Fraction(-3, 4)]),)),
             QuasiPoly((2, 3), (
-                PeriodicFn(1, [Fraction(1, 6)] * 2),
-                PeriodicFn(3, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 0, -1, Fraction(-2, 3)]),
+                PeriodicFn(1, [0, Fraction(1, 6)]),
+                PeriodicFn(3, [0, Fraction(1, 3), 0, -1, 0, Fraction(-2, 3)]),
             )),
             QuasiPoly((2, 2), (
-                PeriodicFn.from_numerators(1, 12, [-8, 3]),
-                PeriodicFn.from_numerators(2, 12, [12, -6, 4, 0]),
+                PeriodicFn.from_numerators(1, 12, [-8, 0]),
+                PeriodicFn.from_numerators(2, 12, [12, 0, 4, 0]),
             ), 4),
-            QuasiPoly((5, 1), (PeriodicFn(1, [7] * 2), PeriodicFn(5, [-10**30] * 10))),
+            QuasiPoly((5, 1), (PeriodicFn(1, [7, 0]), PeriodicFn(5, [-10**30, 0, 3, 0, -10**30, 0, 2, 0, 9, 0]))),
         ]
         for cert in certs:
             text = cert.to_json()
@@ -1735,8 +1791,8 @@ class TestValidation:
     def test_period_divisibility_enforced(self):
         # a function of least period 4 under master period 6 is refused
         with pytest.raises(InputError, match="coefficient period 4 does not divide master period 6"):
-            QuasiPoly((2, 3), (PeriodicFn(4, [1] + [0] * 7), PeriodicFn(6, [0] * 12)), 6)
+            QuasiPoly((2, 3), (PeriodicFn(4, [0, 1] + [0] * 6), PeriodicFn(6, [0] * 12)), 6)
         # the check refuses a function, not a layout: a table handed over at
         # period 4 whose function has period 1 is accepted
-        cert = QuasiPoly((2, 3), (PeriodicFn(4, [1] * 8), PeriodicFn(6, [0] * 12)), 6)
+        cert = QuasiPoly((2, 3), (PeriodicFn(4, [0, 1] * 4), PeriodicFn(6, [0] * 12)), 6)
         assert [fn.period for fn in cert.coeffs] == [1, 1]

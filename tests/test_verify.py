@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,15 +26,21 @@ from denumerant.verify import BUILDERS, PROPERTIES, default_n_max
 from helpers import at_twice, poly_sub, taylor_shift, tiled_json, tiled_values
 
 
-def _tampered(cert: QuasiPoly, coeff_index: int, rho: int, delta=Fraction(1)) -> QuasiPoly:
+def _tampered(cert: QuasiPoly, coeff_index: int, rho: int, delta=Fraction(1)) -> QuasiPoly | None:
     """Copy of a certificate with one entry of its tables at the master period
     nudged, rho < 2 * master_period: the coefficient's table is tiled here to
     the master period first, so the nudge reaches one class of it whatever
-    period the coefficient is stored at."""
+    period the coefficient is stored at. A nudge off the class 2s = sum(parts)
+    mod 2 is no certificate of its parts: the constructor refuses it, as
+    asserted here, and None is returned, so no check ever sees one."""
     fns = list(cert.coeffs)
     vals = tiled_values(fns[coeff_index], cert.master_period)
     vals[rho] += delta
     fns[coeff_index] = PeriodicFn(cert.master_period, vals)
+    if (rho - sum(cert.parts)) % 2:
+        with pytest.raises(InputError, match=f"coefficient of {re.escape(str(cert.parts))} has a nonzero cell"):
+            QuasiPoly(cert.parts, tuple(fns), cert.master_period)
+        return None
     return QuasiPoly(cert.parts, tuple(fns), cert.master_period)
 
 
@@ -183,20 +190,33 @@ class TestDetection:
 
     def test_parity_off_grid_failure(self):
         # (1, 2, 3) sums to 6, so 2s = 3 is off the natural grid: a nonzero
-        # cell there fails at the smallest such class, even when the cells at
-        # s and -s are equal, which keeps the symmetry law
+        # cell there, even one whose cells at s and -s are equal, which keeps
+        # the symmetry law, is refused when the certificate is built or read
+        # from a file, naming the smallest such residue, so parity's note
+        # holds for every certificate it sees
         parts = (1, 2, 3)
         good = build_explicit(parts)
-        for broken in (_tampered(good, 0, 9), _tampered(_tampered(good, 0, 9), 0, 3)):
-            report = run_properties(
-                parts, props=["parity"],
-                certs={"explicit": broken, "recursive": build_recursive(parts)},
+        fn = good.coeffs[0]
+        assert fn.period == 1
+        # the residue is named in the coefficient's own period: 2s = 3 and 9
+        # raised alike is period 3
+        for residues, where in (((9,), "9 (mod 12)"), ((9, 3), "3 (mod 6)")):
+            vals = tiled_values(fn, 6)
+            for rho in residues:
+                vals[rho] += 1
+            coeffs = (PeriodicFn(6, vals),) + good.coeffs[1:]
+            message = re.escape(
+                f"the power 2 coefficient of (1, 2, 3) has a nonzero cell at residue "
+                f"2s = {where}, off its class 2s = 0 mod 2"
             )
-            assert not report.passed
-            cex = report.results[0].counterexample
-            assert (cex["path"], cex["s"], cex["coefficient"]) == ("explicit", "3/2", 1)
-            assert cex["R_j(-s)"] == "1"  # 2s = 9 = -3 (mod 12)
-            assert cex["R_j(s)"] == str(broken.coeffs[0].values[3])
+            with pytest.raises(InputError, match=message):
+                QuasiPoly(parts, coeffs)
+            raw = json.loads(tiled_json(good.to_json()))
+            for rho in residues:
+                raw["coefficients"][0]["values"][str(rho)] = "1"
+            with pytest.raises(InputError, match=message):
+                QuasiPoly.from_json(json.dumps(raw))
+        assert run_properties(parts, props=["parity"]).results[0].note == "off-grid values identically zero"
 
     def test_mean_value_failure(self):
         parts = (1, 2)
@@ -301,6 +321,35 @@ class TestCertificateChecks:
             monkeypatch.setattr(quasipoly, name, counting)
         assert run_properties(parts).passed
         assert built == {("build_explicit", parts): 1, ("_recursive_pass", parts): 1}
+
+    @pytest.mark.parametrize("parts", [(1, 2), (3, 1, 2), (2, 3, 5, 7), (1, 1, 2, 2, 3), (5, 7, 9)])
+    def test_default_run_fills_no_certificate(self, monkeypatch, parts):
+        # a passing default run reads the explicit and recursive certificates
+        # and the recurrence's prefix as natural views and fills none of
+        # them: QuasiPoly._store is never called, and all three still hold
+        # their pieces afterwards
+        made, stores = [], []
+        build_explicit, recursive_pass, store = quasipoly.build_explicit, quasipoly._recursive_pass, QuasiPoly._store
+
+        def explicit(p):
+            made.append(build_explicit(p))
+            return made[-1]
+
+        def one_pass(p):
+            prefix, cert = recursive_pass(p)
+            made.extend((prefix, cert))
+            return prefix, cert
+
+        def storing(self):
+            stores.append(self)
+            return store(self)
+
+        monkeypatch.setattr(quasipoly, "build_explicit", explicit)
+        monkeypatch.setattr(quasipoly, "_recursive_pass", one_pass)
+        monkeypatch.setattr(QuasiPoly, "_store", storing)
+        assert run_properties(parts).passed
+        assert stores == []
+        assert len(made) == 3 and all(cert._pieces is not None for cert in made)
 
     @pytest.mark.parametrize("parts", [(1, 2), (3, 1, 2), (2, 3, 5, 7), (1, 1, 2, 2, 3)])
     def test_one_recursive_pass_per_call(self, monkeypatch, parts):
@@ -436,6 +485,8 @@ class TestIntegerIdentities:
                             label: _tampered(cert, index, rho, delta) if label in which else cert
                             for label, cert in good.items()
                         }
+                        if None in certs.values():  # off the class: refused
+                            continue
                         report = run_properties(parts, props=["recurrence", "parity"], certs=certs)
                         assert report.results == [
                             _recurrence_direct(parts, certs), _parity_direct(parts, certs)
@@ -448,9 +499,12 @@ class TestIntegerIdentities:
         doubled = build_explicit(parts).aligned(12)
         recursive = build_recursive(parts)
         _assert_identities_match_reference(parts, {"explicit": doubled, "recursive": recursive})
-        # nudges above the first period, on and off the natural grid
-        for rho, delta in ((18, Fraction(1)), (19, Fraction(1, 3)), (23, Fraction(-2))):
+        # nudges above the first period, on the natural grid; off it they are
+        # refused when the certificate is built
+        for rho, delta in ((18, Fraction(1)), (19, Fraction(1, 3)), (22, Fraction(1, 3)), (23, Fraction(-2))):
             broken = _tampered(doubled, 2, rho, delta)
+            if broken is None:
+                continue
             certs = {"explicit": broken, "recursive": recursive}
             _assert_identities_match_reference(parts, certs)
             assert not run_properties(parts, props=["recurrence"], certs=certs).passed
@@ -468,8 +522,10 @@ class TestIntegerIdentities:
                 failures = 0
                 for label, cert in built.items():
                     size = 2 * cert.master_period
-                    for rho in (size - 1, (size // 2 + 1) % size):
+                    for rho in (size - 1, size - 2, (size // 2 + 1) % size, (size // 2 + 2) % size):
                         certs = {**built, label: _tampered(cert, len(parts) - 1, rho, Fraction(-1, 3))}
+                        if None in certs.values():  # off the class: refused
+                            continue
                         _assert_identities_match_reference(parts, certs)
                         failures += not run_properties(parts, props=["recurrence"], certs=certs).passed
                 # the nudges are seen, not only matched; one part has no recurrence
@@ -540,6 +596,8 @@ class TestIntegerOracle:
                         label: _tampered(cert, index, rho % size, delta) if label in which else cert
                         for label, cert in good.items()
                     }
+                    if None in certs.values():  # off the class: refused
+                        continue
                     result = _assert_oracle_matches_reference(parts, certs)
                     if not result.passed:
                         seen.add("not an integer" in result.counterexample["actual"])
@@ -550,6 +608,8 @@ class TestIntegerOracle:
         doubled = build_explicit(parts).aligned(12)
         for rho, delta in ((14, Fraction(1)), (19, Fraction(1)), (22, Fraction(-1, 3))):
             certs = {"explicit": _tampered(doubled, 2, rho, delta), "recursive": build_recursive(parts)}
+            if certs["explicit"] is None:  # off the class: refused
+                continue
             for n_max in (0, 5, None):
                 _assert_oracle_matches_reference(parts, certs, n_max)
 
@@ -573,6 +633,8 @@ class TestIntegerOracle:
                             if label in which else cert
                             for label, cert in built.items()
                         }
+                        if None in certs.values():  # off the class: refused
+                            continue
                         failures += not _assert_oracle_matches_reference(parts, certs).passed
                 assert failures  # the nudges are seen, not only matched
 
@@ -590,7 +652,8 @@ class TestIntegerOracle:
             for label in BUILDERS:
                 for rho in range(2 * good[label].master_period):
                     certs = dict(good, **{label: _tampered(good[label], 0, rho)})
-                    _assert_oracle_matches_reference(parts, certs, n_max)
+                    if certs[label] is not None:  # None off the class: refused
+                        _assert_oracle_matches_reference(parts, certs, n_max)
 
 
 class TestOracleCounts:
@@ -611,14 +674,15 @@ class TestOracleCounts:
         monkeypatch.setattr(verify, "_scaled_blocks", counting)
         return seen
 
-    # points each property evaluates on one certificate of (1, 2, 3): the
-    # oracle's n = 0..n_max and the one forced zero at 2s = 1
-    POINTS = {"oracle": default_n_max((1, 2, 3)) + 1, "zeros": 1}
+    # points each property evaluates on one certificate of (1, 2, 4): the
+    # oracle's n = 0..n_max and the one forced zero at 2s = 1, on the class
+    # sum(parts) mod 2 (that of (1, 2, 3) is off it, and evaluated at none)
+    POINTS = {"oracle": default_n_max((1, 2, 4)) + 1, "zeros": 1}
 
     def test_equal_certificates_counted_once(self, calls):
         # built here, and injected as one certificate read from a file tiled
         # to the master period next to its equal built one
-        parts = (1, 2, 3)
+        parts = (1, 2, 4)
         built = build_explicit(parts)
         assert any(fn.period < built.master_period for fn in built.coeffs)
         read = QuasiPoly.from_json(tiled_json(built.to_json()))
@@ -631,12 +695,19 @@ class TestOracleCounts:
                 assert len(calls) == points, prop
 
     def test_distinct_valid_certificates_both_counted(self, calls):
-        parts = (1, 2, 3)
-        certs = {"explicit": build_explicit(parts).aligned(12), "recursive": build_recursive(parts)}
-        for prop, points in self.POINTS.items():
-            calls.clear()
-            assert run_properties(parts, props=[prop], certs=certs).passed
-            assert len(calls) == 2 * points, prop
+        # two certificates that differ only at 2s = 5 (mod 8), the class of
+        # n = 3 (mod 4) and of no forced zero: both pass the oracle up to
+        # n = 2 and the zeros, and each is scanned. A certificate aligned to
+        # another master period is the same function, one view, scanned once
+        parts = (1, 2, 4)
+        certs = {"explicit": build_explicit(parts), "recursive": _tampered(build_recursive(parts), 2, 5)}
+        aligned = {"explicit": build_explicit(parts).aligned(8), "recursive": build_recursive(parts)}
+        for prop, points in {"oracle": 3, "zeros": 1}.items():
+            for pair, views in ((certs, 2), (aligned, 1)):
+                calls.clear()
+                assert run_properties(parts, props=[prop], n_max=2, certs=pair).passed
+                assert len(calls) == views * points, prop
+        assert not run_properties(parts, props=["oracle"], n_max=3, certs=certs).passed
 
     # +1 on the constant at 2s = 8 (mod 12) breaks n = 1, 7, 13, ...
     def _oracle(self, order, tampered):
@@ -703,35 +774,51 @@ class TestIntegerZeros:
                         label: _tampered(cert, index, rho, Fraction(-2, 7)) if label in which else cert
                         for label, cert in good.items()
                     }
+                    if None in certs.values():  # off the class: refused
+                        continue
                     report = run_properties(parts, props=["zeros"], certs=certs)
                     assert report.results == [_zeros_direct(parts, certs)]
                     failures += not report.passed
-        assert failures  # the nudges are seen, not only matched
+        # the nudges are seen, not only matched, where the forced zeros lie on
+        # the class sum(parts) mod 2; off it they are 0 by representation
+        assert failures or (len(parts) - sum(parts)) % 2
 
     @pytest.mark.parametrize("props", [["zeros"], None])
     @pytest.mark.parametrize("parts", [(1, 2), (1, 2, 3), (2, 3, 5, 7), (1, 1, 2, 2, 3), (4,)])
     def test_reads_each_certificate_once(self, monkeypatch, parts, props):
-        # run_properties reads each distinct certificate once, before any
-        # check, and every check shares that view (the recurrence's one
-        # prefix aside). The two built certificates are equal, so the
-        # second is never read; the explicit one aligned to twice its
-        # master period is not equal to the recursive one, so both are read
-        built = {label: build(parts) for label, build in BUILDERS.items()}
+        # run_properties reads each certificate once, before any check,
+        # without filling it, and keeps the distinct views, which every check
+        # shares (the recurrence's one prefix aside). The two built
+        # certificates are equal; the explicit one aligned to twice its
+        # master period is not equal to the recursive one, but it is the same
+        # function, so each pair gives one view
+        def fresh():
+            return {label: build(parts) for label, build in BUILDERS.items()}
+
+        built = fresh()
         aligned = {**built, "explicit": built["explicit"].aligned(2 * lcm_of(parts))}
         assert built["explicit"] == built["recursive"] != aligned["explicit"]
-        reads = []
-        numerator_tables = QuasiPoly.numerator_tables
+        reads, scanned = [], []
+        numerator_tables, check_zeros = QuasiPoly.numerator_tables, verify._check_zeros
 
         def recording(self):
             if self.parts == parts:
                 reads.append(id(self))
             return numerator_tables(self)
 
+        def scanning(parts, views):
+            scanned.append(len(views))
+            return check_zeros(parts, views)
+
         monkeypatch.setattr(QuasiPoly, "numerator_tables", recording)
-        for certs, read in ((built, ["explicit"]), (aligned, ["explicit", "recursive"])):
+        monkeypatch.setitem(verify._CHECKS, "zeros", scanning)
+        for certs in (fresh(), {**fresh(), "explicit": build_explicit(parts).aligned(2 * lcm_of(parts))}):
             reads.clear()
+            scanned.clear()
             assert run_properties(parts, props=props, certs=certs).passed
-            assert reads == [id(certs[label]) for label in read]
+            assert reads == [id(certs[label]) for label in BUILDERS]
+            assert scanned == [1]
+            assert certs["recursive"]._pieces is not None
 
     def test_verify_reads_no_values(self, monkeypatch):
         # a passing run reads integer tables only; the wording of an oracle
@@ -788,6 +875,8 @@ class TestPathAgreement:
                             label: _tampered(cert, index, rho, delta) if label in which else cert
                             for label, cert in good.items()
                         }
+                        if None in certs.values():  # off the class: refused
+                            continue
                         report = run_properties(parts, props=["path-agreement"], certs=certs)
                         assert report.results == [_path_agreement_direct(parts, certs)]
                         failures += not report.passed
@@ -890,12 +979,13 @@ class TestScaledBlocks:
     def test_scan_between_half_and_one_period(self, parts):
         # P / 2 < stop < P: the scan wraps past the end of the table without
         # covering it, and every block holds exactly its share of the stop
-        # values, for one part as for several
+        # values, for one part as for several, from starts t on the class
+        # sum(parts) mod 2, the only ones the checks pass
         m = len(parts)
         cert = build_explicit(parts)
         den, tables = cert.numerator_tables()
         period = cert.master_period
-        for t in (sum(parts), sum(parts) + 1, 2 * period - 1):
+        for t in (sum(parts), sum(parts) + 2, 2 * period - 2 + sum(parts) % 2):
             for stop in range(period // 2 + 1, period):
                 for block in (stop, period, 2 * period):
                     blocks = list(verify._scaled_blocks(tables, t, stop, block))
@@ -905,12 +995,16 @@ class TestScaledBlocks:
 
     @pytest.mark.parametrize("parts", [(1, 1, 1), (1, 2, 3), (2, 3, 5, 7), (1, 1, 2, 2, 3)])
     def test_short_scan_at_any_start(self, parts):
-        # a scan shorter than the period, from any t, as zeros makes it: the
-        # values 2^(m-1) den V(t/2) at t, t + 2, ...
+        # a scan shorter than the period, from any t on the class sum(parts)
+        # mod 2, as zeros makes it: the values 2^(m-1) den V(t/2) at t, t + 2,
+        # ...; zeros makes none off the class, where V is 0
         m = len(parts)
         cert = build_explicit(parts)
         den, tables = cert.numerator_tables()
         for t in range(-3, 2 * cert.master_period + 3):
+            if (t - sum(parts)) % 2:
+                assert cert.value(Fraction(t, 2)) == 0
+                continue
             for stop in (1, 2, 5):
                 got = next(verify._scaled_blocks(tables, t, stop, stop))
                 want = [cert.value(Fraction(t + 2 * k, 2)) * (den << (m - 1)) for k in range(stop)]
@@ -935,9 +1029,11 @@ class TestTamperMatrix:
     grid is odd 2s. Both tampers are +1 and -1 at 2s = +-c (mod 14): 7-periodic,
     antisymmetric like R_4, and of mean zero, so recurrence, parity's symmetry
     and mean-value pass. On the grid (c = 1) only the oracle, and
-    path-agreement when the certificates differ, catch it; off the grid
-    (c = 2) parity's zero rule and zeros' point 2s = 2 do. This pins what
-    verify catches today; a stronger check may only add failures here."""
+    path-agreement when the certificates differ, catch it. Off the grid
+    (c = 2) the tampered certificate is refused when it is built (None
+    here), before any check: no certificate has a nonzero cell there. This
+    pins what verify catches today; a stronger check may only add failures
+    here."""
 
     PARTS = (2, 3, 5, 7)
     TAMPERS = {"on-grid": {1: 1, 13: -1}, "off-grid": {2: 1, 12: -1}}
@@ -945,10 +1041,16 @@ class TestTamperMatrix:
         ("on-grid", ("explicit",)): ["oracle", "path-agreement"],
         ("on-grid", ("recursive",)): ["oracle", "path-agreement"],
         ("on-grid", ("explicit", "recursive")): ["oracle"],
-        ("off-grid", ("explicit",)): ["parity", "zeros", "path-agreement"],
-        ("off-grid", ("recursive",)): ["parity", "zeros", "path-agreement"],
-        ("off-grid", ("explicit", "recursive")): ["parity", "zeros"],
+        ("off-grid", ("explicit",)): None,
+        ("off-grid", ("recursive",)): None,
+        ("off-grid", ("explicit", "recursive")): None,
     }
+    # the refusal of an off-grid tamper: R_4's first nonzero off-class cell,
+    # 2s = 2, in the tampered table's period lcm(7, R_4's)
+    REFUSED = re.escape(
+        "the power 0 coefficient of (2, 3, 5, 7) has a nonzero cell at residue 2s = 2 (mod 420), "
+        "off its class 2s = 1 mod 2"
+    )
 
     @pytest.mark.parametrize(
         "tamper, which", list(FAILS), ids=lambda k: "+".join(k) if isinstance(k, tuple) else k
@@ -956,6 +1058,11 @@ class TestTamperMatrix:
     def test_failing_properties(self, tamper, which):
         parts = self.PARTS
         good = {label: build(parts) for label, build in BUILDERS.items()}
+        if self.FAILS[tamper, which] is None:
+            for label in which:
+                with pytest.raises(InputError, match=self.REFUSED):
+                    _kernel_tampered(good[label], self.TAMPERS[tamper])
+            return
         certs = {
             label: _kernel_tampered(cert, self.TAMPERS[tamper]) if label in which else cert
             for label, cert in good.items()
@@ -984,7 +1091,8 @@ class TestMixedStoredPeriods:
     periods, writing the built bytes, and read by verify at those periods.
     Next to a built certificate it gives, byte for byte, the report of two
     built certificates: clean and with each TestTamperMatrix tamper, on
-    either side or both."""
+    either side or both; a tamper off the class of the parts is refused,
+    read or built alike."""
 
     @pytest.mark.parametrize("parts", [(2, 3, 5, 7), (1, 2, 3, 4, 5, 6, 7, 8), (31, 37, 41)])
     def test_reports_match_stored_alike(self, parts):
@@ -998,6 +1106,12 @@ class TestMixedStoredPeriods:
         cases = [("clean", (), tiled, built)]
         for tamper, which in TestTamperMatrix.FAILS:
             bumps = TestTamperMatrix.TAMPERS[tamper]
+            if all((rho - sum(parts)) % 2 for rho in bumps):  # off the class: refused
+                for label in which:
+                    for certs in (tiled, built):
+                        with pytest.raises(InputError, match="off its class"):
+                            _kernel_tampered(certs[label], bumps)
+                continue
             read, made = (
                 {label: _kernel_tampered(c, bumps) if label in which else c for label, c in certs.items()}
                 for certs in (tiled, built)
@@ -1012,20 +1126,23 @@ class TestMixedStoredPeriods:
                 assert got == want, (parts, tamper, which, label)
             assert json.dumps(run_properties(parts, certs=read).to_json_dict()) == want
             failures += '"passed": false' in want
-        assert failures == len(TestTamperMatrix.FAILS)
+        # every tamper on the class of these parts fails: the off-grid ones of
+        # (2, 3, 5, 7) are on the grid of 1..8, whose sum is even
+        assert failures == len(cases) - 1 == len(TestTamperMatrix.FAILS) // 2
 
     def test_tiled_file_read_at_least_periods(self, monkeypatch):
         # (31, 37, 41) tiled to tau = 47027 writes 3 x 94054 cells; read back
         # and injected, its explicit certificate is read by the recurrence at
-        # the built one's 2 + 2 + 94054 cells. It equals the built recursive
-        # certificate, which is therefore not read; next to a recursive
-        # certificate with one cell of R_3 nudged, both are read at those cells
+        # the built one's 1 + 1 + 47027 natural cells. The built recursive
+        # certificate is read at the same cells, without being filled, and
+        # its equal view is dropped; next to a recursive certificate with one
+        # cell of R_3 nudged, both are read at those cells
         parts = (31, 37, 41)
         built = {label: build(parts) for label, build in BUILDERS.items()}
         text = tiled_json(built["explicit"].to_json())
         assert sum(len(entry["values"]) for entry in json.loads(text)["coefficients"]) == 3 * 94054
         certs = {**built, "explicit": QuasiPoly.from_json(text)}
-        assert sum(map(len, certs["explicit"].numerator_tables()[1])) == 94058
+        assert sum(map(len, certs["explicit"].numerator_tables()[1])) == 47029
         cells = {}
         numerator_tables = QuasiPoly.numerator_tables
 
@@ -1038,8 +1155,9 @@ class TestMixedStoredPeriods:
 
         monkeypatch.setattr(QuasiPoly, "numerator_tables", counting)
         assert run_properties(parts, props=["recurrence"], certs=certs).passed
-        assert cells == {"explicit": 94058}
+        assert cells == {"explicit": 47029, "recursive": 47029}
+        assert certs["recursive"]._pieces is not None
         certs["recursive"] = _tampered(built["recursive"], 2, 1)
         cells.clear()
         assert not run_properties(parts, props=["recurrence"], certs=certs).passed
-        assert cells == {"explicit": 94058, "recursive": 94058}
+        assert cells == {"explicit": 47029, "recursive": 47029}
