@@ -24,15 +24,16 @@ keyed by its period P alone, holds only its P natural cells, cell i the
 numerator at 2s = 2i + sigma mod 2P, and every reader takes sigma from the
 parts. _summed sums each coefficient's piece tables as integers at the lcm
 of their lengths (1 cell for a constant table, P for any other) and cuts
-each sum to its least length; the first read reduces those natural cells
-jointly and keeps them as the stored form, numerator_tables (verify's read)
+each sum to its least length, the one least-period cut; the first read
+reduces those natural cells jointly and keeps them as the stored form (_store,
+the one path every certificate is stored by), numerator_tables (verify's read)
 reduces them by the same joint gcd and keeps nothing, and to_json writes
 the natural cells, before the first read or after it, "0" at every key off
 the class.
 build_recursive keeps one piece per distinct part period: each step,
 _extend_pieces, correlates every piece at its own period (a period-P piece
-stays period P), over each table's nonzero cells, and adds the natural half
-of closure_fn's table at the new part's period; extend_recursive runs that
+stays period P), over each table's nonzero cells, and adds closure_fn's
+natural cells at the new part's period; extend_recursive runs that
 step on one certificate read as one piece at its true period, its natural
 rows tiled to it, and refuses one whose coefficient period does not divide
 it.
@@ -87,8 +88,8 @@ _shift_weights is computed once per process per key (d_k, m, 2P); its
 docstring gives the cache's bound and why sharing it costs no independence.
 
 closure_fn gives the one remainder of the free coefficient that
-build_recursive cannot reach by extension: that bucket, 2 d_m integer cells
-over the fold's denominator, whose natural half the recursive step adds into
+build_recursive cannot reach by extension: that bucket, as its d_m natural
+integer cells over the fold's denominator, which the recursive step adds into
 its piece, with the piece's correlation weights scaled onto the common
 denominator; the step reads the new part's weights from _shift_weights.
 Called on a list alone, closure_fn folds the prefix itself. _recursive_pass
@@ -101,10 +102,10 @@ recursive certificate and, from the same pass, the one for all but the last
 part, which verify.run_properties takes as the recurrence's prefix, so that
 prefix costs no second pass; nothing is kept across calls. Both builders
 check the m tables of 2*tau cells against the guard limit (oracle.guard)
-before any of this, though a piece holds half of them; every QuasiPoly parsed
-or hand-built checks its m tables of 2*P cells at its master period P when it
-is constructed, aligned's larger P included, and a built one checks them
-again when its stored form is first built.
+before any of this, though a piece holds half of them; _store checks the m
+tables of 2*P cells at the master period P before it sums anything: when a
+parsed or hand-built QuasiPoly is constructed, and again when a built one's
+stored form is first built. aligned checks its larger P.
 Everything else stays independent: the recursive step's cyclic
 correlation, build_explicit's product over the pivot, and the counting
 oracle (oracle.count_dp), so table-level agreement remains a meaningful
@@ -112,11 +113,11 @@ check; the oracle, recurrence, parity and mean-value properties check the
 shared _summed.
 
 Periodic coefficients live on the half-integer lattice: a PeriodicFn of
-period T stores 2T values indexed by the scaled residue 2s mod 2T, so integer
-and half-odd points coexist in one table and every shift is index
-arithmetic. A certificate's coefficients are zero off the class
-2s = sum(d) mod 2: every table a builder makes lies on it, and the
-constructor refuses a coefficient with a nonzero cell off it. So a
+period T, stored at the period T it was given, holds 2T values indexed by
+the scaled residue 2s mod 2T, so integer and half-odd points coexist in one
+table and every shift is index arithmetic. A certificate's coefficients are
+zero off the class 2s = sum(d) mod 2: every table a builder makes lies on
+it, and the constructor refuses a coefficient with a nonzero cell off it. So a
 certificate's values are held only as its natural cells: integer rows over
 one positive denominator, row j R_j's p cells at its least period p, cell i
 the numerator at 2s = 2i + sigma, reduced jointly so that gcd(den, every
@@ -126,11 +127,12 @@ t = 2n + sum(d), always on it, straight to the integer Horner, which reads
 cell t >> 1, and xi is a Fraction. value, count, numerator_tables and
 to_json read the rows, and coeffs lays each row out on its 2p cells and
 builds a PeriodicFn, over its own reduced denominator, on each read. Every
-table is cut to its least period by _least_length: a built one's natural
-cells in _summed, a parsed or hand-built one in PeriodicFn.from_numerators,
-so one certificate has one stored form: a file written with its
-coefficients tiled to tau reads as the built certificate and writes the
-built bytes, and both compare and hash as plain data.
+certificate is stored by _store: the constructor hands each coefficient's
+natural cells to it as a piece, so a parsed, hand-built or built table is
+cut to its least period at one place, _summed (by _least_length), and one
+certificate has one stored form: a file written with its coefficients tiled
+to tau reads as the built certificate and writes the built bytes, and both
+compare and hash as plain data.
 """
 
 from __future__ import annotations
@@ -161,15 +163,17 @@ class PeriodicFn:
     """An exact periodic function on the half-integer lattice.
 
     Its value at every point s with 2s = rho (mod 2*period) is nums[rho]/den;
-    even rho are the integer points, odd rho the half-odd ones. It stores only
-    the integer numerators ``nums`` over one denominator ``den`` > 0, at the
-    function's least period ``period``, reduced so that gcd(den, *nums) = 1:
-    one function has one stored form, so equality and hash are those of
-    (den, nums), and PeriodicFn(3, [5, 7] * 3) is stored as PeriodicFn(1,
-    [5, 7]). ``values`` reads them as Fractions, built on each read. A period
-    is a positive int, never a bool. ``PeriodicFn(period, values)`` takes
-    ints or Fractions and hands their numerators over the common denominator
-    to ``from_numerators``, the one constructor body.
+    even rho are the integer points, odd rho the half-odd ones. It stores the
+    integer numerators ``nums`` over one denominator ``den`` > 0, at the
+    period it was given, reduced so that gcd(den, *nums) = 1. Nothing cuts it
+    to a least period, so equality and hash are those of (den, nums): one
+    function at two periods compares unequal, and PeriodicFn(3, [5, 7] * 3)
+    != PeriodicFn(1, [5, 7]). A certificate's coefficients come out of
+    QuasiPoly.coeffs at their least periods, since they are built from its
+    stored rows. ``values`` reads the table as Fractions, built on each read.
+    A period is a positive int, never a bool. ``PeriodicFn(period, values)``
+    takes ints or Fractions and hands their numerators over the common
+    denominator to ``from_numerators``, the one constructor body.
     """
 
     __slots__ = ("period", "den", "nums")
@@ -186,11 +190,9 @@ class PeriodicFn:
     @classmethod
     def from_numerators(cls, period: int, den: int, nums: Iterable[int]) -> "PeriodicFn":
         """The function with values nums[rho mod 2*period]/den, for int
-        numerators over a positive int den, never bools: the table is cut to
-        its least period (_least_length) and reduced there by gcd(den, *nums).
-        nums may be any iterable, read once as a tuple (a tuple is not
-        copied). One int is kept per distinct numerator, shared by every cell
-        that holds it."""
+        numerators over a positive int den, never bools, stored at the given
+        period and reduced by gcd(den, *nums). nums may be any iterable, read
+        once as a tuple (a tuple is not copied)."""
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise InputError(f"period must be a positive integer, got {period!r}")
         if not isinstance(den, int) or isinstance(den, bool) or den < 1:
@@ -201,13 +203,9 @@ class PeriodicFn:
         if any(t is bool or not issubclass(t, int) for t in set(map(type, nums))):
             bad = next(a for a in nums if type(a) is bool or not isinstance(a, int))
             raise InputError(f"numerators must be ints, got {bad!r}")
-        if period > 1:  # 2 cells are at their least period already
-            nums = nums[: math.lcm(2, _least_length(nums))]
-        distinct = set(nums)
-        g = math.gcd(den, *distinct)
-        reduced = {a: a // g for a in distinct}
+        g = math.gcd(den, *nums)
         fn = cls.__new__(cls)
-        fn.period, fn.den, fn.nums = len(nums) // 2, den // g, tuple(map(reduced.__getitem__, nums))
+        fn.period, fn.den, fn.nums = period, den // g, tuple(a // g for a in nums) if g > 1 else nums
         return fn
 
     @property
@@ -241,17 +239,19 @@ class QuasiPoly:
     compare it, value, count, numerator_tables, aligned and to_json read it,
     and ``coeffs`` builds PeriodicFns from it on each read.
 
-    A certificate made by the constructor (parsed or hand-built) is stored
-    from the start, its m tables of 2 * master_period cells checked against
-    the guard limit there, so a parsed certificate is refused before any table
-    is read. The constructor refuses a coefficient with a nonzero cell off
-    the class sum(parts) mod 2, naming its power and residue, and keeps the
-    natural half of the others. One made by a builder holds the builder's
-    pieces, with _stored None: the first read of the stored form (count,
-    value, coeffs, aligned, ==, hash) sums their natural cells (_summed),
-    runs the constructor's guard and period checks on the sums, reduces
-    them, keeps the result and drops the pieces; numerator_tables and
-    ``to_json`` read the pieces without filling. Nothing changes once made.
+    Every certificate is stored by one path, _store: the guard limit on its
+    m tables of 2 * master_period cells, then _summed, the one cut to least
+    periods, then the joint reduction and the check that each period
+    divides the master period. A certificate made by the constructor (parsed
+    or hand-built) is stored from the start: the constructor refuses a
+    coefficient with a nonzero cell off the class sum(parts) mod 2, naming
+    its power and its residue modulo the table as given, and hands each
+    coefficient's natural half to _store as a piece of its own, so a parsed
+    certificate is refused by the guard before any table is summed. One made
+    by a builder holds the builder's pieces, with _stored None: the first
+    read of the stored form (count, value, coeffs, aligned, ==, hash) runs
+    _store on them; numerator_tables and ``to_json`` read the pieces
+    without filling. Nothing changes once made.
     The first read may run in several threads at once: each reads the pieces
     slot once, every thread builds an equal stored form, and it is stored
     before the pieces are dropped, so a thread that finds the pieces gone
@@ -279,7 +279,6 @@ class QuasiPoly:
         for fn in cs:
             if not isinstance(fn, PeriodicFn):
                 raise InputError(f"coefficients must be PeriodicFn, got {fn!r}")
-        den = math.lcm(*(fn.den for fn in cs))
         sigma = sum(self.parts) % 2
         for power, fn in zip(range(len(cs) - 1, -1, -1), cs):
             if any(fn.nums[1 - sigma :: 2]):
@@ -288,25 +287,11 @@ class QuasiPoly:
                     f"the power {power} coefficient of {self.parts} has a nonzero cell at "
                     f"residue 2s = {rho} (mod {2 * fn.period}), off its class 2s = {sigma} mod 2"
                 )
-        self._stored = self._checked(den, [[a * (den // fn.den) for a in fn.nums[sigma::2]] for fn in cs])
-        self._pieces = None
-
-    def _checked(self, den: int, rows: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The stored form of natural rows over den, each at its least
-        period, once the m tables of 2 * master_period cells pass the guard
-        limit: reduced by the joint gcd, with one int kept per distinct
-        numerator, and each row's period, its length, checked to divide the
-        master period."""
-        period = self.master_period
-        _guard_cells(len(self.parts), period)
-        distinct = set().union(*rows)
-        g = math.gcd(den, *distinct)
-        cell = {a: a // g for a in distinct}.__getitem__
-        stored = tuple(tuple(map(cell, row)) for row in rows)
-        for row in stored:
-            if period % len(row):
-                raise InputError(f"coefficient period {len(row)} does not divide master period {period}")
-        return den // g, stored
+        # one piece per coefficient, keyed by its index (_summed reads only the
+        # values), its other tables empty, which _summed skips
+        self._pieces = {j: (fn.den, [fn.nums[sigma::2] if i == j else () for i in range(len(cs))])
+                        for j, fn in enumerate(cs)}
+        self._store()
 
     @property
     def coeffs(self) -> tuple[PeriodicFn, ...]:
@@ -325,13 +310,26 @@ class QuasiPoly:
     def _store(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """Build the stored form from the pieces, keep it and drop the
         pieces; the stored form another thread kept if the pieces are gone.
-        The pieces' natural cells are summed (_summed), then reduced jointly
-        (_checked): no step reads the zero class."""
+        The one path to the stored form, for a builder's pieces and for the
+        constructor's alike: the m tables of 2 * master_period cells are
+        checked against the guard limit, the pieces' natural cells are summed
+        and each row cut to its least period (_summed), the rows are reduced
+        by the joint gcd, with one int kept per distinct numerator, and each
+        row's period, its length, is checked to divide the master period. No
+        step reads the zero class."""
         pieces = self._pieces  # read once: another thread may drop it
         if pieces is None:
             return self._stored
+        period = self.master_period
+        _guard_cells(self.m, period)
         den, rows = _summed(pieces, self.m)
-        stored = self._checked(den, rows)
+        distinct = set().union(*rows)
+        g = math.gcd(den, *distinct)
+        cell = {a: a // g for a in distinct}.__getitem__
+        stored = den // g, tuple(tuple(map(cell, row)) for row in rows)
+        for row in stored[1]:
+            if period % len(row):
+                raise InputError(f"coefficient period {len(row)} does not divide master period {period}")
         self._stored = stored
         self._pieces = None
         return stored
@@ -499,9 +497,7 @@ class QuasiPoly:
         bad = "malformed certificate JSON:"
         if not isinstance(raw, dict):
             raise InputError(f"{bad} the document must be an object, got {type(raw).__name__}")
-        stray = sorted(set(raw) - {"parts", "master_period", "xi", "coefficients"})
-        if stray:
-            raise InputError(f"{bad} unknown keys {stray} in the document")
+        _check_keys(raw, {"parts", "master_period", "xi", "coefficients"}, "the document")
         try:
             parts, entries = raw["parts"], raw["coefficients"]
             for name, value in (("parts", parts), ("coefficients", entries)):
@@ -510,9 +506,7 @@ class QuasiPoly:
             for entry in entries:
                 if not isinstance(entry, dict):
                     raise InputError(f"{bad} each coefficient must be an object, got {entry!r}")
-                stray = sorted(set(entry) - {"power", "period", "values"})
-                if stray:
-                    raise InputError(f"{bad} unknown keys {stray} in a coefficient")
+                _check_keys(entry, {"power", "period", "values"}, "a coefficient")
                 power = entry["power"]
                 if type(power) is not int:
                     raise InputError(f"{bad} coefficient powers must be integers, got {power!r}")
@@ -551,11 +545,19 @@ class QuasiPoly:
             q = cls(parts, tuple(fns), raw["master_period"])
             if str(q.xi) != raw["xi"]:
                 raise InputError(f"shift field {raw['xi']!r} does not match the parts")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             if isinstance(exc, InputError):
                 raise
             raise InputError(f"malformed certificate JSON: {exc}") from exc
         return q
+
+
+def _check_keys(obj: dict, keys: set[str], where: str) -> None:
+    """Refuse a certificate JSON object whose keys are not exactly ``keys``,
+    naming the unknown keys first, then the missing ones, each sorted."""
+    for word, names in (("unknown", set(obj) - keys), ("missing", keys - set(obj))):
+        if names:
+            raise InputError(f"malformed certificate JSON: {word} keys {sorted(names)} in {where}")
 
 
 # one position's shift weights: (den, per_e, totals), per_e[e] the (residue,
@@ -820,10 +822,11 @@ def closure_fn(
     theorem (see _shift_weights) it is taken at its own period lcm(d_i, d_m).
     It is bucket m-1 of the fold over the prefix around the pivot d_m
     (_fold_step), with every position taking every exponent, so its weight
-    is exactly 1/prod r_k!. Returns (den, table): the fold's denominator and
-    bucket m-1's 2*d_m integer numerators, its flat value written in on the
-    class sum(parts) mod 2, the other class zero; the recursive step adds
-    that class's d_m cells into its period-d_m piece.
+    is exactly 1/prod r_k!. Returns (den, row): the fold's denominator and
+    bucket m-1's d_m natural integer numerators, its flat value written into
+    every cell, cell i the numerator at 2s = 2i + sum(parts) mod 2d_m (a
+    residue res of the bucket is cell res >> 1); the other class is zero and
+    not held. The recursive step adds the row into its period-d_m piece.
 
     With ``states`` None the fold runs here, one position per prefix part at
     m buckets. _recursive_pass passes its states instead, one per distinct
@@ -837,18 +840,15 @@ def closure_fn(
     """
     d = as_parts(parts)
     m, pivot = len(d), d[-1]
-    size = 2 * pivot
     if states is None:
         state = _fold_start(pivot, m)
         for dk in d[:-1]:
-            state = _fold_step(state, dk, size, True, m - 1)
+            state = _fold_step(state, dk, 2 * pivot, True, m - 1)
         states = {pivot: state}
     den, fold, flat = states[pivot]
-    row = [0] * size
-    if flat and flat[m - 1]:  # on the class pivot + the prefix, mod 2
-        row[(pivot + sum(d[:-1])) % 2 :: 2] = [flat[m - 1]] * pivot
-    for res, a in fold[m - 1].items():
-        row[res] += a
+    row = [flat[m - 1] if flat else 0] * pivot
+    for res, a in fold[m - 1].items():  # res = 2i + the class, so cell i is res >> 1
+        row[res >> 1] += a
     if len(fold) == m:
         del states[pivot]
     for v, later in states.items():
@@ -877,9 +877,7 @@ def _least_length(col: Sequence[int]) -> int:
     the length's prime factors q, dividing by q while the column still
     repeats with the quotient, checked by an exact list comparison. The one
     least-period cut, made by _summed on a class's natural cells, where p
-    cells are period p, and by PeriodicFn.from_numerators on 2P cells,
-    where p may be odd and the least period of the function, in s, is then
-    lcm(2, p)/2."""
+    cells are period p."""
     p = len(col)
     for q in _prime_factors(p):
         while p % q == 0 and col[p // q : p] == col[: p - p // q]:
@@ -924,8 +922,8 @@ def _extend_pieces(
     Both classes and that offset come from the parts, once per call. A zero
     cell costs nothing.
     The l = 0 term of the free coefficient R_m has no previous coefficient to
-    read; it is the closure remainder, the natural half of closure_fn's
-    2 d_new integer numerators over its denominator, added to the piece of
+    read; it is the closure remainder, closure_fn's d_new natural integer
+    numerators over its denominator, added cell for cell to the piece of
     period d_new. closure_fn runs first, and that piece's correlation
     weights take the scale that puts it over the lcm of the two
     denominators, so no table is rescaled after the correlation.
@@ -937,7 +935,6 @@ def _extend_pieces(
     m = len(parts)
     d_new = parts[-1]
     top = math.factorial(m - 1)
-    sigma = sum(parts) % 2
     # shift moves the cell at 2s = 2x + sum(parts[:-1]) mod 2 to 2s = 2x' + sigma:
     # x' = x + (shift >> 1) + off, off = 1 when that class and d_new are odd
     off = sum(parts[:-1]) & d_new & 1
@@ -969,7 +966,7 @@ def _extend_pieces(
         out[period] = (den, tables)
     den, tables = out.get(d_new, (closure_den, [[0] * d_new for _ in range(m)]))
     kc = den // closure_den
-    tables[-1] = [a + kc * c for a, c in zip(tables[-1], closure[sigma::2], strict=True)]
+    tables[-1] = [a + kc * c for a, c in zip(tables[-1], closure, strict=True)]
     out[d_new] = (den, tables)
     return out
 

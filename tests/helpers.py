@@ -154,7 +154,8 @@ def least_periods(cert) -> list[tuple[int, int, tuple[int, ...]]]:
     """(period, den, nums) of each coefficient at its least period: its
     numerators tiled here to the master period P, then cut at the first
     divisor p of P, tried in increasing order, with which the tiled table
-    repeats. The reference for the cut PeriodicFn.from_numerators makes."""
+    repeats. The reference for the cut QuasiPoly makes when it stores a
+    certificate (quasipoly._summed)."""
     tau = cert.master_period
     out = []
     for fn in cert.coeffs:
@@ -201,7 +202,8 @@ def materialise_reference(parts, pieces) -> QuasiPoly:
     """The certificate from a builder's pieces, {P: (den, tables)} with each
     table 2P integer numerators over den: every piece brought to the pieces'
     common denominator, tiled to 2 tau entries by list repetition, the tiles
-    summed as ints and the 2 tau sums reduced by PeriodicFn.from_numerators.
+    summed as ints, the 2 tau sums reduced by PeriodicFn.from_numerators and
+    handed to the constructor at period tau.
     The form quasipoly._materialise had before it summed each coefficient at
     the lcm of its pieces' own lengths, kept as its reference."""
     tau = lcm_of(parts)
@@ -225,8 +227,9 @@ def extend_reference(prev: QuasiPoly, d_new: int) -> QuasiPoly:
     period tau = lcm of the new parts. R_j of the new level is, for l < j,
     (m-j+l-1)!/(m-j)! times the previous R_(j-l) rotated by each shift
     (2p+1) d_new, p < tau/d_new, times tau^(l-1) B_l(1 - (2p+1) d_new/2tau)/l!,
-    and the free coefficient adds closure_fn's table. Every cell of every
-    rotated list is read, whatever its value or parity: the form
+    and the free coefficient adds closure_fn's d_new natural cells, cell i at
+    every 2s = 2i + sum(parts) mod 2d_new, 0 on the other class. Every cell
+    of every rotated list is read, whatever its value or parity: the form
     quasipoly._extend_pieces' correlation had before it ran over each
     table's nonzero cells, kept as its reference. prev's coefficients must
     have periods dividing tau."""
@@ -247,7 +250,11 @@ def extend_reference(prev: QuasiPoly, d_new: int) -> QuasiPoly:
                 rotated = vals[size - shift :] + vals[: size - shift]  # rotated[rho] = vals[rho - shift]
                 new[j - 1] = [a + w * v for a, v in zip(new[j - 1], rotated)]
     den, closure = closure_fn(parts)
-    new[-1] = [a + Fraction(closure[rho % len(closure)], den) for rho, a in enumerate(new[-1])]
+    sigma = sum(parts) % 2
+    new[-1] = [
+        a + Fraction(closure[(rho >> 1) % len(closure)], den) if rho % 2 == sigma else a
+        for rho, a in enumerate(new[-1])
+    ]
     return QuasiPoly(parts, [PeriodicFn(tau, col) for col in new], tau)
 
 

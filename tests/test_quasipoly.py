@@ -108,37 +108,49 @@ class TestPeriodicFn:
         assert PeriodicFn.from_numerators(2, 24, [4, 0, -6, 72]) == f
 
     def test_stored_at_least_period(self):
-        # the table is cut to its least period before it is reduced there:
-        # 2 cells, an odd number of cells (stored as twice as many), and a
-        # full table that does not repeat
+        # a PeriodicFn is stored at the period it was given, reduced there,
+        # and never cut: a table repeating every 2 cells, every 3 cells (an
+        # odd count), one that does not repeat, and a constant. The least
+        # period is the certificate's: its coeffs are built from its stored
+        # rows, each cut once to its least period
         halves = PeriodicFn.from_numerators(3, 4, [2, 6] * 3)
-        assert (halves.period, halves.den, halves.nums) == (1, 2, (1, 3))
+        assert (halves.period, halves.den, halves.nums) == (3, 2, (1, 3) * 3)
         odd = PeriodicFn.from_numerators(6, 1, [1, 2, 3] * 4)
-        assert (odd.period, odd.nums) == (3, (1, 2, 3, 1, 2, 3))
+        assert (odd.period, odd.nums) == (6, (1, 2, 3) * 4)
         whole = PeriodicFn.from_numerators(3, 1, [0, 0, 0, 0, 0, 1])
         assert (whole.period, whole.nums) == (3, (0, 0, 0, 0, 0, 1))
         constant = PeriodicFn(5, [Fraction(-3, 4)] * 10)
-        assert (constant.period, constant.den, constant.nums) == (1, 4, (-3, -3))
+        assert (constant.period, constant.den, constant.nums) == (5, 4, (-3,) * 10)
+        # on the class 2s = 0 mod 2 of (2,), at master period 6
+        given = PeriodicFn.from_numerators(3, 4, [2, 0] * 3)
+        (least,) = QuasiPoly((2,), (given,), 6).coeffs
+        assert (least.period, least.den, least.nums) == (1, 2, (1, 0))
+        wide = PeriodicFn.from_numerators(6, 1, [1, 0, 2, 0, 3, 0] * 2)
+        (least,) = QuasiPoly((2,), (wide,), 6).coeffs
+        assert (least.period, least.nums) == (3, (1, 0, 2, 0, 3, 0))
 
     def test_equality_by_function(self):
-        # one function handed over at period 1 and at period 3 is stored
-        # once, at period 1, so plain (den, nums) equality and hash go by it
+        # a PeriodicFn compares and hashes as (den, nums) at the period it
+        # was given: equal only at equal periods, where one function handed
+        # over as Fractions, unreduced numerators or ints is one stored form
         short, long = PeriodicFn(1, [5, 7]), PeriodicFn(3, [5, 7] * 3)
-        assert (long.period, long.den, long.nums) == (short.period, short.den, short.nums)
-        assert short == long and long == short
-        assert hash(short) == hash(long)
-        assert len({short, long, PeriodicFn(2, [5, 7] * 2)}) == 1
-        # least period 2 handed over at 2 and at 6; least period 1 handed
-        # over at 2 and at 3, neither of which divides the other
+        assert long.period == 3 and short != long and long != short
+        assert len({short, long, PeriodicFn(2, [5, 7] * 2)}) == 3
+        same = PeriodicFn.from_numerators(1, 2, [10, 14])
+        assert same == short and short == same and hash(same) == hash(short)
         two, six = PeriodicFn(2, [1, 0, 3, 0]), PeriodicFn(6, [1, 0, 3, 0] * 3)
-        assert two == six and hash(two) == hash(six) and six.period == 2
-        assert PeriodicFn(2, [1, 2, 1, 2]) == PeriodicFn(3, [1, 2] * 3)
-        # a different denominator, or one different cell at either period
+        assert two != six and six.period == 6
+        assert six == PeriodicFn(6, [Fraction(a) for a in [1, 0, 3, 0] * 3])
+        # a different denominator, or one different cell
         assert short != PeriodicFn(1, [Fraction(5, 2), Fraction(7, 2)])
-        assert short != PeriodicFn(3, [5, 7, 5, 7, 5, 8])
-        assert PeriodicFn(3, [5, 7, 5, 7, 5, 8]) != short
-        assert two != PeriodicFn(6, [1, 0, 3, 0, 1, 0, 3, 0, 1, 1, 3, 0])
-        assert PeriodicFn(2, [1, 2, 1, 2]) != PeriodicFn(3, [1, 2, 1, 2, 2, 2])
+        assert long != PeriodicFn(3, [5, 7, 5, 7, 5, 8])
+        assert PeriodicFn(3, [5, 7, 5, 7, 5, 8]) != long
+        assert six != PeriodicFn(6, [1, 0, 3, 0, 1, 0, 3, 0, 1, 1, 3, 0])
+        # as coefficients, two and six are one function: the certificates are
+        # equal and give it back at its least period
+        certs = [QuasiPoly((1, 1), (fn, PeriodicFn(1, [1, 0])), 6) for fn in (two, six)]
+        assert certs[0] == certs[1] and hash(certs[0]) == hash(certs[1])
+        assert certs[1].coeffs[0] == two
 
     @pytest.mark.parametrize("bad", [0.1, True, "1/2", None, 1j])
     def test_only_ints_and_fractions(self, bad):
@@ -374,13 +386,18 @@ class TestExtend:
             assert [(p, shared) for p, shared, _ in read] == [(d[:k], True) for k in range(1, len(d) + 1)]
             for p, _, (den, table) in read:
                 ref_den, ref = closure_fn(p)
-                assert len(table) == len(ref) == 2 * p[-1], p
+                assert len(table) == len(ref) == p[-1], p
                 assert [a * ref_den for a in table] == [b * den for b in ref], p
 
 
 def _closure(parts):
-    """closure_fn's (den, table) of 2 d_m numerators as the function it is."""
-    return PeriodicFn.from_numerators(parts[-1], *closure_fn(parts))
+    """closure_fn's (den, row) of d_m natural cells as the function it is:
+    cell i laid out at 2s = 2i + sum(parts) mod 2 of 2 d_m cells, 0 on the
+    other class."""
+    den, row = closure_fn(parts)
+    cells = [0] * (2 * len(row))
+    cells[sum(parts) % 2 :: 2] = row
+    return PeriodicFn.from_numerators(len(row), den, cells)
 
 
 class TestExplicit:
@@ -945,8 +962,9 @@ class TestShiftFold:
         assert max(c for *_, c in runs) == 7
 
     def test_closure_fn_matches_fraction_fold(self):
-        # its 2 d_m numerators over its denominator are the reference table,
-        # cell for cell, the flat value included
+        # its d_m natural numerators over its denominator are the reference
+        # table's cells on the class sum(d) mod 2, cell for cell, the flat
+        # value included, and the reference is zero on the other class
         for d in self.LISTS:
             m, size = len(d), 2 * d[-1]
             table = [Fraction(0)] * size
@@ -955,8 +973,8 @@ class TestShiftFold:
                     for res, a in res_table.items():
                         table[res] += a
             den, nums = closure_fn(d)
-            assert len(nums) == size and all(type(a) is int for a in nums), d
-            assert [Fraction(a, den) for a in nums] == table, d
+            assert len(nums) == d[-1] and all(type(a) is int for a in nums), d
+            assert [[Fraction(a, den) for a in nums]] == _natural_half([table], sum(d) % 2), d
 
 
 # the benchmark's deep and wide lists
@@ -1017,18 +1035,17 @@ class TestIntegerTables:
     def test_one_int_per_distinct_numerator(self, builder):
         # the stored form keeps one int per distinct numerator, for a filled
         # certificate and for one read from a file tiled to the master
-        # period: every cell holding a numerator, in any row of
-        # numerator_tables, holds the same int, and so does every cell of a
-        # coefficient built from it. A certificate that still holds its
-        # pieces is filled first: numerator_tables does not fill it
+        # period: every cell holding a numerator, in any stored row, and so
+        # in any row of numerator_tables, holds the same int. A certificate
+        # that still holds its pieces is filled first: numerator_tables does
+        # not fill it. A PeriodicFn built from the rows shares nothing
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             cert = builder(parts)
             cert.count(0)
             for view in (cert, QuasiPoly.from_json(tiled_json(cert.to_json()))):
-                cells = [a for row in view.numerator_tables()[1] for a in row]
-                assert len({id(a) for a in cells}) == len(set(cells)), parts
-                for fn in view.coeffs:
-                    assert len({id(a) for a in fn.nums}) == len(set(fn.nums)), parts
+                for rows in (view._stored[1], view.numerator_tables()[1]):
+                    cells = [a for row in rows for a in row]
+                    assert len({id(a) for a in cells}) == len(set(cells)), parts
 
     @pytest.mark.parametrize("builder", [build_explicit, build_recursive])
     def test_tables_before_and_after_the_first_read(self, builder):
@@ -1290,6 +1307,36 @@ class TestLazyCoefficients:
             assert cut == want, parts
             rows += len(want)
         assert rows > 0
+
+    def test_one_cut_per_store(self, monkeypatch):
+        # every certificate is stored by one path (QuasiPoly._store), and
+        # _summed is its one least-period cut: building PeriodicFns of a
+        # certificate's coefficients tiled to tau cuts nothing, and each of
+        # the constructor on them, from_json of the document tiled to tau and
+        # a builder's first read sums once
+        calls = collections.Counter()
+        for name in ("_least_length", "_summed"):
+            def counting(*args, real=getattr(quasipoly, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(quasipoly, name, counting)
+        for parts in LADDER:
+            certs = [builder(parts) for builder in (build_explicit, build_recursive)]
+            for cert in certs:
+                calls.clear()
+                cert.count(0)
+                assert calls["_summed"] == 1, parts
+            cert, tau = certs[0], certs[0].master_period
+            text = tiled_json(cert.to_json())
+            calls.clear()
+            fns = [PeriodicFn.from_numerators(tau, fn.den, fn.nums * (tau // fn.period)) for fn in cert.coeffs]
+            assert not calls, parts
+            assert QuasiPoly(parts, fns, tau) == cert
+            assert calls["_summed"] == 1, parts
+            calls.clear()
+            assert QuasiPoly.from_json(text) == cert
+            assert calls["_summed"] == 1, parts
 
     def test_concurrent_first_read(self):
         # 8 threads on one fresh certificate, each starting on a different
@@ -1556,12 +1603,16 @@ class TestSerialization:
             tau = cert.master_period
             text = tiled_json(cert.to_json())
             assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TILED[parts]
-            old = QuasiPoly.from_json(text)
-            assert [fn.period for fn in old.coeffs] == [fn.period for fn in cert.coeffs], parts
-            assert old == cert and cert == old and hash(old) == hash(cert), parts
-            ns = [0, 1, 7, 2 * tau + 1, 10**12]
-            assert [old.count(n) for n in ns] == [cert.count(n) for n in ns], parts
-            assert old.to_json() == cert.to_json() != text, parts
+            # and so does the constructor's certificate from the built one's
+            # coefficients tiled to tau: one stored form by either route
+            tiled = [PeriodicFn.from_numerators(tau, fn.den, fn.nums * (tau // fn.period)) for fn in cert.coeffs]
+            for old in (QuasiPoly.from_json(text), QuasiPoly(parts, tiled, tau)):
+                assert [fn.period for fn in old.coeffs] == [fn.period for fn in cert.coeffs], parts
+                assert old == cert and cert == old and hash(old) == hash(cert), parts
+                assert old._stored == cert._stored, parts
+                ns = [0, 1, 7, 2 * tau + 1, 10**12]
+                assert [old.count(n) for n in ns] == [cert.count(n) for n in ns], parts
+                assert old.to_json() == cert.to_json() != text, parts
 
     def test_writer_hand_built(self):
         # negative Fractions, plain ints, numerators sharing a factor with the
@@ -1619,7 +1670,11 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ('{"parts": [1]}', "'coefficients'"),
+            pytest.param(
+                '{"parts": [1]}',
+                "missing keys ['coefficients', 'master_period', 'xi'] in the document",
+                id="""{"parts": [1]}-'coefficients'""",
+            ),
             ("[]", "the document must be an object, got list"),
             ("3", "the document must be an object, got int"),
             ('"parts"', "the document must be an object, got str"),
@@ -1627,10 +1682,27 @@ class TestSerialization:
         ],
     )
     def test_wrong_shape_rejected(self, text, message):
-        # a missing key, reported as malformed from the KeyError of the read,
-        # or a document that is no object, named before anything is read
+        # missing keys, named in sorted order, or a document that is no
+        # object, named before anything is read
         with pytest.raises(InputError, match=f"^malformed certificate JSON: {re.escape(message)}$"):
             QuasiPoly.from_json(text)
+
+    @pytest.mark.parametrize("key", ["parts", "master_period", "xi", "coefficients", "power", "period", "values"])
+    def test_missing_key_named(self, key):
+        # each missing key is named beside the unknown ones, before any cell
+        # is parsed: a bad cell in the first coefficient is not reached when
+        # the document or the last coefficient lacks a key
+        raw = json.loads(build_explicit((1, 2)).to_json())
+        raw["coefficients"][0]["values"]["0"] = "x"
+        if key in raw:
+            del raw[key]
+            where = "the document"
+        else:
+            del raw["coefficients"][-1][key]
+            where = "a coefficient"
+        message = f"^malformed certificate JSON: missing keys {re.escape(repr([key]))} in {where}$"
+        with pytest.raises(InputError, match=message):
+            QuasiPoly.from_json(json.dumps(raw))
 
     @pytest.mark.parametrize(
         "values, kind", [("0123", "str"), (None, "NoneType"), (["1", "0", "0", "0"], "list"), (7, "int")]

@@ -198,9 +198,9 @@ class TestDetection:
         good = build_explicit(parts)
         fn = good.coeffs[0]
         assert fn.period == 1
-        # the residue is named in the coefficient's own period: 2s = 3 and 9
-        # raised alike is period 3
-        for residues, where in (((9,), "9 (mod 12)"), ((9, 3), "3 (mod 6)")):
+        # the residue is named modulo the table as given, at period 6 and in
+        # the tiled file alike, though 2s = 3 and 9 raised alike is period 3
+        for residues, where in (((9,), "9 (mod 12)"), ((9, 3), "3 (mod 12)")):
             vals = tiled_values(fn, 6)
             for rho in residues:
                 vals[rho] += 1
