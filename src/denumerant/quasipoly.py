@@ -113,26 +113,29 @@ check; the oracle, recurrence, parity and mean-value properties check the
 shared _summed.
 
 Periodic coefficients live on the half-integer lattice: a PeriodicFn of
-period T, stored at the period T it was given, holds 2T values indexed by
-the scaled residue 2s mod 2T, so integer and half-odd points coexist in one
-table and every shift is index arithmetic. A certificate's coefficients are
-zero off the class 2s = sum(d) mod 2: every table a builder makes lies on
-it, and the constructor refuses a coefficient with a nonzero cell off it. So a
-certificate's values are held only as its natural cells: integer rows over
-one positive denominator, row j R_j's p cells at its least period p, cell i
-the numerator at 2s = 2i + sigma, reduced jointly so that gcd(den, every
-cell) = 1. A point is the int t = 2s inside; value takes s as an int or a
-Fraction with denominator 1 or 2 and is 0 off the class, count passes
-t = 2n + sum(d), always on it, straight to the integer Horner, which reads
-cell t >> 1, and xi is a Fraction. value, count, numerator_tables and
-to_json read the rows, and coeffs lays each row out on its 2p cells and
-builds a PeriodicFn, over its own reduced denominator, on each read. Every
-certificate is stored by _store: the constructor hands each coefficient's
-natural cells to it as a piece, so a parsed, hand-built or built table is
-cut to its least period at one place, _summed (by _least_length), and one
-certificate has one stored form: a file written with its coefficients tiled
-to tau reads as the built certificate and writes the built bytes, and both
-compare and hash as plain data.
+period T is a table of 2T int or Fraction values, indexed by the scaled
+residue 2s mod 2T, so integer and half-odd points coexist in one table and
+every shift is index arithmetic. It is only the way in (the constructor,
+and so from_json) and the way out (coeffs); no integer form is its own. A
+certificate's coefficients are zero off the class 2s = sum(d) mod 2: every
+table a builder makes lies on it, and the constructor refuses a
+coefficient with a nonzero cell off it. So a certificate's values are held
+only as its natural cells: integer rows over one positive denominator, row
+j R_j's p cells at its least period p, cell i the numerator at
+2s = 2i + sigma, reduced jointly so that gcd(den, every cell) = 1. A point
+is the int t = 2s inside; value takes s as an int or a Fraction with
+denominator 1 or 2 and is 0 off the class, count passes t = 2n + sum(d),
+always on it, straight to the integer Horner, which reads cell t >> 1, and
+xi is a Fraction. value, count, numerator_tables and to_json read the rows,
+and coeffs lays each row out on its 2p cells as Fractions, one per distinct
+numerator, and builds a PeriodicFn on each read. Every certificate is
+stored by _store: the constructor puts each coefficient's natural cells
+over the lcm of their denominators and hands them to it as a piece, so a
+parsed, hand-built or built table is cut to its least period at one place,
+_summed (by _least_length), and one certificate has one stored form: a
+file written with its coefficients tiled to tau reads as the built
+certificate and writes the built bytes, and both compare and hash as plain
+data.
 """
 
 from __future__ import annotations
@@ -160,67 +163,43 @@ __all__ = [
 
 
 class PeriodicFn:
-    """An exact periodic function on the half-integer lattice.
+    """An exact periodic function on the half-integer lattice, as a table.
 
-    Its value at every point s with 2s = rho (mod 2*period) is nums[rho]/den;
-    even rho are the integer points, odd rho the half-odd ones. It stores the
-    integer numerators ``nums`` over one denominator ``den`` > 0, at the
-    period it was given, reduced so that gcd(den, *nums) = 1. Nothing cuts it
-    to a least period, so equality and hash are those of (den, nums): one
-    function at two periods compares unequal, and PeriodicFn(3, [5, 7] * 3)
-    != PeriodicFn(1, [5, 7]). A certificate's coefficients come out of
-    QuasiPoly.coeffs at their least periods, since they are built from its
-    stored rows. ``values`` reads the table as Fractions, built on each read.
-    A period is a positive int, never a bool. ``PeriodicFn(period, values)``
-    takes ints or Fractions and hands their numerators over the common
-    denominator to ``from_numerators``, the one constructor body.
+    Its value at every point s with 2s = rho (mod 2*period) is values[rho];
+    even rho are the integer points, odd rho the half-odd ones. The period
+    is a positive int, never a bool, checked before ``values`` is read;
+    ``values`` is then read once as a tuple, 2*period ints or Fractions,
+    never bools, the types checked once per distinct type, and stored as
+    given. Nothing cuts it to a least period or reduces it, so equality and
+    hash are those of ``values``: one function at two periods compares
+    unequal, PeriodicFn(3, [5, 7] * 3) != PeriodicFn(1, [5, 7]), while
+    PeriodicFn(1, [2, 0]) == PeriodicFn(1, [Fraction(2), Fraction(0)]).
+    It is the way into a certificate (the QuasiPoly constructor, which
+    makes the integer form, and from_json) and the way out (QuasiPoly.coeffs,
+    built from the stored rows at their least periods).
     """
 
-    __slots__ = ("period", "den", "nums")
+    __slots__ = ("period", "values")
 
     def __init__(self, period: int, values: Iterable[Rational | int]):
-        vals = tuple(values)
-        for v in vals:
-            if type(v) is bool or not isinstance(v, (int, Fraction)):
-                raise InputError(f"periodic values must be ints or Fractions, got {v!r}")
-        den = math.lcm(*{v.denominator for v in vals})
-        fn = self.from_numerators(period, den, (v.numerator * (den // v.denominator) for v in vals))
-        self.period, self.den, self.nums = fn.period, fn.den, fn.nums
-
-    @classmethod
-    def from_numerators(cls, period: int, den: int, nums: Iterable[int]) -> "PeriodicFn":
-        """The function with values nums[rho mod 2*period]/den, for int
-        numerators over a positive int den, never bools, stored at the given
-        period and reduced by gcd(den, *nums). nums may be any iterable, read
-        once as a tuple (a tuple is not copied)."""
         if not isinstance(period, int) or isinstance(period, bool) or period < 1:
             raise InputError(f"period must be a positive integer, got {period!r}")
-        if not isinstance(den, int) or isinstance(den, bool) or den < 1:
-            raise InputError(f"denominator must be a positive integer, got {den!r}")
-        nums = tuple(nums)
-        if len(nums) != 2 * period:
-            raise InputError(f"period {period} needs {2 * period} residue values, got {len(nums)}")
-        if any(t is bool or not issubclass(t, int) for t in set(map(type, nums))):
-            bad = next(a for a in nums if type(a) is bool or not isinstance(a, int))
-            raise InputError(f"numerators must be ints, got {bad!r}")
-        g = math.gcd(den, *nums)
-        fn = cls.__new__(cls)
-        fn.period, fn.den, fn.nums = period, den // g, tuple(a // g for a in nums) if g > 1 else nums
-        return fn
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        """The table as Fractions, one built per distinct numerator on each read."""
-        cell = {a: Fraction(a, self.den) for a in set(self.nums)}
-        return tuple(map(cell.__getitem__, self.nums))
+        vals = tuple(values)
+        if len(vals) != 2 * period:
+            raise InputError(f"period {period} needs {2 * period} residue values, got {len(vals)}")
+        for kind in set(map(type, vals)):
+            if kind is bool or not issubclass(kind, (int, Fraction)):
+                bad = next(v for v in vals if type(v) is kind)
+                raise InputError(f"periodic values must be ints or Fractions, got {bad!r}")
+        self.period, self.values = period, vals
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PeriodicFn):
             return NotImplemented
-        return (self.den, self.nums) == (other.den, other.nums)
+        return self.values == other.values
 
     def __hash__(self) -> int:
-        return hash((self.den, self.nums))
+        return hash(self.values)
 
     def __repr__(self) -> str:
         return f"PeriodicFn(period={self.period})"
@@ -237,17 +216,19 @@ class QuasiPoly:
     That form is canonical (den is the lcm of the coefficients' own reduced
     denominators): equality (parts, master period and stored form) and hash
     compare it, value, count, numerator_tables, aligned and to_json read it,
-    and ``coeffs`` builds PeriodicFns from it on each read.
+    and ``coeffs`` builds PeriodicFns of Fractions from it on each read.
 
     Every certificate is stored by one path, _store: the guard limit on its
     m tables of 2 * master_period cells, then _summed, the one cut to least
     periods, then the joint reduction and the check that each period
     divides the master period. A certificate made by the constructor (parsed
-    or hand-built) is stored from the start: the constructor refuses a
-    coefficient with a nonzero cell off the class sum(parts) mod 2, naming
-    its power and its residue modulo the table as given, and hands each
-    coefficient's natural half to _store as a piece of its own, so a parsed
-    certificate is refused by the guard before any table is summed. One made
+    or hand-built) is stored from the start: the constructor reads each
+    PeriodicFn's values, refuses a coefficient with a nonzero cell off the
+    class sum(parts) mod 2, naming its power and its residue modulo the
+    table as given, and hands each coefficient's natural half, as int
+    numerators over the lcm of its denominators, to _store as a piece of its
+    own, so a parsed certificate is refused by the guard before any table is
+    summed. One made
     by a builder holds the builder's pieces, with _stored None: the first
     read of the stored form (count, value, coeffs, aligned, ==, hash) runs
     _store on them; numerator_tables and ``to_json`` read the pieces
@@ -280,31 +261,37 @@ class QuasiPoly:
             if not isinstance(fn, PeriodicFn):
                 raise InputError(f"coefficients must be PeriodicFn, got {fn!r}")
         sigma = sum(self.parts) % 2
-        for power, fn in zip(range(len(cs) - 1, -1, -1), cs):
-            if any(fn.nums[1 - sigma :: 2]):
-                rho = next(rho for rho in range(1 - sigma, len(fn.nums), 2) if fn.nums[rho])
+        self._pieces = {}
+        for j, fn in enumerate(cs):
+            vals = fn.values
+            if any(vals[1 - sigma :: 2]):
+                rho = next(rho for rho in range(1 - sigma, len(vals), 2) if vals[rho])
                 raise InputError(
-                    f"the power {power} coefficient of {self.parts} has a nonzero cell at "
+                    f"the power {len(cs) - 1 - j} coefficient of {self.parts} has a nonzero cell at "
                     f"residue 2s = {rho} (mod {2 * fn.period}), off its class 2s = {sigma} mod 2"
                 )
-        # one piece per coefficient, keyed by its index (_summed reads only the
-        # values), its other tables empty, which _summed skips
-        self._pieces = {j: (fn.den, [fn.nums[sigma::2] if i == j else () for i in range(len(cs))])
-                        for j, fn in enumerate(cs)}
+            # the natural cells as ints over the lcm of their denominators: one
+            # piece per coefficient, keyed by its index (_summed reads only the
+            # values), its other tables empty, which _summed skips
+            natural = vals[sigma::2]
+            den = math.lcm(*{v.denominator for v in natural})
+            nums = [v.numerator * (den // v.denominator) for v in natural]
+            self._pieces[j] = den, [nums if i == j else () for i in range(len(cs))]
         self._store()
 
     @property
     def coeffs(self) -> tuple[PeriodicFn, ...]:
-        """R_1 .. R_m as PeriodicFns, built from the stored form on each
-        read: each row's natural cells laid out on its 2p cells, 0 off the
-        class sum(parts) mod 2."""
+        """R_1 .. R_m as PeriodicFns of Fractions, built from the stored form
+        on each read, one Fraction per distinct numerator: each row's natural
+        cells laid out on its 2p cells, 0 off the class sum(parts) mod 2."""
         den, rows = self._stored or self._store()
         sigma = sum(self.parts) % 2
+        cell = {a: Fraction(a, den) for a in set().union(*rows, (0,))}
         fns = []
         for row in rows:
-            cells = [0] * (2 * len(row))
-            cells[sigma::2] = row
-            fns.append(PeriodicFn.from_numerators(len(row), den, cells))
+            cells = [cell[0]] * (2 * len(row))
+            cells[sigma::2] = map(cell.__getitem__, row)
+            fns.append(PeriodicFn(len(row), cells))
         return tuple(fns)
 
     def _store(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -490,7 +477,9 @@ class QuasiPoly:
     def from_json(cls, text: str) -> "QuasiPoly":
         try:
             raw = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an integer over int()'s digit limit
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer over int()'s digit limit, or nesting
+            # deeper than the decoder's recursion reaches
             raise InputError(f"not valid JSON: {exc}") from exc
         # the shapes are checked before anything is read from them, so each
         # refusal names its fault rather than the Python error of the read

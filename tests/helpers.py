@@ -46,11 +46,26 @@ def psi(d: int, t: int) -> Fraction:
     return Fraction(1) if t % (2 * d) == 0 else Fraction(0)
 
 
+def periodic(period: int, den: int, nums) -> PeriodicFn:
+    """The PeriodicFn whose value at 2s = rho (mod 2*period) is
+    nums[rho]/den, each cell a Fraction: a table given as integer
+    numerators over one denominator."""
+    return PeriodicFn(period, [Fraction(a, den) for a in nums])
+
+
+def numerators(fn: PeriodicFn) -> tuple[int, tuple[int, ...]]:
+    """(den, nums): a PeriodicFn's values as int numerators over the lcm of
+    their denominators, so that gcd(den, *nums) = 1 and values[rho] ==
+    nums[rho]/den."""
+    den = math.lcm(*(v.denominator for v in fn.values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in fn.values)
+
+
 def at_twice(fn: PeriodicFn, twice: int) -> Fraction:
-    """A periodic coefficient's value at the point twice/2, as a Fraction
-    built on each read: the cell-at-a-time reader the Fraction references
-    below are written in."""
-    return Fraction(fn.nums[twice % (2 * fn.period)], fn.den)
+    """A periodic coefficient's value at the point twice/2, as a Fraction:
+    the cell-at-a-time reader the Fraction references below are written
+    in."""
+    return Fraction(fn.values[twice % (2 * fn.period)])
 
 
 def tiled_values(fn: PeriodicFn, period: int) -> list[Fraction]:
@@ -159,9 +174,10 @@ def least_periods(cert) -> list[tuple[int, int, tuple[int, ...]]]:
     tau = cert.master_period
     out = []
     for fn in cert.coeffs:
-        col = fn.nums * (tau // fn.period)
+        den, nums = numerators(fn)
+        col = nums * (tau // fn.period)
         p = next(p for p in range(1, tau + 1) if tau % p == 0 and col == col[: 2 * p] * (tau // p))
-        out.append((p, fn.den, col[: 2 * p]))
+        out.append((p, den, col[: 2 * p]))
     return out
 
 
@@ -195,14 +211,14 @@ def base_case(d1: int) -> QuasiPoly:
     part and build_explicit must each give, kept as their reference."""
     (d1,) = as_parts([d1])
     nums = [1 if (rho - d1) % (2 * d1) == 0 else 0 for rho in range(2 * d1)]
-    return QuasiPoly((d1,), (PeriodicFn.from_numerators(d1, 1, nums),), d1)
+    return QuasiPoly((d1,), (periodic(d1, 1, nums),), d1)
 
 
 def materialise_reference(parts, pieces) -> QuasiPoly:
     """The certificate from a builder's pieces, {P: (den, tables)} with each
     table 2P integer numerators over den: every piece brought to the pieces'
     common denominator, tiled to 2 tau entries by list repetition, the tiles
-    summed as ints, the 2 tau sums reduced by PeriodicFn.from_numerators and
+    summed as ints, the 2 tau sums read over den as Fractions (periodic) and
     handed to the constructor at period tau.
     The form quasipoly._materialise had before it summed each coefficient at
     the lcm of its pieces' own lengths, kept as its reference."""
@@ -218,7 +234,7 @@ def materialise_reference(parts, pieces) -> QuasiPoly:
         values = tiles[0] if tiles else [0] * (2 * tau)
         for tile in tiles[1:]:
             values = [a + b for a, b in zip(values, tile)]
-        coeffs.append(PeriodicFn.from_numerators(tau, den, values))
+        coeffs.append(periodic(tau, den, values))
     return QuasiPoly(parts, coeffs, tau)
 
 

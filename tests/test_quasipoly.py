@@ -12,6 +12,7 @@ import re
 import sys
 import threading
 import types
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 
@@ -46,7 +47,9 @@ from helpers import (
     least_periods,
     materialise_reference,
     natural_average,
+    numerators,
     numerators_reference,
+    periodic,
     psi,
     tiled_json,
     to_json_reference,
@@ -88,55 +91,76 @@ class TestPeriodicFn:
             PeriodicFn(2, [1, 2, 3])
 
     def test_numerators_from_any_iterable(self):
-        # nums is read once, as a tuple: a generator and an iterator give
-        # the stored form the list gives, and a wrong length is still named
-        nums = [4, 0, -6, 72, 4, 0, -6, 72]
-        want = PeriodicFn.from_numerators(4, 24, nums)
-        for given in ((a for a in nums), iter(nums), tuple(nums)):
-            got = PeriodicFn.from_numerators(4, 24, given)
-            assert (got.period, got.den, got.nums) == (want.period, want.den, want.nums)
-        assert PeriodicFn.from_numerators(1, 1, iter([1, 2])) == PeriodicFn(1, [1, 2])
+        # values is read once, as a tuple: a generator and an iterator give
+        # the table the list gives, a tuple is stored as it is, and a wrong
+        # length is still named
+        vals = [Fraction(1, 6), 0, Fraction(-1, 4), 3] * 2
+        want = PeriodicFn(4, vals)
+        for given in ((a for a in vals), iter(vals)):
+            got = PeriodicFn(4, given)
+            assert (got.period, got.values) == (4, tuple(vals)) and got == want
+        kept = tuple(vals)
+        assert PeriodicFn(4, kept).values is kept
         with pytest.raises(InputError, match="period 2 needs 4 residue values, got 3"):
-            PeriodicFn.from_numerators(2, 1, iter([1, 2, 3]))
+            PeriodicFn(2, iter([1, 2, 3]))
+
+    def test_period_checked_before_values(self):
+        # a bad period is refused before any value is read, and a one-shot
+        # iterator of the right length is read once
+        def unread():
+            raise AssertionError("a value was read past a bad period")
+            yield 0
+
+        with pytest.raises(InputError, match="period must be a positive integer, got 0"):
+            PeriodicFn(0, unread())
+        pulled = []
+        once = (pulled.append(a) or a for a in [1, 0, Fraction(1, 2), 0])
+        assert PeriodicFn(2, once).values == (1, 0, Fraction(1, 2), 0)
+        assert pulled == [1, 0, Fraction(1, 2), 0]
 
     def test_integer_table(self):
+        # values are stored as given, ints as ints and Fractions as
+        # Fractions; as numerators over one denominator they are the
+        # reduced integer table
         f = PeriodicFn(2, [Fraction(1, 6), 0, Fraction(-1, 4), 3])
-        assert (f.den, f.nums) == (12, (2, 0, -3, 36))
+        assert numerators(f) == (12, (2, 0, -3, 36))
         assert f.values == (Fraction(1, 6), 0, Fraction(-1, 4), 3)
-        assert all(type(v) is Fraction for v in f.values)
-        assert (PeriodicFn(1, [0, 0]).den, PeriodicFn(1, [0, 0]).nums) == (1, (0, 0))
-        assert PeriodicFn.from_numerators(2, 24, [4, 0, -6, 72]) == f
+        assert [type(v) for v in f.values] == [Fraction, int, Fraction, int]
+        assert numerators(PeriodicFn(1, [0, 0])) == (1, (0, 0))
+        assert periodic(2, 24, [4, 0, -6, 72]) == f == periodic(2, 12, [2, 0, -3, 36])
 
     def test_stored_at_least_period(self):
-        # a PeriodicFn is stored at the period it was given, reduced there,
-        # and never cut: a table repeating every 2 cells, every 3 cells (an
-        # odd count), one that does not repeat, and a constant. The least
-        # period is the certificate's: its coeffs are built from its stored
-        # rows, each cut once to its least period
-        halves = PeriodicFn.from_numerators(3, 4, [2, 6] * 3)
-        assert (halves.period, halves.den, halves.nums) == (3, 2, (1, 3) * 3)
-        odd = PeriodicFn.from_numerators(6, 1, [1, 2, 3] * 4)
-        assert (odd.period, odd.nums) == (6, (1, 2, 3) * 4)
-        whole = PeriodicFn.from_numerators(3, 1, [0, 0, 0, 0, 0, 1])
-        assert (whole.period, whole.nums) == (3, (0, 0, 0, 0, 0, 1))
+        # a PeriodicFn is stored at the period it was given and never cut: a
+        # table repeating every 2 cells, every 3 cells (an odd count), one
+        # that does not repeat, and a constant. The least period is the
+        # certificate's: its coeffs are built from its stored rows, each cut
+        # once to its least period
+        half = Fraction(1, 2)
+        halves = periodic(3, 4, [2, 6] * 3)
+        assert (halves.period, halves.values) == (3, (half, 3 * half) * 3)
+        odd = PeriodicFn(6, [1, 2, 3] * 4)
+        assert (odd.period, odd.values) == (6, (1, 2, 3) * 4)
+        whole = PeriodicFn(3, [0, 0, 0, 0, 0, 1])
+        assert (whole.period, whole.values) == (3, (0, 0, 0, 0, 0, 1))
         constant = PeriodicFn(5, [Fraction(-3, 4)] * 10)
-        assert (constant.period, constant.den, constant.nums) == (5, 4, (-3,) * 10)
+        assert (constant.period, constant.values) == (5, (Fraction(-3, 4),) * 10)
         # on the class 2s = 0 mod 2 of (2,), at master period 6
-        given = PeriodicFn.from_numerators(3, 4, [2, 0] * 3)
+        given = periodic(3, 4, [2, 0] * 3)
         (least,) = QuasiPoly((2,), (given,), 6).coeffs
-        assert (least.period, least.den, least.nums) == (1, 2, (1, 0))
-        wide = PeriodicFn.from_numerators(6, 1, [1, 0, 2, 0, 3, 0] * 2)
+        assert (least.period, least.values) == (1, (half, 0))
+        wide = PeriodicFn(6, [1, 0, 2, 0, 3, 0] * 2)
         (least,) = QuasiPoly((2,), (wide,), 6).coeffs
-        assert (least.period, least.nums) == (3, (1, 0, 2, 0, 3, 0))
+        assert (least.period, least.values) == (3, (1, 0, 2, 0, 3, 0))
+        assert all(type(v) is Fraction for v in least.values)
 
     def test_equality_by_function(self):
-        # a PeriodicFn compares and hashes as (den, nums) at the period it
+        # a PeriodicFn compares and hashes as its values at the period it
         # was given: equal only at equal periods, where one function handed
-        # over as Fractions, unreduced numerators or ints is one stored form
+        # over as Fractions, unreduced numerators or ints is one table
         short, long = PeriodicFn(1, [5, 7]), PeriodicFn(3, [5, 7] * 3)
         assert long.period == 3 and short != long and long != short
         assert len({short, long, PeriodicFn(2, [5, 7] * 2)}) == 3
-        same = PeriodicFn.from_numerators(1, 2, [10, 14])
+        same = periodic(1, 2, [10, 14])
         assert same == short and short == same and hash(same) == hash(short)
         two, six = PeriodicFn(2, [1, 0, 3, 0]), PeriodicFn(6, [1, 0, 3, 0] * 3)
         assert two != six and six.period == 6
@@ -160,7 +184,7 @@ class TestPeriodicFn:
             PeriodicFn(1, [bad] * 2)
 
     @pytest.mark.parametrize("den, nums", [
-        (-2, [0, 1]),  # compared unequal to its reduced form and wrote "0/-1"
+        (-2, [0, 1]),
         (0, [0, 1]),
         (True, [0, 1]),
         (2.0, [0, 1]),
@@ -168,12 +192,16 @@ class TestPeriodicFn:
         (1, [0, 0.5]),
         (1, [0, True]),
         (1, [1, True]),  # a bool equal to another cell's int
-        (1, [0, Fraction(1, 2)]),
+        (1, [0, Decimal("0.5")]),  # exact, but neither an int nor a Fraction
         (1, ["1", 0]),
     ])
     def test_constructor_checks_denominator_and_numerators(self, den, nums):
-        with pytest.raises(InputError):
-            PeriodicFn.from_numerators(1, den, nums)
+        # the cases a constructor from a denominator and numerators refused,
+        # read as PeriodicFn(period, values): each den other than the int 1
+        # is a bad period, and each nums beside it holds a bad value
+        bad_period = type(den) is not int or den != 1
+        with pytest.raises(InputError, match="period must be" if bad_period else "values must be"):
+            PeriodicFn(den, nums)
 
     def test_natural_average(self):
         f = PeriodicFn(2, [1, 0, 3, 0])
@@ -274,7 +302,7 @@ class TestExtend:
             sigma = sum(prev_parts) % 2
             prev = _natural_table(prev_parts, rng, zero=False)
             for fn in prev.coeffs:
-                assert all(fn.nums[sigma::2]) and not any(fn.nums[1 - sigma :: 2])
+                assert all(fn.values[sigma::2]) and not any(fn.values[1 - sigma :: 2])
             assert extend_recursive(prev, d_new) == extend_reference(prev, d_new), prev_parts
             sums.add(sigma)
         assert sums == {0, 1}
@@ -314,9 +342,9 @@ class TestExtend:
                     cert = builder(prev_parts)
                     coeffs = list(cert.coeffs)
                     fn = coeffs[j]
-                    nums = list(fn.nums)
-                    nums[1 - sigma] += 1
-                    coeffs[j] = PeriodicFn.from_numerators(fn.period, fn.den, nums)
+                    vals = list(fn.values)
+                    vals[1 - sigma] += 1
+                    coeffs[j] = PeriodicFn(fn.period, vals)
                     message = re.escape(
                         f"the power {m - 1 - j} coefficient of {prev_parts} has a nonzero cell at "
                         f"residue 2s = {1 - sigma} (mod {2 * fn.period}), off its class 2s = {sigma} mod 2"
@@ -397,7 +425,7 @@ def _closure(parts):
     den, row = closure_fn(parts)
     cells = [0] * (2 * len(row))
     cells[sum(parts) % 2 :: 2] = row
-    return PeriodicFn.from_numerators(len(row), den, cells)
+    return periodic(len(row), den, cells)
 
 
 class TestExplicit:
@@ -1008,8 +1036,8 @@ class TestIntegerTables:
             assert not any(a for col in ref for a in col[1 - sigma :: 2]), parts
             below += any(fn.period < cert.master_period for fn in cert.coeffs)
             for fn in cert.coeffs:
-                assert fn.den > 0 and math.gcd(fn.den, *fn.nums) == 1, parts
-                assert len(fn.nums) == len(fn.values) == 2 * fn.period
+                assert len(fn.values) == 2 * fn.period
+                assert all(type(v) is Fraction for v in fn.values), parts
                 copy = PeriodicFn(fn.period, fn.values)
                 assert copy == fn and hash(copy) == hash(fn), parts
         # some columns are read shorter than the master period
@@ -1027,7 +1055,7 @@ class TestIntegerTables:
             own = least_periods(cert)
             parsed = QuasiPoly.from_json(tiled_json(cert.to_json()))
             for view in (cert, parsed):
-                assert [(fn.period, fn.den, fn.nums) for fn in view.coeffs] == own, parts
+                assert [(fn.period, *numerators(fn)) for fn in view.coeffs] == own, parts
             below += any(p < cert.master_period for p, _, _ in own)
         assert below > 0
 
@@ -1095,7 +1123,7 @@ class TestIntegerTables:
             PeriodicFn(2, [Fraction(1, 4), 0, Fraction(-1, 2), 0]),
             PeriodicFn(3, [1, 0, 0, 0, 7, 0]),
         )
-        assert [fn.den for fn in fns] == [3, 4, 1]
+        assert [numerators(fn)[0] for fn in fns] == [3, 4, 1]
         parts = (1, 2, 3)
         cert = QuasiPoly(parts, fns)
         assert cert.master_period == 6 and cert.coeffs == fns
@@ -1117,8 +1145,8 @@ class TestIntegerTables:
         assert text == to_json_reference(given)
         # the same functions given unreduced, or tiled past their least period
         same = QuasiPoly(parts, (
-            PeriodicFn.from_numerators(2, 9, [24, 0, 24, 0]),
-            PeriodicFn.from_numerators(2, 8, [2, 0, -4, 0]),
+            periodic(2, 9, [24, 0, 24, 0]),
+            periodic(2, 8, [2, 0, -4, 0]),
             PeriodicFn(6, list(fns[2].values) * 2),
         ))
         for other in (same, QuasiPoly.from_json(text), QuasiPoly.from_json(tiled_json(text))):
@@ -1245,19 +1273,19 @@ class TestLazyCoefficients:
             assert original(parts, pieces) == original(parts, pieces), parts
 
     def test_cert_path_makes_no_coefficient(self, monkeypatch):
-        # build + to_json, the cert command's path, calls from_numerators
-        # zero times, and so do both builds of (97, 101, 103), a default
-        # verify call, one on fresh builder certificates, and count,
-        # numerator_tables, ==, hash and aligned on fresh certificates; a read
-        # of coeffs makes one call per coefficient
+        # build + to_json, the cert command's path, makes no PeriodicFn, and
+        # neither do both builds of (97, 101, 103), a default verify call,
+        # one on fresh builder certificates, and count, numerator_tables, ==,
+        # hash and aligned on fresh certificates; a read of coeffs makes one
+        # per coefficient
         calls = []
-        made = PeriodicFn.from_numerators
+        made = PeriodicFn.__init__
 
-        def counting(cls, *args):
-            calls.append(args[0])
-            return made(*args)
+        def counting(self, period, values):
+            calls.append(period)
+            made(self, period, values)
 
-        monkeypatch.setattr(PeriodicFn, "from_numerators", classmethod(counting))
+        monkeypatch.setattr(PeriodicFn, "__init__", counting)
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             for builder in (build_explicit, build_recursive):
                 builder(parts).to_json()
@@ -1330,7 +1358,7 @@ class TestLazyCoefficients:
             cert, tau = certs[0], certs[0].master_period
             text = tiled_json(cert.to_json())
             calls.clear()
-            fns = [PeriodicFn.from_numerators(tau, fn.den, fn.nums * (tau // fn.period)) for fn in cert.coeffs]
+            fns = [PeriodicFn(tau, fn.values * (tau // fn.period)) for fn in cert.coeffs]
             assert not calls, parts
             assert QuasiPoly(parts, fns, tau) == cert
             assert calls["_summed"] == 1, parts
@@ -1437,7 +1465,7 @@ def _build_explicit_per_pivot(parts):
             for res, a in enumerate(res_table):
                 for rho in range(res, 2 * tau, len(res_table)):
                     bucket[rho] += a * (common // den)
-    return QuasiPoly(d, [PeriodicFn.from_numerators(tau, common * top, vals) for vals in acc], tau)
+    return QuasiPoly(d, [periodic(tau, common * top, vals) for vals in acc], tau)
 
 
 class TestExplicitPieces:
@@ -1563,7 +1591,7 @@ class TestCapacityGuard:
         def unmade(*args):
             raise AssertionError("a coefficient was made past the guard")
 
-        monkeypatch.setattr(PeriodicFn, "from_numerators", unmade)
+        monkeypatch.setattr(PeriodicFn, "__init__", unmade)
         with pytest.raises(CapacityError, match="2 x 52 cells, over the limit 100"):
             cert.aligned(26)
 
@@ -1605,7 +1633,7 @@ class TestSerialization:
             assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TILED[parts]
             # and so does the constructor's certificate from the built one's
             # coefficients tiled to tau: one stored form by either route
-            tiled = [PeriodicFn.from_numerators(tau, fn.den, fn.nums * (tau // fn.period)) for fn in cert.coeffs]
+            tiled = [PeriodicFn(tau, fn.values * (tau // fn.period)) for fn in cert.coeffs]
             for old in (QuasiPoly.from_json(text), QuasiPoly(parts, tiled, tau)):
                 assert [fn.period for fn in old.coeffs] == [fn.period for fn in cert.coeffs], parts
                 assert old == cert and cert == old and hash(old) == hash(cert), parts
@@ -1625,8 +1653,8 @@ class TestSerialization:
                 PeriodicFn(3, [0, Fraction(1, 3), 0, -1, 0, Fraction(-2, 3)]),
             )),
             QuasiPoly((2, 2), (
-                PeriodicFn.from_numerators(1, 12, [-8, 0]),
-                PeriodicFn.from_numerators(2, 12, [12, 0, 4, 0]),
+                periodic(1, 12, [-8, 0]),
+                periodic(2, 12, [12, 0, 4, 0]),
             ), 4),
             QuasiPoly((5, 1), (PeriodicFn(1, [7, 0]), PeriodicFn(5, [-10**30, 0, 3, 0, -10**30, 0, 2, 0, 9, 0]))),
         ]
@@ -1753,6 +1781,12 @@ class TestSerialization:
         message = r"^malformed certificate JSON: unknown keys \['note'\] in a coefficient$"
         with pytest.raises(InputError, match=message):
             QuasiPoly.from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000], ids=["lists", "objects"])
+    def test_deep_nesting_rejected(self, text):
+        # json.loads raises RecursionError on nesting deeper than its decoder reaches
+        with pytest.raises(InputError, match="not valid JSON"):
+            QuasiPoly.from_json(text)
 
     def test_integer_over_digit_limit_rejected(self):
         # json.loads raises a plain ValueError for an integer longer than int() reads
