@@ -28,8 +28,9 @@ each sum to its least length, the one least-period cut; the first read
 reduces those natural cells jointly and keeps them as the stored form (_store,
 the one path every certificate is stored by), numerator_tables (verify's read)
 reduces them by the same joint gcd and keeps nothing, and to_json writes
-the natural cells, before the first read or after it, "0" at every key off
-the class.
+the natural cells alone, before the first read or after it, keyed
+2i + sigma; from_json reads that layout and the one to_json wrote before,
+with "0" at every key off the class, coefficient by coefficient.
 build_recursive keeps one piece per distinct part period: each step,
 _extend_pieces, correlates every piece at its own period (a period-P piece
 stays period P), over each table's nonzero cells, and adds closure_fn's
@@ -115,27 +116,28 @@ shared _summed.
 Periodic coefficients live on the half-integer lattice: a PeriodicFn of
 period T is a table of 2T int or Fraction values, indexed by the scaled
 residue 2s mod 2T, so integer and half-odd points coexist in one table and
-every shift is index arithmetic. It is only the way in (the constructor,
-and so from_json) and the way out (coeffs); no integer form is its own. A
-certificate's coefficients are zero off the class 2s = sum(d) mod 2: every
-table a builder makes lies on it, and the constructor refuses a
-coefficient with a nonzero cell off it. So a certificate's values are held
-only as its natural cells: integer rows over one positive denominator, row
-j R_j's p cells at its least period p, cell i the numerator at
-2s = 2i + sigma, reduced jointly so that gcd(den, every cell) = 1. A point
-is the int t = 2s inside; value takes s as an int or a Fraction with
-denominator 1 or 2 and is 0 off the class, count passes t = 2n + sum(d),
-always on it, straight to the integer Horner, which reads cell t >> 1, and
-xi is a Fraction. value, count, numerator_tables and to_json read the rows,
-and coeffs lays each row out on its 2p cells as Fractions, one per distinct
-numerator, and builds a PeriodicFn on each read. Every certificate is
-stored by _store: the constructor puts each coefficient's natural cells
-over the lcm of their denominators and hands them to it as a piece, so a
-parsed, hand-built or built table is cut to its least period at one place,
-_summed (by _least_length), and one certificate has one stored form: a
-file written with its coefficients tiled to tau reads as the built
-certificate and writes the built bytes, and both compare and hash as plain
-data.
+every shift is index arithmetic. It is only the way in (the constructor)
+and the way out (coeffs); no integer form is its own, and from_json reads
+a file's natural cells without one. A certificate's coefficients are zero
+off the class 2s = sum(d) mod 2: every table a builder makes lies on it,
+and the constructor and from_json refuse a coefficient with a nonzero cell
+off it. So a certificate's values are held only as its natural cells:
+integer rows over one positive denominator, row j R_j's p cells at its
+least period p, cell i the numerator at 2s = 2i + sigma, reduced jointly so
+that gcd(den, every cell) = 1. A point is the int t = 2s inside; value
+takes s as an int or a Fraction with denominator 1 or 2 and is 0 off the
+class, count passes t = 2n + sum(d), always on it, straight to the integer
+Horner, which reads cell t >> 1, and xi is a Fraction. value, count,
+numerator_tables and to_json read the rows, and coeffs lays each row out on
+its 2p cells as Fractions, one per distinct numerator, and builds a
+PeriodicFn on each read. Every certificate is stored by _store: the
+constructor and from_json put each coefficient's natural cells over the lcm
+of their denominators and hand them to it as a piece (_hold), so a parsed,
+hand-built or built table is cut to its least period at one place, _summed
+(by _least_length), and one certificate has one stored form: a file written
+with its coefficients tiled to tau, or with "0" at every key off the class,
+reads as the built certificate and writes the built bytes, and both compare
+and hash as plain data.
 """
 
 from __future__ import annotations
@@ -174,9 +176,9 @@ class PeriodicFn:
     hash are those of ``values``: one function at two periods compares
     unequal, PeriodicFn(3, [5, 7] * 3) != PeriodicFn(1, [5, 7]), while
     PeriodicFn(1, [2, 0]) == PeriodicFn(1, [Fraction(2), Fraction(0)]).
-    It is the way into a certificate (the QuasiPoly constructor, which
-    makes the integer form, and from_json) and the way out (QuasiPoly.coeffs,
-    built from the stored rows at their least periods).
+    It is the way into a certificate through the QuasiPoly constructor,
+    which makes the integer form, and the way out (QuasiPoly.coeffs, built
+    from the stored rows at their least periods); from_json builds none.
     """
 
     __slots__ = ("period", "values")
@@ -221,14 +223,15 @@ class QuasiPoly:
     Every certificate is stored by one path, _store: the guard limit on its
     m tables of 2 * master_period cells, then _summed, the one cut to least
     periods, then the joint reduction and the check that each period
-    divides the master period. A certificate made by the constructor (parsed
-    or hand-built) is stored from the start: the constructor reads each
-    PeriodicFn's values, refuses a coefficient with a nonzero cell off the
-    class sum(parts) mod 2, naming its power and its residue modulo the
-    table as given, and hands each coefficient's natural half, as int
-    numerators over the lcm of its denominators, to _store as a piece of its
-    own, so a parsed certificate is refused by the guard before any table is
-    summed. One made
+    divides the master period. A certificate made by the constructor
+    (hand-built) or by from_json (parsed) is stored from the start: the
+    constructor reads each PeriodicFn's values, from_json each
+    coefficient's residue keys, each refuses a coefficient with a nonzero
+    cell off the class sum(parts) mod 2, naming its power and its residue
+    modulo the table as given, and each hands every coefficient's natural
+    half, as int numerators over the lcm of its denominators, to _store as a
+    piece of its own (_hold), so a parsed certificate is refused by the
+    guard before any table is summed. One made
     by a builder holds the builder's pieces, with _stored None: the first
     read of the stored form (count, value, coeffs, aligned, ==, hash) runs
     _store on them; numerator_tables and ``to_json`` read the pieces
@@ -253,30 +256,33 @@ class QuasiPoly:
             raise InputError(
                 f"{len(self.parts)} parts need {len(self.parts)} coefficient functions, got {len(cs)}"
             )
-        period = lcm_of(self.parts) if master_period is None else master_period
-        if not isinstance(period, int) or isinstance(period, bool) or period < 1:
-            raise InputError(f"master period must be a positive integer, got {period!r}")
-        self.master_period = period
+        self.master_period = _master_period(self.parts, master_period)
         for fn in cs:
             if not isinstance(fn, PeriodicFn):
                 raise InputError(f"coefficients must be PeriodicFn, got {fn!r}")
         sigma = sum(self.parts) % 2
-        self._pieces = {}
+        tables = []
         for j, fn in enumerate(cs):
             vals = fn.values
             if any(vals[1 - sigma :: 2]):
                 rho = next(rho for rho in range(1 - sigma, len(vals), 2) if vals[rho])
-                raise InputError(
-                    f"the power {len(cs) - 1 - j} coefficient of {self.parts} has a nonzero cell at "
-                    f"residue 2s = {rho} (mod {2 * fn.period}), off its class 2s = {sigma} mod 2"
-                )
-            # the natural cells as ints over the lcm of their denominators: one
-            # piece per coefficient, keyed by its index (_summed reads only the
-            # values), its other tables empty, which _summed skips
+                raise _off_class(self.parts, len(cs) - 1 - j, rho, fn.period)
+            # the natural cells as ints over the lcm of their denominators
             natural = vals[sigma::2]
             den = math.lcm(*{v.denominator for v in natural})
-            nums = [v.numerator * (den // v.denominator) for v in natural]
-            self._pieces[j] = den, [nums if i == j else () for i in range(len(cs))]
+            tables.append((den, [v.numerator * (den // v.denominator) for v in natural]))
+        self._hold(tables)
+
+    def _hold(self, tables: list[tuple[int, list[int]]]) -> None:
+        """Store the certificate from each coefficient's (den, nums), its
+        natural cells as int numerators over den, R_1's first: one piece per
+        coefficient, keyed by its index (_summed reads only the values), its
+        other tables empty, which _summed skips, handed to _store. The
+        constructor's and from_json's way in, after their own checks."""
+        m = len(tables)
+        self._pieces = {
+            j: (den, [nums if i == j else () for i in range(m)]) for j, (den, nums) in enumerate(tables)
+        }
         self._store()
 
     @property
@@ -432,12 +438,13 @@ class QuasiPoly:
         json.dumps(..., indent=2) prints the same document: one den and one
         row per coefficient, its natural cells at its least period over den:
         the summed pieces (_summed), unreduced, while nothing has read the
-        stored form, and the stored form after. One writer formats only the
-        natural cells: the template writes "0" at every key off the class
-        sigma = sum(parts) mod 2. Each distinct numerator a is reduced and
-        formatted once: with g = gcd(a, den), p = a/g and q = den/g it reads "p" when
-        q == 1 and "p/q" otherwise, the text str(Fraction(a, den)) gives,
-        whatever common factor a and den share. The residue lines of one
+        stored form, and the stored form after. Each coefficient's "values"
+        holds its P natural cells alone, cell i at key 2i + sigma with
+        sigma = sum(parts) mod 2: the coefficient is zero on the other
+        class, and no key of it is written. Each distinct numerator a is
+        reduced and formatted once: with g = gcd(a, den), p = a/g and
+        q = den/g it reads "p" when q == 1 and "p/q" otherwise, the text
+        str(Fraction(a, den)) gives, whatever common factor a and den share. The residue lines of one
         period are one %s template, its keys written by one %-format of the
         residues, built once per call and shared by every coefficient at
         that period, filled with the texts in residue order. Every string
@@ -449,17 +456,16 @@ class QuasiPoly:
         for a in set().union(*rows):
             g = math.gcd(a, den)
             text[a] = f'"{a // g}"' if g == den else f'"{a // g}/{den // g}"'
-        # one residue line per cell: a %s for a natural cell, "0" off the class
-        cell, zero = '"%d": %%s', '"%d": "0"'
-        pattern = [zero, cell] if sum(self.parts) % 2 else [cell, zero]
+        # one residue line per natural cell, keyed 2i + sigma
+        sigma = sum(self.parts) % 2
         blocks = []
         templates: dict[int, str] = {}
         for power, nums in zip(range(self.m - 1, -1, -1), rows):
             period = len(nums)
             template = templates.get(period)
             if template is None:
-                lines = ",\n        ".join(pattern * period)
-                template = templates[period] = lines % tuple(range(2 * period))
+                lines = ",\n        ".join(['"%d": %%s'] * period)
+                template = templates[period] = lines % tuple(range(sigma, 2 * period, 2))
             cells = template % tuple(map(text.__getitem__, nums))
             blocks.append(
                 f'    {{\n      "power": {power},\n      "period": {period},\n'
@@ -475,6 +481,14 @@ class QuasiPoly:
 
     @classmethod
     def from_json(cls, text: str) -> "QuasiPoly":
+        """The certificate a JSON document holds, or InputError naming the
+        first fault found. Each coefficient's "values" is read in its own
+        layout (_read_values): its natural keys alone, as to_json writes
+        them, or every key "0".."2P-1", as to_json wrote them before, at
+        any period its least period divides. Its natural cells go to _store
+        as the constructor's do (_hold), with no PeriodicFn built, so every
+        layout of one certificate reads as that certificate and writes
+        to_json's bytes."""
         try:
             raw = json.loads(text)
         except (ValueError, RecursionError) as exc:
@@ -499,12 +513,12 @@ class QuasiPoly:
                 power = entry["power"]
                 if type(power) is not int:
                     raise InputError(f"{bad} coefficient powers must be integers, got {power!r}")
-            parts = tuple(parts)
+            parts = as_parts(parts)
             entries = sorted(entries, key=lambda e: -e["power"])
             powers = [e["power"] for e in entries]
             if powers != list(range(len(parts) - 1, -1, -1)):
                 raise InputError(f"coefficient powers must cover {len(parts)-1}..0, got {powers}")
-            fns = []
+            tables = []
             for entry in entries:
                 period, values = entry["period"], entry["values"]
                 if not isinstance(period, int) or isinstance(period, bool) or period < 1:
@@ -514,24 +528,10 @@ class QuasiPoly:
                         f"{bad} the power {entry['power']} coefficient's values must be an "
                         f"object, got {type(values).__name__}"
                     )
-                # each distinct string parsed once, in residue order, so the first
-                # bad cell is reported; parse_rational rejects every non-string
-                parsed, cells = {}, []
-                for rho in range(2 * period):
-                    if str(rho) not in values:
-                        raise InputError(
-                            f"{bad} the power {entry['power']} coefficient "
-                            f"(period {period}) has no residue key {str(rho)!r}"
-                        )
-                    cell = values[str(rho)]
-                    if not isinstance(cell, str) or cell not in parsed:
-                        parsed[cell] = parse_rational(cell)
-                    cells.append(parsed[cell])
-                if len(values) != 2 * period:  # every "0".."2P-1" was read: a key is stray
-                    stray = sorted(set(values) - set(map(str, range(2 * period))))
-                    raise InputError(f"residue keys {stray} are outside 0..{2 * period - 1}")
-                fns.append(PeriodicFn(period, cells))
-            q = cls(parts, tuple(fns), raw["master_period"])
+                tables.append(_read_values(values, period, entry["power"], parts))
+            q = cls.__new__(cls)
+            q.parts, q.master_period = parts, _master_period(parts, raw["master_period"])
+            q._hold(tables)
             if str(q.xi) != raw["xi"]:
                 raise InputError(f"shift field {raw['xi']!r} does not match the parts")
         except (TypeError, ValueError) as exc:
@@ -539,6 +539,77 @@ class QuasiPoly:
                 raise
             raise InputError(f"malformed certificate JSON: {exc}") from exc
         return q
+
+
+def _read_values(values: dict, period: int, power: int, parts: tuple[int, ...]) -> tuple[int, list[int]]:
+    """One coefficient's "values" object as (den, nums): its P = period
+    natural cells, cell i at key 2i + sigma with sigma = sum(parts) mod 2,
+    as int numerators over the lcm of their denominators.
+
+    The keys must be the P natural ones, or every key "0".."2P-1" with each
+    cell off the class zero. Any other key set is refused: a missing
+    natural key first, named in residue order, then keys outside 0..2P-1,
+    then a part of the keys off the class, naming the first one missing.
+    Each key string is built once and looked up once, and each distinct
+    cell string parsed once, in the order of its first residue, so the
+    first bad cell is the one reported; parse_rational refuses every
+    non-string."""
+    bad = "malformed certificate JSON:"
+    sigma = sum(parts) % 2
+    cells = None
+    natural = len(values) == period
+    if natural or len(values) == 2 * period:  # the natural keys or every key, if none is missing
+        keys = map(str, range(sigma, 2 * period, 2) if natural else range(2 * period))
+        try:
+            cells = [values[key] for key in keys]
+        except KeyError:
+            pass
+    if cells is None:
+        # the faults in the order they are named, each key found without
+        # building more keys than the document holds
+        key = next((key for key in map(str, range(sigma, 2 * period, 2)) if key not in values), None)
+        if key is not None:
+            raise InputError(
+                f"{bad} the power {power} coefficient (period {period}) has no residue key {key!r}"
+            )
+        stray = set(values).difference(map(str, range(2 * period)))
+        if stray:
+            raise InputError(f"residue keys {sorted(stray)} are outside 0..{2 * period - 1}")
+        key = next(key for key in map(str, range(1 - sigma, 2 * period, 2)) if key not in values)
+        raise InputError(
+            f"{bad} the power {power} coefficient (period {period}) has no residue key "
+            f"{key!r} but other keys off its class 2s = {sigma} mod 2: it must have all or none"
+        )
+    if set(map(type, cells)) != {str}:
+        for cell in cells:  # a non-string cell, so one of them raises
+            parse_rational(cell)
+    parsed = {cell: parse_rational(cell) for cell in dict.fromkeys(cells)}
+    if len(cells) != period:
+        if any(parsed[cell] for cell in set(cells[1 - sigma :: 2])):
+            rho = next(rho for rho in range(1 - sigma, 2 * period, 2) if parsed[cells[rho]])
+            raise _off_class(parts, power, rho, period)
+        cells = cells[sigma::2]
+    den = math.lcm(*(v.denominator for v in parsed.values()))
+    num = {cell: v.numerator * (den // v.denominator) for cell, v in parsed.items()}
+    return den, list(map(num.__getitem__, cells))
+
+
+def _off_class(parts: tuple[int, ...], power: int, rho: int, period: int) -> InputError:
+    """The refusal of a coefficient with a nonzero cell at residue rho off
+    its class 2s = sum(parts) mod 2, in a table of the given period."""
+    return InputError(
+        f"the power {power} coefficient of {parts} has a nonzero cell at residue 2s = {rho} "
+        f"(mod {2 * period}), off its class 2s = {sum(parts) % 2} mod 2"
+    )
+
+
+def _master_period(parts: tuple[int, ...], period) -> int:
+    """The master period given for a certificate of these parts, checked to
+    be a positive int, never a bool: lcm(parts) when it is None."""
+    period = lcm_of(parts) if period is None else period
+    if not isinstance(period, int) or isinstance(period, bool) or period < 1:
+        raise InputError(f"master period must be a positive integer, got {period!r}")
+    return period
 
 
 def _check_keys(obj: dict, keys: set[str], where: str) -> None:

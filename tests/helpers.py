@@ -75,18 +75,40 @@ def tiled_values(fn: PeriodicFn, period: int) -> list[Fraction]:
     return list(fn.values) * (period // fn.period)
 
 
+def full_json(text: str) -> str:
+    """A certificate's JSON with "0" written at every residue key off the
+    class 2s = sum(parts) mod 2 that it lacks, each "values" object in
+    numeric key order, written by json.dumps(indent=2): the document
+    to_json wrote before it wrote only the natural cells, made by the
+    standard library alone. A document that has every key already prints
+    as it reads."""
+    raw = json.loads(text)
+    sigma = sum(raw["parts"]) % 2
+    for entry in raw["coefficients"]:
+        values = entry["values"]
+        entry["values"] = {
+            str(rho): values[str(rho)] if rho % 2 == sigma else values.get(str(rho), "0")
+            for rho in range(2 * entry["period"])
+        }
+    return json.dumps(raw, indent=2)
+
+
 def tiled_json(text: str) -> str:
     """A certificate's JSON with every coefficient's "values" repeated to
     the master period and "period" set to it, written by
     json.dumps(indent=2): the document the builders wrote before they stored
     each coefficient at its least period, made by the standard library
-    alone."""
+    alone. Either layout is tiled as it is: a document with every key
+    gives every key of the master period, one with the natural keys alone
+    gives the natural keys alone."""
     raw = json.loads(text)
     tau = raw["master_period"]
     for entry in raw["coefficients"]:
         values, size = entry["values"], 2 * entry["period"]
         entry["period"] = tau
-        entry["values"] = {str(rho): values[str(rho % size)] for rho in range(2 * tau)}
+        entry["values"] = {
+            str(rho): values[str(rho % size)] for rho in range(2 * tau) if str(rho % size) in values
+        }
     return json.dumps(raw, indent=2)
 
 
@@ -181,16 +203,24 @@ def least_periods(cert) -> list[tuple[int, int, tuple[int, ...]]]:
     return out
 
 
-def to_json_reference(cert) -> str:
+def to_json_reference(cert, every_key: bool = False) -> str:
     """A certificate's JSON from its Fraction values, through a dict and
-    json.dumps(indent=2). The serialiser before to_json wrote straight from
-    the integer tables (QuasiPoly.to_json_dict), kept as the reference for
+    json.dumps(indent=2): each "values" object holds the natural residues
+    rho = sum(parts) mod 2 alone, or with every_key every residue of the
+    table, the layout to_json wrote before it left out the class that is
+    zero. The serialiser before to_json wrote straight from the integer
+    tables (QuasiPoly.to_json_dict), kept as the reference for
     QuasiPoly.to_json."""
+    sigma = sum(cert.parts) % 2
     coefficients = [
         {
             "power": cert.m - 1 - idx,
             "period": fn.period,
-            "values": {str(rho): str(Fraction(v)) for rho, v in enumerate(fn.values)},
+            "values": {
+                str(rho): str(Fraction(v))
+                for rho, v in enumerate(fn.values)
+                if every_key or rho % 2 == sigma
+            },
         }
         for idx, fn in enumerate(cert.coeffs)
     ]

@@ -1,15 +1,21 @@
 """Certificate bytes pinned: both builders emit exactly these JSON documents.
 
-The digests are sha256 of `to_json()`. A refactor that claims byte-identical
+The digests are sha256 of JSON text. A refactor that claims byte-identical
 certificates must keep them; a change that means to alter the format updates
 them in the same commit and says why.
 
-PINNED is each certificate as built, every coefficient at its least period.
-PINNED_TILED is the same certificate with every coefficient tiled to the
+PINNED_NATURAL is `to_json()` of each certificate as built: every
+coefficient at its least period, its "values" object holding its natural
+residues 2i + sigma alone, sigma = sum(parts) mod 2.
+PINNED is the same document with "0" written at every residue key off the
+class, the bytes to_json wrote before it left those keys out:
+`helpers.full_json`, a standard-library transform of the JSON, must still
+print them.
+PINNED_TILED is PINNED's document with every coefficient tiled to the
 master period tau = lcm(parts), as the builders wrote it before they stored
-coefficients at their own periods: `helpers.tiled_json` of PINNED's document,
-a standard-library transform of the JSON, must still print those bytes, and
-reading them back must give PINNED's document again.
+coefficients at their own periods: `helpers.tiled_json` of PINNED's document
+must still print those bytes.
+Each of the three documents, read back, must write PINNED_NATURAL's bytes.
 """
 
 import hashlib
@@ -17,7 +23,26 @@ import hashlib
 import pytest
 
 from denumerant import QuasiPoly, build_explicit, build_recursive
-from helpers import tiled_json
+from helpers import full_json, tiled_json
+
+PINNED_NATURAL = {
+    (1, 2, 3, 4): "32e63920a5c843a6c4d44e1e84e1b048d7d8f41db46cbe106d19d3eeef424215",
+    (1, 2, 3, 4, 5): "fc8a63b74b71115c00e379a72cbf2a7bcea375c8054cbb41ea88a817402c542e",
+    (1, 1, 2, 2, 3, 3): "401c28f13de62536c70e6b7fc1d4bbaef8b8f22c6eb3955ef9cad2f66162367d",
+    (2, 3, 5, 7): "a6d556aea5ed0d0a998b3a2ffc783b1df026dd1c529d817eb0b4f805f96ee5de",
+    (5, 7, 9): "17104150af3bfd20c4aa4576688dd031cea0be5a87dbd0b40a58bf48322c228e",
+    (3, 1, 2): "8b0faad23d4b65ba4abf2b4d840ba891f0198dc4ea53686e4b659e3ff4721fc8",
+    (6, 1, 4, 1): "b2c6e80fdb65671e902fe68a3588f8eccce2e14968a4b244e893d389c59325b1",
+    (2, 1, 2, 1, 3): "e1765b147a80ae1507d0d33688924b09b77bff093cb0bdf63e1276f435a6ba66",
+    (5, 2, 2): "9b09cd376cc04a0cd94962480f8be32c7456420a18baf00870c4dc52567547cb",
+    (1, 2, 3, 4, 5, 6, 7): "1b6de4eb13cfe2c30bf8ad39544396a4381e7a478f39a4a8dbd2c3520fcc02e3",
+    (4, 9, 11): "65b0cf405faa73e144d98608f3442d891906b8a3d95cf8b6d89f992602501d5b",
+    (7, 8, 9): "092b58192324189ebad293bf58f2870802e3c9c26c73bd4938e29bfa4c1aac53",
+    (1, 2, 3, 4, 5, 6, 7, 8): "9149f7c74f66e868c3b7e1cb3108774f095eb013cf9d92e4a131a46f04015545",
+    (31, 37, 41): "12b57a665568375ba54609b099f06eaaedb5e77dc0db1e07eb26719a3b3ff8eb",
+    (2, 2, 2, 2): "e929b6a36927f6f94739d06808a8bed359ec875bf393d5d8069b94f072a715c9",
+    (1, 1, 1, 2, 2, 3): "32b02ff6112e95e7ab1e1600e545a41e928b1a8c3ccc72ba6c6272a673634a5c",
+}
 
 PINNED = {
     (1, 2, 3, 4): "066eb3a3a63eb59021a1d899eda66d2ba7c183f52a8e69fb1683c5523728d9c9",
@@ -66,13 +91,25 @@ def _digest(text: str) -> str:
 @pytest.mark.parametrize("builder", [build_explicit, build_recursive], ids=lambda b: b.__name__)
 def test_certificate_bytes(builder, parts):
     text = builder(parts).to_json()
-    assert _digest(text) == PINNED[parts]
+    assert _digest(full_json(text)) == PINNED[parts]
 
 
 @pytest.mark.parametrize("parts", list(PINNED_TILED), ids=lambda p: ",".join(map(str, p)))
 @pytest.mark.parametrize("builder", [build_explicit, build_recursive], ids=lambda b: b.__name__)
 def test_tiled_certificate_bytes(builder, parts):
     text = builder(parts).to_json()
-    tiled = tiled_json(text)
+    tiled = tiled_json(full_json(text))
     assert _digest(tiled) == PINNED_TILED[parts]
     assert QuasiPoly.from_json(tiled).to_json() == text
+
+
+@pytest.mark.parametrize("parts", list(PINNED_NATURAL), ids=lambda p: ",".join(map(str, p)))
+@pytest.mark.parametrize("builder", [build_explicit, build_recursive], ids=lambda b: b.__name__)
+def test_natural_certificate_bytes(builder, parts):
+    # the bytes written, and what every layout of the same certificate reads
+    # back to: every key at least periods, every key tiled to tau, and the
+    # natural keys alone, at least periods and tiled
+    text = builder(parts).to_json()
+    assert _digest(text) == PINNED_NATURAL[parts]
+    for layout in (text, full_json(text), tiled_json(full_json(text)), tiled_json(text)):
+        assert QuasiPoly.from_json(layout).to_json() == text

@@ -44,6 +44,7 @@ from helpers import (
     base_case,
     count_reference,
     extend_reference,
+    full_json,
     least_periods,
     materialise_reference,
     natural_average,
@@ -351,7 +352,9 @@ class TestExtend:
                     )
                     with pytest.raises(InputError, match=message):
                         QuasiPoly(prev_parts, coeffs)
-                    raw = json.loads(cert.to_json())
+                    # from_json reads a cell off the class only in a document
+                    # with every key, so the tamper is made on that layout
+                    raw = json.loads(full_json(cert.to_json()))
                     raw["coefficients"][j]["values"][str(1 - sigma)] = "1"
                     with pytest.raises(InputError, match=message):
                         QuasiPoly.from_json(json.dumps(raw))
@@ -1053,7 +1056,7 @@ class TestIntegerTables:
             cert = builder(parts)
             assert cert.master_period == lcm_of(parts), parts
             own = least_periods(cert)
-            parsed = QuasiPoly.from_json(tiled_json(cert.to_json()))
+            parsed = QuasiPoly.from_json(tiled_json(full_json(cert.to_json())))
             for view in (cert, parsed):
                 assert [(fn.period, *numerators(fn)) for fn in view.coeffs] == own, parts
             below += any(p < cert.master_period for p, _, _ in own)
@@ -1070,7 +1073,7 @@ class TestIntegerTables:
         for parts in list(iter_multisets(4, 6)) + BENCH_LISTS + list(PINNED):
             cert = builder(parts)
             cert.count(0)
-            for view in (cert, QuasiPoly.from_json(tiled_json(cert.to_json()))):
+            for view in (cert, QuasiPoly.from_json(tiled_json(full_json(cert.to_json())))):
                 for rows in (view._stored[1], view.numerator_tables()[1]):
                     cells = [a for row in rows for a in row]
                     assert len({id(a) for a in cells}) == len(set(cells)), parts
@@ -1090,7 +1093,7 @@ class TestIntegerTables:
             cert.count(0)
             assert cert._pieces is None, parts
             assert cert.numerator_tables() == before, parts
-            for view in (cert, QuasiPoly.from_json(tiled_json(cert.to_json()))):
+            for view in (cert, QuasiPoly.from_json(tiled_json(full_json(cert.to_json())))):
                 assert [len(row) for row in view._stored[1]] == [fn.period for fn in view.coeffs], parts
 
     def test_tables_are_fresh_lists(self):
@@ -1143,13 +1146,15 @@ class TestIntegerTables:
             assert cert.value(Fraction(t, 2)) == value_reference(given, Fraction(t, 2)), t
         text = cert.to_json()
         assert text == to_json_reference(given)
+        assert full_json(text) == to_json_reference(given, every_key=True)
         # the same functions given unreduced, or tiled past their least period
         same = QuasiPoly(parts, (
             periodic(2, 9, [24, 0, 24, 0]),
             periodic(2, 8, [2, 0, -4, 0]),
             PeriodicFn(6, list(fns[2].values) * 2),
         ))
-        for other in (same, QuasiPoly.from_json(text), QuasiPoly.from_json(tiled_json(text))):
+        layouts = (text, full_json(text), tiled_json(full_json(text)), tiled_json(text))
+        for other in (same, *map(QuasiPoly.from_json, layouts)):
             assert other == cert and cert == other and hash(other) == hash(cert)
             assert other.numerator_tables() == cert.numerator_tables()
             assert other.to_json() == text
@@ -1356,7 +1361,7 @@ class TestLazyCoefficients:
                 cert.count(0)
                 assert calls["_summed"] == 1, parts
             cert, tau = certs[0], certs[0].master_period
-            text = tiled_json(cert.to_json())
+            text = tiled_json(full_json(cert.to_json()))
             calls.clear()
             fns = [PeriodicFn(tau, fn.values * (tau // fn.period)) for fn in cert.coeffs]
             assert not calls, parts
@@ -1411,7 +1416,7 @@ class TestIntegerEvaluation:
             cert = builder(parts)
             # coefficients stored below the master period, read back from a
             # file written at the master period
-            parsed = QuasiPoly.from_json(tiled_json(cert.to_json()))
+            parsed = QuasiPoly.from_json(tiled_json(full_json(cert.to_json())))
             below += any(fn.period < parsed.master_period for fn in parsed.coeffs)
             sigma = sum(parts)
             # negative n at both edges of the reciprocity window -sigma < n < 0
@@ -1614,12 +1619,15 @@ class TestSerialization:
                 want = to_json_reference(explicit.aligned(period))
                 assert explicit.aligned(period).to_json() == want, (parts, period)
                 assert recursive.aligned(period).to_json() == want, (parts, period)
-            # as built, at least periods; read back, and read from the file
-            # tiled to tau, it writes the same bytes
+            # as built, at least periods; with "0" at every key off the class
+            # it is the reference with every key; read back, from either
+            # layout and from either layout tiled to tau, it writes the same
+            # bytes
             text = explicit.to_json()
             assert text == recursive.to_json() == to_json_reference(explicit), parts
-            assert QuasiPoly.from_json(text).to_json() == text, parts
-            assert QuasiPoly.from_json(tiled_json(text)).to_json() == text, parts
+            assert full_json(text) == to_json_reference(explicit, every_key=True), parts
+            for layout in (text, full_json(text), tiled_json(full_json(text)), tiled_json(text)):
+                assert QuasiPoly.from_json(layout).to_json() == text, parts
 
     def test_tiled_file_reads_as_built(self):
         # a certificate written with every coefficient tiled to tau, as the
@@ -1629,7 +1637,7 @@ class TestSerialization:
         for parts in PINNED_TILED:
             cert = build_explicit(parts)
             tau = cert.master_period
-            text = tiled_json(cert.to_json())
+            text = tiled_json(full_json(cert.to_json()))
             assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TILED[parts]
             # and so does the constructor's certificate from the built one's
             # coefficients tiled to tau: one stored form by either route
@@ -1661,6 +1669,8 @@ class TestSerialization:
         for cert in certs:
             text = cert.to_json()
             assert text == to_json_reference(cert), cert
+            assert full_json(text) == to_json_reference(cert, every_key=True), cert
+            assert QuasiPoly.from_json(full_json(text)).to_json() == text
             assert QuasiPoly.from_json(text) == cert
             assert QuasiPoly.from_json(text).to_json() == text
 
@@ -1671,6 +1681,8 @@ class TestSerialization:
         assert a == QuasiPoly.from_json(a).to_json()
 
     def test_schema_shape(self):
+        # (1, 2) sums to 3, so each "values" object holds the odd residues
+        # alone, in numeric order
         raw = json.loads(build_explicit((1, 2)).to_json())
         assert list(raw) == ["parts", "master_period", "xi", "coefficients"]
         assert raw["parts"] == [1, 2]
@@ -1679,8 +1691,17 @@ class TestSerialization:
         assert [e["power"] for e in raw["coefficients"]] == [1, 0]
         for entry in raw["coefficients"]:
             assert list(entry) == ["power", "period", "values"]
-            assert list(entry["values"]) == [str(r) for r in range(2 * entry["period"])]
+            assert list(entry["values"]) == [str(r) for r in range(1, 2 * entry["period"], 2)]
             assert all(isinstance(v, str) for v in entry["values"].values())
+        assert [list(e["values"]) for e in raw["coefficients"]] == [["1"], ["1", "3"]]
+
+    def test_writer_is_stdlib_layout(self):
+        # the bytes written are the bytes json.dumps(indent=2) prints for the
+        # document they hold, on both classes and at periods 1 to 2520
+        for parts in list(iter_multisets(3, 5)) + BENCH_LISTS + list(PINNED) + [tuple(range(1, 11))]:
+            for builder in (build_explicit, build_recursive):
+                text = builder(parts).to_json()
+                assert json.dumps(json.loads(text), indent=2) == text, parts
 
     def test_malformed_rejected(self):
         cert = build_explicit((1, 2))
@@ -1759,12 +1780,16 @@ class TestSerialization:
             QuasiPoly.from_json(json.dumps(raw))
 
     def test_stray_residue_keys_rejected(self):
-        # R_2 of (1, 2) has period 2: keys "0".."3" and nothing else
-        for key, cell in [("99", "5"), ("-1", "banana"), ("4", "0"), ("00", "0"), ("x", "1")]:
-            raw = json.loads(build_explicit((1, 2)).to_json())
-            raw["coefficients"][1]["values"][key] = cell
-            with pytest.raises(InputError, match="outside 0..3"):
-                QuasiPoly.from_json(json.dumps(raw))
+        # R_2 of (1, 2) has period 2: keys "0".."3" and nothing else, in
+        # either layout, and a stray key is named before a missing key off
+        # the class
+        text = build_explicit((1, 2)).to_json()
+        for layout in (text, full_json(text)):
+            for key, cell in [("99", "5"), ("-1", "banana"), ("4", "0"), ("00", "0"), ("x", "1")]:
+                raw = json.loads(layout)
+                raw["coefficients"][1]["values"][key] = cell
+                with pytest.raises(InputError, match=r"^residue keys \[.*\] are outside 0\.\.3$"):
+                    QuasiPoly.from_json(json.dumps(raw))
 
     def test_unknown_document_key_rejected(self):
         # the four top-level keys to_json writes, and no other
@@ -1808,14 +1833,21 @@ class TestSerialization:
 
     @pytest.mark.parametrize("cell", [True, False, None, 1, [1], {"1": 1}])
     def test_non_string_values_rejected(self, cell):
-        # residue 2 of R_2 for (1, 2) repeats the string at residue 0, so a
-        # non-string there must be rejected though the string parsed
-        raw = json.loads(build_explicit((1, 2)).to_json())
-        values = raw["coefficients"][1]["values"]
-        assert values["0"] == values["2"]
-        values["2"] = cell
-        with pytest.raises(InputError, match="exact string"):
-            QuasiPoly.from_json(json.dumps(raw))
+        # a non-string must be rejected though the string it replaces, which
+        # another residue repeats, parsed: residue 2 of R_2 for (1, 2), off
+        # the odd class, in the layout with every key, where it repeats the
+        # "0" at residue 0; and the natural residue 7 of R_3 for (2, 3, 4),
+        # which repeats residue 1's string, in the natural layout
+        for parts, j, rho, text in [
+            ((1, 2), 1, 2, full_json(build_explicit((1, 2)).to_json())),
+            ((2, 3, 4), 2, 7, build_explicit((2, 3, 4)).to_json()),
+        ]:
+            raw = json.loads(text)
+            values = raw["coefficients"][j]["values"]
+            assert values[str(rho)] == values[str(rho % 2)], parts
+            values[str(rho)] = cell
+            with pytest.raises(InputError, match="exact string"):
+                QuasiPoly.from_json(json.dumps(raw))
 
     def test_missing_residue_rejected(self):
         raw = json.loads(build_explicit((1, 2)).to_json())
@@ -1860,22 +1892,138 @@ class TestSerialization:
             QuasiPoly.from_json(json.dumps(raw))
 
     def test_missing_residue_named(self):
+        # a natural key deleted: "1" of (1,), whose class is odd, and "3" of
+        # R_2 for (1, 2), in either layout
         raw = json.loads(QuasiPoly((1,), (PeriodicFn(1, [0, 1]),)).to_json())
         del raw["coefficients"][0]["values"]["1"]
         with pytest.raises(
             InputError, match=r"the power 0 coefficient \(period 1\) has no residue key '1'$"
         ):
             QuasiPoly.from_json(json.dumps(raw))
+        for text in (build_explicit((1, 2)).to_json(), full_json(build_explicit((1, 2)).to_json())):
+            raw = json.loads(text)
+            del raw["coefficients"][1]["values"]["3"]
+            with pytest.raises(
+                InputError, match=r"the power 0 coefficient \(period 2\) has no residue key '3'$"
+            ):
+                QuasiPoly.from_json(json.dumps(raw))
 
     def test_first_bad_cell_reported(self):
+        # in residue order: in the layout with every key, "x" off the odd
+        # class of (2, 3, 4) at residue 2 comes before "1/0" at 5, and in the
+        # natural layout "x" at 3 does
+        for text, first in [(full_json(build_explicit((2, 3, 4)).to_json()), "2"),
+                            (build_explicit((2, 3, 4)).to_json(), "3")]:
+            raw = json.loads(text)
+            values = raw["coefficients"][2]["values"]
+            values[first], values["5"] = "x", "1/0"
+            with pytest.raises(InputError, match="'x'"):
+                QuasiPoly.from_json(json.dumps(raw))
+            values[first] = values["7"]
+            with pytest.raises(InputError, match="'1/0'"):
+                QuasiPoly.from_json(json.dumps(raw))
+
+    def test_partial_off_class_keys_rejected(self):
+        # R_3 of (2, 3, 4) has period 12 on the odd class: its even keys must
+        # be all there or none, and the first one missing is named; with
+        # every one of them deleted the document is the natural layout
+        text = build_explicit((2, 3, 4)).to_json()
+        message = (
+            r"^malformed certificate JSON: the power 0 coefficient \(period 12\) has no residue key "
+            r"'{}' but other keys off its class 2s = 1 mod 2: it must have all or none$"
+        )
+        for kept in ([0], [2, 22], list(range(2, 24, 2))):
+            raw = json.loads(full_json(text))
+            values = raw["coefficients"][2]["values"]
+            for rho in range(0, 24, 2):
+                if rho not in kept:
+                    del values[str(rho)]
+            first = min(set(range(0, 24, 2)) - set(kept))
+            with pytest.raises(InputError, match=message.format(first)):
+                QuasiPoly.from_json(json.dumps(raw))
+        raw = json.loads(full_json(text))
+        for rho in range(0, 24, 2):
+            del raw["coefficients"][2]["values"][str(rho)]
+        assert QuasiPoly.from_json(json.dumps(raw)).to_json() == text
+
+    def test_off_class_key_added_to_natural_layout(self):
+        # one key off the class added to a coefficient written in the natural
+        # layout: beside a period-12 coefficient's other 11 missing ones it is
+        # a partial set, refused even as "0"; at period 1 it is every key, so
+        # "0" there reads as the natural layout does and "1" is a nonzero cell
+        # off the class, refused with the constructor's words
+        text = build_explicit((2, 3, 4)).to_json()
+        for cell in ("0", "1"):
+            raw = json.loads(text)
+            raw["coefficients"][2]["values"]["4"] = cell
+            with pytest.raises(InputError, match=r"has no residue key '0' but other keys off its class"):
+                QuasiPoly.from_json(json.dumps(raw))
+        raw = json.loads(text)
+        raw["coefficients"][0]["values"]["0"] = "0"
+        assert QuasiPoly.from_json(json.dumps(raw)).to_json() == text
+        raw["coefficients"][0]["values"]["0"] = "1"
+        message = re.escape(
+            "the power 2 coefficient of (2, 3, 4) has a nonzero cell at residue 2s = 0 (mod 2), "
+            "off its class 2s = 1 mod 2"
+        )
+        with pytest.raises(InputError, match=f"^{message}$"):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    def test_key_faults_named_in_order(self):
+        # one coefficient with all three key faults: a missing natural key is
+        # named first, then the keys outside 0..2P-1, then a part of the keys
+        # off the class
         raw = json.loads(build_explicit((2, 3, 4)).to_json())
         values = raw["coefficients"][2]["values"]
-        values["2"], values["5"] = "x", "1/0"
-        with pytest.raises(InputError, match="'x'"):
+        del values["9"], values["5"]
+        values["0"], values["24"] = "0", "0"
+        with pytest.raises(InputError, match=r"has no residue key '5'$"):
             QuasiPoly.from_json(json.dumps(raw))
-        values["2"] = values["7"]
-        with pytest.raises(InputError, match="'1/0'"):
+        values["5"] = values["9"] = "0"
+        with pytest.raises(InputError, match=r"^residue keys \['24'\] are outside 0\.\.23$"):
             QuasiPoly.from_json(json.dumps(raw))
+        del values["24"]
+        with pytest.raises(InputError, match=r"no residue key '2' but other keys off its class 2s = 1 mod 2"):
+            QuasiPoly.from_json(json.dumps(raw))
+
+    def test_nonzero_off_class_cell_keeps_its_wording(self):
+        # the layout with every key, a nonzero cell off the class: refused
+        # with the constructor's words, naming the first such residue, in
+        # each coefficient and on both classes
+        for parts in [(2, 3, 4), (1, 2, 3), (5, 7, 9)]:
+            sigma = sum(parts) % 2
+            cert = build_explicit(parts)
+            for j, fn in enumerate(cert.coeffs):
+                for rho in {1 - sigma, 2 * fn.period - 1 - sigma}:
+                    raw = json.loads(full_json(cert.to_json()))
+                    raw["coefficients"][j]["values"][str(rho)] = "-2/3"
+                    message = re.escape(
+                        f"the power {len(parts) - 1 - j} coefficient of {parts} has a nonzero cell at "
+                        f"residue 2s = {rho} (mod {2 * fn.period}), off its class 2s = {sigma} mod 2"
+                    )
+                    with pytest.raises(InputError, match=f"^{message}$"):
+                        QuasiPoly.from_json(json.dumps(raw))
+                    with pytest.raises(InputError, match=f"^{message}$"):
+                        QuasiPoly(parts, [*cert.coeffs[:j], PeriodicFn(fn.period, [
+                            Fraction(-2, 3) if r == rho else v for r, v in enumerate(fn.values)
+                        ]), *cert.coeffs[j + 1:]])
+
+    def test_mixed_layouts_read(self):
+        # each coefficient is read in its own layout, so a document whose
+        # coefficients mix the two, tiled to tau or not, reads as the
+        # certificate and writes its bytes
+        for parts in [(2, 3, 4), (1, 2, 3), (2, 3, 5, 7), (1, 1, 2, 2, 3, 3)]:
+            text = build_explicit(parts).to_json()
+            natural, every = json.loads(text), json.loads(full_json(text))
+            tiled = json.loads(tiled_json(text))
+            for j in range(len(parts)):
+                for layout in (every, tiled):
+                    mixed = copy.deepcopy(natural)
+                    mixed["coefficients"][j] = layout["coefficients"][j]
+                    assert QuasiPoly.from_json(json.dumps(mixed, indent=2)).to_json() == text, (parts, j)
+                mixed = copy.deepcopy(every)
+                mixed["coefficients"][j] = natural["coefficients"][j]
+                assert QuasiPoly.from_json(json.dumps(mixed)).to_json() == text, (parts, j)
 
 
 class TestValidation:

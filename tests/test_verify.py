@@ -23,7 +23,7 @@ from denumerant import (
 )
 from denumerant import quasipoly, verify
 from denumerant.verify import BUILDERS, PROPERTIES, default_n_max
-from helpers import at_twice, poly_sub, taylor_shift, tiled_json, tiled_values
+from helpers import at_twice, full_json, poly_sub, taylor_shift, tiled_json, tiled_values
 
 
 def _tampered(cert: QuasiPoly, coeff_index: int, rho: int, delta=Fraction(1)) -> QuasiPoly | None:
@@ -211,7 +211,7 @@ class TestDetection:
             )
             with pytest.raises(InputError, match=message):
                 QuasiPoly(parts, coeffs)
-            raw = json.loads(tiled_json(good.to_json()))
+            raw = json.loads(tiled_json(full_json(good.to_json())))
             for rho in residues:
                 raw["coefficients"][0]["values"][str(rho)] = "1"
             with pytest.raises(InputError, match=message):
@@ -685,7 +685,7 @@ class TestOracleCounts:
         parts = (1, 2, 4)
         built = build_explicit(parts)
         assert any(fn.period < built.master_period for fn in built.coeffs)
-        read = QuasiPoly.from_json(tiled_json(built.to_json()))
+        read = QuasiPoly.from_json(tiled_json(full_json(built.to_json())))
         mixed = {"explicit": read, "recursive": build_recursive(parts)}
         for certs in (None, mixed):
             for prop, points in self.POINTS.items():
@@ -1097,7 +1097,9 @@ class TestMixedStoredPeriods:
     @pytest.mark.parametrize("parts", [(2, 3, 5, 7), (1, 2, 3, 4, 5, 6, 7, 8), (31, 37, 41)])
     def test_reports_match_stored_alike(self, parts):
         built = {label: build(parts) for label, build in BUILDERS.items()}
-        tiled = {label: QuasiPoly.from_json(tiled_json(cert.to_json())) for label, cert in built.items()}
+        tiled = {
+            label: QuasiPoly.from_json(tiled_json(full_json(cert.to_json()))) for label, cert in built.items()
+        }
         assert any(fn.period < cert.master_period for cert in built.values() for fn in cert.coeffs)
         for label, cert in built.items():
             assert tiled[label] == cert
@@ -1131,16 +1133,21 @@ class TestMixedStoredPeriods:
         assert failures == len(cases) - 1 == len(TestTamperMatrix.FAILS) // 2
 
     def test_tiled_file_read_at_least_periods(self, monkeypatch):
-        # (31, 37, 41) tiled to tau = 47027 writes 3 x 94054 cells; read back
-        # and injected, its explicit certificate is read by the recurrence at
-        # the built one's 1 + 1 + 47027 natural cells. The built recursive
-        # certificate is read at the same cells, without being filled, and
-        # its equal view is dropped; next to a recursive certificate with one
-        # cell of R_3 nudged, both are read at those cells
+        # (31, 37, 41) tiled to tau = 47027 with every key writes 3 x 94054
+        # cells; read back and injected, its explicit certificate is read by
+        # the recurrence at the built one's 1 + 1 + 47027 natural cells. The
+        # built recursive certificate is read at the same cells, without
+        # being filled, and its equal view is dropped; next to a recursive
+        # certificate with one cell of R_3 nudged, both are read at those
+        # cells
         parts = (31, 37, 41)
         built = {label: build(parts) for label, build in BUILDERS.items()}
-        text = tiled_json(built["explicit"].to_json())
+        text = tiled_json(full_json(built["explicit"].to_json()))
         assert sum(len(entry["values"]) for entry in json.loads(text)["coefficients"]) == 3 * 94054
+        # tiled in the natural layout it writes half of them, and reads the same
+        natural = tiled_json(built["explicit"].to_json())
+        assert sum(len(entry["values"]) for entry in json.loads(natural)["coefficients"]) == 3 * 47027
+        assert QuasiPoly.from_json(natural) == QuasiPoly.from_json(text) == built["explicit"]
         certs = {**built, "explicit": QuasiPoly.from_json(text)}
         assert sum(map(len, certs["explicit"].numerator_tables()[1])) == 47029
         cells = {}
